@@ -34,17 +34,8 @@ class QuorumCertificate:
 
     @property
     def signers(self) -> frozenset[str]:
-        """The set of distinct signer ids contained in the certificate.
-
-        Memoised on the (frozen) instance: certificates fan out to many
-        receivers and each used to rebuild this frozenset per access.
-        """
-        cached = self.__dict__.get("_repro_signers")
-        if cached is not None:
-            return cached
-        value = frozenset(sig.signer for sig in self.signatures)
-        object.__setattr__(self, "_repro_signers", value)
-        return value
+        """The set of distinct signer ids contained in the certificate."""
+        return frozenset(sig.signer for sig in self.signatures)
 
     def signature_units(self) -> int:
         """Verification cost: one unit per contained signature."""

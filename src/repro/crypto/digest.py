@@ -4,130 +4,35 @@ Protocol safety arguments hinge on all correct nodes computing the *same*
 digest for the same logical message, so the encoding must be canonical:
 independent of dict insertion order, interning, or process identity. We
 encode a small universe of types (primitives, bytes, enums, tuples, lists,
-dicts, dataclasses) with explicit type tags, then hash with SHA-256.
+dicts, dataclasses) with explicit type tags, then hash with SHA-256. How
+each type is encoded lives in :mod:`repro.crypto.schema`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import struct
-from enum import Enum
 from typing import Any
 
-from repro.errors import CryptoError
+from repro.crypto.schema import SCHEMAS, canonical_bytes
 
 __all__ = ["canonical_bytes", "digest", "digest_hex"]
-
-#: Per-class cache of (digest-relevant field names, frozen?) for
-#: dataclasses: ``dataclasses.fields`` walks the MRO on every call, far
-#: too slow for the encoder hot path.
-_FIELD_CACHE: dict[type, tuple[tuple, bool]] = {}
-
-
-def _class_info(cls: type) -> tuple[tuple, bool]:
-    cached = _FIELD_CACHE.get(cls)
-    if cached is None:
-        names = tuple(f.name for f in dataclasses.fields(cls)
-                      if f.metadata.get("digest", True))
-        cached = (names, cls.__dataclass_params__.frozen)
-        _FIELD_CACHE[cls] = cached
-    return cached
-
-_TAG_NONE = b"N"
-_TAG_TRUE = b"T"
-_TAG_FALSE = b"F"
-_TAG_INT = b"i"
-_TAG_FLOAT = b"f"
-_TAG_STR = b"s"
-_TAG_BYTES = b"b"
-_TAG_SEQ = b"l"
-_TAG_DICT = b"d"
-_TAG_OBJ = b"o"
-
-
-def _encode(obj: Any, out: bytearray) -> None:
-    if obj is None:
-        out += _TAG_NONE
-    elif obj is True:
-        out += _TAG_TRUE
-    elif obj is False:
-        out += _TAG_FALSE
-    elif isinstance(obj, Enum):
-        _encode(obj.value, out)
-    elif isinstance(obj, int):
-        raw = str(obj).encode()
-        out += _TAG_INT + struct.pack(">I", len(raw)) + raw
-    elif isinstance(obj, float):
-        out += _TAG_FLOAT + struct.pack(">d", obj)
-    elif isinstance(obj, str):
-        raw = obj.encode()
-        out += _TAG_STR + struct.pack(">I", len(raw)) + raw
-    elif isinstance(obj, (bytes, bytearray)):
-        out += _TAG_BYTES + struct.pack(">I", len(obj)) + bytes(obj)
-    elif isinstance(obj, (tuple, list)):
-        out += _TAG_SEQ + struct.pack(">I", len(obj))
-        for item in obj:
-            _encode(item, out)
-    elif isinstance(obj, (dict,)):
-        items = sorted(obj.items(), key=lambda kv: canonical_bytes(kv[0]))
-        out += _TAG_DICT + struct.pack(">I", len(items))
-        for key, value in items:
-            _encode(key, out)
-            _encode(value, out)
-    elif isinstance(obj, frozenset):
-        items = sorted(obj, key=canonical_bytes)
-        out += _TAG_SEQ + struct.pack(">I", len(items))
-        for item in items:
-            _encode(item, out)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        # Frozen dataclasses memoise their canonical encoding on the
-        # instance: protocol messages nest shared immutable parts (the
-        # same certificate rides in many envelopes), so the nested bytes
-        # are computed once and spliced thereafter. Mutable dataclasses
-        # are re-encoded every time.
-        cached_bytes = obj.__dict__.get("_repro_canon")
-        if cached_bytes is not None:
-            out += cached_bytes
-            return
-        cls = type(obj)
-        fields, frozen = _class_info(cls)
-        name = cls.__name__.encode()
-        sub = bytearray()
-        sub += _TAG_OBJ + struct.pack(">I", len(name)) + name
-        sub += struct.pack(">I", len(fields))
-        for field_name in fields:
-            _encode(field_name, sub)
-            _encode(getattr(obj, field_name), sub)
-        if frozen:
-            object.__setattr__(obj, "_repro_canon", bytes(sub))
-        out += sub
-    else:
-        raise CryptoError(f"cannot canonically encode {type(obj).__name__}")
-
-
-def canonical_bytes(obj: Any) -> bytes:
-    """Encode ``obj`` into a canonical byte string."""
-    out = bytearray()
-    _encode(obj, out)
-    return bytes(out)
 
 
 def digest(obj: Any) -> bytes:
     """SHA-256 digest of the canonical encoding of ``obj``.
 
-    Digests of (frozen) dataclass instances are memoised on the instance:
+    Digests of frozen dataclass instances are memoised on the instance:
     protocol messages are immutable and fan out to many receivers, so the
-    same object is digested repeatedly along the hot path.
+    same object is digested repeatedly along the hot path. A mutable
+    instance is hashed afresh every time.
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        cached = obj.__dict__.get("_repro_digest")
-        if cached is not None:
-            return cached
+    if not SCHEMAS[type(obj)].memo:
+        return hashlib.sha256(canonical_bytes(obj)).digest()
+    value = obj.__dict__.get("_repro_digest")
+    if value is None:
         value = hashlib.sha256(canonical_bytes(obj)).digest()
         object.__setattr__(obj, "_repro_digest", value)
-        return value
-    return hashlib.sha256(canonical_bytes(obj)).digest()
+    return value
 
 
 def digest_hex(obj: Any) -> str:

@@ -1,0 +1,212 @@
+"""The message schema: how each Python type takes part in a message.
+
+Three walks visit every message: the canonical bytes that digests and
+signatures cover, the count of signature verifications a receiver is
+charged for, and the wire JSON. :data:`SCHEMAS` maps ``type(obj)`` to
+the three functions for that type, so a visit is one table lookup. A
+type is resolved the first time a value of it is met (nothing is
+compiled at import), in the precedence the encodings were defined with
+(DESIGN.md §10): a dataclass is compiled once into closures over its
+field names and its pre-encoded header and field-name bytes.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import struct
+from enum import Enum
+from operator import itemgetter
+from typing import Any, Callable, NamedTuple
+
+from repro.errors import CryptoError, ProtocolError
+
+__all__ = ["SCHEMAS", "Schema", "canonical_bytes"]
+
+_u32 = struct.Struct(">I").pack
+
+
+class Schema(NamedTuple):
+    """What the three walks do with values of one type."""
+
+    #: ``encode(obj, out)`` appends the canonical bytes of ``obj``.
+    encode: Callable[[Any, bytearray], None]
+    #: ``units(obj)`` counts nested signatures; None: the type holds none.
+    units: Callable[[Any], int] | None
+    #: ``wire(obj)`` is the JSON-ready form.
+    wire: Callable[[Any], Any]
+    #: Instances are immutable and have a ``__dict__`` to memoise on.
+    memo: bool = False
+
+
+class _Schemas(dict):
+    def __missing__(self, cls: type) -> Schema:
+        schema = next(schema for base, schema in _BUILTINS.items()
+                      if issubclass(cls, base))
+        if schema is _OUTSIDE and dataclasses.is_dataclass(cls):
+            schema = _compile(cls)
+        if issubclass(cls, Enum):
+            # Hashed as its value whatever it mixes in (``Region(str,
+            # Enum)``); counted and shipped as the mix-in type, if any.
+            schema = schema._replace(encode=_enc_enum)
+        self[cls] = schema
+        return schema
+
+
+#: ``type -> Schema``; a missing type is resolved and stored on lookup.
+SCHEMAS: dict[type, Schema] = _Schemas()
+
+
+def canonical_bytes(obj: Any) -> bytes:
+    """Encode ``obj`` into a canonical byte string."""
+    out = bytearray()
+    SCHEMAS[type(obj)].encode(obj, out)
+    return bytes(out)
+
+
+def _enc_singleton(obj: bool | None, out: bytearray) -> None:
+    out += b"N" if obj is None else b"T" if obj else b"F"
+
+
+def _enc_enum(obj: Enum, out: bytearray) -> None:
+    value = obj.value
+    SCHEMAS[type(value)].encode(value, out)
+
+
+def _enc_int(obj: int, out: bytearray) -> None:
+    raw = str(obj).encode()
+    out += b"i" + _u32(len(raw)) + raw
+
+
+def _enc_float(obj: float, out: bytearray) -> None:
+    out += b"f" + struct.pack(">d", obj)
+
+
+def _enc_str(obj: str, out: bytearray) -> None:
+    raw = obj.encode()
+    out += b"s" + _u32(len(raw)) + raw
+
+
+def _enc_bytes(obj: bytes | bytearray, out: bytearray) -> None:
+    out += b"b" + _u32(len(obj)) + obj
+
+
+def _enc_seq(obj: tuple | list, out: bytearray) -> None:
+    out += b"l" + _u32(len(obj))
+    for item in obj:
+        SCHEMAS[type(item)].encode(item, out)
+
+
+def _enc_dict(obj: dict, out: bytearray) -> None:
+    # Each key is encoded once and the entries ordered by those bytes
+    # (stably, as keys of different types can encode alike).
+    entries = []
+    for key, value in obj.items():
+        encoded = bytearray()
+        SCHEMAS[type(key)].encode(key, encoded)
+        entries.append((encoded, value))
+    entries.sort(key=itemgetter(0))
+    out += b"d" + _u32(len(entries))
+    for encoded, value in entries:
+        out += encoded
+        SCHEMAS[type(value)].encode(value, out)
+
+
+def _enc_frozenset(obj: frozenset, out: bytearray) -> None:
+    out += b"l" + _u32(len(obj)) + b"".join(sorted(map(canonical_bytes, obj)))
+
+
+def _no_canonical_form(obj: Any, out: bytearray) -> None:
+    raise CryptoError(f"cannot canonically encode {type(obj).__name__}")
+
+
+def _units_of(values: Any) -> int:
+    total = 0
+    for value in values:
+        units = SCHEMAS[type(value)].units
+        if units is not None:
+            total += units(value)
+    return total
+
+
+def _same(obj: Any) -> Any:
+    return obj
+
+
+def _wire_list(obj: Any) -> list:
+    return [SCHEMAS[type(item)].wire(item) for item in obj]
+
+
+def _wire_dict(obj: dict) -> dict:
+    for key in obj:
+        if not isinstance(key, str):
+            raise ProtocolError(
+                f"cannot encode dict key of type {type(key).__name__}; "
+                "wire dicts must be keyed by str")
+    return {"__map__": dict(zip(obj, _wire_list(obj.values())))}
+
+
+def _no_wire_form(obj: Any) -> Any:
+    raise ProtocolError(
+        f"cannot encode value of type {type(obj).__name__} for the wire")
+
+
+#: Anything else has no canonical or wire form and carries no signature.
+_OUTSIDE = Schema(_no_canonical_form, None, _no_wire_form)
+#: Built-in types in precedence order (``bool`` before ``int``): the first a
+#: type subclasses gives its schema; dataclasses are those left at ``object``.
+_BUILTINS = {
+    type(None): Schema(_enc_singleton, None, _same),
+    bool: Schema(_enc_singleton, None, _same),
+    int: Schema(_enc_int, None, _same),
+    float: Schema(_enc_float, None, _same),
+    str: Schema(_enc_str, None, _same),
+    bytes: Schema(_enc_bytes, None, lambda obj: {"__bytes__": obj.hex()}),
+    bytearray: Schema(_enc_bytes, None, _no_wire_form),
+    tuple: Schema(_enc_seq, _units_of,
+                  lambda obj: {"__tuple__": _wire_list(obj)}),
+    list: Schema(_enc_seq, _units_of, _wire_list),
+    dict: Schema(_enc_dict, lambda obj: _units_of(obj.values()), _wire_dict),
+    frozenset: Schema(_enc_frozenset, None,
+                      lambda obj: {"__frozenset__": sorted(_wire_list(obj))}),
+    object: _OUTSIDE,
+}
+
+
+def _compile(cls: type) -> Schema:
+    """The schema of one dataclass, closed over its fields."""
+    fields = dataclasses.fields(cls)
+    names = tuple(f.name for f in fields)
+    hashed = tuple((canonical_bytes(f.name), f.name) for f in fields
+                   if f.metadata.get("digest", True))
+    raw = cls.__name__.encode()
+    header = b"o" + _u32(len(raw)) + raw + _u32(len(hashed))
+    # Immutable instances memoise their bytes: messages nest shared
+    # parts (one certificate rides in many envelopes), encoded once and
+    # spliced thereafter. ``slots=True`` leaves nowhere to memoise.
+    memo = cls.__dataclass_params__.frozen and cls.__dictoffset__ != 0
+
+    def encode(obj: Any, out: bytearray) -> None:
+        if memo:
+            cached = obj.__dict__.get("_repro_canon")
+            if cached is not None:
+                out += cached
+                return
+        sub = bytearray(header)
+        for key, name in hashed:
+            sub += key
+            value = getattr(obj, name)
+            SCHEMAS[type(value)].encode(value, sub)
+        if memo:
+            object.__setattr__(obj, "_repro_canon", bytes(sub))
+        out += sub
+
+    def units(obj: Any) -> int:
+        return _units_of([getattr(obj, name) for name in names])
+
+    def wire(obj: Any) -> dict:
+        values = _wire_list([getattr(obj, name) for name in names])
+        return {"__msg__": cls.__name__, "fields": dict(zip(names, values))}
+
+    # A class that states its own verification cost (a signature, a
+    # certificate, an envelope) is not walked.
+    return Schema(encode, getattr(cls, "signature_units", units), wire, memo)

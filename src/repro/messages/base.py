@@ -19,15 +19,13 @@ what may cross the wire.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Any
 
-from repro.crypto.certificates import QuorumCertificate
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry, Signature
-from repro.crypto.threshold import ThresholdCertificate
+from repro.crypto.schema import SCHEMAS
 from repro.errors import ProtocolError
 
 __all__ = [
@@ -57,32 +55,10 @@ class Message:
     __slots__ = ()
 
 
-#: Per-class field-name cache: ``dataclasses.fields`` walks the MRO on
-#: every call, which dominated the recursive unit count on the hot path.
-_UNIT_FIELDS: dict[type, tuple[str, ...]] = {}
-
-
 def nested_signature_units(obj: Any) -> int:
     """Count signature verifications embedded in ``obj`` (recursively)."""
-    if isinstance(obj, Signature):
-        return 1
-    if isinstance(obj, (QuorumCertificate, ThresholdCertificate)):
-        return obj.signature_units()
-    if isinstance(obj, Signed):
-        return obj.signature_units()
-    if isinstance(obj, (tuple, list)):
-        return sum(nested_signature_units(item) for item in obj)
-    if isinstance(obj, dict):
-        return sum(nested_signature_units(v) for v in obj.values())
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        cls = type(obj)
-        names = _UNIT_FIELDS.get(cls)
-        if names is None:
-            names = tuple(f.name for f in dataclasses.fields(cls))
-            _UNIT_FIELDS[cls] = names
-        return sum(nested_signature_units(getattr(obj, name))
-                   for name in names)
-    return 0
+    units = SCHEMAS[type(obj)].units
+    return units(obj) if units is not None else 0
 
 
 @dataclass(frozen=True)
@@ -103,11 +79,10 @@ class Signed:
         Memoised per envelope: the same object is fanned out to many
         receivers, each of which charges the same verification cost.
         """
-        cached = self.__dict__.get("_repro_units")
-        if cached is not None:
-            return cached
-        units = 1 + nested_signature_units(self.payload)
-        object.__setattr__(self, "_repro_units", units)
+        units = self.__dict__.get("_repro_units")
+        if units is None:
+            units = 1 + nested_signature_units(self.payload)
+            object.__setattr__(self, "_repro_units", units)
         return units
 
 
@@ -135,41 +110,6 @@ def verify_signed(keys: KeyRegistry, signed: Signed) -> bool:
 # single-key tagged object so decoding is unambiguous; dataclasses carry
 # their registered class name and are resolved through
 # ``repro.messages.registry.codec_types()``.
-
-def _encode_value(obj: Any) -> Any:
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, bytes):
-        return {"__bytes__": obj.hex()}
-    if isinstance(obj, tuple):
-        return {"__tuple__": [_encode_value(item) for item in obj]}
-    if isinstance(obj, frozenset):
-        return {"__frozenset__": sorted(_encode_value(item) for item in obj)}
-    if isinstance(obj, list):
-        return [_encode_value(item) for item in obj]
-    if isinstance(obj, dict):
-        encoded: dict[str, Any] = {}
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise ProtocolError(
-                    f"cannot encode dict key of type {type(key).__name__}; "
-                    "wire dicts must be keyed by str")
-            encoded[key] = _encode_value(value)
-        return {"__map__": encoded}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        cls = type(obj)
-        names = _UNIT_FIELDS.get(cls)
-        if names is None:
-            names = tuple(f.name for f in dataclasses.fields(cls))
-            _UNIT_FIELDS[cls] = names
-        return {
-            "__msg__": cls.__name__,
-            "fields": {name: _encode_value(getattr(obj, name))
-                       for name in names},
-        }
-    raise ProtocolError(
-        f"cannot encode value of type {type(obj).__name__} for the wire")
-
 
 def _decode_value(obj: Any, table: dict[str, type]) -> Any:
     if isinstance(obj, list):
@@ -204,21 +144,9 @@ def encode_message(message: Any) -> str:
     """Serialize a message (or :class:`Signed` envelope) to JSON.
 
     Output is deterministic (sorted keys, no whitespace), so equal
-    messages always encode to identical strings. The encoded string is
-    memoised on frozen dataclass instances — the exact counterpart of
-    the canonical-bytes memo in :mod:`repro.crypto.digest`, so a message
-    fanned out to many links is serialized once.
+    messages always encode to identical strings.
     """
-    if dataclasses.is_dataclass(message) and not isinstance(message, type):
-        cached = message.__dict__.get("_repro_wire")
-        if cached is not None:
-            return cached
-        encoded = json.dumps(_encode_value(message), sort_keys=True,
-                             separators=(",", ":"))
-        if type(message).__dataclass_params__.frozen:
-            object.__setattr__(message, "_repro_wire", encoded)
-        return encoded
-    return json.dumps(_encode_value(message), sort_keys=True,
+    return json.dumps(SCHEMAS[type(message)].wire(message), sort_keys=True,
                       separators=(",", ":"))
 
 

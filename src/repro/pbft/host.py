@@ -2,8 +2,8 @@
 
 A :class:`HostNode` is a simulated process that one or more protocol
 *engines* (PBFT replica, data-sync engine, migration engine, ...) attach
-to. It owns the node's identity, Byzantine behaviour, message log, and the
-signed send path; inbound envelopes are verified once and dispatched to the
+to. It owns the node's identity, Byzantine behaviour, and the signed send
+path; inbound envelopes are verified once and dispatched to the
 engine registered for the payload type.
 """
 
@@ -17,7 +17,6 @@ from repro.pbft.faults import Behavior, HonestBehavior
 from repro.sim.events import Simulator
 from repro.sim.network import Network
 from repro.sim.process import CostModel, Process
-from repro.storage.log import MessageLog
 
 __all__ = ["HostNode"]
 
@@ -32,7 +31,6 @@ class HostNode(Process):
         self.network = network
         self.keys = keys
         self.behavior = behavior or HonestBehavior()
-        self.message_log = MessageLog()
         self._handlers: dict[type, Callable[[str, Any, Signed], None]] = {}
         self.invalid_messages = 0
 
@@ -75,7 +73,6 @@ class HostNode(Process):
         if envelope is None:
             return
         self.occupy(self.cost_model.send_time(1))
-        self.message_log.record("sent", type(payload).__name__)
         self.network.send(self.node_id, dst, envelope)
 
     def multicast_signed(self, dsts: Iterable[str], payload: Any,
@@ -90,7 +87,6 @@ class HostNode(Process):
             # Honest nodes send identical envelopes: sign once, fan out.
             envelope = self.behavior.outbound(self.keys, self.node_id,
                                               "", payload)
-            self.message_log.record("sent", type(payload).__name__)
             for dst in targets:
                 self.network.send(self.node_id, dst, envelope)
         else:
@@ -99,7 +95,6 @@ class HostNode(Process):
                                                   dst, payload)
                 if envelope is None:
                     continue
-                self.message_log.record("sent", type(payload).__name__)
                 self.network.send(self.node_id, dst, envelope)
         if wants_self:
             self._self_deliver(payload)
@@ -134,7 +129,6 @@ class HostNode(Process):
                               msg=type(message.payload).__name__)
             return
         payload = message.payload
-        self.message_log.record("recv", type(payload).__name__)
         handler = self._handlers.get(type(payload))
         if handler is None:
             if self.obs is not None:

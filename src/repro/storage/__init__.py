@@ -2,7 +2,7 @@
 
 from repro.storage.checkpoint import Checkpoint, CheckpointStore
 from repro.storage.kvstore import KVStore
-from repro.storage.log import CommitLog, CommitRecord, MessageLog
+from repro.storage.log import CommitLog, CommitRecord
 
 __all__ = [
     "Checkpoint",
@@ -10,5 +10,4 @@ __all__ = [
     "CommitLog",
     "CommitRecord",
     "KVStore",
-    "MessageLog",
 ]

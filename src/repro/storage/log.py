@@ -1,9 +1,9 @@
-"""Append-only message and transaction logs.
+"""Ordered log of committed transactions.
 
-The paper requires every sent and received protocol message to be logged
-(Algorithms 1–2: "every sent and received message is logged by the nodes")
-and replicas to keep an ordered log of committed transactions for replies,
-retransmission, and checkpoint garbage collection.
+Replicas keep it for replies, retransmission, and checkpoint garbage
+collection. The paper also has nodes log every sent and received message
+(Algorithms 1–2); here that record is the instrumentation bus, whose
+``net.msg`` / ``proc.handled`` tallies count them by payload type.
 """
 
 from __future__ import annotations
@@ -13,36 +13,7 @@ from typing import Any, Iterator
 
 from repro.errors import StorageError
 
-__all__ = ["MessageLog", "CommitLog", "CommitRecord"]
-
-
-class MessageLog:
-    """A bounded log of protocol messages, grouped by kind.
-
-    The bound keeps long simulations from retaining every message; safety
-    never depends on old messages beyond the stable checkpoint.
-    """
-
-    def __init__(self, max_per_kind: int = 10_000) -> None:
-        self._entries: dict[str, list[Any]] = {}
-        self._max = max_per_kind
-        self.total_logged = 0
-
-    def record(self, kind: str, message: Any) -> None:
-        """Append ``message`` under ``kind`` (e.g. ``"sent"``, ``"recv"``)."""
-        bucket = self._entries.setdefault(kind, [])
-        bucket.append(message)
-        if len(bucket) > self._max:
-            del bucket[: len(bucket) - self._max]
-        self.total_logged += 1
-
-    def entries(self, kind: str) -> list[Any]:
-        """Return the retained messages logged under ``kind``."""
-        return list(self._entries.get(kind, []))
-
-    def count(self, kind: str) -> int:
-        """Number of retained entries under ``kind``."""
-        return len(self._entries.get(kind, []))
+__all__ = ["CommitLog", "CommitRecord"]
 
 
 @dataclass(frozen=True)

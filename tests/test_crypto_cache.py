@@ -7,6 +7,8 @@ verifier instances.
 """
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -132,12 +134,11 @@ def test_threshold_fabricated_tag_fails_after_valid_cached():
     verifier.validate(good)
 
 
-def test_signers_memo_matches_signature_vector():
+def test_signers_follow_the_signature_vector():
     keys = KeyRegistry(seed=9)
     payload_digest = b"\x66" * 32
     cert = _cert(keys, ("n0", "n1", "n2", "n3"), 3, payload_digest)
     assert cert.signers == frozenset({"n0", "n1", "n2"})
-    # The memo is per instance: a replaced certificate recomputes.
     wider = dataclasses.replace(
         cert, signatures=cert.signatures + (keys.sign("n3", payload_digest),))
     assert wider.signers == frozenset({"n0", "n1", "n2", "n3"})
@@ -155,3 +156,30 @@ def test_canonical_digest_memo_survives_replace():
     sibling = dataclasses.replace(request, timestamp=2)
     assert digest(sibling) != first
     assert digest(request) == first
+
+
+def test_memo_site_census_matches_design_doc():
+    """ROADMAP tracks the number of memo sites; it may not grow silently.
+
+    Every ``_repro_*`` instance-memo name and every module-level
+    per-class table in ``src/repro`` must be the ones DESIGN.md §10
+    documents, and only the schema may enumerate a dataclass's fields.
+    """
+    root = Path(__file__).resolve().parents[1]
+    design = (root / "DESIGN.md").read_text()
+    section = design[design.index("## 10."):design.index("## 11.")]
+    memo_names, class_tables, field_walkers = set(), set(), set()
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        source = path.read_text()
+        module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
+        memo_names |= set(re.findall(r"_repro_[a-z_]+", source))
+        class_tables |= {
+            f"{module}.{name}" for name in
+            re.findall(r"^(\w+): dict\[type\b", source, flags=re.MULTILINE)}
+        if re.search(r"dataclasses\.fields\(|__dataclass_fields__", source):
+            field_walkers.add(module)
+    assert memo_names == set(re.findall(r"`(_repro_[a-z_]+)`", section))
+    assert len(memo_names) <= 3
+    assert class_tables == set(re.findall(r"`(repro\.[a-z_.]+\.[A-Z_]+)`",
+                                          section))
+    assert field_walkers == {"repro.crypto.schema"}

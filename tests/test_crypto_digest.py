@@ -66,6 +66,31 @@ def test_digest_memoised_on_instances():
     assert digest(sample) is first  # cached object, not just equal
 
 
+def test_mutable_dataclass_is_never_served_a_stale_digest():
+    @dataclass
+    class Counter:
+        x: int
+
+    counter = Counter(1)
+    before = digest(counter)
+    counter.x = 2
+    assert digest(counter) != before
+    assert digest(counter) == digest(Counter(2))
+    assert "_repro_digest" not in counter.__dict__
+
+
+def test_slots_dataclass_encodes_without_a_memo():
+    @dataclass(frozen=True, slots=True)
+    class Slotted:
+        x: int
+
+    assert canonical_bytes(Slotted(1)) == (
+        b"o\x00\x00\x00\x07Slotted\x00\x00\x00\x01"
+        b"s\x00\x00\x00\x01x" b"i\x00\x00\x00\x011")
+    assert digest(Slotted(1)) == digest(Slotted(1))
+    assert digest((Slotted(1),)) != digest((Slotted(2),))
+
+
 def test_unencodable_type_raises():
     with pytest.raises(CryptoError):
         canonical_bytes(object())

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from repro.errors import StorageError
 from repro.storage.checkpoint import Checkpoint, CheckpointStore
 from repro.storage.kvstore import KVStore
-from repro.storage.log import CommitLog, CommitRecord, MessageLog
+from repro.storage.log import CommitLog, CommitRecord
 
 
 # ----------------------------------------------------------------------
@@ -94,16 +94,6 @@ def test_property_export_import_preserves_prefix(data):
 # ----------------------------------------------------------------------
 # Logs
 # ----------------------------------------------------------------------
-def test_message_log_bounds_retention():
-    log = MessageLog(max_per_kind=3)
-    for i in range(10):
-        log.record("sent", i)
-    assert log.count("sent") == 3
-    assert log.entries("sent") == [7, 8, 9]
-    assert log.total_logged == 10
-    assert log.entries("other") == []
-
-
 def test_commit_log_rejects_conflicts():
     log = CommitLog()
     log.append(CommitRecord(sequence=1, request_digest=b"a", result=1, view=0))
