@@ -7,7 +7,7 @@ host? ``BENCH_baseline.json`` gates simulated metrics, so a Python-level
 slowdown (an accidentally quadratic loop, a lost cache) would merge
 silently without this suite.
 
-Four microbenches cover the DES hot paths:
+Five microbenches cover the DES hot paths:
 
 - ``sim_events``     — raw scheduler throughput (schedule + drain),
   including a cancelled-timer churn component (timers cancel constantly
@@ -18,6 +18,9 @@ Four microbenches cover the DES hot paths:
 - ``cert_validate``  — one quorum certificate validated by several
   receivers sharing a key registry (the paper's verified-once artifact);
 - ``threshold_validate`` — same for the constant-size threshold form;
+- ``state_digest``   — one ``put`` + state root on a 1 000-key and on a
+  20 000-key store; ``size_ratio`` (small-store rate / large-store rate)
+  stays near 1 because the root costs the keys written, not the store;
 - ``run_point``      — end-to-end wall time of a small Ziziphus
   experiment point (the number ``repro bench`` sweeps pay per point).
 
@@ -58,6 +61,8 @@ _SIM_CANCEL_N = 20_000
 _DIGEST_N = 12_000
 _CERT_N = 4_000
 _THRESHOLD_N = 4_000
+_STATE_DIGEST_N = 2_000
+_STATE_DIGEST_SIZES = (1_000, 20_000)
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,27 @@ def _bench_threshold_validate() -> dict:
             "value": _THRESHOLD_N / elapsed, "elapsed_ms": elapsed * 1e3}
 
 
+def _bench_state_digest() -> dict:
+    """One ``put`` + ``state_digest()`` per operation, small store and large."""
+    from repro.storage.kvstore import KVStore
+
+    elapsed = []
+    for size in _STATE_DIGEST_SIZES:
+        store = KVStore()
+        store.import_records({f"client/c{i}/balance": i for i in range(size)})
+        store.state_digest()
+        start = time.perf_counter()
+        for i in range(_STATE_DIGEST_N):
+            store.put(f"client/c{i % size}/balance", -i)
+            store.state_digest()
+        elapsed.append(time.perf_counter() - start)
+    small, large = elapsed
+    return {"metric": "ops_per_sec", "n": _STATE_DIGEST_N,
+            "value": _STATE_DIGEST_N / large, "elapsed_ms": large * 1e3,
+            "value_1k": round(_STATE_DIGEST_N / small, 1),
+            "size_ratio": round(large / small, 3)}
+
+
 def _bench_run_point() -> dict:
     """End-to-end wall time of one small Ziziphus point."""
     from repro.bench.runner import PointSpec, run_point
@@ -171,6 +197,7 @@ _BENCHES = {
     "digest": _bench_digest,
     "cert_validate": _bench_cert_validate,
     "threshold_validate": _bench_threshold_validate,
+    "state_digest": _bench_state_digest,
     "run_point": _bench_run_point,
 }
 
@@ -214,13 +241,15 @@ def format_perf(document: dict) -> str:
 
     rows = []
     for name, bench in sorted(document["benches"].items()):
-        rows.append({
+        row = {
             "bench": name,
             "metric": bench["metric"],
             "value": bench["value"],
             "n": bench["n"],
             "elapsed_ms": bench["elapsed_ms"],
-        })
+        }
+        row.update((k, v) for k, v in bench.items() if k not in row)
+        rows.append(row)
     return format_table(rows, title=f"repro perf (best of {document['repeat']})")
 
 
@@ -323,7 +352,9 @@ def check_perf(path: str | Path = PERF_BASELINE_PATH, ratio: float = 2.0,
     ``ratio`` times slower than baseline, a wall-time bench when it
     takes more than ``ratio`` times longer. The default 2x band is
     deliberately generous — CI runners are noisy, and the point is to
-    catch structural slowdowns, not jitter.
+    catch structural slowdowns, not jitter. A bench that times one
+    operation at two input sizes (``size_ratio``) also fails when the
+    large input is more than ``ratio`` times slower than the small one.
     """
     stored = json.loads(Path(path).read_text())
     baseline = stored.get("benches", {})
@@ -331,6 +362,10 @@ def check_perf(path: str | Path = PERF_BASELINE_PATH, ratio: float = 2.0,
         current = perf_report(repeat=repeat)
     problems: list[str] = []
     for name, now in current["benches"].items():
+        if now.get("size_ratio", 1.0) > ratio:
+            problems.append(
+                f"{name}: cost grows with input size "
+                f"(large/small {now['size_ratio']:.2f}, ratio {ratio:g})")
         base = baseline.get(name)
         if base is None:
             problems.append(f"{name}: missing from baseline "

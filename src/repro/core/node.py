@@ -26,7 +26,6 @@ from repro.core.metadata import GlobalMetadata, MigrationOutcome, PolicySet
 from repro.core.migration_protocol import MigrationConfig, MigrationEngine
 from repro.core.sync_protocol import SyncConfig, SyncEngine
 from repro.core.zone import ZoneDirectory
-from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.messages.client import MigrationRequest
 from repro.messages.sync import Ballot, CheckpointRef
@@ -37,6 +36,7 @@ from repro.reads import ReadConfig, ReadEngine
 from repro.sim.events import Simulator
 from repro.sim.network import Network
 from repro.sim.process import CostModel
+from repro.storage.kvstore import state_root
 
 __all__ = ["ZiziphusNode"]
 
@@ -150,9 +150,9 @@ class ZiziphusNode(HostNode):
             return
         # Refs piggyback on ACCEPTED/COMMIT messages but are *not* bound
         # by those certificates, so verify the snapshot against its own
-        # digest before adoption: a Byzantine relay must not be able to
+        # root before adoption: a Byzantine relay must not be able to
         # displace a zone's genuine checkpoint with fabricated state.
-        if digest(ref.snapshot) != ref.state_digest:
+        if state_root(ref.snapshot) != ref.state_digest:
             return
         current = self.remote_states.get(ref.zone_id)
         if current is None or ref.sequence > current.sequence:

@@ -76,8 +76,9 @@ class ReadEngine:
                         else weak_quorum(self.zone.f))
         #: Newest certified watermark this replica holds.
         self.cert: Optional[ReadWatermarkCert] = None
-        #: (sequence, body digest) -> signer -> signature share.
-        self._votes: dict[tuple[int, bytes], dict[str, Any]] = {}
+        #: sequence -> signer -> (body digest, signature share). A signer
+        #: has one share per sequence, so a faulty one cannot add buckets.
+        self._votes: dict[int, dict[str, tuple[bytes, Any]]] = {}
         self.reads_served = 0
         node.register_handler(WatermarkShare, self._on_share)
         node.register_handler(ReadRequest, self._on_read)
@@ -116,6 +117,11 @@ class ReadEngine:
             return
         if share.zone != self.zone.zone_id:
             return
+        if share.sequence > self.node.replica.high_water_mark:
+            # No correct replica executes beyond the window: a share from
+            # there must not allocate a bucket (a faulty member could
+            # otherwise grow `_votes` without bound).
+            return
         body = watermark_body(share.zone, share.sequence, share.state_digest,
                               share.watermark_ts)
         if share.signature.signer != sender:
@@ -128,20 +134,22 @@ class ReadEngine:
         current = self.cert
         if current is not None and share.sequence <= current.sequence:
             return
-        votes = self._votes.setdefault((share.sequence, body), {})
-        votes[voter] = share.signature
-        if len(votes) < self._quorum:
+        votes = self._votes.setdefault(share.sequence, {})
+        votes.setdefault(voter, (body, share.signature))
+        matching = [signature for voted, signature in votes.values()
+                    if voted == body]
+        if len(matching) < self._quorum:
             return
         self.cert = ReadWatermarkCert(
             zone=share.zone, sequence=share.sequence,
             state_digest=share.state_digest,
             watermark_ts=share.watermark_ts,
-            certificate=QuorumCertificate.aggregate(
-                body, list(votes.values())))
+            certificate=QuorumCertificate.aggregate(body, matching))
         # Superseded buckets can never certify a newer watermark; dropping
         # them keeps the vote table bounded by in-flight sequences.
-        self._votes = {key: sigs for key, sigs in self._votes.items()
-                       if key[0] > share.sequence}
+        self._votes = {sequence: votes
+                       for sequence, votes in self._votes.items()
+                       if sequence > share.sequence}
         obs = self.node.obs
         if obs is not None:
             obs.emit(self.node.sim.now, "read.watermark",

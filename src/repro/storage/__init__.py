@@ -1,13 +1,11 @@
-"""Per-node storage substrate: KV store, logs, checkpoints."""
+"""Per-node storage substrate: KV store with its state root, checkpoints."""
 
 from repro.storage.checkpoint import Checkpoint, CheckpointStore
-from repro.storage.kvstore import KVStore
-from repro.storage.log import CommitLog, CommitRecord
+from repro.storage.kvstore import KVStore, state_root
 
 __all__ = [
     "Checkpoint",
     "CheckpointStore",
-    "CommitLog",
-    "CommitRecord",
     "KVStore",
+    "state_root",
 ]

@@ -7,6 +7,8 @@ data up to the last shared checkpoint is recoverable elsewhere.
 """
 
 from repro.core.deployment import ZiziphusConfig, build_ziziphus
+from repro.messages.sync import CheckpointRef
+from repro.storage import state_root
 from tests.conftest import drive_to_completion, fast_pbft, fast_sync
 
 
@@ -83,3 +85,31 @@ def test_checkpointing_off_means_no_remote_states():
     client = dep.add_client("c1", "z0")
     drive_to_completion(dep, client, [("migrate", "z1")])
     assert all(not node.remote_states for node in dep.nodes.values())
+
+
+def test_tampered_checkpoint_ref_is_dropped_and_displaces_nothing():
+    """Refs ride outside the certificates that carry them: one whose
+    snapshot is not what its root was taken over must not be stored, even
+    at a higher sequence than the genuine one held."""
+    dep = build_lazy()
+    observer = dep.nodes["z0n1"]
+    state = {"client/c1/balance": 10, "client/c2/balance": 500}
+    genuine = CheckpointRef(zone_id="z1", sequence=4,
+                            state_digest=state_root(state), snapshot=state)
+    observer.store_remote_checkpoint(genuine)
+    assert observer.remote_states["z1"] is genuine
+    tampered = [
+        {**state, "client/c2/balance": 501},                    # one value
+        {**state, "client/c3/balance": 0},                      # one more key
+        {"client/c1/balance": 500, "client/c2/balance": 10},    # swapped
+    ]
+    for snapshot in tampered:
+        observer.store_remote_checkpoint(CheckpointRef(
+            zone_id="z1", sequence=8, state_digest=genuine.state_digest,
+            snapshot=snapshot))
+        assert observer.remote_states["z1"] is genuine
+    newer = CheckpointRef(zone_id="z1", sequence=8,
+                          state_digest=state_root(tampered[0]),
+                          snapshot=tampered[0])
+    observer.store_remote_checkpoint(newer)
+    assert observer.remote_states["z1"] is newer

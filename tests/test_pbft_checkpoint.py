@@ -1,5 +1,6 @@
 """PBFT checkpointing and garbage collection tests."""
 
+from repro.storage import Checkpoint, state_root
 from tests.test_pbft_normal import build_group, make_client, run_ops
 
 
@@ -52,3 +53,29 @@ def test_out_of_period_checkpoint_generation():
     for node in nodes:
         assert node.replica.checkpoints.stable is not None
         assert node.replica.checkpoints.stable.sequence == 1
+
+
+def test_forged_snapshot_leaves_data_and_root_untouched():
+    sim, net, keys, group, nodes = build_group(checkpoint_period=1000)
+    client = make_client(sim, net, keys, group)
+    run_ops(sim, client, [("open", 100), ("deposit", 50)])
+    replica = nodes[1].replica
+    data, root = replica.app.snapshot(), replica.app.state_digest()
+    claimed = state_root({**data, "client/c1/balance": 175})
+    # The snapshot shipped under a vouched-for root is not the one the
+    # root was taken over.
+    replica._adopt_checkpoint(Checkpoint(
+        sequence=9, state_digest=claimed,
+        snapshot={**data, "client/c1/balance": 10**9}))
+    assert replica.app.snapshot() == data
+    assert replica.app.state_digest() == root == state_root(data)
+    assert replica.last_executed == 2
+    # Writes after the rejected adoption still move the root correctly.
+    replica.app.execute(("deposit", 1), "c1")
+    assert replica.app.state_digest() == state_root(replica.app.snapshot())
+    # The genuine snapshot for that root is adopted.
+    replica._adopt_checkpoint(Checkpoint(
+        sequence=9, state_digest=claimed,
+        snapshot={**data, "client/c1/balance": 175}))
+    assert replica.last_executed == 9
+    assert replica.app.state_digest() == claimed

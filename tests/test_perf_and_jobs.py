@@ -58,6 +58,28 @@ def test_check_perf_ratio_band(tmp_path):
     assert any("run_point" in p for p in problems)
 
 
+def test_state_digest_bench_times_two_store_sizes():
+    report = perf_report(repeat=1, names=("state_digest",))
+    bench = report["benches"]["state_digest"]
+    assert bench["metric"] == "ops_per_sec"
+    assert bench["value"] > 0 and bench["value_1k"] > 0
+    assert bench["size_ratio"] > 0
+
+
+def test_check_perf_flags_cost_that_grows_with_input_size(tmp_path):
+    baseline = tmp_path / "PERF_baseline.json"
+    baseline.write_text(perf_json(_doc(
+        state_digest=("ops_per_sec", 1000.0))))
+    current = _doc(state_digest=("ops_per_sec", 1000.0))
+    current["benches"]["state_digest"]["size_ratio"] = 1.1
+    assert check_perf(baseline, ratio=2.0, current=current) == []
+    # What a root that re-encodes the store reads at 20 000 vs 1 000 keys.
+    current["benches"]["state_digest"]["size_ratio"] = 19.5
+    assert check_perf(baseline, ratio=2.0, current=current) == [
+        "state_digest: cost grows with input size "
+        "(large/small 19.50, ratio 2)"]
+
+
 def test_check_perf_reports_missing_baseline_bench(tmp_path):
     baseline = tmp_path / "PERF_baseline.json"
     baseline.write_text(perf_json(_doc(digest=("ops_per_sec", 1000.0))))

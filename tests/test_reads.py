@@ -17,7 +17,8 @@ import dataclasses
 
 from repro.bench.runner import PointSpec, run_point
 from repro.crypto.certificates import CertificateVerifier, QuorumCertificate
-from repro.messages.reads import ReadRequest, ReadWatermarkCert, watermark_body
+from repro.messages.reads import (ReadWatermarkCert, WatermarkShare,
+                                  watermark_body)
 from repro.obs.bus import Instrumentation
 from repro.obs.monitor import MonitorTopology, ProtocolMonitor
 from repro.quorums import weak_quorum
@@ -249,6 +250,40 @@ def test_fast_read_beats_the_transactional_path():
     fast = records[2]
     assert fast.labels == {"read": "fast"}
     assert fast.latency_ms < transactional.latency_ms
+
+
+def test_faulty_member_cannot_grow_the_share_table():
+    """A zone member signing shares for sequences nobody can have
+    executed, or many conflicting shares for ones somebody can, leaves the
+    vote table bounded — and honest certification still goes through."""
+    dep = read_ziziphus()
+    node = dep.nodes["z0n0"]
+    engine, window = node.reads, node.replica.config.water_mark_window
+
+    def flood(sequence, state_digest):
+        body = watermark_body("z0", sequence, state_digest, 0.0)
+        share = WatermarkShare(
+            zone="z0", sequence=sequence, state_digest=state_digest,
+            watermark_ts=0.0, signature=dep.keys.sign("z0n3", body),
+            sender="z0n3")
+        engine._on_share("z0n3", share, None)
+
+    for i in range(10_000):
+        flood(node.replica.high_water_mark + 1 + i, b"far")
+    assert engine._votes == {}
+    for i in range(10_000):
+        flood(1 + i % window, i.to_bytes(4, "big"))
+    assert len(engine._votes) == window
+    assert all(len(votes) == 1 for votes in engine._votes.values())
+
+    client = dep.add_client("c1", "z0")
+    records = run_actions(dep, client, [
+        ("local", ("deposit", 5)),
+        ("read", ("balance",)),
+    ])
+    assert records[1].result == ("ok", 10_005)
+    assert records[1].labels == {"read": "fast"}
+    assert engine.cert is not None and len(engine._votes) < window
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """Unit and property tests for the storage substrate."""
 
-import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.errors import StorageError
+from repro.storage import kvstore
 from repro.storage.checkpoint import Checkpoint, CheckpointStore
-from repro.storage.kvstore import KVStore
-from repro.storage.log import CommitLog, CommitRecord
+from repro.storage.kvstore import KVStore, state_root
 
 
 # ----------------------------------------------------------------------
@@ -17,21 +15,9 @@ def test_kvstore_basic_ops():
     store.put("a", 1)
     assert store.get("a") == 1
     assert "a" in store
-    assert store.require("a") == 1
     store.delete("a")
     assert store.get("a") is None
-    with pytest.raises(StorageError):
-        store.require("a")
-
-
-def test_kvstore_version_bumps_on_mutation():
-    store = KVStore()
-    v0 = store.version
-    store.put("a", 1)
-    assert store.version > v0
-    v1 = store.version
-    store.delete("missing")   # no-op
-    assert store.version == v1
+    assert "a" not in store
 
 
 def test_kvstore_prefix_export_import_delete():
@@ -92,27 +78,112 @@ def test_property_export_import_preserves_prefix(data):
 
 
 # ----------------------------------------------------------------------
-# Logs
+# State root
 # ----------------------------------------------------------------------
-def test_commit_log_rejects_conflicts():
-    log = CommitLog()
-    log.append(CommitRecord(sequence=1, request_digest=b"a", result=1, view=0))
-    log.append(CommitRecord(sequence=1, request_digest=b"a", result=1, view=0))
-    assert len(log) == 1
-    with pytest.raises(StorageError):
-        log.append(CommitRecord(sequence=1, request_digest=b"b",
-                                result=2, view=0))
+_KEYS = st.sampled_from(["p/a", "p/b", "q/a", "q/b", "r"])
+# Values that compare equal but encode apart (1, True, 1.0) are the ones
+# an ``==`` shortcut in the fold would get wrong.
+_VALUES = st.one_of(st.integers(-2, 2), st.booleans(), st.none(),
+                    st.sampled_from([0.0, 1.0, "", "x", b"x"]),
+                    st.tuples(st.integers(0, 1), st.booleans()))
+_MAPPINGS = st.dictionaries(_KEYS, _VALUES, max_size=5)
+_OPS = st.one_of(
+    st.tuples(st.just("put"), _KEYS, _VALUES),
+    st.tuples(st.just("delete"), _KEYS),
+    st.tuples(st.just("import_records"), _MAPPINGS),
+    st.tuples(st.just("delete_prefix"), st.sampled_from(["p/", "q/", ""])),
+    st.tuples(st.just("restore"), _MAPPINGS),
+    st.tuples(st.just("state_digest")),
+)
 
 
-def test_commit_log_truncation_and_iteration():
-    log = CommitLog()
-    for seq in (3, 1, 2):
-        log.append(CommitRecord(sequence=seq, request_digest=bytes([seq]),
-                                result=None, view=0))
-    assert [r.sequence for r in log] == [1, 2, 3]
-    log.truncate_below(2)
-    assert [r.sequence for r in log] == [3]
-    assert log.low_water_mark == 2
+@settings(max_examples=400)
+@given(st.lists(_OPS, max_size=25))
+def test_property_incremental_root_equals_from_scratch(ops):
+    store = KVStore()
+    for name, *args in ops:
+        result = getattr(store, name)(*args)
+        if name == "state_digest":
+            assert result == state_root(store.snapshot())
+    assert store.state_digest() == state_root(store.snapshot())
+
+
+@settings(max_examples=300)
+@given(_MAPPINGS, st.data())
+def test_property_root_is_history_independent(mapping, data):
+    direct = KVStore()
+    direct.import_records(mapping)
+    # Same contents by another road: other values first, a root taken on
+    # the way, another order, a key that comes and goes.
+    detour = KVStore()
+    for key in mapping:
+        detour.put(key, "junk")
+    detour.put("gone", 1)
+    detour.state_digest()
+    for key, value in data.draw(st.permutations(list(mapping.items()))):
+        detour.put(key, value)
+    detour.delete("gone")
+    assert direct.state_digest() == detour.state_digest() \
+        == state_root(mapping)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(_KEYS, st.integers(), min_size=2, max_size=5),
+       st.data())
+def test_property_root_binds_every_key_and_value(mapping, data):
+    a, b = data.draw(st.permutations(sorted(mapping)))[:2]
+    assume(mapping[a] != mapping[b])
+    changes = [
+        lambda s: s.put(a, mapping[a] + 1),
+        lambda s: s.put("extra", 0),
+        lambda s: s.delete(a),
+        lambda s: s.import_records({a: mapping[b], b: mapping[a]}),
+    ]
+    for change in changes:
+        store = KVStore()
+        store.import_records(mapping)
+        root = store.state_digest()
+        assert root == state_root(mapping)
+        change(store)
+        assert store.state_digest() == state_root(store.snapshot()) != root
+
+
+@given(_MAPPINGS, _KEYS, _VALUES)
+def test_property_put_back_between_roots_keeps_the_root(mapping, key, other):
+    store = KVStore()
+    store.import_records(mapping)
+    root = store.state_digest()
+    store.put(key, other)
+    if key in mapping:
+        store.put(key, mapping[key])
+    else:
+        store.delete(key)
+    assert store.state_digest() == root
+
+
+def test_root_of_equal_but_differently_typed_values_differs():
+    assert len({state_root({"k": v}) for v in (1, True, 1.0)}) == 3
+    store = KVStore()
+    store.put("k", 1)
+    store.state_digest()
+    store.put("k", True)
+    assert store.state_digest() == state_root({"k": True})
+
+
+def test_state_digest_work_is_the_keys_changed_not_the_store(monkeypatch):
+    store = KVStore()
+    store.import_records({f"client/c{i}/balance": i for i in range(5000)})
+    store.state_digest()
+    leaves = []
+    lanes = kvstore._lanes
+    monkeypatch.setattr(kvstore, "_lanes",
+                        lambda entry: leaves.append(entry) or lanes(entry))
+    assert store.state_digest() and leaves == []
+    store.put("client/c17/balance", -1)
+    root = store.state_digest()
+    assert len(leaves) <= 2
+    monkeypatch.undo()
+    assert root == state_root(store.snapshot())
 
 
 # ----------------------------------------------------------------------
