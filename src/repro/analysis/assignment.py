@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.quorums import max_faulty
+from repro.quorums import max_faulty
 
 __all__ = ["zone_failure_probability", "deployment_failure_probability",
            "minimum_zone_size", "AssignmentAnalysis", "analyze_assignment"]

@@ -13,7 +13,7 @@ helpers used to check the linear-vs-quadratic claim.
 
 from __future__ import annotations
 
-from repro.core.quorums import group_size, two_level_big_f
+from repro.quorums import group_size, two_level_big_f
 
 __all__ = [
     "endorsement_messages",

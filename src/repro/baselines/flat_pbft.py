@@ -20,12 +20,12 @@ from typing import Callable
 from repro.app.banking import BankingApp
 from repro.baselines.metadata_app import CombinedApp
 from repro.core.metadata import PolicySet
-from repro.core.quorums import group_size
 from repro.crypto.keys import KeyRegistry
 from repro.pbft.client import PBFTClient
 from repro.pbft.faults import Behavior
 from repro.pbft.node import PBFTNode
 from repro.pbft.replica import PBFTConfig
+from repro.quorums import group_size
 from repro.sim.events import Simulator
 from repro.sim.latency import LatencyModel, Region, regions_for_zones
 from repro.sim.network import Network

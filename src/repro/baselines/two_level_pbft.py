@@ -31,7 +31,6 @@ from repro.app.base import StateMachine
 from repro.core.client import MobileClient
 from repro.core.locks import LockTable
 from repro.core.metadata import GlobalMetadata, PolicySet
-from repro.core.quorums import group_size, two_level_big_f
 from repro.core.zone import ZoneDirectory, ZoneInfo
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
@@ -41,6 +40,7 @@ from repro.messages.client import ClientReply, MigrationRequest
 from repro.pbft.faults import Behavior
 from repro.pbft.host import HostNode
 from repro.pbft.replica import PBFTConfig, PBFTReplica
+from repro.quorums import group_size, two_level_big_f
 from repro.sim.events import Simulator
 from repro.sim.latency import LatencyModel, regions_for_zones
 from repro.sim.network import Network

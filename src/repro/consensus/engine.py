@@ -197,11 +197,9 @@ class RotatingInitiatorEngine(GlobalEngine):
         return owner >= 0 and ballot.seq % len(zone_ids) == owner
 
     def on_initiator_failover(self, sync, txn) -> None:
-        obs = sync._obs()
-        if obs is not None:
-            obs.emit(sync.host.sim.now, "sync.redrive",
-                     node=sync.node.node_id, ballot=sync._bkey(txn.ballot),
-                     phase=txn.phase)
+        sync.host.obs.emit(sync.host.sim.now, "sync.redrive",
+                           node=sync.node.node_id, ballot=txn.ballot.key,
+                           phase=txn.phase)
         sync._redrive_initiator(txn)
 
     def on_follower_failover(self, sync, txn) -> None:

@@ -1,6 +1,5 @@
 """Ziziphus core: zones, global/meta-data protocols, deployments."""
 
-from repro.core import quorums
 from repro.core.client import MobileClient
 from repro.core.clusters import ClusterConfig, ClusterEngine
 from repro.core.cross_zone import (CrossZoneConfig, CrossZoneEngine,
@@ -43,5 +42,4 @@ __all__ = [
     "ZoneDirectory",
     "ZoneInfo",
     "build_ziziphus",
-    "quorums",
 ]

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable
 
-from repro.core.quorums import weak_quorum
 from repro.core.zone import ZoneDirectory
 from repro.crypto.certificates import CertificateVerifier
 from repro.crypto.digest import digest
@@ -28,6 +27,7 @@ from repro.messages.client import ClientReply, ClientRequest, MigrationRequest
 from repro.messages.reads import ReadReply, ReadRequest
 from repro.messages.trace import SpanContext, trace_id
 from repro.pbft.client import CompletedRequest
+from repro.quorums import weak_quorum
 from repro.reads import ReadConfig
 from repro.sim.events import Simulator
 from repro.sim.network import Network
@@ -159,11 +159,10 @@ class MobileClient(Process):
                               sender=self.node_id,
                               session=((zone_id,
                                         self.session.get(zone_id, 0)),))
-        obs = self.obs
-        if obs is not None and obs.causal:
-            obs.emit(self.sim.now, "txn.submit", node=self.node_id,
-                     trace=trace_id(request), zone=zone_id, target=zone_id,
-                     txn=self._txn_kind(request))
+        if self.obs.causal:
+            self.obs.emit(self.sim.now, "txn.submit", node=self.node_id,
+                          trace=trace_id(request), zone=zone_id,
+                          target=zone_id, txn=self._txn_kind(request))
         self._read_outstanding = request
         self._read_started = self.sim.now
         self._read_votes.clear()
@@ -185,10 +184,8 @@ class MobileClient(Process):
         if self._read_timer is not None:
             self._read_timer.cancel()
             self._read_timer = None
-        obs = self.obs
-        if obs is not None:
-            obs.emit(self.sim.now, "read.fallback", node=self.node_id,
-                     zone=self.current_zone, reason=reason)
+        self.obs.emit(self.sim.now, "read.fallback", node=self.node_id,
+                      zone=self.current_zone, reason=reason)
         started = self._read_started
         self._fallback_read = True
         self.timestamp += 1
@@ -223,7 +220,6 @@ class MobileClient(Process):
         zone = self.directory.zone(self.current_zone)
         if reply.sender not in zone.members:
             return
-        obs = self.obs
         if reply.status != "ok":
             # An explicit rejection code: the record is mid-migration,
             # the zone has no usable watermark yet, or the operation is
@@ -233,19 +229,17 @@ class MobileClient(Process):
         cert = reply.cert
         problem = self._cert_problem(cert, zone)
         if problem is not None:
-            if obs is not None:
-                obs.emit(self.sim.now, "read.invalid", node=self.node_id,
-                         sender=reply.sender, zone=zone.zone_id,
-                         reason=problem)
+            self.obs.emit(self.sim.now, "read.invalid", node=self.node_id,
+                          sender=reply.sender, zone=zone.zone_id,
+                          reason=problem)
             return
         age_ms = self.sim.now - cert.watermark_ts
         if not self.reads.fresh_ok(age_ms):
             # Genuine but stale certificate: not counted, not flagged —
             # honest replicas (or the fallback timer) keep us live.
-            if obs is not None:
-                obs.emit(self.sim.now, "read.stale", node=self.node_id,
-                         sender=reply.sender, zone=zone.zone_id,
-                         age_ms=round(age_ms, 6))
+            self.obs.emit(self.sim.now, "read.stale", node=self.node_id,
+                          sender=reply.sender, zone=zone.zone_id,
+                          age_ms=round(age_ms, 6))
             return
         if cert.sequence < self.session.get(zone.zone_id, 0):
             return   # behind our session vector; wait for fresher replies
@@ -275,17 +269,15 @@ class MobileClient(Process):
                                   labels={"read": "fast"})
         self.completed.append(record)
         obs = self.obs
-        if obs is not None:
-            obs.emit(self.sim.now, "read.complete", node=self.node_id,
-                     zone=zone_id, sequence=sequence,
-                     age_ms=round(age_ms, 6),
-                     bound_ms=self.reads.staleness_bound_ms)
-            if obs.causal:
-                obs.emit(self.sim.now, "txn.reply", node=self.node_id,
-                         trace=trace_id(request),
-                         latency_ms=round(
-                             self.sim.now - self._read_started, 6),
-                         txn=self._txn_kind(request))
+        obs.emit(self.sim.now, "read.complete", node=self.node_id,
+                 zone=zone_id, sequence=sequence,
+                 age_ms=round(age_ms, 6),
+                 bound_ms=self.reads.staleness_bound_ms)
+        if obs.causal:
+            obs.emit(self.sim.now, "txn.reply", node=self.node_id,
+                     trace=trace_id(request),
+                     latency_ms=round(self.sim.now - self._read_started, 6),
+                     txn=self._txn_kind(request))
         if self.on_complete is not None:
             self.on_complete(record)
 
@@ -301,7 +293,7 @@ class MobileClient(Process):
 
     def _launch(self, request: Any, target_zone: str) -> None:
         obs = self.obs
-        if obs is not None and obs.causal:
+        if obs.causal:
             tid = trace_id(request)
             if isinstance(request, (ClientRequest, MigrationRequest)):
                 # Stamp the span context onto the wire message. The ctx
@@ -396,7 +388,7 @@ class MobileClient(Process):
             self._fallback_read = False
         self.completed.append(record)
         obs = self.obs
-        if obs is not None and obs.causal:
+        if obs.causal:
             obs.emit(self.sim.now, "txn.reply", node=self.node_id,
                      trace=trace_id(request),
                      latency_ms=round(self.sim.now - self._started_at, 6),

@@ -130,10 +130,6 @@ class ClusterEngine:
         view = self.node.replica.view
         return self.node.node_id in self.my_zone.proxies(view)
 
-    def _obs(self):
-        obs = self.node.obs
-        return obs if obs is not None and obs.enabled else None
-
     @staticmethod
     def _span_key(request_digest: bytes) -> str:
         return request_digest.hex()[:16]
@@ -156,14 +152,13 @@ class ClusterEngine:
         if txn.dst_ballot is not None:
             return  # already coordinating this request
         txn.role = "dst"
-        obs = self._obs()
-        if obs is not None:
-            obs.count("cross.coordinated")
-            obs.span_open(self.node.sim.now, "cross-cluster",
-                          self._span_key(request_digest),
-                          node=self.node.node_id,
-                          source=request.source_zone,
-                          dest=request.dest_zone)
+        obs = self.node.obs
+        obs.count("cross.coordinated")
+        obs.span_open(self.node.sim.now, "cross-cluster",
+                      self._span_key(request_digest),
+                      node=self.node.node_id,
+                      source=request.source_zone,
+                      dest=request.dest_zone)
         txn.dst_ballot = self.node.sync.start_global_txn(
             (envelope,), on_ready_to_commit=lambda s, d=request_digest:
             self._on_dst_accepted_quorum(d, s))
@@ -194,11 +189,9 @@ class ClusterEngine:
         txn.dst_ballot = context.ballot
         txn.dst_prev = context.prev_ballot
         self._by_dst_ballot[context.ballot] = request_digest
-        obs = self._obs()
-        if obs is not None:
-            obs.emit(self.node.sim.now, "cross.propose_sent",
-                     node=self.node.node_id,
-                     request=self._span_key(request_digest))
+        self.node.obs.emit(self.node.sim.now, "cross.propose_sent",
+                           node=self.node.node_id,
+                           request=self._span_key(request_digest))
         cross = CrossPropose(view=self.node.replica.view,
                              dst_ballot=context.ballot,
                              dst_prev_ballot=context.prev_ballot,
@@ -234,13 +227,10 @@ class ClusterEngine:
         body = commit_body(prepared.src_ballot, prepared.src_prev_ballot,
                            self._body_digest(txn.request_env.payload))
         valid = self.directory.cert_valid(prepared.cert, body, src_zone)
-        obs = self._obs()
-        if obs is not None:
-            obs.emit_cert(self.node.sim.now, self.node.node_id,
-                          "cross-prepared", src_zone, prepared.cert, valid,
-                          src=sender,
-                          ref=f"{prepared.src_ballot.seq}."
-                              f"{prepared.src_ballot.zone_id}")
+        self.node.obs.emit_cert(
+            self.node.sim.now, self.node.node_id, "cross-prepared",
+            src_zone, prepared.cert, valid, src=sender,
+            ref=prepared.src_ballot.key)
         if not valid:
             return
         txn.prepared = prepared
@@ -255,12 +245,10 @@ class ClusterEngine:
         if not self.node.replica.is_primary:
             return
         txn.finalized = True
-        obs = self._obs()
-        if obs is not None:
-            obs.emit(self.node.sim.now, "cross.commit_sent",
-                     node=self.node.node_id,
-                     dst_ballot=f"{txn.dst_ballot.seq}.{txn.dst_ballot.zone_id}",
-                     src_ballot=f"{txn.src_ballot.seq}.{txn.src_ballot.zone_id}")
+        self.node.obs.emit(self.node.sim.now, "cross.commit_sent",
+                           node=self.node.node_id,
+                           dst_ballot=txn.dst_ballot.key,
+                           src_ballot=txn.src_ballot.key)
         commit = CrossCommit(view=self.node.replica.view,
                              dst_ballot=txn.dst_ballot,
                              dst_prev_ballot=txn.dst_prev,
@@ -293,13 +281,10 @@ class ClusterEngine:
                            self._body_digest(request))
         dst_zone = self._dst_orderer(request)
         valid = self.directory.cert_valid(cross.cert, body, dst_zone)
-        obs = self._obs()
-        if obs is not None:
-            obs.emit_cert(self.node.sim.now, self.node.node_id,
-                          "cross-propose", dst_zone, cross.cert, valid,
-                          src=sender,
-                          ref=f"{cross.dst_ballot.seq}."
-                              f"{cross.dst_ballot.zone_id}")
+        self.node.obs.emit_cert(
+            self.node.sim.now, self.node.node_id, "cross-propose",
+            dst_zone, cross.cert, valid, src=sender,
+            ref=cross.dst_ballot.key)
         if not valid:
             return
         request_digest = digest(request)
@@ -346,11 +331,9 @@ class ClusterEngine:
         txn.sent_prepared = True
         txn.src_ballot = context.ballot
         txn.src_prev = context.prev_ballot
-        obs = self._obs()
-        if obs is not None:
-            obs.emit(self.node.sim.now, "cross.prepared_sent",
-                     node=self.node.node_id,
-                     request=self._span_key(request_digest))
+        self.node.obs.emit(self.node.sim.now, "cross.prepared_sent",
+                           node=self.node.node_id,
+                           request=self._span_key(request_digest))
         prepared = Prepared(view=self.node.replica.view,
                             src_ballot=context.ballot,
                             src_prev_ballot=context.prev_ballot,
@@ -381,11 +364,9 @@ class ClusterEngine:
             foreign = commit.dst_ballot
         body = commit_body(ballot, prev, self._body_digest(request))
         valid = self.directory.cert_valid(cert, body, ballot.zone_id)
-        obs = self._obs()
-        if obs is not None:
-            obs.emit_cert(self.node.sim.now, self.node.node_id,
-                          "cross-commit", ballot.zone_id, cert, valid,
-                          src=sender, ref=f"{ballot.seq}.{ballot.zone_id}")
+        self.node.obs.emit_cert(
+            self.node.sim.now, self.node.node_id, "cross-commit",
+            ballot.zone_id, cert, valid, src=sender, ref=ballot.key)
         if not valid:
             return
         txn = self._txn_for(request_digest, commit.request)
@@ -412,13 +393,12 @@ class ClusterEngine:
         if txn is None or txn.src_ballot is None or txn.dst_ballot is None:
             return
         self.cross_commits_executed += 1
-        obs = self._obs()
-        if obs is not None:
-            obs.count("cross.executed")
-            # Closes on the coordinator primary that opened the span.
-            obs.span_close(self.node.sim.now, "cross-cluster",
-                           self._span_key(request_digest),
-                           node=self.node.node_id)
+        obs = self.node.obs
+        obs.count("cross.executed")
+        # Closes on the coordinator primary that opened the span.
+        obs.span_close(self.node.sim.now, "cross-cluster",
+                       self._span_key(request_digest),
+                       node=self.node.node_id)
         # Make the peer cluster's ballot resolve to the same result and
         # request so Algorithm 2 runs unchanged across the cluster border.
         sync = self.node.sync

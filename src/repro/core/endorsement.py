@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.core.quorums import intra_zone_quorum
 from repro.crypto.certificates import QuorumCertificate
 from repro.crypto.keys import Signature
 from repro.crypto.threshold import combine_threshold
 from repro.messages.base import Signed
 from repro.messages.endorse import EndorsePrepare, EndorsePrePrepare, EndorseVote
 from repro.pbft.host import HostNode
+from repro.quorums import intra_zone_quorum
 
 __all__ = ["EndorsementManager", "EndorsementInstance"]
 
@@ -124,10 +124,6 @@ class EndorsementManager:
         """Current primary of this zone (from the local view)."""
         return self.members[self.view_provider() % len(self.members)]
 
-    def _obs(self):
-        obs = self.host.obs
-        return obs if obs is not None and obs.enabled else None
-
     def has_instance(self, instance: str) -> bool:
         """Whether this node has seen the instance's pre-prepare or led it."""
         state = self._instances.get(instance)
@@ -185,19 +181,15 @@ class EndorsementManager:
         state.use_prepare = use_prepare
         state.leading = True
         state.on_cert = on_cert
-        obs = self._obs()
-        if obs is not None:
-            obs.count("endorse.led")
-            if not state.done:
-                obs.span_open(self.host.sim.now, "endorse", instance,
-                              node=self.host.node_id,
-                              prepare=use_prepare)
+        self.host.obs.count("endorse.led")
         if state.done:
             # A previous primary already drove this instance to quorum and
             # the votes reached us; hand the certificate over immediately
             # (happens when a new primary re-drives after a view change).
             on_cert(self._build_cert(state))
             return
+        self.host.obs.span_open(self.host.sim.now, "endorse", instance,
+                                node=self.host.node_id, prepare=use_prepare)
         pre_prepare = EndorsePrePrepare(instance=instance, view=view,
                                         payload=payload,
                                         endorse_digest=endorse_digest,
@@ -220,17 +212,15 @@ class EndorsementManager:
                         envelope: Signed) -> None:
         if sender != self.primary():
             return
-        obs = self._obs()
-        if obs is not None:
-            # Claimed digest as observed by this receiver: an endorsement
-            # primary sending different digests to different members never
-            # collects a divergent certificate, so the conformance monitor
-            # detects the equivocation here.
-            obs.emit(self.host.sim.now, "endorse.preprepare",
-                     node=self.host.node_id, sender=sender,
-                     instance=msg.instance, view=msg.view,
-                     digest=msg.endorse_digest.hex(),
-                     members=self._members_key)
+        # Claimed digest as observed by this receiver: an endorsement
+        # primary sending different digests to different members never
+        # collects a divergent certificate, so the conformance monitor
+        # detects the equivocation here.
+        self.host.obs.emit(self.host.sim.now, "endorse.preprepare",
+                           node=self.host.node_id, sender=sender,
+                           instance=msg.instance, view=msg.view,
+                           digest=msg.endorse_digest.hex(),
+                           members=self._members_key)
         state = self._get(msg.instance)
         if state.payload is not None and state.endorse_digest != msg.endorse_digest:
             # Same view (or older): equivocation, refuse to endorse both.
@@ -331,14 +321,13 @@ class EndorsementManager:
         if state.payload is None:
             return  # quorum of shares but no validated payload yet
         state.done = True
-        obs = self._obs()
-        if obs is not None:
-            obs.count("endorse.quorum")
-            # Closes only on the node that opened (led) the instance;
-            # span_close is a no-op everywhere else.
-            obs.span_close(self.host.sim.now, "endorse", state.instance,
-                           node=self.host.node_id,
-                           shares=len(state.shares))
+        obs = self.host.obs
+        obs.count("endorse.quorum")
+        # Closes only on the node that opened (led) the instance;
+        # span_close is a no-op everywhere else.
+        obs.span_close(self.host.sim.now, "endorse", state.instance,
+                       node=self.host.node_id,
+                       shares=len(state.shares))
         cert = self._build_cert(state)
         if state.leading and state.on_cert is not None:
             state.on_cert(cert)

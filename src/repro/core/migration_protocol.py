@@ -132,12 +132,11 @@ class MigrationEngine:
                 self._watch(key, self._instance("state", ballot,
                                                 request.sender))
         elif zone_id == request.dest_zone:
-            obs = self._obs()
-            if obs is not None and key not in self._applied:
-                obs.span_open(self.node.sim.now, "migration-copy",
-                              self._span_key(*key), node=self.node.node_id,
-                              source=request.source_zone,
-                              dest=request.dest_zone)
+            if key not in self._applied:
+                self.node.obs.span_open(
+                    self.node.sim.now, "migration-copy",
+                    self._span_key(*key), node=self.node.node_id,
+                    source=request.source_zone, dest=request.dest_zone)
             buffered = self._buffered_states.pop(key, None)
             if buffered is not None:
                 self._on_state(*buffered)
@@ -148,34 +147,29 @@ class MigrationEngine:
     # Record generation (source zone)
     # ------------------------------------------------------------------
     def _instance(self, stage: str, ballot: Ballot, client_id: str) -> str:
-        return f"mig-{stage}/{ballot.seq}.{ballot.zone_id}/{client_id}"
-
-    def _obs(self):
-        obs = self.node.obs
-        return obs if obs is not None and obs.enabled else None
+        return f"mig-{stage}/{ballot.key}/{client_id}"
 
     @staticmethod
     def _span_key(ballot: Ballot, client_id: str) -> str:
-        return f"{ballot.seq}.{ballot.zone_id}/{client_id}"
+        return f"{ballot.key}/{client_id}"
 
     def start_record_generation(self, ballot: Ballot,
                                 request: MigrationRequest) -> None:
         """Source primary: extract R(c), endorse it, ship it (lines 9-17)."""
-        obs = self._obs()
-        if obs is not None:
-            obs.count("migration.state_led")
-            obs.span_open(self.node.sim.now, "migration-state",
-                          self._span_key(ballot, request.sender),
-                          node=self.node.node_id,
-                          source=request.source_zone, dest=request.dest_zone)
-            if obs.causal:
-                # One link covers the whole migration leg: the
-                # migration-state / migration-copy spans and the
-                # mig-* endorse instances all embed this key.
-                obs.emit(self.node.sim.now, "trace.link",
-                         node=self.node.node_id, scope="migration",
-                         key=self._span_key(ballot, request.sender),
-                         traces=[trace_id(request)])
+        obs = self.node.obs
+        obs.count("migration.state_led")
+        obs.span_open(self.node.sim.now, "migration-state",
+                      self._span_key(ballot, request.sender),
+                      node=self.node.node_id,
+                      source=request.source_zone, dest=request.dest_zone)
+        if obs.causal:
+            # One link covers the whole migration leg: the
+            # migration-state / migration-copy spans and the
+            # mig-* endorse instances all embed this key.
+            obs.emit(self.node.sim.now, "trace.link",
+                     node=self.node.node_id, scope="migration",
+                     key=self._span_key(ballot, request.sender),
+                     traces=[trace_id(request)])
         key = self._key(ballot, request.sender)
         records = self._captured_records.get(key)
         if records is None:
@@ -206,17 +200,16 @@ class MigrationEngine:
         env = Signed(state, self.node.keys.sign(self.node.node_id,
                                                 digest(state)))
         self._state_envs[self._key(ballot, request.sender)] = env
-        obs = self._obs()
-        if obs is not None:
-            obs.span_close(self.node.sim.now, "migration-state",
-                           self._span_key(ballot, request.sender),
-                           node=self.node.node_id,
-                           records=len(records))
-            obs.emit(self.node.sim.now, "migration.state_sent",
-                     node=self.node.node_id, client=request.sender,
-                     dest=request.dest_zone, records=len(records),
-                     ballot=f"{ballot.seq}.{ballot.zone_id}",
-                     records_digest=digest(records).hex())
+        obs = self.node.obs
+        obs.span_close(self.node.sim.now, "migration-state",
+                       self._span_key(ballot, request.sender),
+                       node=self.node.node_id,
+                       records=len(records))
+        obs.emit(self.node.sim.now, "migration.state_sent",
+                 node=self.node.node_id, client=request.sender,
+                 dest=request.dest_zone, records=len(records),
+                 ballot=ballot.key,
+                 records_digest=state.records_digest.hex())
         dest_nodes = self.directory.zone(request.dest_zone).members
         for dst in dest_nodes:
             self.node.forward(dst, env)
@@ -271,12 +264,10 @@ class MigrationEngine:
             return
         body = state_body(state.ballot, state.client_id, state.records_digest)
         valid = self.directory.cert_valid(state.cert, body, source_zone)
-        obs = self._obs()
-        if obs is not None:
-            obs.emit_cert(self.node.sim.now, self.node.node_id, "state",
-                          source_zone, state.cert, valid, src=sender,
-                          ref=f"{state.ballot.seq}.{state.ballot.zone_id}"
-                              f"/{state.client_id}")
+        self.node.obs.emit_cert(
+            self.node.sim.now, self.node.node_id, "state", source_zone,
+            state.cert, valid, src=sender,
+            ref=self._span_key(state.ballot, state.client_id))
         if not valid:
             return
         self._state_envs.setdefault(key, envelope)
@@ -316,18 +307,16 @@ class MigrationEngine:
             return
         self._applied.add(key)
         self._cancel_state_timer(key)
-        obs = self._obs()
-        if obs is not None:
-            obs.count("migration.applied")
-            obs.span_close(self.node.sim.now, "migration-copy",
-                           self._span_key(*key), node=self.node.node_id,
-                           records=len(context.records))
-            ballot = context.ballot
-            obs.emit(self.node.sim.now, "migration.applied",
-                     node=self.node.node_id, client=context.client_id,
-                     ballot=f"{ballot.seq}.{ballot.zone_id}",
-                     records=len(context.records),
-                     records_digest=context.records_digest.hex())
+        obs = self.node.obs
+        obs.count("migration.applied")
+        obs.span_close(self.node.sim.now, "migration-copy",
+                       self._span_key(*key), node=self.node.node_id,
+                       records=len(context.records))
+        obs.emit(self.node.sim.now, "migration.applied",
+                 node=self.node.node_id, client=context.client_id,
+                 ballot=context.ballot.key,
+                 records=len(context.records),
+                 records_digest=context.records_digest.hex())
         self.node.app.import_client(context.client_id, context.records)
         self.node.locks.mark_current(context.client_id)
         self.migrations_applied += 1

@@ -232,23 +232,7 @@ class SyncEngine:
         return self.node
 
     def _instance(self, phase: str, ballot: Ballot) -> str:
-        return f"{self.prefix}-{phase}/{ballot.seq}.{ballot.zone_id}"
-
-    def _obs(self):
-        obs = self.host.obs
-        return obs if obs is not None and obs.enabled else None
-
-    @staticmethod
-    def _bkey(ballot: Ballot) -> str:
-        return f"{ballot.seq}.{ballot.zone_id}"
-
-    def _emit_cert(self, msg: str, zone_id: str, cert, valid: bool,
-                   src: str, ref: str) -> None:
-        """Report a certificate check to the conformance monitor."""
-        obs = self._obs()
-        if obs is not None:
-            obs.emit_cert(self.host.sim.now, self.node.node_id, msg,
-                          zone_id, cert, valid, src=src, ref=ref)
+        return f"{self.prefix}-{phase}/{ballot.key}"
 
     def _txn(self, ballot: Ballot) -> GlobalTxnState:
         txn = self.txns.get(ballot)
@@ -300,6 +284,25 @@ class SyncEngine:
             if request.operation and request.operation[0] == "migrate" and \
                     request.source_zone == self.my_zone.zone_id:
                 self.node.locks.mark_stale(request.sender)
+
+    def _majority_certified(self, votes: tuple[Signed, ...], ballot: Ballot,
+                            body_of) -> bool:
+        """Whether the PROMISE / ACCEPTED envelopes the primary claims,
+        each signed, for ``ballot`` and carrying a valid nested zone
+        certificate over ``body_of(...)``, reach the majority of zones
+        (+1: the initiator zone's own certified agreement counts)."""
+        zones = set()
+        for env in votes:
+            if not verify_signed(self.host.keys, env):
+                continue
+            vote = env.payload
+            if vote.ballot != ballot:
+                continue
+            body = body_of(vote.ballot, vote.prev_ballot, vote.zone_id,
+                           vote.request_digest)
+            if self.directory.cert_valid(vote.cert, body, vote.zone_id):
+                zones.add(vote.zone_id)
+        return len(zones) + 1 >= self.majority
 
     def _valid_batch(self, batch: tuple[Signed, ...]) -> bool:
         for env in batch:
@@ -369,21 +372,20 @@ class SyncEngine:
         txn.request_digest = batch_digest(batch)
         if on_ready_to_commit is not None:
             self.hold_commit[ballot] = on_ready_to_commit
-        obs = self._obs()
-        if obs is not None:
-            obs.count("sync.txns")
-            obs.span_open(self.host.sim.now, "global-txn", self._bkey(ballot),
-                          node=self.node.node_id, batch=len(batch))
-            obs.emit(self.host.sim.now, "sync.start",
-                     node=self.node.node_id, ballot=self._bkey(ballot),
-                     batch=len(batch), stable=self.config.stable_leader)
-            if obs.causal:
-                # Bind the ballot (and through it every sync-phase and
-                # endorse span keyed by it) to the traced requests.
-                obs.emit(self.host.sim.now, "trace.link",
-                         node=self.node.node_id, scope="sync",
-                         key=self._bkey(ballot),
-                         traces=[trace_id(env.payload) for env in batch])
+        obs = self.host.obs
+        obs.count("sync.txns")
+        obs.span_open(self.host.sim.now, "global-txn", ballot.key,
+                      node=self.node.node_id, batch=len(batch))
+        obs.emit(self.host.sim.now, "sync.start",
+                 node=self.node.node_id, ballot=ballot.key,
+                 batch=len(batch), stable=self.config.stable_leader)
+        if obs.causal:
+            # Bind the ballot (and through it every sync-phase and
+            # endorse span keyed by it) to the traced requests.
+            obs.emit(self.host.sim.now, "trace.link",
+                     node=self.node.node_id, scope="sync",
+                     key=ballot.key,
+                     traces=[trace_id(env.payload) for env in batch])
         if self.config.checkpoint_on_migration:
             self.node.replica.checkpoints.generate(
                 self.node.replica.last_executed)
@@ -415,10 +417,8 @@ class SyncEngine:
     # ------------------------------------------------------------------
     def _start_propose_phase(self, txn: GlobalTxnState) -> None:
         txn.phase = "propose"
-        obs = self._obs()
-        if obs is not None:
-            obs.span_open(self.host.sim.now, "propose",
-                          self._bkey(txn.ballot), node=self.node.node_id)
+        self.host.obs.span_open(self.host.sim.now, "propose",
+                                txn.ballot.key, node=self.node.node_id)
         context = ProposeContext(ballot=txn.ballot, requests=txn.batch)
         body = propose_body(txn.ballot, txn.request_digest)
         self.node.endorsement.lead(
@@ -432,13 +432,10 @@ class SyncEngine:
                           requests=txn.batch, cert=cert,
                           sender=self.node.node_id)
         txn.phase = "promise-wait"
-        obs = self._obs()
-        if obs is not None:
-            now = self.host.sim.now
-            obs.span_close(now, "propose", self._bkey(ballot),
-                           node=self.node.node_id)
-            obs.span_open(now, "promise", self._bkey(ballot),
-                          node=self.node.node_id)
+        obs = self.host.obs
+        now = self.host.sim.now
+        obs.span_close(now, "propose", ballot.key, node=self.node.node_id)
+        obs.span_open(now, "promise", ballot.key, node=self.node.node_id)
         self.host.multicast_signed(self._other_zone_nodes(), propose)
         self._arm_phase_timer(txn, "promise-wait")
 
@@ -471,8 +468,10 @@ class SyncEngine:
         body = propose_body(propose.ballot, batch_digest(propose.requests))
         valid = self.directory.cert_valid(propose.cert, body,
                                           propose.ballot.zone_id)
-        self._emit_cert("propose", propose.ballot.zone_id, propose.cert,
-                        valid, sender, self._bkey(propose.ballot))
+        self.host.obs.emit_cert(
+            self.host.sim.now, self.node.node_id, "propose",
+            propose.ballot.zone_id, propose.cert, valid, src=sender,
+            ref=propose.ballot.key)
         if not valid:
             return
         if propose.ballot.seq <= self.highest_seen and \
@@ -511,11 +510,9 @@ class SyncEngine:
                           request_digest=txn.request_digest, cert=cert,
                           sender=self.node.node_id)
         txn.phase = "promised"
-        obs = self._obs()
-        if obs is not None:
-            obs.emit(self.host.sim.now, "sync.promise",
-                     node=self.node.node_id, ballot=self._bkey(ballot),
-                     zone=self.my_zone.zone_id)
+        self.host.obs.emit(self.host.sim.now, "sync.promise",
+                           node=self.node.node_id, ballot=ballot.key,
+                           zone=self.my_zone.zone_id)
         initiator_nodes = self.directory.zone(ballot.zone_id).members
         self.host.multicast_signed(initiator_nodes, promise)
 
@@ -555,8 +552,9 @@ class SyncEngine:
                             promise.zone_id, promise.request_digest)
         valid = self.directory.cert_valid(promise.cert, body,
                                           promise.zone_id)
-        self._emit_cert("promise", promise.zone_id, promise.cert, valid,
-                        sender, self._bkey(promise.ballot))
+        self.host.obs.emit_cert(
+            self.host.sim.now, self.node.node_id, "promise", promise.zone_id,
+            promise.cert, valid, src=sender, ref=promise.ballot.key)
         if not valid:
             return
         txn = self._txn(promise.ballot)
@@ -566,12 +564,10 @@ class SyncEngine:
         # +1: the initiator zone's own (certified) agreement counts.
         if len(txn.promises) + 1 >= self.majority:
             self._cancel_phase_timer(txn)
-            obs = self._obs()
-            if obs is not None:
-                obs.span_close(self.host.sim.now, "promise",
-                               self._bkey(promise.ballot),
-                               node=self.node.node_id,
-                               zones=len(txn.promises) + 1)
+            self.host.obs.span_close(self.host.sim.now, "promise",
+                                     promise.ballot.key,
+                                     node=self.node.node_id,
+                                     zones=len(txn.promises) + 1)
             self._start_accept_phase(txn,
                                      promises=tuple(txn.promises.values()))
 
@@ -581,10 +577,8 @@ class SyncEngine:
                    + [env.payload.prev_ballot for env in promises])
         txn.prev_ballot = prev
         txn.phase = "accept"
-        obs = self._obs()
-        if obs is not None:
-            obs.span_open(self.host.sim.now, "accept",
-                          self._bkey(txn.ballot), node=self.node.node_id)
+        self.host.obs.span_open(self.host.sim.now, "accept",
+                                txn.ballot.key, node=self.node.node_id)
         self.chain_tail = txn.ballot
         self.last_accepted = max(self.last_accepted, txn.ballot)
         context = AcceptContext(ballot=txn.ballot, prev_ballot=prev,
@@ -611,13 +605,10 @@ class SyncEngine:
         txn.phase = "accepted-wait"
         txn.accept_env = Signed(accept, self.host.keys.sign(
             self.node.node_id, digest(accept)))
-        obs = self._obs()
-        if obs is not None:
-            now = self.host.sim.now
-            obs.span_close(now, "accept", self._bkey(ballot),
-                           node=self.node.node_id)
-            obs.span_open(now, "accepted", self._bkey(ballot),
-                          node=self.node.node_id)
+        obs = self.host.obs
+        now = self.host.sim.now
+        obs.span_close(now, "accept", ballot.key, node=self.node.node_id)
+        obs.span_open(now, "accepted", ballot.key, node=self.node.node_id)
         self.host.multicast_signed(self._other_zone_nodes(), accept)
         self._arm_phase_timer(txn, "accepted-wait")
 
@@ -635,22 +626,10 @@ class SyncEngine:
         if endorse_digest != accept_body(context.ballot, context.prev_ballot,
                                          request_digest):
             return False
-        if not self.config.stable_leader:
-            # Check the majority of promises the primary claims to have.
-            zones = set()
-            for env in context.promises:
-                if not verify_signed(self.host.keys, env):
-                    continue
-                promise = env.payload
-                if promise.ballot != context.ballot:
-                    continue
-                body = promise_body(promise.ballot, promise.prev_ballot,
-                                    promise.zone_id, promise.request_digest)
-                if self.directory.cert_valid(promise.cert, body,
-                                             promise.zone_id):
-                    zones.add(promise.zone_id)
-            if len(zones) + 1 < self.majority:
-                return False
+        # Check the majority of promises the primary claims to have.
+        if not self.config.stable_leader and not self._majority_certified(
+                context.promises, context.ballot, promise_body):
+            return False
         rival = self.accepted_seqs.get(context.ballot.seq)
         if rival is not None and rival != context.ballot.zone_id:
             return False  # Lemma 5.5 guard
@@ -673,8 +652,10 @@ class SyncEngine:
                            accept.request_digest)
         valid = self.directory.cert_valid(accept.cert, body,
                                           accept.ballot.zone_id)
-        self._emit_cert("accept", accept.ballot.zone_id, accept.cert,
-                        valid, sender, self._bkey(accept.ballot))
+        self.host.obs.emit_cert(
+            self.host.sim.now, self.node.node_id, "accept",
+            accept.ballot.zone_id, accept.cert, valid, src=sender,
+            ref=accept.ballot.key)
         if not valid:
             return
         if not self.engine.valid_assignment(accept.ballot, self.zone_ids):
@@ -730,11 +711,9 @@ class SyncEngine:
                             request_digest=txn.request_digest, cert=cert,
                             checkpoint=self._my_checkpoint_ref(),
                             sender=self.node.node_id)
-        obs = self._obs()
-        if obs is not None:
-            obs.emit(self.host.sim.now, "sync.accepted",
-                     node=self.node.node_id, ballot=self._bkey(ballot),
-                     zone=self.my_zone.zone_id)
+        self.host.obs.emit(self.host.sim.now, "sync.accepted",
+                           node=self.node.node_id, ballot=ballot.key,
+                           zone=self.my_zone.zone_id)
         initiator_nodes = self.directory.zone(ballot.zone_id).members
         self.host.multicast_signed(initiator_nodes, accepted)
         self._arm_commit_timer(txn)
@@ -783,8 +762,9 @@ class SyncEngine:
                              accepted.zone_id, accepted.request_digest)
         valid = self.directory.cert_valid(accepted.cert, body,
                                           accepted.zone_id)
-        self._emit_cert("accepted", accepted.zone_id, accepted.cert,
-                        valid, sender, self._bkey(accepted.ballot))
+        self.host.obs.emit_cert(
+            self.host.sim.now, self.node.node_id, "accepted", accepted.zone_id,
+            accepted.cert, valid, src=sender, ref=accepted.ballot.key)
         if not valid:
             return
         txn = self._txn(accepted.ballot)
@@ -793,12 +773,10 @@ class SyncEngine:
             return
         if len(txn.accepteds) + 1 >= self.majority:
             self._cancel_phase_timer(txn)
-            obs = self._obs()
-            if obs is not None:
-                obs.span_close(self.host.sim.now, "accepted",
-                               self._bkey(accepted.ballot),
-                               node=self.node.node_id,
-                               zones=len(txn.accepteds) + 1)
+            self.host.obs.span_close(self.host.sim.now, "accepted",
+                                     accepted.ballot.key,
+                                     node=self.node.node_id,
+                                     zones=len(txn.accepteds) + 1)
             held = self.hold_commit.get(accepted.ballot)
             if held is not None:
                 txn.phase = "held"
@@ -827,10 +805,8 @@ class SyncEngine:
 
     def _start_commit_phase(self, txn: GlobalTxnState) -> None:
         txn.phase = "commit"
-        obs = self._obs()
-        if obs is not None:
-            obs.span_open(self.host.sim.now, "commit",
-                          self._bkey(txn.ballot), node=self.node.node_id)
+        self.host.obs.span_open(self.host.sim.now, "commit",
+                                txn.ballot.key, node=self.node.node_id)
         self.prepare_commit_cert(
             txn, on_cert=lambda cert, b=txn.ballot: self._send_commit(b, cert))
 
@@ -849,10 +825,8 @@ class SyncEngine:
                               requests=txn.batch, cert=cert,
                               checkpoints=tuple(checkpoints),
                               sender=self.node.node_id)
-        obs = self._obs()
-        if obs is not None:
-            obs.span_close(self.host.sim.now, "commit", self._bkey(ballot),
-                           node=self.node.node_id)
+        self.host.obs.span_close(self.host.sim.now, "commit", ballot.key,
+                                 node=self.node.node_id)
         self.host.multicast_signed(self._all_nodes(), commit,
                                    include_self=True)
 
@@ -868,20 +842,8 @@ class SyncEngine:
         if endorse_digest != commit_body(context.ballot, context.prev_ballot,
                                          request_digest):
             return False
-        zones = set()
-        for env in context.accepteds:
-            if not verify_signed(self.host.keys, env):
-                continue
-            accepted = env.payload
-            if accepted.ballot != context.ballot:
-                continue
-            body = accepted_body(accepted.ballot, accepted.prev_ballot,
-                                 accepted.zone_id, accepted.request_digest)
-            if self.directory.cert_valid(accepted.cert, body, accepted.zone_id):
-                zones.add(accepted.zone_id)
-        if len(zones) + 1 < self.majority:
-            return False
-        return True
+        return self._majority_certified(context.accepteds, context.ballot,
+                                        accepted_body)
 
     # ------------------------------------------------------------------
     # EXECUTION phase (every node)
@@ -892,8 +854,10 @@ class SyncEngine:
         body = commit_body(commit.ballot, commit.prev_ballot, request_digest)
         valid = self.directory.cert_valid(commit.cert, body,
                                           commit.ballot.zone_id)
-        self._emit_cert("commit", commit.ballot.zone_id, commit.cert,
-                        valid, sender, self._bkey(commit.ballot))
+        self.host.obs.emit_cert(
+            self.host.sim.now, self.node.node_id, "commit",
+            commit.ballot.zone_id, commit.cert, valid, src=sender,
+            ref=commit.ballot.key)
         if not valid:
             return
         if not self._valid_batch(commit.requests):
@@ -902,15 +866,14 @@ class SyncEngine:
         if txn.committed:
             return
         txn.committed = True
-        obs = self._obs()
-        if obs is not None:
-            obs.count("sync.committed")
-            prev = "" if commit.prev_ballot == GENESIS_BALLOT else \
-                self._bkey(commit.prev_ballot)
-            obs.emit(self.host.sim.now, "sync.commit",
-                     node=self.node.node_id,
-                     ballot=self._bkey(commit.ballot),
-                     batch=len(commit.requests), prev=prev)
+        obs = self.host.obs
+        obs.count("sync.committed")
+        prev = "" if commit.prev_ballot == GENESIS_BALLOT else \
+            commit.prev_ballot.key
+        obs.emit(self.host.sim.now, "sync.commit",
+                 node=self.node.node_id,
+                 ballot=commit.ballot.key,
+                 batch=len(commit.requests), prev=prev)
         txn.commit_env = envelope
         txn.batch = commit.requests
         txn.request_digest = request_digest
@@ -941,16 +904,15 @@ class SyncEngine:
                                  "commit")
             return
         txn.executed = True
-        obs = self._obs()
-        if obs is not None:
-            obs.count("sync.executed")
-            # Closes on the initiator primary that opened the ballot's
-            # global-txn span; no-op on every other node.
-            obs.span_close(self.host.sim.now, "global-txn",
-                           self._bkey(ballot), node=self.node.node_id)
-            obs.emit(self.host.sim.now, "sync.execute",
-                     node=self.node.node_id, ballot=self._bkey(ballot),
-                     batch=len(txn.batch))
+        obs = self.host.obs
+        obs.count("sync.executed")
+        # Closes on the initiator primary that opened the ballot's
+        # global-txn span; no-op on every other node.
+        obs.span_close(self.host.sim.now, "global-txn",
+                       ballot.key, node=self.node.node_id)
+        obs.emit(self.host.sim.now, "sync.execute",
+                 node=self.node.node_id, ballot=ballot.key,
+                 batch=len(txn.batch))
         results: dict[str, Any] = {}
         self.executed_results[ballot] = results
         is_initiator = self.my_zone.zone_id == ballot.zone_id
@@ -989,24 +951,23 @@ class SyncEngine:
                     if commuting and outcome.accepted:
                         self._client_exec_ts[request.sender] = \
                             request.timestamp
-                if obs is not None:
-                    extra = {}
-                    if commuting:
-                        # Node-independent claim (plus the outcome) so the
-                        # monitor can judge commuting executions; default
-                        # backends emit the exact legacy shape.
-                        extra["reason"] = outcome.reason
-                        source = request.source_zone
-                    else:
-                        source = outcome.source_zone
-                    obs.emit(self.host.sim.now, "migration.executed",
-                             node=self.node.node_id,
-                             ballot=self._bkey(ballot),
-                             client=request.sender,
-                             req_ts=request.timestamp,
-                             source=source,
-                             dest=request.dest_zone,
-                             accepted=bool(outcome.accepted), **extra)
+                extra = {}
+                if commuting:
+                    # Node-independent claim (plus the outcome) so the
+                    # monitor can judge commuting executions; default
+                    # backends emit the exact legacy shape.
+                    extra["reason"] = outcome.reason
+                    source = request.source_zone
+                else:
+                    source = outcome.source_zone
+                obs.emit(self.host.sim.now, "migration.executed",
+                         node=self.node.node_id,
+                         ballot=ballot.key,
+                         client=request.sender,
+                         req_ts=request.timestamp,
+                         source=source,
+                         dest=request.dest_zone,
+                         accepted=bool(outcome.accepted), **extra)
                 results[request.sender] = outcome.as_result()
                 self.node.on_global_executed(ballot, request, outcome)
                 if is_initiator:
@@ -1122,21 +1083,21 @@ class SyncEngine:
             self.chain_tail = txn.prev_ballot
         self.start_global_txn(txn.batch)
 
-    def _query_zone(self, zone_id: str, ballot: Ballot, phase: str) -> None:
-        if not zone_id:
-            return
+    def _query(self, targets: list[str], ballot: Ballot, phase: str,
+               request_digest: bytes = b"") -> None:
         query = ResponseQuery(view=self.node.replica.view, ballot=ballot,
-                              request_digest=b"", phase=phase,
+                              request_digest=request_digest, phase=phase,
                               zone_id=self.my_zone.zone_id,
                               sender=self.node.node_id)
-        self.host.multicast_signed(self.directory.zone(zone_id).members, query)
+        self.host.multicast_signed(targets, query)
+
+    def _query_zone(self, zone_id: str, ballot: Ballot, phase: str) -> None:
+        if zone_id:
+            self._query(self.directory.zone(zone_id).members, ballot, phase)
 
     def _query_all_followers(self, txn: GlobalTxnState, phase: str) -> None:
-        query = ResponseQuery(view=self.node.replica.view, ballot=txn.ballot,
-                              request_digest=txn.request_digest or b"",
-                              phase=phase, zone_id=self.my_zone.zone_id,
-                              sender=self.node.node_id)
-        self.host.multicast_signed(self._other_zone_nodes(), query)
+        self._query(self._other_zone_nodes(), txn.ballot, phase,
+                    txn.request_digest or b"")
 
     def _on_response_query(self, sender: str, query: ResponseQuery,
                            envelope: Signed) -> None:
@@ -1242,15 +1203,13 @@ class SyncEngine:
         elif txn.phase in ("start", "accept", "promise-wait"):
             self._start_accept_phase(txn, promises=tuple(txn.promises.values()))
         elif txn.phase == "accepted-wait":
-            self._send_accept_redrive(txn)
+            if len(txn.accepteds) + 1 >= self.majority:
+                self._start_commit_phase(txn)
+            else:
+                self._start_accept_phase(
+                    txn, promises=tuple(txn.promises.values()))
         elif txn.phase == "commit":
             self._start_commit_phase(txn)
-
-    def _send_accept_redrive(self, txn: GlobalTxnState) -> None:
-        if len(txn.accepteds) + 1 >= self.majority:
-            self._start_commit_phase(txn)
-        else:
-            self._start_accept_phase(txn, promises=tuple(txn.promises.values()))
 
     def _relead_accepted(self, ballot: Ballot) -> bool:
         """Re-run (or instantly re-certify) this zone's ACCEPTED

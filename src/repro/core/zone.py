@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from repro.crypto.certificates import CertificateVerifier, QuorumCertificate
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.threshold import ThresholdCertificate, ThresholdVerifier
-from repro.core.quorums import (group_size, intra_zone_quorum, proxy_count,
-                                zone_majority)
 from repro.errors import ConfigurationError
+from repro.quorums import (group_size, intra_zone_quorum, proxy_count,
+                           zone_majority)
 from repro.sim.latency import Region
 
 __all__ = ["ZoneInfo", "ZoneDirectory"]

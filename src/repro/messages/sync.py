@@ -45,6 +45,12 @@ class Ballot:
     seq: int
     zone_id: str
 
+    @property
+    def key(self) -> str:
+        """``"<seq>.<zone_id>"``: the ballot's name in telemetry and
+        endorsement instance ids (derived, so not part of the digest)."""
+        return f"{self.seq}.{self.zone_id}"
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{self.seq},{self.zone_id}>"
 

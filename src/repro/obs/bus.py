@@ -1,14 +1,18 @@
 """The instrumentation bus: one hub for counters, histograms, spans, events.
 
-Cost tiers (so instrumentation is off-by-default cheap):
+Every :class:`~repro.sim.events.Simulator` owns one, so ``.obs`` is
+never ``None``: call sites call, and this module alone decides what is
+kept. Counters are always live (a dict increment); over them sit two
+recording tiers:
 
-1. **Counters** are always live — a dict increment, the same cost the old
-   ad-hoc ``NetworkStats`` paid. Legacy counter views read through them.
-2. **Histograms and spans** only record when ``enabled``. Call sites guard
-   with a single attribute check, so a disabled bus adds one branch to the
-   hot paths.
-3. **Trace events** only record when ``recording`` (which implies
-   ``enabled``); they feed the JSONL / Chrome exporters.
+1. **Histograms and spans** only record when ``metrics``.
+2. **Trace events** only record when ``recording`` (which implies
+   ``metrics``); they feed the JSONL / Chrome exporters. An attached
+   monitor or flight recorder sees every emitted event regardless.
+
+A call site checks a tier itself only around work that is not the call
+(``if obs.causal:`` before collecting trace ids, ``if obs.metrics:``
+around the per-hop aggregates in ``Process.deliver``).
 
 All timestamps are *simulated* milliseconds supplied by the caller; the
 bus itself never reads a wall clock, so a fixed seed produces a
@@ -41,13 +45,12 @@ class Instrumentation:
         #: runs stay byte-identical.
         self.causal = causal
         self.recording = recording or causal
-        self.enabled = enabled or self.recording
-        #: Histogram/span tier. Defaults to ``enabled``; the conformance
-        #: monitor's always-on cheap tier passes ``metrics=False`` so
-        #: emission sites stay live while per-phase aggregation (the
-        #: expensive part at every message hop) stays off.
-        self.metrics = self.enabled if metrics is None else \
-            (metrics or self.recording)
+        #: Histogram/span tier. ``enabled`` only supplies its default;
+        #: the conformance monitor's always-on cheap tier passes
+        #: ``metrics=False`` so per-phase aggregation (the expensive
+        #: part at every message hop) stays off.
+        self.metrics = self.recording or \
+            (enabled if metrics is None else metrics)
         self.max_events = max_events
         #: Memory-bounded telemetry: when ``sketch`` is set, named
         #: histograms use the fixed-memory P² streaming form instead of
@@ -64,7 +67,7 @@ class Instrumentation:
         self.counters: Counter = Counter()
         #: Grouped per-type counters, e.g. ``type_counters["net.msg"]``.
         self.type_counters: dict[str, Counter] = defaultdict(Counter)
-        #: Named histograms (``enabled`` only), e.g. ``span.endorse``.
+        #: Named histograms (``metrics`` only), e.g. ``span.endorse``.
         self.histograms: dict[str, Histogram] = {}
         #: Structured point events (``recording`` only), emission order.
         self.events: list[TraceEvent] = []
@@ -83,7 +86,7 @@ class Instrumentation:
         self.end_ms: float | None = None
 
     # ------------------------------------------------------------------
-    # Counters (tier 1: always on)
+    # Counters (always on)
     # ------------------------------------------------------------------
     def count(self, name: str, delta: int = 1) -> None:
         """Increment a scalar counter."""
@@ -98,10 +101,10 @@ class Instrumentation:
         return self.counters[name]
 
     # ------------------------------------------------------------------
-    # Histograms (tier 2: enabled only)
+    # Histograms (metrics only)
     # ------------------------------------------------------------------
     def observe(self, name: str, value: float) -> None:
-        """Record a value into a named histogram (no-op when disabled)."""
+        """Record a value into a named histogram (``metrics`` only)."""
         if not self.metrics:
             return
         hist = self.histograms.get(name)
@@ -118,7 +121,7 @@ class Instrumentation:
         return self.histograms.get(name)
 
     # ------------------------------------------------------------------
-    # Spans (tier 2 for the latency histograms, tier 3 for the records)
+    # Spans (metrics for the latency histograms, recording for the records)
     # ------------------------------------------------------------------
     def span_open(self, ts: float, phase: str, key: str, node: str = "",
                   **fields: Any) -> None:
@@ -154,7 +157,7 @@ class Instrumentation:
         return len(self._open_spans)
 
     # ------------------------------------------------------------------
-    # Events (tier 3: recording only)
+    # Events (recording only)
     # ------------------------------------------------------------------
     def emit(self, ts: float, kind: str, node: str = "",
              **fields: Any) -> None:
@@ -185,8 +188,9 @@ class Instrumentation:
         certificates (``.group``/``.threshold``); the monitor re-derives
         the structural checks from the emitted signer set.
         """
-        if self.monitor is None and not self.recording:
-            return
+        if not self.recording and self.flight is None \
+                and self.monitor is None:
+            return  # emit() would drop it; skip walking the certificate
         fields: dict[str, Any] = {}
         signatures = getattr(cert, "signatures", None)
         if signatures is not None:

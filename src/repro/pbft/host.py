@@ -122,16 +122,14 @@ class HostNode(Process):
             return
         if not verify_signed(self.keys, message):
             self.invalid_messages += 1
-            if self.obs is not None:
-                self.obs.count("host.invalid_messages")
-                self.obs.emit(self.sim.now, "host.invalid",
-                              node=self.node_id, sender=sender,
-                              msg=type(message.payload).__name__)
+            self.obs.count("host.invalid_messages")
+            self.obs.emit(self.sim.now, "host.invalid",
+                          node=self.node_id, sender=sender,
+                          msg=type(message.payload).__name__)
             return
         payload = message.payload
         handler = self._handlers.get(type(payload))
         if handler is None:
-            if self.obs is not None:
-                self.obs.count("host.unhandled_messages")
+            self.obs.count("host.unhandled_messages")
             return
         handler(message.sender, payload, message)

@@ -189,10 +189,6 @@ class PBFTReplica:
     # ------------------------------------------------------------------
     # Instrumentation
     # ------------------------------------------------------------------
-    def _obs(self):
-        obs = self.host.obs
-        return obs if obs is not None and obs.enabled else None
-
     @staticmethod
     def _span_key(view: int, sequence: int) -> str:
         return f"v{view}.s{sequence}"
@@ -307,24 +303,23 @@ class PBFTReplica:
         slot.batch = batch
         for env in batch:
             self._digest_sequence[digest(env.payload)] = sequence
-        obs = self._obs()
-        if obs is not None:
-            # The ``grp`` span field only exists on causal runs, so
-            # causal-off traces stay byte-identical to older exports.
-            extra = {"grp": self._causal_tag()} if obs.causal else {}
-            obs.span_open(self.host.sim.now, "pbft",
-                          self._span_key(self.view, sequence),
-                          node=self.host.node_id, batch=len(batch),
-                          role="primary", **extra)
-            if obs.causal:
-                # Bind this consensus instance to the trace ids of the
-                # requests it orders; repro.obs.causal joins the pbft
-                # spans (every replica, same key and group) through it.
-                obs.emit(self.host.sim.now, "trace.link",
-                         node=self.host.node_id, scope="pbft",
-                         key=f"{extra['grp']}/"
-                             f"{self._span_key(self.view, sequence)}",
-                         traces=[trace_id(env.payload) for env in batch])
+        obs = self.host.obs
+        # The ``grp`` span field only exists on causal runs, so
+        # causal-off traces stay byte-identical to older exports.
+        extra = {"grp": self._causal_tag()} if obs.causal else {}
+        obs.span_open(self.host.sim.now, "pbft",
+                      self._span_key(self.view, sequence),
+                      node=self.host.node_id, batch=len(batch),
+                      role="primary", **extra)
+        if obs.causal:
+            # Bind this consensus instance to the trace ids of the
+            # requests it orders; repro.obs.causal joins the pbft
+            # spans (every replica, same key and group) through it.
+            obs.emit(self.host.sim.now, "trace.link",
+                     node=self.host.node_id, scope="pbft",
+                     key=f"{extra['grp']}/"
+                         f"{self._span_key(self.view, sequence)}",
+                     traces=[trace_id(env.payload) for env in batch])
         self.host.multicast_signed(self.others, pre_prepare)
         self._check_prepared(slot)
 
@@ -345,15 +340,14 @@ class PBFTReplica:
             return
         if sender != self.primary_of(pp.view):
             return
-        obs = self._obs()
-        if obs is not None:
-            # Emitted with the *claimed* digest before validation: an
-            # equivocating primary never reaches divergent commits, so
-            # this is where the conformance monitor sees the fork.
-            obs.emit(self.host.sim.now, "pbft.preprepare",
-                     node=self.host.node_id, sender=sender, view=pp.view,
-                     sequence=pp.sequence, digest=pp.batch_digest.hex(),
-                     group=self._group_key, f=self.f)
+        # Emitted with the *claimed* digest before validation: an
+        # equivocating primary never reaches divergent commits, so
+        # this is where the conformance monitor sees the fork.
+        self.host.obs.emit(
+            self.host.sim.now, "pbft.preprepare",
+            node=self.host.node_id, sender=sender, view=pp.view,
+            sequence=pp.sequence, digest=pp.batch_digest.hex(),
+            group=self._group_key, f=self.f)
         if not (self.low_water_mark < pp.sequence <= self.high_water_mark):
             return
         expected = digest(tuple(env.payload for env in pp.batch))
@@ -380,13 +374,12 @@ class PBFTReplica:
         slot.pre_prepare = envelope
         slot.batch_digest = pp.batch_digest
         slot.batch = pp.batch
-        obs = self._obs()
-        if obs is not None:
-            extra = {"grp": self._causal_tag()} if obs.causal else {}
-            obs.span_open(self.host.sim.now, "pbft",
-                          self._span_key(pp.view, pp.sequence),
-                          node=self.host.node_id, batch=len(pp.batch),
-                          role="backup", **extra)
+        obs = self.host.obs
+        extra = {"grp": self._causal_tag()} if obs.causal else {}
+        obs.span_open(self.host.sim.now, "pbft",
+                      self._span_key(pp.view, pp.sequence),
+                      node=self.host.node_id, batch=len(pp.batch),
+                      role="backup", **extra)
         for req_env in pp.batch:
             req_digest = digest(req_env.payload)
             self.pending.pop(req_digest, None)
@@ -468,19 +461,18 @@ class PBFTReplica:
         if len(slot.commit_senders) < self.quorum:
             return
         slot.committed = True
-        obs = self._obs()
-        if obs is not None:
-            digest_hex = slot.batch_digest.hex() if slot.batch_digest else ""
-            extra = {}
-            if self._quorum != intra_zone_quorum(self.f):
-                # Non-default backend: let the conformance monitor check
-                # against the engine's quorum, not the 3f+1 assumption.
-                extra["quorum"] = self._quorum
-            obs.emit(self.host.sim.now, "pbft.commit",
-                     node=self.host.node_id, view=slot.view,
-                     sequence=slot.sequence, digest=digest_hex,
-                     signers=sorted(slot.commit_senders),
-                     group=self._group_key, f=self.f, **extra)
+        digest_hex = slot.batch_digest.hex() if slot.batch_digest else ""
+        extra = {}
+        if self._quorum != intra_zone_quorum(self.f):
+            # Non-default backend: let the conformance monitor check
+            # against the engine's quorum, not the 3f+1 assumption.
+            extra["quorum"] = self._quorum
+        self.host.obs.emit(
+            self.host.sim.now, "pbft.commit",
+            node=self.host.node_id, view=slot.view,
+            sequence=slot.sequence, digest=digest_hex,
+            signers=sorted(slot.commit_senders),
+            group=self._group_key, f=self.f, **extra)
         self._try_execute()
 
     # ------------------------------------------------------------------
@@ -524,17 +516,16 @@ class PBFTReplica:
 
     def _execute_batch(self, slot: Slot) -> None:
         self.executed_batches += 1
-        obs = self._obs()
-        if obs is not None:
-            obs.count("pbft.executed_batches")
-            obs.count("pbft.executed_requests", len(slot.batch))
-            obs.span_close(self.host.sim.now, "pbft",
-                           self._span_key(slot.view, slot.sequence),
-                           node=self.host.node_id)
-            obs.emit(self.host.sim.now, "pbft.execute",
-                     node=self.host.node_id, view=slot.view,
-                     sequence=slot.sequence, batch=len(slot.batch),
-                     group=self._group_key)
+        obs = self.host.obs
+        obs.count("pbft.executed_batches")
+        obs.count("pbft.executed_requests", len(slot.batch))
+        obs.span_close(self.host.sim.now, "pbft",
+                       self._span_key(slot.view, slot.sequence),
+                       node=self.host.node_id)
+        obs.emit(self.host.sim.now, "pbft.execute",
+                 node=self.host.node_id, view=slot.view,
+                 sequence=slot.sequence, batch=len(slot.batch),
+                 group=self._group_key)
         for req_env in slot.batch:
             request = req_env.payload
             result = self.app.execute(request.operation, request.sender)
@@ -593,12 +584,11 @@ class PBFTReplica:
         for d in [d for d, s in self._digest_sequence.items()
                   if s <= checkpoint.sequence]:
             del self._digest_sequence[d]
-        obs = self._obs()
-        if obs is not None:
-            obs.count("pbft.catchup")
-            obs.emit(self.host.sim.now, "pbft.catchup",
-                     node=self.host.node_id, group=self._group_key,
-                     sequence=checkpoint.sequence)
+        obs = self.host.obs
+        obs.count("pbft.catchup")
+        obs.emit(self.host.sim.now, "pbft.catchup",
+                 node=self.host.node_id, group=self._group_key,
+                 sequence=checkpoint.sequence)
         self._try_execute()
 
     def prepared_slots(self) -> list[Slot]:

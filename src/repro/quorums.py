@@ -18,11 +18,7 @@ quorum-formation discipline:
 
 This module is deliberately dependency-free (pure integer arithmetic) so
 every layer — ``crypto``, ``pbft``, ``core``, ``obs``, ``baselines`` —
-can import it without cycles. :mod:`repro.core.quorums` re-exports it
-under the canonical protocol-layer name; layers below ``core`` in the
-import graph (``crypto``, ``pbft``, ``obs``, ``sim``) import this leaf
-directly because ``repro.core``'s package init pulls in the whole
-protocol stack.
+can import it without cycles.
 """
 
 from __future__ import annotations

@@ -150,12 +150,10 @@ class ReadEngine:
         self._votes = {sequence: votes
                        for sequence, votes in self._votes.items()
                        if sequence > share.sequence}
-        obs = self.node.obs
-        if obs is not None:
-            obs.emit(self.node.sim.now, "read.watermark",
-                     node=self.node.node_id, zone=self.zone.zone_id,
-                     sequence=share.sequence,
-                     watermark_ts=share.watermark_ts)
+        self.node.obs.emit(self.node.sim.now, "read.watermark",
+                           node=self.node.node_id, zone=self.zone.zone_id,
+                           sequence=share.sequence,
+                           watermark_ts=share.watermark_ts)
 
     # ------------------------------------------------------------------
     # Read serving
@@ -168,11 +166,9 @@ class ReadEngine:
         node.send_signed(sender, reply)  # lint: allow[taint-flow] read reply echoes the request's own timestamp back to its authenticated sender; the data it carries is committed local state bound by a quorum watermark certificate
         if reply.status == "ok":
             self.reads_served += 1
-        obs = node.obs
-        if obs is not None:
-            obs.emit(node.sim.now, "read.serve", node=node.node_id,
-                     zone=self.zone.zone_id, client=sender,
-                     status=reply.status)
+        node.obs.emit(node.sim.now, "read.serve", node=node.node_id,
+                      zone=self.zone.zone_id, client=sender,
+                      status=reply.status)
 
     def _answer(self, request: ReadRequest) -> ReadReply:
         base = dict(timestamp=request.timestamp, client_id=request.sender,

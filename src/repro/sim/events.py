@@ -15,6 +15,7 @@ import heapq
 from typing import Any, Callable
 
 from repro.errors import SimulationError
+from repro.obs.bus import Instrumentation
 
 __all__ = ["EventHandle", "Simulator"]
 
@@ -84,8 +85,9 @@ class Simulator:
         self._heap: list[tuple[float, int, _Event]] = []
         self._events_processed = 0
         self._cancelled = 0
-        #: Optional instrumentation bus (set by Instrumentation.attach).
-        self.obs = None
+        #: The instrumentation bus: a sink-less default that the network
+        #: and every process share until Instrumentation.attach swaps it.
+        self.obs = Instrumentation()
         #: Optional self-profiler (repro.obs.profiler.SimProfiler). When
         #: set, handler invocations route through ``profiler.call`` so
         #: wall time can be attributed per handler; the profiler lives
@@ -152,22 +154,7 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next pending event. Returns False if none remain."""
-        while self._heap:
-            time, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            event.fired = True
-            self._now = time
-            self._events_processed += 1
-            if self.obs is not None:
-                self.obs.count("sim.events")
-            if self.profiler is None:
-                event.fn(*event.args)
-            else:
-                self.profiler.call(event.fn, event.args, time)
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
         """Run events in order.
@@ -213,7 +200,7 @@ class Simulator:
                 executed += 1
         finally:
             self._events_processed += executed
-            if executed and self.obs is not None:
+            if executed:
                 self.obs.count("sim.events", executed)
         if until is not None and until > self._now:
             self._now = until

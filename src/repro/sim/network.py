@@ -88,8 +88,8 @@ class Network:
         self._partition: list[frozenset[str]] | None = None
         self._drop_rate: dict[tuple[str, str], float] = {}
         self._disconnected: set[str] = set()
-        #: The instrumentation bus; a private disabled hub by default.
-        self.obs = obs or Instrumentation()
+        #: The instrumentation bus; the simulator's by default.
+        self.obs = obs or sim.obs
         self.stats = NetworkStats(self)
 
     # ------------------------------------------------------------------

@@ -76,8 +76,8 @@ class Process:
         self.cpu_time_ms = 0.0
         #: Messages accepted but not yet dispatched (instantaneous queue).
         self.queue_depth = 0
-        #: Instrumentation bus (wired by Network.register / attach).
-        self.obs = None
+        #: Instrumentation bus (rewired by Network.register / attach).
+        self.obs = sim.obs
 
     @property
     def busy_until(self) -> float:
@@ -97,10 +97,10 @@ class Process:
         self._busy_until = start + service
         self.queue_depth += 1
         obs = self.obs
-        # Gated on the metrics tier, not merely `enabled`: monitor-only
-        # runs keep an enabled bus on every delivery, and none of these
-        # per-hop aggregates feed the monitor's checkers.
-        if obs is not None and obs.metrics:
+        # Gated on the metrics tier: monitor-only runs see every
+        # delivery, and none of these per-hop aggregates feed the
+        # monitor's checkers.
+        if obs.metrics:
             payload = getattr(message, "payload", message)
             queue_ms = start - self.sim.now
             obs.observe("cpu.queue_ms", queue_ms)

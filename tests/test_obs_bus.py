@@ -9,11 +9,11 @@ from repro.obs.hist import Histogram
 
 
 # ----------------------------------------------------------------------
-# Counters (tier 1: always on)
+# Counters (always on)
 # ----------------------------------------------------------------------
-def test_counters_live_even_when_disabled():
+def test_counters_live_on_a_sinkless_bus():
     obs = Instrumentation()
-    assert not obs.enabled and not obs.recording
+    assert not obs.metrics and not obs.recording
     obs.count("net.sent")
     obs.count("net.sent", 2)
     obs.count_type("net.msg", "Signed")
@@ -22,7 +22,7 @@ def test_counters_live_even_when_disabled():
     assert obs.type_counters["net.msg"]["Signed"] == 1
 
 
-def test_histograms_and_spans_gated_on_enabled():
+def test_histograms_and_spans_gated_on_metrics():
     obs = Instrumentation(enabled=False)
     obs.observe("x", 1.0)
     obs.span_open(0.0, "endorse", "k", node="n0")
@@ -36,12 +36,12 @@ def test_events_gated_on_recording():
     obs.emit(1.0, "net.send", node="n0")
     assert obs.events == []
     obs.observe("x", 2.0)
-    assert obs.histogram("x").count == 1  # enabled tier still works
+    assert obs.histogram("x").count == 1  # metrics tier still works
 
 
-def test_recording_implies_enabled():
-    obs = Instrumentation(recording=True)
-    assert obs.enabled
+def test_recording_implies_metrics():
+    obs = Instrumentation(recording=True, metrics=False)
+    assert obs.metrics
 
 
 # ----------------------------------------------------------------------
@@ -196,3 +196,98 @@ def test_attach_merges_preexisting_counters():
     assert net.stats.sent == before
     net.send("a", "b", "again")
     assert net.stats.sent == before + 1
+
+
+def test_flight_only_bus_records_cert_checks():
+    """A bus whose only sink is the flight recorder still sees
+    ``cert.check``: ``emit_cert`` may skip only what ``emit`` drops."""
+    from types import SimpleNamespace
+
+    cert = SimpleNamespace(signatures=[SimpleNamespace(signer="z0n0"),
+                                       SimpleNamespace(signer="z0n1")])
+    obs = Instrumentation(flight=8)
+    obs.emit_cert(3.0, "z1n0", "accept", "z0", cert, True, src="z0n0",
+                  ref="1.z0")
+    (event,) = obs.flight.snapshot()
+    assert event["kind"] == "cert.check" and event["node"] == "z1n0"
+    assert event["signers"] == ["z0n0", "z0n1"] and event["valid"] is True
+    assert obs.events == []  # not recording: the ring is the only sink
+    sinkless = Instrumentation()
+    sinkless.emit_cert(3.0, "z1n0", "accept", "z0", cert, True)
+    assert sinkless.events == [] and sinkless.flight is None
+
+
+# ----------------------------------------------------------------------
+# The bus is the only gate
+# ----------------------------------------------------------------------
+#: What a telemetry guard outside the bus looks like. ROADMAP tracks the
+#: count; CI's lint job prints it with the same expression.
+GATING_SITE = (r"obs is (not )?None|def _obs\b|\._obs\(|"
+               r"(?<!reads)(?<!config)(?<!ReadConfig)\.enabled\b")
+
+
+def test_gating_site_census():
+    """No layer decides for itself whether telemetry is recorded.
+
+    ``.obs`` is never ``None`` and ``Instrumentation`` has no ``enabled``
+    attribute, so outside ``obs/bus.py`` nothing may test either. The
+    one allow-listed shape is the *optional* bus that ``run_point``
+    returns and ``compute_metrics`` accepts (``ReadConfig.enabled`` is a
+    protocol switch, not telemetry).
+    """
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    allowed = {"bench/runner.py": 2, "bench/metrics.py": 1}
+    sites = {}
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        hits = len(re.findall(GATING_SITE, path.read_text()))
+        if hits and name != "obs/bus.py":
+            sites[name] = hits
+    assert sites == allowed
+
+
+def test_never_attached_bus_counts_but_records_nothing():
+    """On the simulator's default bus the counters are live, no event,
+    span or histogram is kept, and the run is the one the monitor sees."""
+    from repro.core.deployment import ZiziphusConfig, build_ziziphus
+    from repro.obs.monitor import ProtocolMonitor
+    from repro.reads import ReadConfig
+    from repro.workload.driver import ClosedLoopDriver
+    from repro.workload.generator import WorkloadMix
+
+    def run(monitored):
+        config = ZiziphusConfig(num_zones=3, f=1, seed=11)
+        config.read = ReadConfig(enabled=True)
+        config.read_fraction = 0.3
+        deployment = build_ziziphus(config)
+        default = deployment.sim.obs
+        assert deployment.network.obs is default
+        assert all(deployment.network.process(n).obs is default
+                   for n in deployment.network.node_ids)
+        monitor = None
+        if monitored:
+            obs = Instrumentation(enabled=True, metrics=False)
+            obs.attach(deployment)
+            monitor = ProtocolMonitor.attach(obs, deployment)
+        driver = ClosedLoopDriver(
+            deployment, WorkloadMix(global_fraction=0.3, read_fraction=0.3),
+            clients_per_zone=3, seed=11)
+        driver.start()
+        deployment.sim.run(until=400.0)
+        return deployment.sim.obs, driver.records, monitor
+
+    obs, records, _ = run(monitored=False)
+    assert any(r.is_global for r in records)
+    assert any(r.labels.get("read") == "fast" for r in records)
+    for counter in ("sync.committed", "pbft.executed_batches",
+                    "endorse.quorum", "sim.events", "net.sent"):
+        assert obs.value(counter) > 0, counter
+    assert obs.events == [] and obs.spans == [] and obs.histograms == {}
+    assert obs.open_span_count() == 0
+    monitored_obs, monitored_records, monitor = run(monitored=True)
+    assert monitor.clean
+    assert records == monitored_records
+    assert dict(obs.counters) == dict(monitored_obs.counters)

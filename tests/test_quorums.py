@@ -3,7 +3,6 @@
 import pytest
 
 from repro import quorums
-from repro.core import quorums as core_quorums
 
 
 @pytest.mark.parametrize("f", [0, 1, 2, 5])
@@ -37,10 +36,3 @@ def test_two_level_big_f(zones, big_f):
 @pytest.mark.parametrize("n,quorum", [(4, 3), (7, 5), (10, 7)])
 def test_two_thirds_quorum(n, quorum):
     assert quorums.two_thirds_quorum(n) == quorum
-
-
-def test_core_quorums_reexports_the_leaf_module():
-    for name in quorums.__all__ if hasattr(quorums, "__all__") else []:
-        assert getattr(core_quorums, name) is getattr(quorums, name)
-    assert core_quorums.intra_zone_quorum is quorums.intra_zone_quorum
-    assert core_quorums.group_size is quorums.group_size
