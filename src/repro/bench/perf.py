@@ -7,11 +7,15 @@ host? ``BENCH_baseline.json`` gates simulated metrics, so a Python-level
 slowdown (an accidentally quadratic loop, a lost cache) would merge
 silently without this suite.
 
-Five microbenches cover the DES hot paths:
+These microbenches cover the DES hot paths:
 
 - ``sim_events``     — raw scheduler throughput (schedule + drain),
   including a cancelled-timer churn component (timers cancel constantly
   under chaos load);
+- ``hop``            — one signed message hop end to end
+  (``send_signed`` -> network -> ``deliver`` -> ``_dispatch`` ->
+  ``verify_signed`` -> a no-op handler), as hops per second for unicasts
+  and (``value_multicast``) for 3-way ``multicast_signed`` fan-outs;
 - ``digest``         — canonical-encoding + SHA-256 digests of fresh
   protocol messages carrying a shared nested certificate (the shape the
   wire actually sees: new envelope, reused certificate);
@@ -58,6 +62,7 @@ PERF_BASELINE_PATH = "PERF_baseline.json"
 #: Fixed per-bench iteration counts (comparable work across runs).
 _SIM_EVENTS_N = 60_000
 _SIM_CANCEL_N = 20_000
+_HOP_N = 10_000
 _DIGEST_N = 12_000
 _CERT_N = 4_000
 _THRESHOLD_N = 4_000
@@ -96,6 +101,41 @@ def _bench_sim_events() -> dict:
     total = _SIM_EVENTS_N + _SIM_CANCEL_N
     return {"metric": "ops_per_sec", "n": total,
             "value": total / elapsed, "elapsed_ms": elapsed * 1e3}
+
+
+def _bench_hop() -> dict:
+    """Signed hops between host nodes: unicasts, then 3-way multicasts."""
+    from repro.pbft.host import HostNode
+    from repro.sim.events import Simulator
+    from repro.sim.latency import Region
+    from repro.sim.network import Network
+
+    def elapsed_s(dsts: tuple[str, ...]) -> float:
+        sim = Simulator()
+        network = Network(sim, seed=19)
+        keys = KeyRegistry(seed=19)
+        for node_id in ("n0", *dsts):
+            node = HostNode(sim, network, keys, node_id)
+            node.register_handler(ClientRequest,
+                                  lambda sender, payload, envelope: None)
+            network.register(node, Region.OHIO)
+        sender = network.process("n0")
+        start = time.perf_counter()
+        for i in range(_HOP_N):
+            payload = ClientRequest(operation=("noop",), timestamp=i,
+                                    sender="n0")
+            if len(dsts) == 1:
+                sender.send_signed(dsts[0], payload)
+            else:
+                sender.multicast_signed(dsts, payload)
+        sim.run()
+        return time.perf_counter() - start
+
+    unicast = elapsed_s(("n1",))
+    multicast = elapsed_s(("n1", "n2", "n3"))
+    return {"metric": "ops_per_sec", "n": _HOP_N,
+            "value": _HOP_N / unicast, "elapsed_ms": unicast * 1e3,
+            "value_multicast": round(3 * _HOP_N / multicast, 1)}
 
 
 def _bench_digest() -> dict:
@@ -194,6 +234,7 @@ def _bench_run_point() -> dict:
 
 _BENCHES = {
     "sim_events": _bench_sim_events,
+    "hop": _bench_hop,
     "digest": _bench_digest,
     "cert_validate": _bench_cert_validate,
     "threshold_validate": _bench_threshold_validate,

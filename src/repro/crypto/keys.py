@@ -70,30 +70,27 @@ class KeyRegistry:
         return secret
 
     def sign(self, signer: str, payload_digest: bytes) -> Signature:
-        """Produce ``signer``'s signature over ``payload_digest``."""
-        if not isinstance(payload_digest, (bytes, bytearray)):
-            raise CryptoError("payload digest must be bytes")
-        key = (signer, bytes(payload_digest))
-        cached = self._sign_memo.get(key)
-        if cached is not None:
-            return cached
-        tag = hmac.new(self._secret(signer), payload_digest,
-                       hashlib.sha256).digest()
-        signature = Signature(signer=signer, tag=tag)
-        self._sign_memo[key] = signature
-        self._verify_memo[(signer, key[1], tag)] = True
+        """Produce ``signer``'s signature over ``payload_digest``
+        (``bytes``, as :func:`~repro.crypto.digest.digest` returns)."""
+        key = (signer, payload_digest)
+        signature = self._sign_memo.get(key)
+        if signature is None:
+            if not isinstance(payload_digest, bytes):
+                raise CryptoError("payload digest must be bytes")
+            tag = hmac.digest(self._secret(signer), payload_digest, "sha256")
+            signature = self._sign_memo[key] = Signature(signer, tag)
+            self._verify_memo[(signer, payload_digest, tag)] = True
         return signature
 
     def verify(self, signature: Signature, payload_digest: bytes) -> bool:
         """Check that ``signature`` is valid for ``payload_digest``."""
-        key = (signature.signer, bytes(payload_digest), signature.tag)
-        cached = self._verify_memo.get(key)
-        if cached is not None:
-            return cached
-        expected = hmac.new(self._secret(signature.signer), payload_digest,
-                            hashlib.sha256).digest()
-        valid = hmac.compare_digest(expected, signature.tag)
-        self._verify_memo[key] = valid
+        key = (signature.signer, payload_digest, signature.tag)
+        valid = self._verify_memo.get(key)
+        if valid is None:
+            expected = hmac.digest(self._secret(signature.signer),
+                                   payload_digest, "sha256")
+            valid = self._verify_memo[key] = hmac.compare_digest(
+                expected, signature.tag)
         return valid
 
     def forged(self, signer: str) -> Signature:

@@ -180,28 +180,46 @@ def _compile(cls: type) -> Schema:
                    if f.metadata.get("digest", True))
     raw = cls.__name__.encode()
     header = b"o" + _u32(len(raw)) + raw + _u32(len(hashed))
+    has_dict = cls.__dictoffset__ != 0
     # Immutable instances memoise their bytes: messages nest shared
     # parts (one certificate rides in many envelopes), encoded once and
     # spliced thereafter. ``slots=True`` leaves nowhere to memoise.
-    memo = cls.__dataclass_params__.frozen and cls.__dictoffset__ != 0
+    memo = cls.__dataclass_params__.frozen and has_dict
+
+    def slot_fields(obj: Any) -> dict[str, Any]:
+        # ``slots=True`` leaves no ``__dict__`` to read the fields from.
+        return {name: getattr(obj, name) for name in names}
 
     def encode(obj: Any, out: bytearray) -> None:
+        fields = obj.__dict__ if has_dict else slot_fields(obj)
         if memo:
-            cached = obj.__dict__.get("_repro_canon")
+            cached = fields.get("_repro_canon")
             if cached is not None:
                 out += cached
                 return
         sub = bytearray(header)
         for key, name in hashed:
             sub += key
-            value = getattr(obj, name)
-            SCHEMAS[type(value)].encode(value, sub)
+            value = fields[name]
+            kind = type(value)
+            # The commonest leaves inline, as _enc_str/_enc_int/_enc_bytes.
+            if kind is str:
+                raw = value.encode()
+                sub += b"s" + _u32(len(raw)) + raw
+            elif kind is int:
+                raw = str(value).encode()
+                sub += b"i" + _u32(len(raw)) + raw
+            elif kind is bytes:
+                sub += b"b" + _u32(len(value)) + value
+            else:
+                SCHEMAS[kind].encode(value, sub)
         if memo:
-            object.__setattr__(obj, "_repro_canon", bytes(sub))
+            fields["_repro_canon"] = bytes(sub)
         out += sub
 
     def units(obj: Any) -> int:
-        return _units_of([getattr(obj, name) for name in names])
+        fields = obj.__dict__ if has_dict else slot_fields(obj)
+        return _units_of([fields[name] for name in names])
 
     def wire(obj: Any) -> dict:
         values = _wire_list([getattr(obj, name) for name in names])

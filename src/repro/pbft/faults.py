@@ -46,7 +46,7 @@ class HonestBehavior(Behavior):
 
     def outbound(self, keys: KeyRegistry, signer: str, dst: str,
                  payload: Any) -> Signed | None:
-        return Signed(payload=payload, signature=keys.sign(signer, digest(payload)))
+        return Signed(payload, keys.sign(signer, digest(payload)))
 
 
 class CrashBehavior(Behavior):

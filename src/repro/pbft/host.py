@@ -80,15 +80,16 @@ class HostNode(Process):
         """Send ``payload`` to every id in ``dsts`` (skipping self unless
         ``include_self``, in which case self-delivery is immediate and
         loop-back-free). Signing is charged once, emission per destination."""
+        if include_self:
+            dsts = list(dsts)  # read twice below; may be a one-shot iterable
         targets = [d for d in dsts if d != self.node_id]
-        wants_self = include_self and any(d == self.node_id for d in dsts)
+        wants_self = include_self and len(targets) < len(dsts)
         self.occupy(self.cost_model.send_time(len(targets)))
         if isinstance(self.behavior, HonestBehavior):
             # Honest nodes send identical envelopes: sign once, fan out.
             envelope = self.behavior.outbound(self.keys, self.node_id,
                                               "", payload)
-            for dst in targets:
-                self.network.send(self.node_id, dst, envelope)
+            self.network.multicast(self.node_id, targets, envelope)
         else:
             for dst in targets:
                 envelope = self.behavior.outbound(self.keys, self.node_id,
@@ -132,4 +133,4 @@ class HostNode(Process):
         if handler is None:
             self.obs.count("host.unhandled_messages")
             return
-        handler(message.sender, payload, message)
+        handler(message.signature.signer, payload, message)

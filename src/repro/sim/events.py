@@ -20,47 +20,48 @@ from repro.obs.bus import Instrumentation
 __all__ = ["EventHandle", "Simulator"]
 
 
-class _Event:
-    """Heap payload; ordering lives in the enclosing (time, seq) tuple."""
+class EventHandle:
+    """A scheduled event that can be cancelled (e.g. a timer).
 
-    __slots__ = ("time", "fn", "args", "cancelled", "fired")
+    Only :meth:`Simulator.at` / :meth:`Simulator.schedule` make one; an
+    event nobody will cancel is pushed without (:meth:`Simulator.post`).
+    """
 
-    def __init__(self, time: float, fn: Callable[..., None],
-                 args: tuple) -> None:
+    __slots__ = ("time", "cancelled", "fired", "_sim")
+
+    def __init__(self, time: float, sim: "Simulator") -> None:
+        #: Simulated time at which the event fires.
         self.time = time
-        self.fn = fn
-        self.args = args
+        #: Whether :meth:`cancel` stopped the event before it fired.
         self.cancelled = False
         self.fired = False
-
-
-class EventHandle:
-    """Handle to a scheduled event; allows cancellation (e.g. timers)."""
-
-    __slots__ = ("_event", "_sim")
-
-    def __init__(self, event: _Event, sim: "Simulator") -> None:
-        self._event = event
         self._sim = sim
-
-    @property
-    def time(self) -> float:
-        """Simulated time at which the event fires."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._event.cancelled
 
     def cancel(self) -> None:
         """Prevent the event from firing. Safe to call more than once,
         and a no-op on an event that already fired (so the simulator's
-        live-event accounting never counts an off-heap event)."""
-        event = self._event
-        if not event.cancelled and not event.fired:
-            event.cancelled = True
-            self._sim._note_cancelled()
+        live-event accounting never counts an off-heap event).
+
+        Timers cancel constantly under chaos churn, so cancelled entries
+        can come to dominate the heap and tax every push/pop. Once more
+        than half the heap is cancelled (and it is big enough to
+        matter), the live entries are re-heapified in place. The (time,
+        seq) total order is untouched, so the pop sequence — and with it
+        every trace — is byte-identical.
+        """
+        if self.cancelled or self.fired:
+            return
+        self.cancelled = True
+        sim = self._sim
+        sim._cancelled += 1
+        heap = sim._heap
+        if sim._cancelled * 2 > len(heap) >= sim.COMPACT_MIN_HEAP:
+            # In place, so that a `run()` loop holding a reference to the
+            # heap list observes the compaction.
+            heap[:] = [entry for entry in heap
+                       if entry[4] is None or not entry[4].cancelled]
+            heapq.heapify(heap)
+            sim._cancelled = 0
 
 
 class Simulator:
@@ -78,11 +79,13 @@ class Simulator:
     COMPACT_MIN_HEAP = 64
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time in milliseconds. Read it; only the
+        #: event loop writes it, and never backwards.
+        self.now = 0.0
         self._seq = 0
-        # Heap of (time, seq, _Event); seq breaks ties so the tuple
-        # comparison never reaches the (incomparable) event object.
-        self._heap: list[tuple[float, int, _Event]] = []
+        # Heap of (time, seq, fn, args, handle-or-None); seq breaks ties
+        # so the tuple comparison never reaches the callable.
+        self._heap: list[tuple] = []
         self._events_processed = 0
         self._cancelled = 0
         #: The instrumentation bus: a sink-less default that the network
@@ -94,11 +97,6 @@ class Simulator:
         #: outside the sim scope because this module must stay free of
         #: wall clocks.
         self.profiler = None
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -115,42 +113,33 @@ class Simulator:
         """Raw heap length, cancelled entries included (diagnostics)."""
         return len(self._heap)
 
-    def _note_cancelled(self) -> None:
-        """Bookkeeping for EventHandle.cancel; compacts a mostly-dead heap.
+    def post(self, time: float, fn: Callable[..., None], args: tuple = (),
+             handle: EventHandle | None = None) -> None:
+        """Push ``fn(*args)`` to run at absolute simulated ``time``.
 
-        Timers cancel constantly under chaos churn, so cancelled entries
-        can come to dominate the heap and tax every push/pop. Once more
-        than half the heap is cancelled (and it is big enough to
-        matter), the live entries are re-heapified in place. The (time,
-        seq) total order is untouched, so the pop sequence — and with it
-        every trace — is byte-identical.
+        Every event enters the heap here. Called directly it allocates
+        no handle: the message hop's own pushes (network -> ``deliver``
+        -> ``_dispatch``) are never cancelled. :meth:`at` passes the
+        ``handle`` it returns.
         """
-        self._cancelled += 1
-        heap = self._heap
-        if len(heap) >= self.COMPACT_MIN_HEAP \
-                and self._cancelled * 2 > len(heap):
-            # In-place so that a `run()` loop holding a reference to the
-            # heap list observes the compaction.
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
-            heapq.heapify(heap)
-            self._cancelled = 0
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time} before now={self.now}"
+            )
+        heapq.heappush(self._heap, (time, self._seq, fn, args, handle))
+        self._seq += 1
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` ms from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.at(self._now + delay, fn, *args)
+        return self.at(self.now + delay, fn, *args)
 
     def at(self, time: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
-            )
-        event = _Event(time, fn, args)
-        heapq.heappush(self._heap, (time, self._seq, event))
-        self._seq += 1
-        return EventHandle(event, self)
+        handle = EventHandle(time, self)
+        self.post(time, fn, args, handle)
+        return handle
 
     def step(self) -> bool:
         """Execute the next pending event. Returns False if none remain."""
@@ -161,7 +150,7 @@ class Simulator:
 
         Args:
             until: stop once the next event would fire after this time
-                (the clock is advanced to ``until``).
+                (the clock is advanced to ``until``, never moved back).
             max_events: stop after executing this many events.
 
         Returns:
@@ -180,28 +169,26 @@ class Simulator:
             while heap:
                 if max_events is not None and executed >= max_events:
                     return executed
-                entry = heap[0]
-                event = entry[2]
-                if event.cancelled:
+                time, _, fn, args, handle = heap[0]
+                if handle is not None and handle.cancelled:
                     pop(heap)
                     self._cancelled -= 1
                     continue
-                time = entry[0]
                 if until is not None and time > until:
-                    self._now = until
-                    return executed
+                    break
                 pop(heap)
-                event.fired = True
-                self._now = time
+                if handle is not None:
+                    handle.fired = True
+                self.now = time
                 if profiler is None:
-                    event.fn(*event.args)
+                    fn(*args)
                 else:
-                    profiler.call(event.fn, event.args, time)
+                    profiler.call(fn, args, time)
                 executed += 1
         finally:
             self._events_processed += executed
             if executed:
                 self.obs.count("sim.events", executed)
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until
         return executed

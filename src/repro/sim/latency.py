@@ -11,7 +11,6 @@ LAN round-trip time.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 
@@ -95,10 +94,12 @@ def regions_for_zones(num_zones: int) -> list[Region]:
 
 @dataclass
 class LatencyModel:
-    """Computes one-way message latency between two regions.
+    """Round-trip times between regions, and how much they jitter.
 
-    One-way latency is half the RTT, scaled by a uniform multiplicative
-    jitter in ``[1 - jitter, 1 + jitter]`` drawn from ``rng``.
+    A message's one-way latency is half the RTT, scaled by a uniform
+    multiplicative jitter in ``[1 - jitter, 1 + jitter]``; the network
+    samples it per link from its own seeded generator
+    (:meth:`repro.sim.network.Network.multicast`).
 
     Attributes:
         lan_rtt_ms: round-trip time between nodes in the same region.
@@ -116,11 +117,3 @@ class LatencyModel:
         if key not in RTT_MATRIX_MS:
             raise ConfigurationError(f"no RTT entry for {a}-{b}")
         return RTT_MATRIX_MS[key]
-
-    def one_way_ms(self, a: Region, b: Region, rng: random.Random) -> float:
-        """Sample a one-way latency between regions ``a`` and ``b``."""
-        base = self.rtt_ms(a, b) / 2.0
-        if self.jitter <= 0:
-            return base
-        factor = 1.0 + rng.uniform(-self.jitter, self.jitter)
-        return base * factor

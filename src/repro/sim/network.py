@@ -206,65 +206,63 @@ class Network:
     # ------------------------------------------------------------------
     def send(self, src: str, dst: str, message: Any) -> None:
         """Send ``message`` from ``src`` to ``dst`` with simulated latency."""
-        obs = self.obs
-        payload_type = type(getattr(message, "payload", message)).__name__
-        obs.count("net.sent")
-        obs.count_type("net.msg", payload_type)
-        self._transmit(src, dst, message, payload_type)
-
-    def _transmit(self, src: str, dst: str, message: Any,
-                  payload_type: str) -> None:
-        """Per-link half of :meth:`send`: fault rules, latency, delivery.
-
-        The per-*message* accounting (``net.sent`` and the payload-type
-        counter) is the caller's job, so :meth:`multicast` can batch it.
-        """
-        obs = self.obs
-        if dst not in self._procs:
-            obs.count("net.dropped")
-            obs.emit(self.sim.now, "net.drop", node=src, dst=dst,
-                     msg=payload_type, reason="unknown-destination")
-            return
-        if not self._linked(src, dst):
-            obs.count("net.dropped")
-            obs.emit(self.sim.now, "net.drop", node=src, dst=dst,
-                     msg=payload_type, reason="fault")
-            return
-        src_region = self._regions.get(src)
-        dst_region = self._regions[dst]
-        if src_region is None:
-            src_region = dst_region
-        wan = src_region != dst_region
-        if wan:
-            obs.count("net.wan_sent")
-        delay = self.latency.one_way_ms(src_region, dst_region, self._rng)
-        target = self._procs[dst]
-        obs.count("net.delivered")
-        if obs.metrics:
-            obs.observe("net.latency_ms", delay)
-            if wan:
-                obs.observe("net.wan_latency_ms", delay)
-        if obs.recording:
-            # Per-message trace rows only: the conformance monitor has no
-            # net.* checker, so monitor-only runs skip building them.
-            obs.emit(self.sim.now, "net.send", node=src, dst=dst,
-                     msg=payload_type, delay_ms=round(delay, 6), wan=wan)
-        self.sim.schedule(delay, target.deliver, src, message)
+        self.multicast(src, (dst,), message)
 
     def multicast(self, src: str, dsts: Iterable[str], message: Any) -> None:
         """Send ``message`` from ``src`` to every node in ``dsts``.
 
-        The fan-out fast path: the payload-type name is resolved once
-        and the per-message counters are bumped in one batch, so each
-        hop pays only its own link rules, latency draw, and delivery
-        scheduling. Counter totals are identical to per-``send`` calls.
+        Each link pays its own fault rules, latency draw and delivery
+        push, in ``dsts`` order; the payload-type name is resolved and
+        the traffic counters are bumped once per fan-out. The fault
+        tables are consulted only while one of them holds a rule.
         """
-        dsts = list(dsts)
-        if not dsts:
-            return
         obs = self.obs
+        sim = self.sim
+        now = sim.now
+        procs = self._procs
+        regions = self._regions
+        latency = self.latency
+        jitter = latency.jitter
+        faulty = (self._disconnected or self._drop_rate
+                  or self._partition is not None)
         payload_type = type(getattr(message, "payload", message)).__name__
-        obs.count("net.sent", len(dsts))
-        obs.count_type("net.msg", payload_type, len(dsts))
+        sent = delivered = wan_sent = 0
         for dst in dsts:
-            self._transmit(src, dst, message, payload_type)
+            sent += 1
+            target = procs.get(dst)
+            if target is None or (faulty and not self._linked(src, dst)):
+                obs.count("net.dropped")
+                obs.emit(now, "net.drop", node=src, dst=dst, msg=payload_type,
+                         reason="unknown-destination" if target is None
+                         else "fault")
+                continue
+            dst_region = regions[dst]
+            src_region = regions.get(src, dst_region)
+            wan = src_region != dst_region
+            if wan:
+                wan_sent += 1
+                delay = latency.rtt_ms(src_region, dst_region) / 2.0
+            else:
+                delay = latency.lan_rtt_ms / 2.0
+            if jitter > 0:
+                # One-way latency is half the RTT under a uniform
+                # multiplicative jitter in [1 - jitter, 1 + jitter].
+                delay *= 1.0 + self._rng.uniform(-jitter, jitter)
+            delivered += 1
+            if obs.metrics:
+                obs.observe("net.latency_ms", delay)
+                if wan:
+                    obs.observe("net.wan_latency_ms", delay)
+            if obs.recording:
+                # Per-message trace rows only: the conformance monitor has
+                # no net.* checker, so monitor-only runs skip building them.
+                obs.emit(now, "net.send", node=src, dst=dst,
+                         msg=payload_type, delay_ms=round(delay, 6), wan=wan)
+            sim.post(now + delay, target.deliver, (src, message))
+        if sent:
+            obs.count("net.sent", sent)
+            obs.count_type("net.msg", payload_type, sent)
+        if wan_sent:
+            obs.count("net.wan_sent", wan_sent)
+        if delivered:
+            obs.count("net.delivered", delivered)

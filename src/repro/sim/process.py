@@ -43,14 +43,6 @@ class CostModel:
         """CPU time to sign a message once and emit it to N destinations."""
         return self.sign_ms + self.send_ms * destinations
 
-    def service_time(self, message: Any) -> float:
-        """CPU time a node spends handling ``message``."""
-        units = 1
-        counter = getattr(message, "signature_units", None)
-        if counter is not None:
-            units = counter()
-        return self.base_ms + self.verify_ms * units
-
     def execution_time(self, operations: int = 1) -> float:
         """CPU time to apply ``operations`` state-machine operations."""
         return self.execute_ms * operations
@@ -91,9 +83,18 @@ class Process:
         """Accept a message from the network and queue it for processing."""
         if self.crashed:
             return
-        service = self.cost_model.service_time(message)
+        # An envelope delivered before remembers its verification count.
+        units = getattr(message, "_repro_units", None)
+        if units is None:
+            counter = getattr(message, "signature_units", None)
+            units = counter() if counter is not None else 1
+        cost = self.cost_model
+        service = cost.base_ms + cost.verify_ms * units
         self.cpu_time_ms += service
-        start = max(self.sim.now, self._busy_until)
+        now = self.sim.now
+        start = self._busy_until
+        if start < now:
+            start = now
         self._busy_until = start + service
         self.queue_depth += 1
         obs = self.obs
@@ -102,17 +103,17 @@ class Process:
         # monitor's checkers.
         if obs.metrics:
             payload = getattr(message, "payload", message)
-            queue_ms = start - self.sim.now
+            queue_ms = start - now
             obs.observe("cpu.queue_ms", queue_ms)
             obs.observe("cpu.service_ms", service)
             obs.count_type("proc.handled", type(payload).__name__)
             if obs.recording:
-                obs.emit(self.sim.now, "proc.deliver", node=self.node_id,
+                obs.emit(now, "proc.deliver", node=self.node_id,
                          msg=type(payload).__name__, sender=sender,
                          queue_ms=round(queue_ms, 6),
                          service_ms=round(service, 6),
                          depth=self.queue_depth)
-        self.sim.at(self._busy_until, self._dispatch, sender, message)
+        self.sim.post(self._busy_until, self._dispatch, (sender, message))
 
     def utilization(self, window_ms: float | None = None) -> float:
         """Fraction of (simulated) time this node's CPU was busy.
@@ -125,7 +126,8 @@ class Process:
         return min(1.0, self.cpu_time_ms / window)
 
     def _dispatch(self, sender: str, message: Any) -> None:
-        self.queue_depth = max(0, self.queue_depth - 1)
+        if self.queue_depth:
+            self.queue_depth -= 1
         if self.crashed:
             return
         self.messages_handled += 1
@@ -141,14 +143,18 @@ class Process:
     def occupy(self, duration_ms: float) -> None:
         """Charge extra CPU time (e.g. executing a batch) to this node."""
         self.cpu_time_ms += duration_ms
-        self._busy_until = max(self.sim.now, self._busy_until) + duration_ms
+        start = self._busy_until
+        if start < self.sim.now:
+            start = self.sim.now
+        self._busy_until = start + duration_ms
 
     def set_timer(self, delay_ms: float, fn, *args: Any) -> EventHandle:
         """Schedule a callback that is suppressed if the node crashes."""
-        def fire() -> None:
-            if not self.crashed:
-                fn(*args)
-        return self.sim.schedule(delay_ms, fire)
+        return self.sim.at(self.sim.now + delay_ms, self._fire, fn, args)
+
+    def _fire(self, fn, args: tuple) -> None:
+        if not self.crashed:
+            fn(*args)
 
     def crash(self) -> None:
         """Fail-stop this process."""

@@ -1,5 +1,7 @@
 """Unit tests for the HostNode dispatch/forwarding layer."""
 
+import pytest
+
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.messages.base import Signed
@@ -80,14 +82,17 @@ def test_byzantine_nodes_do_not_forward():
     assert seen == []
 
 
-def test_multicast_include_self_delivers_locally():
+@pytest.mark.parametrize("one_shot", [list, iter],
+                         ids=["list", "generator"])
+def test_multicast_include_self_delivers_locally(one_shot):
     sim, net, keys, a, b = build_pair()
     seen = []
     a.register_handler(ClientRequest,
                        lambda sender, payload, env: seen.append("a"))
     b.register_handler(ClientRequest,
                        lambda sender, payload, env: seen.append("b"))
-    a.multicast_signed(["a", "b"],
+    # A one-shot iterable of destinations must not lose the self-delivery.
+    a.multicast_signed(one_shot(["b", "a"]),
                        ClientRequest(operation=("noop",), timestamp=1,
                                      sender="a"), include_self=True)
     sim.run()

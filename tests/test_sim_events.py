@@ -200,3 +200,138 @@ def test_property_execution_is_sorted_by_time(delays):
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
+
+
+def test_run_until_in_the_past_never_rewinds_the_clock():
+    sim = Simulator()
+    fired = []
+    sim.schedule(10.0, fired.append, "early")
+    sim.schedule(20.0, fired.append, "late")
+    sim.run(until=15.0)
+    assert sim.now == 15.0
+    # A later event is still queued; an earlier horizon must not move
+    # the clock back (an event scheduled "now" would then land before
+    # events that already fired).
+    assert sim.run(until=5.0) == 0
+    assert sim.now == 15.0
+    sim.schedule(0.0, fired.append, "now")
+    sim.run()
+    assert fired == ["early", "now", "late"]
+
+
+class _ReferenceLoop:
+    """The event loop as a sorted list: the order ``Simulator`` must keep."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.entries = []            # [time, seq, label, child_delay, state]
+        self.fired = []
+        self.processed = 0
+
+    def push(self, time, label, child_delay=None):
+        entry = [time, self.seq, label, child_delay, "live"]
+        self.seq += 1
+        self.entries.append(entry)
+        self.entries.sort(key=lambda e: (e[0], e[1]))
+        return entry
+
+    def cancel(self, entry):
+        if entry[4] != "live":
+            return
+        entry[4] = "cancelled"
+        dead = sum(1 for e in self.entries if e[4] == "cancelled")
+        if dead * 2 > len(self.entries) >= Simulator.COMPACT_MIN_HEAP:
+            self.entries = [e for e in self.entries if e[4] == "live"]
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while self.entries:
+            if max_events is not None and executed >= max_events:
+                self.processed += executed
+                return executed
+            entry = self.entries[0]
+            if entry[4] == "cancelled":
+                self.entries.pop(0)
+                continue
+            if until is not None and entry[0] > until:
+                break
+            self.entries.pop(0)
+            entry[4] = "fired"
+            self.now = entry[0]
+            self.fired.append(entry[2])
+            if entry[3] is not None:
+                self.push(self.now + entry[3], -entry[2])
+            executed += 1
+        self.processed += executed
+        if until is not None and until > self.now:
+            self.now = until
+        return executed
+
+    @property
+    def pending(self):
+        return sum(1 for e in self.entries if e[4] == "live")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_event_order_matches_sorted_list_reference(seed):
+    """Random schedule / at / post / cancel / run sequences fire in the
+    reference's order; handle-free and handle-carrying events pushed for
+    the same instant fire in push order."""
+    import random
+
+    rng = random.Random(seed)
+    sim, ref = Simulator(), _ReferenceLoop()
+    fired = []
+    handles = []                      # (EventHandle, reference entry)
+    compactions = 0
+
+    def fire(label, child_delay):
+        fired.append(label)
+        if child_delay is not None:
+            sim.post(sim.now + child_delay, fire, (-label, None))
+
+    for label in range(1, 1500):
+        # Now and then most timers die at once, as when a view change ends.
+        op = 0.6 if label % 300 == 0 else rng.random()
+        if op < 0.55:
+            # Few distinct delays, so that equal times are the rule.
+            # and some far enough out to pile up in the heap.
+            delay = rng.choice((0.0, 0.5, 1.0, 1.0, 2.0, 7.5, 900.0, 900.0))
+            child = rng.choice((None, None, 0.0, 1.0))
+            entry = ref.push(ref.now + delay, label, child)
+            how = rng.randrange(3)
+            if how == 0:
+                sim.post(sim.now + delay, fire, (label, child))
+            elif how == 1:
+                handles.append(
+                    (sim.schedule(delay, fire, label, child), entry))
+            else:
+                handles.append(
+                    (sim.at(sim.now + delay, fire, label, child), entry))
+        elif op < 0.85 and handles:
+            # Any handle: live, cancelled before, or fired already.
+            burst = len(handles) * 3 // 4 if label % 300 == 0 else 1
+            for handle, entry in rng.sample(handles, burst):
+                before = sim.heap_size
+                handle.cancel()
+                ref.cancel(entry)
+                compactions += sim.heap_size < before
+                assert handle.cancelled == (entry[4] == "cancelled")
+                assert handle.time == entry[0]
+        elif op < 0.92:
+            until = sim.now + rng.choice((-3.0, 0.0, 0.5, 1.0, 4.0))
+            assert sim.run(until=until) == ref.run(until=until)
+        elif op < 0.98:
+            budget = rng.randrange(4)
+            assert sim.run(max_events=budget) == ref.run(max_events=budget)
+        else:
+            assert sim.step() == (ref.run(max_events=1) == 1)
+        assert fired == ref.fired
+        assert (sim.now, sim.pending, sim.heap_size, sim.events_processed) \
+            == (ref.now, ref.pending, len(ref.entries), ref.processed)
+    sim.run()
+    ref.run()
+    assert fired == ref.fired and sim.pending == 0
+    # The sequence held enough cancellations to compact the heap.
+    assert len(handles) > Simulator.COMPACT_MIN_HEAP and compactions > 0

@@ -7,7 +7,6 @@ from repro.sim.events import Simulator
 from repro.sim.latency import LatencyModel, Region, regions_for_zones
 from repro.sim.network import Network
 from repro.sim.process import Process
-from repro.sim.rng import derive_rng
 
 
 class Sink(Process):
@@ -55,12 +54,16 @@ def test_wan_latency_matches_rtt_matrix():
 
 
 def test_jitter_stays_within_bounds():
-    model = LatencyModel(jitter=0.1)
-    rng = derive_rng(1, "jitter")
-    base = model.rtt_ms(Region.PARIS, Region.LONDON) / 2
-    for _ in range(200):
-        sample = model.one_way_ms(Region.PARIS, Region.LONDON, rng)
-        assert base * 0.9 <= sample <= base * 1.1
+    sim, net = make_net(jitter=0.1, seed=1)
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    net.register(a, Region.PARIS)
+    net.register(b, Region.LONDON)
+    net.multicast("a", ["b"] * 200, "x")
+    sim.run()
+    base = net.latency.rtt_ms(Region.PARIS, Region.LONDON) / 2
+    arrivals = [arrival for arrival, _, _ in b.received]
+    assert len(arrivals) == 200 and len(set(arrivals)) > 100
+    assert all(base * 0.9 <= arrival <= base * 1.1 for arrival in arrivals)
 
 
 def test_partition_blocks_cross_group_traffic():

@@ -26,9 +26,13 @@ class FixedUnits:
 
 
 def test_service_time_includes_per_signature_cost():
-    model = CostModel(base_ms=0.1, verify_ms=0.2)
-    assert model.service_time(FixedUnits(3)) == pytest.approx(0.1 + 0.6)
-    assert model.service_time(object()) == pytest.approx(0.1 + 0.2)
+    sim = Simulator()
+    node = Echo(sim, "n", CostModel(base_ms=0.1, verify_ms=0.2))
+    node.deliver("peer", FixedUnits(3))
+    assert node.busy_until == pytest.approx(0.1 + 0.6)
+    node.deliver("peer", object())
+    assert node.busy_until == pytest.approx(0.7 + 0.1 + 0.2)
+    assert node.cpu_time_ms == pytest.approx(1.0)
 
 
 def test_send_time_scales_with_destinations():
