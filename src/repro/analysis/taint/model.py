@@ -56,7 +56,8 @@ STORAGE_SINKS = frozenset({
 
 #: Outbound transmission: tainted values must not be relayed under this
 #: node's own authority (forwarding a *sealed* envelope intact is fine).
-SEND_SINKS = frozenset({"forward", "multicast_signed", "send", "send_signed"})
+SEND_SINKS = frozenset({"forward", "multicast_signed", "reply_to_client",
+                        "send", "send_signed"})
 
 #: Re-signing: putting this node's signature on attacker-chosen bytes.
 SIGN_SINKS = frozenset({"sign", "sign_message"})

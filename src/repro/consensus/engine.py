@@ -197,7 +197,7 @@ class RotatingInitiatorEngine(GlobalEngine):
         return owner >= 0 and ballot.seq % len(zone_ids) == owner
 
     def on_initiator_failover(self, sync, txn) -> None:
-        sync.host.obs.emit(sync.host.sim.now, "sync.redrive",
+        sync.node.obs.emit(sync.node.sim.now, "sync.redrive",
                            node=sync.node.node_id, ballot=txn.ballot.key,
                            phase=txn.phase)
         sync._redrive_initiator(txn)

@@ -22,7 +22,7 @@ clusters runs this protocol:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.crypto.digest import digest
@@ -74,8 +74,6 @@ class ClusterEngine:
         self.my_zone = node.zone_info
         self.my_cluster = self.my_zone.cluster_id
         self._txns: dict[bytes, CrossTxn] = {}       # request digest -> state
-        self._by_dst_ballot: dict[Ballot, bytes] = {}
-        self._by_src_ballot: dict[Ballot, bytes] = {}
         self.cross_commits_executed = 0
 
         node.register_handler(MigrationRequest, self._route_migration)
@@ -113,12 +111,6 @@ class ClusterEngine:
             return self.directory.cluster_zones(cluster)[0]
         return cluster_of_zone
 
-    def _dst_orderer(self, request: MigrationRequest) -> str:
-        return self._orderer_zone(request.dest_zone)
-
-    def _src_orderer(self, request: MigrationRequest) -> str:
-        return self._orderer_zone(request.source_zone)
-
     def _txn_for(self, request_digest: bytes, env: Signed) -> CrossTxn:
         txn = self._txns.get(request_digest)
         if txn is None:
@@ -129,6 +121,19 @@ class ClusterEngine:
     def _am_proxy(self) -> bool:
         view = self.node.replica.view
         return self.node.node_id in self.my_zone.proxies(view)
+
+    def _proxied_request(self, context: Any) -> Signed | None:
+        """The request of an endorsed sync context that orders exactly one
+        cross-cluster migration, if this node is one of its zone's
+        proxies; ``None`` for every other ballot and node."""
+        batch = getattr(context, "requests", None)
+        if not batch or len(batch) != 1:
+            return None  # cross-cluster transactions are ordered one per ballot
+        request = batch[0].payload
+        if not isinstance(request, MigrationRequest) or \
+                not self._is_cross(request) or not self._am_proxy():
+            return None
+        return batch[0]
 
     @staticmethod
     def _span_key(request_digest: bytes) -> str:
@@ -142,7 +147,7 @@ class ClusterEngine:
         if not self._is_cross(request):
             self.node.sync._on_migration_request(sender, request, envelope)
             return
-        if self.my_zone.zone_id != self._dst_orderer(request):
+        if self.my_zone.zone_id != self._orderer_zone(request.dest_zone):
             return  # not the coordinator zone for this request
         if not self.node.replica.is_primary:
             self.node.forward(self.node.replica.primary, envelope)
@@ -162,23 +167,17 @@ class ClusterEngine:
         txn.dst_ballot = self.node.sync.start_global_txn(
             (envelope,), on_ready_to_commit=lambda s, d=request_digest:
             self._on_dst_accepted_quorum(d, s))
-        self._by_dst_ballot[txn.dst_ballot] = request_digest  # lint: allow[taint-flow] index of this zone's own sync ballots; the request is ordered and certified by the sync engine before adoption
 
     # ------------------------------------------------------------------
     # Destination side
     # ------------------------------------------------------------------
     def _on_accept_endorsed(self, instance: str, context: Any, cert) -> None:
         """The destination zone certified its ballot: proxies CROSS-PROPOSE."""
-        batch = getattr(context, "requests", None)
-        if not batch or len(batch) != 1:
-            return  # cross-cluster transactions are ordered one per ballot
-        request_env = batch[0]
+        request_env = self._proxied_request(context)
+        if request_env is None:
+            return
         request = request_env.payload
-        if not isinstance(request, MigrationRequest) or not self._is_cross(request):
-            return
-        if self.my_zone.zone_id != self._dst_orderer(request):
-            return
-        if not self._am_proxy():
+        if self.my_zone.zone_id != self._orderer_zone(request.dest_zone):
             return
         request_digest = digest(request)
         txn = self._txn_for(request_digest, request_env)
@@ -188,7 +187,6 @@ class ClusterEngine:
         txn.role = txn.role or "dst"
         txn.dst_ballot = context.ballot
         txn.dst_prev = context.prev_ballot
-        self._by_dst_ballot[context.ballot] = request_digest
         self.node.obs.emit(self.node.sim.now, "cross.propose_sent",
                            node=self.node.node_id,
                            request=self._span_key(request_digest))
@@ -197,8 +195,9 @@ class ClusterEngine:
                              dst_prev_ballot=context.prev_ballot,
                              request=request_env, cert=cert,
                              sender=self.node.node_id)
-        source_nodes = self.directory.zone(self._src_orderer(request)).members
-        self.node.multicast_signed(source_nodes, cross)
+        source_zone = self._orderer_zone(request.source_zone)
+        self.node.multicast_signed(self.directory.zone(source_zone).members,
+                                   cross)
 
     def _on_dst_accepted_quorum(self, request_digest: bytes, sync_txn) -> None:
         """Destination cluster accepted; build our commit certificate."""
@@ -223,15 +222,12 @@ class ClusterEngine:
         txn = self._txns.get(request_digest)
         if txn is None or txn.role != "dst":
             return
-        src_zone = self._src_orderer(txn.request_env.payload)
+        request = txn.request_env.payload
+        src_zone = self._orderer_zone(request.source_zone)
         body = commit_body(prepared.src_ballot, prepared.src_prev_ballot,
-                           self._body_digest(txn.request_env.payload))
-        valid = self.directory.cert_valid(prepared.cert, body, src_zone)
-        self.node.obs.emit_cert(
-            self.node.sim.now, self.node.node_id, "cross-prepared",
-            src_zone, prepared.cert, valid, src=sender,
-            ref=prepared.src_ballot.key)
-        if not valid:
+                           self._body_digest(request))
+        if not self.node.check_cert("cross-prepared", src_zone, prepared.cert,
+                                    body, sender, prepared.src_ballot.key):
             return
         txn.prepared = prepared
         txn.src_ballot = prepared.src_ballot
@@ -273,19 +269,15 @@ class ClusterEngine:
         request = cross.request.payload
         if not isinstance(request, MigrationRequest):
             return
-        if self.my_zone.zone_id != self._src_orderer(request):
+        if self.my_zone.zone_id != self._orderer_zone(request.source_zone):
             return
         if not verify_signed(self.node.keys, cross.request):
             return
         body = accept_body(cross.dst_ballot, cross.dst_prev_ballot,
                            self._body_digest(request))
-        dst_zone = self._dst_orderer(request)
-        valid = self.directory.cert_valid(cross.cert, body, dst_zone)
-        self.node.obs.emit_cert(
-            self.node.sim.now, self.node.node_id, "cross-propose",
-            dst_zone, cross.cert, valid, src=sender,
-            ref=cross.dst_ballot.key)
-        if not valid:
+        dst_zone = self._orderer_zone(request.dest_zone)
+        if not self.node.check_cert("cross-propose", dst_zone, cross.cert,
+                                    body, sender, cross.dst_ballot.key):
             return
         request_digest = digest(request)
         txn = self._txn_for(request_digest, cross.request)
@@ -299,7 +291,6 @@ class ClusterEngine:
         txn.src_ballot = self.node.sync.start_global_txn(
             (cross.request,), on_ready_to_commit=lambda s, d=request_digest:
             self._on_src_accepted_quorum(d, s))
-        self._by_src_ballot[txn.src_ballot] = request_digest
 
     def _on_src_accepted_quorum(self, request_digest: bytes, sync_txn) -> None:
         txn = self._txns.get(request_digest)
@@ -307,22 +298,16 @@ class ClusterEngine:
             return
         txn.src_prev = sync_txn.prev_ballot
         txn.src_ballot = sync_txn.ballot
-        self._by_src_ballot[sync_txn.ballot] = request_digest
         self.node.sync.prepare_commit_cert(
             sync_txn, on_cert=lambda cert: None)  # proxies act on quorum
 
     def _on_commit_endorsed(self, instance: str, context: Any, cert) -> None:
         """Commit-phase endorsement done: source proxies send PREPARED."""
-        batch = getattr(context, "requests", None)
-        if not batch or len(batch) != 1:
+        request_env = self._proxied_request(context)
+        if request_env is None:
             return
-        request_env = batch[0]
         request = request_env.payload
-        if not isinstance(request, MigrationRequest) or not self._is_cross(request):
-            return
-        if self.my_zone.zone_id != self._src_orderer(request):
-            return
-        if not self._am_proxy():
+        if self.my_zone.zone_id != self._orderer_zone(request.source_zone):
             return
         request_digest = digest(request)
         txn = self._txn_for(request_digest, request_env)
@@ -339,8 +324,9 @@ class ClusterEngine:
                             src_prev_ballot=context.prev_ballot,
                             request_digest=request_digest, cert=cert,
                             sender=self.node.node_id)
-        dest_nodes = self.directory.zone(self._dst_orderer(request)).members
-        self.node.multicast_signed(dest_nodes, prepared)
+        dest_zone = self._orderer_zone(request.dest_zone)
+        self.node.multicast_signed(self.directory.zone(dest_zone).members,
+                                   prepared)
 
     # ------------------------------------------------------------------
     # Combined commit (every node of both clusters)
@@ -363,17 +349,12 @@ class ClusterEngine:
                                   commit.cert_src)
             foreign = commit.dst_ballot
         body = commit_body(ballot, prev, self._body_digest(request))
-        valid = self.directory.cert_valid(cert, body, ballot.zone_id)
-        self.node.obs.emit_cert(
-            self.node.sim.now, self.node.node_id, "cross-commit",
-            ballot.zone_id, cert, valid, src=sender, ref=ballot.key)
-        if not valid:
+        if not self.node.check_cert("cross-commit", ballot.zone_id, cert,
+                                    body, sender, ballot.key):
             return
         txn = self._txn_for(request_digest, commit.request)
         txn.dst_ballot, txn.dst_prev = commit.dst_ballot, commit.dst_prev_ballot
         txn.src_ballot, txn.src_prev = commit.src_ballot, commit.src_prev_ballot
-        self._by_dst_ballot[commit.dst_ballot] = request_digest
-        self._by_src_ballot[commit.src_ballot] = request_digest
         # Cross-cluster STATE messages travel under the source ballot:
         # teach the migration engine the mapping before execution.
         self.node.migration.alias_ballot(foreign, ballot)

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.crypto.digest import digest
 from repro.messages.base import Signed, verify_signed
-from repro.messages.client import ClientReply, ClientRequest
+from repro.messages.client import ClientRequest
 from repro.sim.rng import derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -151,6 +151,9 @@ class CrossZoneEngine:
         self._rng = derive_rng(0, "xz", node.node_id)
         self._next_seq = 0
         self._txns: dict[str, _XZState] = {}
+        #: (client, request timestamp) -> xid: a retransmitted request
+        #: must not open a second transaction.
+        self._xid_of: dict[tuple[str, int], str] = {}
         self._by_internal: dict[str, tuple[str, str]] = {}  # sender -> (xid, stage)
         self.committed = 0
         self.aborted = 0
@@ -169,11 +172,13 @@ class CrossZoneEngine:
     # ------------------------------------------------------------------
     # Context payloads for the endorsement rounds
     # ------------------------------------------------------------------
-    def _txn(self, xid: str, request_env: Signed) -> _XZState:
+    def _txn(self, xid: str, request_env: Signed,
+             request: CrossZoneRequest) -> _XZState:
         state = self._txns.get(xid)
         if state is None:
             state = _XZState(request_env=request_env, xid=xid)
             self._txns[xid] = state
+            self._xid_of.setdefault((request.sender, request.timestamp), xid)
         return state
 
     @staticmethod
@@ -194,21 +199,17 @@ class CrossZoneEngine:
         if not self.node.replica.is_primary:
             self.node.forward(self.node.replica.primary, envelope)
             return
-        # Dedup on (client, timestamp).
-        for state in self._txns.values():
-            payload = state.request_env.payload
-            if (payload.sender, payload.timestamp) == (request.sender,
-                                                       request.timestamp):
-                return
+        if (request.sender, request.timestamp) in self._xid_of:
+            return  # retransmission of a request already being handled
         self._next_seq += 1
         xid = f"{self.my_zone.zone_id}:{self._next_seq}"
-        state = self._txn(xid, envelope)
+        state = self._txn(xid, envelope, request)
         state.role = "initiator"
         body = propose_body(xid, digest(request))
         context = ("xz-propose-ctx", xid, envelope)
         self.node.endorsement.lead(
             f"xz-propose/{xid}", context, body, use_prepare=True,
-            on_cert=lambda cert, x=xid: self._send_propose(x, cert))
+            on_cert=lambda cert, s=state: self._on_propose_certified(s, cert))
 
     def _validate_propose_ctx(self, instance: str, context: Any,
                               endorse_digest: bytes) -> bool:
@@ -224,19 +225,22 @@ class CrossZoneEngine:
             return False
         return endorse_digest == propose_body(xid, digest(request))
 
-    def _send_propose(self, xid: str, cert: Any) -> None:
-        state = self._txns[xid]
-        propose = XZPropose(xid=xid, request=state.request_env, cert=cert,
-                            sender=self.node.node_id)
+    def _send_propose(self, state: _XZState, zones: list[str],
+                      cert: Any) -> None:
+        """Ship the certified XZ-PROPOSE to every node of ``zones``."""
+        propose = XZPropose(xid=state.xid, request=state.request_env,
+                            cert=cert, sender=self.node.node_id)
+        self.node.multicast_signed(self.directory.nodes_of_zones(zones),
+                                   propose)
+
+    def _on_propose_certified(self, state: _XZState, cert: Any) -> None:
         request = state.request_env.payload
-        targets = [m for zone_id in request.steps
-                   if zone_id != self.my_zone.zone_id
-                   for m in self.directory.zone(zone_id).members]
-        self.node.multicast_signed(targets, propose)
+        self._send_propose(state, [z for z in request.steps
+                                   if z != self.my_zone.zone_id], cert)
         # The initiator zone is usually involved too: run its prepare.
         self._run_prepare(state)
         state.timer = self.node.set_timer(self.config.accept_timeout_ms,
-                                          self._on_accept_timeout, xid)
+                                          self._on_accept_timeout, state.xid)
 
     def _on_accepted(self, sender: str, accepted: XZAccepted,
                      envelope: Signed) -> None:
@@ -245,8 +249,9 @@ class CrossZoneEngine:
             return
         body = accepted_body(accepted.xid, accepted.zone_id, accepted.ok,
                              accepted.reason)
-        if not self.directory.cert_valid(accepted.cert, body,
-                                         accepted.zone_id):
+        if not self.node.check_cert("xz-accepted", accepted.zone_id,
+                                    accepted.cert, body, sender,
+                                    accepted.xid):
             return
         state.accepted[accepted.zone_id] = accepted
         self._maybe_decide(state)
@@ -307,10 +312,9 @@ class CrossZoneEngine:
         decision = XZDecision(xid=xid, commit=commit, reason=reason,
                               request=state.request_env, cert=cert,
                               sender=self.node.node_id)
-        request = state.request_env.payload
-        targets = [m for zone_id in request.steps
-                   for m in self.directory.zone(zone_id).members]
-        self.node.multicast_signed(targets, decision, include_self=True)
+        involved = self.directory.nodes_of_zones(
+            state.request_env.payload.steps)
+        self.node.multicast_signed(involved, decision, include_self=True)
 
     def _on_accept_timeout(self, xid: str) -> None:
         state = self._txns.get(xid)
@@ -322,17 +326,14 @@ class CrossZoneEngine:
                    if z != self.my_zone.zone_id and z not in state.accepted]
         if not missing or not self.node.replica.is_primary:
             return
-        instance = self.node.endorsement.instance_state(f"xz-propose/{xid}")
-        if instance is None or not instance.done:
-            return
-        cert = self.node.endorsement._build_cert(instance)
-        propose = XZPropose(xid=xid, request=state.request_env, cert=cert,
-                            sender=self.node.node_id)
-        targets = [m for z in missing
-                   for m in self.directory.zone(z).members]
-        self.node.multicast_signed(targets, propose)
-        state.timer = self.node.set_timer(self.config.accept_timeout_ms,
-                                          self._on_accept_timeout, xid)
+        # The certificate is re-built from the shares banked when the
+        # proposal was first endorsed.
+        if self.node.endorsement.relead(
+                f"xz-propose/{xid}", use_prepare=True,
+                on_cert=lambda cert: self._send_propose(state, missing,
+                                                        cert)):
+            state.timer = self.node.set_timer(self.config.accept_timeout_ms,
+                                              self._on_accept_timeout, xid)
 
     # ------------------------------------------------------------------
     # Participant side
@@ -350,9 +351,10 @@ class CrossZoneEngine:
             return
         initiator_zone = propose.xid.split(":", 1)[0]
         body = propose_body(propose.xid, digest(request))
-        if not self.directory.cert_valid(propose.cert, body, initiator_zone):
+        if not self.node.check_cert("xz-propose", initiator_zone,
+                                    propose.cert, body, sender, propose.xid):
             return
-        state = self._txn(propose.xid, propose.request)
+        state = self._txn(propose.xid, propose.request, request)
         if state.role == "":
             state.role = "participant"
         if not self.node.replica.is_primary:
@@ -463,9 +465,11 @@ class CrossZoneEngine:
             return
         initiator_zone = decision.xid.split(":", 1)[0]
         body = decision_body(decision.xid, decision.commit, digest(request))
-        if not self.directory.cert_valid(decision.cert, body, initiator_zone):
+        if not self.node.check_cert("xz-decision", initiator_zone,
+                                    decision.cert, body, sender,
+                                    decision.xid):
             return
-        state = self._txn(decision.xid, decision.request)
+        state = self._txn(decision.xid, decision.request, request)
         if state.finalized:
             return
         state.finalized = True
@@ -476,13 +480,9 @@ class CrossZoneEngine:
         if self.node.replica.is_primary:
             self._finalize_locally(state, request, decision.commit)
         if self.my_zone.zone_id == initiator_zone:
-            result = ("ok", "committed") if decision.commit \
-                else ("err", decision.reason)
-            reply = ClientReply(view=self.node.replica.view,
-                                timestamp=request.timestamp,
-                                client_id=request.sender, result=result,
-                                sender=self.node.node_id)
-            self.node.send_signed(request.sender, reply)
+            self.node.reply_to_client(
+                request, ("ok", "committed") if decision.commit
+                else ("err", decision.reason))
 
     def _finalize_locally(self, state: _XZState, request: CrossZoneRequest,
                           commit: bool) -> None:

@@ -99,15 +99,7 @@ class EndorsementManager:
         if validator is not None:
             kind.validator = validator
         if on_quorum is not None:
-            if kind.on_quorum is None:
-                kind.on_quorum = on_quorum
-            else:
-                first = kind.on_quorum
-                def chained(instance, payload, cert,
-                            _first=first, _second=on_quorum):
-                    _first(instance, payload, cert)
-                    _second(instance, payload, cert)
-                kind.on_quorum = chained
+            kind.on_quorum = on_quorum
 
     def _kind_of(self, instance: str) -> _Kind | None:
         prefix = instance.split("/", 1)[0]
@@ -129,17 +121,12 @@ class EndorsementManager:
         state = self._instances.get(instance)
         return state is not None and state.payload is not None
 
-    def instance_done(self, instance: str) -> bool:
-        """Whether the instance reached a vote quorum on this node."""
-        state = self._instances.get(instance)
-        return state is not None and state.done
-
     def discard(self, instance: str) -> None:
         """Drop instance state (GC after the enclosing transaction ends)."""
         self._instances.pop(instance, None)
 
     def instance_state(self, instance: str) -> EndorsementInstance | None:
-        """Inspect an instance's state (used by view-change re-drives)."""
+        """Inspect an instance's state."""
         return self._instances.get(instance)
 
     def _reset_for_digest(self, state: EndorsementInstance,
@@ -204,6 +191,31 @@ class EndorsementManager:
                            sender=self.host.node_id)
         self.host.multicast_signed(self.others, vote)
         self._add_share(state, self.host.node_id, share)
+
+    def relead(self, instance: str, use_prepare: bool,
+               on_cert: CertCallback) -> bool:
+        """Lead ``instance`` again over the payload and digest banked for
+        it here (the old primary's pre-prepare, or this node's own earlier
+        lead); ``False`` when nothing is banked. A new zone primary
+        re-drives this way, and since banked quorum shares hand the
+        certificate over at once, so is a lost top-level message re-sent.
+        """
+        state = self._instances.get(instance)
+        if state is None or state.payload is None:
+            return False
+        self.lead(instance, state.payload, state.endorse_digest, use_prepare,
+                  on_cert)
+        return True
+
+    def primary_overdue(self, instance: str) -> None:
+        """The primary-watch deadline. A non-primary expecting its primary
+        to open ``instance`` arms a timer (its engine knows what voids the
+        watch) and calls this when it fires: no pre-prepare here by then
+        means the primary is suspected and a view change starts.
+        """
+        if not self.has_instance(instance):
+            replica = self.host.replica
+            replica.view_changes.initiate(replica.view + 1)
 
     # ------------------------------------------------------------------
     # Node side

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.crypto.digest import digest
 from repro.messages.base import Signed
-from repro.messages.client import ClientReply, MigrationRequest
+from repro.messages.client import MigrationRequest
 from repro.messages.migration import StateTransfer, state_body
 from repro.messages.query import ResponseQuery
 from repro.messages.sync import Ballot
@@ -263,12 +263,9 @@ class MigrationEngine:
         if source_zone is None:
             return
         body = state_body(state.ballot, state.client_id, state.records_digest)
-        valid = self.directory.cert_valid(state.cert, body, source_zone)
-        self.node.obs.emit_cert(
-            self.node.sim.now, self.node.node_id, "state", source_zone,
-            state.cert, valid, src=sender,
-            ref=self._span_key(state.ballot, state.client_id))
-        if not valid:
+        if not self.node.check_cert(
+                "state", source_zone, state.cert, body, sender,
+                self._span_key(state.ballot, state.client_id)):
             return
         self._state_envs.setdefault(key, envelope)
         instance = self._instance("append", state.ballot, state.client_id)
@@ -322,12 +319,8 @@ class MigrationEngine:
         self.migrations_applied += 1
         request = self._request_of(context.ballot, context.client_id)
         if request is not None:
-            reply = ClientReply(view=self.node.replica.view,
-                                timestamp=request.timestamp,
-                                client_id=request.sender,
-                                result=("migrated", "ok", request.dest_zone),
-                                sender=self.node.node_id)
-            self.node.send_signed(request.sender, reply)
+            self.node.reply_to_client(
+                request, ("migrated", "ok", request.dest_zone))
         self.node.on_migration_applied(context.ballot, context.client_id)
 
     def _request_of(self, ballot: Ballot,
@@ -349,12 +342,8 @@ class MigrationEngine:
                             self._on_watch_expired, key, instance)
 
     def _on_watch_expired(self, key: MigKey, instance: str) -> None:
-        if key in self._applied:
-            return
-        if self.node.endorsement.instance_done(instance):
-            return
-        if not self.node.endorsement.has_instance(instance):
-            self.node.replica.view_changes.initiate(self.node.replica.view + 1)
+        if key not in self._applied:
+            self.node.endorsement.primary_overdue(instance)
 
     def _arm_state_timer(self, key: MigKey,
                          request: MigrationRequest) -> None:

@@ -27,7 +27,7 @@ from repro.core.migration_protocol import MigrationConfig, MigrationEngine
 from repro.core.sync_protocol import SyncConfig, SyncEngine
 from repro.core.zone import ZoneDirectory
 from repro.crypto.keys import KeyRegistry
-from repro.messages.client import MigrationRequest
+from repro.messages.client import ClientReply, MigrationRequest
 from repro.messages.sync import Ballot, CheckpointRef
 from repro.pbft.faults import Behavior
 from repro.pbft.host import HostNode
@@ -80,7 +80,7 @@ class ZiziphusNode(HostNode):
             quorum=profile.certificate_quorum)
         cluster_zone_ids = directory.cluster_zones(self.zone_info.cluster_id)
         self.sync = SyncEngine(self, cluster_zone_ids, sync_config,
-                               engine=self.backend.sync)
+                               self.backend.sync)
         self.migration = MigrationEngine(self, migration_config)
         from repro.core.cross_zone import CrossZoneEngine
         self.cross_zone = CrossZoneEngine(self)
@@ -106,20 +106,40 @@ class ZiziphusNode(HostNode):
         """Replica reply hook: zone-internal results go to the cross-zone
         engine; everything else is answered to the client as usual."""
         from repro.core.cross_zone import INTERNAL_SENDER_PREFIX
-        from repro.messages.client import ClientReply
         request = request_env.payload
         if request.sender.startswith(INTERNAL_SENDER_PREFIX):
             self.cross_zone.on_internal_result(request_env, result)
-            return
+        else:
+            self.reply_to_client(request, result)
+
+    def register_local_client(self, client_id: str) -> None:
+        """Bootstrap: mark a client as hosted by this zone, data current."""
+        self.locks.register(client_id)
+
+    # ------------------------------------------------------------------
+    # The two ends of every engine's exchange with the outside
+    # ------------------------------------------------------------------
+    def check_cert(self, kind: str, zone_id: str, cert: Any, body: bytes,
+                   src: str, ref: str) -> bool:
+        """Receipt check of a certified inter-zone message of ``kind``
+        (relayed by ``src``, about ``ref``): is ``cert`` a certificate of
+        ``zone_id`` over ``body``? The only emitter of ``cert.check``, so
+        the monitor re-derives every engine's verdicts. Validators
+        re-checking a certificate nested in an endorsement context call
+        ``directory.cert_valid`` themselves: the receipt was booked here.
+        """
+        valid = self.directory.cert_valid(cert, body, zone_id)
+        self.obs.emit_cert(self.sim.now, self.node_id, kind, zone_id, cert,
+                           valid, src=src, ref=ref)
+        return valid
+
+    def reply_to_client(self, request: Any, result: Any) -> None:
+        """Answer ``request`` (any client request message) with ``result``."""
         reply = ClientReply(view=self.replica.view,
                             timestamp=request.timestamp,
                             client_id=request.sender, result=result,
                             sender=self.node_id)
         self.send_signed(request.sender, reply)
-
-    def register_local_client(self, client_id: str) -> None:
-        """Bootstrap: mark a client as hosted by this zone, data current."""
-        self.locks.register(client_id)
 
     # ------------------------------------------------------------------
     # Hooks from the protocol engines

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.metadata import MigrationOutcome
 from repro.crypto.digest import digest
 from repro.messages.base import Signed, verify_signed
-from repro.messages.client import ClientReply, MigrationRequest
+from repro.messages.client import MigrationRequest
 from repro.messages.query import ResponseQuery
 from repro.messages.trace import trace_id
 from repro.messages.sync import (GENESIS_BALLOT, Accept, Accepted, Ballot,
@@ -154,18 +154,12 @@ class SyncEngine:
     """Runs Algorithm 1 for one node within one set of participant zones."""
 
     def __init__(self, node: "ZiziphusNode", zone_ids: list[str],
-                 config: SyncConfig | None = None,
-                 instance_prefix: str = "gsync",
-                 engine=None) -> None:
+                 config: SyncConfig | None, engine) -> None:
         self.node = node
         self.directory = node.directory
         self.zone_ids = list(zone_ids)
         self.config = config or SyncConfig()
-        self.prefix = instance_prefix
         self.my_zone = node.zone_info
-        if engine is None:
-            from repro.consensus import STABLE_INITIATOR
-            engine = STABLE_INITIATOR
         #: Global consensus backend steering ballot assignment and the
         #: post-view-change failover policy (repro.consensus).
         self.engine = engine
@@ -201,38 +195,32 @@ class SyncEngine:
         #: fork the ``prev_ballot`` chain into a tree.
         self._client_exec_ts: dict[str, int] = {}
 
-        host = node
-        host.register_handler(MigrationRequest, self._on_migration_request)
-        host.register_handler(Propose, self._on_propose)
-        host.register_handler(Promise, self._on_promise)
-        host.register_handler(Accept, self._on_accept)
-        host.register_handler(Accepted, self._on_accepted)
-        host.register_handler(GlobalCommit, self._on_commit)
-        host.register_handler(ResponseQuery, self._on_response_query)
+        node.register_handler(MigrationRequest, self._on_migration_request)
+        node.register_handler(Propose, self._on_propose)
+        node.register_handler(Promise, self._on_promise)
+        node.register_handler(Accept, self._on_accept)
+        node.register_handler(Accepted, self._on_accepted)
+        node.register_handler(GlobalCommit, self._on_commit)
+        node.register_handler(ResponseQuery, self._on_response_query)
 
         endorse = node.endorsement
-        endorse.register_kind(f"{self.prefix}-propose",
+        endorse.register_kind("gsync-propose",
                               validator=self._validate_propose_ctx)
-        endorse.register_kind(f"{self.prefix}-promise",
+        endorse.register_kind("gsync-promise",
                               validator=self._validate_promise_ctx)
-        endorse.register_kind(f"{self.prefix}-accept",
+        endorse.register_kind("gsync-accept",
                               validator=self._validate_accept_ctx)
-        endorse.register_kind(f"{self.prefix}-accepted",
+        endorse.register_kind("gsync-accepted",
                               validator=self._validate_accepted_ctx)
-        endorse.register_kind(f"{self.prefix}-commit",
+        endorse.register_kind("gsync-commit",
                               validator=self._validate_commit_ctx)
         node.replica.on_view_change.append(self._on_local_view_change)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    @property
-    def host(self):
-        """The hosting node (send/timer surface)."""
-        return self.node
-
     def _instance(self, phase: str, ballot: Ballot) -> str:
-        return f"{self.prefix}-{phase}/{ballot.key}"
+        return f"gsync-{phase}/{ballot.key}"
 
     def _txn(self, ballot: Ballot) -> GlobalTxnState:
         txn = self.txns.get(ballot)
@@ -253,13 +241,8 @@ class SyncEngine:
         return [m for zid in self.zone_ids if zid != self.my_zone.zone_id
                 for m in self.directory.zone(zid).members]
 
-    def _all_nodes(self) -> list[str]:
-        return self.directory.nodes_of_zones(self.zone_ids)
-
     def _use_prepare(self, assigning_ballot: bool) -> bool:
-        if self.config.full_prepare_everywhere:
-            return True
-        return assigning_ballot
+        return self.config.full_prepare_everywhere or assigning_ballot
 
     def _my_checkpoint_ref(self) -> CheckpointRef | None:
         stable = self.node.replica.checkpoints.stable
@@ -293,7 +276,7 @@ class SyncEngine:
         (+1: the initiator zone's own certified agreement counts)."""
         zones = set()
         for env in votes:
-            if not verify_signed(self.host.keys, env):
+            if not verify_signed(self.node.keys, env):
                 continue
             vote = env.payload
             if vote.ballot != ballot:
@@ -308,9 +291,24 @@ class SyncEngine:
         for env in batch:
             if not isinstance(env.payload, MigrationRequest):
                 return False
-            if not verify_signed(self.host.keys, env):
+            if not verify_signed(self.node.keys, env):
                 return False
         return True
+
+    def _valid_batch_body(self, batch: tuple[Signed, ...], body: bytes,
+                          body_of, *ballots: Ballot) -> bytes | None:
+        """The batch digest, if every request verifies and the batch
+        hashes to ``body`` (= ``body_of(*ballots, digest)``); else None."""
+        if self._valid_batch(batch):
+            request_digest = batch_digest(batch)
+            if body == body_of(*ballots, request_digest):
+                return request_digest
+        return None
+
+    def _rival_at(self, ballot: Ballot) -> bool:
+        """Lemma 5.5 guard: this zone endorsed another ballot at the seq."""
+        return self.accepted_seqs.get(ballot.seq, ballot.zone_id) != \
+            ballot.zone_id
 
     # ------------------------------------------------------------------
     # Client request intake and batching (initiator zone)
@@ -322,10 +320,10 @@ class SyncEngine:
         if done is not None:
             result = self.result_for(done, request.sender)
             if result is not None:
-                self._reply_to_client(request, result)
+                self.node.reply_to_client(request, result)
             return
         if not self._is_zone_primary():
-            self.host.forward(self.node.replica.primary, envelope)
+            self.node.forward(self.node.replica.primary, envelope)
             self._watch_request(envelope)
             return
         request_digest = digest(request)
@@ -335,7 +333,7 @@ class SyncEngine:
         if len(self._batch_buffer) >= self.config.global_batch_size:
             self._flush_batch()
         elif self._batch_timer is None:
-            self._batch_timer = self.host.set_timer(
+            self._batch_timer = self.node.set_timer(
                 self.config.global_batch_timeout_ms, self._on_batch_timeout)
 
     def _on_batch_timeout(self) -> None:
@@ -351,7 +349,8 @@ class SyncEngine:
         self._batch_buffer.clear()
         self.start_global_txn(batch)
 
-    def start_global_txn(self, batch, on_ready_to_commit=None) -> Ballot:
+    def start_global_txn(self, batch: tuple[Signed, ...],
+                         on_ready_to_commit=None) -> Ballot:
         """Assign a ballot to a batch and launch the protocol (primary only).
 
         ``on_ready_to_commit``, if given, is called with the transaction
@@ -359,9 +358,6 @@ class SyncEngine:
         zones have accepted — the cross-cluster protocol uses this to wait
         for the peer cluster's PREPARED message first.
         """
-        if isinstance(batch, Signed):
-            batch = (batch,)
-        batch = tuple(batch)
         ballot = self.engine.propose(self, batch)
         self.highest_seen = max(self.highest_seen, ballot.seq)
         for env in batch:
@@ -372,17 +368,17 @@ class SyncEngine:
         txn.request_digest = batch_digest(batch)
         if on_ready_to_commit is not None:
             self.hold_commit[ballot] = on_ready_to_commit
-        obs = self.host.obs
+        obs = self.node.obs
         obs.count("sync.txns")
-        obs.span_open(self.host.sim.now, "global-txn", ballot.key,
+        obs.span_open(self.node.sim.now, "global-txn", ballot.key,
                       node=self.node.node_id, batch=len(batch))
-        obs.emit(self.host.sim.now, "sync.start",
+        obs.emit(self.node.sim.now, "sync.start",
                  node=self.node.node_id, ballot=ballot.key,
                  batch=len(batch), stable=self.config.stable_leader)
         if obs.causal:
             # Bind the ballot (and through it every sync-phase and
             # endorse span keyed by it) to the traced requests.
-            obs.emit(self.host.sim.now, "trace.link",
+            obs.emit(self.node.sim.now, "trace.link",
                      node=self.node.node_id, scope="sync",
                      key=ballot.key,
                      traces=[trace_id(env.payload) for env in batch])
@@ -399,7 +395,7 @@ class SyncEngine:
         request_digest = digest(envelope.payload)
         if request_digest in self._watched_requests:
             return
-        timer = self.host.set_timer(self.config.watch_timeout_ms,
+        timer = self.node.set_timer(self.config.watch_timeout_ms,
                                     self._on_request_watch_expired,
                                     request_digest, envelope.payload)
         self._watched_requests[request_digest] = timer
@@ -417,7 +413,7 @@ class SyncEngine:
     # ------------------------------------------------------------------
     def _start_propose_phase(self, txn: GlobalTxnState) -> None:
         txn.phase = "propose"
-        self.host.obs.span_open(self.host.sim.now, "propose",
+        self.node.obs.span_open(self.node.sim.now, "propose",
                                 txn.ballot.key, node=self.node.node_id)
         context = ProposeContext(ballot=txn.ballot, requests=txn.batch)
         body = propose_body(txn.ballot, txn.request_digest)
@@ -432,21 +428,20 @@ class SyncEngine:
                           requests=txn.batch, cert=cert,
                           sender=self.node.node_id)
         txn.phase = "promise-wait"
-        obs = self.host.obs
-        now = self.host.sim.now
+        obs = self.node.obs
+        now = self.node.sim.now
         obs.span_close(now, "propose", ballot.key, node=self.node.node_id)
         obs.span_open(now, "promise", ballot.key, node=self.node.node_id)
-        self.host.multicast_signed(self._other_zone_nodes(), propose)
+        self.node.multicast_signed(self._other_zone_nodes(), propose)
         self._arm_phase_timer(txn, "promise-wait")
 
     def _validate_propose_ctx(self, instance: str, context: Any,
                               endorse_digest: bytes) -> bool:
         if not isinstance(context, ProposeContext):
             return False
-        if not self._valid_batch(context.requests):
-            return False
-        if endorse_digest != propose_body(context.ballot,
-                                          batch_digest(context.requests)):
+        request_digest = self._valid_batch_body(
+            context.requests, endorse_digest, propose_body, context.ballot)
+        if request_digest is None:
             return False
         if context.ballot.zone_id != self.my_zone.zone_id:
             return False
@@ -457,33 +452,37 @@ class SyncEngine:
         self.highest_seen = max(self.highest_seen, context.ballot.seq)
         txn = self._txn(context.ballot)
         txn.batch = context.requests
-        txn.request_digest = batch_digest(context.requests)
+        txn.request_digest = request_digest
         return True
 
     # ------------------------------------------------------------------
     # PROMISE phase (follower zones)
     # ------------------------------------------------------------------
+    def _absorb_propose(self, propose: Propose,
+                        request_digest: bytes) -> GlobalTxnState:
+        """What a follower-zone node takes from a PROPOSE whose certificate
+        the caller — wire handler or promise-context validator — checked."""
+        self.highest_seen = max(self.highest_seen, propose.ballot.seq)
+        txn = self._txn(propose.ballot)
+        txn.batch = propose.requests
+        txn.request_digest = request_digest
+        self._mark_stale_sources(propose.requests)
+        return txn
+
     def _on_propose(self, sender: str, propose: Propose,
                     envelope: Signed) -> None:
-        body = propose_body(propose.ballot, batch_digest(propose.requests))
-        valid = self.directory.cert_valid(propose.cert, body,
-                                          propose.ballot.zone_id)
-        self.host.obs.emit_cert(
-            self.host.sim.now, self.node.node_id, "propose",
-            propose.ballot.zone_id, propose.cert, valid, src=sender,
-            ref=propose.ballot.key)
-        if not valid:
+        request_digest = batch_digest(propose.requests)
+        if not self.node.check_cert(
+                "propose", propose.ballot.zone_id, propose.cert,
+                propose_body(propose.ballot, request_digest), sender,
+                propose.ballot.key):
             return
         if propose.ballot.seq <= self.highest_seen and \
                 propose.ballot not in self.txns:
             return  # stale proposal; initiator will retry with a higher n
         if not self._valid_batch(propose.requests):
             return
-        self.highest_seen = max(self.highest_seen, propose.ballot.seq)
-        txn = self._txn(propose.ballot)
-        txn.batch = propose.requests
-        txn.request_digest = batch_digest(propose.requests)
-        self._mark_stale_sources(propose.requests)
+        txn = self._absorb_propose(propose, request_digest)
         if self.config.checkpoint_on_migration:
             self.node.replica.checkpoints.generate(
                 self.node.replica.last_executed)
@@ -494,80 +493,87 @@ class SyncEngine:
                                      zone_id=self.my_zone.zone_id,
                                      propose=propose)
             body = promise_body(propose.ballot, self.last_accepted,
-                                self.my_zone.zone_id, txn.request_digest)
+                                self.my_zone.zone_id, request_digest)
             self.node.endorsement.lead(
                 instance, context, body,
                 use_prepare=self._use_prepare(assigning_ballot=False),
-                on_cert=lambda cert, b=propose.ballot,
-                prev=self.last_accepted: self._send_promise(b, prev, cert))
+                on_cert=lambda cert, b=propose.ballot:
+                self._send_promise(b, cert))
         else:
             self._watch_endorsement(txn, instance)
 
-    def _send_promise(self, ballot: Ballot, prev: Ballot, cert) -> None:
+    def _send_promise(self, ballot: Ballot, cert) -> None:
         txn = self._txn(ballot)
+        # The prev_ballot the members endorsed, so that a new primary
+        # re-leading the banked instance sends the same PROMISE.
+        prev = self.node.endorsement.instance_state(
+            self._instance("promise", ballot)).payload.prev_ballot
         promise = Promise(view=self.node.replica.view, ballot=ballot,
                           prev_ballot=prev, zone_id=self.my_zone.zone_id,
                           request_digest=txn.request_digest, cert=cert,
                           sender=self.node.node_id)
         txn.phase = "promised"
-        self.host.obs.emit(self.host.sim.now, "sync.promise",
+        self.node.obs.emit(self.node.sim.now, "sync.promise",
                            node=self.node.node_id, ballot=ballot.key,
                            zone=self.my_zone.zone_id)
         initiator_nodes = self.directory.zone(ballot.zone_id).members
-        self.host.multicast_signed(initiator_nodes, promise)
+        self.node.multicast_signed(initiator_nodes, promise)
 
     def _validate_promise_ctx(self, instance: str, context: Any,
                               endorse_digest: bytes) -> bool:
         if not isinstance(context, PromiseContext):
             return False
-        if context.zone_id != self.my_zone.zone_id:
-            return False
         propose = context.propose
-        body = propose_body(propose.ballot, batch_digest(propose.requests))
-        if not self.directory.cert_valid(propose.cert, body,
-                                         propose.ballot.zone_id):
+        if context.zone_id != self.my_zone.zone_id or \
+                context.ballot != propose.ballot:
             return False
-        expected = promise_body(context.ballot, context.prev_ballot,
-                                context.zone_id,
-                                batch_digest(propose.requests))
-        if endorse_digest != expected:
+        request_digest = batch_digest(propose.requests)
+        if not self.directory.cert_valid(
+                propose.cert, propose_body(propose.ballot, request_digest),
+                propose.ballot.zone_id):
+            return False
+        if endorse_digest != promise_body(context.ballot, context.prev_ballot,
+                                          context.zone_id, request_digest):
             return False
         if context.prev_ballot >= context.ballot:
             return False
-        self.highest_seen = max(self.highest_seen, context.ballot.seq)
-        txn = self._txn(context.ballot)
-        txn.batch = propose.requests
-        txn.request_digest = batch_digest(propose.requests)
-        self._mark_stale_sources(propose.requests)
+        self._absorb_propose(propose, request_digest)
         return True
 
     # ------------------------------------------------------------------
     # ACCEPT phase (initiator zone)
     # ------------------------------------------------------------------
+    def _collect_verified(self, sender: str, vote: Any, envelope: Signed,
+                          kind: str, body_of,
+                          votes_of) -> GlobalTxnState | None:
+        """Initiator zone: verify a follower zone's PROMISE / ACCEPTED
+        (``kind``) and bank it in ``votes_of(txn)``. Returns the txn when,
+        on the primary waiting for them, it completes a majority of zones."""
+        if self.my_zone.zone_id != vote.ballot.zone_id:
+            return None
+        body = body_of(vote.ballot, vote.prev_ballot, vote.zone_id,
+                       vote.request_digest)
+        if not self.node.check_cert(kind, vote.zone_id, vote.cert, body,
+                                    sender, vote.ballot.key):
+            return None
+        txn = self._txn(vote.ballot)
+        votes = votes_of(txn)
+        votes[vote.zone_id] = envelope
+        if not self._is_zone_primary() or txn.phase != f"{kind}-wait":
+            return None
+        # +1: the initiator zone's own (certified) agreement counts.
+        if len(votes) + 1 < self.majority:
+            return None
+        self._cancel_phase_timer(txn)
+        self.node.obs.span_close(self.node.sim.now, kind, vote.ballot.key,
+                                 node=self.node.node_id, zones=len(votes) + 1)
+        return txn
+
     def _on_promise(self, sender: str, promise: Promise,
                     envelope: Signed) -> None:
-        if self.my_zone.zone_id != promise.ballot.zone_id:
-            return
-        body = promise_body(promise.ballot, promise.prev_ballot,
-                            promise.zone_id, promise.request_digest)
-        valid = self.directory.cert_valid(promise.cert, body,
-                                          promise.zone_id)
-        self.host.obs.emit_cert(
-            self.host.sim.now, self.node.node_id, "promise", promise.zone_id,
-            promise.cert, valid, src=sender, ref=promise.ballot.key)
-        if not valid:
-            return
-        txn = self._txn(promise.ballot)
-        txn.promises[promise.zone_id] = envelope
-        if not self._is_zone_primary() or txn.phase != "promise-wait":
-            return
-        # +1: the initiator zone's own (certified) agreement counts.
-        if len(txn.promises) + 1 >= self.majority:
-            self._cancel_phase_timer(txn)
-            self.host.obs.span_close(self.host.sim.now, "promise",
-                                     promise.ballot.key,
-                                     node=self.node.node_id,
-                                     zones=len(txn.promises) + 1)
+        txn = self._collect_verified(sender, promise, envelope, "promise",
+                                     promise_body, lambda t: t.promises)
+        if txn is not None:
             self._start_accept_phase(txn,
                                      promises=tuple(txn.promises.values()))
 
@@ -577,7 +583,7 @@ class SyncEngine:
                    + [env.payload.prev_ballot for env in promises])
         txn.prev_ballot = prev
         txn.phase = "accept"
-        self.host.obs.span_open(self.host.sim.now, "accept",
+        self.node.obs.span_open(self.node.sim.now, "accept",
                                 txn.ballot.key, node=self.node.node_id)
         self.chain_tail = txn.ballot
         self.last_accepted = max(self.last_accepted, txn.ballot)
@@ -603,13 +609,13 @@ class SyncEngine:
                         request_digest=txn.request_digest, cert=cert,
                         sender=self.node.node_id, requests=piggyback)
         txn.phase = "accepted-wait"
-        txn.accept_env = Signed(accept, self.host.keys.sign(
+        txn.accept_env = Signed(accept, self.node.keys.sign(
             self.node.node_id, digest(accept)))
-        obs = self.host.obs
-        now = self.host.sim.now
+        obs = self.node.obs
+        now = self.node.sim.now
         obs.span_close(now, "accept", ballot.key, node=self.node.node_id)
         obs.span_open(now, "accepted", ballot.key, node=self.node.node_id)
-        self.host.multicast_signed(self._other_zone_nodes(), accept)
+        self.node.multicast_signed(self._other_zone_nodes(), accept)
         self._arm_phase_timer(txn, "accepted-wait")
 
     def _validate_accept_ctx(self, instance: str, context: Any,
@@ -620,18 +626,16 @@ class SyncEngine:
             return False
         if not self.engine.valid_assignment(context.ballot, self.zone_ids):
             return False
-        if not self._valid_batch(context.requests):
-            return False
-        request_digest = batch_digest(context.requests)
-        if endorse_digest != accept_body(context.ballot, context.prev_ballot,
-                                         request_digest):
+        request_digest = self._valid_batch_body(
+            context.requests, endorse_digest, accept_body, context.ballot,
+            context.prev_ballot)
+        if request_digest is None:
             return False
         # Check the majority of promises the primary claims to have.
         if not self.config.stable_leader and not self._majority_certified(
                 context.promises, context.ballot, promise_body):
             return False
-        rival = self.accepted_seqs.get(context.ballot.seq)
-        if rival is not None and rival != context.ballot.zone_id:
+        if self._rival_at(context.ballot):
             return False  # Lemma 5.5 guard
         self.accepted_seqs[context.ballot.seq] = context.ballot.zone_id
         self.highest_seen = max(self.highest_seen, context.ballot.seq)
@@ -646,45 +650,50 @@ class SyncEngine:
     # ------------------------------------------------------------------
     # ACCEPTED phase (follower zones)
     # ------------------------------------------------------------------
+    def _absorb_accept(self, txn: GlobalTxnState, accept: Accept) -> bool:
+        """What a follower-zone node takes from an ACCEPT whose certificate
+        and Lemma 5.5 guard the caller — wire handler or ACCEPTED-context
+        validator — checked. ``False``: it piggy-backs a batch (stable
+        leader) that does not verify or hash to the certified digest."""
+        self.highest_seen = max(self.highest_seen, accept.ballot.seq)
+        txn.prev_ballot = accept.prev_ballot
+        txn.request_digest = accept.request_digest
+        if accept.requests and not txn.batch:
+            if not self._valid_batch(accept.requests) or \
+                    batch_digest(accept.requests) != accept.request_digest:
+                return False
+            txn.batch = accept.requests
+        self._mark_stale_sources(txn.batch)
+        return True
+
     def _on_accept(self, sender: str, accept: Accept,
                    envelope: Signed) -> None:
         body = accept_body(accept.ballot, accept.prev_ballot,
                            accept.request_digest)
-        valid = self.directory.cert_valid(accept.cert, body,
-                                          accept.ballot.zone_id)
-        self.host.obs.emit_cert(
-            self.host.sim.now, self.node.node_id, "accept",
-            accept.ballot.zone_id, accept.cert, valid, src=sender,
-            ref=accept.ballot.key)
-        if not valid:
+        if not self.node.check_cert("accept", accept.ballot.zone_id,
+                                    accept.cert, body, sender,
+                                    accept.ballot.key):
             return
         if not self.engine.valid_assignment(accept.ballot, self.zone_ids):
             return  # sequence not assignable by that zone under this backend
-        rival = self.accepted_seqs.get(accept.ballot.seq)
-        if rival is not None and rival != accept.ballot.zone_id:
+        if self._rival_at(accept.ballot):
             return  # Lemma 5.5: never endorse two ballots at one sequence
         txn = self._txn(accept.ballot)
-        if txn.phase in ("accepted", "committed") or txn.committed:
+        if txn.phase == "accepted" or txn.committed:
             # Duplicate ACCEPT: the initiator zone is probing because our
             # ACCEPTED never arrived (lost to a partition, or the initiator
             # primary that collected it crashed). Re-send the certificate.
             self._relead_accepted(accept.ballot)
             return
-        self.highest_seen = max(self.highest_seen, accept.ballot.seq)
-        txn.prev_ballot = accept.prev_ballot
-        txn.request_digest = accept.request_digest
         if self.config.checkpoint_on_migration:
             # §V-B: zones checkpoint whenever a migration reaches them
             # (under the stable leader the ACCEPT is the first contact).
             self.node.replica.checkpoints.generate(
                 self.node.replica.last_executed)
-        if accept.requests and not txn.batch:
-            if not self._valid_batch(accept.requests):
-                return
-            if batch_digest(accept.requests) != accept.request_digest:
-                return
-            txn.batch = accept.requests
-        self._mark_stale_sources(txn.batch)
+        # accepted_seqs / last_accepted / the commit timer wait for the
+        # zone's own certificate (_send_accepted).
+        if not self._absorb_accept(txn, accept):
+            return  # the piggy-backed batch is not the certified one
         instance = self._instance("accepted", accept.ballot)
         if self._is_zone_primary():
             context = AcceptedContext(ballot=accept.ballot,
@@ -711,20 +720,22 @@ class SyncEngine:
                             request_digest=txn.request_digest, cert=cert,
                             checkpoint=self._my_checkpoint_ref(),
                             sender=self.node.node_id)
-        self.host.obs.emit(self.host.sim.now, "sync.accepted",
+        self.node.obs.emit(self.node.sim.now, "sync.accepted",
                            node=self.node.node_id, ballot=ballot.key,
                            zone=self.my_zone.zone_id)
         initiator_nodes = self.directory.zone(ballot.zone_id).members
-        self.host.multicast_signed(initiator_nodes, accepted)
+        self.node.multicast_signed(initiator_nodes, accepted)
         self._arm_commit_timer(txn)
 
     def _validate_accepted_ctx(self, instance: str, context: Any,
                                endorse_digest: bytes) -> bool:
         if not isinstance(context, AcceptedContext):
             return False
-        if context.zone_id != self.my_zone.zone_id:
-            return False
         accept = context.accept
+        if context.zone_id != self.my_zone.zone_id or \
+                context.ballot != accept.ballot or \
+                context.prev_ballot != accept.prev_ballot:
+            return False
         body = accept_body(accept.ballot, accept.prev_ballot,
                            accept.request_digest)
         if not self.directory.cert_valid(accept.cert, body,
@@ -734,20 +745,14 @@ class SyncEngine:
                                  context.zone_id, accept.request_digest)
         if endorse_digest != expected:
             return False
-        rival = self.accepted_seqs.get(context.ballot.seq)
-        if rival is not None and rival != context.ballot.zone_id:
+        if self._rival_at(context.ballot):
             return False  # Lemma 5.5 guard
+        # A validating member books the zone's acceptance now; a refused
+        # piggy-back does not stop it (COMMIT carries the batch again).
         self.accepted_seqs[context.ballot.seq] = context.ballot.zone_id
-        self.highest_seen = max(self.highest_seen, context.ballot.seq)
         self.last_accepted = max(self.last_accepted, context.ballot)
         txn = self._txn(context.ballot)
-        txn.prev_ballot = context.prev_ballot
-        txn.request_digest = accept.request_digest
-        if accept.requests and not txn.batch and \
-                self._valid_batch(accept.requests) and \
-                batch_digest(accept.requests) == accept.request_digest:
-            txn.batch = accept.requests
-        self._mark_stale_sources(txn.batch)
+        self._absorb_accept(txn, accept)
         self._arm_commit_timer(txn)
         return True
 
@@ -756,33 +761,16 @@ class SyncEngine:
     # ------------------------------------------------------------------
     def _on_accepted(self, sender: str, accepted: Accepted,
                      envelope: Signed) -> None:
-        if self.my_zone.zone_id != accepted.ballot.zone_id:
+        txn = self._collect_verified(sender, accepted, envelope, "accepted",
+                                     accepted_body, lambda t: t.accepteds)
+        if txn is None:
             return
-        body = accepted_body(accepted.ballot, accepted.prev_ballot,
-                             accepted.zone_id, accepted.request_digest)
-        valid = self.directory.cert_valid(accepted.cert, body,
-                                          accepted.zone_id)
-        self.host.obs.emit_cert(
-            self.host.sim.now, self.node.node_id, "accepted", accepted.zone_id,
-            accepted.cert, valid, src=sender, ref=accepted.ballot.key)
-        if not valid:
-            return
-        txn = self._txn(accepted.ballot)
-        txn.accepteds[accepted.zone_id] = envelope
-        if not self._is_zone_primary() or txn.phase != "accepted-wait":
-            return
-        if len(txn.accepteds) + 1 >= self.majority:
-            self._cancel_phase_timer(txn)
-            self.host.obs.span_close(self.host.sim.now, "accepted",
-                                     accepted.ballot.key,
-                                     node=self.node.node_id,
-                                     zones=len(txn.accepteds) + 1)
-            held = self.hold_commit.get(accepted.ballot)
-            if held is not None:
-                txn.phase = "held"
-                held(txn)
-            else:
-                self._start_commit_phase(txn)
+        held = self.hold_commit.get(accepted.ballot)
+        if held is not None:
+            txn.phase = "held"
+            held(txn)
+        else:
+            self._start_commit_phase(txn)
 
     def prepare_commit_cert(self, txn: GlobalTxnState, on_cert) -> None:
         """Run the commit-phase endorsement but hand the certificate to
@@ -799,13 +787,13 @@ class SyncEngine:
     def ingest_commit(self, commit: GlobalCommit) -> None:
         """Accept a COMMIT delivered out-of-band (synthesised from a
         cross-cluster CROSS-COMMIT); runs the normal validation path."""
-        envelope = Signed(commit, self.host.keys.sign(self.node.node_id,
+        envelope = Signed(commit, self.node.keys.sign(self.node.node_id,
                                                       digest(commit)))
         self._on_commit(commit.sender, commit, envelope)
 
     def _start_commit_phase(self, txn: GlobalTxnState) -> None:
         txn.phase = "commit"
-        self.host.obs.span_open(self.host.sim.now, "commit",
+        self.node.obs.span_open(self.node.sim.now, "commit",
                                 txn.ballot.key, node=self.node.node_id)
         self.prepare_commit_cert(
             txn, on_cert=lambda cert, b=txn.ballot: self._send_commit(b, cert))
@@ -825,10 +813,11 @@ class SyncEngine:
                               requests=txn.batch, cert=cert,
                               checkpoints=tuple(checkpoints),
                               sender=self.node.node_id)
-        self.host.obs.span_close(self.host.sim.now, "commit", ballot.key,
+        self.node.obs.span_close(self.node.sim.now, "commit", ballot.key,
                                  node=self.node.node_id)
-        self.host.multicast_signed(self._all_nodes(), commit,
-                                   include_self=True)
+        self.node.multicast_signed(
+            self.directory.nodes_of_zones(self.zone_ids), commit,
+            include_self=True)
 
     def _validate_commit_ctx(self, instance: str, context: Any,
                              endorse_digest: bytes) -> bool:
@@ -836,11 +825,9 @@ class SyncEngine:
             return False
         if context.ballot.zone_id != self.my_zone.zone_id:
             return False
-        if not self._valid_batch(context.requests):
-            return False
-        request_digest = batch_digest(context.requests)
-        if endorse_digest != commit_body(context.ballot, context.prev_ballot,
-                                         request_digest):
+        if self._valid_batch_body(context.requests, endorse_digest,
+                                  commit_body, context.ballot,
+                                  context.prev_ballot) is None:
             return False
         return self._majority_certified(context.accepteds, context.ballot,
                                         accepted_body)
@@ -852,13 +839,9 @@ class SyncEngine:
                    envelope: Signed) -> None:
         request_digest = batch_digest(commit.requests)
         body = commit_body(commit.ballot, commit.prev_ballot, request_digest)
-        valid = self.directory.cert_valid(commit.cert, body,
-                                          commit.ballot.zone_id)
-        self.host.obs.emit_cert(
-            self.host.sim.now, self.node.node_id, "commit",
-            commit.ballot.zone_id, commit.cert, valid, src=sender,
-            ref=commit.ballot.key)
-        if not valid:
+        if not self.node.check_cert("commit", commit.ballot.zone_id,
+                                    commit.cert, body, sender,
+                                    commit.ballot.key):
             return
         if not self._valid_batch(commit.requests):
             return
@@ -866,11 +849,11 @@ class SyncEngine:
         if txn.committed:
             return
         txn.committed = True
-        obs = self.host.obs
+        obs = self.node.obs
         obs.count("sync.committed")
         prev = "" if commit.prev_ballot == GENESIS_BALLOT else \
             commit.prev_ballot.key
-        obs.emit(self.host.sim.now, "sync.commit",
+        obs.emit(self.node.sim.now, "sync.commit",
                  node=self.node.node_id,
                  ballot=commit.ballot.key,
                  batch=len(commit.requests), prev=prev)
@@ -904,13 +887,13 @@ class SyncEngine:
                                  "commit")
             return
         txn.executed = True
-        obs = self.host.obs
+        obs = self.node.obs
         obs.count("sync.executed")
         # Closes on the initiator primary that opened the ballot's
         # global-txn span; no-op on every other node.
-        obs.span_close(self.host.sim.now, "global-txn",
+        obs.span_close(self.node.sim.now, "global-txn",
                        ballot.key, node=self.node.node_id)
-        obs.emit(self.host.sim.now, "sync.execute",
+        obs.emit(self.node.sim.now, "sync.execute",
                  node=self.node.node_id, ballot=ballot.key,
                  batch=len(txn.batch))
         results: dict[str, Any] = {}
@@ -960,7 +943,7 @@ class SyncEngine:
                     source = request.source_zone
                 else:
                     source = outcome.source_zone
-                obs.emit(self.host.sim.now, "migration.executed",
+                obs.emit(self.node.sim.now, "migration.executed",
                          node=self.node.node_id,
                          ballot=ballot.key,
                          client=request.sender,
@@ -973,7 +956,7 @@ class SyncEngine:
                 if is_initiator:
                     result = ("sub1-committed",) + outcome.as_result() \
                         if outcome.accepted else outcome.as_result()
-                    self._reply_to_client(request, result)
+                    self.node.reply_to_client(request, result)
             else:
                 # Generic globally-ordered operation on fully replicated
                 # data (how the Steward baseline processes *every* txn).
@@ -981,41 +964,29 @@ class SyncEngine:
                 self.node.occupy(self.node.cost_model.execution_time(1))
                 results[request.sender] = result
                 if is_initiator:
-                    self._reply_to_client(request, result)
+                    self.node.reply_to_client(request, result)
             self.migrations_executed += 1
         for waiting in self.pending_commits.pop(ballot, []):
             self._try_execute(waiting)
-
-    def _reply_to_client(self, request: MigrationRequest, result: Any) -> None:
-        reply = ClientReply(view=self.node.replica.view,
-                            timestamp=request.timestamp,
-                            client_id=request.sender, result=result,
-                            sender=self.node.node_id)
-        self.host.send_signed(request.sender, reply)
 
     # ------------------------------------------------------------------
     # Timers / failure handling (paper §V-A)
     # ------------------------------------------------------------------
     def _watch_endorsement(self, txn: GlobalTxnState, instance: str) -> None:
-        if txn.watch_timer is not None:
-            return
-        txn.watch_timer = self.host.set_timer(
-            self.config.watch_timeout_ms, self._on_watch_expired,
-            txn.ballot, instance)
+        # One pending watch per ballot, for whichever follower endorsement.
+        if txn.watch_timer is None:
+            txn.watch_timer = self.node.set_timer(
+                self.config.watch_timeout_ms, self._on_watch_expired,
+                txn, instance)
 
-    def _on_watch_expired(self, ballot: Ballot, instance: str) -> None:
-        txn = self.txns.get(ballot)
-        if txn is not None:
-            txn.watch_timer = None
-        if self.node.endorsement.has_instance(instance):
-            return
-        # Our primary never started the endorsement: suspect it.
-        self.node.replica.view_changes.initiate(self.node.replica.view + 1)
+    def _on_watch_expired(self, txn: GlobalTxnState, instance: str) -> None:
+        txn.watch_timer = None
+        self.node.endorsement.primary_overdue(instance)
 
     def _arm_commit_timer(self, txn: GlobalTxnState) -> None:
         if txn.commit_timer is not None or txn.committed:
             return
-        txn.commit_timer = self.host.set_timer(
+        txn.commit_timer = self.node.set_timer(
             self.config.commit_timeout_ms, self._on_commit_timeout, txn.ballot)
 
     def _cancel_commit_timer(self, txn: GlobalTxnState) -> None:
@@ -1034,7 +1005,7 @@ class SyncEngine:
     def _arm_phase_timer(self, txn: GlobalTxnState, phase: str) -> None:
         self._cancel_phase_timer(txn)
         jitter = self._rng.uniform(0.0, self.config.phase_timeout_ms / 2)
-        txn.phase_timer = self.host.set_timer(
+        txn.phase_timer = self.node.set_timer(
             self.config.phase_timeout_ms + jitter,
             self._on_phase_timeout, txn.ballot, phase)
 
@@ -1068,10 +1039,11 @@ class SyncEngine:
             self._redrive_initiator(txn)
             return
         if phase == "accepted-wait":
-            self._query_all_followers(txn, "accepted")
+            self._query(self._other_zone_nodes(), ballot, "accepted",
+                        txn.request_digest or b"")
         if self.config.stable_leader and phase == "accepted-wait" and \
                 txn.accept_env is not None:
-            self.host.multicast_signed(self._other_zone_nodes(),
+            self.node.multicast_signed(self._other_zone_nodes(),
                                        txn.accept_env.payload)
             self._arm_phase_timer(txn, phase)
             return
@@ -1089,21 +1061,17 @@ class SyncEngine:
                               request_digest=request_digest, phase=phase,
                               zone_id=self.my_zone.zone_id,
                               sender=self.node.node_id)
-        self.host.multicast_signed(targets, query)
+        self.node.multicast_signed(targets, query)
 
     def _query_zone(self, zone_id: str, ballot: Ballot, phase: str) -> None:
         if zone_id:
             self._query(self.directory.zone(zone_id).members, ballot, phase)
 
-    def _query_all_followers(self, txn: GlobalTxnState, phase: str) -> None:
-        self._query(self._other_zone_nodes(), txn.ballot, phase,
-                    txn.request_digest or b"")
-
     def _on_response_query(self, sender: str, query: ResponseQuery,
                            envelope: Signed) -> None:
         # §V-A: log every query; rate-limit senders that abuse the
         # resend path as a denial-of-service amplification vector.
-        if not self.node.query_audit.record(sender, self.host.sim.now):
+        if not self.node.query_audit.record(sender, self.node.sim.now):
             return
         txn = self.txns.get(query.ballot)
         if query.phase == "commit":
@@ -1116,22 +1084,22 @@ class SyncEngine:
                 try:
                     start = self._commit_order.index(query.ballot)
                 except ValueError:
-                    self.host.forward(sender, txn.commit_env)
+                    self.node.forward(sender, txn.commit_env)
                     return
                 shipped = 0
                 for ballot in self._commit_order[start:]:
                     held = self.txns.get(ballot)
                     if held is None or held.commit_env is None:
                         continue
-                    self.host.forward(sender, held.commit_env)
+                    self.node.forward(sender, held.commit_env)
                     shipped += 1
                     if shipped >= 64:
                         break
                 if shipped == 0:
-                    self.host.forward(sender, txn.commit_env)
+                    self.node.forward(sender, txn.commit_env)
                 return
         elif query.phase == "accepted":
-            if txn is not None and txn.phase in ("accepted", "committed"):
+            if txn is not None and txn.phase == "accepted":
                 # The querier lost our ACCEPTED: re-certify and re-send.
                 self._relead_accepted(query.ballot)
                 return
@@ -1170,7 +1138,7 @@ class SyncEngine:
                 self.engine.on_follower_failover(self, txn)
 
     def _redrive_initiator(self, txn: GlobalTxnState) -> None:
-        if txn.phase in ("superseded",):
+        if txn.phase == "superseded":
             return
         # A follower taking over mid-ballot has no phase history — the old
         # primary's progress lives in hard evidence banked on every zone
@@ -1181,8 +1149,7 @@ class SyncEngine:
             self._start_commit_phase(txn)
             return
         accept_instance = self._instance("accept", txn.ballot)
-        state = self.node.endorsement.instance_state(accept_instance)
-        if state is not None and state.payload is not None:
+        if self.node.endorsement.has_instance(accept_instance):
             # Re-certify the SAME accept body. Assigning a fresh
             # prev_ballot here would fork the execution chain behind
             # successors that already committed against the original one.
@@ -1191,8 +1158,8 @@ class SyncEngine:
             # re-arms the timer for the accepted-wait phase.
             txn.phase = "accept"
             self._arm_phase_timer(txn, "accept")
-            self.node.endorsement.lead(
-                accept_instance, state.payload, state.endorse_digest,
+            self.node.endorsement.relead(
+                accept_instance,
                 use_prepare=self._use_prepare(
                     assigning_ballot=self.config.stable_leader),
                 on_cert=lambda cert, b=txn.ballot: self._send_accept(b, cert))
@@ -1200,14 +1167,9 @@ class SyncEngine:
         if txn.phase in ("start", "propose", "promise-wait") and \
                 not self.config.stable_leader:
             self._start_propose_phase(txn)
-        elif txn.phase in ("start", "accept", "promise-wait"):
+        elif txn.phase in ("start", "accept", "promise-wait",
+                           "accepted-wait"):  # no majority of ACCEPTEDs yet
             self._start_accept_phase(txn, promises=tuple(txn.promises.values()))
-        elif txn.phase == "accepted-wait":
-            if len(txn.accepteds) + 1 >= self.majority:
-                self._start_commit_phase(txn)
-            else:
-                self._start_accept_phase(
-                    txn, promises=tuple(txn.promises.values()))
         elif txn.phase == "commit":
             self._start_commit_phase(txn)
 
@@ -1220,30 +1182,16 @@ class SyncEngine:
         retransmission path for ACCEPTED messages lost to partitions or
         to a crashed initiator primary.
         """
-        if not self._is_zone_primary():
-            return False
-        instance = self._instance("accepted", ballot)
-        state = self.node.endorsement.instance_state(instance)
-        if state is None or state.payload is None:
-            return False
-        self.node.endorsement.lead(
-            instance, state.payload, state.endorse_digest,
+        return self._is_zone_primary() and self.node.endorsement.relead(
+            self._instance("accepted", ballot),
             use_prepare=self._use_prepare(False),
             on_cert=lambda cert, b=ballot: self._send_accepted(b, cert))
-        return True
 
     def _redrive_follower(self, txn: GlobalTxnState) -> None:
         # Re-run whichever follower endorsement the old primary dropped.
-        if txn.phase in ("accepted", "committed"):
+        if txn.phase == "accepted" or self._relead_accepted(txn.ballot):
             return
-        if self._relead_accepted(txn.ballot):
-            return
-        promise_instance = self._instance("promise", txn.ballot)
-        state = self.node.endorsement.instance_state(promise_instance)
-        if state is not None and state.payload is not None:
-            context = state.payload
-            self.node.endorsement.lead(
-                promise_instance, context, state.endorse_digest,
-                use_prepare=self._use_prepare(False),
-                on_cert=lambda cert, b=txn.ballot,
-                prev=context.prev_ballot: self._send_promise(b, prev, cert))
+        self.node.endorsement.relead(
+            self._instance("promise", txn.ballot),
+            use_prepare=self._use_prepare(False),
+            on_cert=lambda cert, b=txn.ballot: self._send_promise(b, cert))

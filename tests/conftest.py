@@ -6,6 +6,11 @@ import pytest
 
 from repro.core.deployment import ZiziphusConfig, build_ziziphus
 from repro.core.sync_protocol import SyncConfig
+from repro.crypto.certificates import QuorumCertificate
+from repro.crypto.digest import digest
+from repro.messages.base import sign_message
+from repro.obs.bus import Instrumentation
+from repro.obs.monitor import ProtocolMonitor
 from repro.pbft.replica import PBFTConfig
 
 
@@ -63,6 +68,41 @@ def drive_to_completion(deployment, client, actions,
         if len(records) >= len(plan):
             break
     return records
+
+
+# ----------------------------------------------------------------------
+# Adversarial receipt tests (cross-zone, cross-cluster): hand-made
+# certificates injected straight into a node, judged by the monitor.
+# ----------------------------------------------------------------------
+def monitored(deployment) -> ProtocolMonitor:
+    """Attach the conformance monitor (cheap tier: no trace, no metrics)."""
+    obs = Instrumentation(enabled=True, recording=False, metrics=False)
+    obs.attach(deployment)
+    return ProtocolMonitor.attach(obs, deployment)
+
+
+def cert_of(deployment, signers, body, covers_body=True):
+    """A quorum certificate by ``signers`` over ``body`` (or, with
+    ``covers_body=False``, over something else)."""
+    if not covers_body:
+        body = digest(("something else", body))
+    return QuorumCertificate.aggregate(
+        body, [deployment.keys.sign(s, body) for s in signers])
+
+
+def inject(deployment, signer, target, payload, settle_ms=5_000.0):
+    """Deliver ``payload`` signed by ``signer`` to ``target``; run on."""
+    deployment.network.send(signer, target,
+                            sign_message(deployment.keys, signer, payload))
+    deployment.run(deployment.sim.now + settle_ms)
+
+
+def assert_booked(monitor, msg, culprit):
+    """The monitor flagged exactly one thing: ``culprit`` relayed an
+    invalid certificate on a ``msg`` message."""
+    flagged = [(v.kind, v.culprit, v.detail["msg"])
+               for v in monitor.violations]
+    assert flagged == [("cert-invalid", culprit, msg)]
 
 
 @pytest.fixture

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.core.deployment import ZiziphusConfig, build_ziziphus
-from tests.conftest import drive_to_completion, fast_pbft, fast_sync
+from repro.crypto.digest import digest
+from repro.messages.base import sign_message
+from repro.messages.client import MigrationRequest
+from repro.messages.cluster import CrossCommit, CrossPropose, Prepared
+from repro.messages.sync import (GENESIS_BALLOT, Ballot, accept_body,
+                                 commit_body)
+from tests.conftest import (assert_booked, cert_of, drive_to_completion,
+                            fast_pbft, fast_sync, inject, monitored)
 
 
 def build_clustered(num_clusters=2, zones_per_cluster=2, stable_leader=True,
@@ -114,3 +121,161 @@ def test_proxies_are_f_plus_one_and_include_primary():
     proxies_v1 = zone.proxies(view=1)
     assert zone.primary(1) in proxies_v1
     assert proxies != proxies_v1
+
+
+# ----------------------------------------------------------------------
+# Adversarial receipt: CROSS-PROPOSE, PREPARED and CROSS-COMMIT are judged
+# by ZiziphusNode.check_cert, from both sides of the guard. The migration
+# is c1: z0 (cluster-0) -> z2 (cluster-1); with a stable leader z2 orders
+# the destination half and z0 the source half.
+# ----------------------------------------------------------------------
+DST, SRC = Ballot(seq=1, zone_id="z2"), Ballot(seq=1, zone_id="z0")
+Z0, Z1, Z2 = (tuple(f"{zone}n{i}" for i in range(3))
+              for zone in ("z0", "z1", "z2"))
+
+#: variant -> (signers standing in for ``right``, certificate covers body)
+BAD_CERTS = {"undersized": (lambda right: right[:2], True),
+             "foreign-signers": (lambda right: Z1, True),
+             "other-body": (lambda right: right, False)}
+
+
+def signed_cross_migration(dep):
+    request = MigrationRequest(operation=("migrate", "c1", "z0", "z2"),
+                               timestamp=1, sender="c1",
+                               source_zone="z0", dest_zone="z2")
+    return sign_message(dep.keys, "c1", request)
+
+
+def bad_cert(dep, variant, right, body):
+    pick, covers = BAD_CERTS[variant]
+    return cert_of(dep, pick(right), body, covers)
+
+
+def nothing_ordered(dep):
+    return all(not node.sync.txns and not node.sync.executed_results
+               and node.replica.last_executed == 0
+               for node in dep.nodes.values())
+
+
+def cross_propose(dep, env, cert):
+    return CrossPropose(view=0, dst_ballot=DST, dst_prev_ballot=GENESIS_BALLOT,
+                        request=env, cert=cert, sender="z2n0")
+
+
+@pytest.mark.parametrize("variant", sorted(BAD_CERTS))
+def test_cross_propose_with_bad_certificate_is_refused(variant):
+    dep = build_clustered()
+    dep.add_client("c1", "z0")
+    monitor = monitored(dep)
+    env = signed_cross_migration(dep)
+    body = accept_body(DST, GENESIS_BALLOT, digest((env.payload,)))
+    sent = dep.network.stats.sent
+    inject(dep, "z2n0", "z0n0",
+           cross_propose(dep, env, bad_cert(dep, variant, Z2, body)))
+    assert nothing_ordered(dep)
+    assert not dep.nodes["z0n0"].cluster_engine._txns
+    assert dep.network.stats.sent == sent + 1   # nobody answered
+    assert_booked(monitor, "cross-propose", "z2n0")
+
+
+def test_cross_propose_with_valid_certificate_is_ordered_at_the_source():
+    dep = build_clustered()
+    dep.add_client("c1", "z0")
+    monitor = monitored(dep)
+    env = signed_cross_migration(dep)
+    body = accept_body(DST, GENESIS_BALLOT, digest((env.payload,)))
+    inject(dep, "z2n0", "z0n0", cross_propose(dep, env, cert_of(dep, Z2, body)))
+    txn = dep.nodes["z0n0"].cluster_engine._txns[digest(env.payload)]
+    assert txn.role == "src" and txn.src_ballot == SRC
+    # The source cluster ordered its half and is PREPARED (commit held).
+    assert txn.sent_prepared and SRC in dep.nodes["z1n0"].sync.txns
+    assert monitor.violations == []
+
+
+def pending_destination(dep):
+    """A real migration whose source cluster is down: the destination
+    primary holds its commit certificate and waits for PREPARED."""
+    client = dep.add_client("c1", "z0")
+    for zone in ("z0", "z1"):
+        for node in dep.zone_nodes(zone):
+            node.crash()
+    client.submit_migration("z2")
+    dep.run(dep.sim.now + 1_000)
+    (txn,) = dep.nodes["z2n0"].cluster_engine._txns.values()
+    assert txn.role == "dst" and txn.cert_dst is not None
+    return txn
+
+
+#: Short enough that no failure timer of the waiting destination fires.
+SETTLE_MS = 500
+
+
+@pytest.mark.parametrize("variant", sorted(BAD_CERTS))
+def test_prepared_with_bad_certificate_is_refused(variant):
+    dep = build_clustered()
+    monitor = monitored(dep)
+    txn = pending_destination(dep)
+    request = txn.request_env.payload
+    body = commit_body(SRC, GENESIS_BALLOT, digest((request,)))
+    prepared = Prepared(view=0, src_ballot=SRC,
+                        src_prev_ballot=GENESIS_BALLOT,
+                        request_digest=digest(request), sender="z0n0",
+                        cert=bad_cert(dep, variant, Z0, body))
+    inject(dep, "z0n0", "z2n0", prepared, SETTLE_MS)
+    assert txn.prepared is None and not txn.finalized
+    assert all(not n.sync.executed_results for n in dep.nodes.values())
+    assert_booked(monitor, "cross-prepared", "z0n0")
+
+
+def test_prepared_with_valid_certificate_commits_the_destination():
+    dep = build_clustered()
+    monitor = monitored(dep)
+    txn = pending_destination(dep)
+    request = txn.request_env.payload
+    body = commit_body(SRC, GENESIS_BALLOT, digest((request,)))
+    prepared = Prepared(view=0, src_ballot=SRC,
+                        src_prev_ballot=GENESIS_BALLOT,
+                        request_digest=digest(request), sender="z0n0",
+                        cert=cert_of(dep, Z0, body))
+    inject(dep, "z0n0", "z2n0", prepared, SETTLE_MS)
+    assert txn.finalized
+    assert all(n.sync.executed_results for n in dep.zone_nodes("z3"))
+    assert monitor.violations == []
+
+
+def cross_commit(dep, env, cert_dst):
+    digest_ = digest((env.payload,))
+    return CrossCommit(
+        view=0, dst_ballot=DST, dst_prev_ballot=GENESIS_BALLOT,
+        src_ballot=SRC, src_prev_ballot=GENESIS_BALLOT, request=env,
+        cert_dst=cert_dst, sender="z2n0",
+        cert_src=cert_of(dep, Z0, commit_body(SRC, GENESIS_BALLOT, digest_)))
+
+
+@pytest.mark.parametrize("variant", sorted(BAD_CERTS))
+def test_cross_commit_with_bad_certificate_is_refused(variant):
+    dep = build_clustered()
+    dep.add_client("c1", "z0")
+    monitor = monitored(dep)
+    env = signed_cross_migration(dep)
+    body = commit_body(DST, GENESIS_BALLOT, digest((env.payload,)))
+    # z3n1 sits in the destination cluster: it judges the dst half.
+    inject(dep, "z2n0", "z3n1",
+           cross_commit(dep, env, bad_cert(dep, variant, Z2, body)))
+    assert nothing_ordered(dep)
+    assert_booked(monitor, "cross-commit", "z2n0")
+
+
+def test_cross_commit_with_valid_certificate_is_executed():
+    dep = build_clustered()
+    dep.add_client("c1", "z0")
+    monitor = monitored(dep)
+    env = signed_cross_migration(dep)
+    body = commit_body(DST, GENESIS_BALLOT, digest((env.payload,)))
+    inject(dep, "z2n0", "z3n1", cross_commit(dep, env, cert_of(dep, Z2, body)))
+    node = dep.nodes["z3n1"]
+    assert node.sync.result_for(DST, "c1")[0] == "migrated"
+    assert node.metadata.client_zone["c1"] == "z2"
+    # (The monitor does notice that no ACCEPTED quorum preceded this
+    # hand-made commit; the certificate itself is in order.)
+    assert "cert-invalid" not in {v.kind for v in monitor.violations}

@@ -6,9 +6,16 @@ cross-zone protocol: the paying zone escrows the funds at prepare time
 atomically across the involved zones only.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tests.conftest import drive_to_completion, small_ziziphus
+from repro.core.cross_zone import (CrossZoneRequest, XZAccepted, XZDecision,
+                                   XZPropose, accepted_body, decision_body,
+                                   propose_body)
+from repro.crypto.digest import digest
+from repro.messages.base import sign_message
+from tests.conftest import (assert_booked, cert_of, drive_to_completion,
+                            inject, monitored, small_ziziphus)
 
 
 def setup_pair(dep):
@@ -131,3 +138,164 @@ def test_property_cross_zone_transfers_conserve_money(transfers):
         total += balances.pop()
         assert all(n.app.held_total() == 0 for n in dep.zone_nodes(zone_id))
     assert total == 20_000, "cross-zone transfers must conserve money"
+
+
+# ----------------------------------------------------------------------
+# Adversarial receipt: every certified cross-zone message is judged by
+# ZiziphusNode.check_cert, from both sides of the guard.
+# ----------------------------------------------------------------------
+XID = "z0:1"
+Z0, Z1, Z2 = (tuple(f"{zone}n{i}" for i in range(3))
+              for zone in ("z0", "z1", "z2"))
+
+#: variant -> (signers, whether the certificate covers the right body)
+BAD_CERTS = {"undersized": (Z0[:2], True),
+             "foreign-signers": (Z2, True),
+             "other-body": (Z0, False)}
+
+
+def signed_transfer(dep, amount=30):
+    steps = {"z0": ("xz-debit", "alice", amount),
+             "z1": ("xz-credit", "bob", amount)}
+    request = CrossZoneRequest(steps=steps, steps_digest=digest(steps),
+                               prepare_zone="z0", timestamp=1,
+                               sender="alice")
+    return sign_message(dep.keys, "alice", request)
+
+
+def untouched(dep):
+    """Nothing escrowed, ordered, executed or decided anywhere."""
+    return all(node.app.held_total() == 0
+               and node.app.balance_of("alice") in (0, 10_000)
+               and node.app.balance_of("bob") in (0, 10_000)
+               and node.replica.last_executed == 0
+               and node.cross_zone.committed == node.cross_zone.aborted == 0
+               for node in dep.nodes.values())
+
+
+@pytest.mark.parametrize("variant", sorted(BAD_CERTS))
+def test_xz_propose_with_bad_certificate_is_refused(ziziphus3, variant):
+    dep = ziziphus3
+    setup_pair(dep)
+    monitor = monitored(dep)
+    env = signed_transfer(dep)
+    signers, covers = BAD_CERTS[variant]
+    body = propose_body(XID, digest(env.payload))
+    propose = XZPropose(xid=XID, request=env, sender="z0n0",
+                        cert=cert_of(dep, signers, body, covers))
+    sent = dep.network.stats.sent
+    inject(dep, "z0n0", "z1n0", propose)
+    assert untouched(dep)
+    assert not dep.nodes["z1n0"].cross_zone._txns
+    assert dep.network.stats.sent == sent + 1   # nobody answered
+    assert_booked(monitor, "xz-propose", "z0n0")
+
+
+def test_xz_propose_with_valid_certificate_is_prepared(ziziphus3):
+    dep = ziziphus3
+    setup_pair(dep)
+    monitor = monitored(dep)
+    env = signed_transfer(dep)
+    body = propose_body(XID, digest(env.payload))
+    propose = XZPropose(xid=XID, request=env, sender="z0n0",
+                        cert=cert_of(dep, Z0, body))
+    inject(dep, "z0n0", "z1n0", propose)
+    # z1's primary ordered the payee check and answered XZ-ACCEPTED.
+    assert dep.nodes["z1n0"].cross_zone._txns[XID].prepared_ok is True
+    assert all(n.replica.last_executed == 1 for n in dep.zone_nodes("z1"))
+    assert monitor.violations == []
+
+
+def pending_initiator(dep):
+    """A real transfer whose payee zone is down: z0 waits for z1's answer."""
+    alice, _bob = setup_pair(dep)
+    for node in dep.zone_nodes("z1"):
+        node.crash()
+    results = []
+    alice.on_complete = results.append
+    alice.submit_cross_zone_transfer("bob", "z1", 30)
+    dep.run(dep.sim.now + 1_000)
+    state = dep.nodes["z0n0"].cross_zone._txns[XID]
+    assert state.role == "initiator" and not state.decided
+    return state, results
+
+
+@pytest.mark.parametrize("variant", sorted(BAD_CERTS))
+def test_xz_accepted_with_bad_certificate_is_refused(ziziphus3, variant):
+    dep = ziziphus3
+    monitor = monitored(dep)
+    state, results = pending_initiator(dep)
+    signers, covers = BAD_CERTS[variant]
+    signers = Z2 if signers is Z2 else tuple(
+        s.replace("z0", "z1") for s in signers)
+    body = accepted_body(XID, "z1", True, "ok")
+    accepted = XZAccepted(xid=XID, zone_id="z1", ok=True, reason="ok",
+                          sender="z1n0",
+                          cert=cert_of(dep, signers, body, covers))
+    inject(dep, "z1n0", "z0n0", accepted)
+    assert not state.accepted and not state.decided and not results
+    assert all(n.app.balance_of("alice") == 9_970 and n.app.held_total() == 30
+               for n in dep.zone_nodes("z0")), "escrow must stay held"
+    assert_booked(monitor, "xz-accepted", "z1n0")
+
+
+def test_xz_accepted_with_valid_certificate_decides(ziziphus3):
+    dep = ziziphus3
+    monitor = monitored(dep)
+    state, results = pending_initiator(dep)
+    body = accepted_body(XID, "z1", True, "ok")
+    accepted = XZAccepted(xid=XID, zone_id="z1", ok=True, reason="ok",
+                          sender="z1n0", cert=cert_of(dep, Z1, body))
+    inject(dep, "z1n0", "z0n0", accepted)
+    assert state.decided and results[0].result == ("ok", "committed")
+    assert all(n.app.held_total() == 0 for n in dep.zone_nodes("z0"))
+    assert monitor.violations == []
+
+
+@pytest.mark.parametrize("variant", sorted(BAD_CERTS))
+def test_xz_decision_with_bad_certificate_is_refused(ziziphus3, variant):
+    dep = ziziphus3
+    setup_pair(dep)
+    monitor = monitored(dep)
+    env = signed_transfer(dep)
+    signers, covers = BAD_CERTS[variant]
+    body = decision_body(XID, True, digest(env.payload))
+    decision = XZDecision(xid=XID, commit=True, reason="ok", request=env,
+                          sender="z0n0",
+                          cert=cert_of(dep, signers, body, covers))
+    inject(dep, "z0n0", "z1n0", decision)
+    assert untouched(dep)
+    assert_booked(monitor, "xz-decision", "z0n0")
+
+
+def test_xz_decision_with_valid_certificate_is_finalized(ziziphus3):
+    dep = ziziphus3
+    setup_pair(dep)
+    monitor = monitored(dep)
+    env = signed_transfer(dep)
+    body = decision_body(XID, True, digest(env.payload))
+    decision = XZDecision(xid=XID, commit=True, reason="ok", request=env,
+                          sender="z0n0", cert=cert_of(dep, Z0, body))
+    inject(dep, "z0n0", "z1n0", decision)
+    assert dep.nodes["z1n0"].cross_zone.committed == 1
+    assert all(n.app.balance_of("bob") == 10_030
+               for n in dep.zone_nodes("z1"))
+    assert monitor.violations == []
+
+
+def test_retransmitted_request_opens_no_second_transaction(ziziphus3):
+    """Regression: the (client, timestamp) de-duplication is a dictionary
+    lookup — it used to scan every transaction the node had ever seen, so
+    request n cost O(n)."""
+    dep = ziziphus3
+    state, _results = pending_initiator(dep)
+    engine = dep.nodes["z0n0"].cross_zone
+
+    class NoScan(dict):
+        def _refuse(self, *args):
+            raise AssertionError("the handler iterated _txns")
+        __iter__ = values = items = keys = _refuse
+
+    engine._txns = NoScan(engine._txns)
+    inject(dep, "alice", "z0n0", state.request_env.payload)
+    assert engine._next_seq == 1 and list(dict.keys(engine._txns)) == [XID]

@@ -6,12 +6,14 @@ rejected — the Byzantine-confinement property that lets Ziziphus run a
 CFT-style protocol at the top level.
 """
 
+from repro.core.sync_protocol import AcceptedContext
 from repro.crypto.certificates import QuorumCertificate
 from repro.crypto.digest import digest
-from repro.messages.base import Signed, sign_message
+from repro.messages.base import sign_message
 from repro.messages.client import MigrationRequest
+from repro.messages.endorse import EndorsePrePrepare
 from repro.messages.sync import (Accept, Ballot, GENESIS_BALLOT, GlobalCommit,
-                                 accept_body, commit_body)
+                                 accept_body, accepted_body, commit_body)
 
 
 def signed_migration(dep, client="c1", ts=50, src="z0", dst="z1"):
@@ -132,3 +134,47 @@ def test_replayed_commit_executes_once(ziziphus3):
     deliver(dep, "z2n1", commit, "z0n0")
     node = dep.nodes["z2n1"]
     assert node.metadata.migrations_per_client["c1"] == 1
+
+
+def accepted_pre_prepare(dep, claimed, certified):
+    """z1's primary asks its zone to endorse ACCEPTED for ballot ``claimed``
+    on the evidence of a certified ACCEPT for ballot ``certified``."""
+    env = signed_migration(dep)
+    request_digest = digest((env.payload,))
+    body = accept_body(certified, GENESIS_BALLOT, request_digest)
+    accept = Accept(view=0, ballot=certified, prev_ballot=GENESIS_BALLOT,
+                    request_digest=request_digest, sender="z0n0",
+                    cert=cert_over(dep, body, ["z0n0", "z0n1", "z0n2"]),
+                    requests=(env,))
+    context = AcceptedContext(ballot=claimed, prev_ballot=GENESIS_BALLOT,
+                              zone_id="z1", accept=accept)
+    return EndorsePrePrepare(
+        instance=f"gsync-accepted/{claimed.key}", view=0, payload=context,
+        endorse_digest=accepted_body(claimed, GENESIS_BALLOT, "z1",
+                                     request_digest),
+        use_prepare=False, sender="z1n0")
+
+
+def test_accepted_context_for_another_ballot_is_not_endorsed(ziziphus3):
+    """A Byzantine zone primary cannot have its zone certify ACCEPTED for
+    a ballot whose ACCEPT it never showed: the context's ballot must be
+    the wrapped (certified) ACCEPT's."""
+    dep = ziziphus3
+    dep.add_client("c1", "z0")
+    claimed, certified = Ballot(seq=2, zone_id="z0"), Ballot(seq=1, zone_id="z0")
+    pre_prepare = accepted_pre_prepare(dep, claimed, certified)
+    deliver(dep, "z1n1", pre_prepare, "z1n0")
+    node = dep.nodes["z1n1"]
+    assert not node.endorsement.has_instance(pre_prepare.instance)
+    assert not node.sync.accepted_seqs and not node.sync.txns
+
+
+def test_accepted_context_for_the_certified_ballot_is_endorsed(ziziphus3):
+    dep = ziziphus3
+    dep.add_client("c1", "z0")
+    ballot = Ballot(seq=1, zone_id="z0")
+    pre_prepare = accepted_pre_prepare(dep, ballot, ballot)
+    deliver(dep, "z1n1", pre_prepare, "z1n0")
+    node = dep.nodes["z1n1"]
+    assert node.endorsement.instance_state(pre_prepare.instance).voted
+    assert node.sync.accepted_seqs == {1: "z0"}

@@ -7,12 +7,13 @@ sinks must be dominated by a sanitizer (verify/digest/quorum check).
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import repro
-from repro.analysis.taint import (analyze_corpus, handler_graph_dot,
-                                  run_taint)
-from repro.analysis.lint.engine import load_source_file
+from repro.analysis.taint import (analyze_corpus, extract_handlers,
+                                  handler_graph_dot, run_taint)
+from repro.analysis.lint.engine import LintEngine, load_source_file
 from repro.cli import main
 
 SRC_REPRO = Path(repro.__file__).parent
@@ -233,7 +234,21 @@ def test_src_repro_taint_clean_and_justified():
     # Every suppression in the tree is a triaged taint-flow false
     # positive; a change in this count means a new flow was suppressed
     # (justify it here too) or an old one was fixed (update the count).
-    assert result.suppressed_counts() == {"taint-flow": 18}
+    assert result.suppressed_counts() == {"taint-flow": 16}
+
+
+def test_src_repro_root_census():
+    """The trust-boundary census beside the suppressions: roots are found
+    *syntactically* at ``register_handler(Cls, self._m)`` /
+    ``register_kind(prefix, validator=self._m)`` sites, so registering
+    handlers from a table or a loop would silently drop them from the
+    analysis. A new handler or validator raises the count (update it);
+    a count that falls means a registration the analysis can no longer
+    see."""
+    sources = [load_source_file(path)
+               for path in LintEngine.collect([SRC_REPRO])]
+    census = Counter(root.kind for root in extract_handlers(sources))
+    assert census == {"handler": 34, "validator": 10}
 
 
 def test_cli_self_check_exits_zero(capsys):
