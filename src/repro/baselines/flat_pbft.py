@@ -15,13 +15,13 @@ one region once per-region node counts drop below the quorum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from repro.app.banking import BankingApp
 from repro.baselines.metadata_app import CombinedApp
 from repro.core.metadata import PolicySet
 from repro.crypto.keys import KeyRegistry
-from repro.pbft.client import PBFTClient
+from repro.pbft.client import InFlight, PBFTClient
 from repro.pbft.faults import Behavior
 from repro.pbft.node import PBFTNode
 from repro.pbft.replica import PBFTConfig
@@ -31,20 +31,40 @@ from repro.sim.latency import LatencyModel, Region, regions_for_zones
 from repro.sim.network import Network
 from repro.sim.process import CostModel
 
-__all__ = ["FlatPBFTConfig", "FlatPBFTDeployment", "build_flat_pbft",
-           "engine_config"]
+__all__ = ["FlatClient", "FlatPBFTConfig", "FlatPBFTDeployment",
+           "build_flat_pbft"]
 
 
-def engine_config() -> dict:
-    """This baseline as a consensus-engine configuration.
+class FlatClient(PBFTClient):
+    """The flat baseline behind the four ``submit_*`` of every workload
+    client. There are no zones here, so each of them is one ``submit`` to
+    the single group (a cross-zone transfer is just a transfer on the
+    global store); a client's zone is only the region it sits in."""
 
-    Flat PBFT is the degenerate engine pairing: one PBFT zone engine
-    whose single group spans every region, and no global engine at all
-    (there is nothing to synchronise across zones because there are no
-    zones). See ``repro.consensus.registry`` for the pluggable pairings.
-    """
-    from repro.consensus import PBFT_ZONE
-    return {"zone": PBFT_ZONE, "sync": None, "zones_span_wan": True}
+    def __init__(self, zone_regions: dict[str, Region], home_zone: str,
+                 **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        self.zone_regions = zone_regions
+        self.current_zone = home_zone
+
+    submit_local = submit_read = PBFTClient.submit
+
+    def submit_migration(self, dest_zone: str) -> None:
+        self.submit(("migrate", self.node_id, self.current_zone, dest_zone))
+
+    def submit_cross_zone_transfer(self, peer: str, peer_zone: str,
+                                   amount: int) -> None:
+        self.submit(("transfer", peer, amount))
+
+    def _settle(self, flight: InFlight, result: Any) -> bool:
+        operation = flight.request.operation
+        is_global = operation[0] == "migrate"
+        if is_global and isinstance(result, tuple) and result \
+                and result[0] == "migrated":
+            self.current_zone = operation[3]
+            self.network.move(self.node_id,
+                              self.zone_regions[self.current_zone])
+        return is_global
 
 
 @dataclass
@@ -73,13 +93,15 @@ class FlatPBFTDeployment:
         self.keys = KeyRegistry(seed=config.seed)
         self.network = Network(self.sim, config.latency, seed=config.seed)
         self.nodes: dict[str, PBFTNode] = {}
-        self.clients: dict[str, PBFTClient] = {}
-        self.regions = regions_for_zones(config.num_zones)
+        self.clients: dict[str, FlatClient] = {}
+        regions = regions_for_zones(config.num_zones)
+        #: Region of each notional zone.
+        self.zone_regions = dict(zip(self.zone_ids, regions))
         self.total_f = config.num_zones * config.f_per_zone
 
         placement: list[tuple[str, Region]] = []
         counter = 0
-        for i, region in enumerate(self.regions):
+        for i, region in enumerate(regions):
             # 3f+1 nodes in the first region, 3f in every other (Z-1 fewer
             # nodes than Ziziphus in total, as the paper prescribes).
             full = group_size(config.f_per_zone)
@@ -105,15 +127,19 @@ class FlatPBFTDeployment:
         """Notional zone names (one per region) for workload compatibility."""
         return [f"z{i}" for i in range(self.config.num_zones)]
 
+    def cluster_of_zone(self, zone_id: str) -> str:
+        """Every notional zone is in the one cluster."""
+        return "cluster-0"
+
     def add_client(self, client_id: str, zone_id: str,
-                   retransmit_ms: float = 4_000.0) -> PBFTClient:
+                   retransmit_ms: float = 4_000.0) -> FlatClient:
         """Create a client placed in the region of its notional zone."""
-        region = self.regions[self.zone_ids.index(zone_id)]
-        client = PBFTClient(sim=self.sim, network=self.network,
+        client = FlatClient(self.zone_regions, zone_id,
+                            sim=self.sim, network=self.network,
                             keys=self.keys, client_id=client_id,
                             group=self.group, f=self.total_f,
                             retransmit_ms=retransmit_ms)
-        self.network.register(client, region)
+        self.network.register(client, self.zone_regions[zone_id])
         self.clients[client_id] = client
         for node in self.nodes.values():
             node.replica.app.metadata.register_client(client_id, zone_id)

@@ -21,27 +21,13 @@ from typing import Any
 
 from repro.core.client import MobileClient
 from repro.core.deployment import ZiziphusConfig, ZiziphusDeployment
-from repro.messages.client import MigrationRequest
 
-__all__ = ["StewardClient", "StewardDeployment", "build_steward",
-           "engine_config"]
-
-
-def engine_config() -> dict:
-    """This baseline as a consensus-engine configuration.
-
-    Steward is the *default* Ziziphus backend (PBFT zones, stable
-    initiator) driven at 100% global transactions over fully replicated
-    state — ``build_steward`` accepts a ``ZiziphusConfig``, so any
-    registered ``--backend`` pairing applies to it unchanged.
-    """
-    from repro.consensus import PBFT_ZONE, STABLE_INITIATOR
-    return {"zone": PBFT_ZONE, "sync": STABLE_INITIATOR,
-            "global_fraction": 1.0, "full_replication": True}
+__all__ = ["StewardClient", "StewardDeployment", "build_steward"]
 
 
 class StewardClient(MobileClient):
-    """Client that routes *every* operation through global consensus."""
+    """Client that routes *every* operation through global consensus
+    (data is fully replicated, so a migration is a meta-data update)."""
 
     def submit_local(self, operation: tuple) -> None:
         """Submit an operation as a globally synchronized transaction.
@@ -50,22 +36,7 @@ class StewardClient(MobileClient):
         global request ordered across all zones and executed on the fully
         replicated state.
         """
-        self.timestamp += 1
-        request = MigrationRequest(operation=operation,
-                                   timestamp=self.timestamp,
-                                   sender=self.node_id,
-                                   source_zone=self.current_zone,
-                                   dest_zone=self.current_zone)
-        if self.initiator_resolver is not None:
-            initiator = self.initiator_resolver(self.current_zone,
-                                                self.current_zone)
-        else:
-            initiator = self.current_zone
-        self._launch(request, target_zone=initiator)
-
-    def submit_migration(self, dest_zone: str) -> None:
-        """Data is fully replicated, so migration is a meta-data update."""
-        super().submit_migration(dest_zone)
+        self._submit_global(operation, self.current_zone)
 
 
 class StewardDeployment(ZiziphusDeployment):

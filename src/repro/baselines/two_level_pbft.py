@@ -46,23 +46,7 @@ from repro.sim.latency import LatencyModel, regions_for_zones
 from repro.sim.network import Network
 from repro.sim.process import CostModel
 
-__all__ = ["TwoLevelConfig", "TwoLevelDeployment", "build_two_level",
-           "engine_config"]
-
-
-def engine_config() -> dict:
-    """This baseline as a consensus-engine configuration.
-
-    Two-level PBFT keeps the default zone engine but replaces the
-    Paxos-style global layer with PBFT among zone representatives —
-    i.e. it reuses the *zone* engine's quorum profile (3F+1 for F zone
-    faults) at the global level, with a stable top-level leader. That
-    over-sizing versus Ziziphus's majority sync (2F+1 zones) is exactly
-    the §VII comparison.
-    """
-    from repro.consensus import PBFT_ZONE, STABLE_INITIATOR
-    return {"zone": PBFT_ZONE, "sync": STABLE_INITIATOR,
-            "global_profile": "pbft"}
+__all__ = ["TwoLevelConfig", "TwoLevelDeployment", "build_two_level"]
 
 
 # ----------------------------------------------------------------------
@@ -444,6 +428,10 @@ class TwoLevelDeployment:
     def zone_ids(self) -> list[str]:
         """All zone ids."""
         return self.directory.zone_ids
+
+    def cluster_of_zone(self, zone_id: str) -> str:
+        """The cluster id of a zone (this baseline has one cluster)."""
+        return self.directory.cluster_of_zone(zone_id)
 
     def zone_nodes(self, zone_id: str) -> list[TwoLevelNode]:
         """The node objects of one zone."""

@@ -4,25 +4,22 @@ See DESIGN.md §"ConsensusEngine contract". Public surface:
 
 - :mod:`repro.consensus.profile` — :class:`QuorumProfile` and the
   ``pbft``/``syncbft`` sizing factories.
-- :mod:`repro.consensus.engine` — zone / global engine interfaces and
-  the built-in implementations.
+- :mod:`repro.consensus.engine` — the global engine interface and the
+  built-in implementations.
 - :mod:`repro.consensus.registry` — named backends for ``--backend``.
 """
 
-from repro.consensus.engine import (PBFT_ZONE, ROTATING_INITIATOR,
-                                    STABLE_INITIATOR, SYNC_ZONE, GlobalEngine,
-                                    PBFTZoneEngine, RotatingInitiatorEngine,
-                                    StableInitiatorEngine, SyncZoneEngine,
-                                    ZoneEngine)
+from repro.consensus.engine import (ROTATING_INITIATOR, STABLE_INITIATOR,
+                                    GlobalEngine, RotatingInitiatorEngine,
+                                    StableInitiatorEngine)
 from repro.consensus.profile import QuorumProfile, pbft_profile, sync_profile
 from repro.consensus.registry import (BACKENDS, DEFAULT_BACKEND, BackendSpec,
                                       backend_names, get_backend)
 
 __all__ = [
     "QuorumProfile", "pbft_profile", "sync_profile",
-    "ZoneEngine", "PBFTZoneEngine", "SyncZoneEngine",
     "GlobalEngine", "StableInitiatorEngine", "RotatingInitiatorEngine",
-    "PBFT_ZONE", "SYNC_ZONE", "STABLE_INITIATOR", "ROTATING_INITIATOR",
+    "STABLE_INITIATOR", "ROTATING_INITIATOR",
     "BackendSpec", "BACKENDS", "DEFAULT_BACKEND", "get_backend",
     "backend_names",
 ]

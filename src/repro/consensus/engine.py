@@ -3,15 +3,13 @@
 Ziziphus runs consensus at two levels — PBFT inside each zone and a
 Paxos-style data-sync protocol across zones (§IV/§V). Both levels keep
 their *mechanism* (message flows, certificate formats, timers) in
-``repro.pbft`` and ``repro.core``; everything that legitimately varies
-between protocol variants is factored here into two small engine
-interfaces:
-
-- :class:`ZoneEngine` — how a zone is sized and when its certificates
-  are valid (via a :class:`~repro.consensus.profile.QuorumProfile`).
-- :class:`GlobalEngine` — who initiates a global ballot, which sequence
-  numbers a zone may assign, and what the new zone primary does for
-  in-flight ballots after a local view change (the failover policy).
+``repro.pbft`` and ``repro.core``. What legitimately varies between
+protocol variants at the zone level is only sizing — a
+:class:`~repro.consensus.profile.QuorumProfile` factory, carried by the
+backend itself; what varies at the global level is factored here into
+:class:`GlobalEngine`: who initiates a global ballot, which sequence
+numbers a zone may assign, and what the new zone primary does for
+in-flight ballots after a local view change (the failover policy).
 
 Engines are *stateless* singletons: all protocol state lives in the
 ``SyncEngine`` / ``PBFTReplica`` instances they steer, so one engine
@@ -23,55 +21,12 @@ keeps this package a leaf of the import graph alongside
 
 from __future__ import annotations
 
-from repro.consensus.profile import QuorumProfile, pbft_profile, sync_profile
 from repro.messages.sync import Ballot
 
 __all__ = [
-    "ZoneEngine", "PBFTZoneEngine", "SyncZoneEngine",
     "GlobalEngine", "StableInitiatorEngine", "RotatingInitiatorEngine",
-    "PBFT_ZONE", "SYNC_ZONE", "STABLE_INITIATOR", "ROTATING_INITIATOR",
+    "STABLE_INITIATOR", "ROTATING_INITIATOR",
 ]
-
-
-class ZoneEngine:
-    """Zone-level (intra-zone BFT) consensus backend.
-
-    The PBFT machinery in :mod:`repro.pbft` is parametric in its quorum
-    profile; a zone engine supplies that profile. Certificate soundness
-    obligation: any two ``certificate_quorum``-sized sets of the zone's
-    ``group_size`` members must intersect in at least one *correct*
-    replica under the engine's fault model.
-    """
-
-    name = "zone"
-    level = "zone"
-
-    def quorum_profile(self, f: int) -> QuorumProfile:
-        raise NotImplementedError
-
-
-class PBFTZoneEngine(ZoneEngine):
-    """Default partial-synchrony PBFT zone: ``n = 3f+1``, quorum ``2f+1``."""
-
-    name = "pbft"
-
-    def quorum_profile(self, f: int) -> QuorumProfile:
-        return pbft_profile(f)
-
-
-class SyncZoneEngine(ZoneEngine):
-    """Synchronous-BFT zone (Abraham et al.): ``n = 2f+1``, quorum ``f+1``.
-
-    Runs the unmodified PBFT message flows over the smaller group; the
-    quorum intersection argument holds only under bounded message delay,
-    so this backend is sound in the simulator's default (bounded) delay
-    model but must not be deployed under partial synchrony.
-    """
-
-    name = "syncbft"
-
-    def quorum_profile(self, f: int) -> QuorumProfile:
-        return sync_profile(f)
 
 
 class GlobalEngine:
@@ -206,7 +161,5 @@ class RotatingInitiatorEngine(GlobalEngine):
         sync._redrive_follower(txn)
 
 
-PBFT_ZONE = PBFTZoneEngine()
-SYNC_ZONE = SyncZoneEngine()
 STABLE_INITIATOR = StableInitiatorEngine()
 ROTATING_INITIATOR = RotatingInitiatorEngine()

@@ -1,19 +1,19 @@
 """Registry of named consensus backends.
 
-A *backend* pairs one zone engine with one global engine; the name is
-what ``--backend`` on the CLIs, ``ZiziphusConfig.backend``, and the
-``backend`` column of bench/resilience reports refer to. The baselines
-in ``repro.baselines`` correspond to engine configurations too (see
-their ``engine_config()`` helpers), they just predate the interface.
+A *backend* pairs one zone sizing (a quorum-profile factory) with one
+global engine; the name is what ``--backend`` on the CLIs,
+``ZiziphusConfig.backend``, and the ``backend`` column of bench/resilience
+reports refer to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.consensus.engine import (PBFT_ZONE, ROTATING_INITIATOR,
-                                    STABLE_INITIATOR, SYNC_ZONE, GlobalEngine,
-                                    ZoneEngine)
+from repro.consensus.engine import (ROTATING_INITIATOR, STABLE_INITIATOR,
+                                    GlobalEngine)
+from repro.consensus.profile import QuorumProfile, pbft_profile, sync_profile
 from repro.errors import ConfigurationError
 
 __all__ = ["BackendSpec", "BACKENDS", "DEFAULT_BACKEND", "get_backend",
@@ -22,11 +22,17 @@ __all__ = ["BackendSpec", "BACKENDS", "DEFAULT_BACKEND", "get_backend",
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """A named (zone engine, global engine) pairing."""
+    """A named (zone sizing, global engine) pairing.
+
+    ``profile(f)`` says how a zone is sized and when its certificates
+    are valid. Soundness obligation: any two ``certificate_quorum``-sized
+    sets of the zone's ``group_size`` members must intersect in at least
+    one *correct* replica under the profile's fault model.
+    """
 
     name: str
     description: str
-    zone: ZoneEngine
+    profile: Callable[[int], QuorumProfile]
     sync: GlobalEngine
 
 
@@ -36,17 +42,17 @@ BACKENDS: dict[str, BackendSpec] = {
     "default": BackendSpec(
         name="default",
         description="Paper protocol: PBFT zones (3f+1), stable initiator",
-        zone=PBFT_ZONE, sync=STABLE_INITIATOR),
+        profile=pbft_profile, sync=STABLE_INITIATOR),
     "rotating": BackendSpec(
         name="rotating",
         description="PBFT zones, rotating initiators on a partitioned "
                     "sequence space (ezBFT-style)",
-        zone=PBFT_ZONE, sync=ROTATING_INITIATOR),
+        profile=pbft_profile, sync=ROTATING_INITIATOR),
     "syncbft": BackendSpec(
         name="syncbft",
         description="Synchronous-BFT zones (2f+1, bounded delay), stable "
                     "initiator",
-        zone=SYNC_ZONE, sync=STABLE_INITIATOR),
+        profile=sync_profile, sync=STABLE_INITIATOR),
 }
 
 

@@ -1,7 +1,7 @@
 """Ziziphus core: zones, global/meta-data protocols, deployments."""
 
 from repro.core.client import MobileClient
-from repro.core.clusters import ClusterConfig, ClusterEngine
+from repro.core.clusters import ClusterEngine
 from repro.core.cross_zone import (CrossZoneConfig, CrossZoneEngine,
                                    CrossZoneRequest)
 from repro.core.audit import AuditConfig, QueryAudit
@@ -17,7 +17,6 @@ from repro.core.sync_protocol import SyncConfig, SyncEngine
 from repro.core.zone import ZoneDirectory, ZoneInfo
 
 __all__ = [
-    "ClusterConfig",
     "ClusterEngine",
     "CrossZoneConfig",
     "CrossZoneEngine",

@@ -8,6 +8,11 @@ one zone: the destination zone after the data migration protocol appends
 R(c) (successful migration), or the initiator zone when the migration was
 rejected by policy.
 
+Every request — local, migration, cross-zone, certified read, a read's
+transactional fallback — is one launch of the loop in
+:class:`~repro.pbft.client.ClosedLoopClient`; this module only says whom
+a launch addresses and how its replies are judged.
+
 Following the paper's evaluation methodology, physical mobility is
 simulated: the same client identity simply starts addressing its new zone
 once the migration completes.
@@ -26,17 +31,16 @@ from repro.messages.base import Signed, verify_signed
 from repro.messages.client import ClientReply, ClientRequest, MigrationRequest
 from repro.messages.reads import ReadReply, ReadRequest
 from repro.messages.trace import SpanContext, trace_id
-from repro.pbft.client import CompletedRequest
+from repro.pbft.client import ClosedLoopClient, InFlight
 from repro.quorums import weak_quorum
 from repro.reads import ReadConfig
 from repro.sim.events import Simulator
 from repro.sim.network import Network
-from repro.sim.process import CostModel, Process
 
 __all__ = ["MobileClient"]
 
 
-class MobileClient(Process):
+class MobileClient(ClosedLoopClient):
     """Closed-loop mobile client of a Ziziphus deployment."""
 
     def __init__(self, sim: Simulator, network: Network, keys: KeyRegistry,
@@ -44,102 +48,65 @@ class MobileClient(Process):
                  initiator_resolver: Callable[[str, str], str] | None = None,
                  retransmit_ms: float = 4_000.0,
                  read_config: ReadConfig | None = None) -> None:
-        super().__init__(sim, client_id,
-                         CostModel(base_ms=0.0, verify_ms=0.0))
-        self.network = network
-        self.keys = keys
+        super().__init__(sim, network, keys, client_id, retransmit_ms)
         self.directory = directory
         self.current_zone = home_zone
         #: Maps (source_zone, dest_zone) to the initiator zone — the
         #: stable-leader zone for intra-cluster migrations, the destination
         #: zone otherwise. Defaults to the destination zone.
         self.initiator_resolver = initiator_resolver
-        self.retransmit_ms = retransmit_ms
-        self.timestamp = 0
-        self.completed: list[CompletedRequest] = []
-        self.on_complete: Callable[[CompletedRequest], None] | None = None
         self.view_hints: dict[str, int] = {}
-        self._outstanding: Any = None          # ClientRequest | MigrationRequest
-        self._outstanding_zone: str | None = None   # zone whose quorum completes it
-        self._started_at = 0.0
-        self._replies: dict[bytes, set[str]] = {}
-        self._retry_timer = None
-        # Certified read path (repro.reads): verified-watermark session
-        # vector, in-flight fast-path read, and per-result reply votes.
+        # Certified read path (repro.reads): the session vector holds
+        # verified watermarks only.
         self.reads = read_config or ReadConfig()
         self.session: dict[str, int] = {}
         self._verifier = CertificateVerifier(keys)
-        self._read_outstanding: ReadRequest | None = None
-        self._read_started = 0.0
-        self._read_votes: dict[bytes, dict[str, tuple[float, int]]] = {}
-        self._read_timer = None
-        self._fallback_read = False
-
-    # ------------------------------------------------------------------
-    # Addressing
-    # ------------------------------------------------------------------
-    def _primary_hint(self, zone_id: str) -> str:
-        zone = self.directory.zone(zone_id)
-        return zone.primary(self.view_hints.get(zone_id, 0))
-
-    def _send(self, request: Any, dst: str) -> None:
-        envelope = Signed(request, self.keys.sign(self.node_id, digest(request)))
-        self.network.send(self.node_id, dst, envelope)
 
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
     def submit_local(self, operation: tuple) -> None:
         """Issue a local transaction on this client's data in its zone."""
-        self.timestamp += 1
-        request = ClientRequest(operation=operation, timestamp=self.timestamp,
-                                sender=self.node_id)
-        self._launch(request, target_zone=self.current_zone)
+        self._launch_at(self._request(ClientRequest, operation=operation),
+                        self.current_zone)
 
     def submit_migration(self, dest_zone: str) -> None:
-        """Issue a migration request from the current zone to ``dest_zone``.
+        """Issue a migration request from the current zone to ``dest_zone``."""
+        self._submit_global(
+            ("migrate", self.node_id, self.current_zone, dest_zone), dest_zone)
 
-        The request goes to the initiator zone's primary: the stable-leader
-        zone when configured, otherwise the destination zone (§IV.B.1).
-        """
-        self.timestamp += 1
-        operation = ("migrate", self.node_id, self.current_zone, dest_zone)
-        request = MigrationRequest(operation=operation,
-                                   timestamp=self.timestamp,
-                                   sender=self.node_id,
-                                   source_zone=self.current_zone,
-                                   dest_zone=dest_zone)
+    def _submit_global(self, operation: tuple, dest_zone: str) -> None:
+        """Order ``operation`` globally. The request goes to the initiator
+        zone's primary: the stable-leader zone when configured, otherwise
+        the destination zone (§IV.B.1)."""
+        source_zone = self.current_zone
+        request = self._request(MigrationRequest, operation=operation,
+                                source_zone=source_zone, dest_zone=dest_zone)
         if self.initiator_resolver is not None:
-            initiator = self.initiator_resolver(self.current_zone, dest_zone)
-        else:
-            initiator = dest_zone
-        self._launch(request, target_zone=initiator)
+            dest_zone = self.initiator_resolver(source_zone, dest_zone)
+        self._launch_at(request, dest_zone)
 
     def submit_cross_zone_transfer(self, peer: str, peer_zone: str,
                                    amount: int) -> None:
         """Issue a cross-zone transaction (§IV.B.3): move ``amount`` from
-        this client's account to ``peer`` hosted by ``peer_zone``.
-
-        The client's own zone initiates (it is the paying/prepare zone);
-        only the two involved zones participate.
-        """
+        this client's account to ``peer`` hosted by ``peer_zone``."""
         if peer_zone == self.current_zone:
             self.submit_local(("transfer", peer, amount))
-            return
-        from repro.core.cross_zone import CrossZoneRequest
-        from repro.crypto.digest import digest as _digest
-        self.timestamp += 1
-        steps = {self.current_zone: ("xz-debit", self.node_id, amount),
-                 peer_zone: ("xz-credit", peer, amount)}
-        request = CrossZoneRequest(steps=steps, steps_digest=_digest(steps),
-                                   prepare_zone=self.current_zone,
-                                   timestamp=self.timestamp,
-                                   sender=self.node_id)
-        self._launch(request, target_zone=self.current_zone)
+        else:
+            self._submit_steps(
+                {self.current_zone: ("xz-debit", self.node_id, amount),
+                 peer_zone: ("xz-credit", peer, amount)})
 
-    # ------------------------------------------------------------------
-    # Certified reads (repro.reads): consensus-free, watermark-verified
-    # ------------------------------------------------------------------
+    def _submit_steps(self, steps: dict[str, tuple]) -> None:
+        """Run one step per involved zone as a cross-zone transaction.
+        The client's own zone initiates (it is the prepare zone); only
+        the involved zones participate."""
+        from repro.core.cross_zone import CrossZoneRequest
+        request = self._request(CrossZoneRequest, steps=steps,
+                                steps_digest=digest(steps),
+                                prepare_zone=self.current_zone)
+        self._launch_at(request, self.current_zone)
+
     def submit_read(self, operation: tuple) -> None:
         """Issue a certified fast-path read in the current zone.
 
@@ -153,49 +120,101 @@ class MobileClient(Process):
         if not self.reads.enabled:
             self.submit_local(operation)
             return
-        self.timestamp += 1
         zone_id = self.current_zone
-        request = ReadRequest(operation=operation, timestamp=self.timestamp,
-                              sender=self.node_id,
-                              session=((zone_id,
-                                        self.session.get(zone_id, 0)),))
-        if self.obs.causal:
-            self.obs.emit(self.sim.now, "txn.submit", node=self.node_id,
-                          trace=trace_id(request), zone=zone_id,
-                          target=zone_id, txn=self._txn_kind(request))
-        self._read_outstanding = request
-        self._read_started = self.sim.now
-        self._read_votes.clear()
-        for member in self.directory.zone(zone_id).members:
-            self._send(request, member)
-        if self._read_timer is not None:
-            self._read_timer.cancel()
-        self._read_timer = self.set_timer(self.reads.read_timeout_ms,
-                                          self._on_read_timeout)
+        session = ((zone_id, self.session.get(zone_id, 0)),)
+        self._launch_at(self._request(ReadRequest, operation=operation,
+                                      session=session), zone_id)
 
-    def _on_read_timeout(self) -> None:
-        if self._read_outstanding is not None:
-            self._read_abandon("timeout")
+    @staticmethod
+    def _txn_kind(request: Any) -> str:
+        if isinstance(request, MigrationRequest):
+            return "migration"
+        if isinstance(request, ClientRequest):
+            return "local"
+        if isinstance(request, ReadRequest):
+            return "read"
+        return "cross-zone"
 
-    def _read_abandon(self, reason: str) -> None:
-        """Fall back to the transactional path for the in-flight read."""
-        request = self._read_outstanding
-        self._read_outstanding = None
-        if self._read_timer is not None:
-            self._read_timer.cancel()
-            self._read_timer = None
+    def _launch_at(self, request: Any, zone_id: str,
+                   started_at: float | None = None,
+                   labels: dict | None = None) -> None:
+        """Launch ``request`` at ``zone_id``: a read at every member, with
+        the read timeout; anything else at the primary we believe in, with
+        retransmission to every member."""
+        obs = self.obs
+        if obs.causal:
+            tid = trace_id(request)
+            if isinstance(request, (ClientRequest, MigrationRequest)):
+                # Stamp the span context onto the wire message. The ctx
+                # field is digest-excluded, so the signature below — and
+                # every simulated byte downstream — is unchanged.
+                request = replace(request, ctx=SpanContext(trace_id=tid))
+            obs.emit(self.sim.now, "txn.submit", node=self.node_id,
+                     trace=tid, zone=self.current_zone, target=zone_id,
+                     txn=self._txn_kind(request))
+        zone = self.directory.zone(zone_id)
+        if isinstance(request, ReadRequest):
+            self._launch(request, zone.members, zone.members,
+                         self.reads.read_timeout_ms, self._read_abandon,
+                         answer=ReadReply, labels={"read": "fast"})
+        else:
+            primary = zone.primary(self.view_hints.get(zone_id, 0))
+            self._launch(request, (primary,), zone.members,
+                         self.retransmit_ms, self._on_retry,
+                         started_at=started_at, labels=labels)
+
+    # ------------------------------------------------------------------
+    # Replies
+    # ------------------------------------------------------------------
+    def on_message(self, sender: str, message: Any) -> None:
+        if isinstance(message, Signed) \
+                and isinstance(message.payload, (ClientReply, ReadReply)) \
+                and verify_signed(self.keys, message):
+            if isinstance(message.payload, ReadReply):
+                self._on_read_reply(message.payload)
+            else:
+                self._on_reply(message.payload)
+
+    def _on_reply(self, reply: ClientReply) -> None:
+        try:
+            zone = self.directory.zone(self.directory.zone_of(reply.sender))
+        except KeyError:
+            return
+        self.view_hints[zone.zone_id] = max(
+            self.view_hints.get(zone.zone_id, 0), reply.view)
+        flight = self._awaited(reply)
+        if flight is None:
+            return
+        result = reply.result
+        status = result[0] if isinstance(result, tuple) and result else None
+        if status == "sub1-committed":
+            # First sub-transaction committed; the final reply comes from
+            # the destination zone after the data migration protocol. Each
+            # member of the addressed zone may put the retransmission off
+            # once: a replayed reply may not, or one faulty replica could
+            # keep the request from ever reaching the backups.
+            if reply.sender in flight.targets and \
+                    self._vote(status, reply.sender):
+                self._arm(self.retransmit_ms, self._on_retry)
+            return
+        if status == "migrated" and \
+                zone.zone_id != getattr(flight.request, "dest_zone", None):
+            # Only the destination zone knows that it appended R(c).
+            return
+        votes = self._vote(digest((zone.zone_id, result)), reply.sender)
+        if len(votes) >= weak_quorum(zone.f):
+            self._complete(result)
+
+    def _read_abandon(self, reason: str = "timeout") -> None:
+        """Fall back to the transactional path for the in-flight read,
+        which stays charged from the original submission."""
+        flight = self._outstanding
         self.obs.emit(self.sim.now, "read.fallback", node=self.node_id,
                       zone=self.current_zone, reason=reason)
-        started = self._read_started
-        self._fallback_read = True
-        self.timestamp += 1
-        fallback = ClientRequest(operation=request.operation,
-                                 timestamp=self.timestamp,
-                                 sender=self.node_id)
-        self._launch(fallback, target_zone=self.current_zone)
-        # The fallback's latency is charged from the original read
-        # submission: the failed fast path is part of the cost.
-        self._started_at = started
+        self._launch_at(self._request(ClientRequest,
+                                      operation=flight.request.operation),
+                        self.current_zone, started_at=flight.started_at,
+                        labels={"read": "fallback"})
 
     def _cert_problem(self, cert, zone) -> str | None:
         """Why a reply's certificate is provably invalid (None if sound)."""
@@ -208,14 +227,12 @@ class MobileClient(Process):
             # one its quorum signed: a fabricated watermark claim.
             return "claim-mismatch"
         if not self._verifier.is_valid(cert.certificate,
-                                       weak_quorum(zone.f),
-                                       frozenset(zone.members)):
+                                       weak_quorum(zone.f), zone.member_set):
             return "bad-quorum"
         return None
 
     def _on_read_reply(self, reply: ReadReply) -> None:
-        request = self._read_outstanding
-        if request is None or reply.timestamp != request.timestamp:
+        if self._awaited(reply) is None:
             return
         zone = self.directory.zone(self.current_zone)
         if reply.sender not in zone.members:
@@ -243,133 +260,22 @@ class MobileClient(Process):
             return
         if cert.sequence < self.session.get(zone.zone_id, 0):
             return   # behind our session vector; wait for fresher replies
-        key = digest((reply.result,))
-        votes = self._read_votes.setdefault(key, {})
-        votes[reply.sender] = (age_ms, cert.sequence)
+        votes = self._vote(digest((reply.result,)), reply.sender,
+                           (age_ms, cert.sequence))
         if len(votes) < weak_quorum(zone.f):
             return
-        self._read_complete(request, reply.result, votes, zone.zone_id)
-
-    def _read_complete(self, request: ReadRequest, result: Any,
-                       votes: dict[str, tuple[float, int]],
-                       zone_id: str) -> None:
-        self._read_outstanding = None
-        if self._read_timer is not None:
-            self._read_timer.cancel()
-            self._read_timer = None
         sequence = max(seq for _, seq in votes.values())
-        age_ms = max(age for age, _ in votes.values())
         # Session vector: verified watermarks only, monotonically rising.
-        self.session[zone_id] = max(self.session.get(zone_id, 0), sequence)
-        record = CompletedRequest(timestamp=request.timestamp,
-                                  operation=request.operation,
-                                  result=result,
-                                  started_at=self._read_started,
-                                  completed_at=self.sim.now,
-                                  labels={"read": "fast"})
-        self.completed.append(record)
-        obs = self.obs
-        obs.emit(self.sim.now, "read.complete", node=self.node_id,
-                 zone=zone_id, sequence=sequence,
-                 age_ms=round(age_ms, 6),
-                 bound_ms=self.reads.staleness_bound_ms)
-        if obs.causal:
-            obs.emit(self.sim.now, "txn.reply", node=self.node_id,
-                     trace=trace_id(request),
-                     latency_ms=round(self.sim.now - self._read_started, 6),
-                     txn=self._txn_kind(request))
-        if self.on_complete is not None:
-            self.on_complete(record)
+        self.session[zone.zone_id] = max(
+            self.session.get(zone.zone_id, 0), sequence)
+        self.obs.emit(self.sim.now, "read.complete", node=self.node_id,
+                      zone=zone.zone_id, sequence=sequence,
+                      age_ms=round(max(age for age, _ in votes.values()), 6),
+                      bound_ms=self.reads.staleness_bound_ms)
+        self._complete(reply.result)
 
-    @staticmethod
-    def _txn_kind(request: Any) -> str:
-        if isinstance(request, MigrationRequest):
-            return "migration"
-        if isinstance(request, ClientRequest):
-            return "local"
-        if isinstance(request, ReadRequest):
-            return "read"
-        return "cross-zone"
-
-    def _launch(self, request: Any, target_zone: str) -> None:
-        obs = self.obs
-        if obs.causal:
-            tid = trace_id(request)
-            if isinstance(request, (ClientRequest, MigrationRequest)):
-                # Stamp the span context onto the wire message. The ctx
-                # field is digest-excluded, so the signature below — and
-                # every simulated byte downstream — is unchanged.
-                request = replace(request, ctx=SpanContext(trace_id=tid))
-            obs.emit(self.sim.now, "txn.submit", node=self.node_id,
-                     trace=tid, zone=self.current_zone, target=target_zone,
-                     txn=self._txn_kind(request))
-        self._outstanding = request
-        self._outstanding_zone = target_zone
-        self._started_at = self.sim.now
-        self._replies.clear()
-        self._send(request, self._primary_hint(target_zone))
-        self._arm_retry()
-
-    def _arm_retry(self) -> None:
-        if self._retry_timer is not None:
-            self._retry_timer.cancel()
-        self._retry_timer = self.set_timer(self.retransmit_ms, self._on_retry)
-
-    def _on_retry(self) -> None:
-        request = self._outstanding
-        if request is None:
-            return
-        # Multicast to all nodes of the target zone; non-primaries relay to
-        # their primary and start suspecting it (§V-A).
-        for node in self.directory.zone(self._outstanding_zone).members:
-            self._send(request, node)
-        self._arm_retry()
-
-    # ------------------------------------------------------------------
-    # Replies
-    # ------------------------------------------------------------------
-    def on_message(self, sender: str, message: Any) -> None:
-        if not isinstance(message, Signed):
-            return
-        payload = message.payload
-        if isinstance(payload, ReadReply):
-            if verify_signed(self.keys, message):
-                self._on_read_reply(payload)
-            return
-        if not isinstance(payload, ClientReply):
-            return
-        if not verify_signed(self.keys, message):
-            return
-        self._on_reply(payload)
-
-    def _on_reply(self, reply: ClientReply) -> None:
-        try:
-            sender_zone = self.directory.zone_of(reply.sender)
-        except KeyError:
-            return
-        self.view_hints[sender_zone] = max(
-            self.view_hints.get(sender_zone, 0), reply.view)
-        request = self._outstanding
-        if request is None or reply.timestamp != request.timestamp:
-            return
-        result = reply.result
-        if isinstance(result, tuple) and result and result[0] == "sub1-committed":
-            # First sub-transaction committed; final reply comes from the
-            # destination zone after the data migration protocol.
-            self._arm_retry()
-            return
-        key = digest((sender_zone, result))
-        voters = self._replies.setdefault(key, set())
-        voters.add(reply.sender)
-        if len(voters) < weak_quorum(self.directory.zone(sender_zone).f):
-            return
-        self._complete(request, result)
-
-    def _complete(self, request: Any, result: Any) -> None:
-        self._outstanding = None
-        if self._retry_timer is not None:
-            self._retry_timer.cancel()
-            self._retry_timer = None
+    def _settle(self, flight: InFlight, result: Any) -> bool:
+        request = flight.request
         is_global = isinstance(request, MigrationRequest)
         if is_global and isinstance(result, tuple) and result \
                 and result[0] == "migrated":
@@ -377,21 +283,10 @@ class MobileClient(Process):
             # Physical mobility: the client is now near its new zone.
             self.network.move(self.node_id,
                               self.directory.zone(request.dest_zone).region)
-        record = CompletedRequest(timestamp=request.timestamp,
-                                  operation=request.operation,
-                                  result=result,
-                                  started_at=self._started_at,
-                                  completed_at=self.sim.now,
-                                  is_global=is_global)
-        if self._fallback_read:
-            record.labels["read"] = "fallback"
-            self._fallback_read = False
-        self.completed.append(record)
-        obs = self.obs
-        if obs.causal:
-            obs.emit(self.sim.now, "txn.reply", node=self.node_id,
-                     trace=trace_id(request),
-                     latency_ms=round(self.sim.now - self._started_at, 6),
-                     txn=self._txn_kind(request))
-        if self.on_complete is not None:
-            self.on_complete(record)
+        if self.obs.causal:
+            self.obs.emit(self.sim.now, "txn.reply", node=self.node_id,
+                          trace=trace_id(request),
+                          latency_ms=round(self.sim.now - flight.started_at,
+                                           6),
+                          txn=self._txn_kind(request))
+        return is_global

@@ -35,15 +35,7 @@ from repro.messages.sync import (Ballot, GlobalCommit, accept_body,
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import ZiziphusNode
 
-__all__ = ["ClusterConfig", "ClusterEngine"]
-
-
-@dataclass
-class ClusterConfig:
-    """Tunables for the cross-cluster protocol."""
-
-    #: Timeout waiting for PREPARED / CROSS-COMMIT before re-querying.
-    cross_timeout_ms: float = 6_000.0
+__all__ = ["ClusterEngine"]
 
 
 @dataclass
@@ -66,11 +58,9 @@ class CrossTxn:
 class ClusterEngine:
     """Runs the cross-cluster protocol for one node."""
 
-    def __init__(self, node: "ZiziphusNode",
-                 config: ClusterConfig | None = None) -> None:
+    def __init__(self, node: "ZiziphusNode") -> None:
         self.node = node
         self.directory = node.directory
-        self.config = config or ClusterConfig()
         self.my_zone = node.zone_info
         self.my_cluster = self.my_zone.cluster_id
         self._txns: dict[bytes, CrossTxn] = {}       # request digest -> state

@@ -18,7 +18,7 @@ from typing import Any, Callable
 from repro.app.banking import BankingApp
 from repro.consensus import get_backend
 from repro.core.client import MobileClient
-from repro.core.clusters import ClusterConfig, ClusterEngine
+from repro.core.clusters import ClusterEngine
 from repro.core.metadata import PolicySet
 from repro.core.migration_protocol import MigrationConfig
 from repro.core.node import ZiziphusNode
@@ -54,7 +54,6 @@ class ZiziphusConfig:
     pbft: PBFTConfig = field(default_factory=PBFTConfig)
     sync: SyncConfig = field(default_factory=SyncConfig)
     migration: MigrationConfig = field(default_factory=MigrationConfig)
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
     cost_model: CostModel = field(default_factory=CostModel)
     latency: LatencyModel = field(default_factory=LatencyModel)
     #: Certified read path (disabled by default; see repro.reads).
@@ -111,11 +110,11 @@ class ZiziphusDeployment:
                 zone_index += 1
 
     def _add_zone(self, zone_id: str, cluster_id: str, region: Region) -> None:
-        profile = self.backend.zone.quorum_profile(self.config.f)
+        profile = self.backend.profile(self.config.f)
         members = tuple(f"{zone_id}n{j}" for j in range(profile.group_size))
-        # The quorum field stays at its 3f+1 default for the pbft zone
-        # engine so default-backend topology dumps are unchanged.
-        quorum = (None if self.backend.zone.name == "pbft"
+        # The quorum field stays at its 3f+1 default for the pbft profile
+        # so default-backend topology dumps are unchanged.
+        quorum = (None if profile.name == "pbft"
                   else profile.certificate_quorum)
         zone = ZoneInfo(zone_id=zone_id, members=members, region=region,
                         f=self.config.f, cluster_id=cluster_id,
@@ -141,7 +140,7 @@ class ZiziphusDeployment:
                     backend=self.backend,
                     read_config=cfg.read)
                 if multi_cluster:
-                    node.cluster_engine = ClusterEngine(node, cfg.cluster)
+                    node.cluster_engine = ClusterEngine(node)
                 self.network.register(node, zone.region)
                 self.nodes[node_id] = node
 
@@ -152,6 +151,10 @@ class ZiziphusDeployment:
     def zone_ids(self) -> list[str]:
         """All zone ids."""
         return self.directory.zone_ids
+
+    def cluster_of_zone(self, zone_id: str) -> str:
+        """The cluster id of a zone."""
+        return self.directory.cluster_of_zone(zone_id)
 
     def zone_nodes(self, zone_id: str) -> list[ZiziphusNode]:
         """The node objects of one zone."""

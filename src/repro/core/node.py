@@ -67,17 +67,16 @@ class ZiziphusNode(HostNode):
         from repro.core.audit import QueryAudit
         self.query_audit = QueryAudit()
 
-        profile = self.backend.zone.quorum_profile(self.zone_info.f)
         self.replica = PBFTReplica(
             host=self, group=self.zone_info.members, f=self.zone_info.f,
             app=app, config=pbft_config,
             accept_request=self._accept_local_request,
-            profile=profile)
+            profile=self.backend.profile(self.zone_info.f))
         self.endorsement = EndorsementManager(
             host=self, zone_members=self.zone_info.members,
             f=self.zone_info.f, view_provider=lambda: self.replica.view,
             use_threshold=use_threshold_signatures,
-            quorum=profile.certificate_quorum)
+            quorum=self.zone_info.quorum)
         cluster_zone_ids = directory.cluster_zones(self.zone_info.cluster_id)
         self.sync = SyncEngine(self, cluster_zone_ids, sync_config,
                                self.backend.sync)
@@ -85,8 +84,7 @@ class ZiziphusNode(HostNode):
         from repro.core.cross_zone import CrossZoneEngine
         self.cross_zone = CrossZoneEngine(self)
         self.replica.reply_fn = self._route_execution_result
-        self.reads = ReadEngine(self, read_config,
-                                quorum=profile.weak_quorum)
+        self.reads = ReadEngine(self, read_config)
         if self.reads.enabled:
             # Watermark shares only flow when the read path is on, so a
             # write-only deployment stays byte-identical on the wire.

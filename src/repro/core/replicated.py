@@ -19,8 +19,6 @@ to a surviving group zone where its data is already live.
 from __future__ import annotations
 
 from repro.core.client import MobileClient
-from repro.core.cross_zone import CrossZoneRequest
-from repro.crypto.digest import digest
 from repro.errors import ConfigurationError
 
 __all__ = ["ReplicatedClient", "add_replicated_client"]
@@ -41,13 +39,8 @@ class ReplicatedClient(MobileClient):
         """
         if not self.replication_group:
             raise ConfigurationError("client has no replication group")
-        self.timestamp += 1
-        steps = {zone: operation for zone in self.replication_group}
-        request = CrossZoneRequest(steps=steps, steps_digest=digest(steps),
-                                   prepare_zone=self.current_zone,
-                                   timestamp=self.timestamp,
-                                   sender=self.node_id)
-        self._launch(request, target_zone=self.current_zone)
+        self._submit_steps({zone: operation
+                            for zone in self.replication_group})
 
     def fail_over(self, zone_id: str) -> None:
         """Re-home the client onto another zone of its group (used when

@@ -260,6 +260,17 @@ class SyncEngine:
             return None
         return results.get(client_id)
 
+    def _answer_executed(self, request: MigrationRequest,
+                         result: Any) -> None:
+        """What the initiator zone tells the client about a request it
+        executed, first time or on a retransmission. An accepted
+        migration is only *sub1*-committed here: that it happened is for
+        the destination zone to say, once it has appended R(c)."""
+        if request.operation and request.operation[0] == "migrate" \
+                and result[0] == "migrated":
+            result = ("sub1-committed",) + result
+        self.node.reply_to_client(request, result)
+
     def _mark_stale_sources(self, batch: tuple[Signed, ...]) -> None:
         for env in batch:
             request = env.payload
@@ -320,7 +331,7 @@ class SyncEngine:
         if done is not None:
             result = self.result_for(done, request.sender)
             if result is not None:
-                self.node.reply_to_client(request, result)
+                self._answer_executed(request, result)
             return
         if not self._is_zone_primary():
             self.node.forward(self.node.replica.primary, envelope)
@@ -953,18 +964,14 @@ class SyncEngine:
                          accepted=bool(outcome.accepted), **extra)
                 results[request.sender] = outcome.as_result()
                 self.node.on_global_executed(ballot, request, outcome)
-                if is_initiator:
-                    result = ("sub1-committed",) + outcome.as_result() \
-                        if outcome.accepted else outcome.as_result()
-                    self.node.reply_to_client(request, result)
             else:
                 # Generic globally-ordered operation on fully replicated
                 # data (how the Steward baseline processes *every* txn).
-                result = self.node.app.execute(operation, request.sender)
+                results[request.sender] = self.node.app.execute(
+                    operation, request.sender)
                 self.node.occupy(self.node.cost_model.execution_time(1))
-                results[request.sender] = result
-                if is_initiator:
-                    self.node.reply_to_client(request, result)
+            if is_initiator:
+                self._answer_executed(request, results[request.sender])
             self.migrations_executed += 1
         for waiting in self.pending_commits.pop(ballot, []):
             self._try_execute(waiting)

@@ -73,7 +73,7 @@ WIRE_MESSAGES: dict[str, type] = {
 
 #: Messages consumed by clients via direct delivery rather than a
 #: ``register_handler`` dispatch table (see PBFTClient.on_message and
-#: GlobalClient.on_message).
+#: MobileClient.on_message).
 CLIENT_DELIVERED: frozenset[str] = frozenset({"ClientReply", "ReadReply"})
 
 #: Value types nested inside messages; decodable but never dispatched on.

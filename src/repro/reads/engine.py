@@ -67,13 +67,11 @@ class ReadConfig:
 class ReadEngine:
     """Watermark certification and certified read serving for one node."""
 
-    def __init__(self, node: Any, config: ReadConfig | None = None,
-                 quorum: int | None = None) -> None:
+    def __init__(self, node: Any, config: ReadConfig | None = None) -> None:
         self.node = node
         self.config = config or ReadConfig()
         self.zone = node.zone_info
-        self._quorum = (quorum if quorum is not None
-                        else weak_quorum(self.zone.f))
+        self._quorum = weak_quorum(self.zone.f)
         #: Newest certified watermark this replica holds.
         self.cert: Optional[ReadWatermarkCert] = None
         #: sequence -> signer -> (body digest, signature share). A signer

@@ -3,16 +3,16 @@
 Drives every client of a deployment in a closed loop ("clients execute in
 a closed loop", §VII): each completion immediately triggers the next
 action drawn from the :class:`~repro.workload.generator.WorkloadGenerator`.
-Works with any deployment through a tiny adapter: Ziziphus / Steward /
-two-level clients expose ``submit_local`` / ``submit_migration``; the flat
-PBFT client funnels both through ``submit``.
+Works with any deployment: every client offers ``submit_local`` /
+``submit_migration`` / ``submit_read`` / ``submit_cross_zone_transfer``
+and knows its ``current_zone``.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.pbft.client import CompletedRequest, PBFTClient
+from repro.pbft.client import CompletedRequest
 from repro.sim.rng import derive_rng
 from repro.workload.generator import WorkloadGenerator, WorkloadMix
 
@@ -33,13 +33,6 @@ class ClosedLoopDriver:
         self._clients: dict[str, Any] = {}
 
         zone_ids = list(deployment.zone_ids)
-        directory = getattr(deployment, "directory", None)
-        if directory is not None:
-            cluster_of_zone = {z: directory.cluster_of_zone(z)
-                               for z in zone_ids}
-        else:
-            cluster_of_zone = {z: "cluster-0" for z in zone_ids}
-
         for zone_id in zone_ids:
             for i in range(clients_per_zone):
                 client_id = f"{zone_id}c{i}"
@@ -51,7 +44,8 @@ class ClosedLoopDriver:
             mix=mix, zone_ids=zone_ids,
             zone_of_client=self.zone_of_client,
             rng=derive_rng(seed, "workload"),
-            cluster_of_zone=cluster_of_zone)
+            cluster_of_zone={z: deployment.cluster_of_zone(z)
+                             for z in zone_ids})
 
     # ------------------------------------------------------------------
     # Per-client loop
@@ -59,22 +53,8 @@ class ClosedLoopDriver:
     def _submit(self, client_id: str) -> None:
         client = self._clients[client_id]
         kind, arg = self.generator.next_action(client_id)
-        if isinstance(client, PBFTClient):
-            # Flat PBFT: everything goes through the single group (a
-            # cross-zone transfer is just a transfer on the global store).
-            if kind == "migrate":
-                current = self.zone_of_client[client_id]
-                client.submit(("migrate", client_id, current, arg))
-            elif kind == "xzone":
-                peer, _zone, amount = arg
-                client.submit(("transfer", peer, amount))
-            else:
-                client.submit(arg)
-        elif kind == "read":
-            if hasattr(client, "submit_read"):
-                client.submit_read(arg)
-            else:
-                client.submit_local(arg)
+        if kind == "read":
+            client.submit_read(arg)
         elif kind == "migrate":
             client.submit_migration(arg)
         elif kind == "xzone":
@@ -86,23 +66,7 @@ class ClosedLoopDriver:
             client.submit_local(arg)
 
     def _on_complete(self, client_id: str, record: CompletedRequest) -> None:
-        operation = record.operation
-        if operation and operation[0] == "migrate":
-            record.is_global = True
-            result = record.result
-            if isinstance(result, tuple) and result \
-                    and result[0] == "migrated":
-                dest = operation[3]
-                self.zone_of_client[client_id] = dest
-                client = self._clients[client_id]
-                if isinstance(client, PBFTClient):
-                    # Flat PBFT clients have no zone logic of their own:
-                    # move them to the destination's region here.
-                    regions = getattr(self.deployment, "regions", None)
-                    if regions is not None:
-                        index = self.deployment.zone_ids.index(dest)
-                        self.deployment.network.move(client_id,
-                                                     regions[index])
+        self.zone_of_client[client_id] = self._clients[client_id].current_zone
         self.records.append(record)
         self._submit(client_id)
 

@@ -42,7 +42,7 @@ def test_registry_lists_default_first():
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_backend_publishes_a_sound_quorum_profile(backend):
     spec = get_backend(backend)
-    profile = spec.zone.quorum_profile(1)
+    profile = spec.profile(1)
     assert isinstance(profile, QuorumProfile)
     intersection = 2 * profile.certificate_quorum - profile.group_size
     if profile.fault_model == "partial-synchrony":

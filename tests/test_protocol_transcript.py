@@ -19,6 +19,14 @@ leave two things out of the hash, the refactor's intended changes: the
 ``cert.check`` events the cross-zone receipt checks now emit, and the
 ``endorse.led`` counter, which now counts the XZ-PROPOSE re-send as it
 counts every other re-lead of a banked endorsement.
+
+The client side is pinned the same way, its literals generated at the
+commit before the client loops were merged into one: certified reads
+(fan-out, ``f+1`` verified votes, rejection fallback), reads against a
+stale and a silent replica (``read.stale``, the read timeout, the
+fallback, the clients' ``txn.*`` events), retransmission to a zone whose
+primary is dead (the multicast, the view hint), and one recorded
+``run_point`` per baseline protocol of the evaluation.
 """
 
 from __future__ import annotations
@@ -29,10 +37,13 @@ from typing import NamedTuple
 
 import pytest
 
+from repro.bench.runner import PROTOCOLS, PointSpec, run_point
 from repro.consensus import backend_names
 from repro.core.deployment import ZiziphusConfig, build_ziziphus
 from repro.obs.bus import Instrumentation
 from repro.obs.export import trace_jsonl
+from repro.pbft.faults import make_behavior
+from repro.reads import ReadConfig
 from repro.workload.driver import ClosedLoopDriver
 from repro.workload.generator import WorkloadMix
 from tests.conftest import fast_pbft, fast_sync
@@ -73,10 +84,14 @@ class Scenario(NamedTuple):
     clients: int = 2           # per zone
     faults: tuple = ()         # (at ms, fault(deployment)) pairs
     cross_zone: bool = False   # hash without cert.check / endorse.led
+    behaviors: tuple = ()      # (node id, Byzantine behaviour name) pairs
+    retransmit_ms: float | None = None   # client retransmission override
+    causal: bool = False       # clients mint trace ids (txn.submit / .reply)
 
 
 _SOME_GLOBAL = WorkloadMix(global_fraction=0.3)
 _HALF_GLOBAL = WorkloadMix(global_fraction=0.5)
+_HALF_READS = WorkloadMix(global_fraction=0.2, read_fraction=0.5)
 
 SCENARIOS = {
     # Batches of up to three, so the batch timer and multi-request
@@ -133,20 +148,53 @@ SCENARIOS = {
     "initiator-isolated": Scenario(
         _HALF_GLOBAL, 3_000.0,
         faults=((50.0, _partition("z0")), (1_500.0, _heal))),
+    # The client side. Certified reads: fan-out, f+1 matching verified
+    # replies, session vector, and the rejection fallback a record in
+    # migration takes.
+    "reads": Scenario(_HALF_READS, 600.0, clients=3,
+                      config={"read": ReadConfig(enabled=True)}),
+    # z0 serves reads with a frozen certificate from one member and
+    # nothing from another, under a bound short enough to expire it:
+    # read.stale, the read timeout and the transactional fallback —
+    # with the clients' own txn.submit / txn.reply events in the hash.
+    "reads-faulty": Scenario(
+        _HALF_READS, 900.0, clients=3, causal=True,
+        config={"read": ReadConfig(enabled=True, staleness_bound_ms=120.0,
+                                   read_timeout_ms=40.0)},
+        behaviors=(("z0n1", "stale-read"), ("z0n2", "silent"))),
+    # z0's primary dies early and clients retransmit soon: the multicast
+    # to the whole zone, the view changes it provokes and the view hint
+    # later requests are addressed by. Local traffic only — what a
+    # retransmitted *migration* is answered is pinned by the regression
+    # tests of tests/test_client_edge_cases.py instead.
+    "retransmit": Scenario(WorkloadMix(global_fraction=0.0), 800.0,
+                           retransmit_ms=60.0,
+                           faults=((5.0, _crash("z0n0")),)),
 }
+
+
+def _sha(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def transcript(name: str, backend: str) -> str:
     """Run one scenario on one backend; hash its exported trace."""
     scenario = SCENARIOS[name]
+    behaviors = {node: make_behavior(kind)
+                 for node, kind in scenario.behaviors}
     config = ZiziphusConfig(**{"num_zones": 3, "f": 1, "seed": 11,
                                "pbft": fast_pbft(),
                                "sync": fast_sync(**scenario.sync),
-                               "backend": backend, **scenario.config})
+                               "backend": backend, "behaviors": behaviors,
+                               **scenario.config})
     dep = build_ziziphus(config)
-    obs = Instrumentation(recording=True).attach(dep)
+    obs = Instrumentation(recording=True,
+                          causal=scenario.causal).attach(dep)
     driver = ClosedLoopDriver(dep, scenario.mix,
                               clients_per_zone=scenario.clients, seed=11)
+    if scenario.retransmit_ms is not None:
+        for client in dep.clients.values():
+            client.retransmit_ms = scenario.retransmit_ms
     driver.start()
     for at_ms, fault in scenario.faults:
         dep.sim.schedule(at_ms, fault, dep)
@@ -156,7 +204,17 @@ def transcript(name: str, backend: str) -> str:
         lines = [re.sub(r'"endorse\.led":\d+,', "", line) for line in lines
                  if '"kind":"cert.check"' not in line]
     assert driver.records, "the run completed nothing"
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return _sha(lines)
+
+
+def baseline_transcript(protocol: str) -> str:
+    """One recorded ``run_point`` of a §VII protocol; hash its trace."""
+    result = run_point(PointSpec(protocol=protocol, clients_per_zone=3,
+                                 global_fraction=0.3, warmup_ms=50.0,
+                                 measure_ms=350.0, seed=11,
+                                 record_trace=True))
+    assert result.metrics.completed, "the run completed nothing"
+    return _sha(trace_jsonl(result.obs).splitlines()[1:])
 
 
 PINNED: dict[tuple[str, str], str] = {
@@ -232,6 +290,35 @@ PINNED: dict[tuple[str, str], str] = {
         "92e81dd79d5b7f14cf14df2536669360590f201a064eac8e9e032e5c438c5465",
     ("initiator-isolated", "syncbft"):
         "3c7cf86ba36a14ce8b817e905cce67bb9f87e3b2cfbe7eab8a54a7469533e3bb",
+    ("reads", "default"):
+        "2c958ead8107ce82e34aa84cc6f0c4ee11557835e05ac851bf7987a73a42d91f",
+    ("reads", "rotating"):
+        "e9eccc95871ce933a27564e48bad416a827d523e3844cc48c5a83b05035ff67f",
+    ("reads", "syncbft"):
+        "e6ce560225cc2b0cd435fdccc3245edf6d4319a683592cb55cd01eccf9bdee60",
+    ("reads-faulty", "default"):
+        "703510bbb4e9d7e424c7630cd64f83f803d22a5e2ac66b43939f633fb7ae592c",
+    ("reads-faulty", "rotating"):
+        "172c4ecafda74eb83e040795526b663e2d4881e55583398b985a34644ebf021d",
+    ("reads-faulty", "syncbft"):
+        "bec14019ad2e8158aeb7ea013ff773954aa9981e1b4ff50666cc21d16436e724",
+    ("retransmit", "default"):
+        "a0dc7ad47d18762b36fce2ca4f34299c115cf1b973e67d952a832605f5c7f31c",
+    ("retransmit", "rotating"):
+        "a0dc7ad47d18762b36fce2ca4f34299c115cf1b973e67d952a832605f5c7f31c",
+    ("retransmit", "syncbft"):
+        "f7f396ccffbb1db0fe931a1020a63d5d8dbd44945c3f1f23e3155a6199e6cd20",
+}
+
+#: The three baselines of the evaluation, through ``run_point``: the
+#: flat client's region move, the two-level and Steward reply rules.
+PINNED_BASELINES: dict[str, str] = {
+    "flat-pbft":
+        "552bcbded4871e897af88c87e6dd1e6030253e51424568c782673772a6dcaec2",
+    "two-level":
+        "2bc03f232c12860074b1230bd577b496f3b30453747dc3bf3bdb83cede6973bf",
+    "steward":
+        "8ddbbcd8db23ae131b1c0debed68ec86266011e6f810a0df7c321902e22cd278",
 }
 
 
@@ -243,6 +330,12 @@ def test_transcript_is_byte_identical(name, backend):
 def test_every_scenario_is_pinned_on_every_backend():
     assert sorted(PINNED) == sorted(
         (name, backend) for name in SCENARIOS for backend in BACKENDS)
+    assert sorted(PINNED_BASELINES) == sorted(set(PROTOCOLS) - {"ziziphus"})
+
+
+@pytest.mark.parametrize("protocol", sorted(PINNED_BASELINES))
+def test_baseline_transcript_is_byte_identical(protocol):
+    assert baseline_transcript(protocol) == PINNED_BASELINES[protocol]
 
 
 if __name__ == "__main__":
@@ -250,3 +343,6 @@ if __name__ == "__main__":
         for backend_name in BACKENDS:
             print(f'    ("{scenario}", "{backend_name}"):\n'
                   f'        "{transcript(scenario, backend_name)}",')
+    for protocol_name in PINNED_BASELINES:
+        print(f'    "{protocol_name}":\n'
+              f'        "{baseline_transcript(protocol_name)}",')
