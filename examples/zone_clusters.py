@@ -14,7 +14,7 @@ from repro import ZiziphusConfig, build_ziziphus
 
 def main() -> None:
     deployment = build_ziziphus(ZiziphusConfig(
-        num_zones=4, num_clusters=2, zones_per_cluster=2, f=1))
+        num_zones=4, num_clusters=2, f=1))
     directory = deployment.directory
     for cluster in directory.cluster_ids:
         zones = directory.cluster_zones(cluster)

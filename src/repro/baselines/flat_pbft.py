@@ -14,22 +14,16 @@ one region once per-region node counts drop below the quorum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
-from repro.app.banking import BankingApp
 from repro.baselines.metadata_app import CombinedApp
-from repro.core.metadata import PolicySet
-from repro.crypto.keys import KeyRegistry
+from repro.core.deployment import (Deployment, DeploymentConfig,
+                                   config_or_overrides)
 from repro.pbft.client import InFlight, PBFTClient
-from repro.pbft.faults import Behavior
 from repro.pbft.node import PBFTNode
-from repro.pbft.replica import PBFTConfig
 from repro.quorums import group_size
-from repro.sim.events import Simulator
-from repro.sim.latency import LatencyModel, Region, regions_for_zones
-from repro.sim.network import Network
-from repro.sim.process import CostModel
+from repro.sim.latency import Region, regions_for_zones
 
 __all__ = ["FlatClient", "FlatPBFTConfig", "FlatPBFTDeployment",
            "build_flat_pbft"]
@@ -68,92 +62,72 @@ class FlatClient(PBFTClient):
 
 
 @dataclass
-class FlatPBFTConfig:
-    """Parameters of a flat PBFT deployment."""
+class FlatPBFTConfig(DeploymentConfig):
+    """Parameters of a flat PBFT deployment; ``num_zones`` is the number
+    of regions ("zones" in the paper)."""
 
-    num_zones: int = 3          # number of regions ("zones" in the paper)
     f_per_zone: int = 1         # per-region fault budget (total f = Z * f)
-    seed: int = 0
-    policies: PolicySet = field(default_factory=PolicySet)
-    pbft: PBFTConfig = field(default_factory=PBFTConfig)
-    cost_model: CostModel = field(default_factory=CostModel)
-    latency: LatencyModel = field(default_factory=LatencyModel)
-    app_factory: Callable[[], object] = BankingApp
-    seed_client: Callable[[object, str], None] = (
-        lambda app, client_id: app.execute(("open", 10_000), client_id))
-    behaviors: dict[str, Behavior] = field(default_factory=dict)
 
 
-class FlatPBFTDeployment:
-    """A flat PBFT group spanning the paper's regions."""
+class FlatPBFTDeployment(Deployment):
+    """A flat PBFT group spanning the paper's regions.
+
+    No zone certifies anything here, so the directory stays empty:
+    ``zone_regions`` names one notional zone per region for the workload,
+    and the zone-backed queries answer for the single group."""
+
+    client_class = FlatClient
 
     def __init__(self, config: FlatPBFTConfig) -> None:
-        self.config = config
-        self.sim = Simulator()
-        self.keys = KeyRegistry(seed=config.seed)
-        self.network = Network(self.sim, config.latency, seed=config.seed)
-        self.nodes: dict[str, PBFTNode] = {}
-        self.clients: dict[str, FlatClient] = {}
-        regions = regions_for_zones(config.num_zones)
-        #: Region of each notional zone.
-        self.zone_regions = dict(zip(self.zone_ids, regions))
+        super().__init__(config)
         self.total_f = config.num_zones * config.f_per_zone
-
+        full = group_size(config.f_per_zone)
         placement: list[tuple[str, Region]] = []
-        counter = 0
-        for i, region in enumerate(regions):
+        for i, region in enumerate(regions_for_zones(config.num_zones)):
+            self.zone_regions[f"z{i}"] = region
             # 3f+1 nodes in the first region, 3f in every other (Z-1 fewer
             # nodes than Ziziphus in total, as the paper prescribes).
-            full = group_size(config.f_per_zone)
-            count = full if i == 0 else full - 1
-            for _ in range(count):
-                placement.append((f"n{counter}", region))
-                counter += 1
+            for _ in range(full if i == 0 else full - 1):
+                placement.append((f"n{len(placement)}", region))
         self.group = tuple(node_id for node_id, _ in placement)
         for node_id, region in placement:
-            node = PBFTNode(sim=self.sim, network=self.network,
-                            keys=self.keys, node_id=node_id,
-                            group=self.group, f=self.total_f,
-                            app=CombinedApp(config.app_factory(),
-                                            config.policies),
-                            config=config.pbft,
-                            cost_model=config.cost_model,
-                            behavior=config.behaviors.get(node_id))
-            self.network.register(node, region)
-            self.nodes[node_id] = node
-
-    @property
-    def zone_ids(self) -> list[str]:
-        """Notional zone names (one per region) for workload compatibility."""
-        return [f"z{i}" for i in range(self.config.num_zones)]
+            self._place(PBFTNode(
+                sim=self.sim, network=self.network, keys=self.keys,
+                node_id=node_id, group=self.group, f=self.total_f,
+                app=CombinedApp(config.app_factory(), config.policies),
+                config=config.pbft, cost_model=config.cost_model,
+                behavior=config.behaviors.get(node_id)), region)
 
     def cluster_of_zone(self, zone_id: str) -> str:
         """Every notional zone is in the one cluster."""
         return "cluster-0"
 
-    def add_client(self, client_id: str, zone_id: str,
-                   retransmit_ms: float = 4_000.0) -> FlatClient:
-        """Create a client placed in the region of its notional zone."""
-        client = FlatClient(self.zone_regions, zone_id,
-                            sim=self.sim, network=self.network,
-                            keys=self.keys, client_id=client_id,
-                            group=self.group, f=self.total_f,
-                            retransmit_ms=retransmit_ms)
-        self.network.register(client, self.zone_regions[zone_id])
-        self.clients[client_id] = client
+    def topology(self) -> dict:
+        return {"zones": {"group": {"members": list(self.group),
+                                    "f": self.total_f,
+                                    "cluster": "cluster-0"}},
+                "clusters": {"cluster-0": ["group"]}}
+
+    def backups(self) -> list[list[str]]:
+        # Per region; the group's one primary is n0.
+        by_region: dict[Region, list[str]] = {}
+        for node_id in self.group[1:]:
+            by_region.setdefault(self.network.region_of(node_id),
+                                 []).append(node_id)
+        return list(by_region.values())
+
+    def _client_args(self, zone_id: str) -> dict[str, Any]:
+        return {"zone_regions": self.zone_regions, "home_zone": zone_id,
+                "group": self.group, "f": self.total_f}
+
+    def _enrol(self, client_id: str, zone_id: str) -> None:
         for node in self.nodes.values():
             node.replica.app.metadata.register_client(client_id, zone_id)
             self.config.seed_client(node.replica.app.app, client_id)
-        return client
-
-    def run(self, until_ms: float) -> None:
-        """Advance the simulation to ``until_ms``."""
-        self.sim.run(until=until_ms)
 
 
 def build_flat_pbft(config: FlatPBFTConfig | None = None,
-                    **overrides) -> FlatPBFTDeployment:
+                    **overrides: Any) -> FlatPBFTDeployment:
     """Build a flat PBFT deployment from a config or keyword overrides."""
-    if config is None:
-        config = FlatPBFTConfig(**overrides)
-    return FlatPBFTDeployment(config)
+    return FlatPBFTDeployment(
+        config_or_overrides(FlatPBFTConfig, config, overrides))

@@ -17,10 +17,12 @@ entire zone fails, which Ziziphus gives up for local-transaction speed.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 from repro.core.client import MobileClient
-from repro.core.deployment import ZiziphusConfig, ZiziphusDeployment
+from repro.core.deployment import (ZiziphusConfig, ZiziphusDeployment,
+                                   config_or_overrides)
 
 __all__ = ["StewardClient", "StewardDeployment", "build_steward"]
 
@@ -38,32 +40,28 @@ class StewardClient(MobileClient):
         """
         self._submit_global(operation, self.current_zone)
 
+    #: Reads too: Steward has no local fast path of any kind.
+    submit_read = submit_local
+
 
 class StewardDeployment(ZiziphusDeployment):
     """Ziziphus deployment specialised to Steward semantics."""
 
-    def add_client(self, client_id: str, zone_id: str,
-                   retransmit_ms: float = 4_000.0) -> StewardClient:
-        """Create a Steward client; its state is seeded on every zone."""
-        client = StewardClient(sim=self.sim, network=self.network,
-                               keys=self.keys, client_id=client_id,
-                               directory=self.directory, home_zone=zone_id,
-                               initiator_resolver=self._resolve_initiator,
-                               retransmit_ms=retransmit_ms)
-        self.network.register(client, self._zone_regions[zone_id])
-        self.clients[client_id] = client
+    client_class = StewardClient
+
+    def _enrol(self, client_id: str, zone_id: str) -> None:
+        # Full replication: meta-data everywhere, data + lock on every zone.
         for node in self.nodes.values():
             node.metadata.register_client(client_id, zone_id)
-            node.register_local_client(client_id)
-            self.config.seed_client(node.app, client_id)
-        return client
+        for host in self.zone_ids:
+            self.host_client(client_id, host)
 
 
 def build_steward(config: ZiziphusConfig | None = None,
                   **overrides: Any) -> StewardDeployment:
     """Build a Steward deployment (Ziziphus config, Steward semantics)."""
-    if config is None:
-        config = ZiziphusConfig(**overrides)
-    # Per-transaction checkpoints would be pathological at 100% global.
-    config.sync.checkpoint_on_migration = False
-    return StewardDeployment(config)
+    config = config_or_overrides(ZiziphusConfig, config, overrides)
+    # Per-transaction checkpoints would be pathological at 100% global;
+    # on a copy, so a config the caller reuses keeps its own value.
+    return StewardDeployment(replace(config, sync=replace(
+        config.sync, checkpoint_on_migration=False)))

@@ -26,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.app.banking import BankingApp
 from repro.app.base import StateMachine
-from repro.core.client import MobileClient
+from repro.consensus.profile import pbft_profile
+from repro.core.deployment import (Deployment, DeploymentConfig,
+                                   config_or_overrides)
 from repro.core.locks import LockTable
 from repro.core.metadata import GlobalMetadata, PolicySet
-from repro.core.zone import ZoneDirectory, ZoneInfo
+from repro.core.zone import ZoneDirectory
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.errors import ConfigurationError
@@ -40,9 +41,9 @@ from repro.messages.client import ClientReply, MigrationRequest
 from repro.pbft.faults import Behavior
 from repro.pbft.host import HostNode
 from repro.pbft.replica import PBFTConfig, PBFTReplica
-from repro.quorums import group_size, two_level_big_f
+from repro.quorums import two_level_big_f
 from repro.sim.events import Simulator
-from repro.sim.latency import LatencyModel, regions_for_zones
+from repro.sim.latency import regions_for_zones
 from repro.sim.network import Network
 from repro.sim.process import CostModel
 
@@ -202,7 +203,6 @@ class TwoLevelNode(HostNode):
                  use_threshold_signatures: bool = False) -> None:
         super().__init__(sim, network, keys, node_id,
                          cost_model=cost_model, behavior=behavior)
-        self._use_threshold = use_threshold_signatures
         self.directory = directory
         self.zone_id = zone_id
         self.app = app
@@ -354,63 +354,35 @@ class TwoLevelNode(HostNode):
 
 
 @dataclass
-class TwoLevelConfig:
+class TwoLevelConfig(DeploymentConfig):
     """Parameters of a two-level PBFT deployment."""
 
-    num_zones: int = 3
     f: int = 1
-    seed: int = 0
-    policies: PolicySet = field(default_factory=PolicySet)
-    pbft: PBFTConfig = field(default_factory=PBFTConfig)
     global_pbft: PBFTConfig = field(default_factory=PBFTConfig)
-    cost_model: CostModel = field(default_factory=CostModel)
-    latency: LatencyModel = field(default_factory=LatencyModel)
-    app_factory: Callable[[], Any] = BankingApp
     use_threshold_signatures: bool = False
-    seed_client: Callable[[Any, str], None] = (
-        lambda app, client_id: app.execute(("open", 10_000), client_id))
-    behaviors: dict[str, Behavior] = field(default_factory=dict)
 
 
-class TwoLevelDeployment:
+class TwoLevelDeployment(Deployment):
     """Zones with local PBFT plus a 3F+1 top-level PBFT group."""
 
     def __init__(self, config: TwoLevelConfig) -> None:
-        self.config = config
-        self.sim = Simulator()
-        self.keys = KeyRegistry(seed=config.seed)
-        self.network = Network(self.sim, config.latency, seed=config.seed)
-        self.directory = ZoneDirectory(self.keys)
-        self.nodes: dict[str, TwoLevelNode] = {}
-        self.clients: dict[str, MobileClient] = {}
-
+        super().__init__(config)
         regions = regions_for_zones(config.num_zones)
-        for i in range(config.num_zones):
-            members = tuple(f"z{i}n{j}" for j in range(group_size(config.f)))
-            self.directory.add_zone(ZoneInfo(
-                zone_id=f"z{i}", members=members, region=regions[i],
-                f=config.f))
+        for i, region in enumerate(regions):
+            self._add_zone(f"z{i}", "cluster-0", region,
+                           pbft_profile(config.f))
         # Top level: Z zone representatives + F extra CA nodes => 3F+1.
         big_f = two_level_big_f(config.num_zones)
         if config.num_zones % 2 == 0:
             raise ConfigurationError(
                 "two-level PBFT expects an odd number of zones (Z = 2F+1)")
-        reps = [self.directory.zone(z).members[0]
-                for z in self.directory.zone_ids]
+        reps = [self.directory.zone(z).members[0] for z in self.zone_ids]
         extras = [f"gx{i}" for i in range(big_f)]
         self.global_group = tuple(reps + extras)
         self.global_f = big_f
-
-        for zone_id in self.directory.zone_ids:
-            zone = self.directory.zone(zone_id)
-            for node_id in zone.members:
-                node = self._make_node(node_id, zone_id)
-                self.network.register(node, zone.region)
-                self.nodes[node_id] = node
+        self._place_zone_nodes()
         for node_id in extras:
-            node = self._make_node(node_id, None)
-            self.network.register(node, regions[0])
-            self.nodes[node_id] = node
+            self._place(self._make_node(node_id, None), regions[0])
 
     def _make_node(self, node_id: str, zone_id: str | None) -> TwoLevelNode:
         cfg = self.config
@@ -424,47 +396,19 @@ class TwoLevelDeployment:
             behavior=cfg.behaviors.get(node_id),
             use_threshold_signatures=cfg.use_threshold_signatures)
 
-    @property
-    def zone_ids(self) -> list[str]:
-        """All zone ids."""
-        return self.directory.zone_ids
-
-    def cluster_of_zone(self, zone_id: str) -> str:
-        """The cluster id of a zone (this baseline has one cluster)."""
-        return self.directory.cluster_of_zone(zone_id)
-
-    def zone_nodes(self, zone_id: str) -> list[TwoLevelNode]:
-        """The node objects of one zone."""
-        return [self.nodes[m] for m in self.directory.zone(zone_id).members]
-
-    def add_client(self, client_id: str, zone_id: str,
-                   retransmit_ms: float = 4_000.0) -> MobileClient:
-        """Create a client homed in ``zone_id`` and bootstrap its state."""
-        client = MobileClient(sim=self.sim, network=self.network,
-                              keys=self.keys, client_id=client_id,
-                              directory=self.directory, home_zone=zone_id,
-                              retransmit_ms=retransmit_ms)
-        region = self.directory.zone(zone_id).region
-        self.network.register(client, region)
-        self.clients[client_id] = client
+    def _enrol(self, client_id: str, zone_id: str) -> None:
+        # Meta-data on every node and every top-level replica; data +
+        # lock in the home zone.
         for node in self.nodes.values():
             node.metadata.register_client(client_id, zone_id)
             if node.global_replica is not None:
                 node.global_replica.app.metadata.register_client(
                     client_id, zone_id)
-        for node in self.zone_nodes(zone_id):
-            node.locks.register(client_id)
-            self.config.seed_client(node.app, client_id)
-        return client
-
-    def run(self, until_ms: float) -> None:
-        """Advance the simulation to ``until_ms``."""
-        self.sim.run(until=until_ms)
+        self.host_client(client_id, zone_id)
 
 
 def build_two_level(config: TwoLevelConfig | None = None,
-                    **overrides) -> TwoLevelDeployment:
+                    **overrides: Any) -> TwoLevelDeployment:
     """Build a two-level PBFT deployment."""
-    if config is None:
-        config = TwoLevelConfig(**overrides)
-    return TwoLevelDeployment(config)
+    return TwoLevelDeployment(
+        config_or_overrides(TwoLevelConfig, config, overrides))

@@ -129,7 +129,7 @@ def fig8_specs(cluster_counts=(1, 2, 4, 6),
     """Experiment grid behind Figure 8 (specs only, no runs)."""
     return [PointSpec(
                 protocol="ziziphus", num_zones=3 * clusters,
-                num_clusters=clusters, zones_per_cluster=3,
+                num_clusters=clusters,
                 clients_per_zone=clients_per_zone,
                 global_fraction=global_fraction,
                 cross_cluster_fraction=cross_fraction if clusters > 1 else 0.0)

@@ -27,6 +27,7 @@ from repro.errors import ConfigurationError
 from repro.obs.bus import Instrumentation
 from repro.obs.monitor import MonitorConfig, ProtocolMonitor
 from repro.pbft.replica import PBFTConfig
+from repro.reads import ReadConfig
 from repro.workload.driver import ClosedLoopDriver
 from repro.workload.generator import WorkloadMix
 
@@ -61,8 +62,8 @@ class PointSpec:
     #: Fraction of client actions issued as certified reads; > 0 turns
     #: on the watermark machinery (ziziphus protocol only).
     read_fraction: float = 0.0
+    #: Must divide ``num_zones`` (every cluster gets the same share).
     num_clusters: int = 1
-    zones_per_cluster: int | None = None
     backup_failures_per_zone: int = 0
     warmup_ms: float = 300.0
     measure_ms: float = 500.0
@@ -147,15 +148,11 @@ def _build(spec: PointSpec):
                        checkpoint_on_migration=spec.checkpoint_on_migration)
         config = ZiziphusConfig(
             num_zones=spec.num_zones, f=spec.f,
-            num_clusters=spec.num_clusters,
-            zones_per_cluster=spec.zones_per_cluster, seed=spec.seed,
+            num_clusters=spec.num_clusters, seed=spec.seed,
             pbft=pbft, sync=sync, migration=_BENCH_MIGRATION,
+            read=ReadConfig(enabled=spec.read_fraction > 0),
             use_threshold_signatures=spec.use_threshold_signatures,
             backend=spec.backend)
-        if spec.read_fraction > 0:
-            from repro.reads import ReadConfig
-            config.read = ReadConfig(enabled=True)
-            config.read_fraction = spec.read_fraction
         if spec.protocol == "steward":
             return build_steward(config)
         return build_ziziphus(config)
@@ -178,25 +175,9 @@ def _build(spec: PointSpec):
 def _inject_backup_failures(spec: PointSpec, deployment) -> None:
     """Crash ``backup_failures_per_zone`` non-primary nodes in every zone
     (or per region, for flat PBFT), per the Figure 6 methodology."""
-    count = spec.backup_failures_per_zone
-    if count <= 0:
-        return
-    directory = getattr(deployment, "directory", None)
-    if directory is not None:
-        for zone_id in directory.zone_ids:
-            members = directory.zone(zone_id).members
-            # members[0] is the initial primary / representative.
-            for victim in members[1:1 + count]:
-                deployment.nodes[victim].crash()
-        return
-    # Flat PBFT: group nodes by region; skip the primary (n0).
-    by_region: dict = {}
-    for node_id, node in deployment.nodes.items():
-        region = deployment.network.region_of(node_id)
-        by_region.setdefault(region, []).append(node_id)
-    for region_nodes in by_region.values():
-        victims = [n for n in region_nodes if n != deployment.group[0]]
-        for victim in victims[:count]:
+    count = max(spec.backup_failures_per_zone, 0)
+    for backups in deployment.backups():
+        for victim in backups[:count]:
             deployment.nodes[victim].crash()
 
 

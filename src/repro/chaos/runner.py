@@ -43,6 +43,7 @@ from repro.errors import ConfigurationError
 from repro.obs.bus import Instrumentation
 from repro.obs.monitor import MonitorConfig, ProtocolMonitor
 from repro.pbft.replica import PBFTConfig
+from repro.reads import ReadConfig
 from repro.workload.driver import ClosedLoopDriver
 from repro.workload.generator import WorkloadMix
 
@@ -342,14 +343,11 @@ def _build(scenario: Scenario, seed: int, num_zones: int, f: int,
     config = ZiziphusConfig(num_zones=num_zones, f=f, seed=seed,
                             pbft=_CHAOS_PBFT, sync=_CHAOS_SYNC,
                             migration=_CHAOS_MIGRATION,
+                            read=ReadConfig(
+                                enabled=scenario.read_fraction > 0),
                             use_threshold_signatures=True,
                             backend=backend)
-    if scenario.read_fraction > 0:
-        from repro.reads import ReadConfig
-        config.read = ReadConfig(enabled=True)
-        config.read_fraction = scenario.read_fraction
-    deployment = build_ziziphus(config)
-    return deployment
+    return build_ziziphus(config)
 
 
 def _make_driver(deployment, scenario: Scenario, seed: int):

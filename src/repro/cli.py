@@ -249,7 +249,9 @@ def _add_point_args(parser: argparse.ArgumentParser) -> None:
                         help="fraction of client actions issued as "
                              "certified reads (repro.reads; default 0 "
                              "keeps the workload write-only)")
-    parser.add_argument("--clusters", type=int, default=1)
+    parser.add_argument("--clusters", type=int, default=1,
+                        help="zone clusters (must divide --zones: every "
+                             "cluster gets the same number of zones)")
     parser.add_argument("--cross-cluster-fraction", type=float, default=0.0)
     parser.add_argument("--warmup-ms", type=float, default=300.0)
     parser.add_argument("--measure-ms", type=float, default=500.0)
@@ -292,7 +294,16 @@ def _bench_rows_json(figure: str, rows: list[dict]) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigurationError as exc:
+        # A system that cannot be stood up as asked (zones not divisible
+        # by clusters, a backend on a fixed-engine baseline, ...).
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "point":
         result = run_point(_spec(args, args.protocol))
         print(format_table([_row(result)], title="experiment point"))

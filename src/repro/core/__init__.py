@@ -2,8 +2,7 @@
 
 from repro.core.client import MobileClient
 from repro.core.clusters import ClusterEngine
-from repro.core.cross_zone import (CrossZoneConfig, CrossZoneEngine,
-                                   CrossZoneRequest)
+from repro.core.cross_zone import CrossZoneEngine, CrossZoneRequest
 from repro.core.audit import AuditConfig, QueryAudit
 from repro.core.deployment import (ZiziphusConfig, ZiziphusDeployment,
                                    build_ziziphus)
@@ -18,7 +17,6 @@ from repro.core.zone import ZoneDirectory, ZoneInfo
 
 __all__ = [
     "ClusterEngine",
-    "CrossZoneConfig",
     "CrossZoneEngine",
     "CrossZoneRequest",
     "AuditConfig",

@@ -64,7 +64,6 @@ class ClusterEngine:
         self.my_zone = node.zone_info
         self.my_cluster = self.my_zone.cluster_id
         self._txns: dict[bytes, CrossTxn] = {}       # request digest -> state
-        self.cross_commits_executed = 0
 
         node.register_handler(MigrationRequest, self._route_migration)
         node.register_handler(CrossPropose, self._on_cross_propose)
@@ -363,7 +362,6 @@ class ClusterEngine:
         txn = self._txns.get(request_digest)
         if txn is None or txn.src_ballot is None or txn.dst_ballot is None:
             return
-        self.cross_commits_executed += 1
         obs = self.node.obs
         obs.count("cross.executed")
         # Closes on the coordinator primary that opened the span.

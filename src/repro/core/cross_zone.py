@@ -32,12 +32,11 @@ from typing import TYPE_CHECKING, Any
 from repro.crypto.digest import digest
 from repro.messages.base import Signed, verify_signed
 from repro.messages.client import ClientRequest
-from repro.sim.rng import derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import ZiziphusNode
 
-__all__ = ["CrossZoneConfig", "CrossZoneEngine", "CrossZoneRequest"]
+__all__ = ["CrossZoneEngine", "CrossZoneRequest"]
 
 #: Sender prefix marking zone-internal operations injected by primaries.
 INTERNAL_SENDER_PREFIX = "xz:"
@@ -118,12 +117,8 @@ def decision_body(xid: str, commit: bool, request_digest: bytes) -> bytes:
     return digest(("xz-decision", xid, commit, request_digest))
 
 
-@dataclass
-class CrossZoneConfig:
-    """Tunables for the cross-zone transaction protocol."""
-
-    #: Initiator timeout waiting for all involved zones to accept.
-    accept_timeout_ms: float = 6_000.0
+#: Initiator timeout waiting for all involved zones to accept.
+_ACCEPT_TIMEOUT_MS = 6_000.0
 
 
 @dataclass
@@ -142,13 +137,10 @@ class _XZState:
 class CrossZoneEngine:
     """Runs cross-zone transactions for one node."""
 
-    def __init__(self, node: "ZiziphusNode",
-                 config: CrossZoneConfig | None = None) -> None:
+    def __init__(self, node: "ZiziphusNode") -> None:
         self.node = node
         self.directory = node.directory
-        self.config = config or CrossZoneConfig()
         self.my_zone = node.zone_info
-        self._rng = derive_rng(0, "xz", node.node_id)
         self._next_seq = 0
         self._txns: dict[str, _XZState] = {}
         #: (client, request timestamp) -> xid: a retransmitted request
@@ -239,7 +231,7 @@ class CrossZoneEngine:
                                    if z != self.my_zone.zone_id], cert)
         # The initiator zone is usually involved too: run its prepare.
         self._run_prepare(state)
-        state.timer = self.node.set_timer(self.config.accept_timeout_ms,
+        state.timer = self.node.set_timer(_ACCEPT_TIMEOUT_MS,
                                           self._on_accept_timeout, state.xid)
 
     def _on_accepted(self, sender: str, accepted: XZAccepted,
@@ -332,7 +324,7 @@ class CrossZoneEngine:
                 f"xz-propose/{xid}", use_prepare=True,
                 on_cert=lambda cert: self._send_propose(state, missing,
                                                         cert)):
-            state.timer = self.node.set_timer(self.config.accept_timeout_ms,
+            state.timer = self.node.set_timer(_ACCEPT_TIMEOUT_MS,
                                               self._on_accept_timeout, xid)
 
     # ------------------------------------------------------------------

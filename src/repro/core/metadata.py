@@ -56,7 +56,6 @@ class GlobalMetadata:
         self.clients_per_zone: dict[str, int] = {}
         self.migrations_per_client: dict[str, int] = {}
         self.client_zone: dict[str, str] = {}
-        self.executed_migrations = 0
         self.rejected_migrations = 0
 
     # ------------------------------------------------------------------
@@ -113,7 +112,6 @@ class GlobalMetadata:
         self.migrations_per_client[client_id] = (
             self.migrations_per_client.get(client_id, 0) + 1)
         self.client_zone[client_id] = dest_zone
-        self.executed_migrations += 1
         return MigrationOutcome(True, "ok", client_id, source_zone, dest_zone)
 
     # ------------------------------------------------------------------

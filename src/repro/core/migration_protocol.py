@@ -321,7 +321,6 @@ class MigrationEngine:
         if request is not None:
             self.node.reply_to_client(
                 request, ("migrated", "ok", request.dest_zone))
-        self.node.on_migration_applied(context.ballot, context.client_id)
 
     def _request_of(self, ballot: Ballot,
                     client_id: str) -> MigrationRequest | None:

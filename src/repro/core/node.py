@@ -110,10 +110,6 @@ class ZiziphusNode(HostNode):
         else:
             self.reply_to_client(request, result)
 
-    def register_local_client(self, client_id: str) -> None:
-        """Bootstrap: mark a client as hosted by this zone, data current."""
-        self.locks.register(client_id)
-
     # ------------------------------------------------------------------
     # The two ends of every engine's exchange with the outside
     # ------------------------------------------------------------------
@@ -157,9 +153,6 @@ class ZiziphusNode(HostNode):
             # The migration was rejected by policy: the client stays; its
             # data here is authoritative again.
             self.locks.mark_current(request.sender)
-
-    def on_migration_applied(self, ballot: Ballot, client_id: str) -> None:
-        """Called when this (destination) node appends a migrated R(c)."""
 
     def store_remote_checkpoint(self, ref: CheckpointRef) -> None:
         """Lazy synchronization (§V-B): keep other zones' newest stable

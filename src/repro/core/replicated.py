@@ -62,19 +62,9 @@ def add_replicated_client(deployment, client_id: str,
     """
     if len(zones) < 2:
         raise ConfigurationError("a replication group needs >= 2 zones")
-    home = zones[0]
-    client = ReplicatedClient(
-        sim=deployment.sim, network=deployment.network,
-        keys=deployment.keys, client_id=client_id,
-        directory=deployment.directory, home_zone=home,
-        initiator_resolver=deployment._resolve_initiator)
+    client = deployment.add_client(client_id, zones[0],
+                                   client_class=ReplicatedClient)
     client.replication_group = tuple(zones)
-    deployment.network.register(client, deployment.directory.zone(home).region)
-    deployment.clients[client_id] = client
-    for node in deployment.nodes.values():
-        node.metadata.register_client(client_id, home)
-    for zone_id in zones:
-        for node in deployment.zone_nodes(zone_id):
-            node.register_local_client(client_id)
-            deployment.config.seed_client(node.app, client_id)
+    for zone_id in zones[1:]:
+        deployment.host_client(client_id, zone_id)
     return client

@@ -43,6 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["SyncConfig", "SyncEngine", "GlobalTxnState"]
 
+#: Cap on retained committed envelopes (response-query replay window).
+_COMMIT_HISTORY = 512
+
 
 @dataclass
 class SyncConfig:
@@ -65,8 +68,6 @@ class SyncConfig:
     #: Generate a local checkpoint whenever a migration request arrives
     #: (the paper's lazy-synchronization policy).
     checkpoint_on_migration: bool = True
-    #: Cap retained committed envelopes (response-query replay window).
-    commit_history: int = 512
 
 
 # ----------------------------------------------------------------------
@@ -876,7 +877,7 @@ class SyncEngine:
         self.highest_seen = max(self.highest_seen, commit.ballot.seq)
         self._cancel_commit_timer(txn)
         self._commit_order.append(commit.ballot)
-        if len(self._commit_order) > self.config.commit_history:
+        if len(self._commit_order) > _COMMIT_HISTORY:
             stale = self._commit_order.pop(0)
             old = self.txns.get(stale)
             if old is not None and old.executed:

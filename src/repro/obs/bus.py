@@ -212,11 +212,9 @@ class Instrumentation:
         Counters already accumulated on the network's default bus are
         merged so legacy views (``network.stats``) stay continuous.
         """
-        sim = getattr(deployment, "sim", None)
-        if sim is not None:
-            sim.obs = self
-        network = getattr(deployment, "network", None)
-        if network is not None and network.obs is not self:
+        deployment.sim.obs = self
+        network = deployment.network
+        if network.obs is not self:
             self.counters.update(network.obs.counters)
             for group, counts in network.obs.type_counters.items():
                 self.type_counters[group].update(counts)

@@ -38,10 +38,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs.events import is_known_kind
-from repro.quorums import intra_zone_quorum, max_faulty, zone_majority
+from repro.quorums import intra_zone_quorum, zone_majority
 
 __all__ = ["MonitorConfig", "MonitorTopology", "ProtocolMonitor",
            "Violation"]
+
+#: Hard cap on stored violations (a truly broken run stays bounded).
+_MAX_VIOLATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,6 @@ class MonitorConfig:
 
     #: An open progress item older than this at ``finish()`` is a stall.
     stall_timeout_ms: float = 10_000.0
-    #: Hard cap on stored violations (a truly broken run stays bounded).
-    max_violations: int = 10_000
 
 
 @dataclass(frozen=True)
@@ -96,36 +97,8 @@ class MonitorTopology:
 
     @classmethod
     def from_deployment(cls, deployment: Any) -> "MonitorTopology":
-        """Derive the maps from a built deployment (duck-typed)."""
-        directory = getattr(deployment, "directory", None)
-        if directory is not None:
-            zones = {}
-            for zone_id in directory.zone_ids:
-                info = directory.zone(zone_id)
-                zone = {"members": list(info.members),
-                        "f": info.f, "cluster": info.cluster_id}
-                declared = getattr(info, "quorum", None)
-                if declared is not None and \
-                        declared != intra_zone_quorum(info.f):
-                    # Non-default consensus backend: record its profile's
-                    # certificate quorum so the checkers use it instead
-                    # of assuming 3f+1 sizing.
-                    zone["quorum"] = declared
-                zones[zone_id] = zone
-            clusters = {cid: list(directory.cluster_zones(cid))
-                        for cid in directory.cluster_ids}
-            backend = getattr(deployment, "backend", None)
-            commuting = backend is not None and \
-                getattr(backend.sync, "commuting_execution", False)
-            return cls(zones, clusters,
-                       execution="commuting" if commuting else None)
-        group = getattr(deployment, "group", None)
-        if group is not None:
-            f = getattr(deployment, "total_f", None)
-            if f is None:
-                f = max_faulty(len(group))
-            return cls.single_group(group, f)
-        return cls()
+        """The maps of a built deployment (``Deployment.topology()``)."""
+        return cls.from_dict(deployment.topology())
 
     @classmethod
     def single_group(cls, members, f: int) -> "MonitorTopology":
@@ -306,7 +279,7 @@ class ProtocolMonitor:
             if seen_key in self._seen:
                 return
             self._seen.add(seen_key)
-        if len(self.violations) >= self.config.max_violations:
+        if len(self.violations) >= _MAX_VIOLATIONS:
             return
         violation = Violation(ts=ts, kind=kind, culprit=culprit,
                               detail=detail)

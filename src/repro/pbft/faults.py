@@ -59,7 +59,7 @@ class CrashBehavior(Behavior):
         return None
 
 
-class SilentBehavior(Behavior):
+class SilentBehavior(CrashBehavior):
     """Byzantine-silent: stays up (receives, runs timers) but never sends.
 
     Distinct from crash in that the node continues to consume messages,
@@ -67,10 +67,6 @@ class SilentBehavior(Behavior):
     """
 
     name = "silent"
-
-    def outbound(self, keys: KeyRegistry, signer: str, dst: str,
-                 payload: Any) -> Signed | None:
-        return None
 
 
 class CorruptSignatureBehavior(Behavior):

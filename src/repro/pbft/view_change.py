@@ -45,7 +45,6 @@ class ViewChangeManager:
         self._timer = None
         self._new_view_done: set[int] = set()
         self._consecutive_failures = 0
-        self.view_changes_started = 0
 
     def register(self) -> None:
         """Attach VIEW-CHANGE / NEW-VIEW handlers to the host."""
@@ -67,7 +66,6 @@ class ViewChangeManager:
             return
         if new_view <= replica.view:
             new_view = replica.view + 1
-        self.view_changes_started += 1
         replica.view = new_view
         replica.view_active = False
         proofs = tuple(self._proof_for(slot) for slot in replica.prepared_slots())

@@ -105,6 +105,15 @@ def test_steward_replicates_every_transaction_everywhere():
         assert node.app.balance_of("c1") == 10_010
 
 
+def test_build_steward_leaves_the_callers_sync_config_alone():
+    """The same SyncConfig often goes on to build the Ziziphus side of a
+    comparison; Steward's no-checkpoint rule must not leak into it."""
+    config = ZiziphusConfig(sync=fast_sync(checkpoint_on_migration=True))
+    dep = build_steward(config)
+    assert dep.config.sync.checkpoint_on_migration is False
+    assert config.sync.checkpoint_on_migration is True
+
+
 def test_steward_local_txn_pays_global_latency():
     dep = steward()
     client = dep.add_client("c1", "z0")

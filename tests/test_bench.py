@@ -107,7 +107,7 @@ def test_backup_failures_injected():
 
 def test_cluster_spec_builds_and_runs():
     spec = PointSpec(protocol="ziziphus", num_zones=4, num_clusters=2,
-                     zones_per_cluster=2, clients_per_zone=3,
+                     clients_per_zone=3,
                      global_fraction=0.2, cross_cluster_fraction=0.5,
                      warmup_ms=100, measure_ms=300)
     result = run_point(spec)

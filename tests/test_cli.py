@@ -92,6 +92,21 @@ def test_figure_choices_are_validated(capsys):
     assert "fig4" in err    # the message lists the valid names
 
 
+@pytest.mark.parametrize("argv, said", [
+    (["point", "--protocol", "flat-pbft", "--backend", "rotating"],
+     "does not support consensus backends"),
+    (["point", "--zones", "7", "--clusters", "2"],
+     "7 zones cannot be shared equally among 2 clusters")])
+def test_configuration_error_is_one_line_and_exit_2(argv, said, capsys):
+    """A system that cannot be stood up as asked: no traceback, no row
+    claiming a layout that was not built."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro: ") and said in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_version_flag(capsys):
     from repro import __version__
     with pytest.raises(SystemExit) as excinfo:

@@ -17,8 +17,7 @@ def build_clustered(num_clusters=2, zones_per_cluster=2, stable_leader=True,
                     **overrides):
     config = ZiziphusConfig(
         num_zones=num_clusters * zones_per_cluster,
-        num_clusters=num_clusters, zones_per_cluster=zones_per_cluster,
-        f=1, pbft=fast_pbft(),
+        num_clusters=num_clusters, f=1, pbft=fast_pbft(),
         sync=fast_sync(stable_leader=stable_leader,
                        commit_timeout_ms=2_000.0, phase_timeout_ms=2_000.0),
         **overrides)

@@ -18,7 +18,7 @@ from tests.conftest import fast_pbft, fast_sync
 
 def test_mixed_workload_under_faults_converges():
     config = ZiziphusConfig(
-        num_zones=4, num_clusters=2, zones_per_cluster=2, f=1,
+        num_zones=4, num_clusters=2, f=1,
         pbft=fast_pbft(request_timeout_ms=1_500.0,
                        view_change_timeout_ms=3_000.0),
         sync=fast_sync(commit_timeout_ms=3_000.0, phase_timeout_ms=3_000.0,

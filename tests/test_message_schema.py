@@ -551,8 +551,7 @@ def test_every_delivered_envelope_matches_the_oracles(monkeypatch):
 
     monkeypatch.setattr(Process, "deliver", tap)
     config = ZiziphusConfig(num_zones=3, f=1, seed=3, pbft=fast_pbft(),
-                            sync=fast_sync(), read=ReadConfig(enabled=True),
-                            read_fraction=0.3)
+                            sync=fast_sync(), read=ReadConfig(enabled=True))
     deployment = build_ziziphus(config)
     driver = ClosedLoopDriver(
         deployment, WorkloadMix(global_fraction=0.3, read_fraction=0.3),

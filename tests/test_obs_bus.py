@@ -261,7 +261,6 @@ def test_never_attached_bus_counts_but_records_nothing():
     def run(monitored):
         config = ZiziphusConfig(num_zones=3, f=1, seed=11)
         config.read = ReadConfig(enabled=True)
-        config.read_fraction = 0.3
         deployment = build_ziziphus(config)
         default = deployment.sim.obs
         assert deployment.network.obs is default

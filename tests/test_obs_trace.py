@@ -106,7 +106,7 @@ def test_trace_csv_round_trip(tmp_path, traced_result):
 
 def test_cross_cluster_spans_recorded():
     from dataclasses import replace
-    spec = replace(SPEC, num_zones=4, num_clusters=2, zones_per_cluster=2,
+    spec = replace(SPEC, num_zones=4, num_clusters=2,
                    clients_per_zone=3, cross_cluster_fraction=0.5,
                    measure_ms=400)
     result = run_point(spec)

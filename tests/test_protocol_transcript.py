@@ -106,8 +106,7 @@ SCENARIOS = {
                                    "checkpoint_on_migration": True}),
     "clusters": Scenario(WorkloadMix(global_fraction=0.4,
                                      cross_cluster_fraction=0.5), 900.0,
-                         config={"num_zones": 4, "num_clusters": 2,
-                                 "zones_per_cluster": 2}),
+                         config={"num_zones": 4, "num_clusters": 2}),
     "cross-zone": Scenario(WorkloadMix(global_fraction=0.1,
                                        cross_zone_fraction=0.6), 600.0,
                            cross_zone=True),
