@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.crypto.digest import digest
-from repro.messages.base import Signed, verify_signed
+from repro.messages.base import Signed, sign_message, verify_signed
 from repro.messages.client import ClientRequest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -391,8 +391,7 @@ class CrossZoneEngine:
                                 sender=internal_sender)
         # Signed under the internal identity so zone backups can verify
         # the batch entry like any other request.
-        envelope = Signed(request, self.node.keys.sign(
-            internal_sender, digest(request)))
+        envelope = sign_message(self.node.keys, internal_sender, request)
         self.node.replica.submit_request(envelope)
 
     def on_internal_result(self, request_env: Signed, result: Any) -> None:

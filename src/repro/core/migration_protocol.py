@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.crypto.digest import digest
-from repro.messages.base import Signed
+from repro.messages.base import Signed, sign_message
 from repro.messages.client import MigrationRequest
 from repro.messages.migration import StateTransfer, state_body
 from repro.messages.query import ResponseQuery
@@ -197,8 +197,7 @@ class MigrationEngine:
                               client_id=request.sender, records=records,
                               records_digest=digest(records), cert=cert,
                               sender=self.node.node_id)
-        env = Signed(state, self.node.keys.sign(self.node.node_id,
-                                                digest(state)))
+        env = sign_message(self.node.keys, self.node.node_id, state)
         self._state_envs[self._key(ballot, request.sender)] = env
         obs = self.node.obs
         obs.span_close(self.node.sim.now, "migration-state",

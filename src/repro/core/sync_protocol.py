@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.metadata import MigrationOutcome
 from repro.crypto.digest import digest
-from repro.messages.base import Signed, verify_signed
+from repro.messages.base import Signed, sign_message, verify_signed
 from repro.messages.client import MigrationRequest
 from repro.messages.query import ResponseQuery
 from repro.messages.trace import trace_id
@@ -621,8 +621,8 @@ class SyncEngine:
                         request_digest=txn.request_digest, cert=cert,
                         sender=self.node.node_id, requests=piggyback)
         txn.phase = "accepted-wait"
-        txn.accept_env = Signed(accept, self.node.keys.sign(
-            self.node.node_id, digest(accept)))
+        txn.accept_env = sign_message(self.node.keys, self.node.node_id,
+                                      accept)
         obs = self.node.obs
         now = self.node.sim.now
         obs.span_close(now, "accept", ballot.key, node=self.node.node_id)
@@ -799,8 +799,7 @@ class SyncEngine:
     def ingest_commit(self, commit: GlobalCommit) -> None:
         """Accept a COMMIT delivered out-of-band (synthesised from a
         cross-cluster CROSS-COMMIT); runs the normal validation path."""
-        envelope = Signed(commit, self.node.keys.sign(self.node.node_id,
-                                                      digest(commit)))
+        envelope = sign_message(self.node.keys, self.node.node_id, commit)
         self._on_commit(commit.sender, commit, envelope)
 
     def _start_commit_phase(self, txn: GlobalTxnState) -> None:

@@ -21,17 +21,24 @@ __all__ = ["canonical_bytes", "digest", "digest_hex"]
 def digest(obj: Any) -> bytes:
     """SHA-256 digest of the canonical encoding of ``obj``.
 
-    Digests of frozen dataclass instances are memoised on the instance:
-    protocol messages are immutable and fan out to many receivers, so the
-    same object is digested repeatedly along the hot path. A mutable
-    instance is hashed afresh every time.
+    A frozen dataclass instance keeps what its walk yielded (see
+    :class:`~repro.crypto.schema.Schema`) and, once asked for, the digest
+    of those bytes beside them: protocol messages are immutable and fan
+    out to many receivers, so the same object is digested repeatedly
+    along the hot path. A mutable instance is walked and hashed afresh
+    every time.
     """
-    if not SCHEMAS[type(obj)].memo:
+    schema = SCHEMAS[type(obj)]
+    if not schema.memo:
         return hashlib.sha256(canonical_bytes(obj)).digest()
-    value = obj.__dict__.get("_repro_digest")
+    fields = obj.__dict__
+    record = fields.get("_repro_memo")
+    if record is None or record[0] is None:
+        schema.encode(obj, bytearray())
+        record = fields["_repro_memo"]
+    value = record[2]
     if value is None:
-        value = hashlib.sha256(canonical_bytes(obj)).digest()
-        object.__setattr__(obj, "_repro_digest", value)
+        value = record[2] = hashlib.sha256(record[0]).digest()
     return value
 
 

@@ -73,7 +73,10 @@ class KeyRegistry:
         """Produce ``signer``'s signature over ``payload_digest``
         (``bytes``, as :func:`~repro.crypto.digest.digest` returns)."""
         key = (signer, payload_digest)
-        signature = self._sign_memo.get(key)
+        try:
+            signature = self._sign_memo.get(key)
+        except TypeError:  # unhashable, so not bytes: refused just below
+            signature = None
         if signature is None:
             if not isinstance(payload_digest, bytes):
                 raise CryptoError("payload digest must be bytes")
@@ -83,14 +86,22 @@ class KeyRegistry:
         return signature
 
     def verify(self, signature: Signature, payload_digest: bytes) -> bool:
-        """Check that ``signature`` is valid for ``payload_digest``."""
-        key = (signature.signer, payload_digest, signature.tag)
-        valid = self._verify_memo.get(key)
-        if valid is None:
-            expected = hmac.digest(self._secret(signature.signer),
-                                   payload_digest, "sha256")
-            valid = self._verify_memo[key] = hmac.compare_digest(
-                expected, signature.tag)
+        """Check that ``signature`` is valid for ``payload_digest``.
+
+        Both arrive from the network: a signer, tag or digest of the
+        wrong type (which the memo cannot hash, or the HMAC cannot take)
+        is an invalid signature, not an error.
+        """
+        try:
+            key = (signature.signer, payload_digest, signature.tag)
+            valid = self._verify_memo.get(key)
+            if valid is None:
+                expected = hmac.digest(self._secret(signature.signer),
+                                       payload_digest, "sha256")
+                valid = self._verify_memo[key] = hmac.compare_digest(
+                    expected, signature.tag)
+        except TypeError:
+            return False
         return valid
 
     def forged(self, signer: str) -> Signature:

@@ -1,13 +1,13 @@
 """The message schema: how each Python type takes part in a message.
 
-Three walks visit every message: the canonical bytes that digests and
-signatures cover, the count of signature verifications a receiver is
-charged for, and the wire JSON. :data:`SCHEMAS` maps ``type(obj)`` to
-the three functions for that type, so a visit is one table lookup. A
-type is resolved the first time a value of it is met (nothing is
-compiled at import), in the precedence the encodings were defined with
-(DESIGN.md §10): a dataclass is compiled once into closures over its
-field names and its pre-encoded header and field-name bytes.
+Two walks visit a message: one yields the canonical bytes that digests
+and signatures cover *and* the count of signature verifications a
+receiver is charged for; the other yields the wire JSON. :data:`SCHEMAS`
+maps ``type(obj)`` to the two functions for that type, so a visit is one
+table lookup. A type is resolved the first time a value of it is met
+(nothing is compiled at import), in the precedence the encodings were
+defined with (DESIGN.md §10): a dataclass is compiled once into closures
+over its field names and its pre-encoded header and field-name bytes.
 """
 
 from __future__ import annotations
@@ -26,15 +26,17 @@ _u32 = struct.Struct(">I").pack
 
 
 class Schema(NamedTuple):
-    """What the three walks do with values of one type."""
+    """What the two walks do with values of one type."""
 
-    #: ``encode(obj, out)`` appends the canonical bytes of ``obj``.
-    encode: Callable[[Any, bytearray], None]
-    #: ``units(obj)`` counts nested signatures; None: the type holds none.
-    units: Callable[[Any], int] | None
+    #: ``encode(obj, out)`` appends the canonical bytes of ``obj`` and
+    #: returns how many signature verifications it passed over.
+    encode: Callable[[Any, bytearray], int]
     #: ``wire(obj)`` is the JSON-ready form.
     wire: Callable[[Any], Any]
-    #: Instances are immutable and have a ``__dict__`` to memoise on.
+    #: Instances are immutable and have a ``__dict__``, where ``encode``
+    #: keeps what it yielded as ``_repro_memo``: ``[canonical bytes,
+    #: verifications, digest once asked for, None]`` (the last place is
+    #: used on envelopes only, see :mod:`repro.messages.base`).
     memo: bool = False
 
 
@@ -46,7 +48,7 @@ class _Schemas(dict):
             schema = _compile(cls)
         if issubclass(cls, Enum):
             # Hashed as its value whatever it mixes in (``Region(str,
-            # Enum)``); counted and shipped as the mix-in type, if any.
+            # Enum)``); shipped as the mix-in type, if any.
             schema = schema._replace(encode=_enc_enum)
         self[cls] = schema
         return schema
@@ -63,42 +65,62 @@ def canonical_bytes(obj: Any) -> bytes:
     return bytes(out)
 
 
-def _enc_singleton(obj: bool | None, out: bytearray) -> None:
+def _enc_singleton(obj: bool | None, out: bytearray) -> int:
     out += b"N" if obj is None else b"T" if obj else b"F"
+    return 0
 
 
-def _enc_enum(obj: Enum, out: bytearray) -> None:
+def _enc_enum(obj: Enum, out: bytearray) -> int:
     value = obj.value
     SCHEMAS[type(value)].encode(value, out)
+    return 0
 
 
-def _enc_int(obj: int, out: bytearray) -> None:
+def _enc_int(obj: int, out: bytearray) -> int:
     raw = str(obj).encode()
     out += b"i" + _u32(len(raw)) + raw
+    return 0
 
 
-def _enc_float(obj: float, out: bytearray) -> None:
+def _enc_float(obj: float, out: bytearray) -> int:
     out += b"f" + struct.pack(">d", obj)
+    return 0
 
 
-def _enc_str(obj: str, out: bytearray) -> None:
+def _enc_str(obj: str, out: bytearray) -> int:
     raw = obj.encode()
     out += b"s" + _u32(len(raw)) + raw
+    return 0
 
 
-def _enc_bytes(obj: bytes | bytearray, out: bytearray) -> None:
+def _enc_bytes(obj: bytes | bytearray, out: bytearray) -> int:
     out += b"b" + _u32(len(obj)) + obj
+    return 0
 
 
-def _enc_seq(obj: tuple | list, out: bytearray) -> None:
+def _enc_seq(obj: tuple | list, out: bytearray) -> int:
     out += b"l" + _u32(len(obj))
+    units = 0
     for item in obj:
-        SCHEMAS[type(item)].encode(item, out)
+        kind = type(item)
+        # The commonest leaves inline, as _enc_str/_enc_int/_enc_bytes.
+        if kind is str:
+            raw = item.encode()
+            out += b"s" + _u32(len(raw)) + raw
+        elif kind is int:
+            raw = str(item).encode()
+            out += b"i" + _u32(len(raw)) + raw
+        elif kind is bytes:
+            out += b"b" + _u32(len(item)) + item
+        else:
+            units += SCHEMAS[kind].encode(item, out)
+    return units
 
 
-def _enc_dict(obj: dict, out: bytearray) -> None:
+def _enc_dict(obj: dict, out: bytearray) -> int:
     # Each key is encoded once and the entries ordered by those bytes
-    # (stably, as keys of different types can encode alike).
+    # (stably, as keys of different types can encode alike). A key holds
+    # nothing a receiver verifies.
     entries = []
     for key, value in obj.items():
         encoded = bytearray()
@@ -106,26 +128,20 @@ def _enc_dict(obj: dict, out: bytearray) -> None:
         entries.append((encoded, value))
     entries.sort(key=itemgetter(0))
     out += b"d" + _u32(len(entries))
+    units = 0
     for encoded, value in entries:
         out += encoded
-        SCHEMAS[type(value)].encode(value, out)
+        units += SCHEMAS[type(value)].encode(value, out)
+    return units
 
 
-def _enc_frozenset(obj: frozenset, out: bytearray) -> None:
+def _enc_frozenset(obj: frozenset, out: bytearray) -> int:
     out += b"l" + _u32(len(obj)) + b"".join(sorted(map(canonical_bytes, obj)))
+    return 0
 
 
-def _no_canonical_form(obj: Any, out: bytearray) -> None:
+def _no_canonical_form(obj: Any, out: bytearray) -> int:
     raise CryptoError(f"cannot canonically encode {type(obj).__name__}")
-
-
-def _units_of(values: Any) -> int:
-    total = 0
-    for value in values:
-        units = SCHEMAS[type(value)].units
-        if units is not None:
-            total += units(value)
-    return total
 
 
 def _same(obj: Any) -> Any:
@@ -150,23 +166,22 @@ def _no_wire_form(obj: Any) -> Any:
         f"cannot encode value of type {type(obj).__name__} for the wire")
 
 
-#: Anything else has no canonical or wire form and carries no signature.
-_OUTSIDE = Schema(_no_canonical_form, None, _no_wire_form)
+#: Anything else has no canonical or wire form.
+_OUTSIDE = Schema(_no_canonical_form, _no_wire_form)
 #: Built-in types in precedence order (``bool`` before ``int``): the first a
 #: type subclasses gives its schema; dataclasses are those left at ``object``.
 _BUILTINS = {
-    type(None): Schema(_enc_singleton, None, _same),
-    bool: Schema(_enc_singleton, None, _same),
-    int: Schema(_enc_int, None, _same),
-    float: Schema(_enc_float, None, _same),
-    str: Schema(_enc_str, None, _same),
-    bytes: Schema(_enc_bytes, None, lambda obj: {"__bytes__": obj.hex()}),
-    bytearray: Schema(_enc_bytes, None, _no_wire_form),
-    tuple: Schema(_enc_seq, _units_of,
-                  lambda obj: {"__tuple__": _wire_list(obj)}),
-    list: Schema(_enc_seq, _units_of, _wire_list),
-    dict: Schema(_enc_dict, lambda obj: _units_of(obj.values()), _wire_dict),
-    frozenset: Schema(_enc_frozenset, None,
+    type(None): Schema(_enc_singleton, _same),
+    bool: Schema(_enc_singleton, _same),
+    int: Schema(_enc_int, _same),
+    float: Schema(_enc_float, _same),
+    str: Schema(_enc_str, _same),
+    bytes: Schema(_enc_bytes, lambda obj: {"__bytes__": obj.hex()}),
+    bytearray: Schema(_enc_bytes, _no_wire_form),
+    tuple: Schema(_enc_seq, lambda obj: {"__tuple__": _wire_list(obj)}),
+    list: Schema(_enc_seq, _wire_list),
+    dict: Schema(_enc_dict, _wire_dict),
+    frozenset: Schema(_enc_frozenset,
                       lambda obj: {"__frozenset__": sorted(_wire_list(obj))}),
     object: _OUTSIDE,
 }
@@ -178,26 +193,31 @@ def _compile(cls: type) -> Schema:
     names = tuple(f.name for f in fields)
     hashed = tuple((canonical_bytes(f.name), f.name) for f in fields
                    if f.metadata.get("digest", True))
+    unhashed = tuple(f.name for f in fields
+                     if not f.metadata.get("digest", True))
     raw = cls.__name__.encode()
     header = b"o" + _u32(len(raw)) + raw + _u32(len(hashed))
     has_dict = cls.__dictoffset__ != 0
-    # Immutable instances memoise their bytes: messages nest shared
-    # parts (one certificate rides in many envelopes), encoded once and
-    # spliced thereafter. ``slots=True`` leaves nowhere to memoise.
+    # Immutable instances memoise what the walk yields: messages nest
+    # shared parts (one certificate rides in many envelopes), walked once
+    # and spliced thereafter. ``slots=True`` leaves nowhere to memoise.
     memo = cls.__dataclass_params__.frozen and has_dict
+    # A class that states its own verification cost (a signature, a
+    # certificate, an envelope) is charged that, not what its fields hold.
+    own = getattr(cls, "signature_units", None)
 
     def slot_fields(obj: Any) -> dict[str, Any]:
         # ``slots=True`` leaves no ``__dict__`` to read the fields from.
         return {name: getattr(obj, name) for name in names}
 
-    def encode(obj: Any, out: bytearray) -> None:
+    def encode(obj: Any, out: bytearray) -> int:
         fields = obj.__dict__ if has_dict else slot_fields(obj)
-        if memo:
-            cached = fields.get("_repro_canon")
-            if cached is not None:
-                out += cached
-                return
+        record = fields.get("_repro_memo") if memo else None
+        if record is not None and record[0] is not None:
+            out += record[0]
+            return record[1]
         sub = bytearray(header)
+        units = 0
         for key, name in hashed:
             sub += key
             value = fields[name]
@@ -212,19 +232,25 @@ def _compile(cls: type) -> Schema:
             elif kind is bytes:
                 sub += b"b" + _u32(len(value)) + value
             else:
-                SCHEMAS[kind].encode(value, sub)
-        if memo:
-            fields["_repro_canon"] = bytes(sub)
+                units += SCHEMAS[kind].encode(value, sub)
+        if own is not None:
+            units = own(obj)
+        else:
+            for name in unhashed:
+                # Counted, not hashed: encoded into a buffer nobody reads.
+                value = fields[name]
+                if value is not None:
+                    units += SCHEMAS[type(value)].encode(value, bytearray())
+        if record is not None:
+            # An envelope sealed before it was ever encoded.
+            record[0] = bytes(sub)
+        elif memo:
+            fields["_repro_memo"] = [bytes(sub), units, None, None]
         out += sub
-
-    def units(obj: Any) -> int:
-        fields = obj.__dict__ if has_dict else slot_fields(obj)
-        return _units_of([fields[name] for name in names])
+        return units
 
     def wire(obj: Any) -> dict:
         values = _wire_list([getattr(obj, name) for name in names])
         return {"__msg__": cls.__name__, "fields": dict(zip(names, values))}
 
-    # A class that states its own verification cost (a signature, a
-    # certificate, an envelope) is not walked.
-    return Schema(encode, getattr(cls, "signature_units", units), wire, memo)
+    return Schema(encode, wire, memo)

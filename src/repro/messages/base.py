@@ -6,9 +6,11 @@ payload. Verification checks both the HMAC tag and that the signature's
 signer matches the ``sender`` field embedded in the payload, so a node
 cannot replay another node's message under its own identity.
 
-``signature_units`` walks the payload to count how many elementary signature
-verifications a receiver performs (outer signature, nested certificates,
-piggybacked signed messages); the simulator charges CPU time accordingly.
+:func:`sign_message` is the one place an honest envelope is made. The
+walk that yields the payload's bytes also counts how many elementary
+signature verifications a receiver performs (outer signature, nested
+certificates, piggybacked signed messages), and the seal keeps that count
+on the envelope; the simulator charges CPU time accordingly.
 
 The module also provides the wire codec: :func:`encode_message` serializes
 any registered payload to deterministic JSON and :func:`decode_message`
@@ -26,7 +28,7 @@ from typing import Any
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry, Signature
 from repro.crypto.schema import SCHEMAS
-from repro.errors import ProtocolError
+from repro.errors import CryptoError, ProtocolError
 
 __all__ = [
     "Message",
@@ -56,14 +58,25 @@ class Message:
 
 
 def nested_signature_units(obj: Any) -> int:
-    """Count signature verifications embedded in ``obj`` (recursively)."""
-    units = SCHEMAS[type(obj)].units
-    return units(obj) if units is not None else 0
+    """Count signature verifications embedded in ``obj`` (recursively):
+    what the walk over it returns. A value with no canonical form can be
+    neither signed nor certified, and holds none."""
+    try:
+        return SCHEMAS[type(obj)].encode(obj, bytearray())
+    except CryptoError:
+        return 0
 
 
 @dataclass(frozen=True)
 class Signed:
-    """A payload plus its sender's signature over the payload digest."""
+    """A payload plus its sender's signature over the payload digest.
+
+    Its ``_repro_memo`` is what the schema keeps on any frozen instance
+    (:class:`~repro.crypto.schema.Schema`), with two differences: the
+    bytes are ``None`` until the envelope itself is encoded (nested in a
+    batch, say), and the last place names the :class:`KeyRegistry` that
+    vouches for it — the one that sealed it or last found it valid.
+    """
 
     payload: Any
     signature: Signature
@@ -74,30 +87,55 @@ class Signed:
         return self.signature.signer
 
     def signature_units(self) -> int:
-        """Total verifications needed to fully check this envelope.
-
-        Memoised per envelope: the same object is fanned out to many
-        receivers, each of which charges the same verification cost.
-        """
-        units = self.__dict__.get("_repro_units")
-        if units is None:
-            units = 1 + nested_signature_units(self.payload)
-            object.__setattr__(self, "_repro_units", units)
-        return units
+        """Total verifications needed to fully check this envelope: its
+        own signature and every one its payload holds."""
+        record = self.__dict__.get("_repro_memo")
+        if record is not None:
+            return record[1]
+        return 1 + nested_signature_units(self.payload)
 
 
 def sign_message(keys: KeyRegistry, signer: str, payload: Any) -> Signed:
-    """Sign ``payload`` as ``signer`` and return the envelope."""
-    return Signed(payload=payload, signature=keys.sign(signer, digest(payload)))
+    """Seal ``payload`` as ``signer``: walk and hash it, sign the digest,
+    and keep on the envelope what every receiver would re-derive — its
+    verification count, and that ``keys`` vouches for it.
+
+    Only over a payload the schema memoises and that claims no other
+    sender: a frozen payload cannot change under the record and
+    ``dataclasses.replace`` on either makes an instance without one;
+    any other envelope keeps paying the full check.
+    """
+    envelope = Signed(payload, keys.sign(signer, digest(payload)))
+    if SCHEMAS[type(payload)].memo \
+            and getattr(payload, "sender", signer) == signer:
+        envelope.__dict__["_repro_memo"] = [
+            None, 1 + payload.__dict__["_repro_memo"][1], None, keys]
+    return envelope
 
 
 def verify_signed(keys: KeyRegistry, signed: Signed) -> bool:
-    """Verify the envelope's signature and sender-consistency."""
+    """Verify the envelope's signature and sender-consistency.
+
+    An envelope ``keys`` itself sealed, or found valid before, is
+    answered from its record; a success is recorded under the rule of
+    :func:`sign_message`.
+    """
+    record = signed.__dict__.get("_repro_memo")
+    if record is not None and record[3] is keys:
+        return True
     payload = signed.payload
     claimed = getattr(payload, "sender", None)
     if claimed is not None and claimed != signed.signature.signer:
         return False
-    return keys.verify(signed.signature, digest(payload))
+    if not keys.verify(signed.signature, digest(payload)):
+        return False
+    if SCHEMAS[type(payload)].memo:
+        if record is None:
+            signed.__dict__["_repro_memo"] = [
+                None, 1 + payload.__dict__["_repro_memo"][1], None, keys]
+        else:
+            record[3] = keys
+    return True
 
 
 # ----------------------------------------------------------------------

@@ -105,13 +105,13 @@ class ClosedLoopClient(Process):
         self._outstanding = InFlight(
             request, targets, answer,
             self.sim.now if started_at is None else started_at, labels or {})
-        for dst in first:
-            self._send(request, dst)
+        self._send(request, first)
         self._arm(timeout_ms, on_timeout)
 
-    def _send(self, request: Any, dst: str) -> None:
-        self.network.send(self.node_id, dst,
-                          sign_message(self.keys, self.node_id, request))
+    def _send(self, request: Any, dsts: tuple[str, ...]) -> None:
+        """One seal and one fan-out, however many are addressed."""
+        self.network.multicast(self.node_id, dsts,
+                               sign_message(self.keys, self.node_id, request))
 
     def _arm(self, delay_ms: float, fn: Callable[[], None]) -> None:
         flight = self._outstanding
@@ -123,8 +123,7 @@ class ClosedLoopClient(Process):
         # Multicast to every target; non-primaries relay to their primary
         # and start suspecting it (§V-A).
         flight = self._outstanding
-        for dst in flight.targets:
-            self._send(flight.request, dst)
+        self._send(flight.request, flight.targets)
         self._arm(self.retransmit_ms, self._on_retry)
 
     def _retire(self) -> InFlight:

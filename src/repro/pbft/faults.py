@@ -14,7 +14,7 @@ from typing import Any
 
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
-from repro.messages.base import Signed
+from repro.messages.base import Signed, sign_message
 
 __all__ = [
     "Behavior",
@@ -46,7 +46,7 @@ class HonestBehavior(Behavior):
 
     def outbound(self, keys: KeyRegistry, signer: str, dst: str,
                  payload: Any) -> Signed | None:
-        return Signed(payload, keys.sign(signer, digest(payload)))
+        return sign_message(keys, signer, payload)
 
 
 class CrashBehavior(Behavior):
@@ -101,7 +101,7 @@ class EquivocatingBehavior(Behavior):
                     bogus = digest(("equivocation", signer, field_name))
                     payload = dataclasses.replace(payload, **{field_name: bogus})
                     break
-        return Signed(payload=payload, signature=keys.sign(signer, digest(payload)))
+        return sign_message(keys, signer, payload)
 
 
 class StaleReadBehavior(Behavior):
@@ -130,8 +130,7 @@ class StaleReadBehavior(Behavior):
                 payload = dataclasses.replace(payload,
                                               cert=self._pinned[0],
                                               result=self._pinned[1])
-        return Signed(payload=payload,
-                      signature=keys.sign(signer, digest(payload)))
+        return sign_message(keys, signer, payload)
 
 
 class FabricateReadBehavior(Behavior):
@@ -154,8 +153,7 @@ class FabricateReadBehavior(Behavior):
                                         sequence=cert.sequence + 1_000_000)
             payload = dataclasses.replace(payload, cert=bogus,
                                           result=("ok", 0))
-        return Signed(payload=payload,
-                      signature=keys.sign(signer, digest(payload)))
+        return sign_message(keys, signer, payload)
 
 
 _REGISTRY = {

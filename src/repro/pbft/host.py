@@ -86,10 +86,13 @@ class HostNode(Process):
         wants_self = include_self and len(targets) < len(dsts)
         self.occupy(self.cost_model.send_time(len(targets)))
         if isinstance(self.behavior, HonestBehavior):
-            # Honest nodes send identical envelopes: sign once, fan out.
+            # Honest nodes send identical envelopes: seal once, fan out,
+            # and keep the same envelope for themselves.
             envelope = self.behavior.outbound(self.keys, self.node_id,
                                               "", payload)
             self.network.multicast(self.node_id, targets, envelope)
+            if wants_self:
+                self.deliver(self.node_id, envelope)
         else:
             for dst in targets:
                 envelope = self.behavior.outbound(self.keys, self.node_id,
@@ -97,8 +100,8 @@ class HostNode(Process):
                 if envelope is None:
                     continue
                 self.network.send(self.node_id, dst, envelope)
-        if wants_self:
-            self._self_deliver(payload)
+            if wants_self:
+                self._self_deliver(payload)
 
     def forward(self, dst: str, envelope: Signed) -> None:
         """Relay an original signed envelope unchanged (e.g. re-sending a

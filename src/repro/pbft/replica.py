@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.crypto.digest import digest
 from repro.errors import ConfigurationError
-from repro.messages.base import Signed, verify_signed
+from repro.messages.base import Signed, sign_message, verify_signed
 from repro.messages.client import ClientReply, ClientRequest
 from repro.messages.pbft import Commit, Prepare, PrePrepare
 from repro.messages.trace import trace_id
@@ -296,9 +296,8 @@ class PBFTReplica:
                                  sender=self.host.node_id)
         slot = self._slot(sequence)
         slot.view = self.view
-        slot.pre_prepare = Signed(pre_prepare,
-                                  self.host.keys.sign(self.host.node_id,
-                                                      digest(pre_prepare)))
+        slot.pre_prepare = sign_message(self.host.keys, self.host.node_id,
+                                        pre_prepare)
         slot.batch_digest = batch_digest
         slot.batch = batch
         for env in batch:

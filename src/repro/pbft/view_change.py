@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.crypto.digest import digest
-from repro.messages.base import Signed, verify_signed
+from repro.messages.base import Signed, sign_message, verify_signed
 from repro.messages.pbft import NewView, PreparedProof, PrePrepare, ViewChange
 from repro.quorums import weak_quorum
 
@@ -74,7 +74,7 @@ class ViewChangeManager:
                         prepared_proofs=proofs,
                         sender=self.host.node_id)
         self.host.multicast_signed(replica.others, vc)
-        own = Signed(vc, self.host.keys.sign(self.host.node_id, digest(vc)))
+        own = sign_message(self.host.keys, self.host.node_id, vc)
         self._record(self.host.node_id, vc, own)
         self._restart_timer(new_view)
 
@@ -169,7 +169,7 @@ class ViewChangeManager:
                                 batch_digest=digest(()), batch=(),
                                 sender=self.host.node_id)
             pre_prepares.append(
-                Signed(pp, self.host.keys.sign(self.host.node_id, digest(pp))))
+                sign_message(self.host.keys, self.host.node_id, pp))
         return tuple(pre_prepares)
 
     def _proof_valid(self, proof: PreparedProof) -> bool:

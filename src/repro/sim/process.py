@@ -83,9 +83,10 @@ class Process:
         """Accept a message from the network and queue it for processing."""
         if self.crashed:
             return
-        # An envelope delivered before remembers its verification count.
-        units = getattr(message, "_repro_units", None)
-        if units is None:
+        try:
+            # A sealed envelope carries its verification count.
+            units = message._repro_memo[1]
+        except AttributeError:
             counter = getattr(message, "signature_units", None)
             units = counter() if counter is not None else 1
         cost = self.cost_model

@@ -1,10 +1,11 @@
 """Call budget of one signed message hop.
 
-A hop is ``send_signed`` -> network -> heap -> ``Process.deliver`` ->
-heap -> ``_dispatch`` -> ``verify_signed`` -> handler (DESIGN.md §10,
-"The hop"). Its cost in interpreter calls is a pure function of the
-code, so it is pinned here: a change that adds calls to the path fails
-this file on any host. CI prints both budgets in the job summary.
+A hop is ``send_signed`` -> ``sign_message`` -> network -> heap ->
+``Process.deliver`` -> heap -> ``_dispatch`` -> ``verify_signed`` ->
+handler (DESIGN.md §10, "The hop"). Its cost in interpreter calls is a
+pure function of the code, so it is pinned here: a change that adds
+calls to the path fails this file on any host. CI prints both budgets
+in the job summary.
 """
 
 import sys
@@ -18,12 +19,12 @@ from repro.sim.latency import Region
 from repro.sim.network import Network
 
 #: Python + C calls from ``send_signed(dst, payload)`` to quiescence:
-#: sign, one network hop, delivery, dispatch, verification, handler.
+#: seal, one network hop, delivery, dispatch, verification, handler.
 #: The count on CPython 3.11 (3.10 and 3.12 make one or two fewer);
-#: before PR 15 it was 104.
-UNICAST_CALL_BUDGET = 75
-#: The same for one ``multicast_signed`` to three peers (before: 195).
-MULTICAST3_CALL_BUDGET = 123
+#: 104 before PR 15, 75 before envelopes were sealed (PR 19).
+UNICAST_CALL_BUDGET = 62
+#: The same for one ``multicast_signed`` to three peers (195, then 123).
+MULTICAST3_CALL_BUDGET = 100
 
 
 def build():

@@ -137,6 +137,18 @@ def reference_units(obj: Any) -> int:
     return 0
 
 
+def _reference_walk(obj: Any) -> tuple[bytes, int]:
+    return reference_bytes(obj), reference_units(obj)
+
+
+def _walked(obj: Any) -> tuple[bytes, int]:
+    """What the schema makes of ``obj`` — asked twice, so that the second
+    answer comes from whatever the first one memoised."""
+    first = canonical_bytes(obj), nested_signature_units(obj)
+    assert (canonical_bytes(obj), nested_signature_units(obj)) == first
+    return first
+
+
 def _ref_wire_value(obj: Any) -> Any:
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
@@ -427,8 +439,7 @@ def test_golden_canonical_bytes_of_edge_cases(name):
 
 def test_golden_instances_round_trip_and_match_the_oracles():
     for obj in _one_of_every_codec_type().values():
-        assert canonical_bytes(obj) == reference_bytes(obj)
-        assert nested_signature_units(obj) == reference_units(obj)
+        assert _walked(obj) == _reference_walk(obj)
         assert encode_message(obj) == reference_wire(obj)
         assert decode_message(encode_message(obj)) == obj
 
@@ -451,6 +462,11 @@ class Pair:
 
 @dataclass
 class Mutable:
+    x: Any
+
+
+@dataclass(frozen=True, slots=True)
+class Slotted:
     x: Any
 
 
@@ -483,6 +499,7 @@ _values = st.recursive(
         st.builds(Leaf, children, children),
         st.builds(Pair, children, children),
         st.builds(Mutable, children),
+        st.builds(Slotted, children),
         st.builds(Signed, children, st.just(_SIG))),
     max_leaves=25)
 
@@ -500,7 +517,47 @@ def test_property_canonical_bytes_equal_the_ladder(value):
 @settings(max_examples=300, deadline=None)
 @given(_values)
 def test_property_signature_units_equal_the_ladder(value):
-    assert nested_signature_units(value) == reference_units(value)
+    # One walk yields both; a memo hit must yield the same pair.
+    assert _walked(value) == _reference_walk(value)
+    assert _walked(Pair(value, value)) == _reference_walk(Pair(value, value))
+
+
+#: DESIGN.md §10's precedence cases, each holding something to count.
+_PRECEDENCE_CASES = {
+    "bool_before_int": (True, 1, _SIG),
+    "enum_mix_ins": [Region.OHIO, Colour.RED, Level.HIGH, _CERT],
+    "named_tuple": Point(_SIG, "p"),
+    "ordered_dict": OrderedDict([("b", _CERT), ("a", (_SIG, 2))]),
+    "dict_keys_are_not_counted": {_SIG: 1, "k": _SIG},
+    "frozenset_is_a_leaf": (frozenset({_SIG}), _SIG),
+    "digest_false_field_holding_a_certificate": Leaf(1, b=_CERT),
+    "digest_false_field_inside_a_sequence": [Leaf(_SIG, b=(_CERT, _SIG))],
+    "nested_signed": Signed(Signed(Leaf(_THRESHOLD), _SIG), _SIG),
+    "slots_dataclass": Slotted((_CERT, Slotted(_SIG))),
+    "mutable_dataclass": Mutable([_CERT, Mutable(_SIG)]),
+    "bytearray": (bytearray(b"\x01"), _SIG),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRECEDENCE_CASES))
+def test_units_of_every_precedence_case_equal_the_ladder(name):
+    value = _PRECEDENCE_CASES[name]
+    assert reference_units(value) > 0
+    assert _walked(value) == _reference_walk(value)
+    # Inside an envelope and inside a memoising parent, too.
+    envelope = sign_message(_KEYS, "n0", value)
+    assert envelope.signature_units() == 1 + reference_units(value)
+    assert _walked(Pair(value, envelope)) == \
+        _reference_walk(Pair(value, envelope))
+
+
+def test_a_mutated_value_is_walked_afresh():
+    held = Mutable([_SIG])
+    parent = Slotted(held)
+    assert _walked(parent) == _reference_walk(parent)
+    held.x.append(_CERT)
+    assert _walked(parent) == _reference_walk(parent)
+    assert nested_signature_units(parent) == 3
 
 
 @settings(max_examples=300, deadline=None)
@@ -543,19 +600,26 @@ def test_wire_rejects_what_the_ladder_rejected():
 
 def test_every_delivered_envelope_matches_the_oracles(monkeypatch):
     delivered: dict[int, Any] = {}
+    charged: list[tuple[Any, float]] = []
     deliver = Process.deliver
 
     def tap(self, sender, message):
         delivered.setdefault(id(message), message)
+        before = self.cpu_time_ms
         deliver(self, sender, message)
+        cost = self.cost_model
+        if not self.crashed and cost.verify_ms:
+            # What the hop charged, back in signature verifications.
+            charged.append((message, (self.cpu_time_ms - before
+                                      - cost.base_ms) / cost.verify_ms))
 
     monkeypatch.setattr(Process, "deliver", tap)
-    config = ZiziphusConfig(num_zones=3, f=1, seed=3, pbft=fast_pbft(),
+    config = ZiziphusConfig(num_zones=3, f=1, seed=7, pbft=fast_pbft(),
                             sync=fast_sync(), read=ReadConfig(enabled=True))
     deployment = build_ziziphus(config)
     driver = ClosedLoopDriver(
         deployment, WorkloadMix(global_fraction=0.3, read_fraction=0.3),
-        clients_per_zone=4, seed=3)
+        clients_per_zone=4, seed=7)
     driver.start()
     deployment.sim.run(until=300.0)
 
@@ -570,3 +634,9 @@ def test_every_delivered_envelope_matches_the_oracles(monkeypatch):
             hashlib.sha256(reference_bytes(payload)).digest()
         assert canonical_bytes(envelope) == reference_bytes(envelope)
         assert encode_message(envelope) == reference_wire(envelope)
+    # Every delivery — the first of an envelope and each one after — is
+    # charged the outer signature plus what the payload holds.
+    assert len(charged) > 2 * len(delivered)
+    for envelope, units in charged:
+        assert units == pytest.approx(1 + reference_units(envelope.payload),
+                                      abs=1e-6)
