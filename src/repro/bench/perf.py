@@ -20,8 +20,10 @@ These microbenches cover the DES hot paths:
   protocol messages carrying a shared nested certificate (the shape the
   wire actually sees: new envelope, reused certificate);
 - ``cert_validate``  — one quorum certificate validated by several
-  receivers sharing a key registry (the paper's verified-once artifact);
-- ``threshold_validate`` — same for the constant-size threshold form;
+  receivers sharing a key registry (the paper's verified-once artifact):
+  a scan up to the quorum, each signature answered from its own record;
+- ``threshold_validate`` — same for the constant-size threshold form
+  (one read of the seal the combiner left on the certificate);
 - ``state_digest``   — one ``put`` + state root on a 1 000-key and on a
   20 000-key store; ``size_ratio`` (small-store rate / large-store rate)
   stays near 1 because the root costs the keys written, not the store;
@@ -158,7 +160,9 @@ def _bench_digest() -> dict:
 
 
 def _bench_cert_validate() -> dict:
-    """One certificate checked by four receivers over and over (f=2)."""
+    """One certificate checked by four receivers over and over (f=2):
+    each pays a scan of ``quorum`` (5) signatures, every one answered
+    from the record its first check left on it."""
     f = 2
     members = tuple(f"n{i}" for i in range(group_size(f)))
     quorum = intra_zone_quorum(f)
@@ -178,7 +182,8 @@ def _bench_cert_validate() -> dict:
 
 
 def _bench_threshold_validate() -> dict:
-    """Same verified-once shape for the constant-size threshold form."""
+    """One certificate checked by four receivers, constant-size form:
+    each pays one read of the seal ``combine_threshold`` left on it."""
     f = 2
     members = frozenset(f"n{i}" for i in range(group_size(f)))
     threshold = intra_zone_quorum(f)

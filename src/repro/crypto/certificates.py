@@ -60,46 +60,39 @@ class QuorumCertificate:
 class CertificateVerifier:
     """Validates certificates against a key registry and zone membership.
 
-    Validation outcomes are memoised per verifier, keyed on the
-    certificate's *content* — ``(payload_digest, signatures, quorum,
-    allowed_signers)`` — never on object identity: an equivocating
-    primary's conflicting certificate carries a different digest (and
-    different tags), so it can never hit another certificate's cache
-    entry. Within one validation the signature scan stops as soon as the
-    quorum is reached; the per-signature HMAC work itself is memoised in
-    the shared :class:`~repro.crypto.keys.KeyRegistry`.
+    Nothing is remembered here: a validation is one scan that stops as
+    soon as the quorum is reached, and each signature carries its own
+    verdict (:meth:`~repro.crypto.keys.KeyRegistry.verify` records a
+    success on what it judged), so the HMAC is paid once per signature.
+    An equivocating primary's conflicting certificate carries other tags
+    or another digest, which no record answers for.
     """
 
     def __init__(self, keys: KeyRegistry) -> None:
         self._keys = keys
-        self._memo: dict[tuple, int] = {}
 
     def validate(self, certificate: QuorumCertificate, quorum: int,
                  allowed_signers: frozenset[str] | None = None) -> None:
         """Raise :class:`InvalidCertificateError` unless the certificate
         carries ``quorum`` valid signatures from distinct allowed signers
-        over its payload digest.
+        over its payload digest. It arrives from the network: a vector
+        that is not a tuple holds none, and an item or digest of the
+        wrong type is an invalid signature.
         """
-        key = (certificate.payload_digest, certificate.signatures, quorum,
-               allowed_signers)
-        valid = self._memo.get(key)
-        if valid is None:
-            seen: set[str] = set()
-            for sig in certificate.signatures:
-                if allowed_signers is not None \
-                        and sig.signer not in allowed_signers:
-                    continue
-                if sig.signer in seen:
-                    continue
-                if self._keys.verify(sig, certificate.payload_digest):
-                    seen.add(sig.signer)
-                    if len(seen) >= quorum:
-                        break
-            valid = len(seen)
-            self._memo[key] = valid
-        if valid < quorum:
+        seen: set[str] = set()
+        signatures = certificate.signatures
+        if type(signatures) is not tuple:
+            signatures = ()
+        for sig in signatures:
+            # A signature found valid has a ``str`` signer.
+            if self._keys.verify(sig, certificate.payload_digest) and (
+                    allowed_signers is None or sig.signer in allowed_signers):
+                seen.add(sig.signer)
+                if len(seen) >= quorum:
+                    break
+        if len(seen) < quorum:
             raise InvalidCertificateError(
-                f"certificate has {valid} valid signatures, "
+                f"certificate has {len(seen)} valid signatures, "
                 f"quorum of {quorum} required"
             )
 

@@ -44,22 +44,19 @@ class KeyRegistry:
     Byzantine behaviours in :mod:`repro.pbft.faults` forge *invalid* tags,
     never another node's valid tag, preserving unforgeability.
 
-    Signing and verification are memoised per registry (mirroring the
-    digest memo in :mod:`repro.crypto.digest`): HMAC-SHA256 is a pure
-    function of ``(secret, payload_digest)``, so a certificate verified
-    once never pays the HMAC again at the next receiver. Soundness: the
-    verify memo keys on the full ``(signer, payload_digest, tag)``
-    triple — a forged tag over an already-verified digest misses the
-    cache and is recomputed (and rejected) — and both memos live on the
-    registry instance, so registries with different seeds never share
-    entries.
+    No table here grows with traffic. :meth:`sign` is one HMAC and a fresh
+    :class:`Signature`; :meth:`verify` keeps a success on the signature it
+    judged — the last place of its ``_repro_memo``
+    (:class:`~repro.crypto.schema.Schema`) holds ``(registry, digest)`` —
+    and answers from it only for this very registry and digest, on a
+    frozen instance of exactly :class:`Signature`. A forged tag has no
+    record and reaches the HMAC every time; a failure is never
+    remembered (DESIGN.md §10).
     """
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._secrets: dict[str, bytes] = {}
-        self._sign_memo: dict[tuple[str, bytes], Signature] = {}
-        self._verify_memo: dict[tuple[str, bytes, bytes], bool] = {}
 
     def _secret(self, node_id: str) -> bytes:
         secret = self._secrets.get(node_id)
@@ -72,37 +69,41 @@ class KeyRegistry:
     def sign(self, signer: str, payload_digest: bytes) -> Signature:
         """Produce ``signer``'s signature over ``payload_digest``
         (``bytes``, as :func:`~repro.crypto.digest.digest` returns)."""
-        key = (signer, payload_digest)
-        try:
-            signature = self._sign_memo.get(key)
-        except TypeError:  # unhashable, so not bytes: refused just below
-            signature = None
-        if signature is None:
-            if not isinstance(payload_digest, bytes):
-                raise CryptoError("payload digest must be bytes")
-            tag = hmac.digest(self._secret(signer), payload_digest, "sha256")
-            signature = self._sign_memo[key] = Signature(signer, tag)
-            self._verify_memo[(signer, payload_digest, tag)] = True
-        return signature
+        if type(payload_digest) is not bytes:
+            raise CryptoError("payload digest must be bytes")
+        return Signature(signer, hmac.digest(self._secret(signer),
+                                             payload_digest, "sha256"))
 
     def verify(self, signature: Signature, payload_digest: bytes) -> bool:
         """Check that ``signature`` is valid for ``payload_digest``.
 
-        Both arrive from the network: a signer, tag or digest of the
-        wrong type (which the memo cannot hash, or the HMAC cannot take)
-        is an invalid signature, not an error.
+        Both arrive from the network: anything but a ``str`` signer and
+        ``bytes`` tag and digest (exactly: all three immutable) is an
+        invalid signature, not an error.
         """
-        try:
-            key = (signature.signer, payload_digest, signature.tag)
-            valid = self._verify_memo.get(key)
-            if valid is None:
-                expected = hmac.digest(self._secret(signature.signer),
-                                       payload_digest, "sha256")
-                valid = self._verify_memo[key] = hmac.compare_digest(
-                    expected, signature.tag)
-        except TypeError:
+        if type(payload_digest) is not bytes:
             return False
-        return valid
+        exact = type(signature) is Signature
+        record = signature.__dict__.get("_repro_memo") if exact else None
+        if record is not None and record[3] is not None:
+            keys, vouched = record[3]
+            if keys is self and vouched == payload_digest:
+                return True
+        try:
+            signer, tag = signature.signer, signature.tag
+        except AttributeError:  # not a signature at all
+            return False
+        if type(signer) is not str or type(tag) is not bytes:
+            return False
+        expected = hmac.digest(self._secret(signer), payload_digest, "sha256")
+        if not hmac.compare_digest(expected, tag):
+            return False
+        if record is not None:
+            record[3] = (self, payload_digest)
+        elif exact:
+            signature.__dict__["_repro_memo"] = [
+                None, 1, None, (self, payload_digest)]
+        return True
 
     def forged(self, signer: str) -> Signature:
         """Return an *invalid* signature claiming to be from ``signer``.

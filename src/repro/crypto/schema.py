@@ -35,8 +35,9 @@ class Schema(NamedTuple):
     wire: Callable[[Any], Any]
     #: Instances are immutable and have a ``__dict__``, where ``encode``
     #: keeps what it yielded as ``_repro_memo``: ``[canonical bytes,
-    #: verifications, digest once asked for, None]`` (the last place is
-    #: used on envelopes only, see :mod:`repro.messages.base`).
+    #: verifications, digest once asked for, who vouches for it]``; the
+    #: last is set, perhaps before the bytes, on what a registry signs or
+    #: checks: envelope, signature, threshold certificate (DESIGN.md §10).
     memo: bool = False
 
 
@@ -242,7 +243,7 @@ def _compile(cls: type) -> Schema:
                 if value is not None:
                     units += SCHEMAS[type(value)].encode(value, bytearray())
         if record is not None:
-            # An envelope sealed before it was ever encoded.
+            # Vouched for (sealed, verified) before it was ever encoded.
             record[0] = bytes(sub)
         elif memo:
             fields["_repro_memo"] = [bytes(sub), units, None, None]

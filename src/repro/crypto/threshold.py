@@ -39,63 +39,80 @@ class ThresholdCertificate:
 
 
 def _group_tag(keys: KeyRegistry, payload_digest: bytes,
-               group: frozenset[str], threshold: int) -> bytes:
+               group: frozenset[str], threshold: int,
+               held: dict[str, bytes]) -> bytes:
+    """The aggregate over every member's tag: ``held`` for the members
+    whose verified share is at hand (a valid tag *is* the member's HMAC),
+    signed afresh for the rest."""
     hasher = hashlib.sha256()
     hasher.update(payload_digest)
     hasher.update(str(threshold).encode())
     for member in sorted(group):
-        hasher.update(keys.sign(member, payload_digest).tag)
+        tag = held.get(member)
+        if tag is None:
+            tag = keys.sign(member, payload_digest).tag
+        hasher.update(tag)
     return hasher.digest()
 
 
 def combine_threshold(keys: KeyRegistry, payload_digest: bytes,
                       shares: list[Signature], group: frozenset[str],
                       threshold: int) -> ThresholdCertificate:
-    """Combine signature shares into a threshold certificate.
+    """Combine signature shares into a threshold certificate, sealed:
+    ``keys`` vouches for what it has just made.
 
     Raises :class:`InvalidCertificateError` if fewer than ``threshold``
     distinct valid shares from ``group`` members are supplied.
     """
-    valid: set[str] = set()
+    valid: dict[str, bytes] = {}
     for share in shares:
         if share.signer in group and keys.verify(share, payload_digest):
-            valid.add(share.signer)
+            valid[share.signer] = share.tag
     if len(valid) < threshold:
         raise InvalidCertificateError(
             f"{len(valid)} valid shares, threshold {threshold} required"
         )
-    tag = _group_tag(keys, payload_digest, group, threshold)
-    return ThresholdCertificate(payload_digest=payload_digest, group=group,
-                                threshold=threshold, tag=tag)
+    tag = _group_tag(keys, payload_digest, group, threshold, valid)
+    certificate = ThresholdCertificate(payload_digest=payload_digest,
+                                       group=group, threshold=threshold,
+                                       tag=tag)
+    certificate.__dict__["_repro_memo"] = [None, 1, None, keys]
+    return certificate
 
 
 class ThresholdVerifier:
     """Validates threshold certificates (constant-cost verification).
 
-    The *expected* aggregate tag is a pure function of
-    ``(payload_digest, group, threshold)`` under the registry's secrets,
-    so it is memoised per verifier: re-validating the same logical
-    certificate (the common fan-out case) is one dict lookup plus a
-    bytes compare. A fabricated certificate over the same digest still
-    fails — its ``tag`` is compared against the memoised *correct* tag,
-    never trusted from the incoming object.
+    The last place of a certificate's ``_repro_memo``
+    (:class:`~repro.crypto.schema.Schema`) names the :class:`KeyRegistry`
+    that combined it or found it valid, and only that very registry is
+    answered from it. Any other certificate has its expected tag
+    recomputed from the registry's secrets and compared, never trusted
+    from the incoming object; a failure is not remembered.
     """
 
     def __init__(self, keys: KeyRegistry) -> None:
         self._keys = keys
-        self._memo: dict[tuple[bytes, frozenset, int], bytes] = {}
 
     def validate(self, certificate: ThresholdCertificate) -> None:
-        """Raise :class:`InvalidCertificateError` on a bad aggregate tag."""
-        key = (certificate.payload_digest, certificate.group,
-               certificate.threshold)
-        expected = self._memo.get(key)
-        if expected is None:
-            expected = _group_tag(self._keys, certificate.payload_digest,
-                                  certificate.group, certificate.threshold)
-            self._memo[key] = expected
-        if expected != certificate.tag:
+        """Raise :class:`InvalidCertificateError` on a bad aggregate tag,
+        or on a part of the wrong type: it arrives from the network."""
+        exact = type(certificate) is ThresholdCertificate
+        record = certificate.__dict__.get("_repro_memo") if exact else None
+        if record is not None and record[3] is self._keys:
+            return
+        payload_digest, group = certificate.payload_digest, certificate.group
+        threshold, tag = certificate.threshold, certificate.tag
+        if not (type(payload_digest) is bytes and type(tag) is bytes
+                and type(threshold) is int and type(group) is frozenset
+                and all(type(member) is str for member in group)):
+            raise InvalidCertificateError("malformed threshold certificate")
+        if _group_tag(self._keys, payload_digest, group, threshold, {}) != tag:
             raise InvalidCertificateError("threshold certificate tag mismatch")
+        if record is not None:
+            record[3] = self._keys
+        elif exact:
+            certificate.__dict__["_repro_memo"] = [None, 1, None, self._keys]
 
     def is_valid(self, certificate: ThresholdCertificate) -> bool:
         """Boolean form of :meth:`validate`."""

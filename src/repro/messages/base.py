@@ -75,7 +75,8 @@ class Signed:
     (:class:`~repro.crypto.schema.Schema`), with two differences: the
     bytes are ``None`` until the envelope itself is encoded (nested in a
     batch, say), and the last place names the :class:`KeyRegistry` that
-    vouches for it — the one that sealed it or last found it valid.
+    vouches for it — the one that sealed it or last found it valid (as on
+    a threshold certificate; a signature's names the digest too).
     """
 
     payload: Any
@@ -125,7 +126,9 @@ def verify_signed(keys: KeyRegistry, signed: Signed) -> bool:
         return True
     payload = signed.payload
     claimed = getattr(payload, "sender", None)
-    if claimed is not None and claimed != signed.signature.signer:
+    # What arrives as ``signature`` may be anything, a signature or not.
+    signer = getattr(signed.signature, "signer", None)
+    if claimed is not None and claimed != signer:
         return False
     if not keys.verify(signed.signature, digest(payload)):
         return False

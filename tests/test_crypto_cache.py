@@ -1,28 +1,38 @@
-"""Soundness tests for the crypto hot-path memoisation.
+"""Soundness tests for what the crypto hot path remembers.
 
-The verify/validate caches must be pure accelerators: every adversarial
-input that failed before caching must still fail after a *valid* sibling
-has been cached, and no cache entry may leak across registry or
-verifier instances.
+Nothing in ``crypto/`` keeps a table: a verdict is recorded on the frozen
+object it judges (a signature, a threshold certificate, an envelope) and
+must be a pure accelerator — every adversarial input that failed before
+must still fail after a *valid* sibling was recorded, no record may answer
+for another registry, digest or instance, and a malformed input is an
+invalid one, never an exception.
 """
 
 import copy
 import dataclasses
+import gc
+import hmac
 import re
+import types
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import pytest
 
+from repro.core.zone import ZoneDirectory, ZoneInfo
 from repro.crypto.certificates import CertificateVerifier, QuorumCertificate
-from repro.crypto.digest import digest
+from repro.crypto.digest import canonical_bytes, digest
 from repro.crypto.keys import KeyRegistry, Signature
-from repro.crypto.threshold import ThresholdVerifier, combine_threshold
+from repro.crypto.threshold import (ThresholdCertificate, ThresholdVerifier,
+                                    combine_threshold)
 from repro.errors import CryptoError, InvalidCertificateError
-from repro.messages.base import Signed, sign_message, verify_signed
-from repro.messages.client import ClientRequest
+from repro.messages.base import (Signed, nested_signature_units, sign_message,
+                                 verify_signed)
+from repro.messages.client import ClientReply, ClientRequest
 from repro.obs.bus import Instrumentation
+from repro.obs.monitor import ProtocolMonitor
+from repro.pbft.client import PBFTClient
 from repro.pbft.faults import BEHAVIOR_NAMES, Behavior, make_behavior
 from repro.pbft.host import HostNode
 from repro.reads import ReadConfig
@@ -32,7 +42,7 @@ from repro.sim.network import Network
 from repro.workload.driver import ClosedLoopDriver
 from repro.workload.generator import WorkloadMix
 
-from tests.conftest import small_ziziphus
+from tests.conftest import drive_to_completion, small_ziziphus
 
 
 def _cert(keys, members, quorum, payload_digest):
@@ -41,16 +51,16 @@ def _cert(keys, members, quorum, payload_digest):
                          for m in members[:quorum]])
 
 
-def test_forged_tag_rejected_after_valid_signature_cached():
+def test_forged_tag_rejected_after_valid_signature_recorded():
     keys = KeyRegistry(seed=1)
     payload_digest = b"\x01" * 32
     good = keys.sign("n0", payload_digest)
-    # Prime the cache with the honest verification.
+    # Record the honest verification on the genuine signature.
     assert keys.verify(good, payload_digest)
-    # Same signer, same digest, forged tag: must miss the memo and fail.
+    # Same signer, same digest, forged tag: no record answers for it.
     forged = Signature(signer="n0", tag=b"\xff" * 32)
     assert not keys.verify(forged, payload_digest)
-    # And the failure itself is cached without poisoning the good entry.
+    # And the failure is not remembered, nor does it touch the record.
     assert keys.verify(good, payload_digest)
     assert not keys.verify(forged, payload_digest)
 
@@ -63,14 +73,14 @@ def test_forged_helper_still_rejected_repeatedly():
         assert not keys.verify(keys.forged("n3"), payload_digest)
 
 
-def test_verify_memo_does_not_leak_across_registries():
+def test_verify_record_does_not_leak_across_registries():
     a = KeyRegistry(seed=1)
     b = KeyRegistry(seed=2)
     payload_digest = b"\x07" * 32
     sig = a.sign("n0", payload_digest)
     assert a.verify(sig, payload_digest)
     # Registry ``b`` derives a different secret for n0, so ``a``'s
-    # signature must not validate there — cached or not.
+    # signature must not validate there — recorded or not.
     assert not b.verify(sig, payload_digest)
     assert a.verify(sig, payload_digest)
 
@@ -84,7 +94,7 @@ def test_signing_same_digest_twice_returns_equal_signature():
     assert keys.verify(second, payload_digest)
 
 
-def test_certificate_cache_keyed_on_content_not_identity():
+def test_certificate_verdict_follows_content_not_identity():
     members = ("n0", "n1", "n2", "n3")
     quorum = 3
     keys = KeyRegistry(seed=4)
@@ -93,14 +103,14 @@ def test_certificate_cache_keyed_on_content_not_identity():
     good = _cert(keys, members, quorum, payload_digest)
     verifier.validate(good, quorum, frozenset(members))
     # An equivocating twin: same digest, one signature swapped for a
-    # forgery. Equal-looking but different content — must not hit the
-    # good certificate's cache entry.
+    # forgery. Equal-looking but different content — nothing recorded
+    # while checking the good certificate may answer for it.
     bad = QuorumCertificate(
         payload_digest=payload_digest,
         signatures=good.signatures[:-1] + (keys.forged(members[quorum - 1]),))
     with pytest.raises(InvalidCertificateError):
         verifier.validate(bad, quorum, frozenset(members))
-    # Re-validating both keeps giving the same answers (memoised paths).
+    # Re-validating both keeps giving the same answers (recorded paths).
     verifier.validate(good, quorum, frozenset(members))
     with pytest.raises(InvalidCertificateError):
         verifier.validate(bad, quorum, frozenset(members))
@@ -120,7 +130,7 @@ def test_certificate_equivocation_different_digest_fails():
         verifier.validate(equivocated, quorum, frozenset(members))
 
 
-def test_certificate_cache_does_not_leak_across_verifiers():
+def test_certificate_verdict_does_not_leak_across_verifiers():
     members = ("n0", "n1", "n2", "n3")
     quorum = 3
     trusted = KeyRegistry(seed=6)
@@ -132,7 +142,7 @@ def test_certificate_cache_does_not_leak_across_verifiers():
                                             frozenset(members))
 
 
-def test_threshold_fabricated_tag_fails_after_valid_cached():
+def test_threshold_fabricated_tag_fails_after_valid_sealed():
     members = frozenset(f"n{i}" for i in range(4))
     threshold = 3
     keys = KeyRegistry(seed=8)
@@ -286,6 +296,221 @@ def test_seal_across_copies():
     assert _verdict(keys, copy.deepcopy(envelope)) == (True, 1)
 
 
+# ----------------------------------------------------------------------
+# The same record one level down: a signature and a threshold certificate
+# are vouched for by the registry that found them valid (or combined them)
+# ----------------------------------------------------------------------
+
+GROUP = frozenset(f"n{i}" for i in range(4))
+
+
+def _asked(check, *args):
+    """``(check(*args), how often it entered the HMAC)``."""
+    entered = []
+    real = hmac.digest
+    hmac.digest = lambda *given: entered.append(given) or real(*given)
+    try:
+        return check(*args), len(entered)
+    finally:
+        hmac.digest = real
+
+
+def _combined(keys, payload_digest=b"\x55" * 32):
+    shares = [keys.sign(member, payload_digest)
+              for member in sorted(GROUP)[:3]]
+    return combine_threshold(keys, payload_digest, shares, GROUP, 3)
+
+
+class SubSignature(Signature):
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class SlottedSignature:
+    signer: str
+    tag: bytes
+
+
+class SubCertificate(ThresholdCertificate):
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class SlottedCertificate:
+    payload_digest: bytes
+    group: frozenset
+    threshold: int
+    tag: bytes
+
+
+def _parts(obj):
+    return {field.name: getattr(obj, field.name)
+            for field in dataclasses.fields(obj)}
+
+
+def test_signature_is_vouched_by_the_registry_that_checked_it_only():
+    keys, twin, stranger = (KeyRegistry(seed=1), KeyRegistry(seed=1),
+                            KeyRegistry(seed=2))
+    payload_digest = digest(("op", 1))
+    signature = keys.sign("n0", payload_digest)
+    # Signing records nothing: the first check is the full one.
+    assert _asked(keys.verify, signature, payload_digest) == (True, 1)
+    assert _asked(keys.verify, signature, payload_digest) == (True, 0)
+    # Same seed, another object: the full check, which then vouches ...
+    assert _asked(twin.verify, signature, payload_digest) == (True, 1)
+    assert _asked(twin.verify, signature, payload_digest) == (True, 0)
+    # ... and the first registry is asked again, not trusted blindly.
+    assert _asked(keys.verify, signature, payload_digest) == (True, 1)
+    # A foreign PKI never accepts it, and its refusal changes nothing.
+    assert _asked(stranger.verify, signature, payload_digest) == (False, 1)
+    assert _asked(stranger.verify, signature, payload_digest) == (False, 1)
+    assert _asked(keys.verify, signature, payload_digest) == (True, 0)
+    # Recorded for this digest, not for any other (equal bytes are this
+    # digest; a ``bytearray`` of them is not a digest at all).
+    other = digest(("op", 2))
+    assert _asked(keys.verify, signature, other) == (False, 1)
+    assert _asked(keys.verify, signature, other) == (False, 1)
+    assert _asked(keys.verify, signature, bytes(bytearray(payload_digest))) \
+        == (True, 0)
+    assert _asked(keys.verify, signature, bytearray(payload_digest)) \
+        == (False, 0)
+
+
+def _signature_cases(keys, payload_digest):
+    """``name -> (signature, verdict, HMAC entries of the first check,
+    and of the second)``, each made after the genuine signature was
+    recorded."""
+    genuine = keys.sign("n0", payload_digest)
+    assert keys.verify(genuine, payload_digest)
+    return {
+        "forged_twin": (Signature("n0", b"\xff" * 32), False, 1, 1),
+        "forged_helper": (keys.forged("n0"), False, 1, 1),
+        "another_signer": (Signature("n1", genuine.tag), False, 1, 1),
+        # Valid, so the first full check vouches for the new instance.
+        "replace_drops_the_record":
+            (dataclasses.replace(genuine), True, 1, 0),
+        "replace_tag":
+            (dataclasses.replace(genuine, tag=b"\x00" * 32), False, 1, 1),
+        "copy_keeps_a_record_that_is_still_true":
+            (copy.copy(genuine), True, 0, 0),
+        # A deep copy carries a copy of the registry, which is not ``keys``.
+        "deepcopy_misses": (copy.deepcopy(genuine), True, 1, 0),
+        # Valid, but never recorded: not exactly a ``Signature``.
+        "subclass": (SubSignature(**_parts(genuine)), True, 1, 1),
+        "slots_lookalike": (SlottedSignature(**_parts(genuine)), True, 1, 1),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", sorted(_signature_cases(KeyRegistry(), b"\x01" * 32)))
+def test_signatures_made_any_other_way_take_the_full_check(name):
+    keys = KeyRegistry(seed=3)
+    payload_digest = digest(("op", 1))
+    signature, valid, first, again = _signature_cases(
+        keys, payload_digest)[name]
+    assert _asked(keys.verify, signature, payload_digest) == (valid, first)
+    assert _asked(keys.verify, signature, payload_digest) == (valid, again)
+    recorded = "_repro_memo" in getattr(signature, "__dict__", ())
+    assert recorded == (valid and type(signature) is Signature)
+
+
+def test_threshold_certificate_is_vouched_by_its_own_registry_only():
+    keys, twin, stranger = (KeyRegistry(seed=1), KeyRegistry(seed=1),
+                            KeyRegistry(seed=2))
+    certificate = _combined(keys)
+    ours, theirs, foreign = (ThresholdVerifier(keys), ThresholdVerifier(twin),
+                             ThresholdVerifier(stranger))
+    # Combined by ``keys``: vouched at once, whichever verifier holds it.
+    assert _asked(ours.is_valid, certificate) == (True, 0)
+    assert _asked(ThresholdVerifier(keys).is_valid, certificate) == (True, 0)
+    # Same seed, another object: every member's HMAC, which then vouches.
+    assert _asked(theirs.is_valid, certificate) == (True, len(GROUP))
+    assert _asked(theirs.is_valid, certificate) == (True, 0)
+    # ... and the first registry is asked again, not trusted blindly.
+    assert _asked(ours.is_valid, certificate) == (True, len(GROUP))
+    # A foreign PKI never accepts it, and its refusal changes nothing.
+    assert _asked(foreign.is_valid, certificate) == (False, len(GROUP))
+    assert _asked(foreign.is_valid, certificate) == (False, len(GROUP))
+    assert _asked(ours.is_valid, certificate) == (True, 0)
+
+
+def test_combining_signs_only_for_the_members_it_holds_no_share_of():
+    keys = KeyRegistry(seed=2)
+    payload_digest = b"\x55" * 32
+    everyone = [keys.sign(member, payload_digest) for member in sorted(GROUP)]
+    # Three first checks of a share, one absent member.
+    certificate, entered = _asked(combine_threshold, keys, payload_digest,
+                                  everyone[:3], GROUP, 3)
+    assert entered == 3 + 1
+    # The aggregate is what every member's own tag makes; the three
+    # shares already carry their verdict.
+    assert _asked(combine_threshold, keys, payload_digest, everyone,
+                  GROUP, 3) == (certificate, 1)
+
+
+def _threshold_cases(keys):
+    """``name -> (certificate, verdict, HMAC entries of the first check,
+    and of the second)``, each made after the genuine one was sealed."""
+    genuine = _combined(keys)
+    n = len(GROUP)
+    return {
+        "fabricated_tag":
+            (dataclasses.replace(genuine, tag=b"\x00" * 32), False, n, n),
+        "moved_to_another_digest":
+            (dataclasses.replace(genuine, payload_digest=b"\x66" * 32),
+             False, n, n),
+        "relabelled_threshold":
+            (dataclasses.replace(genuine, threshold=2), False, n, n),
+        # Valid, so the first full check vouches for the new instance.
+        "replace_drops_the_record": (dataclasses.replace(genuine), True, n, 0),
+        "hand_made":
+            (ThresholdCertificate(**_parts(genuine)), True, n, 0),
+        "copy_keeps_a_record_that_is_still_true":
+            (copy.copy(genuine), True, 0, 0),
+        # A deep copy carries a copy of the registry, which is not ``keys``.
+        "deepcopy_misses": (copy.deepcopy(genuine), True, n, 0),
+        # Valid, but never recorded: not exactly a ``ThresholdCertificate``.
+        "subclass": (SubCertificate(**_parts(genuine)), True, n, n),
+        "slots_lookalike":
+            (SlottedCertificate(**_parts(genuine)), True, n, n),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_threshold_cases(KeyRegistry())))
+def test_certificates_made_any_other_way_take_the_full_check(name):
+    keys = KeyRegistry(seed=3)
+    verifier = ThresholdVerifier(keys)
+    certificate, valid, first, again = _threshold_cases(keys)[name]
+    assert _asked(verifier.is_valid, certificate) == (valid, first)
+    assert _asked(verifier.is_valid, certificate) == (valid, again)
+    recorded = "_repro_memo" in getattr(certificate, "__dict__", ())
+    assert recorded == (valid and type(certificate) is ThresholdCertificate)
+
+
+def test_a_record_made_before_the_first_encode_changes_no_byte():
+    """The walk finds a record whose bytes are still ``None`` (the seal's
+    "sealed before encoded" branch) and must yield what it would have."""
+    keys = KeyRegistry(seed=4)
+    payload_digest = digest(("op", 1))
+    verified, untouched = (keys.sign("n0", payload_digest),
+                           keys.sign("n0", payload_digest))
+    assert keys.verify(verified, payload_digest)
+    sealed = _combined(keys, payload_digest)
+    plain = ThresholdCertificate(**_parts(sealed))
+    for recorded, never in ((verified, untouched), (sealed, plain)):
+        assert recorded.__dict__["_repro_memo"][0] is None
+        assert "_repro_memo" not in never.__dict__
+        assert canonical_bytes(recorded) == canonical_bytes(never)
+        assert digest(recorded) == digest(never)
+        assert digest((recorded,)) == digest((never,))
+        assert recorded.signature_units() == never.signature_units() == 1
+        assert nested_signature_units((recorded, recorded)) \
+            == nested_signature_units((never, never)) == 2
+    # ... and the record is still there, and still answers.
+    assert _asked(keys.verify, verified, payload_digest) == (True, 0)
+    assert _asked(ThresholdVerifier(keys).is_valid, sealed) == (True, 0)
+
+
 #: ``invalid_messages`` per node (zeros left out), completed requests and
 #: processed events of a 300 ms mixed run with z0n1 and z1n0 misbehaving;
 #: generated at the commit before envelopes were sealed.
@@ -349,33 +574,252 @@ def test_signing_a_non_bytes_digest_is_a_crypto_error(bad):
         keys.sign("n0", bad)
 
 
-class TypeConfusedBehavior(Behavior):
-    """Sends every message under a tag that is not ``bytes``."""
+class BadSignatureBehavior(Behavior):
+    """Sends every message under ``make(signer)`` for a signature."""
+
+    def __init__(self, make):
+        self.make = make
 
     def outbound(self, keys, signer, dst, payload):
-        return Signed(payload, Signature(signer, None))
+        return Signed(payload, self.make(signer))
 
 
-def test_type_confused_envelope_is_counted_and_the_run_continues():
+def _one_liar_among_honest_hosts(make):
+    """n0, lying as ``BadSignatureBehavior(make)``, and honest n1 each send
+    host n2 a request; n0 also answers client c0. Asserts that n2 counted
+    one invalid envelope and went on to serve n1; returns the client."""
     sim = Simulator()
     sim.obs = Instrumentation(recording=True)
     network = Network(sim, seed=6)
     keys = KeyRegistry(seed=6)
-    liar = HostNode(sim, network, keys, "n0", behavior=TypeConfusedBehavior())
+    liar = HostNode(sim, network, keys, "n0",
+                    behavior=BadSignatureBehavior(make))
     honest = HostNode(sim, network, keys, "n1")
     target = HostNode(sim, network, keys, "n2")
+    client = PBFTClient(sim, network, keys, "c0", ("n0", "n1", "n2", "n3"), 1)
     seen = []
     target.register_handler(ClientRequest,
                             lambda sender, payload, env: seen.append(sender))
-    for node in (liar, honest, target):
-        network.register(node, Region.OHIO)
+    for process in (liar, honest, target, client):
+        network.register(process, Region.OHIO)
     liar.send_signed("n2", _request("n0"))
+    liar.send_signed("c0", ClientReply(view=0, timestamp=1, client_id="c0",
+                                       result="ok", sender="n0"))
     honest.send_signed("n2", _request("n1"))
     sim.run()
     assert target.invalid_messages == 1
     assert [(event.node, event.fields["sender"]) for event in sim.obs.events
             if event.kind == "host.invalid"] == [("n2", "n0")]
     assert seen == ["n1"]
+    return client
+
+
+def test_type_confused_envelope_is_counted_and_the_run_continues():
+    # A tag that is not ``bytes``.
+    _one_liar_among_honest_hosts(lambda signer: Signature(signer, None))
+
+
+NOT_SIGNATURES = [None, "x", 5, (1, 2)]
+
+
+@pytest.mark.parametrize("bad", NOT_SIGNATURES, ids=repr)
+def test_envelope_whose_signature_is_no_signature_is_invalid(bad):
+    keys = KeyRegistry(seed=6)
+    assert _verdict(keys, Signed(_request(), bad)) == (False, 0)
+    # A payload that claims no sender leaves the verdict to the registry.
+    assert _verdict(keys, Signed(("op", 1), bad)) == (False, 1)
+    assert keys.verify(bad, digest(("op", 1))) is False
+
+
+@pytest.mark.parametrize("bad", NOT_SIGNATURES, ids=repr)
+def test_envelope_without_a_signature_is_counted_and_the_run_continues(bad):
+    client = _one_liar_among_honest_hosts(lambda signer: bad)
+    # The PBFT client dropped the reply it got the same way.
+    assert client.messages_handled == 1 and client.completed == []
+
+
+@pytest.mark.parametrize("bad", NOT_SIGNATURES, ids=repr)
+def test_mobile_client_drops_a_reply_without_a_signature(bad):
+    deployment = small_ziziphus(seed=6)
+    client = deployment.add_client("c1", "z0")
+    client.submit_local(("deposit", 5))
+    reply = ClientReply(view=0, timestamp=1, client_id="c1", result="ok",
+                        sender="z0n0")
+    client.on_message("z0n0", Signed(reply, bad))
+    assert client.completed == []
+    deployment.sim.run(until=2_000.0)
+    assert len(client.completed) == 1
+
+
+# ----------------------------------------------------------------------
+# Malformed certificates are invalid, not fatal
+# ----------------------------------------------------------------------
+
+def _malformed(keys, payload_digest):
+    """``name -> certificate``: a genuine certificate of zone ``z0`` over
+    ``payload_digest`` with one part swapped for the wrong type."""
+    members = sorted(GROUP)
+    threshold = _combined(keys, payload_digest)
+    quorum = _cert(keys, members, 3, payload_digest)
+    return {
+        "threshold_bytearray_digest":
+            dataclasses.replace(threshold,
+                                payload_digest=bytearray(payload_digest)),
+        "threshold_none_digest":
+            dataclasses.replace(threshold, payload_digest=None),
+        "threshold_list_group":
+            dataclasses.replace(threshold, group=members),
+        "threshold_mixed_group":
+            dataclasses.replace(threshold, group=frozenset(members[:3] + [3])),
+        "threshold_str_tag":
+            dataclasses.replace(threshold, tag=threshold.tag.hex()),
+        "quorum_list_signatures":
+            dataclasses.replace(quorum, signatures=list(quorum.signatures)),
+        "quorum_none_signatures":
+            dataclasses.replace(quorum, signatures=None),
+        "quorum_item_is_no_signature":
+            dataclasses.replace(
+                quorum, signatures=quorum.signatures[:2] + ("n2",)),
+        "quorum_bytearray_digest":
+            dataclasses.replace(quorum,
+                                payload_digest=bytearray(payload_digest)),
+        "quorum_none_digest":
+            dataclasses.replace(quorum, payload_digest=None),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_malformed(KeyRegistry(), b"\x01" * 32)))
+def test_malformed_certificate_is_invalid_not_an_error(name):
+    keys = KeyRegistry(seed=7)
+    payload_digest = digest(("body", 1))
+    certificate = _malformed(keys, payload_digest)[name]
+    directory = ZoneDirectory(keys)
+    directory.add_zone(ZoneInfo("z0", tuple(sorted(GROUP)), Region.OHIO, f=1))
+    if name.startswith("threshold"):
+        verifier, args = ThresholdVerifier(keys), ()
+    else:
+        verifier, args = CertificateVerifier(keys), (3, GROUP)
+    for _ in range(2):
+        assert verifier.is_valid(certificate, *args) is False
+        with pytest.raises(InvalidCertificateError):
+            verifier.validate(certificate, *args)
+        assert directory.cert_valid(certificate, payload_digest, "z0") is False
+    assert "_repro_memo" not in certificate.__dict__
+    # The genuine ones still pass, under the same registry.
+    assert directory.cert_valid(_combined(keys, payload_digest),
+                                payload_digest, "z0")
+    assert directory.cert_valid(_cert(keys, sorted(GROUP), 3, payload_digest),
+                                payload_digest, "z0")
+
+
+class MalformedCertBehavior(Behavior):
+    """Relays every certificate under a digest that is a ``bytearray``:
+    equal to the expected body, so the directory's comparison lets it
+    through to the verifier."""
+
+    def outbound(self, keys, signer, dst, payload):
+        cert = getattr(payload, "cert", None)
+        if cert is not None:
+            payload = dataclasses.replace(payload, cert=dataclasses.replace(
+                cert, payload_digest=bytearray(cert.payload_digest)))
+        return sign_message(keys, signer, payload)
+
+
+@pytest.mark.parametrize("threshold", [False, True])
+def test_malformed_certificate_reaches_a_live_node_and_the_run_continues(
+        threshold):
+    deployment = small_ziziphus(seed=7, use_threshold_signatures=threshold,
+                                behaviors={"z0n0": MalformedCertBehavior()})
+    obs = Instrumentation(enabled=True, recording=True, metrics=False)
+    obs.attach(deployment)
+    monitor = ProtocolMonitor.attach(obs, deployment)
+    mover = deployment.add_client("c1", "z0")
+    local = deployment.add_client("c2", "z1")
+    mover.submit_migration("z1")
+    records = drive_to_completion(deployment, local,
+                                  [("local", ("deposit", 5))], max_steps=1)
+    assert len(records) == 1
+    relayed = [event for event in obs.events if event.kind == "cert.check"
+               and event.fields["src"] == "z0n0"]
+    assert relayed and not any(event.fields["valid"] for event in relayed)
+    assert {event.node for event in relayed} \
+        >= set(deployment.directory.zone("z1").members)
+    # Booked like a forged certificate (test_forged_cert_is_flagged_online).
+    assert {(v.kind, v.culprit, v.detail["reason"])
+            for v in monitor.violations if v.kind == "cert-invalid"} \
+        == {("cert-invalid", "z0n0", "signature-invalid")}
+
+
+# ----------------------------------------------------------------------
+# Nothing in crypto/ grows with traffic
+# ----------------------------------------------------------------------
+
+def _reachable(root):
+    """How many objects ``root`` keeps alive (its class, and anything a
+    class, module or function drags in, left out)."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType,
+                      types.BuiltinFunctionType)):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+def test_nothing_is_kept_per_signature_or_certificate():
+    keys = KeyRegistry(seed=8)
+    certificates, thresholds = CertificateVerifier(keys), ThresholdVerifier(keys)
+    members = sorted(GROUP)
+
+    def traffic(start, stop):
+        for i in range(start, stop):
+            payload_digest = digest(("op", i))
+            signer = members[i % 4]
+            assert keys.verify(keys.sign(signer, payload_digest),
+                               payload_digest)
+            assert not keys.verify(Signature(signer, payload_digest),
+                                   payload_digest)
+            if i % 10 == 0:
+                certificates.validate(
+                    _cert(keys, members, 3, payload_digest), 3, GROUP)
+                thresholds.validate(ThresholdCertificate(
+                    **_parts(_combined(keys, payload_digest))))
+                assert not thresholds.is_valid(dataclasses.replace(
+                    _combined(keys, payload_digest), tag=payload_digest))
+
+    traffic(0, 10)
+    before = [_reachable(root) for root in (keys, certificates, thresholds)]
+    traffic(10, 10_000)
+    assert [_reachable(root)
+            for root in (keys, certificates, thresholds)] == before
+    # The registry, its seed, its table, and one id + secret per signer.
+    assert before[0] <= 4 + 2 * len(GROUP)
+    assert set(vars(keys)) == {"_seed", "_secrets"}
+    assert sorted(keys._secrets) == members
+
+
+def test_a_run_leaves_no_table_in_the_crypto_objects():
+    deployment = small_ziziphus(seed=7, read=ReadConfig(enabled=True),
+                                use_threshold_signatures=True)
+    ClosedLoopDriver(deployment,
+                     WorkloadMix(global_fraction=0.3, read_fraction=0.3),
+                     clients_per_zone=4, seed=7).start()
+    deployment.sim.run(until=300.0)
+    assert sum(len(c.completed) for c in deployment.clients.values()) > 50
+    signers = len(deployment.nodes) + len(deployment.clients)
+    directory = deployment.directory
+    holders = [deployment.keys, directory._cert_verifier,
+               directory._threshold_verifier]
+    holders += [client._verifier for client in deployment.clients.values()]
+    assert len(holders) == 3 + len(deployment.clients)
+    for holder in holders:
+        for name, value in vars(holder).items():
+            assert not hasattr(value, "__len__") or len(value) <= signers, \
+                (type(holder).__name__, name, len(value))
+    assert _reachable(deployment.keys) <= 4 + 2 * signers
 
 
 # ----------------------------------------------------------------------
@@ -396,9 +840,12 @@ def test_memo_site_census_matches_design_doc():
     documents, and only the schema may enumerate a dataclass's fields.
     """
     memo_names, class_tables, field_walkers = set(), set(), set()
+    memo_tables = set()
     for root, path, source in _sources():
         module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
         memo_names |= set(re.findall(r"_repro_[a-z_]+", source))
+        memo_tables |= {f"{module}.{name}" for name in
+                        re.findall(r"self\.(_\w*memo)\b", source)}
         class_tables |= {
             f"{module}.{name}" for name in
             re.findall(r"^(\w+): dict\[type\b", source, flags=re.MULTILINE)}
@@ -411,6 +858,9 @@ def test_memo_site_census_matches_design_doc():
     assert class_tables == set(re.findall(r"`(repro\.[a-z_.]+\.[A-Z_]+)`",
                                           section))
     assert field_walkers == {"repro.crypto.schema"}
+    # Content-keyed memo tables on an instance (four, all in ``crypto/``,
+    # before a verdict lived on what it judges): none.
+    assert memo_tables == set()
 
 
 def test_honest_envelopes_are_made_in_one_place():
