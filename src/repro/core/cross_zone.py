@@ -464,6 +464,11 @@ class CrossZoneEngine:
         if state.finalized:
             return
         state.finalized = True
+        # The decision executes here: its endorsement rounds are served.
+        for instance in (f"xz-propose/{decision.xid}",
+                         f"xz-accepted/{decision.xid}.{self.my_zone.zone_id}",
+                         f"xz-decision/{decision.xid}"):
+            self.node.endorsement.retire(instance)
         if decision.commit:
             self.committed += 1
         else:

@@ -16,6 +16,14 @@ Completion is observed two ways:
 - any node can register a kind-level ``on_quorum`` callback, fired when it
   has itself collected a vote quorum (Algorithm 2's record-append, where
   every destination-zone node acts on the quorum, uses this).
+
+An instance is kept whole while the unit it serves — a ballot, a record
+append, a cross-zone decision — is in flight at this node. When the
+engine that owns the unit says it completed here (:meth:`~
+EndorsementManager.retire`) and the instance is settled, it shrinks to
+what a late message can still ask of it: its digest and view, ``done``
+and ``voted``, and the certificate built at quorum, which a re-lead
+hands over (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -33,6 +41,15 @@ from repro.quorums import intra_zone_quorum
 
 __all__ = ["EndorsementManager", "EndorsementInstance"]
 
+#: Instances one zone member may hold open here ahead of their
+#: pre-prepare. A vote overtakes its pre-prepare by a LAN jitter, so an
+#: honest member has a few dozen at most (24 under the benchmark's load,
+#: 28 in the chaos campaigns); at the allowance its older half goes.
+_PARKED_PER_MEMBER = 256
+#: Re-dispatches of one pre-prepare whose validator keeps answering
+#: "retry" (10 ms apart) before it is dropped.
+_MAX_RETRIES = 200
+
 Validator = Callable[[str, Any, bytes], bool]
 QuorumCallback = Callable[[str, Any, Any], None]
 CertCallback = Callable[[Any], None]
@@ -44,7 +61,7 @@ class _Kind:
     on_quorum: QuorumCallback | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class EndorsementInstance:
     """State of one endorsement instance on one node."""
 
@@ -54,11 +71,25 @@ class EndorsementInstance:
     endorse_digest: bytes | None = None
     use_prepare: bool = False
     leading: bool = False
-    prepare_senders: set[str] = field(default_factory=set)
-    shares: dict[str, Signature] = field(default_factory=dict)
+    #: ``None`` (both tables) once the instance has been let go.
+    prepare_senders: set[str] | None = field(default_factory=set)
+    shares: dict[str, Signature] | None = field(default_factory=dict)
     voted: bool = False
     done: bool = False
     on_cert: CertCallback | None = None
+    #: The certificate built as the quorum formed.
+    cert: Any = None
+    #: The unit this instance serves completed at this node.
+    served: bool = False
+    #: The member whose vote or prepare opened the instance ahead of any
+    #: pre-prepare, while it still counts against that member's allowance.
+    parked_by: str | None = None
+
+    @property
+    def opened(self) -> bool:
+        """Pre-prepared here or led from here (a finished instance was,
+        whatever it has let go of since)."""
+        return self.payload is not None or self.done
 
 
 class EndorsementManager:
@@ -74,9 +105,13 @@ class EndorsementManager:
         self.f = f
         self.quorum = intra_zone_quorum(f) if quorum is None else quorum
         self._members_key = ",".join(self.members)
+        self._group = frozenset(self.members)
         self.view_provider = view_provider
         self.use_threshold = use_threshold
         self._instances: dict[str, EndorsementInstance] = {}
+        #: member -> how many instances it opened ahead of their
+        #: pre-prepare are still unopened (``parked_by`` names it on each).
+        self._parked = dict.fromkeys(self.members, 0)
         self._kinds: dict[str, _Kind] = {}
         self._retries: dict[str, int] = {}
         host.register_handler(EndorsePrePrepare, self._on_pre_prepare)
@@ -116,14 +151,67 @@ class EndorsementManager:
         """Current primary of this zone (from the local view)."""
         return self.members[self.view_provider() % len(self.members)]
 
+    def _opened_early(self, sender: str,
+                      instance: str) -> EndorsementInstance:
+        """The state a vote or prepare from zone member ``sender`` lands
+        in. Nothing else about the message has been checked yet, so an
+        instance nobody pre-prepared here is opened on the sender's
+        allowance: at ``_PARKED_PER_MEMBER`` the older half of what the
+        sender has parked goes first (``_instances`` keeps arrival
+        order), so a faulty member naming instances that will never
+        exist displaces only what it parked itself."""
+        state = self._instances.get(instance)
+        if state is None:
+            if self._parked[sender] >= _PARKED_PER_MEMBER:
+                parked = [name for name, held in self._instances.items()
+                          if held.parked_by == sender]
+                for name in parked[:_PARKED_PER_MEMBER // 2]:
+                    del self._instances[name]
+                self._parked[sender] -= _PARKED_PER_MEMBER // 2
+            state = self._get(instance)
+            state.parked_by = sender
+            self._parked[sender] += 1
+        return state
+
+    def _unpark(self, state: EndorsementInstance) -> None:
+        """A pre-prepare (or this node's own lead) opened the instance:
+        if a member's vote or prepare had opened it first, it no longer
+        counts against that member."""
+        member = state.parked_by
+        if member not in self._parked:
+            return  # None, as for most
+        self._parked[member] -= 1
+        state.parked_by = None
+
     def has_instance(self, instance: str) -> bool:
         """Whether this node has seen the instance's pre-prepare or led it."""
         state = self._instances.get(instance)
-        return state is not None and state.payload is not None
+        return state is not None and state.opened
 
-    def discard(self, instance: str) -> None:
-        """Drop instance state (GC after the enclosing transaction ends)."""
-        self._instances.pop(instance, None)
+    def retire(self, instance: str) -> None:
+        """The unit ``instance`` serves completed at this node: let the
+        instance go, now or as soon as it is settled."""
+        state = self._instances.get(instance)
+        if state is not None:
+            state.served = True
+            self._settle(state)
+
+    def _settle(self, state: EndorsementInstance) -> None:
+        """Let go of what no late message can ask a finished instance
+        for (callers have seen ``state.served``).
+
+        Finished: its unit was served, the quorum formed here, and this
+        node cast its vote — or owes it only to a round without prepares,
+        where a re-sent pre-prepare is all it takes to cast it (the leader
+        of such a round never *votes*: its share went out with the
+        pre-prepare). Further votes and prepares then change nothing, a
+        re-sent pre-prepare is validated and answered from the digest, a
+        re-lead hands ``cert`` over; the payload, the shares, the prepare
+        senders and the leader's callback have no reader left.
+        """
+        if state.done and (state.voted or not state.use_prepare):
+            state.payload = state.on_cert = None
+            state.shares = state.prepare_senders = None
 
     def instance_state(self, instance: str) -> EndorsementInstance | None:
         """Inspect an instance's state."""
@@ -142,10 +230,11 @@ class EndorsementManager:
         """
         if state.endorse_digest is not None \
                 and state.endorse_digest != endorse_digest:
-            state.shares.clear()
-            state.prepare_senders.clear()
+            state.shares = {}
+            state.prepare_senders = set()
             state.voted = False
             state.done = False
+            state.cert = None
             # Any pending leader callback belongs to the superseded digest:
             # firing it with the new proposal's certificate would pair the
             # old payload with a certificate that doesn't cover it (e.g. a
@@ -162,6 +251,7 @@ class EndorsementManager:
         view = self.view_provider()
         state = self._get(instance)
         self._reset_for_digest(state, endorse_digest)
+        self._unpark(state)
         state.view = view
         state.payload = payload
         state.endorse_digest = endorse_digest
@@ -172,8 +262,14 @@ class EndorsementManager:
         if state.done:
             # A previous primary already drove this instance to quorum and
             # the votes reached us; hand the certificate over immediately
-            # (happens when a new primary re-drives after a view change).
-            on_cert(self._build_cert(state))
+            # (happens when a new primary re-drives after a view change):
+            # over every share banked since, or, once those were let go,
+            # the one built as the quorum formed. ``on_cert`` may read the
+            # payload back (``SyncEngine._send_promise``); then it goes again.
+            on_cert(state.cert if state.shares is None
+                    else self._build_cert(state))
+            if state.served:
+                self._settle(state)
             return
         self.host.obs.span_open(self.host.sim.now, "endorse", instance,
                                 node=self.host.node_id, prepare=use_prepare)
@@ -201,7 +297,7 @@ class EndorsementManager:
         certificate over at once, so is a lost top-level message re-sent.
         """
         state = self._instances.get(instance)
-        if state is None or state.payload is None:
+        if state is None or not state.opened:
             return False
         self.lead(instance, state.payload, state.endorse_digest, use_prepare,
                   on_cert)
@@ -233,8 +329,9 @@ class EndorsementManager:
                            instance=msg.instance, view=msg.view,
                            digest=msg.endorse_digest.hex(),
                            members=self._members_key)
-        state = self._get(msg.instance)
-        if state.payload is not None and state.endorse_digest != msg.endorse_digest:
+        state = self._instances.get(msg.instance)
+        if state is not None and state.opened \
+                and state.endorse_digest != msg.endorse_digest:
             # Same view (or older): equivocation, refuse to endorse both.
             # A *strictly newer* view may legitimately re-propose the
             # instance with a different body — the old primary crashed
@@ -253,30 +350,33 @@ class EndorsementManager:
                 # Validation depends on state that is still in flight (e.g.
                 # the enclosing global commit hasn't executed locally yet):
                 # re-dispatch shortly instead of dropping the pre-prepare.
-                attempts = self._retries.get(msg.instance, 0)
-                if attempts < 200:
+                attempts = self._retries.pop(msg.instance, 0)
+                if attempts < _MAX_RETRIES:
                     self._retries[msg.instance] = attempts + 1
                     self.host.set_timer(10.0, self._on_pre_prepare,
                                         sender, msg, envelope)
                 return
+            # Refused, endorsed or (above) given up on: no count is kept.
+            self._retries.pop(msg.instance, None)
             if not verdict:
                 return
-            self._retries.pop(msg.instance, None)
+        state = self._get(msg.instance)
         # Digest known only from early votes (payload still None): the
         # validated pre-prepare wins, and any shares banked against a
         # different digest restart from zero.
         self._reset_for_digest(state, msg.endorse_digest)
+        self._unpark(state)
         state.view = msg.view  # lint: allow[taint-flow] pre-quorum endorsement vote state; adopted only via on_quorum after 2f+1 verified shares
-        state.payload = msg.payload  # lint: allow[taint-flow] pre-quorum endorsement vote state; validator-gated above when the kind registers one
+        if state.shares is not None:  # else let go: re-sent to a finished instance
+            state.payload = msg.payload  # lint: allow[taint-flow] pre-quorum endorsement vote state; validator-gated above when the kind registers one
         state.endorse_digest = msg.endorse_digest  # lint: allow[taint-flow] pre-quorum endorsement vote state; the claimed digest IS the ballot being voted on
         state.use_prepare = msg.use_prepare  # lint: allow[taint-flow] phase selector for this vote round only; no replicated state depends on it
         if msg.use_prepare:
             prepare = EndorsePrepare(instance=msg.instance, view=msg.view,
                                      endorse_digest=msg.endorse_digest,
                                      sender=self.host.node_id)
-            state.prepare_senders.add(self.host.node_id)
             self.host.multicast_signed(self.others, prepare)  # lint: allow[taint-flow] prepare vote echoes the claimed digest: voting is how endorsement binds it
-            self._check_prepared(state)
+            self._prepared_by(state, self.host.node_id)
         else:
             self._cast_vote(state)
 
@@ -284,13 +384,15 @@ class EndorsementManager:
                     envelope: Signed) -> None:
         if sender not in self.members:
             return
-        state = self._get(msg.instance)
+        state = self._opened_early(sender, msg.instance)
         if state.endorse_digest is not None and state.endorse_digest != msg.endorse_digest:
             return
-        state.prepare_senders.add(sender)
-        self._check_prepared(state)
+        self._prepared_by(state, sender)
 
-    def _check_prepared(self, state: EndorsementInstance) -> None:
+    def _prepared_by(self, state: EndorsementInstance, sender: str) -> None:
+        if state.prepare_senders is None:
+            return  # let go: its vote is cast, or waits for no prepare
+        state.prepare_senders.add(sender)
         if state.payload is None or not state.use_prepare:
             return
         # Pre-prepare sender (the primary) counts as prepared.
@@ -309,12 +411,14 @@ class EndorsementManager:
                            sender=self.host.node_id)
         self.host.multicast_signed(self.others, vote)  # lint: allow[taint-flow] broadcasting this node's own vote share over the claimed digest
         self._add_share(state, self.host.node_id, share)
+        if state.served:
+            self._settle(state)
 
     def _on_vote(self, sender: str, msg: EndorseVote,
                  envelope: Signed) -> None:
         if sender not in self.members:
             return
-        state = self._get(msg.instance)
+        state = self._opened_early(sender, msg.instance)
         if state.endorse_digest is not None and state.endorse_digest != msg.endorse_digest:
             return
         if state.endorse_digest is None:
@@ -327,12 +431,16 @@ class EndorsementManager:
 
     def _add_share(self, state: EndorsementInstance, sender: str,
                    share: Signature) -> None:
+        if state.shares is None:
+            return  # let go: the quorum formed, its certificate is kept
         state.shares[sender] = share
         if state.done or len(state.shares) < self.quorum:
             return
         if state.payload is None:
             return  # quorum of shares but no validated payload yet
         state.done = True
+        # A member that lags its zone: the unit completed before this.
+        served = state.served
         obs = self.host.obs
         obs.count("endorse.quorum")
         # Closes only on the node that opened (led) the instance;
@@ -340,17 +448,18 @@ class EndorsementManager:
         obs.span_close(self.host.sim.now, "endorse", state.instance,
                        node=self.host.node_id,
                        shares=len(state.shares))
-        cert = self._build_cert(state)
+        cert = state.cert = self._build_cert(state)
         if state.leading and state.on_cert is not None:
             state.on_cert(cert)
         kind = self._kind_of(state.instance)
         if kind is not None and kind.on_quorum is not None:
             kind.on_quorum(state.instance, state.payload, cert)
+        if served:
+            self._settle(state)
 
     def _build_cert(self, state: EndorsementInstance):
         shares = list(state.shares.values())
         if self.use_threshold:
             return combine_threshold(self.host.keys, state.endorse_digest,
-                                     shares, frozenset(self.members),
-                                     self.quorum)
+                                     shares, self._group, self.quorum)
         return QuorumCertificate.aggregate(state.endorse_digest, shares)

@@ -91,7 +91,8 @@ class MigrationEngine:
 
         node.register_handler(StateTransfer, self._on_state)
         node.endorsement.register_kind("mig-state",
-                                       validator=self._validate_state_ctx)
+                                       validator=self._validate_state_ctx,
+                                       on_quorum=self._on_state_quorum)
         node.endorsement.register_kind("mig-append",
                                        validator=self._validate_append_ctx,
                                        on_quorum=self._on_append_quorum)
@@ -141,7 +142,7 @@ class MigrationEngine:
             if buffered is not None:
                 self._on_state(*buffered)
             elif key not in self._applied:
-                self._arm_state_timer(key, request)
+                self._arm_state_timer(key)
 
     # ------------------------------------------------------------------
     # Record generation (source zone)
@@ -239,6 +240,11 @@ class MigrationEngine:
                                          context.client_id)] = context.records
         return True
 
+    def _on_state_quorum(self, instance: str, context: Any, cert) -> None:
+        """R(c) is certified: all a source-zone node does for it as a
+        backup, and on the primary ``_send_state`` has just shipped it."""
+        self.node.endorsement.retire(instance)
+
     # ------------------------------------------------------------------
     # Record appending (destination zone)
     # ------------------------------------------------------------------
@@ -298,6 +304,7 @@ class MigrationEngine:
         """Lines 22-25: every destination node appends on the vote quorum."""
         if not isinstance(context, StateTransfer):
             return
+        self.node.endorsement.retire(instance)
         key = self._key(context.ballot, context.client_id)
         if key in self._applied:
             return
@@ -343,12 +350,11 @@ class MigrationEngine:
         if key not in self._applied:
             self.node.endorsement.primary_overdue(instance)
 
-    def _arm_state_timer(self, key: MigKey,
-                         request: MigrationRequest) -> None:
+    def _arm_state_timer(self, key: MigKey) -> None:
         if key in self._state_timers:
             return
         timer = self.node.set_timer(self.config.state_timeout_ms,
-                                    self._on_state_timeout, key, request)
+                                    self._on_state_timeout, key)
         self._state_timers[key] = timer
 
     def _cancel_state_timer(self, key: MigKey) -> None:
@@ -356,19 +362,18 @@ class MigrationEngine:
         if timer is not None:
             timer.cancel()
 
-    def _on_state_timeout(self, key: MigKey,
-                          request: MigrationRequest) -> None:
+    def _on_state_timeout(self, key: MigKey) -> None:
         self._state_timers.pop(key, None)
         if key in self._applied:
             return
-        ballot, _client = key
+        ballot, client_id = key
         query = ResponseQuery(view=self.node.replica.view, ballot=ballot,
-                              request_digest=digest(request.sender),
+                              request_digest=digest(client_id),
                               phase="state", zone_id=self.my_zone.zone_id,
                               sender=self.node.node_id)
-        source_nodes = self.directory.zone(request.source_zone).members
+        source_nodes = self.directory.zone(self._source_zone_of[key]).members
         self.node.multicast_signed(source_nodes, query)
-        self._arm_state_timer(key, request)
+        self._arm_state_timer(key)
 
     def answer_state_query(self, sender: str, query: ResponseQuery) -> None:
         """Source-side response to a STATE query (re-send or suspect)."""

@@ -45,6 +45,14 @@ __all__ = ["SyncConfig", "SyncEngine", "GlobalTxnState"]
 
 #: Cap on retained committed envelopes (response-query replay window).
 _COMMIT_HISTORY = 512
+#: The endorsement rounds a ballot runs in its initiator zone and in a
+#: follower zone (instance kinds, as ``SyncEngine._instance`` names them).
+_INITIATOR_ROUNDS = ("gsync-propose", "gsync-accept", "gsync-commit")
+_FOLLOWER_ROUNDS = ("gsync-promise", "gsync-accepted")
+#: ``GlobalTxnState.phase`` while this node, as its zone's primary, still
+#: has a COMMIT of its own to build for the ballot.
+_DRIVING = frozenset({"propose", "promise-wait", "accept", "accepted-wait",
+                      "commit"})
 
 
 @dataclass
@@ -135,8 +143,11 @@ class GlobalTxnState:
     request_digest: bytes | None = None
     prev_ballot: Ballot | None = None
     phase: str = "start"
-    promises: dict[str, Signed] = field(default_factory=dict)
-    accepteds: dict[str, Signed] = field(default_factory=dict)
+    #: Follower zones' PROMISE / ACCEPTED envelopes by zone, and the ACCEPT
+    #: kept for re-sending; ``None`` once the ballot executed here and no
+    #: COMMIT of this node's is still to be built from them.
+    promises: dict[str, Signed] | None = field(default_factory=dict)
+    accepteds: dict[str, Signed] | None = field(default_factory=dict)
     accept_env: Signed | None = None
     commit_env: Signed | None = None
     committed: bool = False
@@ -182,7 +193,7 @@ class SyncEngine:
         self.seen_requests: set[tuple[str, int]] = set()
         self._batch_buffer: dict[bytes, Signed] = {}
         self._batch_timer = None
-        self._watched_requests: dict[bytes, Any] = {}
+        self._watched_requests: set[bytes] = set()
         self._query_log: dict[tuple[Ballot, str], set[str]] = {}
         self._commit_order: list[Ballot] = []
         #: Cross-cluster hook: ballots whose commit phase is held until the
@@ -407,15 +418,15 @@ class SyncEngine:
         request_digest = digest(envelope.payload)
         if request_digest in self._watched_requests:
             return
-        timer = self.node.set_timer(self.config.watch_timeout_ms,
-                                    self._on_request_watch_expired,
-                                    request_digest, envelope.payload)
-        self._watched_requests[request_digest] = timer
+        request = envelope.payload
+        self.node.set_timer(self.config.watch_timeout_ms,
+                            self._on_request_watch_expired, request_digest,
+                            (request.sender, request.timestamp))
+        self._watched_requests.add(request_digest)
 
     def _on_request_watch_expired(self, request_digest: bytes,
-                                  request: MigrationRequest) -> None:
-        self._watched_requests.pop(request_digest, None)
-        key = (request.sender, request.timestamp)
+                                  key: tuple[str, int]) -> None:
+        self._watched_requests.discard(request_digest)
         if key in self.request_dedup or key in self.seen_requests:
             return  # some ballot picked the request up
         self.node.replica.view_changes.initiate(self.node.replica.view + 1)
@@ -570,6 +581,8 @@ class SyncEngine:
             return None
         txn = self._txn(vote.ballot)
         votes = votes_of(txn)
+        if votes is None:
+            return None  # executed and let go: booked above, banked nowhere
         votes[vote.zone_id] = envelope
         if not self._is_zone_primary() or txn.phase != f"{kind}-wait":
             return None
@@ -829,6 +842,9 @@ class SyncEngine:
         self.node.multicast_signed(
             self.directory.nodes_of_zones(self.zone_ids), commit,
             include_self=True)
+        txn.phase = "commit-sent"
+        if txn.executed:
+            self._release_votes(txn)
 
     def _validate_commit_ctx(self, instance: str, context: Any,
                              endorse_digest: bytes) -> bool:
@@ -973,8 +989,36 @@ class SyncEngine:
             if is_initiator:
                 self._answer_executed(request, results[request.sender])
             self.migrations_executed += 1
+        self._let_go(txn)
         for waiting in self.pending_commits.pop(ballot, []):
             self._try_execute(waiting)
+
+    def _let_go(self, txn: GlobalTxnState) -> None:
+        """The ballot executed here: what only its way there needed goes.
+
+        The endorsement instances of its phases shrink to what a late
+        message can ask of them (:meth:`EndorsementManager.retire`). The
+        zone votes banked for it go too, with the ACCEPT kept for
+        re-sending — unless this node is itself still driving the ballot
+        towards a COMMIT of its own (it executed the COMMIT a newer
+        primary sent, or a peer's answer to a query): that COMMIT is
+        built from them, and ``_send_commit`` lets them go. What is left
+        is what a late message is answered from: the batch, the chain
+        link and ``commit_env`` (RESPONSE-QUERY, windowed by
+        ``_COMMIT_HISTORY``), and the flags.
+        """
+        retire = self.node.endorsement.retire
+        key = txn.ballot.key
+        for kind in (_INITIATOR_ROUNDS
+                     if txn.ballot.zone_id == self.my_zone.zone_id
+                     else _FOLLOWER_ROUNDS):
+            retire(f"{kind}/{key}")
+        if txn.phase not in _DRIVING:
+            self._release_votes(txn)
+
+    @staticmethod
+    def _release_votes(txn: GlobalTxnState) -> None:
+        txn.promises = txn.accepteds = txn.accept_env = None
 
     # ------------------------------------------------------------------
     # Timers / failure handling (paper §V-A)
@@ -984,10 +1028,10 @@ class SyncEngine:
         if txn.watch_timer is None:
             txn.watch_timer = self.node.set_timer(
                 self.config.watch_timeout_ms, self._on_watch_expired,
-                txn, instance)
+                txn.ballot, instance)
 
-    def _on_watch_expired(self, txn: GlobalTxnState, instance: str) -> None:
-        txn.watch_timer = None
+    def _on_watch_expired(self, ballot: Ballot, instance: str) -> None:
+        self.txns[ballot].watch_timer = None
         self.node.endorsement.primary_overdue(instance)
 
     def _arm_commit_timer(self, txn: GlobalTxnState) -> None:
@@ -1033,7 +1077,10 @@ class SyncEngine:
         §V-C) and the chain tail is rolled back past the dead ballot.
         """
         txn = self.txns.get(ballot)
-        if txn is None or txn.committed or txn.phase != phase:
+        if txn is None:
+            return
+        txn.phase_timer = None
+        if txn.committed or txn.phase != phase:
             return
         if not self._is_zone_primary():
             return
@@ -1177,7 +1224,7 @@ class SyncEngine:
         elif txn.phase in ("start", "accept", "promise-wait",
                            "accepted-wait"):  # no majority of ACCEPTEDs yet
             self._start_accept_phase(txn, promises=tuple(txn.promises.values()))
-        elif txn.phase == "commit":
+        elif txn.phase in ("commit", "commit-sent"):
             self._start_commit_phase(txn)
 
     def _relead_accepted(self, ballot: Ballot) -> bool:

@@ -44,7 +44,9 @@ class KeyRegistry:
     Byzantine behaviours in :mod:`repro.pbft.faults` forge *invalid* tags,
     never another node's valid tag, preserving unforgeability.
 
-    No table here grows with traffic. :meth:`sign` is one HMAC and a fresh
+    No table here grows with traffic: ``_secrets`` has one entry per
+    participant that ever *signed*, never one per name a message claims.
+    :meth:`sign` is one HMAC and a fresh
     :class:`Signature`; :meth:`verify` keeps a success on the signature it
     judged — the last place of its ``_repro_memo``
     (:class:`~repro.crypto.schema.Schema`) holds ``(registry, digest)`` —
@@ -58,12 +60,15 @@ class KeyRegistry:
         self._seed = seed
         self._secrets: dict[str, bytes] = {}
 
-    def _secret(self, node_id: str) -> bytes:
-        secret = self._secrets.get(node_id)
+    def _derive(self, node_id: str) -> bytes:
+        material = derive_seed(self._seed, "key", node_id)
+        return hashlib.sha256(str(material).encode()).digest()
+
+    def _secret(self, signer: str) -> bytes:
+        """``signer``'s secret, kept from its first signature on."""
+        secret = self._secrets.get(signer)
         if secret is None:
-            material = derive_seed(self._seed, "key", node_id)
-            secret = hashlib.sha256(str(material).encode()).digest()
-            self._secrets[node_id] = secret
+            secret = self._secrets[signer] = self._derive(signer)
         return secret
 
     def sign(self, signer: str, payload_digest: bytes) -> Signature:
@@ -95,7 +100,10 @@ class KeyRegistry:
             return False
         if type(signer) is not str or type(tag) is not bytes:
             return False
-        expected = hmac.digest(self._secret(signer), payload_digest, "sha256")
+        # The name comes from the network: one that never signed here is
+        # answered (it may be another registry's signer) and not kept.
+        secret = self._secrets.get(signer) or self._derive(signer)
+        expected = hmac.digest(secret, payload_digest, "sha256")
         if not hmac.compare_digest(expected, tag):
             return False
         if record is not None:

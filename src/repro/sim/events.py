@@ -25,16 +25,24 @@ class EventHandle:
 
     Only :meth:`Simulator.at` / :meth:`Simulator.schedule` make one; an
     event nobody will cancel is pushed without (:meth:`Simulator.post`).
+
+    The callback and its arguments live here, not in the heap entry, and
+    leave as the event fires or is cancelled: a deadline that is over
+    holds nothing, however long its entry (or a reference to the handle)
+    stays around.
     """
 
-    __slots__ = ("time", "cancelled", "fired", "_sim")
+    __slots__ = ("time", "cancelled", "fn", "args", "_sim")
 
-    def __init__(self, time: float, sim: "Simulator") -> None:
+    def __init__(self, time: float, sim: "Simulator",
+                 fn: Callable[..., None], args: tuple) -> None:
         #: Simulated time at which the event fires.
         self.time = time
         #: Whether :meth:`cancel` stopped the event before it fired.
         self.cancelled = False
-        self.fired = False
+        #: ``fn(*args)`` is the event; ``None`` once fired or cancelled.
+        self.fn = fn
+        self.args = args
         self._sim = sim
 
     def cancel(self) -> None:
@@ -49,9 +57,10 @@ class EventHandle:
         seq) total order is untouched, so the pop sequence — and with it
         every trace — is byte-identical.
         """
-        if self.cancelled or self.fired:
+        if self.fn is None:
             return
         self.cancelled = True
+        self.fn = self.args = None
         sim = self._sim
         sim._cancelled += 1
         heap = sim._heap
@@ -83,8 +92,9 @@ class Simulator:
         #: event loop writes it, and never backwards.
         self.now = 0.0
         self._seq = 0
-        # Heap of (time, seq, fn, args, handle-or-None); seq breaks ties
-        # so the tuple comparison never reaches the callable.
+        # Heap of (time, seq, fn, args, None) for a posted event and
+        # (time, seq, None, None, handle) for a cancellable one; seq
+        # breaks ties so the tuple comparison never reaches the callable.
         self._heap: list[tuple] = []
         self._events_processed = 0
         self._cancelled = 0
@@ -113,14 +123,15 @@ class Simulator:
         """Raw heap length, cancelled entries included (diagnostics)."""
         return len(self._heap)
 
-    def post(self, time: float, fn: Callable[..., None], args: tuple = (),
+    def post(self, time: float, fn: Callable[..., None] | None,
+             args: tuple | None = (),
              handle: EventHandle | None = None) -> None:
         """Push ``fn(*args)`` to run at absolute simulated ``time``.
 
         Every event enters the heap here. Called directly it allocates
         no handle: the message hop's own pushes (network -> ``deliver``
         -> ``_dispatch``) are never cancelled. :meth:`at` passes the
-        ``handle`` it returns.
+        ``handle`` it returns, which carries the callback instead.
         """
         if time < self.now:
             raise SimulationError(
@@ -137,8 +148,8 @@ class Simulator:
 
     def at(self, time: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` to run at absolute simulated ``time``."""
-        handle = EventHandle(time, self)
-        self.post(time, fn, args, handle)
+        handle = EventHandle(time, self, fn, args)
+        self.post(time, None, None, handle)
         return handle
 
     def step(self) -> bool:
@@ -178,7 +189,8 @@ class Simulator:
                     break
                 pop(heap)
                 if handle is not None:
-                    handle.fired = True
+                    fn, args = handle.fn, handle.args
+                    handle.fn = handle.args = None
                 self.now = time
                 if profiler is None:
                     fn(*args)

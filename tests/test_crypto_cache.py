@@ -790,9 +790,19 @@ def test_nothing_is_kept_per_signature_or_certificate():
                 assert not thresholds.is_valid(dataclasses.replace(
                     _combined(keys, payload_digest), tag=payload_digest))
 
+    def fabricated(start, stop):
+        # Signer names nobody holds a key for, as a faulty node invents
+        # them: each is judged (and refused), none is remembered.
+        for i in range(start, stop):
+            payload_digest = digest(("op", i))
+            assert not keys.verify(Signature(f"ghost-{i}", payload_digest),
+                                   payload_digest)
+
     traffic(0, 10)
+    fabricated(0, 10)
     before = [_reachable(root) for root in (keys, certificates, thresholds)]
     traffic(10, 10_000)
+    fabricated(10, 10_000)
     assert [_reachable(root)
             for root in (keys, certificates, thresholds)] == before
     # The registry, its seed, its table, and one id + secret per signer.

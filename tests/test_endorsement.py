@@ -5,6 +5,8 @@ from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.threshold import ThresholdCertificate
 from repro.core.endorsement import EndorsementManager
+from repro.messages.base import sign_message
+from repro.messages.endorse import EndorsePrepare, EndorseVote
 from repro.pbft.faults import make_behavior
 from repro.pbft.host import HostNode
 from repro.sim.events import Simulator
@@ -157,11 +159,145 @@ def test_lead_on_completed_instance_fires_immediately():
     assert len(certs) == 1
 
 
-def test_discard_clears_state():
+def test_retire_lets_a_finished_instance_go():
+    """The unit is served: the payload, the shares and the leader's
+    callback go; the digest, the flags and the quorum's certificate stay,
+    and the instance still answers for itself."""
     sim, hosts, managers = build_zone()
+    certs = []
     managers[0].lead("test/1", "p", digest("p"), use_prepare=False,
-                     on_cert=lambda cert: None)
+                     on_cert=certs.append)
     sim.run(until=100)
-    assert managers[0].has_instance("test/1")
-    managers[0].discard("test/1")
-    assert not managers[0].has_instance("test/1")
+    for manager in managers:
+        manager.retire("test/1")
+        state = manager.instance_state("test/1")
+        assert state.payload is None and state.shares is None
+        assert state.prepare_senders is None and state.on_cert is None
+        assert state.done and state.endorse_digest == digest("p")
+        assert manager.has_instance("test/1")
+    # The backups voted; the leader of a round without prepares never does.
+    assert [m.instance_state("test/1").voted for m in managers] \
+        == [False, True, True, True]
+    assert managers[0].instance_state("test/1").cert == certs[0]
+    assert managers[0].relead("test/1", False, certs.append)
+    assert certs[1] is certs[0]
+    managers[0].retire("test/never-seen")        # nothing to let go
+    assert not managers[0].has_instance("test/never-seen")
+
+
+def test_retire_waits_for_the_quorum_and_for_the_vote():
+    sim, hosts, managers = build_zone()
+    managers[0].lead("test/1", "p", digest("p"), use_prepare=True,
+                     on_cert=lambda cert: None)
+    for manager in managers:
+        manager.retire("test/1")      # served before anything happened
+    assert managers[0].instance_state("test/1").payload == "p"
+    assert managers[1].instance_state("test/1") is None
+    sim.run(until=100)
+    # Opened after the unit was served (a lagging member): still endorsed
+    # in full, and let go as the quorum and the vote are both in.
+    for manager in managers[:1]:
+        state = manager.instance_state("test/1")
+        assert state.done and state.voted and state.payload is None
+    for manager in managers[1:]:
+        assert manager.instance_state("test/1").payload == "p"
+        manager.retire("test/1")
+        assert manager.instance_state("test/1").payload is None
+
+
+def test_a_new_digest_reopens_an_instance_that_was_let_go():
+    """``lead`` with another digest restarts a finished instance today
+    (a re-proposal under a new primary); letting go does not change it."""
+    sim, hosts, managers = build_zone()
+    certs = []
+    managers[0].lead("test/1", "A", digest("A"), use_prepare=False,
+                     on_cert=certs.append)
+    sim.run(until=100)
+    managers[0].retire("test/1")
+    managers[0].lead("test/1", "B", digest("B"), use_prepare=False,
+                     on_cert=certs.append)
+    state = managers[0].instance_state("test/1")
+    assert not state.done and state.payload == "B" and len(state.shares) == 1
+    assert len(certs) == 1
+
+
+# ----------------------------------------------------------------------
+# What a zone member can park here ahead of a pre-prepare is bounded
+# ----------------------------------------------------------------------
+#: What one member may park at a peer (``_PARKED_PER_MEMBER``), against
+#: the ten thousand it tries.
+ALLOWANCE = 256
+
+
+def _send(hosts, keys, src, dst, payload):
+    hosts[0].network.send(src, dst, sign_message(keys, src, payload))
+
+
+def _ghost_traffic(hosts, src, dst, count):
+    """``count`` well-signed votes and prepares from member ``src`` for
+    instances that will never exist."""
+    keys = hosts[0].keys
+    for i in range(count):
+        name, body = f"test/ghost-{i}", digest(("ghost", i))
+        if i % 2:
+            message = EndorseVote(instance=name, view=0, endorse_digest=body,
+                                  share=keys.sign(src, body), sender=src)
+        else:
+            message = EndorsePrepare(instance=name, view=0,
+                                     endorse_digest=body, sender=src)
+        _send(hosts, keys, src, dst, message)
+
+
+def test_fabricated_instance_names_stay_bounded_and_the_zone_works_on():
+    sim, hosts, managers = build_zone()
+    _ghost_traffic(hosts, "n1", "n2", 10_000)
+    sim.run(until=1_000)
+    assert hosts[2].invalid_messages == 0       # nothing wrong to see yet
+    assert len(managers[2]._instances) <= ALLOWANCE
+    certs, observed = [], []
+    managers[2].register_kind(
+        "test", on_quorum=lambda inst, payload, cert: observed.append(inst))
+    managers[0].lead("test/1", "p", digest("p"), use_prepare=True,
+                     on_cert=certs.append)
+    sim.run(until=2_000)
+    assert len(certs) == 1 and observed == ["test/1"]
+    assert len(managers[2]._instances) <= ALLOWANCE + 1
+
+
+def test_a_genuine_early_vote_still_aggregates_under_the_flood():
+    """n3's vote reaches n2 before the pre-prepare does; n1 then parks
+    ten thousand names of its own. Only n1's own are displaced: with n1
+    and n3 mute from here on, n2's quorum is the leader's share, its own
+    and the one that came early."""
+    sim, hosts, managers = build_zone()
+    body = digest("p")
+    early = EndorseVote(instance="test/1", view=0, endorse_digest=body,
+                        share=hosts[0].keys.sign("n3", body), sender="n3")
+    _send(hosts, hosts[0].keys, "n3", "n2", early)
+    _ghost_traffic(hosts, "n1", "n2", 10_000)
+    sim.run(until=1_000)
+    for mute in (1, 3):
+        hosts[mute].set_behavior("silent")
+    managers[0].lead("test/1", "p", body, use_prepare=False,
+                     on_cert=lambda cert: None)
+    sim.run(until=2_000)
+    state = managers[2].instance_state("test/1")
+    assert state.done and sorted(state.shares) == ["n0", "n2", "n3"]
+    assert not managers[0].instance_state("test/1").done   # two shares
+
+
+def test_no_retry_count_outlives_its_pre_prepare():
+    sim, hosts, managers = build_zone()
+    verdicts = {"test/stuck": "retry", "test/refused": "retry"}
+    for manager in managers[1:]:
+        manager.register_kind(
+            "test", validator=lambda inst, payload, d: verdicts[inst])
+    for name in verdicts:
+        managers[0].lead(name, name, digest(name), use_prepare=False,
+                         on_cert=lambda cert: None)
+    sim.run(until=100)
+    assert managers[1]._retries.keys() == verdicts.keys()
+    verdicts["test/refused"] = False
+    sim.run(until=5_000)        # 200 re-dispatches, 10 ms apart, and out
+    assert all(manager._retries == {} for manager in managers)
+    assert not managers[1].has_instance("test/stuck")

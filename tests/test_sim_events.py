@@ -143,6 +143,31 @@ def test_cancel_after_fire_is_a_noop_for_accounting():
     assert sim.pending == 0
 
 
+def test_a_deadline_that_is_over_holds_nothing():
+    """Cancelled or fired, a handle — and the heap entry that may outlive
+    the cancellation by seconds — references neither callback nor
+    arguments."""
+    import weakref
+
+    class Argument:
+        pass
+
+    sim = Simulator()
+    cancelled_arg, fired_arg = Argument(), Argument()
+    refs = [weakref.ref(cancelled_arg), weakref.ref(fired_arg)]
+    cancelled = sim.schedule(50.0, lambda arg: None, cancelled_arg)
+    fired = sim.schedule(1.0, lambda arg: None, fired_arg)
+    del cancelled_arg, fired_arg
+    cancelled.cancel()
+    # The cancelled entry is still in the heap, 50 ms from its time.
+    assert sim.heap_size == 2 and refs[0]() is None
+    assert all(entry[2:4] == (None, None) for entry in sim._heap)
+    assert sim.run(until=10.0) == 1
+    assert refs[1]() is None
+    for handle in (cancelled, fired):
+        assert handle.fn is None and handle.args is None
+
+
 def test_mostly_cancelled_heap_compacts_without_reordering():
     sim = Simulator()
     fired = []
