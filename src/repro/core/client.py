@@ -24,15 +24,15 @@ from dataclasses import replace
 from typing import Any, Callable
 
 from repro.core.zone import ZoneDirectory
-from repro.crypto.certificates import CertificateVerifier
+from repro.crypto.certificates import CertificateVerifier, QuorumCertificate
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.messages.base import Signed, verify_signed
 from repro.messages.client import ClientReply, ClientRequest, MigrationRequest
-from repro.messages.reads import ReadReply, ReadRequest
+from repro.messages.reads import ReadReply, ReadRequest, ReadWatermarkCert
 from repro.messages.trace import SpanContext, trace_id
 from repro.pbft.client import ClosedLoopClient, InFlight
-from repro.quorums import weak_quorum
+from repro.quorums import intra_zone_quorum, weak_quorum
 from repro.reads import ReadConfig
 from repro.sim.events import Simulator
 from repro.sim.network import Network
@@ -110,12 +110,13 @@ class MobileClient(ClosedLoopClient):
     def submit_read(self, operation: tuple) -> None:
         """Issue a certified fast-path read in the current zone.
 
-        The request fans out to every zone member; completion requires
-        ``f+1`` matching results, each individually backed by a verified
-        watermark certificate within the staleness bound. Any timeout,
-        verification failure, bound violation, or explicit rejection
-        (e.g. the record is mid-migration) falls back to the
-        transactional path — the fallback is transparent to the caller.
+        The request goes to ``2f+1`` zone members (:meth:`_read_asked`)
+        and, once, to the others if those answer without agreeing;
+        completion requires ``f+1`` matching results, each individually
+        backed by a verified watermark certificate within the staleness
+        bound. A timeout or ``f+1`` explicit rejections (e.g. the record
+        is mid-migration) fall back to the transactional path — the
+        fallback is transparent to the caller.
         """
         if not self.reads.enabled:
             self.submit_local(operation)
@@ -138,9 +139,10 @@ class MobileClient(ClosedLoopClient):
     def _launch_at(self, request: Any, zone_id: str,
                    started_at: float | None = None,
                    labels: dict | None = None) -> None:
-        """Launch ``request`` at ``zone_id``: a read at every member, with
-        the read timeout; anything else at the primary we believe in, with
-        retransmission to every member."""
+        """Launch ``request`` at ``zone_id``: a read at the ``2f+1``
+        members of :meth:`_read_asked`, with the read timeout; anything
+        else at the primary we believe in, with retransmission to every
+        member."""
         obs = self.obs
         if obs.causal:
             tid = trace_id(request)
@@ -154,7 +156,8 @@ class MobileClient(ClosedLoopClient):
                      txn=self._txn_kind(request))
         zone = self.directory.zone(zone_id)
         if isinstance(request, ReadRequest):
-            self._launch(request, zone.members, zone.members,
+            self._launch(request, self._read_asked(request, zone),
+                         zone.members,
                          self.reads.read_timeout_ms, self._read_abandon,
                          answer=ReadReply, labels={"read": "fast"})
         else:
@@ -216,10 +219,23 @@ class MobileClient(ClosedLoopClient):
                         self.current_zone, started_at=flight.started_at,
                         labels={"read": "fallback"})
 
+    @staticmethod
+    def _read_asked(request: ReadRequest, zone) -> tuple[str, ...]:
+        """Whom a read is sent to first: ``2f+1`` members — ``f+1`` of
+        them are correct and answer, whatever the other ``f`` do —
+        starting at a member that rotates with the request's timestamp,
+        so that the zone's read load is spread evenly."""
+        members = zone.members
+        start = request.timestamp % len(members)
+        return (members[start:] + members[:start])[:intra_zone_quorum(zone.f)]
+
     def _cert_problem(self, cert, zone) -> str | None:
         """Why a reply's certificate is provably invalid (None if sound)."""
         if cert is None:
             return "missing-cert"
+        if type(cert) is not ReadWatermarkCert \
+                or type(cert.certificate) is not QuorumCertificate:
+            return "malformed-cert"
         if cert.zone != zone.zone_id:
             return "wrong-zone"
         if cert.body() != cert.certificate.payload_digest:
@@ -232,24 +248,63 @@ class MobileClient(ClosedLoopClient):
         return None
 
     def _on_read_reply(self, reply: ReadReply) -> None:
-        if self._awaited(reply) is None:
+        flight = self._awaited(reply)
+        if flight is None:
             return
         zone = self.directory.zone(self.current_zone)
-        if reply.sender not in zone.members:
+        sender = reply.sender
+        if sender not in zone.members:
             return
+        for voters in flight.votes.values():
+            if sender in voters:
+                return   # one member, one answer: a replay decides nothing
+        key, evidence = self._read_ballot(reply, zone)
+        votes = self._vote(key, sender, evidence)
+        if key is not None and len(votes) >= weak_quorum(zone.f):
+            if key == "refused":
+                # ``f+1`` explicit rejections, one of them honest: the
+                # record is mid-migration, the zone has no usable
+                # watermark yet, or the operation is not servable —
+                # take the transactional path immediately.
+                self._read_abandon(reply.status)
+                return
+            sequence = max(seq for _, seq in votes.values())
+            # Session vector: verified watermarks only, monotonically
+            # rising.
+            self.session[zone.zone_id] = max(
+                self.session.get(zone.zone_id, 0), sequence)
+            self.obs.emit(self.sim.now, "read.complete", node=self.node_id,
+                          zone=zone.zone_id, sequence=sequence,
+                          age_ms=round(max(age for age, _ in votes.values()),
+                                       6),
+                          bound_ms=self.reads.staleness_bound_ms)
+            self._complete(reply.result)
+            return
+        asked = self._read_asked(flight.request, zone)
+        if sender in asked:
+            heard = set().union(*flight.votes.values())
+            if heard.issuperset(asked):
+                # Everyone asked has answered and no quorum formed: ask
+                # the others now rather than wait out the read timeout.
+                # An asked member is heard once, so this happens once.
+                rest = tuple(m for m in flight.targets if m not in heard)
+                if rest:
+                    self._send(flight.request, rest)
+
+    def _read_ballot(self, reply: ReadReply, zone) -> tuple[Any, Any]:
+        """What ``reply`` votes for, and its evidence: ``"refused"`` (an
+        explicit rejection code), its result's digest (a certified
+        answer within the bound), or ``None`` — an answer that cannot be
+        used, which still says its sender was heard."""
         if reply.status != "ok":
-            # An explicit rejection code: the record is mid-migration,
-            # the zone has no usable watermark yet, or the operation is
-            # not servable — take the transactional path immediately.
-            self._read_abandon(reply.status)
-            return
+            return "refused", reply.status
         cert = reply.cert
         problem = self._cert_problem(cert, zone)
         if problem is not None:
             self.obs.emit(self.sim.now, "read.invalid", node=self.node_id,
                           sender=reply.sender, zone=zone.zone_id,
                           reason=problem)
-            return
+            return None, None
         age_ms = self.sim.now - cert.watermark_ts
         if not self.reads.fresh_ok(age_ms):
             # Genuine but stale certificate: not counted, not flagged —
@@ -257,22 +312,10 @@ class MobileClient(ClosedLoopClient):
             self.obs.emit(self.sim.now, "read.stale", node=self.node_id,
                           sender=reply.sender, zone=zone.zone_id,
                           age_ms=round(age_ms, 6))
-            return
+            return None, None
         if cert.sequence < self.session.get(zone.zone_id, 0):
-            return   # behind our session vector; wait for fresher replies
-        votes = self._vote(digest((reply.result,)), reply.sender,
-                           (age_ms, cert.sequence))
-        if len(votes) < weak_quorum(zone.f):
-            return
-        sequence = max(seq for _, seq in votes.values())
-        # Session vector: verified watermarks only, monotonically rising.
-        self.session[zone.zone_id] = max(
-            self.session.get(zone.zone_id, 0), sequence)
-        self.obs.emit(self.sim.now, "read.complete", node=self.node_id,
-                      zone=zone.zone_id, sequence=sequence,
-                      age_ms=round(max(age for age, _ in votes.values()), 6),
-                      bound_ms=self.reads.staleness_bound_ms)
-        self._complete(reply.result)
+            return None, None   # behind our session vector
+        return digest((reply.result,)), (age_ms, cert.sequence)
 
     def _settle(self, flight: InFlight, result: Any) -> bool:
         request = flight.request

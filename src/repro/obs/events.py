@@ -74,7 +74,8 @@ EVENT_KINDS: dict[str, str] = {
     "net.reconnect": "node brought back online",
     "net.clear_faults": "all fault-injection rules removed",
     "proc.deliver": "verified envelope dispatched on the receiving node",
-    "host.invalid": "inbound envelope failed signature verification",
+    "host.invalid": "inbound message refused: its envelope failed "
+                    "signature verification or its payload is ill-shaped",
     "sample.node": "periodic queue-depth / utilization sample",
     # Intra-zone PBFT consensus.
     "pbft.preprepare": "pre-prepare observed (claimed digest, pre-check)",

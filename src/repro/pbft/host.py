@@ -120,16 +120,20 @@ class HostNode(Process):
     # ------------------------------------------------------------------
     # Inbound path
     # ------------------------------------------------------------------
+    def refuse(self, sender: str, payload: Any) -> None:
+        """Book one inbound message as invalid: its envelope failed
+        verification, or an engine found its payload ill-shaped."""
+        self.invalid_messages += 1
+        self.obs.count("host.invalid_messages")
+        self.obs.emit(self.sim.now, "host.invalid", node=self.node_id,
+                      sender=sender, msg=type(payload).__name__)
+
     def on_message(self, sender: str, message: Any) -> None:
         """Verify the envelope and dispatch its payload to an engine."""
         if not isinstance(message, Signed):
             return
         if not verify_signed(self.keys, message):
-            self.invalid_messages += 1
-            self.obs.count("host.invalid_messages")
-            self.obs.emit(self.sim.now, "host.invalid",
-                          node=self.node_id, sender=sender,
-                          msg=type(message.payload).__name__)
+            self.refuse(sender, message.payload)
             return
         payload = message.payload
         handler = self._handlers.get(type(payload))

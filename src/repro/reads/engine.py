@@ -2,18 +2,24 @@
 
 Two duties, both attached to every :class:`~repro.core.node.ZiziphusNode`:
 
-**Watermark certification.** After each executed PBFT batch (which includes
-every checkpoint boundary — checkpoints are taken immediately after
-execution) the replica signs a ``(zone, sequence, state_digest,
-watermark_ts)`` tuple and multicasts the share to its zone peers. ``f+1``
-matching shares aggregate into a transferable
+**Watermark certification, once per epoch.** ``watermark_ts`` is quantized
+to ``epoch_ms`` and clients accept ``staleness_bound_ms`` of age, so a zone
+needs one certificate per epoch, not one per batch. After an executed PBFT
+batch a replica that holds no certificate of the *current* epoch signs a
+``(zone, sequence, state_digest, watermark_ts)`` tuple and multicasts the
+share to its zone peers; one that holds one does nothing. ``f+1`` matching
+shares aggregate into a transferable
 :class:`~repro.messages.reads.ReadWatermarkCert`: at least one signer is
 honest, so the certified tuple reflects genuinely committed state.
-``watermark_ts`` is quantized to ``epoch_ms`` — replicas execute the same
-sequence at slightly different simulated instants, and quantization makes
-their share bodies byte-identical within an epoch. A batch whose executions
-straddle an epoch edge simply fails to certify; the next batch (or the
-client's transactional fallback) restores progress, never safety.
+Quantization makes the share bodies of replicas that execute a sequence at
+slightly different simulated instants byte-identical within an epoch. The
+rule reads only ``self.cert``, so it heals itself: a replica keeps offering
+the batches it executes until the epoch is certified *at that replica*, and
+a batch whose executions straddle an epoch edge costs at most one more
+round of shares (the members on the late side certify it among themselves
+and everyone who hears ``f+1`` of them holds the result; otherwise the next
+batch is offered by all who still lack the epoch). An idle zone's
+certificate ages out and the client's transactional fallback renews it.
 
 **Read serving.** A :class:`~repro.messages.reads.ReadRequest` is answered
 from committed application state together with the newest held certificate.
@@ -36,6 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.crypto.certificates import QuorumCertificate
+from repro.crypto.keys import Signature
 from repro.messages.reads import (ReadReply, ReadRequest, ReadWatermarkCert,
                                   WatermarkShare, watermark_body)
 from repro.quorums import weak_quorum
@@ -72,6 +79,8 @@ class ReadEngine:
         self.config = config or ReadConfig()
         self.zone = node.zone_info
         self._quorum = weak_quorum(self.zone.f)
+        self._peers = tuple(m for m in self.zone.members
+                            if m != node.node_id)
         #: Newest certified watermark this replica holds.
         self.cert: Optional[ReadWatermarkCert] = None
         #: sequence -> signer -> (body digest, signature share). A signer
@@ -93,11 +102,14 @@ class ReadEngine:
         return math.floor(self.node.sim.now / period) * period
 
     def on_executed(self, sequence: int) -> None:
-        """Replica hook: a batch up to ``sequence`` was executed here."""
+        """Replica hook: a batch up to ``sequence`` was executed here.
+        Offer it for certification unless this epoch is certified here."""
         if not self.config.enabled:
             return
         node = self.node
         watermark_ts = self._epoch_ts()
+        if self.cert is not None and self.cert.watermark_ts == watermark_ts:
+            return
         state_digest = node.app.state_digest()
         body = watermark_body(self.zone.zone_id, sequence, state_digest,
                               watermark_ts)
@@ -106,14 +118,17 @@ class ReadEngine:
             state_digest=state_digest, watermark_ts=watermark_ts,
             signature=node.keys.sign(node.node_id, body),
             sender=node.node_id)
-        others = tuple(m for m in self.zone.members if m != node.node_id)
-        node.multicast_signed(others, share)
+        node.multicast_signed(self._peers, share)
         self._record(node.node_id, share, body)
 
     def _on_share(self, sender: str, share: WatermarkShare, envelope) -> None:
         if sender not in self.zone.members or share.sender != sender:
             return
         if share.zone != self.zone.zone_id:
+            return
+        if type(share.sequence) is not int \
+                or type(share.signature) is not Signature:
+            self.node.refuse(sender, share)
             return
         if share.sequence > self.node.replica.high_water_mark:
             # No correct replica executes beyond the window: a share from
@@ -160,15 +175,22 @@ class ReadEngine:
         if request.sender != sender:
             return
         reply = self._answer(request)
+        if reply is None:
+            self.node.refuse(sender, request)
+            return
         node = self.node
-        node.send_signed(sender, reply)  # lint: allow[taint-flow] read reply echoes the request's own timestamp back to its authenticated sender; the data it carries is committed local state bound by a quorum watermark certificate
+        node.send_signed(sender, reply)
         if reply.status == "ok":
             self.reads_served += 1
         node.obs.emit(node.sim.now, "read.serve", node=node.node_id,
                       zone=self.zone.zone_id, client=sender,
                       status=reply.status)
 
-    def _answer(self, request: ReadRequest) -> ReadReply:
+    def _answer(self, request: ReadRequest) -> ReadReply | None:
+        """The reply ``request`` gets — none for an ill-shaped one."""
+        session_floor = self._session_floor(request.session)
+        if session_floor is None:
+            return None
         base = dict(timestamp=request.timestamp, client_id=request.sender,
                     sender=self.node.node_id)
         if not self._ownership_ok(request.sender):
@@ -181,7 +203,6 @@ class ReadEngine:
         if cert is None:
             return ReadReply(status="no-watermark", result=None, cert=None,
                              **base)
-        session_floor = self._session_floor(request.session)
         if cert.sequence < session_floor:
             # Causal session mode: our certified watermark does not
             # dominate the client's vector for this zone yet.
@@ -196,16 +217,26 @@ class ReadEngine:
         """TRUE iff this replica's copy of the record is authoritative."""
         return self.node.locks.is_current(client_id)
 
-    def _session_floor(self, session: tuple) -> int:
-        for zone_id, sequence in session:
-            if zone_id == self.zone.zone_id:
-                return sequence
-        return 0
+    def _session_floor(self, session: tuple) -> int | None:
+        """The client's minimum sequence for this zone (0 if it names
+        none) — or ``None`` for a vector that is not a tuple of
+        ``(zone id, int)`` pairs: it arrives from the network."""
+        if type(session) is not tuple:
+            return None
+        floor = None
+        for entry in session:
+            if type(entry) is not tuple or len(entry) != 2 \
+                    or type(entry[1]) is not int:
+                return None
+            if floor is None and entry[0] == self.zone.zone_id:
+                floor = entry[1]
+        return floor or 0
 
     def _evaluate(self, operation: tuple, client_id: str):
         """Evaluate a read-only operation against committed app state."""
         app = self.node.app
-        if operation and operation[0] == "balance" \
+        if type(operation) is tuple and operation \
+                and operation[0] == "balance" \
                 and hasattr(app, "balance_of"):
             if not app.has_account(client_id):
                 return ("err", "no-account")

@@ -1,0 +1,284 @@
+"""Message budget of the certified read path.
+
+One certified read and one epoch of watermark certification are protocol
+units whose cost in messages is a pure function of the code (DESIGN.md
+§14.2 / §14.3), so it is pinned here: a read asks ``2f+1`` members and
+needs ``f+1`` of them, asks the rest once — and only when those it asked
+have all answered without agreeing —, and a zone certifies its state once
+per epoch however many batches it executes. Run as a script it prints
+what CI shows in the job summary.
+"""
+
+import pytest
+
+from repro.core.deployment import ZiziphusConfig, build_ziziphus
+from repro.core.migration_protocol import MigrationConfig
+from repro.core.sync_protocol import SyncConfig
+from repro.messages.base import sign_message
+from repro.messages.reads import ReadReply, ReadRequest
+from repro.obs.bus import Instrumentation
+from repro.pbft.replica import PBFTConfig
+from repro.reads import ReadConfig
+from repro.workload.driver import ClosedLoopDriver
+from repro.workload.generator import WorkloadMix
+
+READS = ReadConfig(enabled=True)
+#: ``WatermarkShare`` multicasts per zone per epoch under the load below:
+#: the replicas that execute a batch of a new epoch before ``f+1`` shares
+#: of it have reached them (6.8 measured). One per replica per executed
+#: batch — 75 under this load — before certification went per epoch.
+SHARES_PER_ZONE_EPOCH_CEILING = 12
+#: Simulated ms of the loaded run (the benchmark's): four whole epochs.
+LOADED_MS = 4 * READS.epoch_ms
+
+
+def loaded_zones(seed=7, behaviors=None):
+    """The benchmark's ``read-heavy`` load, started and not yet run:
+    three zones of four, 40 clients each, 90 % reads, batching on,
+    failure timers out of reach. Returns the deployment and its driver."""
+    config = ZiziphusConfig(
+        num_zones=3, f=1, seed=seed, use_threshold_signatures=True,
+        read=READS, behaviors=behaviors or {},
+        pbft=PBFTConfig(batch_size=16, batch_timeout_ms=1.0,
+                        request_timeout_ms=8_000.0,
+                        view_change_timeout_ms=8_000.0,
+                        checkpoint_period=512, water_mark_window=4096),
+        sync=SyncConfig(stable_leader=True, checkpoint_on_migration=False,
+                        global_batch_size=24, global_batch_timeout_ms=10.0,
+                        commit_timeout_ms=8_000.0, phase_timeout_ms=8_000.0,
+                        watch_timeout_ms=8_000.0),
+        migration=MigrationConfig(state_timeout_ms=8_000.0,
+                                  watch_timeout_ms=8_000.0))
+    deployment = build_ziziphus(config)
+    driver = ClosedLoopDriver(
+        deployment, WorkloadMix(global_fraction=0.0, read_fraction=0.9),
+        clients_per_zone=40, seed=seed)
+    driver.start()
+    return deployment, driver
+
+
+def sent(deployment, kind):
+    """Messages of payload type ``kind`` handed to the network so far."""
+    return deployment.network.stats.by_type[kind]
+
+
+def share_multicasts(deployment):
+    """``WatermarkShare`` fan-outs so far (one reaches every peer)."""
+    peers = len(deployment.directory.zone("z0").members) - 1
+    return sent(deployment, "WatermarkShare") / peers
+
+
+def small_zones(backend="default"):
+    """Three zones at ``f = 1`` on the default timers, reads on."""
+    return build_ziziphus(ZiziphusConfig(num_zones=3, f=1, read=READS,
+                                         backend=backend))
+
+
+def certified_zone(backend="default"):
+    """A three-zone deployment whose z0 holds a watermark certificate,
+    and a z0 client that has completed the write which produced it."""
+    deployment = small_zones(backend)
+    client = deployment.add_client("c1", "z0")
+    client.on_complete = lambda record: None
+    client.submit_local(("deposit", 5))
+    deployment.sim.run(until=20.0)
+    assert len(client.completed) == 1
+    assert all(node.reads.cert is not None
+               for node in deployment.zone_nodes("z0"))
+    return deployment, client
+
+
+def one_read(deployment, client, run_ms=None):
+    """Submit one read and run; returns ``(ReadRequest, ReadReply)``
+    messages it cost, the flight's timer and the completion record."""
+    before = sent(deployment, "ReadRequest"), sent(deployment, "ReadReply")
+    done = len(client.completed)
+    client.submit_read(("balance",))
+    timer = client._outstanding.timer
+    deployment.sim.run(until=deployment.sim.now + (
+        READS.read_timeout_ms / 2 if run_ms is None else run_ms))
+    record = client.completed[done] if len(client.completed) > done else None
+    return ((sent(deployment, "ReadRequest") - before[0],
+             sent(deployment, "ReadReply") - before[1]), timer, record)
+
+
+def next_asked(deployment, client):
+    """Whom the client's next read is sent to first."""
+    request = ReadRequest(operation=("balance",), sender=client.node_id,
+                          timestamp=client.timestamp + 1)
+    return client._read_asked(
+        request, deployment.directory.zone(client.current_zone))
+
+
+# ----------------------------------------------------------------------
+# One read
+# ----------------------------------------------------------------------
+def test_an_honest_read_asks_three_hears_three_and_fires_no_timer():
+    deployment, client = certified_zone()
+    messages, timer, record = one_read(deployment, client)
+    assert messages == (3, 3)
+    assert record.result == ("ok", 10_005)
+    assert record.labels == {"read": "fast"}
+    assert timer.cancelled          # retired by the completion, not fired
+
+
+def test_a_disagreeing_read_asks_the_fourth_member_instead_of_waiting():
+    """One asked member lies (within ``f``) and the two correct ones
+    beside it stand one write apart: three answers, no two alike. The
+    fourth member is asked at once and settles it."""
+    deployment, client = certified_zone()
+    liar, ahead, _ = next_asked(deployment, client)
+    deployment.nodes[liar].set_behavior("fabricate-read")
+    deployment.nodes[ahead].app.execute(("deposit", 1), "c1")
+    messages, timer, record = one_read(deployment, client)
+    assert messages == (4, 4)
+    assert record.result == ("ok", 10_005)
+    assert record.labels == {"read": "fast"}
+    assert record.latency_ms < READS.read_timeout_ms / 10
+    assert timer.cancelled
+
+
+def test_a_syncbft_zone_asks_all_three_and_never_widens():
+    deployment, client = certified_zone(backend="syncbft")
+    assert len(deployment.directory.zone("z0").members) == 3
+    messages, timer, record = one_read(deployment, client)
+    assert messages == (3, 3) and record.labels == {"read": "fast"}
+    # Everyone has answered, no two alike: there is nobody left to ask,
+    # and the read's own timeout takes the transactional path.
+    liar, ahead, _ = next_asked(deployment, client)
+    deployment.nodes[liar].set_behavior("fabricate-read")
+    deployment.nodes[ahead].app.execute(("deposit", 1), "c1")
+    messages, timer, record = one_read(deployment, client,
+                                       run_ms=READS.read_timeout_ms - 1)
+    assert messages == (3, 3) and record is None
+    assert not timer.cancelled and timer.fn is not None
+
+
+def test_the_member_left_out_rotates_with_the_request():
+    deployment, client = certified_zone()
+    members = deployment.directory.zone("z0").members
+    skipped = []
+    for _ in members:
+        skipped += set(members) - set(next_asked(deployment, client))
+        messages, _, record = one_read(deployment, client)
+        assert messages == (3, 3) and record.labels == {"read": "fast"}
+    assert sorted(skipped) == sorted(members)
+    assert [deployment.nodes[m].reads.reads_served for m in members] \
+        == [len(members) - 1] * len(members)
+
+
+def test_a_replayed_reply_is_one_answer():
+    """A member that answers three times has answered once: its replays
+    neither make "everyone asked has answered" true (no widening) nor add
+    up to ``f+1`` refusals (no fallback). A second member's refusal does."""
+    deployment, client = certified_zone()
+    asked = next_asked(deployment, client)
+    for member in asked:
+        deployment.nodes[member].set_behavior("silent")
+    obs = Instrumentation(recording=True).attach(deployment)
+    client.submit_read(("balance",))
+
+    def refuse(member):
+        reply = ReadReply(timestamp=client.timestamp, client_id="c1",
+                          status="behind", result=None, cert=None,
+                          sender=member)
+        deployment.network.send(member, "c1", sign_message(
+            deployment.keys, member, reply))
+        deployment.sim.run(until=deployment.sim.now + 5.0)
+
+    for _ in range(3):
+        refuse(asked[0])
+    assert sent(deployment, "ReadRequest") == 3
+    assert client._outstanding.votes == {"refused": {asked[0]: "behind"}}
+    refuse(asked[1])
+    assert [(e.kind, e.fields["reason"]) for e in obs.events
+            if e.node == "c1" and e.kind.startswith("read.")] \
+        == [("read.fallback", "behind")]
+    assert sent(deployment, "ReadRequest") == 3
+
+
+# ----------------------------------------------------------------------
+# One epoch
+# ----------------------------------------------------------------------
+def test_a_loaded_zone_certifies_once_per_epoch_and_everyone_holds_it():
+    deployment, driver = loaded_zones()
+    epochs = int(LOADED_MS / READS.epoch_ms)
+    for k in range(epochs):
+        deployment.sim.run(until=READS.epoch_ms * (k + 1) - 0.001)
+        held = {node.node_id: node.reads.cert.watermark_ts
+                for node in deployment.nodes.values()}
+        assert set(held.values()) == {READS.epoch_ms * k}, held
+    zones = len(deployment.zone_ids)
+    assert 1 <= share_multicasts(deployment) / (zones * epochs) \
+        <= SHARES_PER_ZONE_EPOCH_CEILING
+    assert len(driver.records) > 4_000
+
+
+def test_below_one_batch_per_epoch_every_batch_is_offered_by_everyone():
+    """A zone that executes less than one batch per epoch shares exactly
+    as it did when every batch was offered: once per replica per batch."""
+    deployment = small_zones()
+    client = deployment.add_client("c1", "z0")
+    client.on_complete = lambda record: None
+    batches = 5
+    for k in range(batches):
+        deployment.sim.at(10.0 + k * (READS.epoch_ms + 10.0),
+                          client.submit_local, ("deposit", 1))
+    deployment.sim.run(until=batches * (READS.epoch_ms + 10.0))
+    assert len(client.completed) == batches
+    members = len(deployment.directory.zone("z0").members)
+    assert share_multicasts(deployment) == batches * members
+
+
+# ----------------------------------------------------------------------
+# The epoch edge
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("late,shares", [
+    # One member executes on the far side: its share stands alone, and
+    # the next batch is offered by all four — nobody holds the epoch yet.
+    (1, 1 + 4),
+    # f+1 on the far side certify among themselves, and the two on the
+    # near side hold the certificate as soon as they hear both: the
+    # next batch finds the epoch certified everywhere.
+    (2, 2),
+    (3, 3),
+])
+def test_a_batch_split_over_an_epoch_edge_still_certifies_the_epoch(
+        late, shares):
+    deployment = small_zones()
+    nodes = deployment.zone_nodes("z0")
+    edge = READS.epoch_ms
+    sim = deployment.sim
+    for node in nodes:
+        sim.at(10.0, node.reads.on_executed, 1)
+        sim.at(edge + (0.1 if node in nodes[-late:] else -0.1),
+               node.reads.on_executed, 2)
+        sim.at(edge + 2.0, node.reads.on_executed, 3)
+    sim.run(until=edge - 0.2)
+    assert [(n.reads.cert.sequence, n.reads.cert.watermark_ts)
+            for n in nodes] == [(1, 0.0)] * 4
+    assert share_multicasts(deployment) == 4
+    sim.run(until=edge + 5.0)
+    held = {(n.reads.cert.sequence, n.reads.cert.watermark_ts)
+            for n in nodes}
+    assert held == {(2 if late > 1 else 3, edge)}
+    assert share_multicasts(deployment) == 4 + shares
+
+
+if __name__ == "__main__":
+    # What CI prints: the measured counts beside what is pinned.
+    deployment, client = certified_zone()
+    honest, _, _ = one_read(deployment, client)
+    liar, ahead, _ = next_asked(deployment, client)
+    deployment.nodes[liar].set_behavior("fabricate-read")
+    deployment.nodes[ahead].app.execute(("deposit", 1), "c1")
+    disagreeing, _, _ = one_read(deployment, client)
+    deployment, driver = loaded_zones()
+    deployment.sim.run(until=LOADED_MS)
+    print(f"one read {honest[0]} + {honest[1]} messages (pinned 3 + 3), "
+          f"a disagreeing one {disagreeing[0]} + {disagreeing[1]} "
+          f"(pinned 4 + 4); "
+          f"{share_multicasts(deployment) / 12:.1f} share multicasts per "
+          f"zone per epoch (ceiling {SHARES_PER_ZONE_EPOCH_CEILING}), "
+          f"{deployment.network.stats.sent / len(driver.records):.2f} "
+          f"messages per completed operation")

@@ -9,21 +9,28 @@ Four layers of coverage:
 - *Integration*: fast-path reads against a live deployment — including
   read-your-writes across a migration — and the explicit fallback to
   the transactional path when no watermark exists yet.
+- *Refusals and ill-shaped messages*: a refusal is one vote, not a
+  verdict, and a message of the wrong shape from one member or one
+  client is a refused message, not the end of the run.
 - *Silence*: with reads disabled (the default), no ``read.*`` events and
   no watermark state appear anywhere, preserving byte-identical traces.
 """
 
 import dataclasses
 
+import pytest
+
 from repro.bench.runner import PointSpec, run_point
 from repro.crypto.certificates import CertificateVerifier, QuorumCertificate
-from repro.messages.reads import (ReadWatermarkCert, WatermarkShare,
-                                  watermark_body)
+from repro.messages.reads import (ReadReply, ReadRequest, ReadWatermarkCert,
+                                  WatermarkShare, watermark_body)
 from repro.obs.bus import Instrumentation
 from repro.obs.monitor import MonitorTopology, ProtocolMonitor
+from repro.pbft.faults import HonestBehavior
 from repro.quorums import weak_quorum
 from repro.reads import ReadConfig
-from tests.conftest import small_ziziphus
+from tests.conftest import inject, monitored, small_ziziphus
+from tests.test_read_budget import LOADED_MS, certified_zone, loaded_zones
 
 
 def read_ziziphus(**overrides):
@@ -284,6 +291,138 @@ def test_faulty_member_cannot_grow_the_share_table():
     assert records[1].result == ("ok", 10_005)
     assert records[1].labels == {"read": "fast"}
     assert engine.cert is not None and len(engine._votes) < window
+
+
+# ----------------------------------------------------------------------
+# A refusal is a vote
+# ----------------------------------------------------------------------
+class RefusingBehavior(HonestBehavior):
+    """Rewrites every ``ok`` read reply into a refusal."""
+
+    def outbound(self, keys, signer, dst, payload):
+        if isinstance(payload, ReadReply) and payload.status == "ok":
+            payload = dataclasses.replace(payload, status="behind",
+                                          result=None, cert=None)
+        return super().outbound(keys, signer, dst, payload)
+
+
+def test_one_refusing_member_does_not_decide_a_zones_reads():
+    """One member of z0 (within ``f``) refuses every read it is asked:
+    z0's reads stay on the fast path. While the first refusal decided,
+    five of six of them went through consensus and nobody was accused."""
+    deployment, _ = loaded_zones(behaviors={"z0n1": RefusingBehavior()})
+    monitor = monitored(deployment)
+    deployment.sim.run(until=LOADED_MS)
+    reads = [record.labels["read"]
+             for client in deployment.clients.values()
+             if client.current_zone == "z0"
+             for record in client.completed if "read" in record.labels]
+    assert reads.count("fast") / len(reads) >= 0.95
+    assert len(reads) > 1_000
+    assert monitor.clean, [v.kind for v in monitor.violations]
+
+
+def test_one_lying_migrating_changes_nothing_and_two_honest_ones_decide():
+    deployment, client = certified_zone()
+    obs = Instrumentation(recording=True).attach(deployment)
+    nodes = deployment.zone_nodes("z0")
+
+    def read():
+        client.submit_read(("balance",))
+        deployment.sim.run(until=deployment.sim.now + 10.0)
+        return client.completed[-1].labels["read"]
+
+    nodes[0].locks.mark_stale("c1")
+    assert [read() for _ in nodes] == ["fast"] * len(nodes)
+    # The record really is in migration: f+1 members say so, and the
+    # read takes the transactional path at once, not at its timeout.
+    for node in nodes[1:]:
+        node.locks.mark_stale("c1")
+    submitted = deployment.sim.now
+    client.submit_read(("balance",))
+    deployment.sim.run(until=submitted + 10.0)
+    (fallback,) = [e for e in obs.events if e.kind == "read.fallback"]
+    assert fallback.fields["reason"] == "migrating"
+    assert fallback.ts - submitted < client.reads.read_timeout_ms / 10
+
+
+# ----------------------------------------------------------------------
+# Ill-shaped messages are refused, not fatal
+# ----------------------------------------------------------------------
+def _reply(dep, client, **fields):
+    """An ``ok`` reply of z0n3 to the client's read in flight."""
+    genuine = dep.nodes["z0n3"].reads.cert
+    cert = fields.pop("cert", genuine)
+    if fields:
+        cert = dataclasses.replace(genuine, **fields)
+    return ReadReply(timestamp=client.timestamp, client_id="c1",
+                     status="ok", result=("ok", 1), cert=cert,
+                     sender="z0n3")
+
+
+def _share(dep, client, **fields):
+    body = watermark_body("z0", 2, b"s", 0.0)
+    return dataclasses.replace(WatermarkShare(
+        zone="z0", sequence=2, state_digest=b"s", watermark_ts=0.0,
+        signature=dep.keys.sign("z0n3", body), sender="z0n3"), **fields)
+
+
+def _request(dep, client, **fields):
+    return ReadRequest(**{"operation": ("balance",), "timestamp": 99,
+                          "sender": "c1", **fields})
+
+
+ILL_SHAPED = {
+    # name: (who sends it to whom, the message, what becomes of it).
+    # "booked": a signed reply proves its sender lied; "dropped": refused
+    # by the node and counted; "answered": with a refusal.
+    "reply-cert-is-a-string":
+        ("z0n3", "c1", _reply, {"cert": "cert"}, "booked"),
+    "reply-cert-without-a-certificate":
+        ("z0n3", "c1", _reply, {"certificate": None}, "booked"),
+    "share-without-a-signature":
+        ("z0n3", "z0n0", _share, {"signature": None}, "dropped"),
+    "share-sequence-is-a-string":
+        ("z0n3", "z0n0", _share, {"sequence": "9"}, "dropped"),
+    "share-without-a-sequence":
+        ("z0n3", "z0n0", _share, {"sequence": None}, "dropped"),
+    "session-is-a-number":
+        ("c1", "z0n0", _request, {"session": 5}, "dropped"),
+    "session-is-one-flat-pair":
+        ("c1", "z0n0", _request, {"session": ("z0", 3)}, "dropped"),
+    "session-floor-is-a-string":
+        ("c1", "z0n0", _request, {"session": (("z0", "9"),)}, "dropped"),
+    "operation-is-a-number":
+        ("c1", "z0n0", _request, {"operation": 5}, "answered"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ILL_SHAPED))
+def test_an_ill_shaped_read_message_is_refused_and_the_run_goes_on(name):
+    sender, target, make, fields, outcome = ILL_SHAPED[name]
+    dep = read_ziziphus()
+    monitor = monitored(dep)
+    client = dep.add_client("c1", "z0")
+    run_actions(dep, client, [("local", ("deposit", 5))], step_ms=20.0)
+    client.submit_read(("balance",))
+    replies = dep.network.stats.by_type["ReadReply"]
+    inject(dep, sender, target, make(dep, client, **fields), settle_ms=10.0)
+    # The read that was in flight completed on the honest answers.
+    assert client.completed[-1].result == ("ok", 10_005)
+    assert client.completed[-1].labels == {"read": "fast"}
+    booked = {(v.kind, v.culprit, v.detail["reason"])
+              for v in monitor.violations}
+    refused = {node_id: node.invalid_messages
+               for node_id, node in dep.nodes.items()
+               if node.invalid_messages}
+    # ReadReply messages beside the three honest answers to the read.
+    answers = dep.network.stats.by_type["ReadReply"] - replies - 3
+    assert (booked, refused, answers) == {
+        # (the one reply is the lie itself)
+        "booked": ({("read-fabrication", sender, "malformed-cert")}, {}, 1),
+        "dropped": (set(), {target: 1}, 0),
+        "answered": (set(), {}, 1),
+    }[outcome]
 
 
 # ----------------------------------------------------------------------

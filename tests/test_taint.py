@@ -234,7 +234,7 @@ def test_src_repro_taint_clean_and_justified():
     # Every suppression in the tree is a triaged taint-flow false
     # positive; a change in this count means a new flow was suppressed
     # (justify it here too) or an old one was fixed (update the count).
-    assert result.suppressed_counts() == {"taint-flow": 16}
+    assert result.suppressed_counts() == {"taint-flow": 15}
 
 
 def test_src_repro_root_census():
