@@ -54,15 +54,18 @@ def pbft_batch_messages(group_size: int, batch: int) -> int:
 
 def ziziphus_migration_messages(zones: int, zone_size: int,
                                 batch: int = 1,
-                                migrations_in_batch: int = 1) -> int:
+                                migrations_in_batch: int = 1,
+                                groups: int = 1) -> int:
     """Messages for one stable-leader global batch plus data migration.
 
     Phases: accept endorsement (with prepare; the ballot is assigned
     here), ACCEPT fan-out, per-follower accepted endorsements (no
     prepare), ACCEPTED fan-ins, commit endorsement (no prepare), COMMIT
-    fan-out, initiator-zone replies; then per migrating client the
-    Algorithm 2 state endorsement (with prepare), STATE fan-out, append
-    endorsement (no prepare), and destination-zone replies.
+    fan-out, initiator-zone replies; then per *group* (the migrations the
+    batch moves from one source zone to one destination zone) the
+    Algorithm 2 state endorsement (with prepare), STATE fan-out and
+    append endorsement (no prepare), and per migrating client the
+    destination-zone replies.
     """
     n, z = zone_size, zones
     total = batch                                       # requests in
@@ -73,11 +76,10 @@ def ziziphus_migration_messages(zones: int, zone_size: int,
     total += endorsement_messages(n, with_prepare=False)  # commit phase
     total += z * n - 1                                  # COMMIT fan-out
     total += n * batch                                  # initiator replies
-    per_migration = (endorsement_messages(n, with_prepare=True)  # state
-                     + n                                # STATE fan-out
-                     + endorsement_messages(n, False)   # append
-                     + n)                               # dest replies
-    total += migrations_in_batch * per_migration
+    per_group = (endorsement_messages(n, with_prepare=True)  # state
+                 + n                                    # STATE fan-out
+                 + endorsement_messages(n, False))      # append
+    total += groups * per_group + migrations_in_batch * n  # dest replies
     return total
 
 

@@ -354,7 +354,7 @@ class ClusterEngine:
         self.node.sync.ingest_commit(synthetic)
 
     # ------------------------------------------------------------------
-    # Post-execution aliasing (called from the node's execution hook)
+    # Post-execution (called from the node's execution hook)
     # ------------------------------------------------------------------
     def after_execute(self, ballot: Ballot, request: MigrationRequest,
                       outcome) -> None:
@@ -368,17 +368,3 @@ class ClusterEngine:
         obs.span_close(self.node.sim.now, "cross-cluster",
                        self._span_key(request_digest),
                        node=self.node.node_id)
-        # Make the peer cluster's ballot resolve to the same result and
-        # request so Algorithm 2 runs unchanged across the cluster border.
-        sync = self.node.sync
-        results = sync.executed_results.get(ballot)
-        if results is None:
-            return
-        for alias in (txn.src_ballot, txn.dst_ballot):
-            sync.executed_results.setdefault(alias, results)
-            stub = sync._txn(alias)
-            if not stub.batch:
-                stub.batch = (txn.request_env,)
-                stub.request_digest = request_digest
-            self.node.migration._source_zone_of.setdefault(
-                (alias, request.sender), request.source_zone)

@@ -303,15 +303,22 @@ class EndorsementManager:
                   on_cert)
         return True
 
-    def primary_overdue(self, instance: str) -> None:
+    def watch(self, instance: str, timeout_ms: float) -> None:
+        """Arm the primary-watch deadline of ``instance`` in this view."""
+        self.host.set_timer(timeout_ms, self.primary_overdue, instance,
+                            self.view_provider())
+
+    def primary_overdue(self, instance: str, armed_in: int) -> None:
         """The primary-watch deadline. A non-primary expecting its primary
-        to open ``instance`` arms a timer (its engine knows what voids the
-        watch) and calls this when it fires: no pre-prepare here by then
-        means the primary is suspected and a view change starts.
+        to open ``instance`` arms a timer in view ``armed_in`` (its engine
+        knows what voids the watch) and calls this when it fires: no
+        quorum here by then — the pre-prepare never came, or the instance
+        it opened can no longer reach one in this view — means that
+        primary is suspected (:meth:`ViewChangeManager.suspect`).
         """
-        if not self.has_instance(instance):
-            replica = self.host.replica
-            replica.view_changes.initiate(replica.view + 1)
+        state = self._instances.get(instance)
+        if state is None or not state.done:
+            self.host.replica.view_changes.suspect(armed_in)
 
     # ------------------------------------------------------------------
     # Node side

@@ -84,6 +84,7 @@ class GlobalMetadata:
         (source-cluster-certified) claim and fixes up its counts.
         """
         current = self.client_zone.get(client_id)
+        claimed = source_zone
         if current is not None and current != source_zone:
             if not adopt_source:
                 self.rejected_migrations += 1
@@ -92,7 +93,11 @@ class GlobalMetadata:
             # Regional drift: decrement wherever *we* thought the client
             # was; the source cluster vouches for where it really is.
             source_zone = current
-        if source_zone == dest_zone:
+        # An adopted move is judged on its certified claim: drift that
+        # already put the client at the destination here (a newer move
+        # applied first, or a region that never saw it leave) must not
+        # turn it into a rejection the nodes without that drift never make.
+        if claimed == dest_zone:
             self.rejected_migrations += 1
             return MigrationOutcome(False, "same-zone", client_id,
                                     source_zone, dest_zone)

@@ -8,12 +8,21 @@ the received state (pre-prepare / local-commit, no prepare round); once a
 node sees the ``2f+1`` vote quorum it sets ``lock(c) = TRUE``, appends
 ``R(c)`` to its database, and replies to the client.
 
-A global ballot may commit a *batch* of migrations, so protocol state here
-is keyed by ``(ballot, client)``.
+A global ballot commits a *batch* of migrations, and the protocol runs
+once per **group**: the migrations one executed ballot moves from one
+source zone to one destination zone, in client-id order. One endorsement
+certifies the group's records — the ballot and each member's ``(client,
+digest(R(c)))`` — one STATE carries them, and on one append quorum every
+destination node applies each member and answers each client. A group of
+one is the single migration of the paper. What is kept per migration
+(the captured ``R(c)``, whether it was applied) is keyed by ``(ballot,
+client)``; what ships it (the STATE, its timers, a STATE parked ahead of
+its commit) by group.
 
 Failure handling mirrors §V-A: destination nodes that executed the commit
-but never receive STATE query the source zone; source nodes answer with
-the stored STATE envelope or come to suspect their own primary.
+but never receive STATE query the source zone, naming one member; source
+nodes answer with the group's STATE envelope or come to suspect their own
+primary.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from typing import TYPE_CHECKING, Any
 from repro.crypto.digest import digest
 from repro.messages.base import Signed, sign_message
 from repro.messages.client import MigrationRequest
-from repro.messages.migration import StateTransfer, state_body
+from repro.messages.migration import (Members, StateTransfer, state_body,
+                                      state_members)
 from repro.messages.query import ResponseQuery
 from repro.messages.sync import Ballot
 from repro.messages.trace import trace_id
@@ -34,8 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["MigrationConfig", "MigrationEngine"]
 
-#: Protocol state key: one migration within one committed ballot.
+#: One migration within one committed ballot.
 MigKey = tuple[Ballot, str]
+#: One group: the migrations a ballot moves from a source to a destination.
+Group = tuple[Ballot, str, str]
 
 
 @dataclass
@@ -50,16 +62,18 @@ class MigrationConfig:
 
 @dataclass(frozen=True)
 class StateContext:
-    """Endorsed by the source zone before STATE goes out.
+    """Endorsed by the source zone before STATE goes out: the records of
+    the group ``ballot`` moves to ``dest``, by client.
 
     ``records`` is excluded from the context digest; integrity flows
-    through ``records_digest``, which validators recompute.
+    through the endorsed body, whose member digests validators recompute.
     """
 
     ballot: Ballot
-    client_id: str
-    records: dict[str, Any] = field(compare=False, metadata={"digest": False})
-    records_digest: bytes = b""
+    dest: str
+    clients: tuple[str, ...]
+    records: dict[str, dict[str, Any]] = field(compare=False,
+                                               metadata={"digest": False})
 
 
 class MigrationEngine:
@@ -72,8 +86,11 @@ class MigrationEngine:
         self.config = config or MigrationConfig()
         self.my_zone = node.zone_info
 
-        self._state_envs: dict[MigKey, Signed] = {}
-        self._source_zone_of: dict[MigKey, str] = {}
+        #: Each group's clients, in client-id order, on the nodes of its
+        #: source and destination zones.
+        self._members: dict[Group, tuple[str, ...]] = {}
+        #: The STATE a source primary shipped, re-sent on a query.
+        self._state_envs: dict[Group, Signed] = {}
         #: R(c) as of the migration commit's execution point, captured on
         #: every source-zone node. Re-drives (view changes, destination
         #: re-queries) must ship THIS snapshot: the live store moves on —
@@ -85,8 +102,13 @@ class MigrationEngine:
         #: destination nodes map it back to their own cluster's ballot.
         self._aliases: dict[Ballot, Ballot] = {}
         self._applied: set[MigKey] = set()
-        self._buffered_states: dict[MigKey, tuple[str, StateTransfer, Signed]] = {}
-        self._state_timers: dict[MigKey, Any] = {}
+        #: STATEs that raced ahead of their commit, by ballot and clients
+        #: (which group they claim to be is known once it executes).
+        self._buffered_states: dict[tuple[Ballot, tuple[str, ...]],
+                                    tuple[str, StateTransfer, Signed]] = {}
+        self._state_timers: dict[Group, Any] = {}
+        #: The executing ballot's members so far, by (source, destination).
+        self._forming: dict[tuple[str, str], list[str]] = {}
         self.migrations_applied = 0
 
         node.register_handler(StateTransfer, self._on_state)
@@ -111,124 +133,149 @@ class MigrationEngine:
     def _canonical(self, ballot: Ballot) -> Ballot:
         return self._aliases.get(ballot, ballot)
 
-    def _key(self, ballot: Ballot, client_id: str) -> MigKey:
-        return (self._canonical(ballot), client_id)
-
     # ------------------------------------------------------------------
-    # Hooks from the sync engine (called on every node after execution)
+    # Hooks from the sync engine (called on every node during execution)
     # ------------------------------------------------------------------
     def on_migration_committed(self, ballot: Ballot,
                                request: MigrationRequest) -> None:
-        """React to an executed (accepted) migration, per this node's role."""
-        key = self._key(ballot, request.sender)
-        self._source_zone_of[key] = request.source_zone
-        zone_id = self.my_zone.zone_id
-        if zone_id == request.source_zone:
+        """One migration of the ballot executing here joins its group.
+
+        Called for an accepted migration and for one this node
+        *superseded* (commuting execution, DESIGN.md §11.3: a newer move
+        of the client applied here first). A superseded member stays a
+        member, captured, endorsed and applied like the rest: the ballot
+        carried it and another honest node applied it, and a group without
+        it here but with it there would fail the other's per-member checks
+        — one member's interleaving would wedge all of its group-mates.
+        """
+        source, dest = request.source_zone, request.dest_zone
+        if self.my_zone.zone_id == source:
+            key = (self._canonical(ballot), request.sender)
             if key not in self._captured_records:
                 self._captured_records[key] = \
                     self.node.app.export_client(request.sender)
-            if self.node.replica.is_primary:
-                self.start_record_generation(ballot, request)
+        elif self.my_zone.zone_id != dest:
+            return
+        self._forming.setdefault((source, dest), []).append(request.sender)
+
+    def on_ballot_executed(self, ballot: Ballot) -> None:
+        """Every request of ``ballot`` executed here: act on its groups,
+        per this node's role in each."""
+        forming, self._forming = self._forming, {}
+        ballot = self._canonical(ballot)
+        for (source, dest), clients in sorted(forming.items()):
+            group = (ballot, source, dest)
+            self._members[group] = tuple(sorted(clients))
+            if self.my_zone.zone_id == dest:
+                self._await_state(group)
+            elif self.node.replica.is_primary:
+                self.start_record_generation(group)
             else:
-                self._watch(key, self._instance("state", ballot,
-                                                request.sender))
-        elif zone_id == request.dest_zone:
-            if key not in self._applied:
-                self.node.obs.span_open(
-                    self.node.sim.now, "migration-copy",
-                    self._span_key(*key), node=self.node.node_id,
-                    source=request.source_zone, dest=request.dest_zone)
-            buffered = self._buffered_states.pop(key, None)
-            if buffered is not None:
-                self._on_state(*buffered)
-            elif key not in self._applied:
-                self._arm_state_timer(key)
+                self._watch(self._instance("state", *group))
 
     # ------------------------------------------------------------------
     # Record generation (source zone)
     # ------------------------------------------------------------------
-    def _instance(self, stage: str, ballot: Ballot, client_id: str) -> str:
-        return f"mig-{stage}/{ballot.key}/{client_id}"
+    @staticmethod
+    def _group_key(ballot: Ballot, source: str, dest: str) -> str:
+        return f"{ballot.key}/{source}>{dest}"
+
+    def _instance(self, stage: str, ballot: Ballot, source: str,
+                  dest: str) -> str:
+        return f"mig-{stage}/{self._group_key(ballot, source, dest)}"
 
     @staticmethod
     def _span_key(ballot: Ballot, client_id: str) -> str:
         return f"{ballot.key}/{client_id}"
 
-    def start_record_generation(self, ballot: Ballot,
-                                request: MigrationRequest) -> None:
-        """Source primary: extract R(c), endorse it, ship it (lines 9-17)."""
+    def _open_spans(self, phase: str, group: Group) -> None:
+        """One ``phase`` span per member; on causal runs they carry the
+        group key the group's ``trace.link`` is filed under."""
+        ballot, source, dest = group
+        obs = self.node.obs
+        extra = {"grp": self._group_key(*group)} if obs.causal else {}
+        for client in self._members[group]:
+            obs.span_open(self.node.sim.now, phase,
+                          self._span_key(ballot, client),
+                          node=self.node.node_id, source=source, dest=dest,
+                          **extra)
+
+    def start_record_generation(self, group: Group) -> None:
+        """Source primary: extract the group's R(c), endorse them, ship
+        them (lines 9-17)."""
+        ballot, _, dest = group
+        clients = self._members[group]
         obs = self.node.obs
         obs.count("migration.state_led")
-        obs.span_open(self.node.sim.now, "migration-state",
-                      self._span_key(ballot, request.sender),
-                      node=self.node.node_id,
-                      source=request.source_zone, dest=request.dest_zone)
+        self._open_spans("migration-state", group)
         if obs.causal:
-            # One link covers the whole migration leg: the
-            # migration-state / migration-copy spans and the
-            # mig-* endorse instances all embed this key.
+            # One link covers the group's whole migration leg: its
+            # members' migration-state / migration-copy spans carry the
+            # key as ``grp``, its mig-* endorse instances embed it.
             obs.emit(self.node.sim.now, "trace.link",
                      node=self.node.node_id, scope="migration",
-                     key=self._span_key(ballot, request.sender),
-                     traces=[trace_id(request)])
-        key = self._key(ballot, request.sender)
-        records = self._captured_records.get(key)
-        if records is None:
-            # No capture means this node learned of the migration through a
-            # re-query rather than by executing the commit; the live store
-            # is the only source available.
-            records = self.node.app.export_client(request.sender)
-            self._captured_records[key] = records
-        records_digest = digest(records)
-        context = StateContext(ballot=ballot, client_id=request.sender,
-                               records=records, records_digest=records_digest)
-        body = state_body(ballot, request.sender, records_digest)
+                     key=self._group_key(*group),
+                     traces=[trace_id(self._request_of(ballot, client))
+                             for client in clients])
+        records = {}
+        for client in clients:
+            captured = self._captured_records.get((ballot, client))
+            if captured is None:
+                # No capture means this node learned of the migration
+                # through a re-query rather than by executing the commit;
+                # the live store is the only source available.
+                captured = self._captured_records[(ballot, client)] = \
+                    self.node.app.export_client(client)
+            records[client] = captured
+        members = state_members(clients, records)
+        context = StateContext(ballot=ballot, dest=dest, clients=clients,
+                               records=records)
         self.node.endorsement.lead(
-            self._instance("state", ballot, request.sender), context, body,
-            use_prepare=True,
-            on_cert=lambda cert, b=ballot, r=request, rec=records:
-            self._send_state(b, r, rec, cert))
+            self._instance("state", *group), context,
+            state_body(ballot, members), use_prepare=True,
+            on_cert=lambda cert, g=group, r=records, m=members:
+            self._send_state(g, r, m, cert))
 
-    def _send_state(self, ballot: Ballot, request: MigrationRequest,
-                    records: dict[str, Any], cert) -> None:
+    def _send_state(self, group: Group, records: dict[str, Any],
+                    members: Members, cert) -> None:
         # Ship exactly the snapshot the zone endorsed: the live store may
         # have drifted (e.g. an incoming transfer) since the export, and
-        # the certificate binds the endorsed digest.
+        # the certificate binds the endorsed digests.
+        ballot, _, dest = group
         state = StateTransfer(view=self.node.replica.view, ballot=ballot,
-                              client_id=request.sender, records=records,
-                              records_digest=digest(records), cert=cert,
-                              sender=self.node.node_id)
+                              clients=self._members[group], records=records,
+                              cert=cert, sender=self.node.node_id)
         env = sign_message(self.node.keys, self.node.node_id, state)
-        self._state_envs[self._key(ballot, request.sender)] = env
+        self._state_envs[group] = env
         obs = self.node.obs
-        obs.span_close(self.node.sim.now, "migration-state",
-                       self._span_key(ballot, request.sender),
-                       node=self.node.node_id,
-                       records=len(records))
-        obs.emit(self.node.sim.now, "migration.state_sent",
-                 node=self.node.node_id, client=request.sender,
-                 dest=request.dest_zone, records=len(records),
-                 ballot=ballot.key,
-                 records_digest=state.records_digest.hex())
-        dest_nodes = self.directory.zone(request.dest_zone).members
-        for dst in dest_nodes:
+        now = self.node.sim.now
+        for client, records_digest in members:
+            obs.span_close(now, "migration-state",
+                           self._span_key(ballot, client),
+                           node=self.node.node_id,
+                           records=len(records[client]))
+            obs.emit(now, "migration.state_sent",
+                     node=self.node.node_id, client=client, dest=dest,
+                     records=len(records[client]), ballot=ballot.key,
+                     records_digest=records_digest.hex())
+        for dst in self.directory.zone(dest).members:
             self.node.forward(dst, env)
 
     def _validate_state_ctx(self, instance: str, context: Any,
                             endorse_digest: bytes) -> Any:
         if not isinstance(context, StateContext):
             return False
-        if digest(context.records) != context.records_digest:
-            return False
-        expected = state_body(context.ballot, context.client_id,
-                              context.records_digest)
-        if endorse_digest != expected:
-            return False
-        # Only endorse states for migrations this zone committed as source.
-        result = self.node.sync.result_for(context.ballot, context.client_id)
-        if result is None:
+        ballot = self._canonical(context.ballot)
+        if ballot not in self.node.sync.executed_results:
             return "retry"  # the global commit may still be executing here
-        if result[0] != "migrated":
+        # Per member: executed here in that ballot as a migration from
+        # this zone to that destination — and none of them left out.
+        group = (ballot, self.my_zone.zone_id, context.dest)
+        if self._members.get(group) != context.clients:
+            return False
+        members = state_members(context.clients, context.records)
+        if members is None or \
+                endorse_digest != state_body(context.ballot, members):
             return False
         # The first endorsed export becomes the zone-canonical R(c):
         # replicas capture at slightly different local interleaving
@@ -236,104 +283,126 @@ class MigrationEngine:
         # then a later primary re-driving this migration (view change,
         # destination re-query) ships the identical record instead of a
         # near-miss of its own that the monitor would flag as divergent.
-        self._captured_records[self._key(context.ballot,
-                                         context.client_id)] = context.records
+        for client in context.clients:
+            self._captured_records[(ballot, client)] = context.records[client]
         return True
 
     def _on_state_quorum(self, instance: str, context: Any, cert) -> None:
-        """R(c) is certified: all a source-zone node does for it as a
-        backup, and on the primary ``_send_state`` has just shipped it."""
+        """The group's R(c) are certified: all a source-zone node does for
+        them as a backup, and on the primary ``_send_state`` has just
+        shipped them."""
         self.node.endorsement.retire(instance)
 
     # ------------------------------------------------------------------
     # Record appending (destination zone)
     # ------------------------------------------------------------------
+    def _await_state(self, group: Group) -> None:
+        self._open_spans("migration-copy", group)
+        self._arm_state_timer(group)
+        buffered = self._buffered_states.pop((group[0], self._members[group]),
+                                             None)
+        if buffered is not None:
+            self._on_state(*buffered)
+
+    def _inbound(self, ballot: Ballot, clients: tuple[str, ...]) \
+            -> Group | None:
+        """The group ``ballot`` moves into this zone whose members are
+        exactly ``clients`` (a well-shaped tuple), if it executed here."""
+        request = self._request_of(ballot, clients[0])
+        if request is None:
+            return None
+        group = (ballot, request.source_zone, self.my_zone.zone_id)
+        return group if self._members.get(group) == clients else None
+
     def _on_state(self, sender: str, state: StateTransfer,
                   envelope: Signed) -> None:
-        key = self._key(state.ballot, state.client_id)
-        if key in self._applied:
+        members = state_members(state.clients, state.records)
+        if members is None:
+            self.node.refuse(sender, state)  # ill-shaped
             return
-        if digest(state.records) != state.records_digest:
-            # Checked *before* parking: a self-inconsistent STATE from a
-            # Byzantine sender must not displace a genuine buffered one
-            # (the certificate can only be checked after the commit
-            # executes, but this digest is verifiable immediately).
+        ballot = self._canonical(state.ballot)
+        if all((ballot, client) in self._applied for client in state.clients):
             return
-        if self.node.sync.result_for(self._canonical(state.ballot),
-                                     state.client_id) is None:
+        if ballot not in self.node.sync.executed_results:
             # STATE raced ahead of the global commit; park it.
-            self._buffered_states[key] = (sender, state, envelope)
+            self._buffered_states[(ballot, state.clients)] = \
+                (sender, state, envelope)
             return
-        source_zone = self._source_zone_of.get(key)
-        if source_zone is None:
+        group = self._inbound(ballot, state.clients)
+        if group is None:
+            # Not a group this zone committed in that ballot: a member
+            # missing, one too many, or one moving somewhere else.
+            self.node.refuse(sender, state)
             return
-        body = state_body(state.ballot, state.client_id, state.records_digest)
-        if not self.node.check_cert(
-                "state", source_zone, state.cert, body, sender,
-                self._span_key(state.ballot, state.client_id)):
+        _, source, dest = group
+        body = state_body(state.ballot, members)
+        if not self.node.check_cert("state", source, state.cert, body,
+                                    sender, self._group_key(*group)):
             return
-        self._state_envs.setdefault(key, envelope)
-        instance = self._instance("append", state.ballot, state.client_id)
+        instance = self._instance("append", state.ballot, source, dest)
         if self.node.replica.is_primary:
             self.node.endorsement.lead(
                 instance, state, body, use_prepare=False,
                 on_cert=lambda cert: None)
         else:
-            self._watch(key, instance)
+            self._watch(instance)
 
     def _validate_append_ctx(self, instance: str, context: Any,
                              endorse_digest: bytes) -> Any:
         if not isinstance(context, StateTransfer):
             return False
-        ballot = context.ballot
-        if self.node.sync.result_for(self._canonical(ballot),
-                                     context.client_id) is None:
+        ballot = self._canonical(context.ballot)
+        if ballot not in self.node.sync.executed_results:
             return "retry"  # the global commit may still be executing here
-        if digest(context.records) != context.records_digest:
+        members = state_members(context.clients, context.records)
+        if members is None:
             return False
-        key = self._key(ballot, context.client_id)
-        source_zone = self._source_zone_of.get(key)
-        if source_zone is None:
+        group = self._inbound(ballot, context.clients)
+        if group is None:
             return False
-        body = state_body(ballot, context.client_id, context.records_digest)
+        body = state_body(context.ballot, members)
         if endorse_digest != body:
             return False
-        return self.directory.cert_valid(context.cert, body, source_zone)
+        return self.directory.cert_valid(context.cert, body, group[1])
 
     def _on_append_quorum(self, instance: str, context: Any, cert) -> None:
-        """Lines 22-25: every destination node appends on the vote quorum."""
+        """Lines 22-25: every destination node appends each member on the
+        vote quorum (the context was validated here, or led from here)."""
         if not isinstance(context, StateTransfer):
             return
         self.node.endorsement.retire(instance)
-        key = self._key(context.ballot, context.client_id)
-        if key in self._applied:
-            return
-        self._applied.add(key)
-        self._cancel_state_timer(key)
+        ballot = self._canonical(context.ballot)
+        self._cancel_state_timer(self._inbound(ballot, context.clients))
         obs = self.node.obs
-        obs.count("migration.applied")
-        obs.span_close(self.node.sim.now, "migration-copy",
-                       self._span_key(*key), node=self.node.node_id,
-                       records=len(context.records))
-        obs.emit(self.node.sim.now, "migration.applied",
-                 node=self.node.node_id, client=context.client_id,
-                 ballot=context.ballot.key,
-                 records=len(context.records),
-                 records_digest=context.records_digest.hex())
-        self.node.app.import_client(context.client_id, context.records)
-        self.node.locks.mark_current(context.client_id)
-        self.migrations_applied += 1
-        request = self._request_of(context.ballot, context.client_id)
-        if request is not None:
-            self.node.reply_to_client(
-                request, ("migrated", "ok", request.dest_zone))
+        now = self.node.sim.now
+        for client, records_digest in state_members(context.clients,
+                                                    context.records):
+            key = (ballot, client)
+            if key in self._applied:
+                continue
+            self._applied.add(key)
+            records = context.records[client]
+            obs.count("migration.applied")
+            obs.span_close(now, "migration-copy",
+                           self._span_key(ballot, client),
+                           node=self.node.node_id, records=len(records))
+            obs.emit(now, "migration.applied",
+                     node=self.node.node_id, client=client,
+                     ballot=context.ballot.key, records=len(records),
+                     records_digest=records_digest.hex())
+            self.node.app.import_client(client, records)
+            self.node.locks.mark_current(client)
+            self.migrations_applied += 1
+            request = self._request_of(ballot, client)
+            if request is not None:
+                self.node.reply_to_client(
+                    request, ("migrated", "ok", request.dest_zone))
 
     def _request_of(self, ballot: Ballot,
                     client_id: str) -> MigrationRequest | None:
-        for candidate in (self._canonical(ballot), ballot):
-            txn = self.node.sync.txns.get(candidate)
-            if txn is None:
-                continue
+        """The request of ``client_id`` in the (canonical) ``ballot``."""
+        txn = self.node.sync.txns.get(ballot)
+        if txn is not None:
             for env in txn.batch:
                 if env.payload.sender == client_id:
                     return env.payload
@@ -342,65 +411,57 @@ class MigrationEngine:
     # ------------------------------------------------------------------
     # Failure handling
     # ------------------------------------------------------------------
-    def _watch(self, key: MigKey, instance: str) -> None:
-        self.node.set_timer(self.config.watch_timeout_ms,
-                            self._on_watch_expired, key, instance)
+    def _watch(self, instance: str) -> None:
+        self.node.endorsement.watch(instance, self.config.watch_timeout_ms)
 
-    def _on_watch_expired(self, key: MigKey, instance: str) -> None:
-        if key not in self._applied:
-            self.node.endorsement.primary_overdue(instance)
-
-    def _arm_state_timer(self, key: MigKey) -> None:
-        if key in self._state_timers:
+    def _arm_state_timer(self, group: Group) -> None:
+        if group in self._state_timers:
             return
         timer = self.node.set_timer(self.config.state_timeout_ms,
-                                    self._on_state_timeout, key)
-        self._state_timers[key] = timer
+                                    self._on_state_timeout, group)
+        self._state_timers[group] = timer
 
-    def _cancel_state_timer(self, key: MigKey) -> None:
-        timer = self._state_timers.pop(key, None)
+    def _cancel_state_timer(self, group: Group | None) -> None:
+        timer = self._state_timers.pop(group, None)
         if timer is not None:
             timer.cancel()
 
-    def _on_state_timeout(self, key: MigKey) -> None:
-        self._state_timers.pop(key, None)
-        if key in self._applied:
+    def _on_state_timeout(self, group: Group) -> None:
+        self._state_timers.pop(group, None)
+        ballot, source, _ = group
+        clients = self._members[group]
+        if all((ballot, client) in self._applied for client in clients):
             return
-        ballot, client_id = key
         query = ResponseQuery(view=self.node.replica.view, ballot=ballot,
-                              request_digest=digest(client_id),
+                              request_digest=digest(clients[0]),
                               phase="state", zone_id=self.my_zone.zone_id,
                               sender=self.node.node_id)
-        source_nodes = self.directory.zone(self._source_zone_of[key]).members
-        self.node.multicast_signed(source_nodes, query)
-        self._arm_state_timer(key)
+        self.node.multicast_signed(self.directory.zone(source).members,
+                                   query)
+        self._arm_state_timer(group)
 
     def answer_state_query(self, sender: str, query: ResponseQuery) -> None:
-        """Source-side response to a STATE query (re-send or suspect)."""
-        # The query names the client via the request digest; scan our state
-        # envelopes for this ballot.
-        for key, env in self._state_envs.items():
-            ballot, client_id = key
-            if ballot == self._canonical(query.ballot) and \
-                    digest(client_id) == query.request_digest:
-                self.node.forward(sender, env)
-                return
-        # We executed the commit but our primary never shipped the state:
-        # nudge record generation if we are (now) the primary.
-        if not self.node.replica.is_primary:
+        """Source-side response to a STATE query naming one member: re-send
+        the group's STATE, or lead it if this node is (now) the primary."""
+        ballot = self._canonical(query.ballot)
+        results = self.node.sync.executed_results.get(ballot)
+        if results is None:
+            # Not executed here yet: exporting now would certify a
+            # pre-commit-point R(c). The destination's timer will re-query
+            # once we catch up.
             return
-        txn = self.node.sync.txns.get(self._canonical(query.ballot))
-        if txn is None:
+        client = next((c for c in results
+                       if digest(c) == query.request_digest), None)
+        request = None if client is None else self._request_of(ballot, client)
+        if request is None:
             return
-        for env in txn.batch:
-            request = env.payload
-            if digest(request.sender) == query.request_digest and \
-                    self.my_zone.zone_id == request.source_zone:
-                if self.node.sync.result_for(self._canonical(query.ballot),
-                                             request.sender) is None:
-                    # Not executed here yet: exporting now would certify a
-                    # pre-commit-point R(c). The destination's timer will
-                    # re-query once we catch up.
-                    return
-                self.start_record_generation(query.ballot, request)
-                return
+        group = (ballot, self.my_zone.zone_id, request.dest_zone)
+        if group not in self._members:
+            return
+        env = self._state_envs.get(group)
+        if env is not None:
+            self.node.forward(sender, env)
+        elif self.node.replica.is_primary:
+            # We executed the commit but our primary never shipped the
+            # state: nudge record generation now that we are the primary.
+            self.start_record_generation(group)

@@ -148,11 +148,12 @@ class ZiziphusNode(HostNode):
                 # Backstop for nodes that missed the earlier phases: the
                 # client migrated away, its data here is stale.
                 self.locks.mark_stale(request.sender)
-            self.migration.on_migration_committed(ballot, request)
         elif self.zone_info.zone_id == request.source_zone:
             # The migration was rejected by policy: the client stays; its
             # data here is authoritative again.
             self.locks.mark_current(request.sender)
+        if outcome.accepted or outcome.reason == "superseded":
+            self.migration.on_migration_committed(ballot, request)
 
     def store_remote_checkpoint(self, ref: CheckpointRef) -> None:
         """Lazy synchronization (§V-B): keep other zones' newest stable

@@ -368,9 +368,18 @@ class SyncEngine:
         if self._batch_timer is not None:
             self._batch_timer.cancel()
             self._batch_timer = None
+        if not self.node.replica.view_active:
+            return  # the next view's primary takes it (_on_local_view_change)
         batch = tuple(self._batch_buffer.values())
         self._batch_buffer.clear()
-        self.start_global_txn(batch)
+        if self._is_zone_primary():
+            self.start_global_txn(batch)
+            return
+        # Buffered as primary, flushed after a view change demoted this
+        # node: a ballot led from here would rival the new primary's.
+        for envelope in batch:
+            self.node.forward(self.node.replica.primary, envelope)
+            self._watch_request(envelope)
 
     def start_global_txn(self, batch: tuple[Signed, ...],
                          on_ready_to_commit=None) -> Ballot:
@@ -421,15 +430,16 @@ class SyncEngine:
         request = envelope.payload
         self.node.set_timer(self.config.watch_timeout_ms,
                             self._on_request_watch_expired, request_digest,
-                            (request.sender, request.timestamp))
+                            (request.sender, request.timestamp),
+                            self.node.replica.view)
         self._watched_requests.add(request_digest)
 
     def _on_request_watch_expired(self, request_digest: bytes,
-                                  key: tuple[str, int]) -> None:
+                                  key: tuple[str, int], armed_in: int) -> None:
         self._watched_requests.discard(request_digest)
         if key in self.request_dedup or key in self.seen_requests:
             return  # some ballot picked the request up
-        self.node.replica.view_changes.initiate(self.node.replica.view + 1)
+        self.node.replica.view_changes.suspect(armed_in)
 
     # ------------------------------------------------------------------
     # PROPOSE phase (initiator zone)
@@ -670,6 +680,7 @@ class SyncEngine:
         txn.request_digest = request_digest
         txn.prev_ballot = context.prev_ballot
         self._mark_stale_sources(context.requests)
+        self._watch_own(instance)
         return True
 
     # ------------------------------------------------------------------
@@ -856,8 +867,11 @@ class SyncEngine:
                                   commit_body, context.ballot,
                                   context.prev_ballot) is None:
             return False
-        return self._majority_certified(context.accepteds, context.ballot,
-                                        accepted_body)
+        if not self._majority_certified(context.accepteds, context.ballot,
+                                        accepted_body):
+            return False
+        self._watch_own(instance)
+        return True
 
     # ------------------------------------------------------------------
     # EXECUTION phase (every node)
@@ -989,6 +1003,7 @@ class SyncEngine:
             if is_initiator:
                 self._answer_executed(request, results[request.sender])
             self.migrations_executed += 1
+        self.node.migration.on_ballot_executed(ballot)
         self._let_go(txn)
         for waiting in self.pending_commits.pop(ballot, []):
             self._try_execute(waiting)
@@ -1028,11 +1043,19 @@ class SyncEngine:
         if txn.watch_timer is None:
             txn.watch_timer = self.node.set_timer(
                 self.config.watch_timeout_ms, self._on_watch_expired,
-                txn.ballot, instance)
+                txn.ballot, instance, self.node.replica.view)
 
-    def _on_watch_expired(self, ballot: Ballot, instance: str) -> None:
+    def _on_watch_expired(self, ballot: Ballot, instance: str,
+                          armed_in: int) -> None:
         self.txns[ballot].watch_timer = None
-        self.node.endorsement.primary_overdue(instance)
+        self.node.endorsement.primary_overdue(instance, armed_in)
+
+    def _watch_own(self, instance: str) -> None:
+        """An initiator-zone backup validated its primary's ACCEPT or
+        COMMIT endorsement: nothing else in the zone would notice it never
+        reach its quorum (a member gone to another view, the primary
+        crashed mid-round), so watch it."""
+        self.node.endorsement.watch(instance, self.config.watch_timeout_ms)
 
     def _arm_commit_timer(self, txn: GlobalTxnState) -> None:
         if txn.commit_timer is not None or txn.committed:
@@ -1173,12 +1196,16 @@ class SyncEngine:
                         if self.directory.zone_of(s) == querier_zone]
         if len(zone_senders) >= quorum:
             self._query_log.pop(key, None)
-            self.node.replica.view_changes.initiate(self.node.replica.view + 1)
+            self.node.replica.view_changes.suspect(self.node.replica.view)
 
     # ------------------------------------------------------------------
     # Local view change: the new primary re-drives in-flight transactions
     # ------------------------------------------------------------------
     def _on_local_view_change(self) -> None:
+        # Queries logged against the old primary judge nobody now.
+        self._query_log.clear()
+        if self._batch_buffer:
+            self._flush_batch()
         if not self._is_zone_primary():
             return
         for txn in list(self.txns.values()):

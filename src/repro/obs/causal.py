@@ -42,7 +42,8 @@ __all__ = ["SYNC_PHASES", "MIGRATION_PHASES", "TRACED_PHASES",
 #: Sync-protocol phases sharing the ballot span key ``{seq}.{zone}``.
 SYNC_PHASES = frozenset({"global-txn", "propose", "promise", "accept",
                          "accepted", "commit"})
-#: Migration phases sharing the key ``{seq}.{zone}/{client}``.
+#: Migration phases, one span per member keyed ``{seq}.{zone}/{client}``
+#: and joined through the group key ``{seq}.{zone}/{source}>{dest}``.
 MIGRATION_PHASES = frozenset({"migration-state", "migration-copy"})
 #: Every phase the analyzer can attach to a trace. Phases outside this
 #: set (e.g. ``cross-cluster``) are counted as untraced, not orphaned.
@@ -133,11 +134,13 @@ def _span_traces(span: dict, links: dict[tuple[str, str], list[str]]
     if phase in SYNC_PHASES:
         return links.get(("sync", key))
     if phase in MIGRATION_PHASES:
-        return links.get(("migration", key))
+        # Per member, keyed ``{seq}.{zone}/{client}``; the group's link is
+        # filed under the group key the span carries as ``grp``.
+        return links.get(("migration", span.get("grp", "")))
     if phase == "endorse":
         # Endorsement instances embed their parent key after the first
-        # slash: ``zsync-accept/5.z0`` (sync ballot) and
-        # ``mig-state/5.z0/c3`` (migration key) both resolve this way.
+        # slash: ``gsync-accept/5.z0`` (sync ballot) and
+        # ``mig-state/5.z0/z0>z1`` (migration group) both resolve this way.
         if "/" not in key:
             return None
         rest = key.split("/", 1)[1]

@@ -653,9 +653,12 @@ class ProtocolMonitor:
                        dedup_key=(key, f["records_digest"]),
                        client=f["client"], ballot=f["ballot"],
                        reason="divergent-state-sent")
-        self._open.setdefault(("migration", f["ballot"], f["client"]),
-                              {"start": ts, "phase": "state-copy",
-                               "node": node})
+        if key not in self._applied_nodes:
+            # A copy already applied somewhere is not in flight again
+            # when a lagging ex-primary re-ships what its zone certified.
+            self._open.setdefault(("migration", f["ballot"], f["client"]),
+                                  {"start": ts, "phase": "state-copy",
+                                   "node": node})
 
     def _on_applied(self, ts: float, node: str, f: dict) -> None:
         self.checked["migration.applied"] += 1

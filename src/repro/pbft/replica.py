@@ -243,7 +243,8 @@ class PBFTReplica:
         if request_digest in self.request_timers:
             return
         timer = self.host.set_timer(self.config.request_timeout_ms,
-                                    self._on_request_timeout, request_digest)
+                                    self._on_request_timeout, request_digest,
+                                    self.view_active)
         self.request_timers[request_digest] = timer
 
     def _cancel_request_timer(self, request_digest: bytes) -> None:
@@ -251,8 +252,14 @@ class PBFTReplica:
         if timer is not None:
             timer.cancel()
 
-    def _on_request_timeout(self, request_digest: bytes) -> None:
+    def _on_request_timeout(self, request_digest: bytes,
+                            armed_active: bool) -> None:
         self.request_timers.pop(request_digest, None)
+        if not armed_active:
+            # Armed while a view change was under way (a retransmission
+            # reached a replica waiting for NEW-VIEW): there was no primary
+            # for it to judge. The new view restarts it (ViewChangeManager).
+            return
         if request_digest in self.pending:
             self.view_changes.initiate(self.view + 1)
             return

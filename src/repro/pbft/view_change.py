@@ -10,7 +10,9 @@ normal operation resumes in the new view.
 Two standard refinements are included: the *weak certificate* rule (seeing
 ``f+1`` view-changes for higher views makes a replica join the earliest of
 them, so one faulty timer cannot be required) and cascading timeouts (if
-NEW-VIEW does not arrive in time, move to ``v+2``).
+NEW-VIEW does not arrive in time for a view ``2f+1`` replicas asked for,
+move to ``v+2``; a view fewer asked for is asked for again instead, so a
+lone replica never climbs away from its zone).
 """
 
 from __future__ import annotations
@@ -95,8 +97,29 @@ class ViewChangeManager:
         replica = self.replica
         if replica.view_active or replica.view > failed_view:
             return
+        asked = self._vc_messages.get(failed_view, {})
+        if len(asked) < replica.quorum:
+            # Fewer than 2f+1 replicas asked for this view, so it was not
+            # its primary that failed (Castro-Liskov escalate only a view
+            # 2f+1 asked for): moving on alone would leave them further
+            # behind. Say it again — a partition may have eaten it — and
+            # keep waiting for them, or for the weak certificate.
+            self.host.multicast_signed(
+                replica.others, asked[self.host.node_id].payload)
+            self._restart_timer(failed_view)
+            return
         self._consecutive_failures += 1
         self.initiate(failed_view + 1)
+
+    def suspect(self, armed_in: int) -> None:
+        """A deadline this replica armed in view ``armed_in`` passed with
+        the primary's work undone: start a view change — if that view is
+        still the one in force. A deadline armed under an earlier primary
+        judges nobody (the new primary re-drives what it inherited), and
+        while a view change is under way its own timer escalates it."""
+        replica = self.replica
+        if replica.view_active and replica.view == armed_in:
+            self.initiate(armed_in + 1)
 
     # ------------------------------------------------------------------
     # VIEW-CHANGE handling
@@ -112,13 +135,13 @@ class ViewChangeManager:
         bucket = self._vc_messages.setdefault(vc.new_view, {})  # lint: allow[taint-flow] view-change vote aggregation keyed by the claimed view; activation requires a verified 2f+1 proof
         bucket[sender] = envelope
         # Weak certificate: f+1 replicas want a higher view -> join the
-        # smallest such view so a correct replica is never left behind.
-        if replica.view_active:
-            higher = {v for v, msgs in self._vc_messages.items()
-                      if v > replica.view and len(msgs) >= weak_quorum(replica.f)}
-            if higher:
-                self.initiate(min(higher))
-                return
+        # smallest such view so a correct replica is never left behind —
+        # also from a view change of its own that nobody else joined.
+        higher = {v for v, msgs in self._vc_messages.items()
+                  if v > replica.view and len(msgs) >= weak_quorum(replica.f)}
+        if higher:
+            self.initiate(min(higher))
+            return
         self._maybe_emit_new_view(vc.new_view)
 
     def _maybe_emit_new_view(self, new_view: int) -> None:

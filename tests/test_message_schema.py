@@ -254,9 +254,9 @@ def _one_of_every_codec_type() -> dict[str, Any]:
                        sender="z0n1"),
         EndorseVote(instance="acc:2", view=0, endorse_digest=body,
                     share=keys.sign("z0n1", body), sender="z0n1"),
-        StateTransfer(view=0, ballot=ballot, client_id="c1",
-                      records={"acct/c1": 10}, records_digest=body,
-                      cert=threshold, sender="z0n0"),
+        StateTransfer(view=0, ballot=ballot, clients=("c1",),
+                      records={"c1": {"acct/c1": 10}}, cert=threshold,
+                      sender="z0n0"),
         pre_prepare, prepare,
         Commit(view=0, sequence=7, batch_digest=body, sender="z0n1"),
         CheckpointMsg(sequence=64, state_digest=body, sender="z0n1"),
@@ -383,7 +383,7 @@ GOLDEN_DIGESTS = {
     "SpanContext":
         "949a8fec1ea21a7ce84623a97753f4b0af13440102005c24059218d39886c38b",
     "StateTransfer":
-        "bb9ef6b7d9494cbf39399d38628e5cfbe9256ca8262c78eeee1ad3eaf61eed76",
+        "269dc3c6d25c9debf031a8ed4fd8662f2fffac6ca09c27f7d63e199f1bcd2f5d",
     "ThresholdCertificate":
         "786b188e3c208f541a80e151772b185628919387d3cc19f980cb1d1af9874bce",
     "ViewChange":

@@ -170,9 +170,8 @@ def test_codec_round_trips_every_wire_message(keys):
                        sender="n1"),
         EndorseVote(instance="i", view=0, endorse_digest=b"e",
                     share=keys.sign("n1", b"e"), sender="n1"),
-        StateTransfer(view=0, ballot=ballot, client_id="c",
-                      records={"c": {"bal": 7}}, records_digest=b"r",
-                      cert=cert, sender="n0"),
+        StateTransfer(view=0, ballot=ballot, clients=("c",),
+                      records={"c": {"bal": 7}}, cert=cert, sender="n0"),
         PrePrepare(view=0, sequence=1, batch_digest=b"d", batch=(req,),
                    sender="n0"),
         PbftPrepare(view=0, sequence=1, batch_digest=b"d", sender="n1"),

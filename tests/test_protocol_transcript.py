@@ -35,6 +35,24 @@ certifies once per epoch): per run, a quarter fewer ``ReadRequest`` /
 ``ReadReply`` / ``read.serve`` rows and a sixth of the ``WatermarkShare``
 / ``read.watermark`` rows (EXPERIMENTS.md, PR 22, has the counts). The
 42 write-path literals did not move.
+
+The 39 literals of the scenarios that migrate, and the Steward
+baseline's, were generated again when Algorithm 2 began to run once per
+(ballot, source, destination) group and a zone split across views after
+an initiator crash began to come back together (EXPERIMENTS.md, PR 25,
+has the rows per literal): one ``mig-state`` / ``mig-append`` round and
+one STATE fan-out per group where a ballot moves several clients between
+one pair of zones (``stable``'s batches of three), a ballot's groups
+acting once its batch has executed (another send order, so other link
+jitters), the initiator zone's backups watching the ACCEPT and COMMIT
+endorsements they validated (a no-op event each once the watch runs out
+inside the run), and in the crash scenarios fewer views — a replica no
+longer climbs alone past its zone (``primary-crash``: 45 ``ViewChange``
+sends and view 3 before, 18 and view 1 now). ``wedged-endorsement`` on
+``default`` now changes view once, after the heal: a backup suspects a
+primary whose ACCEPT can no longer reach its quorum. The six literals of
+``cross-zone-resend`` and ``retransmit`` (they migrate nothing) and the
+flat-PBFT and two-level baselines' did not move.
 """
 
 from __future__ import annotations
@@ -226,35 +244,35 @@ def baseline_transcript(protocol: str) -> str:
 
 PINNED: dict[tuple[str, str], str] = {
     ("stable", "default"):
-        "36b17b9b9986ef70a9f935b9976b82a4dd990769b58d71850e382f2086659f9c",
+        "c8dcbd0d0cf6c7ec791f71c5ac9be3f62e474c3ff38f4715952847acb721cacf",
     ("stable", "rotating"):
-        "4603ac263d4dbd8f00f43f52bee4b873be0e604bb101c24e8b2d42445df568dc",
+        "3e396e3c14ae625337f06216c3f3ffc610c0ea62d7b365b84c54be332a126ab6",
     ("stable", "syncbft"):
-        "7956aa7fb7c838deee7d1fbdb56b86a7123916210a8a27e6504ba8233aa927e5",
+        "5bda04286020ddf4765d77d7b6f67ed915d42bffa1fce80ab087dcfaf341f8ff",
     ("leaderless", "default"):
-        "a32f7cd35bd84d84e96608db3ca2d188582b8997a5237af71793b53050e3739a",
+        "77a8ebe0af0172f63b5e029b1fa0f5405cb362dfc6467dfc6d64ca726d6e853c",
     ("leaderless", "rotating"):
-        "8499cd60510aec14f405bded8e031cfa6c572fa4434f962b9ab156b0ea0cd400",
+        "53f6cde8bc806f39c5d155b4d13804a000df4a5b53b414ff6a9e4234faa4b72a",
     ("leaderless", "syncbft"):
-        "2dbd00a8f5c91f6d32a9510ad98d7ecf55acc550836f9c96eafce4ba106aa531",
+        "29d12c129ef4b02bdb55ec80944fc9162bd4c9c0f8669cae76837a963ec6e82f",
     ("full-prepare", "default"):
-        "1082d5040580eb8476feab673dfe21369bb6281912b158814698700be3f687c3",
+        "18368fc9aade30cf35d4ddf6ae72a0b5de4fff9b35fd853f5b84bbe472e39662",
     ("full-prepare", "rotating"):
-        "5697eb6fd54491e50af15ef60ac66ec70dd015b0472e454c9cbdffa6b764d2f2",
+        "e18714f7b3c7e85e64d8fe0dc3f2a4ce90b15f5556c33c48c8e098cd8ace9e98",
     ("full-prepare", "syncbft"):
-        "3908f6146ba1f8bdbf35979ce526d949f62e56da609291b2ea706e5041c5b420",
+        "9f23a673c4eaf21dbb06d4c657a890d93d44e64effaa47be35265b9122e1afe5",
     ("clusters", "default"):
-        "909b7706222fe006c01d0ddf16e1680f85617035e200ec8fb7f9e7b76a820ea0",
+        "bcc181a1543a11b8492e648ecfaa58266c327f8b712fd7de6425f35e04460bd5",
     ("clusters", "rotating"):
-        "29468c2afd12c84d1b190fd321a5bb19adb7b38a30d967a5ed1ef23cbf994873",
+        "7487b4b8d514800185b3b7cdcbcb8b518f6139509a6e834910232c108babc728",
     ("clusters", "syncbft"):
-        "2dde31b681b9eabd352d1baa1f353d3ecceb4d88bc21f4986427e551f5804c2a",
+        "5cbbd7d3c78c03c35afaf2ccfd30e3322a1d98e1400c35b4d9597bb270c94a65",
     ("cross-zone", "default"):
-        "5864287f4dd0dc55511dc149dd73cb516605ee90be5f7bccffefdaafb6fc0e8b",
+        "6fc74f805800af36edda570ff51ff31bc82516698b7ed099f8c2d67eede0f111",
     ("cross-zone", "rotating"):
-        "44cf6f82daeb49488618f65c1b68f2d1d111b07d4d92f4c01b8d5bac391299a1",
+        "0e22f8384d57cb355246cf7f77f7867102e735771d5de27d62271bdfadef6e1c",
     ("cross-zone", "syncbft"):
-        "d94c49ec57ad03a72968b040a8dad2f93a857dd53fc3ece21f1e3a7b01ca79b7",
+        "a65f6c86e7e91532855bfc8566c129c20c3f2981a983fc3d6477670286034910",
     ("cross-zone-resend", "default"):
         "7e8517ee136d4ac9ed4ab07ed6e5a198cf52cdf0a8e8ed7652596aefa9ea467c",
     ("cross-zone-resend", "rotating"):
@@ -262,53 +280,53 @@ PINNED: dict[tuple[str, str], str] = {
     ("cross-zone-resend", "syncbft"):
         "86ebe08abdccafc9e0b9b72f9f8c230402bd0f414caaa4dda494e12b47dea3d7",
     ("primary-crash", "default"):
-        "6f87a2fae76cd602853bbefc61626c548bacd0f009c74710084d4d0de4a71481",
+        "615aa8970d00481ec042d7ab7cde5c3889e12c1a276321392737733d4a87b9c2",
     ("primary-crash", "rotating"):
-        "a00ff8c730c9d327f41eff18e06857ca7f1b0e14002c17d69567655531a29625",
+        "c425dc0a83b8724931b07e649c4279d6e67b0b1881227ea418b08c1b0959b42b",
     ("primary-crash", "syncbft"):
-        "b00f98522809f9e2b78bc24f53724280116d3060363587263dd7fe967190e7de",
+        "b02f543dc669c0c1e65dc595b843bf41a90f513fd888aed0c3c933ff7a53f95d",
     ("primary-crash-leaderless", "default"):
-        "02d386d9abf22d1a33280bf0b1e53000706029f29313693435fac8e18a337d35",
+        "5db1feb853ab21b718aaf0bdf9c926143240bdd1ebf930ed99f576588fb0fdcf",
     ("primary-crash-leaderless", "rotating"):
-        "7de123c1ccb569a10a44da20e7dd0c88e8227a35b51017561e30a407862b0fbe",
+        "37a802be12321740ea90e4b77725b9b06dccdcf44dc747d26f429c6c1860567a",
     ("primary-crash-leaderless", "syncbft"):
-        "c521294a89709bf0af80c38aa13f421751a556f70ac6935551afde8281a1b011",
+        "9accd29f8cd60a5509e4e45afdb991199e91eccaf9506fe22eca0fc2f008e0ef",
     ("follower-crash-leaderless", "default"):
-        "2b09b43e6ff508911fbb55e815549bd0eb6ea35533b1773aef376d59a7001353",
+        "3794b3f997bd118fec41b5de6f3f65cf24dca815ae6313ee21061f30106feb63",
     ("follower-crash-leaderless", "rotating"):
-        "90d72599a588dafb9c5317da013bc57e8284cce15eb9b6fe91d0703ad7ad2fed",
+        "12f4abbb6b05a4cf924550e293c0f59e77a5f71134cbf350d7012e3ae78550ef",
     ("follower-crash-leaderless", "syncbft"):
-        "4f1c17e1675a0e6f1101f195fc552f6b86c1de58da84ded1a5ac56003bc1c27b",
+        "dae0732d5c90acd3d145170bd14a60e0f4e249be3885dde179c945442040f4c8",
     ("lost-accepted", "default"):
-        "f982bfed5aa4b079b16e64cd3804aea7176ee658a789a49c31ec61295bcaa856",
+        "414c396ffb0d25602d8faa0b47f01b4e4a31c0b0dc9a2a1edccced16927f6084",
     ("lost-accepted", "rotating"):
-        "f3311984b3294236199ba2d24078bb42c331632d584517756c1de07a86940aef",
+        "55ee1748ef2863e89e36f558199daa8f825a4efca2d6a7ed45cf550e040e7015",
     ("lost-accepted", "syncbft"):
-        "049c59457948cfe60ff24803161116933e478564a3248589bc2551a3e9c4aa49",
+        "a83a9aa6f8b267c295ebfb53167803e238a6f5432d9d28752bc2d8fbee6d6d2b",
     ("wedged-endorsement", "default"):
-        "97dc56d4b9b726a73601b0e132e539d0c18e41e9f882dd815f325c5986b94e8c",
+        "0150df1df7f2198c1c242d3ef53661f090345c042c52f918e82c97a2902a1fa9",
     ("wedged-endorsement", "rotating"):
-        "da3bc44316a9abaa00bd9c0aaf23c3203ee9b3d2cf28ff57b22b99dfe66c830b",
+        "f54861e0389aa7024e918914eef4c94c7ee402870f8295f3f75ae240dc411624",
     ("wedged-endorsement", "syncbft"):
-        "e4ee340d87bb8d349fe1045bbfa46facd00599dff51403a4e009ce54fcb49c37",
+        "20cba923f0390bc6d4f6db0b89709debbb0a7abc2e1a5b98826c9e4315ae7302",
     ("initiator-isolated", "default"):
-        "11037775c50caa085f3190adfa7d1b09af49dc72957aa919b7a9df702fecb59c",
+        "5302b8390cd2fbbd4db327b1dac9a00a91e44447f2d00779fd52bc890c3341f2",
     ("initiator-isolated", "rotating"):
-        "92e81dd79d5b7f14cf14df2536669360590f201a064eac8e9e032e5c438c5465",
+        "db8d6f8c417c0c21cc907769198b880935c2773c8afaa013daa61e2925261498",
     ("initiator-isolated", "syncbft"):
-        "3c7cf86ba36a14ce8b817e905cce67bb9f87e3b2cfbe7eab8a54a7469533e3bb",
+        "1eb6a76b04b0fd4bcdccfc1360b432bf5d698cd37e57fc117a3cf718ddfd2906",
     ("reads", "default"):
-        "08a11a0ed6a30a2717709a571e7c1624eec8da4e67223c20ed5a02d8ba343dce",
+        "f9a2e2a9ba54f4b6fa913b794865e2dccd9d6d943c1041f288118dec7aeee882",
     ("reads", "rotating"):
-        "1834b75e71b6cbe1654ea8ae945af4a0858ac4888d2e10dc25209744cb3abf34",
+        "735a9ab0b1742465e7ce9caf5760d163712a9cff3a087478926968d10adae4ae",
     ("reads", "syncbft"):
-        "9a40b9f222b720659543e522658d8320d9864a59604fac91b26a8141750c24b9",
+        "e2066062470ce9e6c9851b7f0c4b414ca3cde0557e65760b51835eb3d6f41c9a",
     ("reads-faulty", "default"):
-        "be9f6e636dade1bdbc336f92f4046f78d46c94913ae3fd366a90038c6a07f69e",
+        "bbed4df66d60ba36c11b7684c215668ab4f0d617ab3c298c3bab4b1204faf2e2",
     ("reads-faulty", "rotating"):
-        "e5a9f4d4beef945f8251b2314375b7f50a245046640ce882644a776eb157e37b",
+        "cbecafec8607688b9769dd3e2b30136aadacef60b28d435aee6500479eeee7d6",
     ("reads-faulty", "syncbft"):
-        "c23e1c37a866db21ff8ac295ce3d4f1581f386d37efcd1df2d2dfbfc7d4a275b",
+        "ec1b9719c0aa5a4ad63915c7d8c4b4d121780c6e4456b589f20ec8e602fd1b93",
     ("retransmit", "default"):
         "a0dc7ad47d18762b36fce2ca4f34299c115cf1b973e67d952a832605f5c7f31c",
     ("retransmit", "rotating"):
@@ -325,7 +343,7 @@ PINNED_BASELINES: dict[str, str] = {
     "two-level":
         "2bc03f232c12860074b1230bd577b496f3b30453747dc3bf3bdb83cede6973bf",
     "steward":
-        "8ddbbcd8db23ae131b1c0debed68ec86266011e6f810a0df7c321902e22cd278",
+        "73826101e96f438c2e9430d95fbd7be8d319b902780af223af2ff359f9d095f0",
 }
 
 
