@@ -27,12 +27,13 @@ __all__ = [
 def endorsement_messages(zone_size: int, with_prepare: bool) -> int:
     """Messages of one intra-zone endorsement round.
 
-    The primary multicasts a pre-prepare and its own vote (2(n-1));
-    every backup multicasts its vote ((n-1)^2); with the PBFT-style
-    prepare round each backup also multicasts a prepare ((n-1)^2 more).
+    The primary multicasts a pre-prepare (n-1), every backup sends its
+    vote to the primary (n-1), and the primary multicasts the certificate
+    it aggregated (n-1): 3(n-1). With the PBFT-style prepare round each
+    backup also multicasts a prepare ((n-1)^2 more).
     """
     n = zone_size
-    base = 2 * (n - 1) + (n - 1) ** 2
+    base = 3 * (n - 1)
     if with_prepare:
         base += (n - 1) ** 2
     return base

@@ -55,7 +55,11 @@ class MobileClient(ClosedLoopClient):
         #: stable-leader zone for intra-cluster migrations, the destination
         #: zone otherwise. Defaults to the destination zone.
         self.initiator_resolver = initiator_resolver
+        #: The view a request to a zone first assumes: the highest that
+        #: ``f+1`` of its members have reported (one of them is correct),
+        #: from the highest view each member put in a reply to us.
         self.view_hints: dict[str, int] = {}
+        self._reported_views: dict[str, dict[str, int]] = {}
         # Certified read path (repro.reads): the session vector holds
         # verified watermarks only.
         self.reads = read_config or ReadConfig()
@@ -183,8 +187,7 @@ class MobileClient(ClosedLoopClient):
             zone = self.directory.zone(self.directory.zone_of(reply.sender))
         except KeyError:
             return
-        self.view_hints[zone.zone_id] = max(
-            self.view_hints.get(zone.zone_id, 0), reply.view)
+        self._hear_view(zone, reply.sender, reply.view)
         flight = self._awaited(reply)
         if flight is None:
             return
@@ -207,6 +210,19 @@ class MobileClient(ClosedLoopClient):
         votes = self._vote(digest((zone.zone_id, result)), reply.sender)
         if len(votes) >= weak_quorum(zone.f):
             self._complete(result)
+
+    def _hear_view(self, zone, member: str, view: Any) -> None:
+        """Member ``member`` of ``zone`` replied in ``view``: adopt the
+        highest view ``f+1`` members have reached, so that one faulty
+        member cannot misdirect every first send to the zone."""
+        reported = self._reported_views.setdefault(zone.zone_id, {})
+        if type(view) is not int or view <= reported.get(member, 0):
+            return
+        reported[member] = view
+        quorum = weak_quorum(zone.f)
+        if len(reported) >= quorum:
+            self.view_hints[zone.zone_id] = sorted(reported.values(),
+                                                   reverse=True)[quorum - 1]
 
     def _read_abandon(self, reason: str = "timeout") -> None:
         """Fall back to the transactional path for the in-flight read,

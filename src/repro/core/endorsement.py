@@ -2,9 +2,11 @@
 
 The reusable sub-protocol at the bottom level of Algorithms 1 and 2: the
 zone primary pre-prepares a payload, nodes validate it (via a validator
-registered per instance kind) and multicast a vote whose detached *share*
-signs the payload digest; ``2f+1`` shares aggregate into a quorum
-certificate (or a threshold signature). Per §IV.B.1, a PBFT-style prepare
+registered per instance kind) and send the primary a vote whose detached
+*share* signs the payload digest. The primary counts its own share
+without sending it; at ``2f+1`` shares it aggregates them into a quorum
+certificate (or a threshold signature) once and sends that certificate to
+the zone, which checks it in full. Per §IV.B.1, a PBFT-style prepare
 round is inserted only when the zone itself assigns the ballot number
 (``use_prepare=True``); otherwise nodes vote directly on the primary's
 pre-prepare.
@@ -13,17 +15,26 @@ Completion is observed two ways:
 
 - the node that *leads* an instance gets its ``on_cert`` callback with the
   aggregated certificate (it then sends the top-level message);
-- any node can register a kind-level ``on_quorum`` callback, fired when it
-  has itself collected a vote quorum (Algorithm 2's record-append, where
-  every destination-zone node acts on the quorum, uses this).
+- any node can register a kind-level ``on_quorum`` callback, fired when a
+  certificate it verified meets the payload it validated (Algorithm 2's
+  record-append, where every destination-zone node acts on the quorum,
+  uses this).
+
+Only the leader collects shares, so what all-to-all votes gave every
+member for free is given back on the paths that need it, none of them
+taken without a fault: a member that voted answers a re-sent pre-prepare
+with its share; on a local view change it re-sends its share for each
+instance it voted on and has not seen finish to the new primary; and a
+share cast in a later view than the instance finished in is answered
+with the certificate (DESIGN.md §6.1).
 
 An instance is kept whole while the unit it serves — a ballot, a record
 append, a cross-zone decision — is in flight at this node. When the
 engine that owns the unit says it completed here (:meth:`~
 EndorsementManager.retire`) and the instance is settled, it shrinks to
 what a late message can still ask of it: its digest and view, ``done``
-and ``voted``, and the certificate built at quorum, which a re-lead
-hands over (DESIGN.md §10).
+and ``voted``, and its certificate, which a re-lead hands over
+(DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -31,9 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.crypto.certificates import QuorumCertificate
+from repro.core.zone import group_cert_valid
+from repro.crypto.certificates import CertificateVerifier, QuorumCertificate
 from repro.crypto.keys import Signature
-from repro.crypto.threshold import combine_threshold
+from repro.crypto.threshold import ThresholdVerifier, combine_threshold
 from repro.messages.base import Signed
 from repro.messages.endorse import EndorsePrepare, EndorsePrePrepare, EndorseVote
 from repro.pbft.host import HostNode
@@ -71,17 +83,20 @@ class EndorsementInstance:
     endorse_digest: bytes | None = None
     use_prepare: bool = False
     leading: bool = False
-    #: ``None`` (both tables) once the instance has been let go.
+    #: ``None`` (both tables) once the instance has been let go. Shares
+    #: are what members sent this node as their leader.
     prepare_senders: set[str] | None = field(default_factory=set)
     shares: dict[str, Signature] | None = field(default_factory=dict)
+    #: This node's share went to the leader (or, leading, was counted).
     voted: bool = False
     done: bool = False
     on_cert: CertCallback | None = None
-    #: The certificate built as the quorum formed.
+    #: The certificate: built here at quorum, or the leader's, verified;
+    #: the latter is banked ahead of ``done`` until the payload validates.
     cert: Any = None
     #: The unit this instance serves completed at this node.
     served: bool = False
-    #: The member whose vote or prepare opened the instance ahead of any
+    #: The member whose message opened the instance ahead of any
     #: pre-prepare, while it still counts against that member's allowance.
     parked_by: str | None = None
 
@@ -108,6 +123,8 @@ class EndorsementManager:
         self._group = frozenset(self.members)
         self.view_provider = view_provider
         self.use_threshold = use_threshold
+        self._certificates = CertificateVerifier(host.keys)
+        self._thresholds = ThresholdVerifier(host.keys)
         self._instances: dict[str, EndorsementInstance] = {}
         #: member -> how many instances it opened ahead of their
         #: pre-prepare are still unopened (``parked_by`` names it on each).
@@ -117,6 +134,9 @@ class EndorsementManager:
         host.register_handler(EndorsePrePrepare, self._on_pre_prepare)
         host.register_handler(EndorsePrepare, self._on_prepare)
         host.register_handler(EndorseVote, self._on_vote)
+        replica = getattr(host, "replica", None)  # none on a bare test host
+        if replica is not None:
+            replica.on_view_change.append(self._resend_shares)
 
     # ------------------------------------------------------------------
     # Configuration
@@ -153,13 +173,13 @@ class EndorsementManager:
 
     def _opened_early(self, sender: str,
                       instance: str) -> EndorsementInstance:
-        """The state a vote or prepare from zone member ``sender`` lands
-        in. Nothing else about the message has been checked yet, so an
-        instance nobody pre-prepared here is opened on the sender's
-        allowance: at ``_PARKED_PER_MEMBER`` the older half of what the
-        sender has parked goes first (``_instances`` keeps arrival
-        order), so a faulty member naming instances that will never
-        exist displaces only what it parked itself."""
+        """The state a vote, certificate or prepare from zone member
+        ``sender`` lands in. Nothing else about the message has been
+        checked yet, so an instance nobody pre-prepared here is opened on
+        the sender's allowance: at ``_PARKED_PER_MEMBER`` the older half
+        of what the sender has parked goes first (``_instances`` keeps
+        arrival order), so a faulty member naming instances that will
+        never exist displaces only what it parked itself."""
         state = self._instances.get(instance)
         if state is None:
             if self._parked[sender] >= _PARKED_PER_MEMBER:
@@ -175,8 +195,8 @@ class EndorsementManager:
 
     def _unpark(self, state: EndorsementInstance) -> None:
         """A pre-prepare (or this node's own lead) opened the instance:
-        if a member's vote or prepare had opened it first, it no longer
-        counts against that member."""
+        if a member's message had opened it first, it no longer counts
+        against that member."""
         member = state.parked_by
         if member not in self._parked:
             return  # None, as for most
@@ -200,14 +220,15 @@ class EndorsementManager:
         """Let go of what no late message can ask a finished instance
         for (callers have seen ``state.served``).
 
-        Finished: its unit was served, the quorum formed here, and this
+        Finished: its unit was served, the certificate is here, and this
         node cast its vote — or owes it only to a round without prepares,
-        where a re-sent pre-prepare is all it takes to cast it (the leader
-        of such a round never *votes*: its share went out with the
-        pre-prepare). Further votes and prepares then change nothing, a
-        re-sent pre-prepare is validated and answered from the digest, a
-        re-lead hands ``cert`` over; the payload, the shares, the prepare
-        senders and the leader's callback have no reader left.
+        where the pre-prepare is all it takes to cast it. (A node takes
+        its part in a round even when the certificate came first, so that
+        a round costs the same messages however they interleave.) A
+        further share or certificate then changes nothing, a re-sent
+        pre-prepare is validated and answered from the digest, a re-lead
+        hands ``cert`` over; the payload, the shares, the prepare senders
+        and the leader's callback have no reader left.
         """
         if state.done and (state.voted or not state.use_prepare):
             state.payload = state.on_cert = None
@@ -223,10 +244,10 @@ class EndorsementManager:
 
         A re-drive after a view change may propose the same instance
         with a different batch, and votes can arrive before the
-        pre-prepare that names the digest they belong to. Shares and
-        prepares collected for the old digest can never aggregate with
-        the new one — combining them would produce (or crash on) an
-        invalid certificate — so the instance restarts its count.
+        pre-prepare that names the digest they belong to. Shares,
+        prepares and a certificate banked for the old digest can never
+        stand for the new one — combining them would produce (or crash
+        on) an invalid certificate — so the instance restarts its count.
         """
         if state.endorse_digest is not None \
                 and state.endorse_digest != endorse_digest:
@@ -260,16 +281,19 @@ class EndorsementManager:
         state.on_cert = on_cert
         self.host.obs.count("endorse.led")
         if state.done:
-            # A previous primary already drove this instance to quorum and
-            # the votes reached us; hand the certificate over immediately
-            # (happens when a new primary re-drives after a view change):
-            # over every share banked since, or, once those were let go,
-            # the one built as the quorum formed. ``on_cert`` may read the
-            # payload back (``SyncEngine._send_promise``); then it goes again.
-            on_cert(state.cert if state.shares is None
-                    else self._build_cert(state))
+            # The instance already finished here — this node built the
+            # certificate, or verified the one a previous primary sent
+            # (a new primary re-driving after a view change, or a lost
+            # top-level message re-sent): hand it over at once. ``on_cert``
+            # may read the payload back (``SyncEngine._send_promise``);
+            # then it goes again.
+            on_cert(state.cert)
             if state.served:
                 self._settle(state)
+            return
+        if state.cert is not None:
+            # The previous primary's certificate came, its pre-prepare not.
+            self._complete(state, state.cert)
             return
         self.host.obs.span_open(self.host.sim.now, "endorse", instance,
                                 node=self.host.node_id, prepare=use_prepare)
@@ -279,21 +303,18 @@ class EndorsementManager:
                                         use_prepare=use_prepare,
                                         sender=self.host.node_id)
         self.host.multicast_signed(self.others, pre_prepare)
-        # The primary's share is part of the quorum: send it to the zone
-        # (so every node can assemble the certificate) and count it here.
-        share = self.host.keys.sign(self.host.node_id, endorse_digest)
-        vote = EndorseVote(instance=instance, view=view,
-                           endorse_digest=endorse_digest, share=share,
-                           sender=self.host.node_id)
-        self.host.multicast_signed(self.others, vote)
-        self._add_share(state, self.host.node_id, share)
+        # The primary's share is part of the quorum: counted here, sent
+        # to nobody.
+        state.voted = True
+        self._add_share(state, self.host.node_id,
+                        self.host.keys.sign(self.host.node_id, endorse_digest))
 
     def relead(self, instance: str, use_prepare: bool,
                on_cert: CertCallback) -> bool:
         """Lead ``instance`` again over the payload and digest banked for
         it here (the old primary's pre-prepare, or this node's own earlier
         lead); ``False`` when nothing is banked. A new zone primary
-        re-drives this way, and since banked quorum shares hand the
+        re-drives this way, and since a finished instance hands its
         certificate over at once, so is a lost top-level message re-sent.
         """
         state = self._instances.get(instance)
@@ -303,18 +324,20 @@ class EndorsementManager:
                   on_cert)
         return True
 
-    def watch(self, instance: str, timeout_ms: float) -> None:
-        """Arm the primary-watch deadline of ``instance`` in this view."""
+    def watch(self, instance: str, timeout_ms: float, armed_in: int) -> None:
+        """Arm the primary-watch deadline of ``instance`` in view
+        ``armed_in`` (the caller's ``PBFTReplica.judged_view``)."""
         self.host.set_timer(timeout_ms, self.primary_overdue, instance,
-                            self.view_provider())
+                            armed_in)
 
     def primary_overdue(self, instance: str, armed_in: int) -> None:
         """The primary-watch deadline. A non-primary expecting its primary
         to open ``instance`` arms a timer in view ``armed_in`` (its engine
         knows what voids the watch) and calls this when it fires: no
-        quorum here by then — the pre-prepare never came, or the instance
-        it opened can no longer reach one in this view — means that
-        primary is suspected (:meth:`ViewChangeManager.suspect`).
+        certificate here by then — the pre-prepare never came, or the
+        instance it opened can no longer reach its quorum in this view, or
+        the leader kept the certificate — means that primary is suspected
+        (:meth:`ViewChangeManager.suspect`).
         """
         state = self._instances.get(instance)
         if state is None or not state.done:
@@ -368,16 +391,27 @@ class EndorsementManager:
             if not verdict:
                 return
         state = self._get(msg.instance)
-        # Digest known only from early votes (payload still None): the
-        # validated pre-prepare wins, and any shares banked against a
-        # different digest restart from zero.
+        # Digest known only from early messages (payload still None): the
+        # validated pre-prepare wins, and whatever was banked against a
+        # different digest restarts from zero.
         self._reset_for_digest(state, msg.endorse_digest)
+        resent = state.opened
         self._unpark(state)
-        state.view = msg.view  # lint: allow[taint-flow] pre-quorum endorsement vote state; adopted only via on_quorum after 2f+1 verified shares
+        state.view = msg.view  # lint: allow[taint-flow] pre-quorum endorsement vote state; adopted only via on_quorum once a verified 2f+1 certificate meets it
         if state.shares is not None:  # else let go: re-sent to a finished instance
             state.payload = msg.payload  # lint: allow[taint-flow] pre-quorum endorsement vote state; validator-gated above when the kind registers one
         state.endorse_digest = msg.endorse_digest  # lint: allow[taint-flow] pre-quorum endorsement vote state; the claimed digest IS the ballot being voted on
         state.use_prepare = msg.use_prepare  # lint: allow[taint-flow] phase selector for this vote round only; no replicated state depends on it
+        if not state.done and state.cert is not None:
+            # The leader's certificate came first; it meets its payload
+            # now, and this node still takes its part in the round below.
+            self._complete(state, state.cert)
+        if resent and (state.voted or state.done):
+            # Its sender asks again, so it holds no certificate: the share
+            # this node sent went to a leader that crashed or lost it, or
+            # to no one (it was the leader then).
+            self._send_share(state)
+            return
         if msg.use_prepare:
             prepare = EndorsePrepare(instance=msg.instance, view=msg.view,
                                      endorse_digest=msg.endorse_digest,
@@ -398,7 +432,7 @@ class EndorsementManager:
 
     def _prepared_by(self, state: EndorsementInstance, sender: str) -> None:
         if state.prepare_senders is None:
-            return  # let go: its vote is cast, or waits for no prepare
+            return  # let go: the instance finished here
         state.prepare_senders.add(sender)
         if state.payload is None or not state.use_prepare:
             return
@@ -412,14 +446,37 @@ class EndorsementManager:
         if state.voted or state.endorse_digest is None:
             return
         state.voted = True
-        share = self.host.keys.sign(self.host.node_id, state.endorse_digest)  # lint: allow[taint-flow] a vote share deliberately signs the claimed digest (threshold endorsement primitive)
-        vote = EndorseVote(instance=state.instance, view=state.view,
-                           endorse_digest=state.endorse_digest, share=share,
-                           sender=self.host.node_id)
-        self.host.multicast_signed(self.others, vote)  # lint: allow[taint-flow] broadcasting this node's own vote share over the claimed digest
-        self._add_share(state, self.host.node_id, share)
+        self._send_share(state)
         if state.served:
             self._settle(state)
+
+    def _send_share(self, state: EndorsementInstance,
+                    view: int | None = None) -> None:
+        """This node's share of ``state``'s digest, cast in ``view`` (the
+        instance's own by default), to the zone's primary — counted here
+        when that is this node."""
+        share = self.host.keys.sign(self.host.node_id, state.endorse_digest)  # lint: allow[taint-flow] a vote share deliberately signs the claimed digest (threshold endorsement primitive)
+        leader = self.primary()
+        if leader == self.host.node_id:
+            self._add_share(state, leader, share)
+            return
+        vote = EndorseVote(instance=state.instance,
+                           view=state.view if view is None else view,
+                           endorse_digest=state.endorse_digest, share=share,
+                           sender=self.host.node_id)
+        self.host.send_signed(leader, vote)  # lint: allow[taint-flow] this node's own vote share over the claimed digest, to the zone primary only
+
+    def _resend_shares(self) -> None:
+        """A new view is active. The shares this node cast for instances
+        that have not finished here went to the old primary, which may be
+        what failed: send each, cast in the new view, to the new primary —
+        which collects them, or answers with the certificate if the
+        instance finished there — or count it here, on the new primary,
+        where the others' arrive. A unit that completed here needs none."""
+        view = self.view_provider()
+        for state in list(self._instances.values()):
+            if state.voted and not state.done and not state.served:
+                self._send_share(state, view)
 
     def _on_vote(self, sender: str, msg: EndorseVote,
                  envelope: Signed) -> None:
@@ -427,6 +484,18 @@ class EndorsementManager:
             return
         state = self._opened_early(sender, msg.instance)
         if state.endorse_digest is not None and state.endorse_digest != msg.endorse_digest:
+            return
+        if msg.cert is not None:
+            self._on_cert(sender, state, msg)
+            return
+        if state.done and msg.view > state.view:
+            # Cast after a view change the instance finished before: its
+            # sender never got the certificate (a late vote of the round
+            # itself is cast in the round's view, and gets nothing).
+            self.host.send_signed(sender, EndorseVote(
+                instance=state.instance, view=state.view,
+                endorse_digest=state.endorse_digest, share=None,
+                sender=self.host.node_id, cert=state.cert))
             return
         if state.endorse_digest is None:
             # Vote arrived before the pre-prepare; remember the digest so
@@ -436,16 +505,45 @@ class EndorsementManager:
             return
         self._add_share(state, sender, msg.share)
 
+    def _on_cert(self, sender: str, state: EndorsementInstance,
+                 msg: EndorseVote) -> None:
+        """The leader's certificate: checked in full, then banked; it
+        completes the instance once the payload is validated here."""
+        if state.done:
+            return
+        if not group_cert_valid(msg.cert, msg.endorse_digest, self._group,
+                                self.quorum, self._certificates,
+                                self._thresholds):
+            self.host.refuse(sender, msg)
+            return
+        state.endorse_digest = msg.endorse_digest
+        state.cert = msg.cert
+        if state.payload is not None:
+            self._complete(state, msg.cert)
+
     def _add_share(self, state: EndorsementInstance, sender: str,
                    share: Signature) -> None:
         if state.shares is None:
-            return  # let go: the quorum formed, its certificate is kept
+            return  # let go: the instance finished here
         state.shares[sender] = share
         if state.done or len(state.shares) < self.quorum:
             return
         if state.payload is None:
             return  # quorum of shares but no validated payload yet
+        cert = self._build_cert(state)
+        # The certificate goes to the zone once, from where it was built.
+        self.host.multicast_signed(
+            self.others, EndorseVote(instance=state.instance, view=state.view,
+                                     endorse_digest=state.endorse_digest,
+                                     share=None, sender=self.host.node_id,
+                                     cert=cert))
+        self._complete(state, cert)
+
+    def _complete(self, state: EndorsementInstance, cert: Any) -> None:
+        """A certificate meets the validated payload: the instance is done
+        here."""
         state.done = True
+        state.cert = cert
         # A member that lags its zone: the unit completed before this.
         served = state.served
         obs = self.host.obs
@@ -455,7 +553,6 @@ class EndorsementManager:
         obs.span_close(self.host.sim.now, "endorse", state.instance,
                        node=self.host.node_id,
                        shares=len(state.shares))
-        cert = state.cert = self._build_cert(state)
         if state.leading and state.on_cert is not None:
             state.on_cert(cert)
         kind = self._kind_of(state.instance)

@@ -5,8 +5,8 @@ zone's primary generates the client state ``R(c)``, certifies it with an
 intra-zone endorsement (pre-prepare / prepare / local-state), and ships it
 to the destination zone in a STATE message. The destination zone endorses
 the received state (pre-prepare / local-commit, no prepare round); once a
-node sees the ``2f+1`` vote quorum it sets ``lock(c) = TRUE``, appends
-``R(c)`` to its database, and replies to the client.
+node holds the zone's certificate of ``2f+1`` votes it sets ``lock(c) =
+TRUE``, appends ``R(c)`` to its database, and replies to the client.
 
 A global ballot commits a *batch* of migrations, and the protocol runs
 once per **group**: the migrations one executed ballot moves from one
@@ -367,7 +367,8 @@ class MigrationEngine:
 
     def _on_append_quorum(self, instance: str, context: Any, cert) -> None:
         """Lines 22-25: every destination node appends each member on the
-        vote quorum (the context was validated here, or led from here)."""
+        zone's certificate (the context was validated here, or led from
+        here)."""
         if not isinstance(context, StateTransfer):
             return
         self.node.endorsement.retire(instance)
@@ -412,7 +413,8 @@ class MigrationEngine:
     # Failure handling
     # ------------------------------------------------------------------
     def _watch(self, instance: str) -> None:
-        self.node.endorsement.watch(instance, self.config.watch_timeout_ms)
+        self.node.endorsement.watch(instance, self.config.watch_timeout_ms,
+                                    self.node.replica.judged_view)
 
     def _arm_state_timer(self, group: Group) -> None:
         if group in self._state_timers:

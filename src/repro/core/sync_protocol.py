@@ -195,6 +195,8 @@ class SyncEngine:
         self._batch_timer = None
         self._watched_requests: set[bytes] = set()
         self._query_log: dict[tuple[Ballot, str], set[str]] = {}
+        #: When this node's current view activated (0 for the first).
+        self._view_since = 0.0
         self._commit_order: list[Ballot] = []
         #: Cross-cluster hook: ballots whose commit phase is held until the
         #: peer cluster is PREPARED (callback receives the txn state).
@@ -431,7 +433,7 @@ class SyncEngine:
         self.node.set_timer(self.config.watch_timeout_ms,
                             self._on_request_watch_expired, request_digest,
                             (request.sender, request.timestamp),
-                            self.node.replica.view)
+                            self.node.replica.judged_view)
         self._watched_requests.add(request_digest)
 
     def _on_request_watch_expired(self, request_digest: bytes,
@@ -1043,7 +1045,7 @@ class SyncEngine:
         if txn.watch_timer is None:
             txn.watch_timer = self.node.set_timer(
                 self.config.watch_timeout_ms, self._on_watch_expired,
-                txn.ballot, instance, self.node.replica.view)
+                txn.ballot, instance, self.node.replica.judged_view)
 
     def _on_watch_expired(self, ballot: Ballot, instance: str,
                           armed_in: int) -> None:
@@ -1055,7 +1057,8 @@ class SyncEngine:
         COMMIT endorsement: nothing else in the zone would notice it never
         reach its quorum (a member gone to another view, the primary
         crashed mid-round), so watch it."""
-        self.node.endorsement.watch(instance, self.config.watch_timeout_ms)
+        self.node.endorsement.watch(instance, self.config.watch_timeout_ms,
+                                    self.node.replica.judged_view)
 
     def _arm_commit_timer(self, txn: GlobalTxnState) -> None:
         if txn.commit_timer is not None or txn.committed:
@@ -1184,8 +1187,10 @@ class SyncEngine:
             self.node.migration.answer_state_query(sender, query)
             return
         # Log the query; 2f+1 distinct queriers from one zone (with no
-        # newer accepted ballot in between) point at our own primary.
-        if self.last_accepted > query.ballot:
+        # newer accepted ballot in between) point at our own primary —
+        # once it has had a watch timeout to re-drive what it took over.
+        if self.last_accepted > query.ballot or self.node.sim.now \
+                < self._view_since + self.config.watch_timeout_ms:
             return
         key = (query.ballot, query.phase)
         senders = self._query_log.setdefault(key, set())  # lint: allow[taint-flow] query audit log: senders are rate-limited by QueryAudit above and entries only feed the faulty-primary detector
@@ -1202,8 +1207,10 @@ class SyncEngine:
     # Local view change: the new primary re-drives in-flight transactions
     # ------------------------------------------------------------------
     def _on_local_view_change(self) -> None:
-        # Queries logged against the old primary judge nobody now.
+        # Queries logged against the old primary judge nobody now, nor
+        # those still on their way.
         self._query_log.clear()
+        self._view_since = self.node.sim.now
         if self._batch_buffer:
             self._flush_batch()
         if not self._is_zone_primary():

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 from repro.crypto.certificates import CertificateVerifier, QuorumCertificate
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.threshold import ThresholdCertificate, ThresholdVerifier
+from repro.crypto.threshold import (ThresholdCertificate, ThresholdVerifier,
+                                    well_formed)
 from repro.errors import ConfigurationError
 from repro.quorums import (group_size, intra_zone_quorum, proxy_count,
                            zone_majority)
 from repro.sim.latency import Region
 
-__all__ = ["ZoneInfo", "ZoneDirectory"]
+__all__ = ["ZoneInfo", "ZoneDirectory", "group_cert_valid"]
 
 
 @dataclass(frozen=True)
@@ -146,18 +147,28 @@ class ZoneDirectory:
     def cert_valid(self, cert, expected_digest: bytes, zone_id: str) -> bool:
         """Whether ``cert`` proves 2f+1 of ``zone_id`` signed the digest."""
         zone = self._zones.get(zone_id)
-        if zone is None or cert is None:
+        if zone is None:
             return False
-        if cert.payload_digest != expected_digest:
-            return False
-        if isinstance(cert, QuorumCertificate):
-            return self._cert_verifier.is_valid_zone(cert, zone.f,
-                                                     zone.members,
-                                                     quorum=zone.quorum)
-        if isinstance(cert, ThresholdCertificate):
-            if cert.group != zone.member_set:
-                return False
-            if cert.threshold < zone.quorum:
-                return False
-            return self._threshold_verifier.is_valid(cert)
-        return False
+        return group_cert_valid(cert, expected_digest, zone.member_set,
+                                zone.quorum, self._cert_verifier,
+                                self._threshold_verifier)
+
+
+def group_cert_valid(cert, expected_digest: bytes, members: frozenset[str],
+                     quorum: int, certificates: CertificateVerifier,
+                     thresholds: ThresholdVerifier) -> bool:
+    """Whether ``cert`` proves that ``quorum`` of ``members`` signed
+    ``expected_digest``: its digest, its signers or group, its threshold
+    and its tags. The one check of a zone certificate — on an inter-zone
+    message (:meth:`ZoneDirectory.cert_valid`) and on the certificate an
+    endorsement leader sends its zone. It arrives from the network, so a
+    threshold certificate's shape is checked before any part of it is
+    compared."""
+    if isinstance(cert, QuorumCertificate):
+        return (cert.payload_digest == expected_digest
+                and certificates.is_valid(cert, quorum, members))
+    if isinstance(cert, ThresholdCertificate):
+        return (well_formed(cert) and cert.payload_digest == expected_digest
+                and cert.group == members and cert.threshold >= quorum
+                and thresholds.is_valid(cert))
+    return False

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.crypto.keys import KeyRegistry, Signature
 from repro.errors import InvalidCertificateError
 
-__all__ = ["ThresholdCertificate", "combine_threshold"]
+__all__ = ["ThresholdCertificate", "combine_threshold", "well_formed"]
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,17 @@ def combine_threshold(keys: KeyRegistry, payload_digest: bytes,
     return certificate
 
 
+def well_formed(certificate: ThresholdCertificate) -> bool:
+    """Whether every part of ``certificate`` has its type, so that it can
+    be compared and hashed: it arrives from the network, and its parts
+    are whatever the sender put there."""
+    return (type(certificate.payload_digest) is bytes
+            and type(certificate.tag) is bytes
+            and type(certificate.threshold) is int
+            and type(certificate.group) is frozenset
+            and all(type(member) is str for member in certificate.group))
+
+
 class ThresholdVerifier:
     """Validates threshold certificates (constant-cost verification).
 
@@ -101,13 +112,11 @@ class ThresholdVerifier:
         record = certificate.__dict__.get("_repro_memo") if exact else None
         if record is not None and record[3] is self._keys:
             return
-        payload_digest, group = certificate.payload_digest, certificate.group
-        threshold, tag = certificate.threshold, certificate.tag
-        if not (type(payload_digest) is bytes and type(tag) is bytes
-                and type(threshold) is int and type(group) is frozenset
-                and all(type(member) is str for member in group)):
+        if not well_formed(certificate):
             raise InvalidCertificateError("malformed threshold certificate")
-        if _group_tag(self._keys, payload_digest, group, threshold, {}) != tag:
+        if _group_tag(self._keys, certificate.payload_digest,
+                      certificate.group, certificate.threshold,
+                      {}) != certificate.tag:
             raise InvalidCertificateError("threshold certificate tag mismatch")
         if record is not None:
             record[3] = self._keys

@@ -2,10 +2,11 @@
 
 Both Algorithm 1 (data synchronization) and Algorithm 2 (data migration)
 repeatedly run the same sub-protocol inside a zone: the primary pre-prepares
-a payload, nodes (optionally after a PBFT-style prepare round) multicast a
-vote signing the payload digest, and the primary aggregates ``2f+1`` votes
-into a certificate for the top level. These messages are that sub-protocol's
-wire format; the paper's local-propose / local-promise / local-accept /
+a payload, nodes (optionally after a PBFT-style prepare round) send the
+primary a vote whose share signs the payload digest, and the primary
+aggregates ``2f+1`` shares into a certificate for the top level and sends
+that certificate to the zone. These messages are that sub-protocol's wire
+format; the paper's local-propose / local-promise / local-accept /
 local-accepted / local-commit / local-state messages are all
 :class:`EndorseVote` instances distinguished by the ``instance`` id.
 
@@ -54,15 +55,19 @@ class EndorsePrepare(Message):
 
 @dataclass(frozen=True)
 class EndorseVote(Message):
-    """A node's vote; 2f+1 of these form a quorum certificate.
+    """A member's vote to the instance's leader, or the leader's
+    certificate to the zone.
 
-    ``share`` is the node's detached signature over ``endorse_digest``
-    itself (not over this message), so collected shares aggregate into a
-    certificate any third party can validate against the body digest.
+    A vote carries ``share``: the member's detached signature over
+    ``endorse_digest`` itself (not over this message), so that ``2f+1``
+    shares aggregate into a certificate any third party can validate
+    against the body digest. The leader sends that certificate to the
+    other members as ``cert`` (with no share).
     """
 
     instance: str
     view: int
     endorse_digest: bytes
-    share: Signature
+    share: Signature | None
     sender: str
+    cert: Any = None

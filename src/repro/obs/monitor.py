@@ -410,9 +410,11 @@ class ProtocolMonitor:
         if members is not None and quorum is not None:
             distinct = set(signers)
             if "threshold" in f:
+                # The threshold is the sender's, passed through as it came:
+                # one that is no ``int`` is left to the verdict below.
                 if distinct != set(members):
                     reason = "threshold-group-mismatch"
-                elif f["threshold"] < quorum:
+                elif type(f["threshold"]) is int and f["threshold"] < quorum:
                     reason = "threshold-below-quorum"
             elif len(signers) != len(distinct):
                 reason = "duplicate-signers"

@@ -28,6 +28,7 @@ class CheckpointManager:
                  app: Any, period: int,
                  on_stable: Callable[[int], None] | None = None,
                  on_snapshot: Callable[[Checkpoint], None] | None = None,
+                 on_uncovered: Callable[[str, int], None] | None = None,
                  quorum: int | None = None) -> None:
         self.host = host
         self.group = group
@@ -37,6 +38,8 @@ class CheckpointManager:
         self.period = period
         self.on_stable = on_stable
         self.on_snapshot = on_snapshot
+        #: ``(member, sequence)``: a fetch no snapshot here covers.
+        self.on_uncovered = on_uncovered
         if quorum is None:
             quorum = intra_zone_quorum(f)
         self.store = CheckpointStore(quorum=quorum)
@@ -89,7 +92,9 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def request_snapshot(self, sequence: int) -> None:
         """Ask the zone for the snapshot behind the stable checkpoint at
-        ``sequence`` (fired when this replica falls behind it)."""
+        ``sequence`` (fired when this replica falls behind it), or for
+        what it misses from ``sequence`` on: a member no snapshot of which
+        covers it answers through ``on_uncovered``."""
         fetch = CheckpointFetch(sequence=sequence, sender=self.host.node_id)
         self.host.multicast_signed(self.others, fetch)
 
@@ -110,6 +115,8 @@ class CheckpointManager:
                 local.snapshot is not None:
             best = local
         if best is None:
+            if self.on_uncovered is not None:
+                self.on_uncovered(sender, msg.sequence)
             return
         reply = CheckpointSnapshot(sequence=best.sequence,
                                    state_digest=best.state_digest,

@@ -23,7 +23,7 @@ from repro.messages.pbft import Commit, Prepare, PrePrepare
 from repro.messages.trace import trace_id
 from repro.pbft.checkpointing import CheckpointManager
 from repro.pbft.host import HostNode
-from repro.quorums import group_size, intra_zone_quorum
+from repro.quorums import group_size, intra_zone_quorum, weak_quorum
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.consensus.profile import QuorumProfile
@@ -120,6 +120,12 @@ class PBFTReplica:
         self._digest_sequence: dict[bytes, int] = {}
         self._batch_timer = None
         self._future: list[tuple[str, Any, Signed]] = []
+        #: ``(view, last_executed, time)`` at which a request timer first
+        #: found a committed slot blocked by a gap below it.
+        self._gap_since: tuple[int, int, float] | None = None
+        #: Per zone member, ``(view, sequence)`` up to which this replica
+        #: has re-sent it that view's slots (``_retransmit``).
+        self._resent: dict[str, tuple[int, int]] = {}
         #: Callbacks invoked after a new view activates (Ziziphus re-drives
         #: in-flight global transactions from here).
         self.on_view_change: list[Callable[[], None]] = []
@@ -134,6 +140,7 @@ class PBFTReplica:
             period=self.config.checkpoint_period,
             on_stable=self._on_stable_checkpoint,
             on_snapshot=self._adopt_checkpoint,
+            on_uncovered=self._retransmit,
             quorum=self._quorum,
         )
         # Imported here to avoid a circular import at module load time.
@@ -163,6 +170,13 @@ class PBFTReplica:
     def is_primary(self) -> bool:
         """Whether this replica is the current primary."""
         return self.primary == self.host.node_id
+
+    @property
+    def judged_view(self) -> int:
+        """The view a deadline armed now judges the primary of
+        (``ViewChangeManager.suspect``): the current one while it is
+        active; during a view change there is no primary to judge (-1)."""
+        return self.view if self.view_active else -1
 
     @property
     def quorum(self) -> int:
@@ -267,8 +281,29 @@ class PBFTReplica:
         if sequence is None:
             return
         slot = self.slots.get(sequence)
-        if slot is not None and not slot.executed:
+        if slot is None or slot.executed:
+            return
+        if not slot.committed:
             self.view_changes.initiate(self.view + 1)
+            return
+        # Committed but not executed: 2f+1 committed it, and a gap below it
+        # blocks it here — one this replica missed (it crashed or was cut
+        # off while the zone went on) or one the primary left (it skipped
+        # a sequence). Suspecting at once would, in the first case, take
+        # this replica out of the view alone. So ask the zone for the gap
+        # — a member with a checkpoint covering it sends the snapshot, one
+        # without sends again what it sent for the gap in this view
+        # (``_retransmit``) — and suspect the primary one request timeout
+        # later only if nothing executed here meanwhile.
+        now = self.host.sim.now
+        since = self._gap_since
+        if since is None or since[:2] != (self.view, self.last_executed):
+            self._gap_since = (self.view, self.last_executed, now)
+            self.checkpoints.request_snapshot(self.last_executed + 1)
+        elif now - since[2] >= self.config.request_timeout_ms:
+            self.view_changes.initiate(self.view + 1)
+            return
+        self._start_request_timer(request_digest)
 
     def _maybe_propose(self, force: bool = False) -> None:
         if not self.pending or not self.view_active or not self.is_primary:
@@ -487,6 +522,21 @@ class PBFTReplica:
     def _defer(self, sender: str, payload: Any, envelope: Signed) -> None:
         if len(self._future) < 4096:
             self._future.append((sender, payload, envelope))  # lint: allow[taint-flow] bounded (4096) defer buffer; entries re-enter the full verifying handlers on view activation
+        if not self.view_active or payload.view <= self.view \
+                or sender not in self.others:
+            return
+        # Members already at work in a later view: once f+1 are (one of
+        # them correct), the zone activated that view while this replica
+        # was down or cut off. Ask to join it; its primary answers with
+        # the NEW-VIEW (ViewChangeManager).
+        ahead: dict[str, int] = {}
+        for held_by, held, _ in self._future:
+            if held_by in self.others and held.view > self.view:
+                ahead[held_by] = max(ahead.get(held_by, 0), held.view)
+        quorum = weak_quorum(self.f)
+        if len(ahead) >= quorum:
+            self.view_changes.initiate(
+                sorted(ahead.values(), reverse=True)[quorum - 1])
 
     def replay_deferred(self) -> None:
         """Re-dispatch messages buffered for the now-active view."""
@@ -596,6 +646,37 @@ class PBFTReplica:
                  node=self.host.node_id, group=self._group_key,
                  sequence=checkpoint.sequence)
         self._try_execute()
+
+    def _retransmit(self, member: str, sequence: int) -> None:
+        """Zone member ``member`` misses ``sequence`` and what follows, and
+        no checkpoint here covers it: send it again what this replica sent
+        for each slot it committed in this view from there on — the
+        primary's pre-prepare, this replica's prepare and commit — so that
+        it commits them as it would have. Only the current view's slots
+        can be: the member works in it. A slot goes to a member once per
+        view, however often it asks."""
+        if not self.view_active:
+            return
+        first = max(sequence, self.low_water_mark + 1)
+        resent = self._resent.get(member)
+        if resent is not None and resent[0] == self.view:
+            first = max(first, resent[1] + 1)
+        if first > self.last_executed:
+            return
+        self._resent[member] = (self.view, self.last_executed)
+        me = self.host.node_id
+        for seq in range(first, self.last_executed + 1):
+            slot = self.slots.get(seq)
+            if slot is None or slot.view != self.view or not slot.committed:
+                continue
+            self.host.forward(member, slot.pre_prepare)
+            if self.primary_of(slot.view) != me:
+                self.host.send_signed(member, Prepare(
+                    view=slot.view, sequence=seq,
+                    batch_digest=slot.batch_digest, sender=me))
+            self.host.send_signed(member, Commit(
+                view=slot.view, sequence=seq, batch_digest=slot.batch_digest,
+                sender=me))
 
     def prepared_slots(self) -> list[Slot]:
         """Slots above the stable checkpoint that reached prepared."""

@@ -46,6 +46,10 @@ class ViewChangeManager:
         self._vc_messages: dict[int, dict[str, Signed]] = {}
         self._timer = None
         self._new_view_done: set[int] = set()
+        #: The NEW-VIEW this replica sent as primary of its latest view,
+        #: and the members it has sent that NEW-VIEW to again.
+        self._new_view: NewView | None = None
+        self._new_view_resent: set[str] = set()
         self._consecutive_failures = 0
 
     def register(self) -> None:
@@ -126,8 +130,18 @@ class ViewChangeManager:
     # ------------------------------------------------------------------
     def _on_view_change(self, sender: str, vc: ViewChange,
                         envelope: Signed) -> None:
-        if sender not in self.replica.group:
+        replica = self.replica
+        if sender not in replica.group:
             return
+        new_view = self._new_view
+        if replica.view_active and new_view is not None \
+                and vc.new_view == new_view.new_view == replica.view \
+                and sender not in self._new_view_resent:
+            # It asks for the view this replica leads: it missed the
+            # NEW-VIEW (it was down or cut off), so send it again — once
+            # per member and view, however often it asks.
+            self._new_view_resent.add(sender)
+            self.host.send_signed(sender, new_view)
         self._record(sender, vc, envelope)
 
     def _record(self, sender: str, vc: ViewChange, envelope: Signed) -> None:
@@ -156,8 +170,11 @@ class ViewChangeManager:
         self._new_view_done.add(new_view)
         view_changes = tuple(bucket.values())
         pre_prepares = self._build_pre_prepares(new_view, view_changes)
-        nv = NewView(new_view=new_view, view_changes=view_changes,
-                     pre_prepares=pre_prepares, sender=self.host.node_id)
+        nv = self._new_view = NewView(new_view=new_view,
+                                      view_changes=view_changes,
+                                      pre_prepares=pre_prepares,
+                                      sender=self.host.node_id)
+        self._new_view_resent.clear()
         self.host.multicast_signed(replica.others, nv)
         self._activate(new_view, pre_prepares)
 

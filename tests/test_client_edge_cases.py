@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 from repro.crypto.digest import digest
-from repro.messages.base import Signed
+from repro.messages.base import Signed, sign_message
 from repro.messages.client import ClientReply, MigrationRequest
 from repro.obs.bus import Instrumentation
 from repro.sim.process import Process
@@ -146,3 +146,41 @@ def test_client_loop_site_census():
     assert not re.findall(r"isinstance\(client|hasattr\(client|"
                           r"getattr\((self\.)?deployment", driver)
     assert "PBFTClient" not in driver
+
+
+def test_one_replica_claiming_a_far_view_does_not_misdirect_first_sends(
+        ziziphus3):
+    """ROADMAP D5: the view a request first assumes is one ``f+1`` members
+    of the zone reported. One faulty member replying in view 10**6 + 1
+    (whose primary would be z0n1) moves nothing; a second member in a
+    higher view than 0 moves it to the lower of the two."""
+    dep = ziziphus3
+    client = dep.add_client("c1", "z0")
+    sent = []
+    multicast = dep.network.multicast
+
+    def tap(src, dsts, message):
+        dsts = tuple(dsts)
+        if src == "c1":
+            sent.append(dsts)
+        multicast(src, dsts, message)
+
+    dep.network.multicast = tap
+    assert drive_to_completion(dep, client, [("local", ("deposit", 1))])
+    first = len(sent)
+
+    def claim(sender, view):
+        reply = ClientReply(view=view, timestamp=1, client_id="c1",
+                            result=("ok", 10_001), sender=sender)
+        dep.network.send(sender, "c1", sign_message(dep.keys, sender, reply))
+        dep.run(dep.sim.now + 100.0)
+
+    claim("z0n3", 10**6 + 1)
+    assert client.view_hints.get("z0", 0) == 0
+    assert drive_to_completion(dep, client, [("local", ("deposit", 1))])
+    assert sent[first] == ("z0n0",)
+    claim("z0n2", 5)
+    assert client.view_hints["z0"] == 5
+    second = len(sent)
+    drive_to_completion(dep, client, [("local", ("deposit", 1))], max_steps=1)
+    assert sent[second] == ("z0n1",)

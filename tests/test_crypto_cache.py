@@ -30,6 +30,8 @@ from repro.errors import CryptoError, InvalidCertificateError
 from repro.messages.base import (Signed, nested_signature_units, sign_message,
                                  verify_signed)
 from repro.messages.client import ClientReply, ClientRequest
+from repro.messages.endorse import EndorseVote
+from repro.messages.sync import Accept, Ballot, GENESIS_BALLOT, accept_body
 from repro.obs.bus import Instrumentation
 from repro.obs.monitor import ProtocolMonitor
 from repro.pbft.client import PBFTClient
@@ -525,16 +527,25 @@ def test_a_record_made_before_the_first_encode_changes_no_byte():
 #: the client rather than before it: another send order, so other link
 #: jitters, fewer commit re-queries and 11093, 6730, 8726, 8726 events
 #: before. The same requests complete, and what is judged invalid is
-#: still exactly the corrupt signer's traffic.
+#: still exactly the corrupt signer's traffic. All seven again at the
+#: commit before votes went to the endorsement leader alone: an instance
+#: sends 6 ``EndorseVote``s where it sent 12 or 15 (1 764 -> 828 in the
+#: honest run), so fewer deliveries and events (11043, 4612, 4612, 5248,
+#: 6695, 8647, 8647 before) and another interleaving — 90, 62, 68, 68
+#: completions before; a destination backup now applies an append one
+#: LAN hop after its leader. The corrupt backup's votes reach its leader
+#: only, and the corrupt primary's peers see no vote of its own but
+#: fewer rounds, so peers book fewer (72 and 30 per peer before);
+#: nothing else is judged invalid.
 _RUNS_AT_THE_PARENT = {
-    "honest": ({}, 90, 11043),
-    "crash": ({}, 57, 4612),
-    "silent": ({}, 57, 4612),
-    "corrupt-signature": ({"z0n0": 72, "z0n1": 1, "z0n2": 72, "z0n3": 72,
-                           "z1n1": 30, "z1n2": 30, "z1n3": 30}, 51, 5248),
-    "equivocate": ({}, 62, 6695),
-    "stale-read": ({}, 68, 8647),
-    "fabricate-read": ({}, 68, 8647),
+    "honest": ({}, 83, 8503),
+    "crash": ({}, 57, 4074),
+    "silent": ({}, 57, 4074),
+    "corrupt-signature": ({"z0n0": 71, "z0n1": 1, "z0n2": 44, "z0n3": 44,
+                           "z1n1": 18, "z1n2": 18, "z1n3": 18}, 51, 4409),
+    "equivocate": ({}, 60, 5231),
+    "stale-read": ({}, 71, 7047),
+    "fabricate-read": ({}, 71, 7241),
 }
 
 
@@ -685,6 +696,11 @@ def _malformed(keys, payload_digest):
             dataclasses.replace(threshold, group=frozenset(members[:3] + [3])),
         "threshold_str_tag":
             dataclasses.replace(threshold, tag=threshold.tag.hex()),
+        # Compared with the zone's quorum before the verifier looked at
+        # its type: a TypeError, not a refusal, until the shape check
+        # came first.
+        "threshold_str_threshold":
+            dataclasses.replace(threshold, threshold=str(threshold.threshold)),
         "quorum_list_signatures":
             dataclasses.replace(quorum, signatures=list(quorum.signatures)),
         "quorum_none_signatures":
@@ -760,6 +776,45 @@ def test_malformed_certificate_reaches_a_live_node_and_the_run_continues(
     assert {(v.kind, v.culprit, v.detail["reason"])
             for v in monitor.violations if v.kind == "cert-invalid"} \
         == {("cert-invalid", "z0n0", "signature-invalid")}
+
+
+def test_a_threshold_that_is_no_int_is_refused_where_it_lands():
+    """An ACCEPT whose threshold certificate names its threshold as a
+    ``str``, delivered to a follower node: the receipt check refuses it,
+    the monitor books it (without comparing the ``str`` to the quorum),
+    and the run goes on. The same certificate, sent to a zone member as
+    its leader's endorsement certificate, is refused there and booked."""
+    deployment = small_ziziphus(seed=7, use_threshold_signatures=True)
+    obs = Instrumentation(enabled=True, recording=True, metrics=False)
+    obs.attach(deployment)
+    monitor = ProtocolMonitor.attach(obs, deployment)
+    keys, members = deployment.keys, deployment.directory.zone("z0").members
+    ballot = Ballot(seq=1, zone_id="z0")
+    body = accept_body(ballot, GENESIS_BALLOT, digest(()))
+    malformed = dataclasses.replace(
+        combine_threshold(keys, body, [keys.sign(m, body) for m in members],
+                          frozenset(members), 3),
+        threshold="3")
+    accept = Accept(view=0, ballot=ballot, prev_ballot=GENESIS_BALLOT,
+                    request_digest=digest(()), cert=malformed, sender="z0n0")
+    vote = EndorseVote(instance=f"gsync-accept/{ballot.key}", view=0,
+                       endorse_digest=body, share=None, sender="z0n0",
+                       cert=malformed)
+    for target, payload in (("z1n1", accept), ("z0n2", vote)):
+        deployment.network.send("z0n0", target,
+                                sign_message(keys, "z0n0", payload))
+    mover = deployment.add_client("c1", "z0")
+    records = drive_to_completion(deployment, mover, [("migrate", "z1")])
+    assert records[0].result == ("migrated", "ok", "z1")
+    checked = [event.fields["valid"] for event in obs.events
+               if event.kind == "cert.check" and event.node == "z1n1"
+               and event.fields.get("threshold") == "3"]
+    assert checked == [False]
+    assert {(v.kind, v.culprit, v.detail["reason"])
+            for v in monitor.violations} \
+        == {("cert-invalid", "z0n0", "signature-invalid")}
+    assert [(event.node, event.fields["msg"]) for event in obs.events
+            if event.kind == "host.invalid"] == [("z0n2", "EndorseVote")]
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Unit tests for the intra-zone endorsement machinery."""
 
+import dataclasses
+from types import SimpleNamespace
+
 from repro.crypto.certificates import QuorumCertificate
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.threshold import ThresholdCertificate
+from repro.crypto.threshold import ThresholdCertificate, combine_threshold
 from repro.core.endorsement import EndorsementManager
 from repro.messages.base import sign_message
 from repro.messages.endorse import EndorsePrepare, EndorseVote
@@ -14,7 +17,11 @@ from repro.sim.latency import LatencyModel, Region
 from repro.sim.network import Network
 
 
-def build_zone(n=4, f=1, use_threshold=False, behaviors=None, seed=21):
+def build_zone(n=4, f=1, use_threshold=False, behaviors=None, seed=21,
+               view=None):
+    """``n`` bare hosts, one endorsement manager each; with ``view`` (a
+    one-key dict the managers read their view from) each host carries the
+    ``on_view_change`` hook list a replica would."""
     sim = Simulator()
     net = Network(sim, LatencyModel(), seed=seed)
     keys = KeyRegistry(seed=seed)
@@ -25,9 +32,11 @@ def build_zone(n=4, f=1, use_threshold=False, behaviors=None, seed=21):
         host = HostNode(sim, net, keys, node_id,
                         behavior=make_behavior(behaviors.get(i, "honest")))
         net.register(host, Region.CALIFORNIA)
-        manager = EndorsementManager(host, members, f,
-                                     view_provider=lambda: 0,
-                                     use_threshold=use_threshold)
+        if view is not None:
+            host.replica = SimpleNamespace(on_view_change=[])
+        manager = EndorsementManager(
+            host, members, f, view_provider=lambda: 0 if view is None
+            else view["v"], use_threshold=use_threshold)
         hosts.append(host)
         managers.append(manager)
     return sim, hosts, managers
@@ -175,9 +184,9 @@ def test_retire_lets_a_finished_instance_go():
         assert state.prepare_senders is None and state.on_cert is None
         assert state.done and state.endorse_digest == digest("p")
         assert manager.has_instance("test/1")
-    # The backups voted; the leader of a round without prepares never does.
+    # The backups voted, and the leader's share is counted where it leads.
     assert [m.instance_state("test/1").voted for m in managers] \
-        == [False, True, True, True]
+        == [True, True, True, True]
     assert managers[0].instance_state("test/1").cert == certs[0]
     assert managers[0].relead("test/1", False, certs.append)
     assert certs[1] is certs[0]
@@ -265,25 +274,28 @@ def test_fabricated_instance_names_stay_bounded_and_the_zone_works_on():
 
 
 def test_a_genuine_early_vote_still_aggregates_under_the_flood():
-    """n3's vote reaches n2 before the pre-prepare does; n1 then parks
-    ten thousand names of its own. Only n1's own are displaced: with n1
-    and n3 mute from here on, n2's quorum is the leader's share, its own
-    and the one that came early."""
+    """n3's vote reaches the leader n0 before n0 leads the instance; n1
+    then parks ten thousand names of its own there. Only n1's own are
+    displaced: with n1 and n3 mute from here on, n0's quorum is its own
+    share, n2's and the one that came early — and n2, whose share alone
+    went to n0, finishes on the certificate n0 sends it."""
     sim, hosts, managers = build_zone()
     body = digest("p")
     early = EndorseVote(instance="test/1", view=0, endorse_digest=body,
                         share=hosts[0].keys.sign("n3", body), sender="n3")
-    _send(hosts, hosts[0].keys, "n3", "n2", early)
-    _ghost_traffic(hosts, "n1", "n2", 10_000)
+    _send(hosts, hosts[0].keys, "n3", "n0", early)
+    _ghost_traffic(hosts, "n1", "n0", 10_000)
     sim.run(until=1_000)
     for mute in (1, 3):
         hosts[mute].set_behavior("silent")
     managers[0].lead("test/1", "p", body, use_prepare=False,
                      on_cert=lambda cert: None)
     sim.run(until=2_000)
-    state = managers[2].instance_state("test/1")
+    state = managers[0].instance_state("test/1")
     assert state.done and sorted(state.shares) == ["n0", "n2", "n3"]
-    assert not managers[0].instance_state("test/1").done   # two shares
+    assert sorted(state.cert.signers) == ["n0", "n2", "n3"]
+    assert managers[2].instance_state("test/1").done
+    assert managers[2].instance_state("test/1").cert == state.cert
 
 
 def test_no_retry_count_outlives_its_pre_prepare():
@@ -301,3 +313,75 @@ def test_no_retry_count_outlives_its_pre_prepare():
     sim.run(until=5_000)        # 200 re-dispatches, 10 ms apart, and out
     assert all(manager._retries == {} for manager in managers)
     assert not managers[1].has_instance("test/stuck")
+
+
+# ----------------------------------------------------------------------
+# Votes go to the leader, its certificate to the zone
+# ----------------------------------------------------------------------
+def test_a_round_sends_each_share_to_the_leader_and_its_certificate_back():
+    sim, hosts, managers = build_zone()
+    certs = []
+    managers[0].lead("test/1", "p", digest("p"), use_prepare=False,
+                     on_cert=certs.append)
+    sim.run(until=100)
+    stats = hosts[0].network.stats.by_type
+    assert (stats["EndorsePrePrepare"], stats["EndorseVote"]) == (3, 6)
+    for manager in managers[1:]:
+        state = manager.instance_state("test/1")
+        # A member banks no share, only the leader's certificate.
+        assert state.done and state.shares == {} and state.cert == certs[0]
+
+
+def test_a_certificate_that_does_not_prove_the_quorum_is_refused():
+    """A member checks the leader's certificate in full: a digest, signers
+    or threshold it does not prove is refused and booked, and the member
+    finishes on the genuine one."""
+    sim, hosts, managers = build_zone(use_threshold=True)
+    keys, body = hosts[0].keys, digest("p")
+    genuine = combine_threshold(keys, body, [keys.sign(m, body)
+                                             for m in ("n0", "n1", "n2")],
+                                frozenset(managers[0].members), 3)
+    for cert in (dataclasses.replace(genuine, threshold=2),
+                 dataclasses.replace(genuine, threshold="3"),
+                 dataclasses.replace(genuine, payload_digest=digest("q")),
+                 dataclasses.replace(genuine, tag=bytes(32)),
+                 QuorumCertificate.aggregate(body, [keys.sign("n0", body)])):
+        vote = EndorseVote(instance="test/1", view=0, endorse_digest=body,
+                           share=None, sender="n0", cert=cert)
+        _send(hosts, keys, "n0", "n1", vote)
+    sim.run(until=100)
+    assert hosts[1].invalid_messages == 5
+    assert not managers[1].has_instance("test/1")
+    managers[0].lead("test/1", "p", body, use_prepare=False,
+                     on_cert=lambda cert: None)
+    sim.run(until=200)
+    assert managers[1].instance_state("test/1").done
+
+
+def test_the_shares_a_failed_leader_held_reach_the_next_primary():
+    """n0 pre-prepares and falls silent: the three shares went to it and
+    no member holds them. When view 1 activates, each member that voted
+    sends its share to n1 — which counts its own — so n1 finishes the
+    instance and sends its certificate to the zone without re-leading."""
+    view = {"v": 0}
+    sim, hosts, managers = build_zone(view=view)
+    observed = []
+    for manager in managers:
+        manager.register_kind(
+            "test", on_quorum=lambda inst, payload, cert,
+            m=manager: observed.append(m.host.node_id))
+    managers[0].lead("test/1", "p", digest("p"), use_prepare=False,
+                     on_cert=lambda cert: None)
+    hosts[0].set_behavior("silent")
+    sim.run(until=100)
+    assert observed == ["n0"]
+    assert [m.instance_state("test/1").voted for m in managers[1:]] \
+        == [True, True, True]
+    view["v"] = 1
+    for host in hosts[1:]:
+        for callback in host.replica.on_view_change:
+            callback()
+    sim.run(until=200)
+    assert sorted(observed) == ["n0", "n1", "n2", "n3"]
+    assert sorted(managers[1].instance_state("test/1").shares) \
+        == ["n1", "n2", "n3"]

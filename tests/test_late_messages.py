@@ -125,9 +125,14 @@ def test_a_finished_instance_still_refuses_another_digest():
 
 
 def test_a_former_leader_casts_the_one_vote_it_owes_as_a_backup():
-    """z0n0 led the commit endorsement (no prepare round): its share went
-    out with the pre-prepare and it never *voted*. When the next primary
-    re-sends the pre-prepare it is a backup and votes — once."""
+    """z0n0 led the commit endorsement (no prepare round): its share was
+    counted where it led and went to nobody. When the next primary
+    re-sends the pre-prepare, z0n0 is a backup and sends that primary its
+    share — one message, not a multicast; and so does every member asked
+    again, each time: a primary that asks holds no certificate, and the
+    shares went to the leader alone. (Here z0n1 does hold it — it
+    finished the round in view 0 and re-sent nothing, the pre-prepare is
+    injected — so it answers each share, cast in view 1, with it.)"""
     dep, monitor, tape = migrated()
     instance = f"gsync-commit/{BALLOT.key}"
     original = first(tape, EndorsePrePrepare, instance).payload
@@ -137,10 +142,10 @@ def test_a_former_leader_casts_the_one_vote_it_owes_as_a_backup():
                                payload=original.payload,
                                endorse_digest=original.endorse_digest,
                                use_prepare=False, sender="z0n1")
-    assert deliver(dep, "z0n1", "z0n0", resent) == {"EndorseVote": 3}
-    assert deliver(dep, "z0n1", "z0n0", resent) == {}
-    # A backup of the first round voted then, and does not again.
-    assert deliver(dep, "z0n1", "z0n2", resent) == {}
+    assert deliver(dep, "z0n1", "z0n0", resent) == {"EndorseVote": 2}
+    assert deliver(dep, "z0n1", "z0n0", resent) == {"EndorseVote": 2}
+    # A backup of the first round voted to z0n0 then, and now to z0n1.
+    assert deliver(dep, "z0n1", "z0n2", resent) == {"EndorseVote": 2}
     assert not monitor.violations
 
 

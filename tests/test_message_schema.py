@@ -346,8 +346,11 @@ GOLDEN_DIGESTS = {
         "266c6980c8af46afd99dc4e8c190f1666086c519eb8c14b2f11a9d867382d94b",
     "EndorsePrepare":
         "0a121f5aace880d10feb6f8620e62a4294c42729d8e4547fac35ef15fa778e0d",
+    # Re-pinned when the leader began to send its certificate in an
+    # ``EndorseVote``: the new ``cert`` field (``None`` on a vote) is
+    # part of the canonical bytes.
     "EndorseVote":
-        "c844469368c898022e160748011e2f59bfbc7065149feed384a369af276a1709",
+        "cd298a86fd3daabfd1a0f85f5edc50738aac57dc96dec475dcefe2e4b67b3b18",
     "GlobalCommit":
         "9f6b4b386f460f2469780363ee54286408ef9949e06124dca780de5cf9df6099",
     "MigrationRequest":

@@ -1,5 +1,7 @@
 """PBFT view-change tests: liveness under primary failure."""
 
+from repro.messages.base import sign_message
+from repro.messages.pbft import CheckpointFetch, NewView, ViewChange
 from tests.test_pbft_normal import build_group, make_client, run_ops
 
 
@@ -143,3 +145,136 @@ def test_progress_resumes_after_primary_recovers_in_new_view():
     nodes[0].recover()
     done = run_ops(sim, client, [("deposit", 4)])
     assert done[0].result == ("ok", 8)
+
+
+def test_a_recovered_backup_does_not_suspect_its_primary_over_its_own_gap():
+    """n1 crashes and misses sequences 2-6 while the zone checkpoints at 4;
+    back, it commits 7 with the zone but cannot execute it. 2f+1 committed
+    7, so when n1's request timer fires (150 ms) it waits one more request
+    timeout for the zone's next stable checkpoint instead of starting a
+    view change alone (a lone VIEW-CHANGE takes it out of the zone until
+    the zone changes view; the `crash-backup-churn` chaos scenario's
+    stall)."""
+    sim, net, keys, group, nodes = build_group(checkpoint_period=4)
+    client = make_client(sim, net, keys, group)
+    run_ops(sim, client, [("open", 10)])
+    nodes[1].crash()
+    run_ops(sim, client, [("deposit", 1)] * 5)
+    nodes[1].recover()
+    done = run_ops(sim, client, [("deposit", 1)], until=200)
+    assert done[0].result == ("ok", 16)
+    lagging = nodes[1].replica
+    assert lagging.slots[7].committed and lagging.last_executed == 1
+    assert (lagging.view, lagging.view_active) == (0, True)
+    # The checkpoint at 8 carries it over the gap within that timeout,
+    # and it votes on.
+    done = run_ops(sim, client, [("deposit", 1)] * 2)
+    assert [r.result for r in done] == [("ok", 17), ("ok", 18)]
+    assert lagging.last_executed == 9
+    assert {n.replica.view for n in nodes} == {0}
+
+
+def test_a_backup_cut_off_inside_a_checkpoint_interval_is_sent_its_gap():
+    """n1 is cut off while the zone executes 2 and 3, with no checkpoint
+    to fetch; back, it commits 4 with the zone but cannot execute it. Its
+    request timer asks the zone for the gap, and each member sends again
+    what it sent for 2-4 in this view: n1 executes them, in view 0, before
+    it would have suspected anyone. Asking again gets nothing more."""
+    sim, net, keys, group, nodes = build_group(checkpoint_period=100)
+    client = make_client(sim, net, keys, group)
+    run_ops(sim, client, [("open", 10)])
+    net.set_partition([("n0", "n2", "n3", "c1"), ("n1",)])
+    run_ops(sim, client, [("deposit", 1)] * 2)
+    net.set_partition(None)
+    resent = []
+    multicast = net.multicast
+
+    def tap(src, dsts, message):
+        dsts = tuple(dsts)
+        if dsts == ("n1",) and src != "c1":
+            resent.append(type(message.payload).__name__)
+        multicast(src, dsts, message)
+
+    net.multicast = tap
+    done = run_ops(sim, client, [("deposit", 1)], until=200)
+    assert done[0].result == ("ok", 13)
+    lagging = nodes[1].replica
+    assert (lagging.view, lagging.view_active) == (0, True)
+    assert lagging.last_executed == 4 and lagging.app.balance_of("c1") == 13
+    # n0 the primary: 3 pre-prepares and 3 commits; n2, n3 a pre-prepare
+    # (n0's, forwarded), a prepare and a commit for each of the three.
+    assert len(resent) == 24
+    ask = CheckpointFetch(sequence=2, sender="n1")
+    for _ in range(3):
+        for member in ("n0", "n2", "n3"):
+            net.send("n1", member, sign_message(keys, "n1", ask))
+        sim.run(until=sim.now + 50)
+    assert len(resent) == 24
+
+
+def test_a_primary_that_skips_a_sequence_is_replaced():
+    """The primary assigns 3 and never 2: the zone commits 3, and nobody
+    can execute it. Each replica's request timer finds 3 committed behind
+    a gap, waits one more request timeout in case the gap is its own, and
+    — nothing having executed meanwhile — suspects the primary. The new
+    view fills 2 with a no-op and executes 3."""
+    sim, net, keys, group, nodes = build_group()
+    client = make_client(sim, net, keys, group)
+    run_ops(sim, client, [("open", 10)])
+    nodes[0].replica.next_sequence += 1
+    done = run_ops(sim, client, [("deposit", 5)], until=5_000)
+    assert [r.result for r in done] == [("ok", 15)]
+    for node in nodes:
+        replica = node.replica
+        assert (replica.view, replica.view_active) == (1, True)
+        assert replica.last_executed == 3
+        assert replica.app.balance_of("c1") == 15
+
+
+def test_a_replica_back_in_a_view_its_zone_left_joins_the_zone():
+    """n0, primary of view 0, crashes; the others move to view 1 without
+    it. Back, n0 still believes itself primary of view 0 — until f+1
+    members' messages of view 1 reach it: it asks for view 1, n1 (which
+    leads it) sends its NEW-VIEW again, and n0 works in view 1."""
+    sim, net, keys, group, nodes = build_group(checkpoint_period=2)
+    client = make_client(sim, net, keys, group)
+    nodes[0].crash()
+    assert run_ops(sim, client, [("open", 4)])[0].result == ("ok", 4)
+    assert {n.replica.view for n in nodes[1:]} == {1}
+    nodes[0].recover()
+    assert (nodes[0].replica.view, nodes[0].replica.view_active) == (0, True)
+    done = run_ops(sim, client, [("deposit", 4)] * 3)
+    assert [r.result for r in done] == [("ok", 8), ("ok", 12), ("ok", 16)]
+    rejoined = nodes[0].replica
+    assert (rejoined.view, rejoined.view_active) == (1, True)
+    assert rejoined.last_executed == nodes[1].replica.last_executed
+    assert rejoined.app.balance_of("c1") == 16
+
+
+def test_a_member_asking_again_for_the_view_gets_its_new_view_once():
+    """However often a member re-sends its VIEW-CHANGE for the view in
+    force, the view's primary sends it the NEW-VIEW once."""
+    sim, net, keys, group, nodes = build_group()
+    client = make_client(sim, net, keys, group)
+    nodes[0].crash()
+    assert run_ops(sim, client, [("open", 4)])[0].result == ("ok", 4)
+    assert nodes[1].replica.is_primary
+    nodes[0].recover()
+    resent = []
+    multicast = net.multicast
+
+    def tap(src, dsts, message):
+        dsts = tuple(dsts)
+        if src == "n1" and dsts == ("n0",) \
+                and isinstance(message.payload, NewView):
+            resent.append(message)
+        multicast(src, dsts, message)
+
+    net.multicast = tap
+    ask = ViewChange(new_view=1, last_stable_sequence=0, prepared_proofs=(),
+                     sender="n0")
+    for _ in range(3):
+        net.send("n0", "n1", sign_message(keys, "n0", ask))
+        sim.run(until=sim.now + 50)
+    assert len(resent) == 1
+    assert (nodes[0].replica.view, nodes[0].replica.view_active) == (1, True)

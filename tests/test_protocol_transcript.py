@@ -53,6 +53,21 @@ sends and view 3 before, 18 and view 1 now). ``wedged-endorsement`` on
 primary whose ACCEPT can no longer reach its quorum. The six literals of
 ``cross-zone-resend`` and ``retransmit`` (they migrate nothing) and the
 flat-PBFT and two-level baselines' did not move.
+
+The 42 literals of the scenarios that endorse, and the two-level and
+Steward baselines', were generated again when endorsement became linear
+(EXPERIMENTS.md, "Linear endorsement", has the rows per literal): a
+member sends its vote to the leader alone and the leader sends its
+certificate to the zone — 6 ``EndorseVote`` sends per instance in a zone
+of four, 12 or 15 before — so fewer deliveries and another interleaving
+everywhere a zone endorses. The crash, partition and isolation scenarios also run the
+crash-restart rules that came with it (DESIGN.md §6.5): a member re-sends
+its vote to a new primary after a local view change, a replica asks its
+zone for a gap instead of suspecting its primary over it, a replica back
+in a view its zone left joins the zone's, queries do not judge a new
+primary before it could re-drive, and a deadline armed during a view
+change judges nobody. The three ``retransmit`` literals (local traffic
+only) and the flat-PBFT baseline's did not move.
 """
 
 from __future__ import annotations
@@ -244,89 +259,89 @@ def baseline_transcript(protocol: str) -> str:
 
 PINNED: dict[tuple[str, str], str] = {
     ("stable", "default"):
-        "c8dcbd0d0cf6c7ec791f71c5ac9be3f62e474c3ff38f4715952847acb721cacf",
+        "c51eb1297f1756ffdc646385fce1caced03c24760193095e67fa67f59c4468f7",
     ("stable", "rotating"):
-        "3e396e3c14ae625337f06216c3f3ffc610c0ea62d7b365b84c54be332a126ab6",
+        "519874cde1c76019b15f6e3f62693b24644475474455275049f273ec02e31c5c",
     ("stable", "syncbft"):
-        "5bda04286020ddf4765d77d7b6f67ed915d42bffa1fce80ab087dcfaf341f8ff",
+        "c476f3a1d42f45624306ddf6d38f790ce0a7f9ab1f13f6ebea4fcf25e2265625",
     ("leaderless", "default"):
-        "77a8ebe0af0172f63b5e029b1fa0f5405cb362dfc6467dfc6d64ca726d6e853c",
+        "2ddb67966ec80e792a8cc6f6ef9ed5a60f9eb50603835bb6e92150004bc95f1d",
     ("leaderless", "rotating"):
-        "53f6cde8bc806f39c5d155b4d13804a000df4a5b53b414ff6a9e4234faa4b72a",
+        "faf2b840fe134f66b62dde294665f1b64c80399b9f0e1c425a17a52efe98fe3e",
     ("leaderless", "syncbft"):
-        "29d12c129ef4b02bdb55ec80944fc9162bd4c9c0f8669cae76837a963ec6e82f",
+        "81cc29fcd3acecb013b522438e717e7ae77fb53e494ba13e2e3713964fb4c0eb",
     ("full-prepare", "default"):
-        "18368fc9aade30cf35d4ddf6ae72a0b5de4fff9b35fd853f5b84bbe472e39662",
+        "9368d84672c2f23a270375d3214dee99e7cd829bc6850866fb13811117177fc7",
     ("full-prepare", "rotating"):
-        "e18714f7b3c7e85e64d8fe0dc3f2a4ce90b15f5556c33c48c8e098cd8ace9e98",
+        "74301cd02565990f2405c5b63c068b0ea9119cd42dee4270c5738f4c35301417",
     ("full-prepare", "syncbft"):
-        "9f23a673c4eaf21dbb06d4c657a890d93d44e64effaa47be35265b9122e1afe5",
+        "06f52d488c8d9f5ba81f25d9df0dcc5defa7c298d036efbf12c06f9d4f27881a",
     ("clusters", "default"):
-        "bcc181a1543a11b8492e648ecfaa58266c327f8b712fd7de6425f35e04460bd5",
+        "d98e7116347043a5aab9cb9059dfdaf0485860a5cd45e91ce27a7e6ff11df403",
     ("clusters", "rotating"):
-        "7487b4b8d514800185b3b7cdcbcb8b518f6139509a6e834910232c108babc728",
+        "35088d93b9e9f444dc2a5364b3f4cf9ee25c93924f6722c3da54c18e8781a996",
     ("clusters", "syncbft"):
-        "5cbbd7d3c78c03c35afaf2ccfd30e3322a1d98e1400c35b4d9597bb270c94a65",
+        "181db0e39f7c3fa56faf0e332b9af40a46dfc71a25a232e306deab64fb2b6518",
     ("cross-zone", "default"):
-        "6fc74f805800af36edda570ff51ff31bc82516698b7ed099f8c2d67eede0f111",
+        "d9e1943e25626a4027f41bcab143dfbc0975fa79cc88a1139cf5c2201e10a794",
     ("cross-zone", "rotating"):
-        "0e22f8384d57cb355246cf7f77f7867102e735771d5de27d62271bdfadef6e1c",
+        "f57e0d6fe3ef77fe185d2b0e0c1f59dccafe873d5098f25f1d1fae011dba3db6",
     ("cross-zone", "syncbft"):
-        "a65f6c86e7e91532855bfc8566c129c20c3f2981a983fc3d6477670286034910",
+        "6862cb1feff5f50449c9fae105e40aafda5b77441339f1628c01985ce27fdf80",
     ("cross-zone-resend", "default"):
-        "7e8517ee136d4ac9ed4ab07ed6e5a198cf52cdf0a8e8ed7652596aefa9ea467c",
+        "bf3f0d1d74b3d6423869b4e5a8eaea36f2046978a13fc85505ea2542f0ae2e89",
     ("cross-zone-resend", "rotating"):
-        "7e8517ee136d4ac9ed4ab07ed6e5a198cf52cdf0a8e8ed7652596aefa9ea467c",
+        "bf3f0d1d74b3d6423869b4e5a8eaea36f2046978a13fc85505ea2542f0ae2e89",
     ("cross-zone-resend", "syncbft"):
-        "86ebe08abdccafc9e0b9b72f9f8c230402bd0f414caaa4dda494e12b47dea3d7",
+        "342d3e35f7c50a36e3eefd9fc4817b43a60ecdfe5db1316290540eb40c167d02",
     ("primary-crash", "default"):
-        "615aa8970d00481ec042d7ab7cde5c3889e12c1a276321392737733d4a87b9c2",
+        "91a93a8d55b3cde894b4e775ab0b0b1cc2bc6a34f5d3e32034ddb1ec9f11b3a2",
     ("primary-crash", "rotating"):
-        "c425dc0a83b8724931b07e649c4279d6e67b0b1881227ea418b08c1b0959b42b",
+        "8503ea6450b137469bd59e04b14404c9e0b065297f4153bd4199463bf2f86634",
     ("primary-crash", "syncbft"):
-        "b02f543dc669c0c1e65dc595b843bf41a90f513fd888aed0c3c933ff7a53f95d",
+        "b51cb81297df8aaaca6b1d6f9c9d526827c7d498d709109ac7e53077205da9ce",
     ("primary-crash-leaderless", "default"):
-        "5db1feb853ab21b718aaf0bdf9c926143240bdd1ebf930ed99f576588fb0fdcf",
+        "25de328227c9749173ce7b50c2e2fc568a02d1e2d48ceb31f9e2ccfef855fcd9",
     ("primary-crash-leaderless", "rotating"):
-        "37a802be12321740ea90e4b77725b9b06dccdcf44dc747d26f429c6c1860567a",
+        "2c8f3c41f76f3023888cfa8236b79a84460b9b9e71ca7c8dc0723500dc114201",
     ("primary-crash-leaderless", "syncbft"):
-        "9accd29f8cd60a5509e4e45afdb991199e91eccaf9506fe22eca0fc2f008e0ef",
+        "e50aad0ea67c72b0f01e5819a28baf9b57d5904f2d3a3dd63655a6369746bfef",
     ("follower-crash-leaderless", "default"):
-        "3794b3f997bd118fec41b5de6f3f65cf24dca815ae6313ee21061f30106feb63",
+        "6c3b1b0a880dcb67a4566c584912b98ccb9026fb5d0fd5ad67db7f7379a5e004",
     ("follower-crash-leaderless", "rotating"):
-        "12f4abbb6b05a4cf924550e293c0f59e77a5f71134cbf350d7012e3ae78550ef",
+        "91273fbcf49ad74a0bba083c6a6edb06571f183a274881c4e85231b841102eaf",
     ("follower-crash-leaderless", "syncbft"):
-        "dae0732d5c90acd3d145170bd14a60e0f4e249be3885dde179c945442040f4c8",
+        "ee4e79377acf18c0e63cbc080eb7db98c6123b9d33a1d5085a81b47faab77a9d",
     ("lost-accepted", "default"):
-        "414c396ffb0d25602d8faa0b47f01b4e4a31c0b0dc9a2a1edccced16927f6084",
+        "353455975f00e5843f5f9f0a0d96d27cfc7760f156d89608b7670864e4a2f9a5",
     ("lost-accepted", "rotating"):
-        "55ee1748ef2863e89e36f558199daa8f825a4efca2d6a7ed45cf550e040e7015",
+        "4b6cb4b78e13bcabddf67e2ce4e6383327b0e45b75f39aff8f06bb6d0d8a5f00",
     ("lost-accepted", "syncbft"):
-        "a83a9aa6f8b267c295ebfb53167803e238a6f5432d9d28752bc2d8fbee6d6d2b",
+        "6684aefcd9ec26a7a92376c90592751b52d5bc1ffbebe6b236e8a5fb2a25c110",
     ("wedged-endorsement", "default"):
-        "0150df1df7f2198c1c242d3ef53661f090345c042c52f918e82c97a2902a1fa9",
+        "e9f84ab9e13a0d1932147306b65287ec5b4ead13d86779c8a08c2f75865dc6dc",
     ("wedged-endorsement", "rotating"):
-        "f54861e0389aa7024e918914eef4c94c7ee402870f8295f3f75ae240dc411624",
+        "b4908b37fba6b4dab535d0a4a15d662e4c83429561d282bef9325c42139b3177",
     ("wedged-endorsement", "syncbft"):
-        "20cba923f0390bc6d4f6db0b89709debbb0a7abc2e1a5b98826c9e4315ae7302",
+        "b94238e10ab6949ae417616d57fffedc9df1cda08f57d302b7e3c190f713534e",
     ("initiator-isolated", "default"):
-        "5302b8390cd2fbbd4db327b1dac9a00a91e44447f2d00779fd52bc890c3341f2",
+        "683dd58effb32f8d6793eec6fbf9c77fd081513a5379663ab33ab806c44bbf64",
     ("initiator-isolated", "rotating"):
-        "db8d6f8c417c0c21cc907769198b880935c2773c8afaa013daa61e2925261498",
+        "163252d168fafd15f36a487f95e25203e3224afebd06c0b94d69dc2d3634c9f1",
     ("initiator-isolated", "syncbft"):
-        "1eb6a76b04b0fd4bcdccfc1360b432bf5d698cd37e57fc117a3cf718ddfd2906",
+        "53393d5118bef60f7fd13c7bf2ad0adacac9297c7e41cfe05acc93deb2e9a4e9",
     ("reads", "default"):
-        "f9a2e2a9ba54f4b6fa913b794865e2dccd9d6d943c1041f288118dec7aeee882",
+        "ab0305e5830b3f1e9c0c1537ee4d910d3b653f560b8c699b6688fabf66258c08",
     ("reads", "rotating"):
-        "735a9ab0b1742465e7ce9caf5760d163712a9cff3a087478926968d10adae4ae",
+        "7ece240482a3228e423319604d60820d5f49b3bf684d6321f3b8347d5d959151",
     ("reads", "syncbft"):
-        "e2066062470ce9e6c9851b7f0c4b414ca3cde0557e65760b51835eb3d6f41c9a",
+        "c480d6d78a3977cd8d9aaf4b071ec3171cf72383979371b07e01eb0bfe212f42",
     ("reads-faulty", "default"):
-        "bbed4df66d60ba36c11b7684c215668ab4f0d617ab3c298c3bab4b1204faf2e2",
+        "82a7a3dcbbb9ff30588dc4f9e067c916bd71f4f44ca90ba62a88a03f95e8f671",
     ("reads-faulty", "rotating"):
-        "cbecafec8607688b9769dd3e2b30136aadacef60b28d435aee6500479eeee7d6",
+        "d1bd92d8e7716c9239423fd4b207266eb21724bfdc6a5b66148759a5df127d99",
     ("reads-faulty", "syncbft"):
-        "ec1b9719c0aa5a4ad63915c7d8c4b4d121780c6e4456b589f20ec8e602fd1b93",
+        "89af16afe2d85a166569cbfd67b8b984647183cacec303127a22f926bcb09c4e",
     ("retransmit", "default"):
         "a0dc7ad47d18762b36fce2ca4f34299c115cf1b973e67d952a832605f5c7f31c",
     ("retransmit", "rotating"):
@@ -341,9 +356,9 @@ PINNED_BASELINES: dict[str, str] = {
     "flat-pbft":
         "552bcbded4871e897af88c87e6dd1e6030253e51424568c782673772a6dcaec2",
     "two-level":
-        "2bc03f232c12860074b1230bd577b496f3b30453747dc3bf3bdb83cede6973bf",
+        "37ba48ec42b8412e9ba1a5f4a6e7f4d1a449c3c3a90154e741ca2f6fc95a3791",
     "steward":
-        "73826101e96f438c2e9430d95fbd7be8d319b902780af223af2ff359f9d095f0",
+        "9f7d1736bfa55935a8eceae8cbff4383d617d5d38defaca9ab52af2104f3cfbd",
 }
 
 
