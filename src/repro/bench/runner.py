@@ -86,9 +86,6 @@ class PointSpec:
     #: ``trace.link`` events; ``attr.*`` critical-path columns join the
     #: metrics row. Off by default so plain points stay byte-identical.
     causal: bool = False
-    #: Attach a :class:`repro.obs.profiler.SimProfiler` to the event
-    #: loop (wall-clock self-profiling; see PointResult.profiler).
-    profile: bool = False
     #: Queue-depth / utilization sampling cadence (0 disables sampling).
     sample_interval_ms: float = 25.0
     #: Always-on protocol conformance monitor (cheap tier): invariant
@@ -111,8 +108,6 @@ class PointResult:
     obs: object | None = None
     #: The finished conformance monitor (None unless ``spec.monitor``).
     monitor: object | None = None
-    #: The event-loop self-profiler (None unless ``spec.profile``).
-    profiler: object | None = None
 
     def row(self) -> dict:
         """Flat dict row for report tables."""
@@ -186,7 +181,6 @@ def run_point(spec: PointSpec) -> PointResult:
     deployment = _build(spec)
     obs = None
     monitor = None
-    profiler = None
     instrumented = spec.instrument or spec.record_trace or spec.causal
     if instrumented or spec.monitor:
         # Monitor-only points skip the histogram/span tier (``metrics``):
@@ -201,10 +195,6 @@ def run_point(spec: PointSpec) -> PointResult:
         if instrumented and spec.sample_interval_ms > 0:
             obs.start_sampler(deployment,
                               interval_ms=spec.sample_interval_ms)
-    if spec.profile:
-        from repro.obs.profiler import SimProfiler
-        profiler = SimProfiler()
-        deployment.sim.profiler = profiler
     driver = ClosedLoopDriver(deployment, _mix(spec),
                               clients_per_zone=spec.clients_per_zone,
                               seed=spec.seed)
@@ -226,5 +216,4 @@ def run_point(spec: PointSpec) -> PointResult:
         # phase-breakdown block of the row.
         from repro.obs.causal import attribution_columns
         metrics.phase_breakdown.update(attribution_columns(obs))
-    return PointResult(spec=spec, metrics=metrics, obs=obs,
-                       monitor=monitor, profiler=profiler)
+    return PointResult(spec=spec, metrics=metrics, obs=obs, monitor=monitor)

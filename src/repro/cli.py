@@ -174,40 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--tolerance", type=float, default=0.25,
                        help="allowed relative regression (default 0.25)")
 
-    perf = sub.add_parser(
-        "perf",
-        help="run the wall-clock microbenchmark suite (host speed of the "
-             "reproduction itself, not simulated metrics)")
-    perf.add_argument("--repeat", type=int, default=3,
-                      help="samples per bench; best is kept (default 3)")
-    perf.add_argument("--format", choices=("text", "json"), default="text",
-                      help="report format (default: text)")
-    perf.add_argument("--out", default=None, metavar="PATH",
-                      help="also write the JSON perf document here")
-    perf.add_argument("--profile", action="store_true",
-                      help="additionally self-profile the run_point bench "
-                           "shape's event loop (per-handler / per-message "
-                           "wall-time attribution)")
-
-    perf_baseline = sub.add_parser(
-        "perf-baseline",
-        help="run the perf suite and store the wall-clock baseline "
-             "(PERF_baseline.json)")
-    perf_baseline.add_argument("--out", default="PERF_baseline.json",
-                               metavar="PATH")
-    perf_baseline.add_argument("--repeat", type=int, default=3)
-
-    perf_check = sub.add_parser(
-        "perf-check",
-        help="re-run the perf suite and fail on wall-clock regression "
-             "beyond the ratio band vs the stored baseline")
-    perf_check.add_argument("--baseline", default="PERF_baseline.json",
-                            metavar="PATH")
-    perf_check.add_argument("--ratio", type=float, default=2.0,
-                            help="allowed slowdown factor (default 2.0; "
-                                 "generous on purpose — CI hosts are noisy)")
-    perf_check.add_argument("--repeat", type=int, default=3)
-
     critical = sub.add_parser(
         "critical-path",
         help="reconstruct per-transaction span DAGs from a causal trace "
@@ -291,9 +257,31 @@ def _bench_rows_json(figure: str, rows: list[dict]) -> str:
                       sort_keys=True, separators=(",", ":"))
 
 
+#: Options naming a file a command writes (``--flight-dir`` names the
+#: directory its dumps go into).
+_OUTPUT_FILES = ("out", "chrome", "report", "dot")
+
+
+def _missing_output_dir(args: argparse.Namespace):
+    """The first directory the command would write into that does not
+    exist (None if all do), so a bad path fails before a long run."""
+    from pathlib import Path
+
+    dirs = [Path(path).parent for name in _OUTPUT_FILES
+            if (path := getattr(args, name, None))]
+    if getattr(args, "flight_dir", None):
+        dirs.append(Path(args.flight_dir))
+    return next((d for d in dirs if not d.is_dir()), None)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    missing = _missing_output_dir(args)
+    if missing is not None:
+        print(f"repro: output directory does not exist: {missing}",
+              file=sys.stderr)
+        return 2
     try:
         return _dispatch(args)
     except ConfigurationError as exc:
@@ -444,54 +432,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 print(f"REGRESSION: {problem}", file=sys.stderr)
             return 1
         print("bench-check: all points within tolerance")
-        return 0
-
-    if args.command == "perf":
-        from pathlib import Path
-
-        from repro.bench.perf import format_perf, perf_json, perf_report
-        report = perf_report(repeat=args.repeat)
-        if args.profile:
-            from repro.bench.perf import profile_report
-            report["profile"] = profile_report()
-        print(perf_json(report) if args.format == "json"
-              else format_perf(report))
-        if args.profile and args.format == "text":
-            profile = report["profile"]
-            rows = sorted(
-                ({"message": key, **stats}
-                 for key, stats in profile["messages"].items()),
-                key=lambda row: (-row["wall_total_ms"], row["message"]))
-            print()
-            print(format_table(rows,
-                               title="event-loop profile by message class "
-                                     "(wall columns are host-dependent)"))
-        if args.out:
-            Path(args.out).write_text(perf_json(report) + "\n")
-            print(f"\nperf document: {args.out}", file=sys.stderr)
-        return 0
-
-    if args.command == "perf-baseline":
-        from repro.bench.perf import write_perf_baseline
-        path = write_perf_baseline(args.out, repeat=args.repeat)
-        print(f"perf baseline written: {path}")
-        return 0
-
-    if args.command == "perf-check":
-        from pathlib import Path
-
-        from repro.bench.perf import check_perf
-        if not Path(args.baseline).is_file():
-            print(f"repro perf-check: baseline not found: {args.baseline} "
-                  "(run `repro perf-baseline` first)", file=sys.stderr)
-            return 2
-        problems = check_perf(args.baseline, ratio=args.ratio,
-                              repeat=args.repeat)
-        if problems:
-            for problem in problems:
-                print(f"PERF REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print("perf-check: all benches within the ratio band")
         return 0
 
     if args.command == "trace":

@@ -31,18 +31,13 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.hist import Histogram
 from repro.obs.monitor import (MonitorConfig, MonitorTopology,
                                ProtocolMonitor, Violation)
-from repro.obs.profiler import SimProfiler
 from repro.obs.report import audit_trace, format_report
 from repro.obs.sampler import UtilizationSampler
-from repro.obs.sketch import P2Quantile, StreamingHistogram
 
 __all__ = [
     "Instrumentation",
     "Histogram",
-    "StreamingHistogram",
-    "P2Quantile",
     "FlightRecorder",
-    "SimProfiler",
     "attribution_columns",
     "critical_path_clean",
     "critical_path_from_jsonl",

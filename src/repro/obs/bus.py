@@ -36,7 +36,6 @@ class Instrumentation:
     def __init__(self, enabled: bool = False, recording: bool = False,
                  max_events: int = 1_000_000,
                  metrics: bool | None = None, causal: bool = False,
-                 sketch: bool = False,
                  flight: int | None = None) -> None:
         #: Causal-tracing tier: clients mint trace ids and emit
         #: ``txn.*`` events, consensus layers emit ``trace.link`` events
@@ -52,10 +51,6 @@ class Instrumentation:
         self.metrics = self.recording or \
             (enabled if metrics is None else metrics)
         self.max_events = max_events
-        #: Memory-bounded telemetry: when ``sketch`` is set, named
-        #: histograms use the fixed-memory P² streaming form instead of
-        #: the byte-stable bucket grid (same API; see repro.obs.sketch).
-        self.sketch = sketch
         #: Optional always-on flight recorder — a bounded ring of the
         #: last ``flight`` events fed from :meth:`emit` regardless of
         #: ``recording``; dumped post-mortem (see repro.obs.flight).
@@ -109,11 +104,7 @@ class Instrumentation:
             return
         hist = self.histograms.get(name)
         if hist is None:
-            if self.sketch:
-                from repro.obs.sketch import StreamingHistogram
-                hist = self.histograms[name] = StreamingHistogram()
-            else:
-                hist = self.histograms[name] = Histogram()
+            hist = self.histograms[name] = Histogram()
         hist.record(value)
 
     def histogram(self, name: str) -> Histogram | None:

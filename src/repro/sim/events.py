@@ -101,12 +101,6 @@ class Simulator:
         #: The instrumentation bus: a sink-less default that the network
         #: and every process share until Instrumentation.attach swaps it.
         self.obs = Instrumentation()
-        #: Optional self-profiler (repro.obs.profiler.SimProfiler). When
-        #: set, handler invocations route through ``profiler.call`` so
-        #: wall time can be attributed per handler; the profiler lives
-        #: outside the sim scope because this module must stay free of
-        #: wall clocks.
-        self.profiler = None
 
     @property
     def events_processed(self) -> int:
@@ -175,7 +169,6 @@ class Simulator:
         executed = 0
         heap = self._heap
         pop = heapq.heappop
-        profiler = self.profiler
         try:
             while heap:
                 if max_events is not None and executed >= max_events:
@@ -192,10 +185,7 @@ class Simulator:
                     fn, args = handle.fn, handle.args
                     handle.fn = handle.args = None
                 self.now = time
-                if profiler is None:
-                    fn(*args)
-                else:
-                    profiler.call(fn, args, time)
+                fn(*args)
                 executed += 1
         finally:
             self._events_processed += executed

@@ -12,8 +12,8 @@ The causal tier's contract has three legs (DESIGN.md §12):
 3. **Determinism** — critical-path reports are byte-identical from the
    live bus and from JSONL, and across same-seed runs.
 
-Plus the memory-bounded collectors: P² sketches stay within tested
-error bounds at fixed size, and the flight recorder ring never grows.
+Plus the memory-bounded collectors: the histogram's bucket grid, the
+event list and the flight recorder ring never grow.
 """
 
 import json
@@ -29,7 +29,6 @@ from repro.obs.causal import (TRACED_PHASES, report_clean, report_from_jsonl,
                               report_from_obs, report_json)
 from repro.obs.flight import FlightRecorder
 from repro.obs.hist import Histogram
-from repro.obs.sketch import P2Quantile, StreamingHistogram
 
 _CAUSAL = PointSpec(protocol="ziziphus", num_zones=3, clients_per_zone=5,
                     global_fraction=0.2, warmup_ms=100.0, measure_ms=250.0,
@@ -175,51 +174,13 @@ def test_histogram_percentile_edge_cases():
         assert duplicates.percentile(fraction) == 2.5
 
 
-def test_streaming_histogram_matches_exact_on_edge_cases():
-    for values in ([], [3.7], [2.5] * 100):
-        exact, sketch = Histogram(), StreamingHistogram()
-        for value in values:
-            exact.record(value)
-            sketch.record(value)
-        for fraction in (0.5, 0.95, 0.99):
-            assert sketch.percentile(fraction) == exact.percentile(fraction)
-
-
-def test_p2_is_exact_up_to_five_observations():
-    sketch = P2Quantile(0.5)
-    for value in (5.0, 1.0, 3.0, 2.0, 4.0):
-        sketch.record(value)
-    assert sketch.value() == 3.0  # exact median of 1..5
-
-
-def test_p2_error_bound_on_smooth_stream():
-    rng = random.Random(42)
-    values = [rng.uniform(0.0, 100.0) for _ in range(5000)]
-    sketch = StreamingHistogram()
-    for value in values:
-        sketch.record(value)
-    ordered = sorted(values)
-
-    def exact(fraction):
-        rank = fraction * (len(ordered) - 1)
-        lower = int(rank)
-        weight = rank - lower
-        return ordered[lower] * (1 - weight) \
-            + ordered[min(lower + 1, len(ordered) - 1)] * weight
-
-    # Empirical bound pinned by DESIGN.md §12.4: a few percent of range.
-    assert abs(sketch.percentile(0.50) - exact(0.50)) < 2.0
-    assert abs(sketch.percentile(0.95) - exact(0.95)) < 2.0
-    assert abs(sketch.percentile(0.99) - exact(0.99)) < 2.0
-
-
 # ----------------------------------------------------------------------
 # Memory bounds: 10k-client-scale synthetic streams stay fixed-size
 # ----------------------------------------------------------------------
 
 def test_telemetry_memory_is_bounded_for_synthetic_10k_client_run():
     rng = random.Random(1)
-    obs = Instrumentation(enabled=True, sketch=True, flight=256,
+    obs = Instrumentation(enabled=True, flight=256,
                           recording=True, max_events=1_000)
     # 10k clients x 20 observations each, streamed through one bus.
     for i in range(200_000):
@@ -227,10 +188,10 @@ def test_telemetry_memory_is_bounded_for_synthetic_10k_client_run():
         if i % 20 == 0:
             obs.emit(float(i), "net.send", node=f"c{i % 10_000}")
     hist = obs.histogram("span.pbft")
-    assert isinstance(hist, StreamingHistogram)
+    assert isinstance(hist, Histogram)
     assert hist.count == 200_000
-    # Fixed size: three 5-marker sketches, no per-sample storage.
-    assert all(len(sketch._heights) == 5 for sketch in hist._sketches)
+    # Fixed size: 26 geometric buckets, no per-sample storage.
+    assert len(hist._buckets) == 26
     # The event list is ring-capped and the flight ring never grows.
     assert len(obs.events) <= 1_000
     assert obs.dropped_events > 0
@@ -297,37 +258,6 @@ def test_chaos_pass_never_references_a_flight_dump(tmp_path):
     assert result.flight_dump is None
     assert "flight_dump" not in result.as_dict()
     assert list(tmp_path.iterdir()) == []
-
-
-# ----------------------------------------------------------------------
-# Self-profiler: deterministic virtual-time fields, wall time reported
-# ----------------------------------------------------------------------
-
-def test_profiler_virtual_time_fields_are_seed_stable():
-    from dataclasses import replace
-    spec = replace(_CAUSAL, causal=False, record_trace=False,
-                   instrument=False, profile=True)
-    first = run_point(spec).profiler.report()
-    second = run_point(spec).profiler.report()
-    assert first["format"] == "repro-sim-profile"
-    assert first["calls"] > 0
-    assert first["handlers"] and first["messages"]
-
-    def deterministic(report):
-        return {group: {name: {k: stat[k]
-                               for k in report["deterministic_fields"]}
-                        for name, stat in report[group].items()}
-                for group in ("handlers", "messages")}
-
-    assert deterministic(first) == deterministic(second)
-    # Wall columns exist but are host-dependent — shape only.
-    sample = next(iter(first["handlers"].values()))
-    assert {"wall_total_ms", "wall_mean_ms", "wall_p95_ms"} <= set(sample)
-
-
-def test_event_loop_without_profiler_has_no_overhead_hook():
-    from repro.sim.events import Simulator
-    assert Simulator().profiler is None
 
 
 # ----------------------------------------------------------------------

@@ -96,10 +96,17 @@ def test_figure_choices_are_validated(capsys):
     (["point", "--protocol", "flat-pbft", "--backend", "rotating"],
      "does not support consensus backends"),
     (["point", "--zones", "7", "--clusters", "2"],
-     "7 zones cannot be shared equally among 2 clusters")])
+     "7 zones cannot be shared equally among 2 clusters"),
+    (["trace", "--out", "/nonexistent/d/t.jsonl"],
+     "output directory does not exist: /nonexistent/d"),
+    (["chaos", "--campaign", "smoke", "--flight-dir", "/nonexistent/d"],
+     "output directory does not exist: /nonexistent/d"),
+    (["audit", "t.jsonl", "--report", "/nonexistent/d/r.json"],
+     "output directory does not exist: /nonexistent/d")])
 def test_configuration_error_is_one_line_and_exit_2(argv, said, capsys):
-    """A system that cannot be stood up as asked: no traceback, no row
-    claiming a layout that was not built."""
+    """A system that cannot be stood up as asked, or an output it could
+    not write: no traceback, no row claiming a layout that was not
+    built, and no run whose result would be lost."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

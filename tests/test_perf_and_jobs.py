@@ -1,15 +1,15 @@
-"""Tests for the wall-clock perf suite and the --jobs fan-out.
+"""Tests for the host-clock microbenches and the --jobs fan-out.
 
 The parallel runner's whole contract is *no observable effect*: a grid
 or campaign run with ``jobs=N`` must produce byte-identical output to a
-serial run. The perf suite's contract is a stable document shape plus a
-ratio-band regression gate.
+serial run. The microbenches' contract is a stable document shape, which
+``benchmarks/e2e/micro.py`` reads.
 """
 
 import json
 
 from repro.bench.parallel import grid_rows, point_row, run_grid
-from repro.bench.perf import check_perf, perf_json, perf_report
+from repro.bench.perf import perf_report
 from repro.bench.runner import PointSpec, run_point
 from repro.chaos.report import report_json
 from repro.chaos.runner import run_campaign
@@ -18,7 +18,7 @@ from repro.cli import build_parser
 
 
 # ----------------------------------------------------------------------
-# Perf suite
+# Microbenches
 # ----------------------------------------------------------------------
 
 def test_perf_report_shape_and_json_stability():
@@ -29,65 +29,7 @@ def test_perf_report_shape_and_json_stability():
     assert bench["metric"] == "ops_per_sec"
     assert bench["value"] > 0
     assert bench["n"] > 0
-    # The JSON form round-trips and is key-sorted.
-    decoded = json.loads(perf_json(report))
-    assert decoded == report
-
-
-def _doc(**values):
-    benches = {}
-    for name, (metric, value) in values.items():
-        benches[name] = {"metric": metric, "n": 1, "value": value,
-                         "elapsed_ms": 1.0}
-    return {"format": "repro-perf", "version": 1, "repeat": 1,
-            "benches": benches}
-
-
-def test_check_perf_ratio_band(tmp_path):
-    baseline = tmp_path / "PERF_baseline.json"
-    baseline.write_text(perf_json(_doc(
-        digest=("ops_per_sec", 1000.0), run_point=("wall_ms", 100.0))))
-    # Within the 2x band both directions: no problems.
-    ok = _doc(digest=("ops_per_sec", 600.0), run_point=("wall_ms", 150.0))
-    assert check_perf(baseline, ratio=2.0, current=ok) == []
-    # Throughput collapsed and wall time exploded: both flagged.
-    bad = _doc(digest=("ops_per_sec", 400.0), run_point=("wall_ms", 250.0))
-    problems = check_perf(baseline, ratio=2.0, current=bad)
-    assert len(problems) == 2
-    assert any("digest" in p for p in problems)
-    assert any("run_point" in p for p in problems)
-
-
-def test_state_digest_bench_times_two_store_sizes():
-    report = perf_report(repeat=1, names=("state_digest",))
-    bench = report["benches"]["state_digest"]
-    assert bench["metric"] == "ops_per_sec"
-    assert bench["value"] > 0 and bench["value_1k"] > 0
-    assert bench["size_ratio"] > 0
-
-
-def test_check_perf_flags_cost_that_grows_with_input_size(tmp_path):
-    baseline = tmp_path / "PERF_baseline.json"
-    baseline.write_text(perf_json(_doc(
-        state_digest=("ops_per_sec", 1000.0))))
-    current = _doc(state_digest=("ops_per_sec", 1000.0))
-    current["benches"]["state_digest"]["size_ratio"] = 1.1
-    assert check_perf(baseline, ratio=2.0, current=current) == []
-    # What a root that re-encodes the store reads at 20 000 vs 1 000 keys.
-    current["benches"]["state_digest"]["size_ratio"] = 19.5
-    assert check_perf(baseline, ratio=2.0, current=current) == [
-        "state_digest: cost grows with input size "
-        "(large/small 19.50, ratio 2)"]
-
-
-def test_check_perf_reports_missing_baseline_bench(tmp_path):
-    baseline = tmp_path / "PERF_baseline.json"
-    baseline.write_text(perf_json(_doc(digest=("ops_per_sec", 1000.0))))
-    current = _doc(digest=("ops_per_sec", 1000.0),
-                   sim_events=("ops_per_sec", 5.0))
-    problems = check_perf(baseline, ratio=2.0, current=current)
-    assert problems == ["sim_events: missing from baseline "
-                        "(run `repro perf-baseline` to refresh)"]
+    assert json.loads(json.dumps(report)) == report
 
 
 # ----------------------------------------------------------------------
@@ -170,8 +112,6 @@ def test_cli_parses_perf_and_jobs_flags():
     assert args.jobs == 2
     args = parser.parse_args(["figure", "fig6", "--jobs", "3"])
     assert args.jobs == 3
-    args = parser.parse_args(["perf-check", "--ratio", "3.0"])
-    assert args.ratio == 3.0
 
 
 def test_cli_parses_observability_flags():
@@ -180,8 +120,6 @@ def test_cli_parses_observability_flags():
     assert args.causal is True
     args = parser.parse_args(["chaos", "--flight-dir", "dumps"])
     assert args.flight_dir == "dumps"
-    args = parser.parse_args(["perf", "--profile"])
-    assert args.profile is True
     args = parser.parse_args(["critical-path", "causal.jsonl",
                               "--format", "json"])
     assert (args.trace, args.format) == ("causal.jsonl", "json")

@@ -171,19 +171,23 @@ def test_root_of_equal_but_differently_typed_values_differs():
 
 
 def test_state_digest_work_is_the_keys_changed_not_the_store(monkeypatch):
-    store = KVStore()
-    store.import_records({f"client/c{i}/balance": i for i in range(5000)})
-    store.state_digest()
-    leaves = []
+    # One overwrite costs two leaves (the old entry out, the new one in)
+    # whatever the store's size: a root that re-folds the store costs
+    # one leaf per key.
     lanes = kvstore._lanes
-    monkeypatch.setattr(kvstore, "_lanes",
-                        lambda entry: leaves.append(entry) or lanes(entry))
-    assert store.state_digest() and leaves == []
-    store.put("client/c17/balance", -1)
-    root = store.state_digest()
-    assert len(leaves) <= 2
-    monkeypatch.undo()
-    assert root == state_root(store.snapshot())
+    for size in (1_000, 20_000):
+        store = KVStore()
+        store.import_records({f"client/c{i}/balance": i for i in range(size)})
+        store.state_digest()
+        leaves = []
+        monkeypatch.setattr(kvstore, "_lanes",
+                            lambda entry: leaves.append(entry) or lanes(entry))
+        assert store.state_digest() and leaves == []
+        store.put("client/c17/balance", -1)
+        root = store.state_digest()
+        assert len(leaves) == 2
+        monkeypatch.undo()
+        assert root == state_root(store.snapshot())
 
 
 # ----------------------------------------------------------------------
