@@ -93,6 +93,12 @@ class BankingApp(StateMachine):
     def evict_client(self, client_id: str) -> None:
         self.store.delete_prefix(client_prefix(client_id))
 
+    @staticmethod
+    def read_key(operation: Any, client_id: str) -> str | None:
+        if type(operation) is tuple and operation == ("balance",):
+            return _balance_key(client_id)
+        return None
+
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------

@@ -50,3 +50,11 @@ class StateMachine(ABC):
 
     def evict_client(self, client_id: str) -> None:
         """Drop a migrated-away client's records (source-zone cleanup)."""
+
+    @staticmethod
+    def read_key(operation: Any, client_id: str) -> str | None:
+        """The one store key ``client_id``'s read-only ``operation``
+        evaluates to, whose value answers it as ``("ok", value)``: what
+        the certified read path proves. None for an operation it does
+        not serve — the default."""
+        return None

@@ -213,6 +213,9 @@ class ZiziphusDeployment(Deployment):
     def __init__(self, config: ZiziphusConfig) -> None:
         super().__init__(config)
         self.backend = get_backend(config.backend)
+        #: What a certified read of an operation reads, in the
+        #: application's key layout: clients check proofs of that key.
+        self.read_key = config.app_factory().read_key
         self._build_topology()
         self._place_zone_nodes()
 
@@ -284,7 +287,8 @@ class ZiziphusDeployment(Deployment):
     def _client_args(self, zone_id: str) -> dict[str, Any]:
         return dict(super()._client_args(zone_id),
                     initiator_resolver=self._resolve_initiator,
-                    read_config=self.config.read)
+                    read_config=self.config.read,
+                    read_key=self.read_key)
 
     def _enrol(self, client_id: str, zone_id: str) -> None:
         # Meta-data on every node of the client's cluster; data + lock in

@@ -393,6 +393,7 @@ class MigrationEngine:
                      records_digest=records_digest.hex())
             self.node.app.import_client(client, records)
             self.node.locks.mark_current(client)
+            self.node.reads.on_arrived(client)
             self.migrations_applied += 1
             request = self._request_of(ballot, client)
             if request is not None:

@@ -2,12 +2,15 @@
 
 Reads bypass consensus entirely: zone replicas continuously certify their
 committed state with *watermark certificates* — ``f+1`` matching signatures
-over a ``(zone, sequence, state_digest, watermark_ts)`` tuple — and any
-``f+1`` replicas can then serve a read against that certified watermark.
-The client verifies the certificate quorum and the staleness bound locally,
-so a Byzantine replica can neither fabricate a watermark (it lacks ``f+1``
-signatures) nor silently serve stale data (the client rejects certificates
-older than the declared bound and falls back to the transactional path).
+over a ``(zone, sequence, state_digest, watermark_ts)`` tuple, where
+``state_digest`` is the root of the state tree — and any one replica can
+then serve a read against that certified watermark, with an inclusion
+proof of the value against the root. The client verifies the certificate
+quorum, the proof and the staleness bound locally, so a Byzantine replica
+can neither fabricate a watermark (it lacks ``f+1`` signatures) nor a
+value (it has no proof) nor silently serve stale data (the client rejects
+certificates older than the declared bound and falls back to the
+transactional path).
 
 ``watermark_ts`` is quantized to the read engine's epoch so that replicas
 executing the same sequence at slightly different simulated times still
@@ -90,8 +93,7 @@ class ReadRequest(Message):
     ``session`` is the client's per-zone watermark vector — pairs of
     ``(zone_id, minimum_sequence)`` — for the optional causal session
     mode: a replica only answers when its certified watermark dominates
-    the entry for its own zone, giving Byzantine-tolerant monotonic reads
-    and read-your-writes across zone migration.
+    the entry for its own zone, giving Byzantine-tolerant monotonic reads.
     """
 
     operation: tuple
@@ -106,7 +108,11 @@ class ReadReply(Message):
 
     ``status`` is ``"ok"`` when the read was served, or an explicit
     fallback code (``"migrating"``, ``"no-watermark"``, ``"behind"``,
-    ``"unsupported"``) directing the client to the transactional path.
+    ``"unsupported"``, ``"absent"``) directing the client to the
+    transactional path. A served read carries the value the read's key
+    has in the version ``cert`` certifies, as ``result``, and ``proof``:
+    its inclusion proof against ``cert.state_digest``
+    (:func:`repro.storage.merkle.verify_proof`).
     """
 
     timestamp: int
@@ -115,3 +121,4 @@ class ReadReply(Message):
     result: Any
     cert: Optional[ReadWatermarkCert]
     sender: str
+    proof: bytes = b""

@@ -105,14 +105,14 @@ EVENT_KINDS: dict[str, str] = {
     "read.watermark": "replica certified a new commit watermark (f+1 "
                       "matching shares aggregated)",
     "read.serve": "replica answered a certified read request",
-    "read.complete": "client completed a fast-path read (f+1 verified, "
-                     "bound-checked matching replies)",
+    "read.complete": "client completed a fast-path read (one reply whose "
+                     "certificate, bound and proof it verified)",
     "read.fallback": "client abandoned the fast path for the "
                      "transactional path (explicit reason code)",
     "read.stale": "client rejected a genuine but stale watermark "
                   "certificate (age over the declared bound)",
     "read.invalid": "client rejected a provably fabricated read reply "
-                    "(certificate does not bind its claims)",
+                    "(its certificate or proof does not bind its claims)",
     # Causal transaction tracing (repro.obs.causal; ``causal`` tier).
     "txn.submit": "client launched a traced request (trace id minted)",
     "txn.reply": "client completed a traced request (f+1 matching replies)",

@@ -18,7 +18,7 @@ primary stays silent, eventually trigger a view change (paper §V-A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
@@ -42,7 +42,7 @@ class CompletedRequest:
     started_at: float
     completed_at: float
     is_global: bool = False
-    labels: dict = field(default_factory=dict)
+    labels: Mapping[str, str] = field(default_factory=dict)
 
     @property
     def latency_ms(self) -> float:
@@ -64,7 +64,7 @@ class InFlight:
     #: inherits it, so the failed fast path is part of its latency.
     started_at: float
     #: Copied onto the :class:`CompletedRequest`.
-    labels: dict
+    labels: Mapping[str, str]
     #: The one vote table: vote key -> voter -> evidence.
     votes: dict[Any, dict[str, Any]] = field(default_factory=dict)
     #: The one timer (retransmission, or a read's timeout).
@@ -96,7 +96,7 @@ class ClosedLoopClient(Process):
                 targets: tuple[str, ...], timeout_ms: float,
                 on_timeout: Callable[[], None], answer: type = ClientReply,
                 started_at: float | None = None,
-                labels: dict | None = None) -> None:
+                labels: Mapping[str, str] | None = None) -> None:
         """Put ``request`` in flight: send it to ``first``, then arm the
         timer. That order (every send, then the timer) fixes the heap
         tie-breaks of a launch, so it is part of the byte contract."""

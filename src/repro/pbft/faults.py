@@ -107,29 +107,28 @@ class EquivocatingBehavior(Behavior):
 class StaleReadBehavior(Behavior):
     """Serves certified reads from a frozen watermark certificate.
 
-    The replica pins the first read certificate it ever ships and keeps
-    replaying it on every later ``ReadReply`` — a genuine but ever-older
-    view of the zone. The certificate stays cryptographically valid, so
-    the attack is only caught by the client's staleness-bound check
-    (``read.stale`` -> transactional fallback), never by signature
-    verification: exactly the freshness attack the bound exists for.
+    The replica pins the first served read it ships to each client —
+    certificate, value and proof — and keeps replaying it on every later
+    ``ReadReply`` to that client: a genuine but ever-older view of the
+    zone. The certificate and the proof stay valid, so the attack is only
+    caught by the client's staleness-bound check (``read.stale`` ->
+    transactional fallback), never by verification: exactly the
+    freshness attack the bound exists for.
     """
 
     name = "stale-read"
 
     def __init__(self) -> None:
-        self._pinned = None
+        self._pinned: dict[str, tuple] = {}
 
     def outbound(self, keys: KeyRegistry, signer: str, dst: str,
                  payload: Any) -> Signed | None:
         cert = getattr(payload, "cert", None)
         if cert is not None and hasattr(payload, "client_id"):
-            if self._pinned is None:
-                self._pinned = (cert, payload.result)
-            else:
-                payload = dataclasses.replace(payload,
-                                              cert=self._pinned[0],
-                                              result=self._pinned[1])
+            cert, result, proof = self._pinned.setdefault(
+                payload.client_id, (cert, payload.result, payload.proof))
+            payload = dataclasses.replace(payload, cert=cert, result=result,
+                                          proof=proof)
         return sign_message(keys, signer, payload)
 
 
@@ -151,8 +150,7 @@ class FabricateReadBehavior(Behavior):
         if cert is not None and hasattr(payload, "client_id"):
             bogus = dataclasses.replace(cert,
                                         sequence=cert.sequence + 1_000_000)
-            payload = dataclasses.replace(payload, cert=bogus,
-                                          result=("ok", 0))
+            payload = dataclasses.replace(payload, cert=bogus, result=0)
         return sign_message(keys, signer, payload)
 
 

@@ -21,14 +21,23 @@ and everyone who hears ``f+1`` of them holds the result; otherwise the next
 batch is offered by all who still lack the epoch). An idle zone's
 certificate ages out and the client's transactional fallback renews it.
 
-**Read serving.** A :class:`~repro.messages.reads.ReadRequest` is answered
-from committed application state together with the newest held certificate.
-The reply carries an explicit fallback code instead of data whenever the
-record's ownership is in flux (``"migrating"`` — the lock bit is FALSE
-during an in-flight migration, so the frozen pre-commit state here must not
-be served), no certificate has formed yet (``"no-watermark"``), or the
-replica's watermark does not dominate the client's session vector
-(``"behind"``, causal session mode).
+**Read serving, from the certified version.** The store marks the version
+each executed batch leaves (:meth:`~repro.storage.kvstore.KVStore.mark`,
+no hashing). A replica *serves* a certificate once it has executed the
+sequence it names and its own tree of that version has the certified root:
+then, or at once when the certificate forms over a sequence already
+executed here. A :class:`~repro.messages.reads.ReadRequest` is answered
+with the served certificate, the value the read's key has in that version
+and its inclusion proof against ``cert.state_digest`` — one such reply is
+enough for the client. Serving a certificate lets go of every version
+marked before it. The reply carries an explicit fallback code instead of
+data whenever the record's ownership is in flux (``"migrating"`` — the
+lock bit is FALSE during an in-flight migration, so the frozen pre-commit
+state here must not be served), no certificate is served yet
+(``"no-watermark"``), the served watermark does not dominate the client's
+session vector (``"behind"``), the operation is not one the fast path
+serves (``"unsupported"``), or the version does not hold the key, or holds
+it from before the record last arrived here by migration (``"absent"``).
 
 The engine is constructed on every node so its handlers are always
 registered, but it stays completely silent — no shares, no events — unless
@@ -46,6 +55,7 @@ from repro.crypto.keys import Signature
 from repro.messages.reads import (ReadReply, ReadRequest, ReadWatermarkCert,
                                   WatermarkShare, watermark_body)
 from repro.quorums import weak_quorum
+from repro.storage.merkle import StateTree
 
 __all__ = ["ReadConfig", "ReadEngine"]
 
@@ -83,6 +93,17 @@ class ReadEngine:
                             if m != node.node_id)
         #: Newest certified watermark this replica holds.
         self.cert: Optional[ReadWatermarkCert] = None
+        #: The certificate reads are answered with, the tree of the
+        #: version it certifies (see the module docstring), and what that
+        #: version has proven so far: key -> (value, proof) or None. A
+        #: client reads its own record many times under one certificate
+        #: (DESIGN.md §14.2 measures it).
+        self.served: Optional[tuple[ReadWatermarkCert, StateTree,
+                                    dict]] = None
+        #: client -> the sequence this replica had executed when the
+        #: client's record last arrived here by migration: a version at or
+        #: below it holds the record as it was before, or not at all.
+        self._arrived: dict[str, int] = {}
         #: sequence -> signer -> (body digest, signature share). A signer
         #: has one share per sequence, so a faulty one cannot add buckets.
         self._votes: dict[int, dict[str, tuple[bytes, Any]]] = {}
@@ -103,14 +124,20 @@ class ReadEngine:
 
     def on_executed(self, sequence: int) -> None:
         """Replica hook: a batch up to ``sequence`` was executed here.
-        Offer it for certification unless this epoch is certified here."""
+        Mark its version; serve a certificate held over it; offer it for
+        certification unless this epoch is certified here."""
         if not self.config.enabled:
             return
         node = self.node
+        store = node.app.store
+        store.mark(sequence)
+        cert = self.cert
+        if cert is not None and cert.sequence == sequence:
+            self._serve(cert)
         watermark_ts = self._epoch_ts()
-        if self.cert is not None and self.cert.watermark_ts == watermark_ts:
+        if cert is not None and cert.watermark_ts == watermark_ts:
             return
-        state_digest = node.app.state_digest()
+        state_digest = store.version(sequence).root
         body = watermark_body(self.zone.zone_id, sequence, state_digest,
                               watermark_ts)
         share = WatermarkShare(
@@ -167,10 +194,31 @@ class ReadEngine:
                            node=self.node.node_id, zone=self.zone.zone_id,
                            sequence=share.sequence,
                            watermark_ts=share.watermark_ts)
+        self._serve(self.cert)
 
     # ------------------------------------------------------------------
     # Read serving
     # ------------------------------------------------------------------
+    def on_arrived(self, client_id: str) -> None:
+        """Replica hook: ``client_id``'s record was appended here by a
+        migration — outside any batch, so after the version of the last
+        one executed."""
+        if self.config.enabled:
+            self._arrived[client_id] = self.node.replica.last_executed
+
+    def _serve(self, cert: ReadWatermarkCert) -> None:
+        """Answer reads from ``cert`` if this replica has executed the
+        sequence it names (otherwise ``on_executed`` comes back to it)
+        and its tree of that version has the certified root."""
+        store = self.node.app.store
+        tree = store.version(cert.sequence)
+        if tree is None:
+            return
+        # No later certificate can name an earlier version.
+        store.forget(cert.sequence)
+        if tree.root == cert.state_digest:
+            self.served = (cert, tree, {})
+
     def _on_read(self, sender: str, request: ReadRequest, envelope) -> None:
         if request.sender != sender:
             return
@@ -199,19 +247,33 @@ class ReadEngine:
             # not be served. Explicit fallback code, never silent data.
             return ReadReply(status="migrating", result=None, cert=None,
                              **base)
-        cert = self.cert
-        if cert is None:
+        if self.served is None:
             return ReadReply(status="no-watermark", result=None, cert=None,
                              **base)
+        cert, tree, proven = self.served
         if cert.sequence < session_floor:
             # Causal session mode: our certified watermark does not
             # dominate the client's vector for this zone yet.
             return ReadReply(status="behind", result=None, cert=None, **base)
-        result = self._evaluate(request.operation, request.sender)
-        if result is None:
+        key = self.node.app.read_key(request.operation, request.sender)
+        if key is None:
             return ReadReply(status="unsupported", result=None, cert=None,
                              **base)
-        return ReadReply(status="ok", result=result, cert=cert, **base)
+        if cert.sequence <= self._arrived.get(request.sender, -1):
+            # The record arrived after the served version: a client that
+            # comes back to a zone must not read what it left there.
+            return ReadReply(status="absent", result=None, cert=None,
+                             **base)
+        if key not in proven:
+            proven[key] = tree.prove(key)
+        found = proven[key]
+        if found is None:
+            # Nothing to prove: the version does not hold the record.
+            return ReadReply(status="absent", result=None, cert=None,
+                             **base)
+        value, proof = found
+        return ReadReply(status="ok", result=value, cert=cert, proof=proof,
+                         **base)
 
     def _ownership_ok(self, client_id: str) -> bool:
         """TRUE iff this replica's copy of the record is authoritative."""
@@ -231,14 +293,3 @@ class ReadEngine:
             if floor is None and entry[0] == self.zone.zone_id:
                 floor = entry[1]
         return floor or 0
-
-    def _evaluate(self, operation: tuple, client_id: str):
-        """Evaluate a read-only operation against committed app state."""
-        app = self.node.app
-        if type(operation) is tuple and operation \
-                and operation[0] == "balance" \
-                and hasattr(app, "balance_of"):
-            if not app.has_account(client_id):
-                return ("err", "no-account")
-            return ("ok", app.balance_of(client_id))
-        return None

@@ -7,71 +7,23 @@ place (a changed value is ``put`` again). Whole key-prefix ranges can be
 exported/imported to support the data migration protocol (client records
 ``R(c)`` live under a per-client prefix).
 
-The state root commits to the *mapping*, not to how it was reached. Each
-entry hashes to a leaf of 1024 16-bit lanes and the leaves are summed
-lane-wise (LtHash, Bellare-Micciancio): the sum is the same in any order,
-an entry is taken out by subtracting its leaf, and finding two mappings
-with one sum is a lattice problem, which a 256-bit XOR or sum of entry
-hashes is not (generalised birthday). The root is SHA-256 over a domain
-tag, the entry count and the sum. Writes only note the value a key had at
-the last root; :meth:`KVStore.state_digest` moves the sum by those keys.
+The state root is the root of a :class:`~repro.storage.merkle.StateTree`
+over the entries. Writes do no hashing: they only note the value a key
+had at the last root, and :meth:`KVStore.state_digest` brings the tree up
+to date over those keys. A store that serves reads from past versions
+also *marks* them (:meth:`KVStore.mark`) and keeps, per mark, what the
+writes made since then overwrote, so that :meth:`KVStore.version` can
+rebuild the tree of a marked version until :meth:`KVStore.forget` lets
+it go.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
-from repro.crypto.digest import canonical_bytes
+from repro.storage.merkle import ABSENT, StateTree, state_root
 
 __all__ = ["KVStore", "state_root"]
-
-_LANES = 1024
-_LEAF_BYTES = 2 * _LANES
-_ROOT_TAG = b"repro/state-root/lthash-16x1024/v1"
-#: The lanes are summed as two Python ints, even and odd lanes apart, each
-#: lane in the low half of a 32-bit cell so a carry stops short of the next.
-_LOW = int.from_bytes(b"\xff\xff\x00\x00" * (_LANES // 2), "little")
-#: Bit 16 of every cell: lent to each lane before a subtraction.
-_GUARD = int.from_bytes(b"\x00\x00\x01\x00" * (_LANES // 2), "little")
-_EMPTY = (0, 0)
-#: "The key had no value" in ``KVStore._dirty``.
-_ABSENT = object()
-
-
-def _lanes(entry: bytes) -> tuple[int, int]:
-    """The leaf of one canonically encoded ``(key, value)`` entry."""
-    leaf = int.from_bytes(hashlib.shake_256(entry).digest(_LEAF_BYTES),
-                          "little")
-    return leaf & _LOW, (leaf >> 16) & _LOW
-
-
-def _add(total: tuple[int, int], entry: bytes) -> tuple[int, int]:
-    even, odd = _lanes(entry)
-    return (total[0] + even) & _LOW, (total[1] + odd) & _LOW
-
-
-def _subtract(total: tuple[int, int], entry: bytes) -> tuple[int, int]:
-    even, odd = _lanes(entry)
-    return ((total[0] | _GUARD) - even) & _LOW, \
-        ((total[1] | _GUARD) - odd) & _LOW
-
-
-def _seal(count: int, total: tuple[int, int]) -> bytes:
-    lanes = (total[0] | total[1] << 16).to_bytes(_LEAF_BYTES, "little")
-    return hashlib.sha256(_ROOT_TAG + count.to_bytes(8, "big") + lanes).digest()
-
-
-def state_root(mapping: Mapping[str, Any]) -> bytes:
-    """The 32-byte root of ``mapping``, computed from scratch.
-
-    :meth:`KVStore.state_digest` returns this for the store's contents;
-    a receiver checks a shipped snapshot against its claimed root with it.
-    """
-    total = _EMPTY
-    for entry in mapping.items():
-        total = _add(total, canonical_bytes(entry))
-    return _seal(len(mapping), total)
 
 
 class KVStore:
@@ -79,10 +31,17 @@ class KVStore:
 
     def __init__(self) -> None:
         self._data: dict[str, Any] = {}
-        #: Lane sums over the entries as they stood at the last root.
-        self._total = _EMPTY
-        #: Keys written since then -> the value they had (or ``_ABSENT``).
+        #: The tree of the contents at the last root (None: none yet).
+        self._tree: StateTree | None = None
+        #: Keys written since then -> the value they had (or ``ABSENT``).
         self._dirty: dict[str, Any] = {}
+        #: Marked versions, oldest first: tag -> each key written after
+        #: the mark (and before the next) -> the value it had at the mark.
+        self._marks: dict[Any, dict[str, Any]] = {}
+        #: The newest mark's entry, while writes go on being kept.
+        self._since_mark: dict[str, Any] | None = None
+        #: Trees of marked versions, once built.
+        self._versions: dict[Any, StateTree] = {}
 
     def __len__(self) -> int:
         return len(self._data)
@@ -97,13 +56,19 @@ class KVStore:
     def put(self, key: str, value: Any) -> None:
         """Insert or overwrite ``key``."""
         data = self._data
-        self._dirty.setdefault(key, data.get(key, _ABSENT))
+        old = data.get(key, ABSENT)
+        self._dirty.setdefault(key, old)
+        if self._since_mark is not None:
+            self._since_mark.setdefault(key, old)
         data[key] = value
 
     def delete(self, key: str) -> None:
         """Remove ``key`` if present (idempotent)."""
         if key in self._data:
-            self._dirty.setdefault(key, self._data.pop(key))
+            old = self._data.pop(key)
+            self._dirty.setdefault(key, old)
+            if self._since_mark is not None:
+                self._since_mark.setdefault(key, old)
 
     def keys(self) -> Iterator[str]:
         """Iterate keys in sorted (deterministic) order."""
@@ -136,30 +101,63 @@ class KVStore:
         return dict(self._data)
 
     def restore(self, snapshot: dict[str, Any]) -> None:
-        """Replace the full state with ``snapshot``."""
+        """Replace the full state with ``snapshot``; every marked version
+        goes with the state it was marked in."""
         self._data = dict(snapshot)
-        # Every key is new to an empty sum: the next root folds them all.
-        self._total = _EMPTY
-        self._dirty = dict.fromkeys(snapshot, _ABSENT)
+        self._tree = None
+        self._dirty = {}
+        self._marks = {}
+        self._since_mark = None
+        self._versions = {}
+
+    def _current(self) -> StateTree:
+        """The tree of the contents, at the cost of the keys written since
+        the last root (all of them the first time)."""
+        data = self._data
+        if self._tree is None:
+            self._tree = StateTree.of(data)
+        elif self._dirty:
+            self._tree = self._tree.updated({
+                key: new for key, old in self._dirty.items()
+                if (new := data.get(key, ABSENT)) is not old})
+        self._dirty = {}
+        return self._tree
 
     def state_digest(self) -> bytes:
-        """``state_root`` of the contents, at the cost of the keys written
-        since the last call (what checkpoint votes and read watermarks
-        sign)."""
-        total, data = self._total, self._data
-        for key, old in self._dirty.items():
-            new = data.get(key, _ABSENT)
-            if new is old:
-                continue
-            # Compared as encoded: ``1 == True`` but they hash apart.
-            before = None if old is _ABSENT else canonical_bytes((key, old))
-            after = None if new is _ABSENT else canonical_bytes((key, new))
-            if before == after:
-                continue
-            if before is not None:
-                total = _subtract(total, before)
-            if after is not None:
-                total = _add(total, after)
-        self._total = total
-        self._dirty.clear()
-        return _seal(len(data), total)
+        """``state_root`` of the contents (what checkpoint votes sign)."""
+        return self._current().root
+
+    # ------------------------------------------------------------------
+    # Marked versions (the certified read path serves from them)
+    # ------------------------------------------------------------------
+    def mark(self, tag: Any) -> None:
+        """Name the contents as they stand now version ``tag``; tags only
+        grow. No hashing: from here on a write keeps the value it
+        overwrote, until :meth:`forget` lets the mark go."""
+        self._since_mark = self._marks[tag] = {}
+
+    def version(self, tag: Any) -> StateTree | None:
+        """The tree of version ``tag`` — None if it was never marked, or
+        was forgotten. Built once: from the current tree, with every key
+        written since the mark put back to the value it had then."""
+        marks = self._marks
+        if tag not in marks:
+            return None
+        tree = self._versions.get(tag)
+        if tree is None:
+            before: dict[str, Any] = {}
+            for later in reversed(marks):
+                before.update(marks[later])
+                if later == tag:
+                    break
+            tree = self._current()
+            if before:
+                tree = tree.updated(before)
+            self._versions[tag] = tree
+        return tree
+
+    def forget(self, tag: Any) -> None:
+        """Let go of every version marked before ``tag``."""
+        for older in [m for m in self._marks if m < tag]:
+            del self._marks[older]
+            self._versions.pop(older, None)

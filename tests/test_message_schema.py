@@ -287,7 +287,8 @@ def _one_of_every_codec_type() -> dict[str, Any]:
         ReadRequest(operation=("balance",), timestamp=6, sender="c1",
                     session=(("z0", 9),)),
         ReadReply(timestamp=6, client_id="c1", status="ok", result=15,
-                  cert=watermark, sender="z0n1"),
+                  cert=watermark, sender="z0n1",
+                  proof=bytes((1, 1)) + b"\x07" * 32),
         req_env, keys.sign("z0n1", body), cert, threshold, ballot, ref,
         proof, span, watermark,
     ]
@@ -371,8 +372,10 @@ GOLDEN_DIGESTS = {
         "5a6ffe6029a10ac0c732498e6205c7ebee3696a1ac15348ee9ba069df69707ec",
     "QuorumCertificate":
         "74fa03e0d802cdd5c0e174688a3cdf1fc7489a304e536e175606141253dfcc51",
+    # Generated again when a served read began to carry its Merkle proof
+    # (the new ``proof`` field; every other type is as it was).
     "ReadReply":
-        "77c076a399b298f3716ba3efeaf2fe7281b16ce676cf7e7392a1f748179c4078",
+        "1646585c8246a522941387590553b4e52943256fb824a4a376d293a76c1aec36",
     "ReadRequest":
         "7ab421cda285e6c4eec5ff0e0c260857fa096bd903e121f99d948e72f997695c",
     "ReadWatermarkCert":

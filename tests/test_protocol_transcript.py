@@ -68,6 +68,18 @@ in a view its zone left joins the zone's, queries do not judge a new
 primary before it could re-drive, and a deadline armed during a view
 change judges nobody. The three ``retransmit`` literals (local traffic
 only) and the flat-PBFT baseline's did not move.
+
+The six ``reads`` / ``reads-faulty`` literals were generated again when a
+read began to complete on one reply whose Merkle proof binds its value to
+the certified state root: a read asks ``f+1`` members, not ``2f+1``, and
+is answered from the certified version (EXPERIMENTS.md, "One-reply
+certified reads", has the rows): on ``default``, ``ReadRequest`` /
+``ReadReply`` / ``read.serve`` rows 507 → 406 in ``reads`` and 739 / 688 →
+504 / 475 in ``reads-faulty``, whose read-timeout fallbacks go 34 → 6;
+records migrated in, or back, after their zone's certified version add
+``absent`` fallbacks (21 and 25: a replica refuses a version older than
+the record's last arrival, DESIGN.md §14.3). The 42 write-path literals
+did not move: a state root appears in no event.
 """
 
 from __future__ import annotations
@@ -331,17 +343,17 @@ PINNED: dict[tuple[str, str], str] = {
     ("initiator-isolated", "syncbft"):
         "53393d5118bef60f7fd13c7bf2ad0adacac9297c7e41cfe05acc93deb2e9a4e9",
     ("reads", "default"):
-        "ab0305e5830b3f1e9c0c1537ee4d910d3b653f560b8c699b6688fabf66258c08",
+        "31013a2417d60327cd8344f9f9f194b9f92ddc9ce66880e5d31439be37222b1a",
     ("reads", "rotating"):
-        "7ece240482a3228e423319604d60820d5f49b3bf684d6321f3b8347d5d959151",
+        "6a5da96f376df15c36288cfa7665dce6ac98ff5615b42925b74de7736294621c",
     ("reads", "syncbft"):
-        "c480d6d78a3977cd8d9aaf4b071ec3171cf72383979371b07e01eb0bfe212f42",
+        "f1e8a27d5bbed112261bf62f2fe2b8caa54e7c0e678bf3858f24f4f5efb1abc9",
     ("reads-faulty", "default"):
-        "82a7a3dcbbb9ff30588dc4f9e067c916bd71f4f44ca90ba62a88a03f95e8f671",
+        "0e41e4702f7226374e8b1e115309f19b4c0892911dbd5ae88d4e9c8dda1fc940",
     ("reads-faulty", "rotating"):
-        "d1bd92d8e7716c9239423fd4b207266eb21724bfdc6a5b66148759a5df127d99",
+        "48a2efb050f91788f2414e09629a0becdf019cfce5d516c36dd7f97afab230e8",
     ("reads-faulty", "syncbft"):
-        "89af16afe2d85a166569cbfd67b8b984647183cacec303127a22f926bcb09c4e",
+        "ba3c9ef5640af513fd53b4c758ef5da05a194f9c81a4eefc38c4c72c39275b76",
     ("retransmit", "default"):
         "a0dc7ad47d18762b36fce2ca4f34299c115cf1b973e67d952a832605f5c7f31c",
     ("retransmit", "rotating"):

@@ -7,8 +7,9 @@ Four layers of coverage:
 - *Monitor*: synthetic ``read.complete`` / ``read.invalid`` events drive
   the staleness and fabrication checkers (no simulator needed).
 - *Integration*: fast-path reads against a live deployment — including
-  read-your-writes across a migration — and the explicit fallback to
-  the transactional path when no watermark exists yet.
+  reads after a migration, which see the record as it arrived, never an
+  older copy left behind — and the explicit fallback to the
+  transactional path when no watermark exists yet.
 - *Refusals and ill-shaped messages*: a refusal is one vote, not a
   verdict, and a message of the wrong shape from one member or one
   client is a refused message, not the end of the run.
@@ -30,7 +31,8 @@ from repro.pbft.faults import HonestBehavior
 from repro.quorums import weak_quorum
 from repro.reads import ReadConfig
 from tests.conftest import inject, monitored, small_ziziphus
-from tests.test_read_budget import LOADED_MS, certified_zone, loaded_zones
+from tests.test_read_budget import (LOADED_MS, certified_zone, loaded_zones,
+                                    next_asked, small_zones)
 
 
 def read_ziziphus(**overrides):
@@ -212,8 +214,11 @@ def test_certified_read_takes_the_fast_path():
 
 
 def test_read_your_writes_across_migration():
-    """Causal session mode: after migrating, a certified read observes
-    every write the same session performed — in both zones."""
+    """After migrating, a certified read observes the writes the session
+    made in the zone it left: the record arrives with them. The read in
+    z1 also sees the deposit made there only because that deposit's batch
+    is the first z1 certifies; in general a read may be served from a
+    version older than its reader's last write (DESIGN.md §14.4)."""
     dep = read_ziziphus()
     client = dep.add_client("c1", "z0")
     records = run_actions(dep, client, [
@@ -227,6 +232,34 @@ def test_read_your_writes_across_migration():
     assert records[2].result == ("migrated", "ok", "z1")
     assert records[4].result == ("ok", 10_003)
     assert records[4].labels["read"] == "fast"
+
+
+def test_a_client_back_in_a_zone_does_not_read_what_it_left_there():
+    """The client leaves z0, writes in z1 and comes back while z0 is idle:
+    z0's certificate is still within the bound and its version holds the
+    record as the client left it. Served under the current lock bit, that
+    version would miss the write made in z1; the replicas refuse it
+    ``absent`` (the record arrived after it) and the transactional path
+    answers."""
+    dep = read_ziziphus()
+    client = dep.add_client("c1", "z0")
+    obs = Instrumentation(recording=True)
+    obs.attach(dep)
+    records = run_actions(dep, client, [
+        ("local", ("deposit", 1)),
+        ("read", ("balance",)),
+        ("migrate", "z1"),
+        ("local", ("deposit", 2)),
+        ("migrate", "z0"),
+        ("read", ("balance",)),
+    ], step_ms=300.0)
+    assert records[1].labels == {"read": "fast"}
+    assert records[4].result == ("migrated", "ok", "z0")
+    assert records[5].result == ("ok", 10_003)
+    assert records[5].labels == {"read": "fallback"}
+    reasons = [e.fields["reason"] for e in obs.events
+               if e.kind == "read.fallback"]
+    assert reasons == ["absent"]
 
 
 def test_read_without_watermark_falls_back_transparently():
@@ -347,6 +380,42 @@ def test_one_lying_migrating_changes_nothing_and_two_honest_ones_decide():
 
 
 # ----------------------------------------------------------------------
+# A lie is proven, not outvoted
+# ----------------------------------------------------------------------
+class SwappedResultBehavior(HonestBehavior):
+    """Answers every served read with another value, under its genuine
+    certificate and proof."""
+
+    def outbound(self, keys, signer, dst, payload):
+        if isinstance(payload, ReadReply) and payload.status == "ok":
+            payload = dataclasses.replace(payload, result=1_000_000)
+        return super().outbound(keys, signer, dst, payload)
+
+
+def test_one_in_budget_liar_is_proven_wrong():
+    """One asked member (within ``f``) swaps the value it serves and is
+    heard first. Its proof does not bind that value to the certified
+    root, so it is booked as a fabricator, and the honest member's proof
+    completes the read. While ``f+1`` matching answers decided, the two
+    honest ones outvoted it and nobody was accused."""
+    deployment = small_zones()
+    monitor = monitored(deployment)
+    client = deployment.add_client("c1", "z0")
+    run_actions(deployment, client, [("local", ("deposit", 5))], step_ms=20.0)
+    liar, honest = next_asked(deployment, client)[:2]
+    deployment.nodes[liar].set_behavior(SwappedResultBehavior())
+    deployment.nodes[honest].occupy(5.0)         # heard after the liar
+    client.submit_read(("balance",))
+    deployment.sim.run(until=deployment.sim.now + 20.0)
+    record = client.completed[-1]
+    assert record.result == ("ok", 10_005)
+    assert record.labels == {"read": "fast"}
+    assert [(v.kind, v.culprit, v.detail["reason"])
+            for v in monitor.violations] \
+        == [("read-fabrication", liar, "bad-proof")]
+
+
+# ----------------------------------------------------------------------
 # Ill-shaped messages are refused, not fatal
 # ----------------------------------------------------------------------
 def _reply(dep, client, **fields):
@@ -415,8 +484,8 @@ def test_an_ill_shaped_read_message_is_refused_and_the_run_goes_on(name):
     refused = {node_id: node.invalid_messages
                for node_id, node in dep.nodes.items()
                if node.invalid_messages}
-    # ReadReply messages beside the three honest answers to the read.
-    answers = dep.network.stats.by_type["ReadReply"] - replies - 3
+    # ReadReply messages beside the two honest answers to the read.
+    answers = dep.network.stats.by_type["ReadReply"] - replies - 2
     assert (booked, refused, answers) == {
         # (the one reply is the lie itself)
         "booked": ({("read-fabrication", sender, "malformed-cert")}, {}, 1),
@@ -456,13 +525,22 @@ def test_write_only_run_emits_no_read_traffic():
 def test_read_mix_point_reports_read_columns_and_stays_clean():
     spec = PointSpec(protocol="ziziphus", num_zones=3,
                      clients_per_zone=10, read_fraction=0.9,
-                     warmup_ms=200.0, measure_ms=400.0, monitor=True)
+                     warmup_ms=200.0, measure_ms=400.0, monitor=True,
+                     record_trace=True)
     result = run_point(spec)
     row = result.row()
     assert row["read%"] == 90
     assert row["read_p50_ms"] > 0
-    assert row["read_fast"] > 0.5
-    assert row["read_fallbacks"] < row["read_fast"]
+    assert row["read_fast"] > 0.95
+    # A read falls back only where it is declared to: here, a client that
+    # migrated in after its new zone's certified version is not in that
+    # version, so its reads are refused ``absent`` until the zone
+    # certifies again (DESIGN.md §14.3) — about 2 % of this run's reads.
+    # (A read before the zone's first certificate, all in the warm-up, is
+    # refused ``no-watermark``.)
+    reasons = [e.fields["reason"] for e in result.obs.events
+               if e.kind == "read.fallback" and e.ts >= spec.warmup_ms]
+    assert set(reasons) == {"absent"}
     assert result.monitor.clean, [v.kind for v in result.monitor.violations]
 
 

@@ -1,10 +1,14 @@
 """Unit and property tests for the storage substrate."""
 
+import math
+
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.storage import kvstore
+from repro.crypto.digest import canonical_bytes
+from repro.storage import merkle
 from repro.storage.checkpoint import Checkpoint, CheckpointStore
 from repro.storage.kvstore import KVStore, state_root
+from repro.storage.merkle import StateTree, verify_proof
 
 
 # ----------------------------------------------------------------------
@@ -94,18 +98,59 @@ _OPS = st.one_of(
     st.tuples(st.just("delete_prefix"), st.sampled_from(["p/", "q/", ""])),
     st.tuples(st.just("restore"), _MAPPINGS),
     st.tuples(st.just("state_digest")),
+    st.tuples(st.just("mark")),
+    st.tuples(st.just("version"), st.integers(0, 25)),
+    st.tuples(st.just("forget"), st.integers(0, 25)),
 )
+
+
+def _proves(tree, mapping):
+    """Every entry of ``mapping`` is proven against ``tree``'s root, and
+    nothing else is."""
+    for key in ("p/a", "p/b", "q/a", "q/b", "r"):
+        found = tree.prove(key)
+        if key not in mapping:
+            assert found is None
+            continue
+        value, proof = found
+        assert canonical_bytes(value) == canonical_bytes(mapping[key])
+        assert verify_proof(tree.root, key, value, proof)
+    return True
 
 
 @settings(max_examples=400)
 @given(st.lists(_OPS, max_size=25))
 def test_property_incremental_root_equals_from_scratch(ops):
+    """The root kept up to date over writes, and the tree of a marked
+    version rebuilt after more writes, equal the root of the same
+    contents built from scratch, through put, delete and restore."""
     store = KVStore()
+    marked = {}          # the model: tag -> contents at the mark
+    tags = 0
     for name, *args in ops:
-        result = getattr(store, name)(*args)
-        if name == "state_digest":
-            assert result == state_root(store.snapshot())
+        if name == "mark":
+            tags += 1
+            store.mark(tags)
+            marked[tags] = store.snapshot()
+        elif name == "version":
+            tree = store.version(args[0])
+            if args[0] in marked:
+                assert tree.root == state_root(marked[args[0]])
+                assert _proves(tree, marked[args[0]])
+            else:
+                assert tree is None
+        elif name == "forget":
+            store.forget(args[0])
+            marked = {t: m for t, m in marked.items() if t >= args[0]}
+        else:
+            result = getattr(store, name)(*args)
+            if name == "state_digest":
+                assert result == state_root(store.snapshot())
+            elif name == "restore":
+                marked = {}
     assert store.state_digest() == state_root(store.snapshot())
+    for tag, contents in marked.items():
+        assert store.version(tag).root == state_root(contents)
 
 
 @settings(max_examples=300)
@@ -171,23 +216,109 @@ def test_root_of_equal_but_differently_typed_values_differs():
 
 
 def test_state_digest_work_is_the_keys_changed_not_the_store(monkeypatch):
-    # One overwrite costs two leaves (the old entry out, the new one in)
-    # whatever the store's size: a root that re-folds the store costs
-    # one leaf per key.
-    lanes = kvstore._lanes
+    """A root after one overwrite hashes the key's path, its new leaf and
+    the inner nodes above it: about log2(n), however large the store. A
+    root that re-folded the store would hash every entry."""
+    sha256 = merkle._sha256
+    hashes = {}
     for size in (1_000, 20_000):
         store = KVStore()
         store.import_records({f"client/c{i}/balance": i for i in range(size)})
         store.state_digest()
-        leaves = []
-        monkeypatch.setattr(kvstore, "_lanes",
-                            lambda entry: leaves.append(entry) or lanes(entry))
-        assert store.state_digest() and leaves == []
+        calls = []
+        monkeypatch.setattr(merkle, "_sha256",
+                            lambda data: calls.append(data) or sha256(data))
+        assert store.state_digest() and calls == []
         store.put("client/c17/balance", -1)
         root = store.state_digest()
-        assert len(leaves) == 2
+        hashes[size] = len(calls)
         monkeypatch.undo()
         assert root == state_root(store.snapshot())
+    # The key's path, its leaf, the inner nodes above it (11 at 1 000
+    # keys, 17 at 20 000: log2 n is 10.0 and 14.3, and a trie of random
+    # paths is a level or two deeper than a balanced tree) and the leaves
+    # beside them, whose hashes a tree does not keep.
+    assert hashes == {1_000: 15, 20_000: 23}
+    assert all(count < 2 * math.log2(size) for size, count in hashes.items())
+
+
+# ----------------------------------------------------------------------
+# Inclusion proofs
+# ----------------------------------------------------------------------
+_ENTRIES = {f"client/c{i}/balance": 10_000 + i for i in range(50)}
+
+
+def test_every_entry_proves_and_a_missing_key_has_no_proof():
+    tree = StateTree.of(_ENTRIES)
+    assert tree.root == state_root(_ENTRIES)
+    for key, value in _ENTRIES.items():
+        proven, proof = tree.prove(key)
+        assert proven == value
+        assert verify_proof(tree.root, key, value, proof)
+    assert tree.prove("client/c50/balance") is None
+    # A single entry is its own root: no siblings, no side bits.
+    alone = StateTree.of({"k": 1})
+    assert alone.prove("k") == (1, b"\x00")
+    assert verify_proof(alone.root, "k", 1, b"\x00")
+    assert StateTree().prove("k") is None
+
+
+def _flip(proof, at):
+    return proof[:at] + bytes((proof[at] ^ 1,)) + proof[at + 1:]
+
+
+def test_a_tampered_proof_fails():
+    tree = StateTree.of(_ENTRIES)
+    key = "client/c7/balance"
+    value, proof = tree.prove(key)
+    depth = proof[0]
+    width = (depth + 7) // 8
+    assert depth >= 3 and len(proof) == 1 + width + 32 * depth
+    assert verify_proof(tree.root, key, value, proof)
+    # The value, including one that is == to it but encodes apart.
+    assert not verify_proof(tree.root, key, value + 1, proof)
+    assert not verify_proof(tree.root, key, float(value), proof)
+    # The key: another entry's, with its own value too.
+    assert not verify_proof(tree.root, "client/c8/balance", value, proof)
+    assert not verify_proof(tree.root, "client/c8/balance", 10_008, proof)
+    # One sibling, one side bit, a side bit past the last level.
+    assert not verify_proof(tree.root, key, value, _flip(proof, -1))
+    assert not verify_proof(tree.root, key, value, _flip(proof, 1))
+    if depth % 8:
+        stray = proof[:width] + bytes((proof[width] | 0x80,)) \
+            + proof[width + 1:]
+        assert not verify_proof(tree.root, key, value, stray)
+    # The length: a sibling short or over, the count left as it was, or
+    # changed to match; nothing at all; not bytes.
+    assert not verify_proof(tree.root, key, value, proof[:-32])
+    assert not verify_proof(tree.root, key, value, proof + bytes(32))
+    shorter = bytes((depth - 1,)) + proof[1:1 + width] + proof[1 + width + 32:]
+    assert not verify_proof(tree.root, key, value, shorter)
+    assert not verify_proof(tree.root, key, value, b"")
+    assert not verify_proof(tree.root, key, value, list(proof))
+    # The root of a neighbouring version.
+    other = tree.updated({"client/c9/balance": 0})
+    assert not verify_proof(other.root, key, value, proof)
+    assert verify_proof(other.root, key, value, other.prove(key)[1])
+
+
+def test_an_old_version_stays_provable_after_writes():
+    store = KVStore()
+    store.import_records(_ENTRIES)
+    store.mark(1)
+    before = store.version(1)
+    store.put("client/c7/balance", -7)
+    store.delete("client/c8/balance")
+    store.mark(2)
+    store.put("client/c7/balance", -77)
+    assert store.version(2).prove("client/c7/balance")[0] == -7
+    assert store.version(2).prove("client/c8/balance") is None
+    assert store.version(1) is before
+    value, proof = before.prove("client/c8/balance")
+    assert value == 10_008 and verify_proof(before.root,
+                                            "client/c8/balance", value, proof)
+    store.forget(2)
+    assert store.version(1) is None and store.version(2) is not None
 
 
 # ----------------------------------------------------------------------
