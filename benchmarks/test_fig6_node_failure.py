@@ -12,13 +12,13 @@ Shape claims under test (paper §VII-B):
    region must participate.
 """
 
-from repro.bench.experiments import ZONE_COUNTS, fig6_node_failure
+from repro.bench.experiments import ZONE_COUNTS, fig6_specs
 from repro.bench.runner import PointSpec, run_point
 from repro.bench.report import print_table
 
 
 def test_fig6_backup_failures(once):
-    results = once(fig6_node_failure)
+    results = once(lambda: [run_point(spec) for spec in fig6_specs()])
     rows = []
     for r in results:
         row = r.row()

@@ -15,7 +15,7 @@ Shape claims under test (paper §VII-C):
    while the zone size quadruples.
 """
 
-from repro.bench.experiments import fig7_zone_size
+from repro.bench.experiments import fig7_specs
 from repro.bench.report import print_table
 from repro.bench.runner import PointSpec, run_point
 
@@ -23,8 +23,8 @@ F_VALUES = (1, 2, 3, 5)
 
 
 def test_fig7_zone_size(once):
-    results = once(lambda: fig7_zone_size(f_values=F_VALUES,
-                                          clients_per_zone=40))
+    results = once(lambda: [run_point(spec) for spec in fig7_specs(
+        f_values=F_VALUES, clients_per_zone=40)])
     rows = []
     for r in results:
         row = r.row()

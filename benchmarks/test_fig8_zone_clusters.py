@@ -14,15 +14,16 @@ Shape claims under test (paper §VII-D):
 3. Latency stays roughly flat as clusters are added beyond two.
 """
 
-from repro.bench.experiments import fig8_zone_clusters
+from repro.bench.experiments import fig8_specs
 from repro.bench.report import print_table
+from repro.bench.runner import run_point
 
 CLUSTERS = (1, 2, 4, 6)
 
 
 def test_fig8_zone_clusters(once):
-    results = once(lambda: fig8_zone_clusters(cluster_counts=CLUSTERS,
-                                              clients_per_zone=25))
+    results = once(lambda: [run_point(spec) for spec in fig8_specs(
+        cluster_counts=CLUSTERS, clients_per_zone=25)])
     rows = []
     for r in results:
         row = r.row()

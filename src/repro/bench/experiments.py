@@ -1,8 +1,8 @@
 """Figure experiment definitions (paper §VII).
 
-One function per figure returns the measured rows; results are memoised
-per process so Figure 5 (latency view) reuses Figure 4's sweep instead of
-re-simulating it. Scales are laptop-sized (see EXPERIMENTS.md); the
+One spec factory per figure returns its experiment grid (specs only, no
+runs); ``run_point`` / ``parallel.run_grid`` run them. Figures 4 and 5
+share one grid. Scales are laptop-sized (see EXPERIMENTS.md); the
 sweeps' *structure* matches the paper:
 
 - Fig 4/5: protocols × {3,5,7} zones × {10,30,50}% global × client sweep.
@@ -13,7 +13,7 @@ sweeps' *structure* matches the paper:
 
 from __future__ import annotations
 
-from repro.bench.runner import PointResult, PointSpec, run_point
+from repro.bench.runner import PointSpec
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -21,15 +21,10 @@ __all__ = [
     "GLOBAL_FRACTIONS",
     "ZONE_COUNTS",
     "fig4_fig5_specs",
-    "fig4_fig5_sweep",
     "fig6_specs",
-    "fig6_node_failure",
     "fig7_specs",
-    "fig7_zone_size",
     "fig8_specs",
-    "fig8_zone_clusters",
     "fig_backends_specs",
-    "fig_backends_comparison",
     "fig_backends_recovery_rows",
     "fig_critical_path_specs",
     "fig_read_path_specs",
@@ -46,16 +41,6 @@ ZONE_COUNTS = (3, 5, 7)
 #: Protocols compared in Figures 4-7.
 FIG4_PROTOCOLS = ("ziziphus", "two-level", "steward", "flat-pbft")
 
-_cache: dict[PointSpec, PointResult] = {}
-
-
-def _point(spec: PointSpec) -> PointResult:
-    result = _cache.get(spec)
-    if result is None:
-        result = run_point(spec)
-        _cache[spec] = result
-    return result
-
 
 def fig4_fig5_specs(zone_counts=ZONE_COUNTS,
                     global_fractions=GLOBAL_FRACTIONS,
@@ -68,15 +53,6 @@ def fig4_fig5_specs(zone_counts=ZONE_COUNTS,
             for fraction in global_fractions
             for protocol in protocols
             for clients in client_sweep]
-
-
-def fig4_fig5_sweep(zone_counts=ZONE_COUNTS,
-                    global_fractions=GLOBAL_FRACTIONS,
-                    client_sweep=CLIENT_SWEEP,
-                    protocols=FIG4_PROTOCOLS) -> list[PointResult]:
-    """The shared sweep behind Figures 4 (throughput) and 5 (latency)."""
-    return [_point(spec) for spec in fig4_fig5_specs(
-        zone_counts, global_fractions, client_sweep, protocols)]
 
 
 def fig6_specs(zone_counts=ZONE_COUNTS,
@@ -92,15 +68,6 @@ def fig6_specs(zone_counts=ZONE_COUNTS,
             for protocol in protocols]
 
 
-def fig6_node_failure(zone_counts=ZONE_COUNTS,
-                      protocols=FIG4_PROTOCOLS,
-                      clients_per_zone: int = 120,
-                      global_fraction: float = 0.1) -> list[PointResult]:
-    """Peak performance under a single backup failure in each zone."""
-    return [_point(spec) for spec in fig6_specs(
-        zone_counts, protocols, clients_per_zone, global_fraction)]
-
-
 def fig7_specs(f_values=(1, 2, 3, 4, 5),
                protocols=("ziziphus", "two-level", "flat-pbft"),
                clients_per_zone: int = 50,
@@ -111,15 +78,6 @@ def fig7_specs(f_values=(1, 2, 3, 4, 5),
                       global_fraction=global_fraction)
             for f in f_values
             for protocol in protocols]
-
-
-def fig7_zone_size(f_values=(1, 2, 3, 4, 5),
-                   protocols=("ziziphus", "two-level", "flat-pbft"),
-                   clients_per_zone: int = 50,
-                   global_fraction: float = 0.1) -> list[PointResult]:
-    """Fault-tolerance scalability: zone size 3f+1 for f=1..5, 3 zones."""
-    return [_point(spec) for spec in fig7_specs(
-        f_values, protocols, clients_per_zone, global_fraction)]
 
 
 def fig8_specs(cluster_counts=(1, 2, 4, 6),
@@ -135,15 +93,6 @@ def fig8_specs(cluster_counts=(1, 2, 4, 6),
                 cross_cluster_fraction=cross_fraction if clusters > 1 else 0.0)
             for clusters in cluster_counts
             for global_fraction, cross_fraction in workloads]
-
-
-def fig8_zone_clusters(cluster_counts=(1, 2, 4, 6),
-                       workloads=((0.1, 0.1), (0.1, 0.5), (0.3, 0.1),
-                                  (0.3, 0.5), (0.5, 0.1), (0.5, 0.5)),
-                       clients_per_zone: int = 30) -> list[PointResult]:
-    """Scalability with zone clusters (3 zones per cluster, Ziziphus only)."""
-    return [_point(spec) for spec in fig8_specs(
-        cluster_counts, workloads, clients_per_zone)]
 
 
 def fig_backends_specs(backends=("default", "rotating", "syncbft"),
@@ -162,15 +111,6 @@ def fig_backends_specs(backends=("default", "rotating", "syncbft"),
             for backend in backends
             for fraction in global_fractions
             for clients in client_sweep]
-
-
-def fig_backends_comparison(backends=("default", "rotating", "syncbft"),
-                            global_fractions=(0.1, 0.5),
-                            client_sweep=(10, 50),
-                            num_zones: int = 3) -> list[PointResult]:
-    """Throughput/latency of each consensus backend, same workload grid."""
-    return [_point(spec) for spec in fig_backends_specs(
-        backends, global_fractions, client_sweep, num_zones)]
 
 
 def fig_backends_recovery_rows(backends=("default", "rotating", "syncbft"),

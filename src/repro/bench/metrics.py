@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from repro.pbft.client import CompletedRequest
 
 __all__ = ["Metrics", "compute_metrics", "phase_breakdown",
-           "read_columns"]
+           "read_columns", "percentile"]
 
 
-def _percentile(sorted_values: list[float], fraction: float) -> float:
+def percentile(sorted_values: list[float], fraction: float) -> float:
     """Linearly interpolated percentile over pre-sorted values.
 
     ``fraction`` is in ``[0, 1]``; between ranks, the value is
@@ -117,8 +117,8 @@ def read_columns(window: list[CompletedRequest]) -> dict[str, float]:
                   if r.labels["read"] == "fast")
     fallbacks = len(reads) - len(fast)
     return {
-        "read_p50_ms": _percentile(fast, 0.50),
-        "read_p95_ms": _percentile(fast, 0.95),
+        "read_p50_ms": percentile(fast, 0.50),
+        "read_p95_ms": percentile(fast, 0.95),
         "read_fast": len(fast) / len(reads),
         "read_fallbacks": float(fallbacks),
     }
@@ -149,9 +149,9 @@ def compute_metrics(records: list[CompletedRequest], warmup_ms: float,
         completed=len(window),
         throughput_tps=len(window) / duration_s,
         latency_mean_ms=mean(latencies),
-        latency_p50_ms=_percentile(latencies, 0.50),
-        latency_p95_ms=_percentile(latencies, 0.95),
-        latency_p99_ms=_percentile(latencies, 0.99),
+        latency_p50_ms=percentile(latencies, 0.50),
+        latency_p95_ms=percentile(latencies, 0.95),
+        latency_p99_ms=percentile(latencies, 0.99),
         local_completed=len(locals_),
         global_completed=len(globals_),
         local_latency_ms=mean([r.latency_ms for r in locals_]),

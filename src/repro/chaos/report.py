@@ -8,10 +8,9 @@ the determinism contract the chaos tests and the CI job both pin.
 
 from __future__ import annotations
 
-import json
-
 from repro.bench.report import format_table
 from repro.chaos.runner import CampaignResult, ScenarioResult
+from repro.obs.export import canonical_json
 
 __all__ = ["resilience_report", "report_json", "format_report"]
 
@@ -63,8 +62,7 @@ def resilience_report(result: CampaignResult) -> dict:
 
 def report_json(result: CampaignResult) -> str:
     """Canonical JSON encoding (byte-stable for a fixed seed)."""
-    return json.dumps(resilience_report(result), sort_keys=True,
-                      separators=(",", ":"), default=str)
+    return canonical_json(resilience_report(result))
 
 
 def format_report(result: CampaignResult) -> str:

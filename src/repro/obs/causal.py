@@ -21,17 +21,18 @@ every endorse span resolves through its sync or migration parent.
 
 The same builder serves three consumers: ``repro critical-path`` over
 an exported JSONL trace, the ``attr.*`` bench columns of a causal
-point, and the ``fig-critical-path`` figure. Inputs are normalized to
-the exporter's 6-digit timestamp rounding first, so a report built from
-a live bus is byte-identical to one built from its exported trace.
+point, and the ``fig-critical-path`` figure. A live bus is read through
+the exporter's own records (:mod:`repro.obs.export`), so a report built
+from it is byte-identical to one built from its exported trace.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from pathlib import Path
 from typing import Any, Iterable
+
+from repro.obs.export import (canonical_json, event_record, read_trace,
+                              span_record)
 
 __all__ = ["SYNC_PHASES", "MIGRATION_PHASES", "TRACED_PHASES",
            "build_report", "report_from_obs", "report_from_jsonl",
@@ -56,66 +57,19 @@ _HOPS = ("submit_ms", "consensus_ms", "reply_ms", "total_ms")
 _MAX_ORPHAN_EXAMPLES = 50
 
 
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Exact linear-interp percentile over pre-sorted values."""
-    if not sorted_values:
-        return 0.0
-    position = fraction * (len(sorted_values) - 1)
-    lower = math.floor(position)
-    upper = math.ceil(position)
-    if lower == upper:
-        return sorted_values[lower]
-    weight = position - lower
-    return sorted_values[lower] * (1 - weight) \
-        + sorted_values[upper] * weight
-
-
 def _stats(values: list[float]) -> dict[str, float]:
+    # Imported here: repro.bench imports the protocol stack, which
+    # imports this package.
+    from repro.bench.metrics import percentile
+
     ordered = sorted(values)
     return {
         "count": len(ordered),
         "mean": round(sum(ordered) / len(ordered), 3) if ordered else 0.0,
-        "p50": round(_percentile(ordered, 0.50), 3),
-        "p95": round(_percentile(ordered, 0.95), 3),
-        "p99": round(_percentile(ordered, 0.99), 3),
+        "p50": round(percentile(ordered, 0.50), 3),
+        "p95": round(percentile(ordered, 0.95), 3),
+        "p99": round(percentile(ordered, 0.99), 3),
     }
-
-
-# ----------------------------------------------------------------------
-# Input normalization (live bus and exported JSONL converge here)
-# ----------------------------------------------------------------------
-
-def _normalize_obs(obs: Any) -> tuple[list[dict], list[dict]]:
-    """Events/spans of a live bus, rounded exactly like the exporter."""
-    events = []
-    for event in obs.events:
-        record = {"ts": round(event.ts, 6), "kind": event.kind,
-                  "node": event.node}
-        record.update(event.fields)
-        events.append(record)
-    spans = [{"phase": span.phase, "key": span.key, "node": span.node,
-              "start": round(span.start_ms, 6), "end": round(span.end_ms, 6),
-              "grp": span.fields.get("grp", "")}
-             for span in obs.spans]
-    return events, spans
-
-
-def _parse_jsonl(path: str | Path) -> tuple[list[dict], list[dict]]:
-    """Events/spans of an exported ``repro trace`` JSONL file."""
-    events: list[dict] = []
-    spans: list[dict] = []
-    with Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("type")
-            if kind == "event":
-                events.append(record)
-            elif kind == "span":
-                spans.append(record)
-    return events, spans
 
 
 # ----------------------------------------------------------------------
@@ -255,14 +209,16 @@ def build_report(events: Iterable[dict], spans: Iterable[dict]) -> dict:
 
 
 def report_from_obs(obs: Any) -> dict:
-    """Critical-path report straight off a live instrumentation bus."""
-    events, spans = _normalize_obs(obs)
-    return build_report(events, spans)
+    """Critical-path report straight off a live instrumentation bus,
+    over the records its exported trace would hold."""
+    return build_report(
+        (event_record(e.ts, e.kind, e.node, e.fields) for e in obs.events),
+        (span_record(span) for span in obs.spans))
 
 
 def report_from_jsonl(path: str | Path) -> dict:
     """Critical-path report from an exported ``repro trace`` JSONL."""
-    events, spans = _parse_jsonl(path)
+    _, _, events, spans = read_trace(path)
     return build_report(events, spans)
 
 
@@ -273,8 +229,7 @@ def report_clean(report: dict) -> bool:
 
 def report_json(report: dict) -> str:
     """Canonical JSON encoding (byte-stable for a fixed seed)."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"),
-                      default=str)
+    return canonical_json(report)
 
 
 def attribution_columns(obs: Any) -> dict[str, float]:

@@ -14,23 +14,78 @@ byte-identical across runs of the same seeded experiment):
 The Chrome format wraps the same spans as complete (``"ph": "X"``) events
 and point events as instants (``"ph": "i"``), with one trace "thread" per
 node — load the file at https://ui.perfetto.dev or chrome://tracing.
+
+This module owns the trace's bytes: :func:`canonical_json` is the one
+encoding every report, trace and dump uses, :func:`event_record` /
+:func:`span_record` are the one shape of a trace line (the flight
+recorder and the causal analyzer build theirs here too), and
+:func:`read_trace` is the one parser of an exported trace.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.obs.bus import Instrumentation
+if TYPE_CHECKING:
+    from repro.obs.bus import Instrumentation
+    from repro.obs.events import Span
 
-__all__ = ["trace_jsonl", "write_trace_jsonl", "chrome_trace",
+__all__ = ["canonical_json", "event_record", "span_record", "read_trace",
+           "trace_jsonl", "write_trace_jsonl", "chrome_trace",
            "write_chrome_trace"]
 
 
-def _dumps(obj: Any) -> str:
+def canonical_json(obj: Any) -> str:
+    """Canonical compact JSON: sorted keys, no spaces, ``str`` for what
+    JSON lacks — byte-stable for a fixed seed."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       default=str)
+
+
+def event_record(ts: float, kind: str, node: str,
+                 fields: dict[str, Any]) -> dict[str, Any]:
+    """One trace event as its JSONL line holds it (6-digit timestamp)."""
+    record = {"type": "event", "ts": round(ts, 6), "kind": kind,
+              "node": node}
+    record.update(fields)
+    return record
+
+
+def span_record(span: Span) -> dict[str, Any]:
+    """One closed span as its JSONL line holds it."""
+    record = {"type": "span", "phase": span.phase, "key": span.key,
+              "node": span.node, "start": round(span.start_ms, 6),
+              "end": round(span.end_ms, 6),
+              "dur": round(span.duration_ms, 6)}
+    record.update(span.fields)
+    return record
+
+
+def read_trace(path: str | Path
+               ) -> tuple[dict, dict | None, list[dict], list[dict]]:
+    """Parse an exported JSONL trace into ``(meta, topology, events,
+    spans)``; ``meta`` is empty and ``topology`` None when absent."""
+    meta: dict = {}
+    topology = None
+    events: list[dict] = []
+    spans: list[dict] = []
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        record = json.loads(line)
+        record_type = record.get("type")
+        if record_type == "event":
+            events.append(record)
+        elif record_type == "span":
+            spans.append(record)
+        elif record_type == "meta":
+            meta = record
+        elif record_type == "topology":
+            topology = record
+    return meta, topology, events, spans
 
 
 def _jsonl_lines(obs: Instrumentation) -> Iterator[str]:
@@ -40,23 +95,16 @@ def _jsonl_lines(obs: Instrumentation) -> Iterator[str]:
     end_ms = getattr(obs, "end_ms", None)
     if end_ms is not None:
         meta["end_ms"] = round(end_ms, 6)
-    yield _dumps(meta)
+    yield canonical_json(meta)
     topology = getattr(obs, "topology", None)
     if topology:
-        yield _dumps({"type": "topology", **topology})
+        yield canonical_json({"type": "topology", **topology})
     for event in obs.events:
-        record = {"type": "event", "ts": round(event.ts, 6),
-                  "kind": event.kind, "node": event.node}
-        record.update(event.fields)
-        yield _dumps(record)
+        yield canonical_json(event_record(event.ts, event.kind, event.node,
+                                          event.fields))
     for span in obs.spans:
-        record = {"type": "span", "phase": span.phase, "key": span.key,
-                  "node": span.node, "start": round(span.start_ms, 6),
-                  "end": round(span.end_ms, 6),
-                  "dur": round(span.duration_ms, 6)}
-        record.update(span.fields)
-        yield _dumps(record)
-    yield _dumps({"type": "summary", **obs.snapshot()})
+        yield canonical_json(span_record(span))
+    yield canonical_json({"type": "summary", **obs.snapshot()})
 
 
 def trace_jsonl(obs: Instrumentation) -> str:
@@ -106,6 +154,5 @@ def chrome_trace(obs: Instrumentation) -> dict:
 def write_chrome_trace(obs: Instrumentation, path: str | Path) -> Path:
     """Write the Chrome trace JSON to ``path`` and return it."""
     path = Path(path)
-    path.write_text(json.dumps(chrome_trace(obs), sort_keys=True,
-                               separators=(",", ":"), default=str))
+    path.write_text(canonical_json(chrome_trace(obs)))
     return path

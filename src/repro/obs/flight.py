@@ -8,24 +8,21 @@ deterministic JSONL snapshot only when something actually goes wrong
 (a chaos scenario diverges from its declared expectation, or a caller
 decides the conformance monitor's violations warrant a dump).
 
-The dump format mirrors :mod:`repro.obs.export` (sorted keys, compact
-separators, 6-digit rounded timestamps), so one seeded run always
+A dump's lines are :mod:`repro.obs.export`'s event records in its
+canonical JSON (sorted keys, compact separators, 6-digit rounded
+timestamps), so one seeded run always
 produces byte-identical dump files — the same determinism contract the
 resilience report pins.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any
 
+from repro.obs.export import canonical_json, event_record
+
 __all__ = ["FlightRecorder"]
-
-
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=str)
 
 
 class FlightRecorder:
@@ -59,13 +56,7 @@ class FlightRecorder:
             ordered = self._ring[self._next:] + self._ring[:self._next]
         else:
             ordered = self._ring[:self._next]
-        out = []
-        for ts, kind, node, fields in ordered:
-            record = {"type": "event", "ts": round(ts, 6), "kind": kind,
-                      "node": node}
-            record.update(fields)
-            out.append(record)
-        return out
+        return [event_record(*entry) for entry in ordered]
 
     def dump_jsonl(self, path: str | Path, **meta: Any) -> Path:
         """Write the retained events as JSONL; returns the path.
@@ -81,7 +72,7 @@ class FlightRecorder:
                   "total": self.total,
                   "overwritten": max(0, self.total - self.capacity)}
         header.update(meta)
-        lines = [_dumps(header)]
-        lines.extend(_dumps(record) for record in events)
+        lines = [canonical_json(header)]
+        lines.extend(canonical_json(record) for record in events)
         path.write_text("\n".join(lines) + "\n")
         return path

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs.events import is_known_kind
+from repro.obs.export import canonical_json
 from repro.quorums import intra_zone_quorum, zone_majority
 
 __all__ = ["MonitorConfig", "MonitorTopology", "ProtocolMonitor",
@@ -744,7 +745,4 @@ class ProtocolMonitor:
 
     def report_json(self) -> str:
         """Canonical JSON encoding (byte-stable across online/offline)."""
-        import json
-
-        return json.dumps(self.report(), sort_keys=True,
-                          separators=(",", ":"), default=str)
+        return canonical_json(self.report())

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.obs.export import read_trace
 from repro.obs.monitor import MonitorConfig, MonitorTopology, ProtocolMonitor
 
 __all__ = ["audit_trace", "format_report"]
@@ -37,22 +38,12 @@ def audit_trace(path: str | Path,
     re-emitted by the online monitor) are skipped so the replay derives
     its verdicts only from the protocol events themselves.
     """
-    topology = MonitorTopology()
-    end_ms = None
-    events: list[dict] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        record_type = record.get("type")
-        if record_type == "meta":
-            end_ms = record.get("end_ms")
-        elif record_type == "topology":
-            topology = MonitorTopology.from_dict(record)
-        elif record_type == "event":
-            events.append(record)
-    monitor = ProtocolMonitor(topology=topology, config=config)
+    meta, topology, events, _ = read_trace(path)
+    end_ms = meta.get("end_ms")
+    monitor = ProtocolMonitor(
+        topology=(MonitorTopology() if topology is None
+                  else MonitorTopology.from_dict(topology)),
+        config=config)
     last_ts = 0.0
     for record in events:
         kind = record["kind"]

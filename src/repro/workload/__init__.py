@@ -2,15 +2,9 @@
 
 from repro.workload.driver import ClosedLoopDriver
 from repro.workload.generator import WorkloadGenerator, WorkloadMix
-from repro.workload.trace import (RecordingGenerator, ReplayGenerator,
-                                  TraceEntry, WorkloadTrace)
 
 __all__ = [
     "ClosedLoopDriver",
-    "RecordingGenerator",
-    "ReplayGenerator",
-    "TraceEntry",
     "WorkloadGenerator",
     "WorkloadMix",
-    "WorkloadTrace",
 ]

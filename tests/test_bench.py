@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.metrics import _percentile, compute_metrics
+from repro.bench.metrics import compute_metrics, percentile
 from repro.bench.report import format_table
 from repro.bench.runner import PointSpec, run_point
 from repro.errors import ConfigurationError
@@ -31,16 +31,16 @@ def test_metrics_window_and_percentiles():
 def test_percentile_linear_interpolation():
     # Regression: nearest-rank with banker's rounding returned values[0]
     # for the median of two samples; interpolation gives the midpoint.
-    assert _percentile([1.0, 2.0], 0.5) == pytest.approx(1.5)
-    assert _percentile([1.0, 2.0, 3.0, 4.0], 0.25) == pytest.approx(1.75)
-    assert _percentile([10.0], 0.99) == 10.0
-    assert _percentile([], 0.5) == 0.0
+    assert percentile([1.0, 2.0], 0.5) == pytest.approx(1.5)
+    assert percentile([1.0, 2.0, 3.0, 4.0], 0.25) == pytest.approx(1.75)
+    assert percentile([10.0], 0.99) == 10.0
+    assert percentile([], 0.5) == 0.0
     # Endpoints are exact, and out-of-range fractions clamp.
     values = [float(v) for v in range(1, 11)]
-    assert _percentile(values, 0.0) == 1.0
-    assert _percentile(values, 1.0) == 10.0
-    assert _percentile(values, 1.5) == 10.0
-    assert _percentile(values, -0.5) == 1.0
+    assert percentile(values, 0.0) == 1.0
+    assert percentile(values, 1.0) == 10.0
+    assert percentile(values, 1.5) == 10.0
+    assert percentile(values, -0.5) == 1.0
 
 
 def test_metrics_split_local_global():

@@ -1,12 +1,15 @@
 """Tests for the command-line interface."""
 
+import argparse
 import importlib
 import json
 import tomllib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -88,7 +91,8 @@ def test_figure_choices_are_validated(capsys):
     code = main(["figure", "fig99"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "fig99" in err
+    assert err.startswith("repro figure: unknown figure 'fig99'; ")
+    assert err.count("\n") == 1
     assert "fig4" in err    # the message lists the valid names
 
 
@@ -151,3 +155,78 @@ def test_bench_check_missing_baseline_fails(tmp_path, capsys):
                  str(tmp_path / "nope.json")])
     assert code == 2
     assert "bench-baseline" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# The command table
+# ----------------------------------------------------------------------
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _output_cases():
+    """(command, argv) per option of each row that writes a file, with
+    the path inside a directory that does not exist."""
+    for name, parser in _subcommands().items():
+        positionals = [action.metavar for action in parser._actions
+                       if not action.option_strings
+                       and action.nargs is None]
+        for action in parser._actions:
+            if action.dest in cli._OUTPUT_FILES:
+                path = "/nonexistent/d/f"
+            elif action.dest == "flight_dir":
+                path = "/nonexistent/d"
+            else:
+                continue
+            yield pytest.param(name, [name, *positionals,
+                                      action.option_strings[0], path],
+                               id=f"{name}{action.option_strings[0]}")
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_every_command_has_help(name, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([name, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: repro {name}")
+
+
+@pytest.mark.parametrize("name, argv", list(_output_cases()))
+def test_every_output_refuses_a_missing_directory_before_running(
+        name, argv, capsys, monkeypatch):
+    def never(args):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setitem(cli.COMMANDS, name,
+                        replace(cli.COMMANDS[name], run=never))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err \
+        == "repro: output directory does not exist: /nonexistent/d\n"
+
+
+def test_figure_json_is_the_canonical_grid(tmp_path, capsys, monkeypatch):
+    from repro.bench.experiments import (FIGURE_SPECS,
+                                         fig_critical_path_specs,
+                                         figure_specs)
+    from repro.bench.parallel import run_grid
+    from repro.obs.export import canonical_json
+
+    monkeypatch.setitem(FIGURE_SPECS, "fig-critical-path", lambda: [
+        replace(spec, clients_per_zone=4, warmup_ms=80.0, measure_ms=160.0)
+        for spec in fig_critical_path_specs()])
+    out = tmp_path / "fig.json"
+    assert main(["figure", "fig-critical-path", "--format", "json",
+                 "--out", str(out)]) == 0
+    rows = run_grid(figure_specs("fig-critical-path"))
+    for row in rows:
+        row.setdefault("backend", "default")
+    expected = canonical_json({"format": "repro-bench-grid", "version": 1,
+                               "figure": "fig-critical-path",
+                               "rows": rows})
+    assert capsys.readouterr().out == expected + "\n"
+    assert out.read_text() == expected + "\n"

@@ -105,9 +105,10 @@ def test_chaos_campaign_jobs_report_is_byte_identical(monkeypatch):
 
 def test_cli_parses_perf_and_jobs_flags():
     parser = build_parser()
-    args = parser.parse_args(["bench", "--figure", "fig7", "--jobs", "4",
-                              "--format", "json"])
-    assert (args.figure, args.jobs, args.format) == ("fig7", 4, "json")
+    args = parser.parse_args(["figure", "fig7", "--jobs", "4",
+                              "--format", "json", "--out", "fig7.json"])
+    assert (args.name, args.jobs, args.format, args.out) \
+        == ("fig7", 4, "json", "fig7.json")
     args = parser.parse_args(["chaos", "--campaign", "smoke", "--jobs", "2"])
     assert args.jobs == 2
     args = parser.parse_args(["figure", "fig6", "--jobs", "3"])
@@ -170,9 +171,9 @@ def test_fig_critical_path_grid_is_registered_and_causal():
 
 
 def test_cli_bench_json_is_jobs_independent():
-    from repro.cli import _bench_rows_json
+    from repro.cli import figure_json
     rows = [{"protocol": "ziziphus", "tput": 1.0}]
-    encoded = _bench_rows_json("fig4", rows)
+    encoded = figure_json("fig4", rows)
     decoded = json.loads(encoded)
     assert decoded["format"] == "repro-bench-grid"
     assert decoded["figure"] == "fig4"

@@ -1,11 +1,9 @@
-"""Tests for workload generation, the closed-loop driver, and traces."""
+"""Tests for workload generation and the closed-loop driver."""
 
 from collections import Counter
 
 from repro.sim.rng import derive_rng
 from repro.workload.generator import WorkloadGenerator, WorkloadMix
-from repro.workload.trace import (RecordingGenerator, ReplayGenerator,
-                                  TraceEntry, WorkloadTrace)
 from repro.bench.runner import PointSpec, _build, _mix
 from repro.workload.driver import ClosedLoopDriver
 
@@ -112,29 +110,3 @@ def test_driver_runs_cross_zone_transfers_end_to_end():
     assert kinds.get("cross-zone", 0) > 5
     assert all(r.result[0] in ("ok", "err") for r in driver.records)
 
-
-# ----------------------------------------------------------------------
-# Traces
-# ----------------------------------------------------------------------
-def test_trace_record_and_replay_identical():
-    gen = make_generator(global_fraction=0.4)
-    trace = WorkloadTrace()
-    recorder = RecordingGenerator(gen, trace)
-    drawn = [recorder.next_action("c1") for _ in range(20)]
-    assert len(trace) == 20
-    replay = ReplayGenerator(trace, dict(gen.zone_of_client))
-    replayed = [replay.next_action("c1") for _ in range(20)]
-    assert replayed == drawn
-
-
-def test_replay_is_per_client_and_falls_back_when_exhausted():
-    trace = WorkloadTrace()
-    trace.append(TraceEntry("c1", "local", ("deposit", 1)))
-    trace.append(TraceEntry("c2", "migrate", "z1"))
-    replay = ReplayGenerator(trace, {"c1": "z0", "c2": "z0"})
-    assert replay.remaining("c1") == 1
-    assert replay.next_action("c2") == ("migrate", "z1")
-    assert replay.next_action("c1") == ("local", ("deposit", 1))
-    assert replay.next_action("c1") == ("local", ("deposit", 1))  # fallback
-    assert replay.remaining("c1") == 0
-    assert trace.actions_of("c2") == [TraceEntry("c2", "migrate", "z1")]
