@@ -47,7 +47,8 @@ from repro.crypto.certificates import CertificateVerifier, QuorumCertificate
 from repro.crypto.keys import Signature
 from repro.crypto.threshold import ThresholdVerifier, combine_threshold
 from repro.messages.base import Signed
-from repro.messages.endorse import EndorsePrepare, EndorsePrePrepare, EndorseVote
+from repro.messages.endorse import (EndorsePrepare, EndorsePrePrepare,
+                                    EndorseQuery, EndorseVote)
 from repro.pbft.host import HostNode
 from repro.quorums import intra_zone_quorum
 
@@ -99,6 +100,9 @@ class EndorsementInstance:
     #: The member whose message opened the instance ahead of any
     #: pre-prepare, while it still counts against that member's allowance.
     parked_by: str | None = None
+    #: Members known to hold no certificate of it: they asked this node
+    #: for one, or answered an ask of this node's without one (``watch``).
+    lacking: set[str] | None = None
 
     @property
     def opened(self) -> bool:
@@ -131,9 +135,13 @@ class EndorsementManager:
         self._parked = dict.fromkeys(self.members, 0)
         self._kinds: dict[str, _Kind] = {}
         self._retries: dict[str, int] = {}
+        #: Instances this node asked its zone about (``watch``), by the
+        #: view the watch judges.
+        self._asked: dict[str, int] = {}
         host.register_handler(EndorsePrePrepare, self._on_pre_prepare)
         host.register_handler(EndorsePrepare, self._on_prepare)
         host.register_handler(EndorseVote, self._on_vote)
+        host.register_handler(EndorseQuery, self._on_query)
         replica = getattr(host, "replica", None)  # none on a bare test host
         if replica is not None:
             replica.on_view_change.append(self._resend_shares)
@@ -194,9 +202,9 @@ class EndorsementManager:
         return state
 
     def _unpark(self, state: EndorsementInstance) -> None:
-        """A pre-prepare (or this node's own lead) opened the instance:
-        if a member's message had opened it first, it no longer counts
-        against that member."""
+        """A pre-prepare (or this node's own lead, or its own ask) opened
+        the instance: if a member's message had opened it first, it no
+        longer counts against that member."""
         member = state.parked_by
         if member not in self._parked:
             return  # None, as for most
@@ -326,9 +334,72 @@ class EndorsementManager:
 
     def watch(self, instance: str, timeout_ms: float, armed_in: int) -> None:
         """Arm the primary-watch deadline of ``instance`` in view
-        ``armed_in`` (the caller's ``PBFTReplica.judged_view``)."""
-        self.host.set_timer(timeout_ms, self.primary_overdue, instance,
-                            armed_in)
+        ``armed_in`` (the caller's ``PBFTReplica.judged_view``).
+
+        When it fires on an instance this node never saw, the node may
+        have been down while its zone finished it, so — as over a gap of
+        its own (DESIGN.md §6.5) — it asks the zone once for the
+        certificate. It suspects the primary once ``f`` members are known
+        to hold none either, or if nothing certifies the instance here
+        within another ``timeout_ms``."""
+        self.host.set_timer(timeout_ms, self._watch_expired, instance,
+                            timeout_ms, armed_in)
+
+    def _watch_expired(self, instance: str, timeout_ms: float,
+                       armed_in: int) -> None:
+        state = self._instances.get(instance)
+        if state is not None and state.opened:
+            self.primary_overdue(instance, armed_in)
+            return
+        if self.host.replica.judged_view != armed_in \
+                or instance in self._asked:
+            return  # it judges nobody any more, or an ask is out
+        state = self._get(instance)
+        if state.cert is not None:
+            return  # an earlier ask fetched it
+        self._unpark(state)  # this node's own now: no member can displace it
+        self._asked[instance] = armed_in
+        self.host.multicast_signed(self.others, EndorseQuery(
+            instance=instance, view=armed_in, sender=self.host.node_id))
+        self.host.set_timer(timeout_ms, self._asked_expired, instance)
+        self._lacked_by(state, None)
+
+    def _lacked_by(self, state: EndorsementInstance,
+                   member: str | None) -> None:
+        """Zone member ``member`` holds no certificate of ``state`` (with
+        ``None``, only the count is checked). Once ``f`` members lack it
+        (``f+1`` with this node) while this node asks for it, the primary
+        that owes it is suspected."""
+        if state.lacking is None:
+            state.lacking = set()
+        if member is not None:
+            state.lacking.add(member)
+        armed_in = self._asked.get(state.instance)
+        if armed_in is not None and len(state.lacking) >= self.f:
+            del self._asked[state.instance]
+            self.host.replica.view_changes.suspect(armed_in)
+
+    def _asked_expired(self, instance: str) -> None:
+        armed_in = self._asked.pop(instance, None)
+        if armed_in is not None and self._instances[instance].cert is None:
+            self.host.replica.view_changes.suspect(armed_in)
+
+    def _on_query(self, sender: str, msg: EndorseQuery,
+                  envelope: Signed) -> None:
+        """A member asks for the certificate of an instance it never saw:
+        answer with it, or say there is none here — and remember that the
+        member holds none either."""
+        kind = self._kind_of(msg.instance)
+        if sender not in self.members or kind is None:
+            return  # not a member, or no kind this zone runs
+        state = self._opened_early(sender, msg.instance)
+        if state.cert is not None:
+            self._send_cert(sender, state)
+            return
+        self._lacked_by(state, sender)
+        self.host.send_signed(sender, EndorseVote(
+            instance=msg.instance, view=msg.view, endorse_digest=b"",
+            share=None, sender=self.host.node_id))
 
     def primary_overdue(self, instance: str, armed_in: int) -> None:
         """The primary-watch deadline. A non-primary expecting its primary
@@ -482,6 +553,13 @@ class EndorsementManager:
                  envelope: Signed) -> None:
         if sender not in self.members:
             return
+        if msg.share is None and msg.cert is None:
+            # The answer to an ask of this node's (``_on_query``): that
+            # member holds no certificate.
+            if msg.instance not in self._asked:
+                return
+            self._lacked_by(self._instances[msg.instance], sender)
+            return
         state = self._opened_early(sender, msg.instance)
         if state.endorse_digest is not None and state.endorse_digest != msg.endorse_digest:
             return
@@ -492,10 +570,7 @@ class EndorsementManager:
             # Cast after a view change the instance finished before: its
             # sender never got the certificate (a late vote of the round
             # itself is cast in the round's view, and gets nothing).
-            self.host.send_signed(sender, EndorseVote(
-                instance=state.instance, view=state.view,
-                endorse_digest=state.endorse_digest, share=None,
-                sender=self.host.node_id, cert=state.cert))
+            self._send_cert(sender, state)
             return
         if state.endorse_digest is None:
             # Vote arrived before the pre-prepare; remember the digest so
@@ -504,6 +579,14 @@ class EndorsementManager:
         if not self.host.keys.verify(msg.share, msg.endorse_digest):
             return
         self._add_share(state, sender, msg.share)
+
+    def _send_cert(self, member: str, state: EndorsementInstance) -> None:
+        """The certificate of finished ``state``, to zone member
+        ``member``."""
+        self.host.send_signed(member, EndorseVote(
+            instance=state.instance, view=state.view,
+            endorse_digest=state.endorse_digest, share=None,
+            sender=self.host.node_id, cert=state.cert))
 
     def _on_cert(self, sender: str, state: EndorsementInstance,
                  msg: EndorseVote) -> None:

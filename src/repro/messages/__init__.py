@@ -5,11 +5,13 @@ from repro.messages.base import (Message, Signed, decode_message,
                                  sign_message, verify_signed)
 from repro.messages.client import ClientReply, ClientRequest, MigrationRequest
 from repro.messages.cluster import CrossCommit, CrossPropose, Prepared
-from repro.messages.endorse import EndorsePrepare, EndorsePrePrepare, EndorseVote
+from repro.messages.endorse import (EndorsePrepare, EndorsePrePrepare,
+                                    EndorseQuery, EndorseVote)
 from repro.messages.migration import StateTransfer, state_body
-from repro.messages.pbft import (CheckpointFetch, CheckpointMsg,
-                                 CheckpointSnapshot, Commit, NewView, Prepare,
-                                 PreparedProof, PrePrepare, ViewChange)
+from repro.messages.pbft import (BatchFetch, BatchReply, CheckpointFetch,
+                                 CheckpointMsg, CheckpointSnapshot, Commit,
+                                 NewView, Prepare, PreparedProof, PrePrepare,
+                                 ViewChange)
 from repro.messages.query import ResponseQuery
 from repro.messages.reads import (ReadReply, ReadRequest, ReadWatermarkCert,
                                   WatermarkShare, watermark_body)
@@ -23,6 +25,8 @@ __all__ = [
     "Accept",
     "Accepted",
     "Ballot",
+    "BatchFetch",
+    "BatchReply",
     "CheckpointFetch",
     "CheckpointMsg",
     "CheckpointRef",
@@ -34,6 +38,7 @@ __all__ = [
     "CrossPropose",
     "EndorsePrePrepare",
     "EndorsePrepare",
+    "EndorseQuery",
     "EndorseVote",
     "GENESIS_BALLOT",
     "GlobalCommit",

@@ -6,7 +6,8 @@ payload. Verification checks both the HMAC tag and that the signature's
 signer matches the ``sender`` field embedded in the payload, so a node
 cannot replay another node's message under its own identity.
 
-:func:`sign_message` is the one place an honest envelope is made. The
+:func:`sign_message` is the one place an honest envelope is made, and
+:func:`redact` the one place one is cut down under its signature. The
 walk that yields the payload's bytes also counts how many elementary
 signature verifications a receiver performs (outer signature, nested
 certificates, piggybacked signed messages), and the seal keeps that count
@@ -21,6 +22,7 @@ what may cross the wire.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Any
@@ -34,6 +36,7 @@ __all__ = [
     "Message",
     "Signed",
     "sign_message",
+    "redact",
     "verify_signed",
     "nested_signature_units",
     "encode_message",
@@ -112,6 +115,19 @@ def sign_message(keys: KeyRegistry, signer: str, payload: Any) -> Signed:
         envelope.__dict__["_repro_memo"] = [
             None, 1 + payload.__dict__["_repro_memo"][1], None, keys]
     return envelope
+
+
+def redact(envelope: Signed, **fields: Any) -> Signed:
+    """``envelope`` with digest-excluded ``fields`` of its payload
+    replaced: what its signature covers is unchanged, so it still
+    verifies. Nobody vouches for the copy yet; a receiver checks it in
+    full."""
+    payload = envelope.payload
+    redacted = dataclasses.replace(payload, **fields)
+    if digest(redacted) != digest(payload):
+        raise CryptoError(f"cannot redact signed fields of "
+                          f"{type(payload).__name__}: {sorted(fields)}")
+    return Signed(redacted, envelope.signature)
 
 
 def verify_signed(keys: KeyRegistry, signed: Signed) -> bool:

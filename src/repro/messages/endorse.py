@@ -23,7 +23,8 @@ from typing import Any
 from repro.crypto.keys import Signature
 from repro.messages.base import Message
 
-__all__ = ["EndorsePrePrepare", "EndorsePrepare", "EndorseVote"]
+__all__ = ["EndorsePrePrepare", "EndorsePrepare", "EndorseVote",
+           "EndorseQuery"]
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,8 @@ class EndorseVote(Message):
     ``endorse_digest`` itself (not over this message), so that ``2f+1``
     shares aggregate into a certificate any third party can validate
     against the body digest. The leader sends that certificate to the
-    other members as ``cert`` (with no share).
+    other members as ``cert`` (with no share). With neither, it answers
+    an :class:`EndorseQuery`: the sender holds no certificate.
     """
 
     instance: str
@@ -71,3 +73,15 @@ class EndorseVote(Message):
     share: Signature | None
     sender: str
     cert: Any = None
+
+
+@dataclass(frozen=True)
+class EndorseQuery(Message):
+    """A member whose primary watch expired on an instance it never saw
+    asks its zone for the instance's certificate. A member that finished
+    the instance answers with an :class:`EndorseVote` carrying it, any
+    other with one carrying neither share nor certificate."""
+
+    instance: str
+    view: int
+    sender: str

@@ -3,6 +3,10 @@
 Requests are processed in *batches*: a pre-prepare carries a tuple of signed
 client requests and is identified by the batch digest, which is what
 prepare/commit votes reference. A batch of one reproduces textbook PBFT.
+The batch itself is outside the pre-prepare's digest, so the primary's
+signature covers the batch digest alone: a prepared proof carries the
+pre-prepare without its batch (:func:`proof_pre_prepare`), as
+Castro-Liskov's VIEW-CHANGE carries a digest.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.messages.base import Message, Signed
+from repro.messages.base import Message, Signed, redact
 
 __all__ = [
     "PrePrepare",
@@ -22,17 +26,27 @@ __all__ = [
     "PreparedProof",
     "ViewChange",
     "NewView",
+    "BatchFetch",
+    "BatchReply",
+    "proof_pre_prepare",
 ]
 
 
 @dataclass(frozen=True)
 class PrePrepare(Message):
-    """Primary's ordering proposal for a batch at (view, sequence)."""
+    """Primary's ordering proposal for a batch at (view, sequence).
+
+    ``batch`` is excluded from this object's digest (it is still counted
+    for the client signatures it holds); integrity comes from
+    ``batch_digest``, which a receiver recomputes from ``batch`` before it
+    votes.
+    """
 
     view: int
     sequence: int
     batch_digest: bytes
-    batch: tuple[Signed, ...]
+    batch: tuple[Signed, ...] = field(compare=False,
+                                      metadata={"digest": False})
     sender: str
 
 
@@ -97,10 +111,25 @@ class CheckpointSnapshot(Message):
 
 @dataclass(frozen=True)
 class PreparedProof:
-    """Evidence that a batch was prepared: pre-prepare + 2f prepares."""
+    """Evidence that a batch was prepared: pre-prepare + 2f prepares.
+
+    The pre-prepare comes without its batch (:func:`proof_pre_prepare`):
+    the proof binds the batch digest, and a new primary re-proposes the
+    batch from its own slot or fetches it (:class:`BatchFetch`).
+    """
 
     pre_prepare: Signed
     prepares: tuple[Signed, ...]
+
+
+def proof_pre_prepare(envelope: Signed) -> Signed:
+    """The pre-prepare envelope ``envelope`` as a proof carries it: its
+    payload without the batch, under the primary's same signature. A
+    payload that is not a bare :class:`PrePrepare` (the two-level
+    baseline's top-level carrier) goes whole."""
+    if type(envelope.payload) is not PrePrepare:
+        return envelope
+    return redact(envelope, batch=())
 
 
 @dataclass(frozen=True)
@@ -120,4 +149,25 @@ class NewView(Message):
     new_view: int
     view_changes: tuple[Signed, ...]
     pre_prepares: tuple[Signed, ...]
+    sender: str
+
+
+@dataclass(frozen=True)
+class BatchFetch(Message):
+    """A new primary's request for the batch a prepared proof names by
+    digest, which it must re-propose and does not hold."""
+
+    sequence: int
+    batch_digest: bytes
+    sender: str
+
+
+@dataclass(frozen=True)
+class BatchReply(Message):
+    """Reply to a fetch: the batch, which the fetcher accepts only if it
+    hashes to the proven digest."""
+
+    sequence: int
+    batch_digest: bytes
+    batch: tuple[Signed, ...]
     sender: str

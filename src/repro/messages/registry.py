@@ -24,11 +24,11 @@ from repro.messages.base import Signed
 from repro.messages.client import ClientReply, ClientRequest, MigrationRequest
 from repro.messages.cluster import CrossCommit, CrossPropose, Prepared
 from repro.messages.endorse import (EndorsePrepare, EndorsePrePrepare,
-                                    EndorseVote)
+                                    EndorseQuery, EndorseVote)
 from repro.messages.migration import StateTransfer
-from repro.messages.pbft import (CheckpointFetch, CheckpointMsg,
-                                 CheckpointSnapshot, Commit, NewView,
-                                 Prepare, PreparedProof, PrePrepare,
+from repro.messages.pbft import (BatchFetch, BatchReply, CheckpointFetch,
+                                 CheckpointMsg, CheckpointSnapshot, Commit,
+                                 NewView, Prepare, PreparedProof, PrePrepare,
                                  ViewChange)
 from repro.messages.query import ResponseQuery
 from repro.messages.reads import (ReadReply, ReadRequest, ReadWatermarkCert,
@@ -51,6 +51,7 @@ WIRE_MESSAGES: dict[str, type] = {
     "EndorsePrePrepare": EndorsePrePrepare,
     "EndorsePrepare": EndorsePrepare,
     "EndorseVote": EndorseVote,
+    "EndorseQuery": EndorseQuery,
     "StateTransfer": StateTransfer,
     "PrePrepare": PrePrepare,
     "Prepare": Prepare,
@@ -60,6 +61,8 @@ WIRE_MESSAGES: dict[str, type] = {
     "CheckpointSnapshot": CheckpointSnapshot,
     "ViewChange": ViewChange,
     "NewView": NewView,
+    "BatchFetch": BatchFetch,
+    "BatchReply": BatchReply,
     "ResponseQuery": ResponseQuery,
     "Propose": Propose,
     "Promise": Promise,

@@ -116,7 +116,8 @@ class PBFTReplica:
         self.slots: dict[int, Slot] = {}
         self.pending: dict[bytes, Signed] = {}   # digest -> signed request
         self.client_table: dict[str, tuple[int, Any]] = {}
-        self.request_timers: dict[bytes, Any] = {}
+        #: Request digest -> (view the timer judges, its handle).
+        self.request_timers: dict[bytes, tuple[int, Any]] = {}
         self._digest_sequence: dict[bytes, int] = {}
         self._batch_timer = None
         self._future: list[tuple[str, Any, Signed]] = []
@@ -254,28 +255,36 @@ class PBFTReplica:
             self.host.forward(self.primary, envelope)
 
     def _start_request_timer(self, request_digest: bytes) -> None:
-        if request_digest in self.request_timers:
-            return
+        """Guard ``request_digest`` with a timer judging the view in force
+        (``judged_view``); one armed in a view this replica has left judges
+        no primary it still has, so it is replaced."""
+        held = self.request_timers.get(request_digest)
+        armed_in = self.judged_view
+        if held is not None:
+            if held[0] == armed_in:
+                return
+            held[1].cancel()
         timer = self.host.set_timer(self.config.request_timeout_ms,
                                     self._on_request_timeout, request_digest,
-                                    self.view_active)
-        self.request_timers[request_digest] = timer
+                                    armed_in)
+        self.request_timers[request_digest] = (armed_in, timer)
 
     def _cancel_request_timer(self, request_digest: bytes) -> None:
-        timer = self.request_timers.pop(request_digest, None)
-        if timer is not None:
-            timer.cancel()
+        held = self.request_timers.pop(request_digest, None)
+        if held is not None:
+            held[1].cancel()
 
     def _on_request_timeout(self, request_digest: bytes,
-                            armed_active: bool) -> None:
+                            armed_in: int) -> None:
+        """A request timer armed in view ``armed_in`` fired. It judges that
+        view's primary only (``ViewChangeManager.suspect``): once this
+        replica has left it, escalating is the view-change timer's job,
+        and the new view re-arms what is still outstanding."""
         self.request_timers.pop(request_digest, None)
-        if not armed_active:
-            # Armed while a view change was under way (a retransmission
-            # reached a replica waiting for NEW-VIEW): there was no primary
-            # for it to judge. The new view restarts it (ViewChangeManager).
+        if armed_in != self.judged_view:
             return
         if request_digest in self.pending:
-            self.view_changes.initiate(self.view + 1)
+            self.view_changes.suspect(armed_in)
             return
         sequence = self._digest_sequence.get(request_digest)
         if sequence is None:
@@ -284,7 +293,7 @@ class PBFTReplica:
         if slot is None or slot.executed:
             return
         if not slot.committed:
-            self.view_changes.initiate(self.view + 1)
+            self.view_changes.suspect(armed_in)
             return
         # Committed but not executed: 2f+1 committed it, and a gap below it
         # blocks it here — one this replica missed (it crashed or was cut
@@ -301,7 +310,7 @@ class PBFTReplica:
             self._gap_since = (self.view, self.last_executed, now)
             self.checkpoints.request_snapshot(self.last_executed + 1)
         elif now - since[2] >= self.config.request_timeout_ms:
-            self.view_changes.initiate(self.view + 1)
+            self.view_changes.suspect(armed_in)
             return
         self._start_request_timer(request_digest)
 

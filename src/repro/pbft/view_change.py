@@ -1,11 +1,13 @@
 """PBFT view change.
 
-When a request timer expires (the primary is not making progress) a replica
-moves to view ``v+1`` and multicasts VIEW-CHANGE carrying evidence of every
-batch it prepared above its stable checkpoint. The new primary assembles
-``2f+1`` view-changes into NEW-VIEW, re-proposing prepared batches (highest
-view wins per sequence) and filling gaps with no-op batches, after which
-normal operation resumes in the new view.
+When a deadline armed in view ``v`` expires with the primary's work undone
+(:meth:`ViewChangeManager.suspect`), a replica moves to view ``v+1`` and
+multicasts VIEW-CHANGE carrying evidence of every batch it prepared above
+its stable checkpoint; the evidence names each batch by digest. The new
+primary assembles ``2f+1`` view-changes into NEW-VIEW, re-proposing
+prepared batches (highest view wins per sequence) from its own slots —
+fetching from the zone any it lacks — and filling gaps with no-op
+batches, after which normal operation resumes in the new view.
 
 Two standard refinements are included: the *weak certificate* rule (seeing
 ``f+1`` view-changes for higher views makes a replica join the earliest of
@@ -21,7 +23,9 @@ from typing import TYPE_CHECKING
 
 from repro.crypto.digest import digest
 from repro.messages.base import Signed, sign_message, verify_signed
-from repro.messages.pbft import NewView, PreparedProof, PrePrepare, ViewChange
+from repro.messages.pbft import (BatchFetch, BatchReply, NewView,
+                                 PreparedProof, PrePrepare, ViewChange,
+                                 proof_pre_prepare)
 from repro.quorums import weak_quorum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -51,11 +55,18 @@ class ViewChangeManager:
         self._new_view: NewView | None = None
         self._new_view_resent: set[str] = set()
         self._consecutive_failures = 0
+        #: Proven batches the NEW-VIEW this replica is to send waits for
+        #: (digest by sequence), and those fetched so far, by digest.
+        self._missing: dict[int, bytes] = {}
+        self._fetched: dict[bytes, tuple[Signed, ...]] = {}
 
     def register(self) -> None:
-        """Attach VIEW-CHANGE / NEW-VIEW handlers to the host."""
+        """Attach VIEW-CHANGE / NEW-VIEW / batch-fetch handlers to the
+        host."""
         self.host.register_handler(ViewChange, self._on_view_change)
         self.host.register_handler(NewView, self._on_new_view)
+        self.host.register_handler(BatchFetch, self._on_batch_fetch)
+        self.host.register_handler(BatchReply, self._on_batch_reply)
 
     # ------------------------------------------------------------------
     # Initiation
@@ -86,7 +97,8 @@ class ViewChangeManager:
 
     def _proof_for(self, slot) -> PreparedProof:
         prepares = tuple(slot.prepare_envelopes.values())[: 2 * self.replica.f]
-        return PreparedProof(pre_prepare=slot.pre_prepare, prepares=prepares)
+        return PreparedProof(pre_prepare=proof_pre_prepare(slot.pre_prepare),
+                             prepares=prepares)
 
     def _restart_timer(self, failed_view: int) -> None:
         if self._timer is not None:
@@ -117,10 +129,11 @@ class ViewChangeManager:
 
     def suspect(self, armed_in: int) -> None:
         """A deadline this replica armed in view ``armed_in`` passed with
-        the primary's work undone: start a view change — if that view is
-        still the one in force. A deadline armed under an earlier primary
-        judges nobody (the new primary re-drives what it inherited), and
-        while a view change is under way its own timer escalates it."""
+        the primary's work undone — a request timer, a primary watch, a
+        phase deadline: start a view change — if that view is still the
+        one in force. A deadline armed under an earlier primary judges
+        nobody (the new primary re-drives what it inherited), and while a
+        view change is under way its own timer escalates it."""
         replica = self.replica
         if replica.view_active and replica.view == armed_in:
             self.initiate(armed_in + 1)
@@ -167,9 +180,12 @@ class ViewChangeManager:
         bucket = self._vc_messages.get(new_view, {})
         if len(bucket) < replica.quorum:
             return
-        self._new_view_done.add(new_view)
         view_changes = tuple(bucket.values())
         pre_prepares = self._build_pre_prepares(new_view, view_changes)
+        if pre_prepares is None:
+            return  # held until every proven batch is here
+        self._new_view_done.add(new_view)
+        self._fetched.clear()
         nv = self._new_view = NewView(new_view=new_view,
                                       view_changes=view_changes,
                                       pre_prepares=pre_prepares,
@@ -180,11 +196,14 @@ class ViewChangeManager:
 
     def _build_pre_prepares(self, new_view: int,
                             view_changes: tuple[Signed, ...]
-                            ) -> tuple[Signed, ...]:
+                            ) -> tuple[Signed, ...] | None:
+        """The NEW-VIEW's re-proposals, or ``None`` while a proven batch is
+        missing here: it is asked of the zone, once per sequence and
+        digest, and a proven sequence is never re-proposed as a no-op."""
         replica = self.replica
         min_s = max(_inner(env.payload).last_stable_sequence
                     for env in view_changes)
-        best: dict[int, PreparedProof] = {}
+        best: dict[int, PrePrepare] = {}
         for env in view_changes:
             for proof in _inner(env.payload).prepared_proofs:
                 if not self._proof_valid(proof):
@@ -193,24 +212,75 @@ class ViewChangeManager:
                 if pp.sequence <= min_s:
                     continue
                 current = best.get(pp.sequence)
-                if current is None or pp.view > _inner(current.pre_prepare.payload).view:
-                    best[pp.sequence] = proof
+                if current is None or pp.view > current.view:
+                    best[pp.sequence] = pp
+        batches = {sequence: self._batch_for(sequence, pp.batch_digest)
+                   for sequence, pp in best.items()}
+        missing = {sequence: best[sequence].batch_digest
+                   for sequence, batch in batches.items() if batch is None}
+        if missing:
+            for sequence, batch_digest in missing.items():
+                if self._missing.get(sequence) != batch_digest:
+                    self.host.multicast_signed(replica.others, BatchFetch(
+                        sequence=sequence, batch_digest=batch_digest,
+                        sender=self.host.node_id))
+            self._missing = missing
+            return None
+        self._missing = {}
         max_s = max(best) if best else min_s
         pre_prepares = []
         for sequence in range(min_s + 1, max_s + 1):
-            proof = best.get(sequence)
-            if proof is not None:
-                old = _inner(proof.pre_prepare.payload)
-                pp = PrePrepare(view=new_view, sequence=sequence,
-                                batch_digest=old.batch_digest, batch=old.batch,
-                                sender=self.host.node_id)
-            else:
-                pp = PrePrepare(view=new_view, sequence=sequence,
-                                batch_digest=digest(()), batch=(),
-                                sender=self.host.node_id)
+            proven = best.get(sequence)
+            pp = PrePrepare(view=new_view, sequence=sequence,
+                            batch_digest=(digest(()) if proven is None
+                                          else proven.batch_digest),
+                            batch=batches.get(sequence, ()),
+                            sender=self.host.node_id)
             pre_prepares.append(
                 sign_message(self.host.keys, self.host.node_id, pp))
         return tuple(pre_prepares)
+
+    def _batch_for(self, sequence: int,
+                   batch_digest: bytes) -> tuple[Signed, ...] | None:
+        """The batch proven at ``sequence`` under ``batch_digest``, from
+        this replica's own slot or fetched; ``None`` if it is not here."""
+        slot = self.replica.slots.get(sequence)
+        if slot is not None and slot.pre_prepare is not None \
+                and slot.batch_digest == batch_digest:
+            return slot.batch
+        return self._fetched.get(batch_digest)
+
+    def _on_batch_fetch(self, sender: str, fetch: BatchFetch,
+                        envelope: Signed) -> None:
+        """The primary of the view this replica is in, or moving to, lacks
+        a batch a proof names: send it from the slot that holds it."""
+        replica = self.replica
+        if sender != replica.primary_of(replica.view):
+            return
+        slot = replica.slots.get(fetch.sequence)
+        if slot is None or slot.pre_prepare is None \
+                or slot.batch_digest != fetch.batch_digest:
+            return
+        self.host.send_signed(sender, BatchReply(
+            sequence=slot.sequence, batch_digest=slot.batch_digest,
+            batch=slot.batch, sender=self.host.node_id))
+
+    def _on_batch_reply(self, sender: str, reply: BatchReply,
+                        envelope: Signed) -> None:
+        """A fetched batch counts only if a NEW-VIEW here waits for it and
+        it hashes to the proven digest, each request under its client's
+        signature."""
+        if self._missing.get(reply.sequence) != reply.batch_digest \
+                or reply.batch_digest in self._fetched:
+            return
+        if digest(tuple(env.payload for env in reply.batch)) \
+                != reply.batch_digest:
+            return
+        for req_env in reply.batch:
+            if not verify_signed(self.host.keys, req_env):
+                return
+        self._fetched[reply.batch_digest] = reply.batch
+        self._maybe_emit_new_view(self.replica.view)
 
     def _proof_valid(self, proof: PreparedProof) -> bool:
         replica = self.replica
@@ -269,7 +339,8 @@ class ViewChangeManager:
             replica._maybe_propose(force=True)
         else:
             # Hand any still-pending requests to the new primary and keep
-            # watching them (the new primary may be faulty too).
+            # watching them in this view (the new primary may be faulty
+            # too): a timer armed in an earlier view is replaced.
             for request_digest, request_env in list(replica.pending.items()):
                 self.host.forward(replica.primary, request_env)
                 replica._start_request_timer(request_digest)

@@ -385,3 +385,64 @@ def test_the_shares_a_failed_leader_held_reach_the_next_primary():
     assert sorted(observed) == ["n0", "n1", "n2", "n3"]
     assert sorted(managers[1].instance_state("test/1").shares) \
         == ["n1", "n2", "n3"]
+
+
+def test_a_watch_on_an_instance_never_seen_asks_the_zone_before_it_suspects():
+    """ROADMAP D1(iv): n3 was down while its zone finished ``test/1``, so
+    when its primary watch on it expires it has no record of it. It asks
+    the zone for the certificate and, holding it, suspects nobody.
+    ``test/2``, which no primary opened, is suspected as soon as a member
+    answers that it holds no certificate either (f + 1 lack it)."""
+    view = {"v": 0}
+    sim, hosts, managers = build_zone(view=view)
+    suspected = []
+    for host in hosts:
+        host.replica.judged_view = 0
+        host.replica.view_changes = SimpleNamespace(
+            suspect=lambda armed_in, h=host: suspected.append(
+                (h.node_id, sim.now, armed_in)))
+    for manager in managers:
+        manager.register_kind("test")
+    hosts[3].crash()
+    managers[0].lead("test/1", "p", digest("p"), use_prepare=False,
+                     on_cert=lambda cert: None)
+    sim.run(until=100)
+    assert managers[3].instance_state("test/1") is None
+    hosts[3].recover()
+    managers[3].watch("test/1", 50.0, 0)
+    managers[3].watch("test/2", 50.0, 0)
+    sim.run(until=400)
+    assert managers[3].instance_state("test/1").cert is not None
+    [(node, when, armed_in)] = suspected
+    assert (node, armed_in) == ("n3", 0) and 150.0 < when < 160.0
+    assert hosts[0].network.stats.by_type["EndorseQuery"] == 6
+
+
+def test_an_instance_asked_about_is_not_displaced_by_a_members_flood():
+    """n1's vote opened ``test/2`` at n3 on n1's allowance before n3's
+    watch on it asked the zone. The ask makes the instance n3's own: n1
+    then parks ten thousand names there, and n3, answered by nobody,
+    still suspects when its ask expires."""
+    sim, hosts, managers = build_zone(view={"v": 0})
+    suspected = []
+    for host in hosts:
+        host.replica.judged_view = 0
+        host.replica.view_changes = SimpleNamespace(
+            suspect=lambda armed_in, h=host: suspected.append(
+                (h.node_id, armed_in)))
+    for manager in managers:
+        manager.register_kind("test")
+    keys, body = hosts[0].keys, digest("p")
+    _send(hosts, keys, "n1", "n3", EndorseVote(
+        instance="test/2", view=0, endorse_digest=body,
+        share=keys.sign("n1", body), sender="n1"))
+    sim.run(until=10)
+    assert managers[3].instance_state("test/2").parked_by == "n1"
+    for mute in (0, 1, 2):
+        hosts[mute].set_behavior("silent")
+    managers[3].watch("test/2", 50.0, 0)
+    sim.run(until=70)
+    _ghost_traffic(hosts, "n1", "n3", 10_000)
+    sim.run(until=200)
+    assert managers[3].instance_state("test/2") is not None
+    assert suspected == [("n3", 0)]

@@ -39,11 +39,12 @@ from repro.messages.base import (Signed, decode_message, encode_message,
 from repro.messages.client import ClientReply, ClientRequest, MigrationRequest
 from repro.messages.cluster import CrossCommit, CrossPropose, Prepared
 from repro.messages.endorse import (EndorsePrepare, EndorsePrePrepare,
-                                    EndorseVote)
+                                    EndorseQuery, EndorseVote)
 from repro.messages.migration import StateTransfer
-from repro.messages.pbft import (CheckpointFetch, CheckpointMsg,
-                                 CheckpointSnapshot, Commit, NewView, Prepare,
-                                 PreparedProof, PrePrepare, ViewChange)
+from repro.messages.pbft import (BatchFetch, BatchReply, CheckpointFetch,
+                                 CheckpointMsg, CheckpointSnapshot, Commit,
+                                 NewView, Prepare, PreparedProof, PrePrepare,
+                                 ViewChange)
 from repro.messages.query import ResponseQuery
 from repro.messages.reads import (ReadReply, ReadRequest, ReadWatermarkCert,
                                   WatermarkShare)
@@ -254,6 +255,7 @@ def _one_of_every_codec_type() -> dict[str, Any]:
                        sender="z0n1"),
         EndorseVote(instance="acc:2", view=0, endorse_digest=body,
                     share=keys.sign("z0n1", body), sender="z0n1"),
+        EndorseQuery(instance="acc:2", view=0, sender="z0n3"),
         StateTransfer(view=0, ballot=ballot, clients=("c1",),
                       records={"c1": {"acct/c1": 10}}, cert=threshold,
                       sender="z0n0"),
@@ -267,6 +269,9 @@ def _one_of_every_codec_type() -> dict[str, Any]:
         NewView(new_view=1,
                 view_changes=(sign_message(keys, "z0n2", view_change),),
                 pre_prepares=(pp_env,), sender="z0n1"),
+        BatchFetch(sequence=7, batch_digest=body, sender="z0n1"),
+        BatchReply(sequence=7, batch_digest=body, batch=(req_env, mig_env),
+                   sender="z0n2"),
         ResponseQuery(view=0, ballot=ballot, request_digest=body,
                       phase="commit", zone_id="z1", sender="z1n2"),
         Propose(view=0, ballot=ballot, requests=(mig_env,), cert=cert,
@@ -325,6 +330,10 @@ GOLDEN_DIGESTS = {
         "6a503dff61b202bd06db29893d6506996f6066850bbd52c3818c2a9d8bf43f09",
     "Ballot":
         "705c9887fe6fec085f4734b4a8343ddd90333c4806fa7df3eb232a8ef9fb9c2b",
+    "BatchFetch":
+        "20d455d4b912713351a3c34895d76d75a84bb89f79b648df079e8be5364bfe5c",
+    "BatchReply":
+        "22c71ae6407fbf237ead8ed872d36ee7d35805c88bb9adcb7f4d12241d0bbcdd",
     "CheckpointFetch":
         "b99bf0f9fc786404b437c863db98f592515dbd7089ea1b00a5cb942b93a00f88",
     "CheckpointMsg":
@@ -347,6 +356,8 @@ GOLDEN_DIGESTS = {
         "266c6980c8af46afd99dc4e8c190f1666086c519eb8c14b2f11a9d867382d94b",
     "EndorsePrepare":
         "0a121f5aace880d10feb6f8620e62a4294c42729d8e4547fac35ef15fa778e0d",
+    "EndorseQuery":
+        "fdf84eca31de43618458ceb2e9425180e040b6bf326bd25649941354198d4d73",
     # Re-pinned when the leader began to send its certificate in an
     # ``EndorseVote``: the new ``cert`` field (``None`` on a vote) is
     # part of the canonical bytes.
@@ -356,16 +367,18 @@ GOLDEN_DIGESTS = {
         "9f6b4b386f460f2469780363ee54286408ef9949e06124dca780de5cf9df6099",
     "MigrationRequest":
         "bc6aad01b9dff1effe13a40e37355bace4ed532d2c9bd767d90839dd8a8bc778",
+    # These four re-pinned when a pre-prepare's batch left its digest (a
+    # prepared proof carries the pre-prepare by batch digest).
     "NewView":
-        "0bcba1c221cdbb8330d06ed14e74f90bd5e293cfc1a5aafd71436a3b051df9aa",
+        "c29263484c2db7ec530eb98dcd2155d38879f5ecae94da6230e11d99e9e2da1c",
     "PrePrepare":
-        "244978bdde21adabd4c358f4b68b8a8d72ccc698f361502dde1de2e9cf031cb4",
+        "69259f708466ec0ade1118922d2b06e3040f2b75cbe7ce58c4e5040d8e57be00",
     "Prepare":
         "eb90f2a486f8ef361267ecd4c1731abc07385fab941bab31f7e19dc0b2c4ffb3",
     "Prepared":
         "e8638b11f80e7d3982fbf2f206a14ccf8166ddd6ab4263d479410dfa9c7be212",
     "PreparedProof":
-        "84db4abda6446235abb35dca8ea3f75e8b2e9f307afa23050be2cc982d38e61d",
+        "610be8aa6530317abc9f2993ee1f0683784d68f9d3d057f68b5721736ae33e70",
     "Promise":
         "700517d4f282da19cbfcbccb3c958937c0bfabc92dc1b70a5701542a23b37e1d",
     "Propose":
@@ -393,7 +406,7 @@ GOLDEN_DIGESTS = {
     "ThresholdCertificate":
         "786b188e3c208f541a80e151772b185628919387d3cc19f980cb1d1af9874bce",
     "ViewChange":
-        "9bd9d51f97132ffb7990243cd57df4bf1103c5a65a30e65810b2a43617b0d148",
+        "5d7e33c0c46159e0cc8524cf23596fff489d0911a6005ff2a3a460b504c76dc7",
     "WatermarkShare":
         "90d9309805646b4e78bfa725c187769dd9e99d132f0a2e6497a01db0c53741ce",
 }

@@ -122,11 +122,12 @@ def test_codec_round_trips_every_wire_message(keys):
                                 CheckpointRef, ClientReply, Commit,
                                 CrossCommit, CrossPropose,
                                 EndorsePrepare, EndorsePrePrepare,
-                                EndorseVote, GlobalCommit, NewView,
-                                Prepared, PreparedProof, Promise,
+                                EndorseQuery, EndorseVote, GlobalCommit,
+                                NewView, Prepared, PreparedProof, Promise,
                                 ResponseQuery, StateTransfer, ViewChange)
     from repro.messages.base import decode_message, encode_message
-    from repro.messages.pbft import (CheckpointFetch, CheckpointSnapshot,
+    from repro.messages.pbft import (BatchFetch, BatchReply,
+                                     CheckpointFetch, CheckpointSnapshot,
                                      Prepare as PbftPrepare)
 
     ballot = Ballot(2, "z0")
@@ -170,6 +171,7 @@ def test_codec_round_trips_every_wire_message(keys):
                        sender="n1"),
         EndorseVote(instance="i", view=0, endorse_digest=b"e",
                     share=keys.sign("n1", b"e"), sender="n1"),
+        EndorseQuery(instance="i", view=0, sender="n3"),
         StateTransfer(view=0, ballot=ballot, clients=("c",),
                       records={"c": {"bal": 7}}, cert=cert, sender="n0"),
         PrePrepare(view=0, sequence=1, batch_digest=b"d", batch=(req,),
@@ -186,6 +188,8 @@ def test_codec_round_trips_every_wire_message(keys):
                    sender="n1"),
         NewView(new_view=1, view_changes=(pp,), pre_prepares=(pp,),
                 sender="n2"),
+        BatchFetch(sequence=1, batch_digest=b"d", sender="n2"),
+        BatchReply(sequence=1, batch_digest=b"d", batch=(req,), sender="n1"),
         ResponseQuery(view=0, ballot=ballot, request_digest=b"d",
                       phase="commit", zone_id="z0", sender="n0"),
         Propose(view=0, ballot=ballot, requests=(req,), cert=cert,

@@ -293,6 +293,10 @@ def test_a_cross_cluster_migration_is_a_group_of_one():
     # Votes go to the leader: z0n0's went to the primary that crashed,
     # and with no member holding them z0 split, z0n0 in view 1 and z0n2
     # in 2 — until a member re-sends its share to the next primary.
+    # D1(iv) since: recovered, z0n0 watches mig-append/21.z0/z2>z0, which
+    # z0 certified while it was down; once a view change costs one view,
+    # the watch fired at 4.2 s and z0n0 left view 2 alone — now it asks
+    # the zone for the certificate first.
     ("initiator-churn", 1, "syncbft"),
 ])
 def test_a_zone_split_across_views_after_an_initiator_crash_rejoins(
@@ -300,6 +304,29 @@ def test_a_zone_split_across_views_after_an_initiator_crash_rejoins(
     scenario = next(s for s in CAMPAIGNS["failover"] if s.name == name)
     result = run_scenario(scenario, seed=seed, backend=backend)
     assert result.verdict == "pass", result.reasons
+
+
+@pytest.mark.parametrize("seed,lone", [
+    (1, [("z0n1", 1)]), (2, []), (3, [("z0n1", 1)])])
+def test_a_recovered_backup_does_not_suspect_over_what_its_zone_certified(
+        seed, lone, monkeypatch):
+    """ROADMAP D1(iv): in `crash-backup-churn` z0n1 and z1n1 come back
+    and watch Algorithm 2 instances their zones finished while they were
+    down. Each asks its zone for the certificates, so no watch starts a
+    view change: z1n1 alone suspected its primary at 3.1-3.3 s on each of
+    these seeds, and z0n1 at 3.2 s on seed 2. What is left is z0n1's PBFT
+    request timer on seeds 1 and 3 (2.6 s), which suspects over a gap its
+    zone does not fill in time (ROADMAP D1)."""
+    from repro.pbft.view_change import ViewChangeManager
+    initiated = []
+    initiate = ViewChangeManager.initiate
+    monkeypatch.setattr(ViewChangeManager, "initiate", lambda self, view: (
+        initiated.append((self.host.node_id, view)), initiate(self, view)))
+    scenario = next(s for s in CAMPAIGNS["default"]
+                    if s.name == "crash-backup-churn")
+    result = run_scenario(scenario, seed=seed, backend="default")
+    assert result.verdict == "pass", result.reasons
+    assert initiated == lone
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """PBFT view-change tests: liveness under primary failure."""
 
+from repro.crypto.digest import digest
 from repro.messages.base import sign_message
-from repro.messages.pbft import CheckpointFetch, NewView, ViewChange
+from repro.messages.client import ClientRequest
+from repro.messages.pbft import CheckpointFetch, NewView, PrePrepare, ViewChange
 from tests.test_pbft_normal import build_group, make_client, run_ops
 
 
@@ -278,3 +280,122 @@ def test_a_member_asking_again_for_the_view_gets_its_new_view_once():
         sim.run(until=sim.now + 50)
     assert len(resent) == 1
     assert (nodes[0].replica.view, nodes[0].replica.view_active) == (1, True)
+
+
+# ----------------------------------------------------------------------
+# Request timers judge only the view they were armed in
+# ----------------------------------------------------------------------
+def test_one_primary_crash_costs_one_view_change():
+    """Six closed-loop clients keep six request timers pending when n0
+    crashes. Only the first to fire suspects n0; the others were armed in
+    view 0 and judge nobody once their replica left it, so every live
+    replica ends in view 1 (each used to climb one view more, to 6)."""
+    sim, net, keys, group, nodes = build_group(
+        batch_size=8, batch_timeout_ms=1.0, request_timeout_ms=250.0,
+        view_change_timeout_ms=500.0)
+    clients = [make_client(sim, net, keys, group, client_id=f"c{i}")
+               for i in range(6)]
+    done = dict.fromkeys((c.node_id for c in clients), 0)
+    for client in clients:
+        def loop(record=None, client=client):
+            if record is not None:
+                done[client.node_id] += 1
+            client.submit(("deposit", 1) if done[client.node_id]
+                          else ("open", 1))
+        client.on_complete = loop
+        sim.schedule(0.0, loop)
+    sim.schedule(100.0, nodes[0].crash)
+    sim.run(until=2_000.0)
+    assert [(n.replica.view, n.replica.view_active) for n in nodes[1:]] \
+        == [(1, True)] * 3
+    assert min(done.values()) > 100
+
+
+def _pending_at(nodes, keys, replica_index=2):
+    """A client request only ``nodes[replica_index]`` holds, pending."""
+    request = ClientRequest(operation=("open", 1), timestamp=1, sender="c9")
+    envelope = sign_message(keys, "c9", request)
+    nodes[replica_index].replica.submit_request(envelope)
+    return digest(request)
+
+
+def test_a_request_timer_armed_in_a_view_left_judges_nobody():
+    """n2's timer for a request n0 never proposes is armed in view 0. n2
+    starts a view change alone before it fires; when it fires, n2 is no
+    longer in view 0, so it does not move on to view 2 (escalating is the
+    view-change timer's job)."""
+    sim, net, keys, group, nodes = build_group()
+    nodes[0].crash()
+    _pending_at(nodes, keys)
+    lone = nodes[2].replica
+    sim.schedule(100.0, lone.view_changes.initiate, 1)
+    sim.run(until=250.0)
+    assert (lone.view, lone.view_active) == (1, False)
+
+
+def test_a_request_pending_after_new_view_is_watched_in_the_new_view():
+    """n2 holds a request pending when the zone moves to view 1; its
+    timer from view 0 is replaced by one judging view 1. The new primary
+    n1 falls silent, so that timer fires and n2 suspects n1 — a stale
+    timer that were only dropped would leave the request unguarded."""
+    sim, net, keys, group, nodes = build_group()
+    nodes[0].crash()
+    request_digest = _pending_at(nodes, keys)
+    suspected = []
+    watcher = nodes[2].replica
+    suspect = watcher.view_changes.suspect
+    watcher.view_changes.suspect = lambda armed_in: (
+        suspected.append((sim.now, armed_in)), suspect(armed_in))
+    nodes[1].replica.on_view_change.append(
+        lambda: nodes[1].set_behavior("silent"))
+    for node in nodes[1:]:
+        sim.schedule(50.0, node.replica.view_changes.initiate, 1)
+    sim.run(until=120.0)
+    assert (watcher.view, watcher.view_active) == (1, True)
+    assert request_digest in watcher.pending
+    assert watcher.request_timers[request_digest][0] == 1
+    sim.run(until=400.0)
+    assert [armed_in for _, armed_in in suspected] == [1]
+    assert 200.0 < suspected[0][0] < 210.0
+
+
+# ----------------------------------------------------------------------
+# Prepared proofs carry pre-prepares by digest
+# ----------------------------------------------------------------------
+def test_a_new_primary_missing_a_proven_batch_fetches_and_reproposes_it():
+    """n1 never receives n0's pre-prepare for sequence 1, which the other
+    six prepare and execute. n0 crashes, and n1 leads view 1: the proofs
+    name batch 1 by digest only, so n1 asks the zone for it, holds its
+    NEW-VIEW until a reply hashes to that digest, and re-proposes it (a
+    proven sequence is never filled with a no-op). (The members that
+    executed it take no part in the re-proposal, so n1 itself still lags:
+    ROADMAP D1(v).)"""
+    sim, net, keys, group, nodes = build_group(n=7, f=2)
+    client = make_client(sim, net, keys, group, f=2)
+    multicast = net.multicast
+
+    def lose_pre_prepares_to_n1(src, dsts, message):
+        if src == "n0" and isinstance(message.payload, PrePrepare):
+            dsts = tuple(d for d in dsts if d != "n1")
+        multicast(src, dsts, message)
+
+    net.multicast = lose_pre_prepares_to_n1
+    assert run_ops(sim, client, [("open", 10)], until=100)[0].result \
+        == ("ok", 10)
+    net.multicast = multicast
+    nodes[0].crash()
+    proven = nodes[2].replica.slots[1]
+    fresh = nodes[1].replica
+    assert fresh.slots[1].pre_prepare is None
+    done = run_ops(sim, client, [("deposit", 5)], until=700)
+    assert [r.result for r in done] == [("ok", 15)]
+    assert net.stats.by_type["BatchFetch"] == 6
+    reproposed = fresh.slots[1]
+    assert reproposed.pre_prepare.payload.view == 1
+    assert reproposed.batch_digest == proven.batch_digest
+    assert reproposed.batch == proven.batch
+    for node in nodes[2:]:
+        replica = node.replica
+        assert (replica.view, replica.view_active) == (1, True)
+        assert replica.last_executed == 2
+        assert replica.app.balance_of("c1") == 15

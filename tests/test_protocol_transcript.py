@@ -307,17 +307,17 @@ PINNED: dict[tuple[str, str], str] = {
     ("cross-zone-resend", "syncbft"):
         "342d3e35f7c50a36e3eefd9fc4817b43a60ecdfe5db1316290540eb40c167d02",
     ("primary-crash", "default"):
-        "91a93a8d55b3cde894b4e775ab0b0b1cc2bc6a34f5d3e32034ddb1ec9f11b3a2",
+        "0bf11f5c778736d33c7f9457237a70b89b2440968a92b1e87d7b8c6f589be89b",
     ("primary-crash", "rotating"):
-        "8503ea6450b137469bd59e04b14404c9e0b065297f4153bd4199463bf2f86634",
+        "102bd1a1734c659496822450c4003039341bd068750c90a42d9320751c95d217",
     ("primary-crash", "syncbft"):
-        "b51cb81297df8aaaca6b1d6f9c9d526827c7d498d709109ac7e53077205da9ce",
+        "2b5b705167723d05f0d39cfaa474205967e450e61d21d2641b1418f2ab23f0da",
     ("primary-crash-leaderless", "default"):
-        "25de328227c9749173ce7b50c2e2fc568a02d1e2d48ceb31f9e2ccfef855fcd9",
+        "73614f1c60ccc3c8de23a7d31dfc80ea6ea7f68da481222f497289e98ba69266",
     ("primary-crash-leaderless", "rotating"):
-        "2c8f3c41f76f3023888cfa8236b79a84460b9b9e71ca7c8dc0723500dc114201",
+        "6a08d4bc972dbdde78aa3e059ed7fc6d95ff5dcc1ccd6568be4b8d12669dc4d0",
     ("primary-crash-leaderless", "syncbft"):
-        "e50aad0ea67c72b0f01e5819a28baf9b57d5904f2d3a3dd63655a6369746bfef",
+        "0039249eadb78d3fb17c892c76663d2564255f1186f970b849ab955845392132",
     ("follower-crash-leaderless", "default"):
         "6c3b1b0a880dcb67a4566c584912b98ccb9026fb5d0fd5ad67db7f7379a5e004",
     ("follower-crash-leaderless", "rotating"):
@@ -325,23 +325,23 @@ PINNED: dict[tuple[str, str], str] = {
     ("follower-crash-leaderless", "syncbft"):
         "ee4e79377acf18c0e63cbc080eb7db98c6123b9d33a1d5085a81b47faab77a9d",
     ("lost-accepted", "default"):
-        "353455975f00e5843f5f9f0a0d96d27cfc7760f156d89608b7670864e4a2f9a5",
+        "8d224df9aa9288e0675b0bdb172b4cef24b97f4b4628cd6a4bf6d6236c65b6bd",
     ("lost-accepted", "rotating"):
-        "4b6cb4b78e13bcabddf67e2ce4e6383327b0e45b75f39aff8f06bb6d0d8a5f00",
+        "4566722dce85dedaa82d0f06b0ee1b2072ec04d2d24201cc3b481fd8c08ace29",
     ("lost-accepted", "syncbft"):
-        "6684aefcd9ec26a7a92376c90592751b52d5bc1ffbebe6b236e8a5fb2a25c110",
+        "68db4afe6592fbb8e536d080b91857f82cb047f9c080bd6dc1e761a1c10eca32",
     ("wedged-endorsement", "default"):
-        "e9f84ab9e13a0d1932147306b65287ec5b4ead13d86779c8a08c2f75865dc6dc",
+        "1c55fd5b844729376030b1f0b9f900ee22d24ef703147bd0d2726cbc28c8dff2",
     ("wedged-endorsement", "rotating"):
-        "b4908b37fba6b4dab535d0a4a15d662e4c83429561d282bef9325c42139b3177",
+        "185bd0aaf81f57b836298f7624c8101e93ad06efef7e0d577f13ba79b5f57e19",
     ("wedged-endorsement", "syncbft"):
-        "b94238e10ab6949ae417616d57fffedc9df1cda08f57d302b7e3c190f713534e",
+        "e5c389d7e17fef9a2b2ed52269b8fae2f6f042cca0a8f70a0ac784d0e0831713",
     ("initiator-isolated", "default"):
-        "683dd58effb32f8d6793eec6fbf9c77fd081513a5379663ab33ab806c44bbf64",
+        "b82e3cb5bbe37868876b3c3963d63829c856d3952ebcea9f80c811037c6a9bc5",
     ("initiator-isolated", "rotating"):
-        "163252d168fafd15f36a487f95e25203e3224afebd06c0b94d69dc2d3634c9f1",
+        "d71c4fb50ac469b94d9e71f1e50be8c974bb730a13fded8d3db780c0eaaebbe4",
     ("initiator-isolated", "syncbft"):
-        "53393d5118bef60f7fd13c7bf2ad0adacac9297c7e41cfe05acc93deb2e9a4e9",
+        "cdeacc0aae1cfa88b9d8db63b6a580bd65ae41c44522c4cc5c7f577350945f0f",
     ("reads", "default"):
         "31013a2417d60327cd8344f9f9f194b9f92ddc9ce66880e5d31439be37222b1a",
     ("reads", "rotating"):
@@ -355,11 +355,11 @@ PINNED: dict[tuple[str, str], str] = {
     ("reads-faulty", "syncbft"):
         "ba3c9ef5640af513fd53b4c758ef5da05a194f9c81a4eefc38c4c72c39275b76",
     ("retransmit", "default"):
-        "a0dc7ad47d18762b36fce2ca4f34299c115cf1b973e67d952a832605f5c7f31c",
+        "e8829dde70a9caf1874f6cd73ebd0f889eb5af7039285adeb756170919ec4fd9",
     ("retransmit", "rotating"):
-        "a0dc7ad47d18762b36fce2ca4f34299c115cf1b973e67d952a832605f5c7f31c",
+        "e8829dde70a9caf1874f6cd73ebd0f889eb5af7039285adeb756170919ec4fd9",
     ("retransmit", "syncbft"):
-        "f7f396ccffbb1db0fe931a1020a63d5d8dbd44945c3f1f23e3155a6199e6cd20",
+        "feda59a5f3e85c56de9856843e20108ee79b573d59bee669d1a5ed8012ed99fa",
 }
 
 #: The three baselines of the evaluation, through ``run_point``: the
@@ -368,7 +368,7 @@ PINNED_BASELINES: dict[str, str] = {
     "flat-pbft":
         "552bcbded4871e897af88c87e6dd1e6030253e51424568c782673772a6dcaec2",
     "two-level":
-        "37ba48ec42b8412e9ba1a5f4a6e7f4d1a449c3c3a90154e741ca2f6fc95a3791",
+        "69904f13e0685c0bfc44bc0593e496f9e2813c8c150f512d3999b91ae5bcd334",
     "steward":
         "9f7d1736bfa55935a8eceae8cbff4383d617d5d38defaca9ab52af2104f3cfbd",
 }
