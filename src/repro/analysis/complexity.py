@@ -13,10 +13,13 @@ helpers used to check the linear-vs-quadratic claim.
 
 from __future__ import annotations
 
-from repro.quorums import group_size, two_level_big_f
+from repro.quorums import (group_size, intra_zone_quorum, max_faulty,
+                           two_level_big_f)
 
 __all__ = [
     "endorsement_messages",
+    "view_change_messages",
+    "view_change_units",
     "pbft_batch_messages",
     "ziziphus_migration_messages",
     "flat_pbft_batch_messages",
@@ -37,6 +40,29 @@ def endorsement_messages(zone_size: int, with_prepare: bool) -> int:
     if with_prepare:
         base += (n - 1) ** 2
     return base
+
+
+def view_change_messages(zone_size: int) -> tuple[int, int]:
+    """VIEW-CHANGE and NEW-VIEW messages of one view change after the
+    primary of a zone of ``n`` crashed: each of the ``n-1`` live members
+    multicasts its VIEW-CHANGE to the ``n-1`` others, the crashed one
+    included, and the new primary multicasts NEW-VIEW to them once it
+    holds ``2f+1`` — and sends it again to each member whose VIEW-CHANGE
+    reaches it after that (``n-1-(2f+1)`` of them). Proofs go by
+    reference, so nobody fetches what it already verified."""
+    live = zone_size - 1
+    late = live - intra_zone_quorum(max_faulty(zone_size))
+    return live * live, live + late
+
+
+def view_change_units(zone_size: int, batches: int) -> tuple[int, int]:
+    """Signature units of one VIEW-CHANGE and of the NEW-VIEW when ``k``
+    prepared batches carry over: a VIEW-CHANGE names its proofs by
+    reference, so it is its own signature (1); a NEW-VIEW holds the
+    ``2f+1`` VIEW-CHANGEs it was assembled from and re-proposes each
+    batch by digest (``1 + (2f+1) + k``), whatever the batches hold."""
+    quorum = intra_zone_quorum(max_faulty(zone_size))
+    return 1, 1 + quorum + batches
 
 
 def pbft_batch_messages(group_size: int, batch: int) -> int:

@@ -124,6 +124,9 @@ class _GlobalHost:
     def __init__(self, node: "TwoLevelNode") -> None:
         self._node = node
         self.handlers: dict[type, Callable] = {}
+        #: Sends waiting for the endorsement of their payload, by
+        #: endorsement instance.
+        self._waiting: dict[str, list[Callable[[Any], None]]] = {}
 
     # -- attributes PBFTReplica reads off its host ---------------------
     @property
@@ -161,8 +164,18 @@ class _GlobalHost:
             return
         payload_digest = digest(payload)
         instance = f"g2l/{payload_digest.hex()[:20]}"
+        # The same payload may go out again before its first endorsement
+        # completes (a NEW-VIEW multicast, then re-sent to a member whose
+        # VIEW-CHANGE came late): leading the instance again must not
+        # drop the send that is waiting for it.
+        self._waiting.setdefault(instance, []).append(send)
+
+        def flush(cert: Any) -> None:
+            for waiting in self._waiting.pop(instance, ()):
+                waiting(cert)
+
         node.endorsement.lead(instance, payload, payload_digest,
-                              use_prepare=False, on_cert=send)
+                              use_prepare=False, on_cert=flush)
 
     def send_signed(self, dst: str, payload: Any) -> None:
         self._endorsed(payload, lambda cert: self._node.send_signed(

@@ -8,10 +8,10 @@ from repro.messages.cluster import CrossCommit, CrossPropose, Prepared
 from repro.messages.endorse import (EndorsePrepare, EndorsePrePrepare,
                                     EndorseQuery, EndorseVote)
 from repro.messages.migration import StateTransfer, state_body
-from repro.messages.pbft import (BatchFetch, BatchReply, CheckpointFetch,
-                                 CheckpointMsg, CheckpointSnapshot, Commit,
-                                 NewView, Prepare, PreparedProof, PrePrepare,
-                                 ViewChange)
+from repro.messages.pbft import (CheckpointFetch, CheckpointMsg,
+                                 CheckpointSnapshot, Commit, NewView, Prepare,
+                                 PreparedProof, PrePrepare, ProofFetch,
+                                 ProofReply, ViewChange)
 from repro.messages.query import ResponseQuery
 from repro.messages.reads import (ReadReply, ReadRequest, ReadWatermarkCert,
                                   WatermarkShare, watermark_body)
@@ -25,8 +25,6 @@ __all__ = [
     "Accept",
     "Accepted",
     "Ballot",
-    "BatchFetch",
-    "BatchReply",
     "CheckpointFetch",
     "CheckpointMsg",
     "CheckpointRef",
@@ -49,6 +47,8 @@ __all__ = [
     "Prepared",
     "PreparedProof",
     "PrePrepare",
+    "ProofFetch",
+    "ProofReply",
     "Promise",
     "Propose",
     "ReadReply",

@@ -4,9 +4,9 @@ Requests are processed in *batches*: a pre-prepare carries a tuple of signed
 client requests and is identified by the batch digest, which is what
 prepare/commit votes reference. A batch of one reproduces textbook PBFT.
 The batch itself is outside the pre-prepare's digest, so the primary's
-signature covers the batch digest alone: a prepared proof carries the
-pre-prepare without its batch (:func:`proof_pre_prepare`), as
-Castro-Liskov's VIEW-CHANGE carries a digest.
+signature covers the batch digest alone: a NEW-VIEW re-proposes a batch
+by its digest, and a prepared proof is a reference a receiver checks
+against its own log, as Castro-Liskov's VIEW-CHANGE carries digests.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.messages.base import Message, Signed, redact
+from repro.messages.base import Message, Signed
 
 __all__ = [
     "PrePrepare",
@@ -26,9 +26,8 @@ __all__ = [
     "PreparedProof",
     "ViewChange",
     "NewView",
-    "BatchFetch",
-    "BatchReply",
-    "proof_pre_prepare",
+    "ProofFetch",
+    "ProofReply",
 ]
 
 
@@ -111,25 +110,19 @@ class CheckpointSnapshot(Message):
 
 @dataclass(frozen=True)
 class PreparedProof:
-    """Evidence that a batch was prepared: pre-prepare + 2f prepares.
+    """A reference to a prepared batch: the pre-prepare of ``view``'s
+    primary at ``sequence`` for ``batch_digest``, and the prepares of
+    ``signers`` for it — its sender's own among them.
 
-    The pre-prepare comes without its batch (:func:`proof_pre_prepare`):
-    the proof binds the batch digest, and a new primary re-proposes the
-    batch from its own slot or fetches it (:class:`BatchFetch`).
+    It carries no signature: a receiver matches it against the
+    pre-prepare and prepares it verified itself, and fetches the signed
+    originals of what it cannot match (:class:`ProofFetch`).
     """
 
-    pre_prepare: Signed
-    prepares: tuple[Signed, ...]
-
-
-def proof_pre_prepare(envelope: Signed) -> Signed:
-    """The pre-prepare envelope ``envelope`` as a proof carries it: its
-    payload without the batch, under the primary's same signature. A
-    payload that is not a bare :class:`PrePrepare` (the two-level
-    baseline's top-level carrier) goes whole."""
-    if type(envelope.payload) is not PrePrepare:
-        return envelope
-    return redact(envelope, batch=())
+    view: int
+    sequence: int
+    batch_digest: bytes
+    signers: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,11 @@ class ViewChange(Message):
 
 @dataclass(frozen=True)
 class NewView(Message):
-    """NEW-VIEW from the new primary: 2f+1 view-changes + re-proposals."""
+    """NEW-VIEW from the new primary: 2f+1 view-changes and, for every
+    sequence from the highest stable checkpoint among them to the highest
+    proven one, a re-proposal without its batch (a no-op where nothing is
+    proven). A backup recomputes them from the view-changes before it
+    adopts them, each batch from its own slot or fetched."""
 
     new_view: int
     view_changes: tuple[Signed, ...]
@@ -153,21 +150,27 @@ class NewView(Message):
 
 
 @dataclass(frozen=True)
-class BatchFetch(Message):
-    """A new primary's request for the batch a prepared proof names by
-    digest, which it must re-propose and does not hold."""
+class ProofFetch(Message):
+    """A request for the signed originals behind a prepared proof —
+    ``view``'s pre-prepare at ``sequence`` for ``batch_digest`` and its
+    prepares — that the asker could not match in its own log: a new
+    primary assembling NEW-VIEW asks the members that name it, a backup
+    checking one asks the new primary."""
 
+    view: int
     sequence: int
     batch_digest: bytes
     sender: str
 
 
 @dataclass(frozen=True)
-class BatchReply(Message):
-    """Reply to a fetch: the batch, which the fetcher accepts only if it
-    hashes to the proven digest."""
+class ProofReply(Message):
+    """Reply to a fetch: the slot's signed pre-prepare, batch included,
+    and the signed prepares the replier holds for it, its own among
+    them. The asker verifies each before it counts."""
 
     sequence: int
     batch_digest: bytes
-    batch: tuple[Signed, ...]
+    pre_prepare: Signed
+    prepares: tuple[Signed, ...]
     sender: str

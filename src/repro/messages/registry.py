@@ -26,10 +26,10 @@ from repro.messages.cluster import CrossCommit, CrossPropose, Prepared
 from repro.messages.endorse import (EndorsePrepare, EndorsePrePrepare,
                                     EndorseQuery, EndorseVote)
 from repro.messages.migration import StateTransfer
-from repro.messages.pbft import (BatchFetch, BatchReply, CheckpointFetch,
-                                 CheckpointMsg, CheckpointSnapshot, Commit,
-                                 NewView, Prepare, PreparedProof, PrePrepare,
-                                 ViewChange)
+from repro.messages.pbft import (CheckpointFetch, CheckpointMsg,
+                                 CheckpointSnapshot, Commit, NewView, Prepare,
+                                 PreparedProof, PrePrepare, ProofFetch,
+                                 ProofReply, ViewChange)
 from repro.messages.query import ResponseQuery
 from repro.messages.reads import (ReadReply, ReadRequest, ReadWatermarkCert,
                                   WatermarkShare)
@@ -61,8 +61,8 @@ WIRE_MESSAGES: dict[str, type] = {
     "CheckpointSnapshot": CheckpointSnapshot,
     "ViewChange": ViewChange,
     "NewView": NewView,
-    "BatchFetch": BatchFetch,
-    "BatchReply": BatchReply,
+    "ProofFetch": ProofFetch,
+    "ProofReply": ProofReply,
     "ResponseQuery": ResponseQuery,
     "Propose": Propose,
     "Promise": Promise,

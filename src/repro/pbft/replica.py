@@ -60,6 +60,16 @@ class Slot:
     committed: bool = False
     executed: bool = False
 
+    def void_votes(self) -> None:
+        """Forget the votes of an earlier view: a re-proposal in a later
+        one starts afresh."""
+        self.prepare_senders.clear()
+        self.prepare_envelopes.clear()
+        self.commit_senders.clear()
+        self.sent_prepare = False
+        self.sent_commit = False
+        self.committed = False
+
 
 class PBFTReplica:
     """One replica of a PBFT group, attached to a :class:`HostNode`.
@@ -346,6 +356,8 @@ class PBFTReplica:
                                  batch_digest=batch_digest, batch=batch,
                                  sender=self.host.node_id)
         slot = self._slot(sequence)
+        if self.view > slot.view:
+            slot.void_votes()
         slot.view = self.view
         slot.pre_prepare = sign_message(self.host.keys, self.host.node_id,
                                         pre_prepare)
@@ -413,13 +425,7 @@ class PBFTReplica:
             if slot.batch_digest != pp.batch_digest:
                 return  # conflicting pre-prepare from an equivocating primary
         if pp.view > slot.view:
-            # Re-proposal in a later view: earlier votes are void.
-            slot.prepare_senders.clear()
-            slot.prepare_envelopes.clear()
-            slot.commit_senders.clear()
-            slot.sent_prepare = False
-            slot.sent_commit = False
-            slot.committed = False
+            slot.void_votes()
         slot.view = pp.view
         slot.pre_prepare = envelope
         slot.batch_digest = pp.batch_digest
@@ -614,6 +620,7 @@ class PBFTReplica:
     # Checkpoint / view-change plumbing
     # ------------------------------------------------------------------
     def _on_stable_checkpoint(self, sequence: int) -> None:
+        self.view_changes.recheck()
         if sequence > self.last_executed:
             self._try_execute()
         if sequence > self.last_executed:

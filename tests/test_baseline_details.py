@@ -109,3 +109,42 @@ def test_steward_interleaves_ops_and_migrations():
     assert results[-1].result == ("ok", 10_012)
     for node in dep.nodes.values():
         assert node.app.balance_of("c1") == 10_012
+
+
+def test_two_level_top_level_view_change_checks_proofs_through_global_msgs():
+    """The top-level group's PBFT travels wrapped in ``GlobalMsg``: gx0
+    misses the pre-prepare of the first migration, the group moves to
+    view 1, and gx0 fetches the originals behind the proofs (a
+    ``ProofFetch`` / ``ProofReply`` pair, zone-endorsed like every other
+    top-level message) before it adopts the NEW-VIEW; a second migration
+    then commits in view 1. (The NEW-VIEW, multicast and then sent again
+    to a member whose VIEW-CHANGE came late, is endorsed once for both
+    sends; the second used to take the first one's place.)"""
+    dep = two_level()
+    client = dep.add_client("c1", "z0")
+    multicast = dep.network.multicast
+
+    def lose_global_pre_prepares_to_gx0(src, dsts, message):
+        inner = getattr(message.payload, "inner", None)
+        if type(inner).__name__ == "PrePrepare":
+            dsts = tuple(d for d in dsts if d != "gx0")
+        multicast(src, dsts, message)
+
+    dep.network.multicast = lose_global_pre_prepares_to_gx0
+    results = run_migration(dep, client, "z1")
+    assert results and results[0].result == ("migrated", "ok", "z1")
+    dep.network.multicast = multicast
+    replicas = [dep.nodes[n].global_replica for n in dep.global_group]
+    assert replicas[-1].slots[1].pre_prepare is None
+    fetched = []
+    dep.network.multicast = lambda src, dsts, message: (
+        fetched.append(type(getattr(message.payload, "inner", None)).__name__),
+        multicast(src, dsts, message))
+    for replica in replicas:
+        replica.view_changes.initiate(1)
+    dep.run(dep.sim.now + 1_000)
+    assert [(r.view, r.view_active) for r in replicas] == [(1, True)] * 4
+    assert "ProofFetch" in fetched and "ProofReply" in fetched
+    assert replicas[-1].slots[1].batch == replicas[0].slots[1].batch
+    results = run_migration(dep, client, "z2")
+    assert results and results[0].result == ("migrated", "ok", "z2")

@@ -41,10 +41,10 @@ from repro.messages.cluster import CrossCommit, CrossPropose, Prepared
 from repro.messages.endorse import (EndorsePrepare, EndorsePrePrepare,
                                     EndorseQuery, EndorseVote)
 from repro.messages.migration import StateTransfer
-from repro.messages.pbft import (BatchFetch, BatchReply, CheckpointFetch,
-                                 CheckpointMsg, CheckpointSnapshot, Commit,
-                                 NewView, Prepare, PreparedProof, PrePrepare,
-                                 ViewChange)
+from repro.messages.pbft import (CheckpointFetch, CheckpointMsg,
+                                 CheckpointSnapshot, Commit, NewView, Prepare,
+                                 PreparedProof, PrePrepare, ProofFetch,
+                                 ProofReply, ViewChange)
 from repro.messages.query import ResponseQuery
 from repro.messages.reads import (ReadReply, ReadRequest, ReadWatermarkCert,
                                   WatermarkShare)
@@ -228,7 +228,8 @@ def _one_of_every_codec_type() -> dict[str, Any]:
     pp_env = sign_message(keys, "z0n0", pre_prepare)
     prepare = Prepare(view=0, sequence=7, batch_digest=body, sender="z0n1")
     prep_env = sign_message(keys, "z0n1", prepare)
-    proof = PreparedProof(pre_prepare=pp_env, prepares=(prep_env, prep_env))
+    proof = PreparedProof(view=0, sequence=7, batch_digest=body,
+                          signers=("z0n1", "z0n2"))
     view_change = ViewChange(new_view=1, last_stable_sequence=0,
                              prepared_proofs=(proof,), sender="z0n2")
     ref = CheckpointRef(zone_id="z1", sequence=64, state_digest=body,
@@ -269,9 +270,9 @@ def _one_of_every_codec_type() -> dict[str, Any]:
         NewView(new_view=1,
                 view_changes=(sign_message(keys, "z0n2", view_change),),
                 pre_prepares=(pp_env,), sender="z0n1"),
-        BatchFetch(sequence=7, batch_digest=body, sender="z0n1"),
-        BatchReply(sequence=7, batch_digest=body, batch=(req_env, mig_env),
-                   sender="z0n2"),
+        ProofFetch(view=0, sequence=7, batch_digest=body, sender="z0n1"),
+        ProofReply(sequence=7, batch_digest=body, pre_prepare=pp_env,
+                   prepares=(prep_env, prep_env), sender="z0n2"),
         ResponseQuery(view=0, ballot=ballot, request_digest=body,
                       phase="commit", zone_id="z1", sender="z1n2"),
         Propose(view=0, ballot=ballot, requests=(mig_env,), cert=cert,
@@ -330,10 +331,6 @@ GOLDEN_DIGESTS = {
         "6a503dff61b202bd06db29893d6506996f6066850bbd52c3818c2a9d8bf43f09",
     "Ballot":
         "705c9887fe6fec085f4734b4a8343ddd90333c4806fa7df3eb232a8ef9fb9c2b",
-    "BatchFetch":
-        "20d455d4b912713351a3c34895d76d75a84bb89f79b648df079e8be5364bfe5c",
-    "BatchReply":
-        "22c71ae6407fbf237ead8ed872d36ee7d35805c88bb9adcb7f4d12241d0bbcdd",
     "CheckpointFetch":
         "b99bf0f9fc786404b437c863db98f592515dbd7089ea1b00a5cb942b93a00f88",
     "CheckpointMsg":
@@ -367,18 +364,27 @@ GOLDEN_DIGESTS = {
         "9f6b4b386f460f2469780363ee54286408ef9949e06124dca780de5cf9df6099",
     "MigrationRequest":
         "bc6aad01b9dff1effe13a40e37355bace4ed532d2c9bd767d90839dd8a8bc778",
-    # These four re-pinned when a pre-prepare's batch left its digest (a
-    # prepared proof carries the pre-prepare by batch digest).
+    # Re-pinned when a prepared proof became a reference (view, sequence,
+    # batch digest, signers): the VIEW-CHANGE it holds changed.
     "NewView":
-        "c29263484c2db7ec530eb98dcd2155d38879f5ecae94da6230e11d99e9e2da1c",
+        "e4675e6cb97639bde0f8239708c3bc409f0e9f2df69a44e3a1187e8ae2e5518e",
+    # Re-pinned when a pre-prepare's batch left its digest.
     "PrePrepare":
         "69259f708466ec0ade1118922d2b06e3040f2b75cbe7ce58c4e5040d8e57be00",
     "Prepare":
         "eb90f2a486f8ef361267ecd4c1731abc07385fab941bab31f7e19dc0b2c4ffb3",
     "Prepared":
         "e8638b11f80e7d3982fbf2f206a14ccf8166ddd6ab4263d479410dfa9c7be212",
+    # Re-pinned when a prepared proof became a reference: its fields are
+    # (view, sequence, batch digest, signers), not signed envelopes.
     "PreparedProof":
-        "610be8aa6530317abc9f2993ee1f0683784d68f9d3d057f68b5721736ae33e70",
+        "de95e4cf198bf1a4c7a50c3b6a0c3409b051dd311eee83b97b82f0384fe7c943",
+    # New with the proof fetch pair, which replaced BatchFetch /
+    # BatchReply.
+    "ProofFetch":
+        "2829cf2ff4d95a33deff61591a0f928cbb0af76f3aa51be5de955e04afeb9717",
+    "ProofReply":
+        "247727055760e3d5205cfb427a15be26592ae2d70a5a3b4cb14e5e79c103184e",
     "Promise":
         "700517d4f282da19cbfcbccb3c958937c0bfabc92dc1b70a5701542a23b37e1d",
     "Propose":
@@ -405,8 +411,9 @@ GOLDEN_DIGESTS = {
         "269dc3c6d25c9debf031a8ed4fd8662f2fffac6ca09c27f7d63e199f1bcd2f5d",
     "ThresholdCertificate":
         "786b188e3c208f541a80e151772b185628919387d3cc19f980cb1d1af9874bce",
+    # Re-pinned with PreparedProof, which it holds.
     "ViewChange":
-        "5d7e33c0c46159e0cc8524cf23596fff489d0911a6005ff2a3a460b504c76dc7",
+        "5877a6ac5a531af269f898894329e0fd370496324894b96a7f4f721e19bff07b",
     "WatermarkShare":
         "90d9309805646b4e78bfa725c187769dd9e99d132f0a2e6497a01db0c53741ce",
 }

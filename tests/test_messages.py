@@ -126,9 +126,9 @@ def test_codec_round_trips_every_wire_message(keys):
                                 NewView, Prepared, PreparedProof, Promise,
                                 ResponseQuery, StateTransfer, ViewChange)
     from repro.messages.base import decode_message, encode_message
-    from repro.messages.pbft import (BatchFetch, BatchReply,
-                                     CheckpointFetch, CheckpointSnapshot,
-                                     Prepare as PbftPrepare)
+    from repro.messages.pbft import (CheckpointFetch, CheckpointSnapshot,
+                                     Prepare as PbftPrepare, ProofFetch,
+                                     ProofReply)
 
     ballot = Ballot(2, "z0")
     prev = GENESIS_BALLOT
@@ -183,13 +183,15 @@ def test_codec_round_trips_every_wire_message(keys):
         CheckpointSnapshot(sequence=10, state_digest=b"s",
                            snapshot={"c": {"bal": 5}}, sender="n1"),
         ViewChange(new_view=1, last_stable_sequence=0,
-                   prepared_proofs=(PreparedProof(pre_prepare=pp,
-                                                  prepares=(prep,)),),
+                   prepared_proofs=(PreparedProof(
+                       view=0, sequence=1, batch_digest=b"d",
+                       signers=("n1", "n2")),),
                    sender="n1"),
         NewView(new_view=1, view_changes=(pp,), pre_prepares=(pp,),
                 sender="n2"),
-        BatchFetch(sequence=1, batch_digest=b"d", sender="n2"),
-        BatchReply(sequence=1, batch_digest=b"d", batch=(req,), sender="n1"),
+        ProofFetch(view=0, sequence=1, batch_digest=b"d", sender="n2"),
+        ProofReply(sequence=1, batch_digest=b"d", pre_prepare=pp,
+                   prepares=(prep,), sender="n1"),
         ResponseQuery(view=0, ballot=ballot, request_digest=b"d",
                       phase="commit", zone_id="z0", sender="n0"),
         Propose(view=0, ballot=ballot, requests=(req,), cert=cert,

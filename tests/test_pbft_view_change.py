@@ -1,9 +1,14 @@
 """PBFT view-change tests: liveness under primary failure."""
 
+import dataclasses
+
+import pytest
+
 from repro.crypto.digest import digest
 from repro.messages.base import sign_message
 from repro.messages.client import ClientRequest
-from repro.messages.pbft import CheckpointFetch, NewView, PrePrepare, ViewChange
+from repro.messages.pbft import (CheckpointFetch, NewView, PreparedProof,
+                                 PrePrepare, ProofFetch, ViewChange)
 from tests.test_pbft_normal import build_group, make_client, run_ops
 
 
@@ -253,6 +258,33 @@ def test_a_replica_back_in_a_view_its_zone_left_joins_the_zone():
     assert rejoined.app.balance_of("c1") == 16
 
 
+def test_a_replica_back_after_its_zone_pruned_the_proven_slots_joins_it():
+    """n6 is cut off while the zone commits 1-3; n0 crashes and the other
+    five move to view 1, whose NEW-VIEW names 1-3 by reference; the zone
+    goes on past its checkpoint at 8 and prunes them. Back, n6 asks for
+    view 1 and gets that NEW-VIEW, but nobody can send it the originals
+    any more. The next stable checkpoint covers them, and n6 adopts the
+    NEW-VIEW without them."""
+    sim, net, keys, group, nodes = build_group(n=7, f=2, checkpoint_period=4)
+    client = make_client(sim, net, keys, group, f=2)
+    everyone = set(group) | {"c1"}
+    net.set_partition([everyone - {"n6"}, {"n6"}])
+    assert len(run_ops(sim, client, [("open", 1)] + [("deposit", 1)] * 2,
+                       until=500)) == 3
+    nodes[0].crash()
+    for node in nodes[1:6]:
+        node.replica.view_changes.initiate(1)
+    done = run_ops(sim, client, [("deposit", 1)] * 6, until=2_000)
+    assert len(done) == 6 and nodes[1].replica.low_water_mark == 8
+    net.set_partition(None)
+    done = run_ops(sim, client, [("deposit", 1)] * 6, until=3_000)
+    assert [r.result for r in done][-1] == ("ok", 15)
+    back = nodes[6].replica
+    assert (back.view, back.view_active) == (1, True)
+    assert back.low_water_mark >= 12
+    assert back.app.balance_of("c1") == nodes[1].replica.app.balance_of("c1")
+
+
 def test_a_member_asking_again_for_the_view_gets_its_new_view_once():
     """However often a member re-sends its VIEW-CHANGE for the view in
     force, the view's primary sends it the NEW-VIEW once."""
@@ -360,36 +392,51 @@ def test_a_request_pending_after_new_view_is_watched_in_the_new_view():
 
 
 # ----------------------------------------------------------------------
-# Prepared proofs carry pre-prepares by digest
+# Prepared proofs by reference, NEW-VIEW checked by recompute
 # ----------------------------------------------------------------------
-def test_a_new_primary_missing_a_proven_batch_fetches_and_reproposes_it():
-    """n1 never receives n0's pre-prepare for sequence 1, which the other
-    six prepare and execute. n0 crashes, and n1 leads view 1: the proofs
-    name batch 1 by digest only, so n1 asks the zone for it, holds its
-    NEW-VIEW until a reply hashes to that digest, and re-proposes it (a
-    proven sequence is never filled with a no-op). (The members that
-    executed it take no part in the re-proposal, so n1 itself still lags:
-    ROADMAP D1(v).)"""
-    sim, net, keys, group, nodes = build_group(n=7, f=2)
-    client = make_client(sim, net, keys, group, f=2)
+def _drop_to(net, member, type_name):
+    """Drop every message of ``type_name`` on its way to ``member``;
+    returns the undo."""
     multicast = net.multicast
 
-    def lose_pre_prepares_to_n1(src, dsts, message):
-        if src == "n0" and isinstance(message.payload, PrePrepare):
-            dsts = tuple(d for d in dsts if d != "n1")
+    def lossy(src, dsts, message):
+        if type(message.payload).__name__ == type_name:
+            dsts = tuple(d for d in dsts if d != member)
         multicast(src, dsts, message)
 
-    net.multicast = lose_pre_prepares_to_n1
+    net.multicast = lossy
+    return lambda: setattr(net, "multicast", multicast)
+
+
+def _committed_without(member, **config):
+    """A zone of four commits ``open 10`` at sequence 1 while ``member``
+    never receives its pre-prepare; then the primary n0 crashes."""
+    sim, net, keys, group, nodes = build_group(**config)
+    client = make_client(sim, net, keys, group)
+    undo = _drop_to(net, member, "PrePrepare")
     assert run_ops(sim, client, [("open", 10)], until=100)[0].result \
         == ("ok", 10)
-    net.multicast = multicast
+    undo()
     nodes[0].crash()
+    assert nodes[int(member[1:])].replica.slots[1].pre_prepare is None
+    return sim, net, keys, client, nodes
+
+
+def test_a_new_primary_missing_a_proven_batch_fetches_and_reproposes_it():
+    """n1 never receives n0's pre-prepare for sequence 1, which n0, n2
+    and n3 prepare and execute. n0 crashes, and n1 leads view 1: the
+    proofs name batch 1 by reference, which n1 cannot match, so it asks
+    each proof's sender (n2 and n3) for the signed originals, holds its
+    NEW-VIEW until they verify, and re-proposes the batch (a proven
+    sequence is never filled with a no-op). (The members that executed it take no part in
+    the re-proposal, so n1 itself still lags: ROADMAP D1(v).)"""
+    sim, net, keys, client, nodes = _committed_without("n1")
     proven = nodes[2].replica.slots[1]
     fresh = nodes[1].replica
-    assert fresh.slots[1].pre_prepare is None
     done = run_ops(sim, client, [("deposit", 5)], until=700)
     assert [r.result for r in done] == [("ok", 15)]
-    assert net.stats.by_type["BatchFetch"] == 6
+    assert (net.stats.by_type["ProofFetch"],
+            net.stats.by_type["ProofReply"]) == (2, 2)
     reproposed = fresh.slots[1]
     assert reproposed.pre_prepare.payload.view == 1
     assert reproposed.batch_digest == proven.batch_digest
@@ -399,3 +446,247 @@ def test_a_new_primary_missing_a_proven_batch_fetches_and_reproposes_it():
         assert (replica.view, replica.view_active) == (1, True)
         assert replica.last_executed == 2
         assert replica.app.balance_of("c1") == 15
+
+
+def test_a_batch_committed_while_a_backup_missed_it_survives_the_view_change():
+    """D12. n3 misses n0's pre-prepare for sequence 1, which the other
+    three commit and execute; n0 crashes. Each of n1 and n2 holds the
+    other's prepare and its own — with n0's pre-prepare, a quorum — so
+    sequence 1 is proven, n1 re-proposes its batch in view 1 and numbers
+    the next request 2. (A proof that left out its sender's own prepare
+    proved nothing in a zone of four: n1 then assigned sequence 1 again,
+    to another batch, over the one its zone had executed.)"""
+    sim, net, keys, client, nodes = _committed_without("n3")
+    proven = nodes[1].replica.slots[1].batch_digest
+    done = run_ops(sim, client, [("deposit", 5)], until=1_000)
+    assert [r.result for r in done] == [("ok", 15)]
+    primary = nodes[1].replica
+    assert (primary.view, primary.view_active) == (1, True)
+    assert primary.slots[1].batch_digest == proven
+    assert [env.payload.operation for env in primary.slots[2].batch] \
+        == [("deposit", 5)]
+    # n3 adopted the re-proposal (it cannot commit it: the members that
+    # executed 1 take no part, ROADMAP D1(v)).
+    assert nodes[3].replica.slots[1].batch_digest == proven
+    # No sequence executes two batches anywhere.
+    for sequence in (1, 2):
+        assert len({node.replica.slots[sequence].batch_digest
+                    for node in nodes[1:]
+                    if node.replica.slots[sequence].executed}) == 1
+    for node in nodes[1:3]:
+        assert node.replica.last_executed == 2
+        assert node.replica.app.balance_of("c1") == 15
+
+
+def test_a_reference_a_backup_cannot_match_is_fetched_not_trusted():
+    """n3 never saw the pre-prepare the NEW-VIEW's proofs name, so it
+    asks the new primary n1, which bore every proof out before it sent
+    the NEW-VIEW, for the originals before it adopts the NEW-VIEW — and
+    while the answer does not come, it does not adopt it. Once the answer
+    verifies, n3 holds the batch under view 1."""
+    for answered in (False, True):
+        sim, net, keys, client, nodes = _committed_without(
+            "n3", request_timeout_ms=10_000.0,
+            view_change_timeout_ms=10_000.0)
+        undo = None if answered else _drop_to(net, "n3", "ProofReply")
+        asked = []
+        send_signed = nodes[3].send_signed
+
+        def recording(dst, payload):
+            if isinstance(payload, ProofFetch):
+                asked.append(dst)
+            send_signed(dst, payload)
+
+        nodes[3].send_signed = recording
+        for node in nodes[1:]:
+            node.replica.view_changes.initiate(1)
+        sim.run(until=sim.now + 200)
+        lagging = nodes[3].replica
+        assert net.stats.by_type["ProofFetch"] == 1
+        assert asked == ["n1"]
+        assert [(n.replica.view, n.replica.view_active)
+                for n in nodes[1:]] == [(1, True), (1, True), (1, answered)]
+        if answered:
+            assert lagging.slots[1].batch == nodes[1].replica.slots[1].batch
+            assert lagging.slots[1].pre_prepare.payload.view == 1
+        else:
+            assert lagging.slots[1].pre_prepare is None
+            undo()
+
+
+def _forging_new_view(node, keys, rewrite):
+    """Make ``node`` send NEW-VIEWs whose re-proposals ``rewrite`` made;
+    it adopts its honest ones itself."""
+    multicast_signed = node.multicast_signed
+
+    def forged(dsts, payload, include_self=False):
+        if isinstance(payload, NewView):
+            payload = dataclasses.replace(
+                payload, pre_prepares=rewrite(payload.pre_prepares))
+        multicast_signed(dsts, payload, include_self)
+
+    node.multicast_signed = forged
+
+
+@pytest.mark.parametrize("forgery", ["another batch", "a no-op", "left out"])
+def test_backups_refuse_a_new_view_that_misstates_a_proven_sequence(forgery):
+    """Sequence 1 is committed zone-wide when n0 crashes. n1, primary of
+    view 1, sends a NEW-VIEW whose re-proposal at 1 names another digest,
+    a no-op, or nothing: its backups recompute the re-proposals from the
+    VIEW-CHANGEs it carries and refuse it."""
+    sim, net, keys, group, nodes = build_group(
+        request_timeout_ms=10_000.0, view_change_timeout_ms=10_000.0)
+    client = make_client(sim, net, keys, group)
+    assert run_ops(sim, client, [("open", 10)])[0].result == ("ok", 10)
+    nodes[0].crash()
+    forged_digest = {"another batch": digest(("forged",)),
+                     "a no-op": digest(())}.get(forgery)
+
+    def rewrite(pre_prepares):
+        if forged_digest is None:
+            return ()
+        return (sign_message(keys, "n1", PrePrepare(
+            view=1, sequence=1, batch_digest=forged_digest, batch=(),
+            sender="n1")),)
+
+    _forging_new_view(nodes[1], keys, rewrite)
+    for node in nodes[1:]:
+        node.replica.view_changes.initiate(1)
+    sim.run(until=sim.now + 200)
+    assert [(n.replica.view, n.replica.view_active) for n in nodes[1:]] \
+        == [(1, True), (1, False), (1, False)]
+    for node in nodes[2:]:
+        assert node.replica.slots[1].pre_prepare.payload.view == 0
+
+
+def test_a_replica_leading_again_while_lacking_the_same_batch_asks_again():
+    """D13. n1 lacks batch 1 and leads view 1, but the answers to its
+    fetches (to n2 and n3, whose proofs name it) are lost, so view 1
+    never forms. When it leads again (view 5) still lacking it, it asks
+    both again — what it asked in an earlier view change does not stand
+    in for an answer in this one."""
+    sim, net, keys, client, nodes = _committed_without(
+        "n1", request_timeout_ms=10_000.0, view_change_timeout_ms=10_000.0)
+    proven = nodes[2].replica.slots[1].batch_digest
+    undo = _drop_to(net, "n1", "ProofReply")
+    for node in nodes[1:]:
+        node.replica.view_changes.initiate(1)
+    sim.run(until=sim.now + 200)
+    assert [(n.replica.view, n.replica.view_active) for n in nodes[1:]] \
+        == [(1, False)] * 3
+    undo()
+    for node in nodes[1:]:
+        node.replica.view_changes.initiate(5)
+    sim.run(until=sim.now + 200)
+    assert net.stats.by_type["ProofFetch"] == 4
+    leader = nodes[1].replica
+    assert [(n.replica.view, n.replica.view_active) for n in nodes[1:]] \
+        == [(5, True)] * 3
+    assert leader.slots[1].batch_digest == proven
+    assert leader.slots[1].pre_prepare.payload.view == 5
+
+
+def _naming(node, proof):
+    """Make ``node``'s VIEW-CHANGEs name ``proof`` besides its own."""
+    multicast_signed = node.multicast_signed
+
+    def naming(dsts, payload, include_self=False):
+        if isinstance(payload, ViewChange):
+            payload = dataclasses.replace(
+                payload,
+                prepared_proofs=payload.prepared_proofs + (proof,))
+        multicast_signed(dsts, payload, include_self)
+
+    node.multicast_signed = naming
+
+
+def test_a_view_change_naming_a_made_up_reference_is_left_out():
+    """n3 names a prepared batch nobody has — two signers and a digest of
+    nothing — and cannot answer the fetch for it. n1, primary of view 1,
+    holds n2's and n3's VIEW-CHANGEs when n0 joins, and assembles
+    NEW-VIEW from the three it bore out instead of waiting for n3: the
+    zone moves to view 1 at once."""
+    sim, net, keys, group, nodes = build_group(
+        request_timeout_ms=10_000.0, view_change_timeout_ms=10_000.0)
+    client = make_client(sim, net, keys, group)
+    assert run_ops(sim, client, [("open", 10)])[0].result == ("ok", 10)
+    _naming(nodes[3], PreparedProof(view=0, sequence=2,
+                                    batch_digest=digest(("made up",)),
+                                    signers=("n2", "n3")))
+    for node in nodes[1:]:
+        node.replica.view_changes.initiate(1)  # n0 joins on f+1 of them
+    sim.run(until=sim.now + 200)
+    assert net.stats.by_type["ProofFetch"] == 1
+    assert [(n.replica.view, n.replica.view_active) for n in nodes] \
+        == [(1, True)] * 4
+    nv = nodes[1].replica.view_changes._new_view
+    assert sorted(env.payload.sender for env in nv.view_changes) \
+        == ["n0", "n1", "n2"]
+    done = run_ops(sim, client, [("deposit", 5)], until=500)
+    assert [r.result for r in done] == [("ok", 15)]
+
+
+def test_the_new_primary_asks_every_member_naming_a_batch_it_lacks():
+    """n1 lacks batch 1 in a zone of seven; n0 crashes. n4, the first
+    whose proof n1 asks about, goes silent after its VIEW-CHANGE: n1 asks
+    every other member that names the batch too, and view 1 forms on
+    their answers."""
+    sim, net, keys, client, nodes = _committed_without(
+        "n1", n=7, f=2, request_timeout_ms=10_000.0,
+        view_change_timeout_ms=10_000.0)
+    nodes[4].send_signed = lambda dst, payload: None
+    for node in nodes[1:]:
+        node.replica.view_changes.initiate(1)
+    sim.run(until=sim.now + 200)
+    assert [(n.replica.view, n.replica.view_active) for n in nodes[1:]] \
+        == [(1, True)] * 6
+    assert (net.stats.by_type["ProofFetch"],
+            net.stats.by_type["ProofReply"]) == (5, 4)
+    assert nodes[1].replica.slots[1].batch_digest \
+        == nodes[3].replica.slots[1].batch_digest
+
+
+def test_an_equivocating_member_does_not_stall_the_view_change():
+    """n6 forks its prepares and its proof replies for n0, n2 and n4;
+    then n0 crashes, and n2, n4 and n6 ask for view 1 first. n2 and n4,
+    which hold only n6's forked prepares, cannot match n6's own proof in
+    the NEW-VIEW, so they fetch its originals from n1, the new primary —
+    not from n6 — and the zone moves to view 1 at once and keeps
+    serving."""
+    sim, net, keys, group, nodes = build_group(
+        n=7, f=2, request_timeout_ms=10_000.0,
+        view_change_timeout_ms=10_000.0)
+    client = make_client(sim, net, keys, group, f=2)
+    nodes[6].set_behavior("equivocate")
+    assert [r.result for r in run_ops(
+        sim, client, [("open", 10), ("deposit", 1)], until=500)] \
+        == [("ok", 10), ("ok", 11)]
+    nodes[0].crash()
+    for node in nodes[2::2]:
+        node.replica.view_changes.initiate(1)  # the rest join on f+1
+    sim.run(until=sim.now + 200)
+    nv = nodes[1].replica.view_changes._new_view
+    assert "n6" in {env.payload.sender for env in nv.view_changes}
+    # Each of n2 and n4 asks n1 about each of the two batches.
+    assert net.stats.by_type["ProofFetch"] == 4
+    assert [(n.replica.view, n.replica.view_active) for n in nodes[1:6]] \
+        == [(1, True)] * 5
+    done = run_ops(sim, client, [("deposit", 5)], until=500)
+    assert [r.result for r in done] == [("ok", 16)]
+    for node in nodes[1:6]:
+        assert node.replica.app.balance_of("c1") == 16
+
+
+def test_a_member_gets_each_fetch_answered_once_per_view():
+    """However often a member asks for the same originals, it gets them
+    once in a view; a reference this replica does not hold is not
+    answered at all."""
+    sim, net, keys, group, nodes = build_group()
+    client = make_client(sim, net, keys, group)
+    assert run_ops(sim, client, [("open", 10)])[0].result == ("ok", 10)
+    slot = nodes[1].replica.slots[1]
+    for batch_digest in [slot.batch_digest] * 3 + [digest(("other",))]:
+        nodes[3].send_signed("n1", ProofFetch(
+            view=0, sequence=1, batch_digest=batch_digest, sender="n3"))
+    sim.run(until=sim.now + 50)
+    assert net.stats.by_type["ProofReply"] == 1

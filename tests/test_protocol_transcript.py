@@ -80,6 +80,18 @@ records migrated in, or back, after their zone's certified version add
 ``absent`` fallbacks (21 and 25: a replica refuses a version older than
 the record's last arrival, DESIGN.md §14.3). The 42 write-path literals
 did not move: a state root appears in no event.
+
+The 18 literals of the scenarios that change a zone's view
+(``primary-crash``, ``primary-crash-leaderless``, ``lost-accepted``,
+``wedged-endorsement``, ``initiator-isolated`` and ``retransmit``, on
+every backend) were generated again when prepared proofs became
+references (EXPERIMENTS.md, "View change by reference"): a VIEW-CHANGE
+costs its receiver one signature unit, not ``1 + 3k``, and a NEW-VIEW
+``1 + 3 + k``, so each is taken in sooner and the runs interleave
+differently after it. Every run sends as many VIEW-CHANGEs and NEW-VIEWs
+as before, ends in the same views and fetches nothing.
+``follower-crash-leaderless`` (its view change carries no proof), the
+other 24 literals and the three baselines' did not move.
 """
 
 from __future__ import annotations
@@ -307,17 +319,17 @@ PINNED: dict[tuple[str, str], str] = {
     ("cross-zone-resend", "syncbft"):
         "342d3e35f7c50a36e3eefd9fc4817b43a60ecdfe5db1316290540eb40c167d02",
     ("primary-crash", "default"):
-        "0bf11f5c778736d33c7f9457237a70b89b2440968a92b1e87d7b8c6f589be89b",
+        "649433c3209808751d0d11a378cb9ba0f333034586dc909166bf0e7f68ff2bc0",
     ("primary-crash", "rotating"):
-        "102bd1a1734c659496822450c4003039341bd068750c90a42d9320751c95d217",
+        "1f8770c4091269e05b89c5692d79280d4e2af47bf5cb26c817c2d7448da86ae0",
     ("primary-crash", "syncbft"):
-        "2b5b705167723d05f0d39cfaa474205967e450e61d21d2641b1418f2ab23f0da",
+        "6e231f864293a20cf7b27091e42b876f12e22a735d13dfada78d1116fceb4c44",
     ("primary-crash-leaderless", "default"):
-        "73614f1c60ccc3c8de23a7d31dfc80ea6ea7f68da481222f497289e98ba69266",
+        "a218ebd5de2bc10b5a5535b0da9aa7a1d521981bdc6a8dead984191169548bdb",
     ("primary-crash-leaderless", "rotating"):
-        "6a08d4bc972dbdde78aa3e059ed7fc6d95ff5dcc1ccd6568be4b8d12669dc4d0",
+        "6f61859798121cae0ee93476d9850b7ecf892c69558314fde9ab98174b53dce4",
     ("primary-crash-leaderless", "syncbft"):
-        "0039249eadb78d3fb17c892c76663d2564255f1186f970b849ab955845392132",
+        "39c685696be31106bdff1d0af5e710b93bbd03827d0227ffbeaaab2c249f82ec",
     ("follower-crash-leaderless", "default"):
         "6c3b1b0a880dcb67a4566c584912b98ccb9026fb5d0fd5ad67db7f7379a5e004",
     ("follower-crash-leaderless", "rotating"):
@@ -325,23 +337,23 @@ PINNED: dict[tuple[str, str], str] = {
     ("follower-crash-leaderless", "syncbft"):
         "ee4e79377acf18c0e63cbc080eb7db98c6123b9d33a1d5085a81b47faab77a9d",
     ("lost-accepted", "default"):
-        "8d224df9aa9288e0675b0bdb172b4cef24b97f4b4628cd6a4bf6d6236c65b6bd",
+        "1337fd15336727a49419ee720d113fc4b4e4496405231bbb734589cc749e8ca9",
     ("lost-accepted", "rotating"):
-        "4566722dce85dedaa82d0f06b0ee1b2072ec04d2d24201cc3b481fd8c08ace29",
+        "aac3b75095bbc209b80a0a79e4cfc56fb0d39a5e3ced4c05a691189d0de96fd4",
     ("lost-accepted", "syncbft"):
-        "68db4afe6592fbb8e536d080b91857f82cb047f9c080bd6dc1e761a1c10eca32",
+        "86190e236d3c74525197c5810421d3bb626043739fe3a17bc4ed06414447c6b0",
     ("wedged-endorsement", "default"):
-        "1c55fd5b844729376030b1f0b9f900ee22d24ef703147bd0d2726cbc28c8dff2",
+        "7aeca9b36724bfce688e1f4e00a86fdab3b5d26a5b04f5a2f990cb495a4116aa",
     ("wedged-endorsement", "rotating"):
-        "185bd0aaf81f57b836298f7624c8101e93ad06efef7e0d577f13ba79b5f57e19",
+        "56bdb3879ca50ad5a91ff324c227386f9ec458b8686386c58fdd1449d0cd410a",
     ("wedged-endorsement", "syncbft"):
-        "e5c389d7e17fef9a2b2ed52269b8fae2f6f042cca0a8f70a0ac784d0e0831713",
+        "193c9fe8cb27f3b3e99d99f173d6e09eaf78dcc2d54a060ace1f93688443ac24",
     ("initiator-isolated", "default"):
-        "b82e3cb5bbe37868876b3c3963d63829c856d3952ebcea9f80c811037c6a9bc5",
+        "220ffb7c587fb4bc7495151d3b8fbc6954be9f6905a0d8549187fcfe215b24a9",
     ("initiator-isolated", "rotating"):
-        "d71c4fb50ac469b94d9e71f1e50be8c974bb730a13fded8d3db780c0eaaebbe4",
+        "48e03f7a03d280200409aa436f6220d3bd4e1bc6f7f63ed00698ccb945a8ebbd",
     ("initiator-isolated", "syncbft"):
-        "cdeacc0aae1cfa88b9d8db63b6a580bd65ae41c44522c4cc5c7f577350945f0f",
+        "3629957250c865b1a335bdb676ec497922e68a8bb39bbcafe60325ee6aac55dd",
     ("reads", "default"):
         "31013a2417d60327cd8344f9f9f194b9f92ddc9ce66880e5d31439be37222b1a",
     ("reads", "rotating"):
@@ -355,11 +367,11 @@ PINNED: dict[tuple[str, str], str] = {
     ("reads-faulty", "syncbft"):
         "ba3c9ef5640af513fd53b4c758ef5da05a194f9c81a4eefc38c4c72c39275b76",
     ("retransmit", "default"):
-        "e8829dde70a9caf1874f6cd73ebd0f889eb5af7039285adeb756170919ec4fd9",
+        "4df20172f368ecc4cb84df0ea3eb23fe3906566041d29324ce1661448195c299",
     ("retransmit", "rotating"):
-        "e8829dde70a9caf1874f6cd73ebd0f889eb5af7039285adeb756170919ec4fd9",
+        "4df20172f368ecc4cb84df0ea3eb23fe3906566041d29324ce1661448195c299",
     ("retransmit", "syncbft"):
-        "feda59a5f3e85c56de9856843e20108ee79b573d59bee669d1a5ed8012ed99fa",
+        "d1b0eebb7dd9a4def7da35406cffa7c4d819732e33cc018d3d026b1f17ab3611",
 }
 
 #: The three baselines of the evaluation, through ``run_point``: the
