@@ -8,8 +8,10 @@ protocol variants at the zone level is only sizing — a
 :class:`~repro.consensus.profile.QuorumProfile` factory, carried by the
 backend itself; what varies at the global level is factored here into
 :class:`GlobalEngine`: who initiates a global ballot, which sequence
-numbers a zone may assign, and what the new zone primary does for
-in-flight ballots after a local view change (the failover policy).
+numbers a zone may assign, and whether nodes may apply commuting global
+transactions in different orders. What a new zone primary does for
+in-flight ballots after a local view change is mechanism, the same on
+every backend (``SyncEngine._on_local_view_change``).
 
 Engines are *stateless* singletons: all protocol state lives in the
 ``SyncEngine`` / ``PBFTReplica`` instances they steer, so one engine
@@ -32,11 +34,11 @@ __all__ = [
 class GlobalEngine:
     """Global-level (cross-zone data sync) consensus backend.
 
-    Steers the ``SyncEngine`` of ``repro.core.sync_protocol`` at its
-    three policy points: ballot/initiator assignment (:meth:`propose`,
-    :meth:`initiator_zone`, :meth:`valid_assignment`) and post-view-
-    change recovery (:meth:`on_initiator_failover`,
-    :meth:`on_follower_failover`).
+    Steers the ``SyncEngine`` of ``repro.core.sync_protocol`` at one
+    policy point, ballot/initiator assignment (:meth:`propose`,
+    :meth:`initiator_zone`, :meth:`valid_assignment`), and says whether
+    nodes may apply its ballots in different orders
+    (:attr:`commuting_execution`).
     """
 
     name = "global"
@@ -66,22 +68,13 @@ class GlobalEngine:
         """May ``ballot.zone_id`` assign ``ballot.seq`` at all?"""
         raise NotImplementedError
 
-    def on_initiator_failover(self, sync, txn) -> None:
-        """New zone primary re-drives a ballot its own zone initiated."""
-        raise NotImplementedError
-
-    def on_follower_failover(self, sync, txn) -> None:
-        """New zone primary re-drives a ballot initiated elsewhere."""
-        raise NotImplementedError
-
 
 class StableInitiatorEngine(GlobalEngine):
     """Default Ziziphus policy: one stable initiator zone per cluster.
 
     Ballots take consecutive sequence numbers handed out by the single
     initiator; any zone may claim any sequence (the Lemma 5.5 guard in
-    the sync engine arbitrates rivals). After a local view change the
-    new primary replays the standard re-drive ladder.
+    the sync engine arbitrates rivals).
     """
 
     name = "stable"
@@ -99,12 +92,6 @@ class StableInitiatorEngine(GlobalEngine):
 
     def valid_assignment(self, ballot: Ballot, zone_ids: list[str]) -> bool:
         return True
-
-    def on_initiator_failover(self, sync, txn) -> None:
-        sync._redrive_initiator(txn)
-
-    def on_follower_failover(self, sync, txn) -> None:
-        sync._redrive_follower(txn)
 
 
 class RotatingInitiatorEngine(GlobalEngine):
@@ -150,15 +137,6 @@ class RotatingInitiatorEngine(GlobalEngine):
     def valid_assignment(self, ballot: Ballot, zone_ids: list[str]) -> bool:
         owner = self._owner_index(zone_ids, ballot.zone_id)
         return owner >= 0 and ballot.seq % len(zone_ids) == owner
-
-    def on_initiator_failover(self, sync, txn) -> None:
-        sync.node.obs.emit(sync.node.sim.now, "sync.redrive",
-                           node=sync.node.node_id, ballot=txn.ballot.key,
-                           phase=txn.phase)
-        sync._redrive_initiator(txn)
-
-    def on_follower_failover(self, sync, txn) -> None:
-        sync._redrive_follower(txn)
 
 
 STABLE_INITIATOR = StableInitiatorEngine()

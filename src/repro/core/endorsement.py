@@ -334,14 +334,18 @@ class EndorsementManager:
 
     def watch(self, instance: str, timeout_ms: float, armed_in: int) -> None:
         """Arm the primary-watch deadline of ``instance`` in view
-        ``armed_in`` (the caller's ``PBFTReplica.judged_view``).
+        ``armed_in`` (the caller's ``PBFTReplica.judged_view``): a backup
+        expects its primary to finish the instance by then.
 
-        When it fires on an instance this node never saw, the node may
-        have been down while its zone finished it, so — as over a gap of
-        its own (DESIGN.md §6.5) — it asks the zone once for the
-        certificate. It suspects the primary once ``f`` members are known
-        to hold none either, or if nothing certifies the instance here
-        within another ``timeout_ms``."""
+        When it fires on an instance opened here that has no certificate
+        — it can no longer reach its quorum in that view, or the leader
+        kept the certificate — the primary of that view is suspected
+        (:meth:`ViewChangeManager.suspect`). When it fires on an instance
+        this node never saw, the node may have been down while its zone
+        finished it, so — as over a gap of its own (DESIGN.md §6.5) — it
+        asks the zone once for the certificate. It suspects the primary
+        once ``f`` members are known to hold none either, or if nothing
+        certifies the instance here within another ``timeout_ms``."""
         self.host.set_timer(timeout_ms, self._watch_expired, instance,
                             timeout_ms, armed_in)
 
@@ -349,7 +353,8 @@ class EndorsementManager:
                        armed_in: int) -> None:
         state = self._instances.get(instance)
         if state is not None and state.opened:
-            self.primary_overdue(instance, armed_in)
+            if not state.done:
+                self.host.replica.view_changes.suspect(armed_in)
             return
         if self.host.replica.judged_view != armed_in \
                 or instance in self._asked:
@@ -400,19 +405,6 @@ class EndorsementManager:
         self.host.send_signed(sender, EndorseVote(
             instance=msg.instance, view=msg.view, endorse_digest=b"",
             share=None, sender=self.host.node_id))
-
-    def primary_overdue(self, instance: str, armed_in: int) -> None:
-        """The primary-watch deadline. A non-primary expecting its primary
-        to open ``instance`` arms a timer in view ``armed_in`` (its engine
-        knows what voids the watch) and calls this when it fires: no
-        certificate here by then — the pre-prepare never came, or the
-        instance it opened can no longer reach its quorum in this view, or
-        the leader kept the certificate — means that primary is suspected
-        (:meth:`ViewChangeManager.suspect`).
-        """
-        state = self._instances.get(instance)
-        if state is None or not state.done:
-            self.host.replica.view_changes.suspect(armed_in)
 
     # ------------------------------------------------------------------
     # Node side

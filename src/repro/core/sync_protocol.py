@@ -53,6 +53,8 @@ _FOLLOWER_ROUNDS = ("gsync-promise", "gsync-accepted")
 #: has a COMMIT of its own to build for the ballot.
 _DRIVING = frozenset({"propose", "promise-wait", "accept", "accepted-wait",
                       "commit"})
+#: The deadline phase of a follower-zone node waiting for the COMMIT.
+_COMMIT_WAIT = "commit-wait"
 
 
 @dataclass
@@ -152,9 +154,8 @@ class GlobalTxnState:
     commit_env: Signed | None = None
     committed: bool = False
     executed: bool = False
-    commit_timer: Any = None
-    phase_timer: Any = None
-    watch_timer: Any = None
+    #: The ballot's one pending deadline (``SyncEngine._arm_deadline``).
+    deadline: Any = None
 
 
 def batch_digest(batch: tuple[Signed, ...]) -> bytes:
@@ -172,8 +173,8 @@ class SyncEngine:
         self.zone_ids = list(zone_ids)
         self.config = config or SyncConfig()
         self.my_zone = node.zone_info
-        #: Global consensus backend steering ballot assignment and the
-        #: post-view-change failover policy (repro.consensus).
+        #: Global consensus backend steering ballot assignment
+        #: (repro.consensus).
         self.engine = engine
         self._rng = derive_rng(0, "sync", node.node_id)
 
@@ -468,7 +469,7 @@ class SyncEngine:
         obs.span_close(now, "propose", ballot.key, node=self.node.node_id)
         obs.span_open(now, "promise", ballot.key, node=self.node.node_id)
         self.node.multicast_signed(self._other_zone_nodes(), propose)
-        self._arm_phase_timer(txn, "promise-wait")
+        self._arm_deadline(txn, "promise-wait")
 
     def _validate_propose_ctx(self, instance: str, context: Any,
                               endorse_digest: bytes) -> bool:
@@ -517,7 +518,7 @@ class SyncEngine:
             return  # stale proposal; initiator will retry with a higher n
         if not self._valid_batch(propose.requests):
             return
-        txn = self._absorb_propose(propose, request_digest)
+        self._absorb_propose(propose, request_digest)
         if self.config.checkpoint_on_migration:
             self.node.replica.checkpoints.generate(
                 self.node.replica.last_executed)
@@ -535,7 +536,7 @@ class SyncEngine:
                 on_cert=lambda cert, b=propose.ballot:
                 self._send_promise(b, cert))
         else:
-            self._watch_endorsement(txn, instance)
+            self._watch(instance)
 
     def _send_promise(self, ballot: Ballot, cert) -> None:
         txn = self._txn(ballot)
@@ -601,7 +602,7 @@ class SyncEngine:
         # +1: the initiator zone's own (certified) agreement counts.
         if len(votes) + 1 < self.majority:
             return None
-        self._cancel_phase_timer(txn)
+        self._disarm(txn)
         self.node.obs.span_close(self.node.sim.now, kind, vote.ballot.key,
                                  node=self.node.node_id, zones=len(votes) + 1)
         return txn
@@ -632,7 +633,7 @@ class SyncEngine:
         # primary's conflicting assignment holds members' votes hostage
         # until a newer view overrides it), and only a retry re-multicasts
         # the pre-prepare. A synchronous cert re-arms for accepted-wait.
-        self._arm_phase_timer(txn, "accept")
+        self._arm_deadline(txn, "accept")
         self.node.endorsement.lead(
             self._instance("accept", txn.ballot), context, body,
             use_prepare=self._use_prepare(assigning_ballot=assigning),
@@ -653,7 +654,7 @@ class SyncEngine:
         obs.span_close(now, "accept", ballot.key, node=self.node.node_id)
         obs.span_open(now, "accepted", ballot.key, node=self.node.node_id)
         self.node.multicast_signed(self._other_zone_nodes(), accept)
-        self._arm_phase_timer(txn, "accepted-wait")
+        self._arm_deadline(txn, "accepted-wait")
 
     def _validate_accept_ctx(self, instance: str, context: Any,
                              endorse_digest: bytes) -> bool:
@@ -682,7 +683,7 @@ class SyncEngine:
         txn.request_digest = request_digest
         txn.prev_ballot = context.prev_ballot
         self._mark_stale_sources(context.requests)
-        self._watch_own(instance)
+        self._watch(instance)
         return True
 
     # ------------------------------------------------------------------
@@ -728,7 +729,7 @@ class SyncEngine:
             # (under the stable leader the ACCEPT is the first contact).
             self.node.replica.checkpoints.generate(
                 self.node.replica.last_executed)
-        # accepted_seqs / last_accepted / the commit timer wait for the
+        # accepted_seqs / last_accepted / the commit deadline wait for the
         # zone's own certificate (_send_accepted).
         if not self._absorb_accept(txn, accept):
             return  # the piggy-backed batch is not the certified one
@@ -745,7 +746,7 @@ class SyncEngine:
                 use_prepare=self._use_prepare(assigning_ballot=False),
                 on_cert=lambda cert, b=accept.ballot: self._send_accepted(b, cert))
         else:
-            self._watch_endorsement(txn, instance)
+            self._watch(instance)
 
     def _send_accepted(self, ballot: Ballot, cert) -> None:
         txn = self._txn(ballot)
@@ -763,7 +764,7 @@ class SyncEngine:
                            zone=self.my_zone.zone_id)
         initiator_nodes = self.directory.zone(ballot.zone_id).members
         self.node.multicast_signed(initiator_nodes, accepted)
-        self._arm_commit_timer(txn)
+        self._arm_deadline(txn, _COMMIT_WAIT)
 
     def _validate_accepted_ctx(self, instance: str, context: Any,
                                endorse_digest: bytes) -> bool:
@@ -791,7 +792,7 @@ class SyncEngine:
         self.last_accepted = max(self.last_accepted, context.ballot)
         txn = self._txn(context.ballot)
         self._absorb_accept(txn, accept)
-        self._arm_commit_timer(txn)
+        self._arm_deadline(txn, _COMMIT_WAIT)
         return True
 
     # ------------------------------------------------------------------
@@ -872,7 +873,7 @@ class SyncEngine:
         if not self._majority_certified(context.accepteds, context.ballot,
                                         accepted_body):
             return False
-        self._watch_own(instance)
+        self._watch(instance)
         return True
 
     # ------------------------------------------------------------------
@@ -906,7 +907,7 @@ class SyncEngine:
         txn.prev_ballot = commit.prev_ballot
         self._mark_stale_sources(commit.requests)
         self.highest_seen = max(self.highest_seen, commit.ballot.seq)
-        self._cancel_commit_timer(txn)
+        self._disarm(txn)
         self._commit_order.append(commit.ballot)
         if len(self._commit_order) > _COMMIT_HISTORY:
             stale = self._commit_order.pop(0)
@@ -1040,75 +1041,62 @@ class SyncEngine:
     # ------------------------------------------------------------------
     # Timers / failure handling (paper §V-A)
     # ------------------------------------------------------------------
-    def _watch_endorsement(self, txn: GlobalTxnState, instance: str) -> None:
-        # One pending watch per ballot, for whichever follower endorsement.
-        if txn.watch_timer is None:
-            txn.watch_timer = self.node.set_timer(
-                self.config.watch_timeout_ms, self._on_watch_expired,
-                txn.ballot, instance, self.node.replica.judged_view)
-
-    def _on_watch_expired(self, ballot: Ballot, instance: str,
-                          armed_in: int) -> None:
-        self.txns[ballot].watch_timer = None
-        self.node.endorsement.primary_overdue(instance, armed_in)
-
-    def _watch_own(self, instance: str) -> None:
-        """An initiator-zone backup validated its primary's ACCEPT or
-        COMMIT endorsement: nothing else in the zone would notice it never
-        reach its quorum (a member gone to another view, the primary
-        crashed mid-round), so watch it."""
+    def _watch(self, instance: str) -> None:
+        """A backup expects its primary to finish the round ``instance``:
+        a follower zone's PROMISE or ACCEPTED, or the initiator zone's
+        ACCEPT or COMMIT it validated. Each round is watched on its own
+        (DESIGN.md §6.5)."""
         self.node.endorsement.watch(instance, self.config.watch_timeout_ms,
                                     self.node.replica.judged_view)
 
-    def _arm_commit_timer(self, txn: GlobalTxnState) -> None:
-        if txn.commit_timer is not None or txn.committed:
-            return
-        txn.commit_timer = self.node.set_timer(
-            self.config.commit_timeout_ms, self._on_commit_timeout, txn.ballot)
+    def _arm_deadline(self, txn: GlobalTxnState, phase: str) -> None:
+        """Arm the ballot's one deadline. A follower-zone node that
+        accepted waits ``commit_timeout_ms`` for the COMMIT
+        (``_COMMIT_WAIT``) and keeps a deadline already pending; the
+        initiator primary waits ``phase_timeout_ms`` plus a random
+        back-off for ``phase`` to complete, each phase replacing the
+        last. No node runs both for one ballot."""
+        if phase == _COMMIT_WAIT:
+            if txn.deadline is not None or txn.committed:
+                return
+            timeout = self.config.commit_timeout_ms
+        else:
+            self._disarm(txn)
+            timeout = self.config.phase_timeout_ms + self._rng.uniform(
+                0.0, self.config.phase_timeout_ms / 2)
+        txn.deadline = self.node.set_timer(timeout, self._on_deadline,
+                                           txn.ballot, phase)
 
-    def _cancel_commit_timer(self, txn: GlobalTxnState) -> None:
-        if txn.commit_timer is not None:
-            txn.commit_timer.cancel()
-            txn.commit_timer = None
+    @staticmethod
+    def _disarm(txn: GlobalTxnState) -> None:
+        if txn.deadline is not None:
+            txn.deadline.cancel()
+            txn.deadline = None
 
-    def _on_commit_timeout(self, ballot: Ballot) -> None:
-        txn = self.txns.get(ballot)
-        if txn is None or txn.committed:
-            return
-        txn.commit_timer = None
-        self._query_zone(ballot.zone_id, ballot, "commit")
-        self._arm_commit_timer(txn)
+    def _on_deadline(self, ballot: Ballot, phase: str) -> None:
+        """Stall recovery (paper §V-A).
 
-    def _arm_phase_timer(self, txn: GlobalTxnState, phase: str) -> None:
-        self._cancel_phase_timer(txn)
-        jitter = self._rng.uniform(0.0, self.config.phase_timeout_ms / 2)
-        txn.phase_timer = self.node.set_timer(
-            self.config.phase_timeout_ms + jitter,
-            self._on_phase_timeout, txn.ballot, phase)
-
-    def _cancel_phase_timer(self, txn: GlobalTxnState) -> None:
-        if txn.phase_timer is not None:
-            txn.phase_timer.cancel()
-            txn.phase_timer = None
-
-    def _on_phase_timeout(self, ballot: Ballot, phase: str) -> None:
-        """Initiator-side stall/collision recovery.
-
-        With a stable leader there are no rival ballots, so the safe move
-        is to *retry the same ballot* (re-multicast the same certified
-        message — classic Paxos retransmission); this also preserves the
+        A follower-zone node still without the COMMIT asks the initiator
+        zone for it and waits again. On the initiator primary: with a
+        stable leader there are no rival ballots, so the safe move is to
+        *retry the same ballot* (re-multicast the same certified message
+        — classic Paxos retransmission); this also preserves the
         execution chain across partitions. In leaderless mode a timeout
         usually means a rival ballot won at the followers, so the request
         is re-proposed under a fresh, higher ballot (randomised back-off,
-        §V-C) and the chain tail is rolled back past the dead ballot.
+        §V-C) and the chain rolled back past the dead ballot.
         """
         txn = self.txns.get(ballot)
         if txn is None:
             return
-        txn.phase_timer = None
-        if txn.committed or txn.phase != phase:
+        txn.deadline = None
+        if txn.committed:
             return
-        if not self._is_zone_primary():
+        if phase == _COMMIT_WAIT:
+            self._query_zone(ballot.zone_id, ballot, "commit")
+            self._arm_deadline(txn, phase)
+            return
+        if txn.phase != phase or not self._is_zone_primary():
             return
         if phase == "accept":
             # The ACCEPT-body endorsement never certified (pre-prepare or
@@ -1125,14 +1113,17 @@ class SyncEngine:
                 txn.accept_env is not None:
             self.node.multicast_signed(self._other_zone_nodes(),
                                        txn.accept_env.payload)
-            self._arm_phase_timer(txn, phase)
+            self._arm_deadline(txn, phase)
             return
         for env in txn.batch:
             request = env.payload
             self.request_dedup.pop((request.sender, request.timestamp), None)
         txn.phase = "superseded"
-        if self.chain_tail == txn.ballot and txn.prev_ballot is not None:
+        # The one rollback rule: nothing chains to a superseded ballot.
+        if self.chain_tail == txn.ballot:
             self.chain_tail = txn.prev_ballot
+        if self.last_accepted == txn.ballot:
+            self.last_accepted = txn.prev_ballot
         self.start_global_txn(txn.batch)
 
     def _query(self, targets: list[str], ballot: Ballot, phase: str,
@@ -1218,12 +1209,13 @@ class SyncEngine:
         for txn in list(self.txns.values()):
             if txn.committed or not txn.batch:
                 continue
-            # Failover policy is an engine method: the backend decides how
-            # the new zone primary re-drives in-flight ballots.
             if txn.ballot.zone_id == self.my_zone.zone_id:
-                self.engine.on_initiator_failover(self, txn)
+                self.node.obs.emit(self.node.sim.now, "sync.redrive",
+                                   node=self.node.node_id,
+                                   ballot=txn.ballot.key, phase=txn.phase)
+                self._redrive_initiator(txn)
             else:
-                self.engine.on_follower_failover(self, txn)
+                self._redrive_follower(txn)
 
     def _redrive_initiator(self, txn: GlobalTxnState) -> None:
         if txn.phase == "superseded":
@@ -1241,11 +1233,11 @@ class SyncEngine:
             # Re-certify the SAME accept body. Assigning a fresh
             # prev_ballot here would fork the execution chain behind
             # successors that already committed against the original one.
-            # Arm the retry timer first: the lead may complete
+            # Arm the deadline first: the lead may complete
             # synchronously from banked shares, and _send_accept then
-            # re-arms the timer for the accepted-wait phase.
+            # re-arms it for the accepted-wait phase.
             txn.phase = "accept"
-            self._arm_phase_timer(txn, "accept")
+            self._arm_deadline(txn, "accept")
             self.node.endorsement.relead(
                 accept_instance,
                 use_prepare=self._use_prepare(

@@ -92,7 +92,7 @@ EVENT_KINDS: dict[str, str] = {
     "sync.commit": "global commit observed for a ballot",
     "sync.execute": "global transaction executed on a node",
     "sync.redrive": "new zone primary re-drives an in-flight ballot "
-                    "(rotating-initiator backend failover)",
+                    "its own zone initiated",
     # Data migration protocol.
     "migration.executed": "migration decision executed (source/dest)",
     "migration.state_sent": "source zone shipped the client state R(c)",

@@ -99,8 +99,8 @@ def test_certificates_validate_under_backend_profile(backend):
 
 # ----------------------------------------------------------------------
 # View / initiator failover: a migration completes after the source
-# zone's primary crashes (forces a zone view change; for global
-# backends this also exercises the engine's failover policy).
+# zone's primary crashes (forces a zone view change, after which the new
+# primary re-drives the in-flight ballots, the same on every backend).
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)

@@ -1,6 +1,7 @@
 """Failure-handling tests (paper §V-A): crashed primaries mid-protocol,
 response-query recovery, and liveness guarantees (Lemma 5.6)."""
 
+from repro.obs.bus import Instrumentation
 from tests.conftest import drive_to_completion, small_ziziphus
 
 
@@ -27,6 +28,27 @@ def test_migration_survives_crashed_follower_zone_primary(ziziphus3):
     # z1's survivors replaced their primary to keep endorsing.
     views = [n.replica.view for n in dep.zone_nodes("z1")[1:]]
     assert all(v >= 1 for v in views)
+
+
+def test_follower_backups_ask_before_they_suspect(ziziphus3):
+    """A follower zone's primary dies before it opens the ACCEPTED round.
+    Its backups watch that round as every round is watched
+    (``EndorsementManager.watch``): they ask the zone for the certificate
+    (``EndorseQuery``) before they suspect, and the zone changes view
+    once."""
+    dep = ziziphus3
+    obs = Instrumentation(recording=True).attach(dep)
+    dep.nodes["z1n0"].crash()
+    client = dep.add_client("c1", "z0")
+    dep.sim.schedule(0.0, client.submit_migration, "z2")
+    dep.run(5_000)
+    assert client.completed[0].result == ("migrated", "ok", "z2")
+    backups = dep.zone_nodes("z1")[1:]
+    sent = [e.fields["msg"] for e in obs.events if e.kind == "net.send"
+            and e.node in {node.node_id for node in backups}]
+    assert "EndorseQuery" in sent and "ViewChange" in sent
+    assert sent.index("EndorseQuery") < sent.index("ViewChange")
+    assert [node.replica.view for node in backups] == [1, 1, 1]
 
 
 def test_migration_survives_crashed_global_primary(ziziphus3):

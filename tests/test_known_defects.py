@@ -1,8 +1,10 @@
-"""ROADMAP item 1's known-defect ledger, one seeded run per entry.
+"""The known-defect ledger of ROADMAP items 3 and 10, one seeded run per
+entry.
 
-Each test asserts what a correct deployment does and is marked
+Each test asserts what a correct deployment does. An open entry is marked
 ``xfail(strict=True)``: it fails today, and the day a fix makes it pass
 the suite goes red until the mark is removed and the ledger entry closed.
+A closed entry keeps its test, unmarked, as a regression test.
 
 Shared setup: ``small_ziziphus()`` (3 zones, f = 1, ``fast_sync()``), a
 migration of client ``c0`` from z0 to z2 and 20 000 simulated ms, with
@@ -11,7 +13,6 @@ at most one faulty node per zone — within budget.
 
 import pytest
 
-from repro.core.sync_protocol import SyncEngine
 from repro.messages.base import sign_message
 from repro.messages.endorse import EndorsePrePrepare
 from repro.pbft.faults import Behavior, HonestBehavior
@@ -76,28 +77,21 @@ def test_d9_source_primary_that_relays_nothing_stalls_the_group():
     assert _applied_at_z2(deployment) == [1, 1, 1, 1]
 
 
-@known_defect
 def test_d10_leaderless_follower_backups_watch_accepted():
-    """19 ``sync.start``, 38 ``sync.promise``, no ``sync.accepted``, and
-    no view changes: ``_watch_endorsement`` keeps one ``watch_timer`` per
-    ballot, armed for the PROMISE instance, so nobody watches ACCEPTED."""
+    """Closed: a follower backup watches each round on its own, ACCEPTED
+    too. (It kept one watch per ballot, armed for PROMISE: 19
+    ``sync.start``, 38 ``sync.promise``, no ``sync.accepted`` and no view
+    change.)"""
     deployment = _leaderless_with_accepted_dropped()
     for zone_id in ("z0", "z1"):
         assert all(node.replica.view > 0
                    for node in deployment.zone_nodes(zone_id)), zone_id
 
 
-@known_defect
-def test_d11_reproposed_ballot_does_not_chain_to_the_superseded_one(
-        monkeypatch):
-    """With D10's watch made per instance, z0 and z1 change view and
-    ballot ``2.z2`` commits on all 12 nodes with ``prev`` = ``1.z2``,
-    which never commits, so nothing executes."""
-    def watch_per_instance(self, txn, instance):
-        self.node.endorsement.watch(instance, self.config.watch_timeout_ms,
-                                    self.node.replica.judged_view)
-
-    monkeypatch.setattr(SyncEngine, "_watch_endorsement",
-                        watch_per_instance)
+def test_d11_reproposed_ballot_does_not_chain_to_the_superseded_one():
+    """Closed: superseding a ballot rolls back ``last_accepted`` as well
+    as ``chain_tail``. (Only ``chain_tail`` rolled back, so ballot
+    ``2.z2`` committed on all 12 nodes with ``prev`` = ``1.z2``, which
+    never commits, and nothing executed.)"""
     deployment = _leaderless_with_accepted_dropped()
     assert _applied_at_z2(deployment) == [1, 1, 1, 1]

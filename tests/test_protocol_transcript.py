@@ -92,6 +92,23 @@ differently after it. Every run sends as many VIEW-CHANGEs and NEW-VIEWs
 as before, ends in the same views and fetches nothing.
 ``follower-crash-leaderless`` (its view change carries no proof), the
 other 24 literals and the three baselines' did not move.
+
+The 19 literals of ``leaderless``, ``follower-crash-leaderless``,
+``primary-crash-leaderless``, ``initiator-isolated`` and
+``lost-accepted`` on every backend, ``primary-crash`` on ``default`` and
+``syncbft`` and ``wedged-endorsement`` on ``rotating`` and ``syncbft``
+were generated again when the sync engine's failure handling became one
+watch per round and one deadline per ballot (EXPERIMENTS.md, "One backup
+watch, one deadline per ballot", has the rows per literal). A new zone
+primary emits ``sync.redrive`` on every backend, not only ``rotating``.
+A follower backup watches its ACCEPTED round too (D10), so more watches
+fire, and one on a round its primary never opened asks the zone
+(``EndorseQuery``) before it suspects: ``primary-crash`` on ``default``
+sends 9, with the same 18 VIEW-CHANGEs and 6 NEW-VIEWs. A COMMIT cancels
+a pending deadline instead of letting it fire. A superseded ballot no
+longer stays ``last_accepted`` (D11): ``primary-crash-leaderless`` on
+``default`` has 231 ``sync.commit`` rows, not 198. The other 29 literals
+and the three baselines' did not move.
 """
 
 from __future__ import annotations
@@ -289,11 +306,11 @@ PINNED: dict[tuple[str, str], str] = {
     ("stable", "syncbft"):
         "c476f3a1d42f45624306ddf6d38f790ce0a7f9ab1f13f6ebea4fcf25e2265625",
     ("leaderless", "default"):
-        "2ddb67966ec80e792a8cc6f6ef9ed5a60f9eb50603835bb6e92150004bc95f1d",
+        "6fa11aca6c60a8d7617cf74200fcd6423d39c47bb695a3ce03caafa9ba7affea",
     ("leaderless", "rotating"):
-        "faf2b840fe134f66b62dde294665f1b64c80399b9f0e1c425a17a52efe98fe3e",
+        "fae86a2b258711bba97300a1576b5b9015ae8c91ce0454135ef95d0cc30a9f9c",
     ("leaderless", "syncbft"):
-        "81cc29fcd3acecb013b522438e717e7ae77fb53e494ba13e2e3713964fb4c0eb",
+        "5ce526a95c38274aafab70c62aa2a47508686dfc9568aa058bab19b03e0d622d",
     ("full-prepare", "default"):
         "9368d84672c2f23a270375d3214dee99e7cd829bc6850866fb13811117177fc7",
     ("full-prepare", "rotating"):
@@ -319,41 +336,41 @@ PINNED: dict[tuple[str, str], str] = {
     ("cross-zone-resend", "syncbft"):
         "342d3e35f7c50a36e3eefd9fc4817b43a60ecdfe5db1316290540eb40c167d02",
     ("primary-crash", "default"):
-        "649433c3209808751d0d11a378cb9ba0f333034586dc909166bf0e7f68ff2bc0",
+        "e7eb689d4053f1edbab7dbb1107348999aeef2215ae7ddde3f6d61ed8c4f16ce",
     ("primary-crash", "rotating"):
         "1f8770c4091269e05b89c5692d79280d4e2af47bf5cb26c817c2d7448da86ae0",
     ("primary-crash", "syncbft"):
-        "6e231f864293a20cf7b27091e42b876f12e22a735d13dfada78d1116fceb4c44",
+        "05e1304b6a29feb5a7dccac74b85d7a1d1f13d0585619c50ad9b273c0738abb9",
     ("primary-crash-leaderless", "default"):
-        "a218ebd5de2bc10b5a5535b0da9aa7a1d521981bdc6a8dead984191169548bdb",
+        "82467425b36aee8dac17081f78022a7c49ec4b316a182c878fb1cabef60a7f22",
     ("primary-crash-leaderless", "rotating"):
-        "6f61859798121cae0ee93476d9850b7ecf892c69558314fde9ab98174b53dce4",
+        "f3f5a0679090a716375e0650ed0e101a9f4526cd412739945c0f38d2b0dd663c",
     ("primary-crash-leaderless", "syncbft"):
-        "39c685696be31106bdff1d0af5e710b93bbd03827d0227ffbeaaab2c249f82ec",
+        "580fd106a03c145a3bfb5015828a4e3259789666d23f8d09ac637934a6b27f73",
     ("follower-crash-leaderless", "default"):
-        "6c3b1b0a880dcb67a4566c584912b98ccb9026fb5d0fd5ad67db7f7379a5e004",
+        "427477f48fcd382fbc1e2e0b7f687766477fd24a9e4e875d7737facfb398934e",
     ("follower-crash-leaderless", "rotating"):
-        "91273fbcf49ad74a0bba083c6a6edb06571f183a274881c4e85231b841102eaf",
+        "528152162b7def4ea1de965db1a8b6da1f77c8d9de8e869c69315ea101afd4a6",
     ("follower-crash-leaderless", "syncbft"):
-        "ee4e79377acf18c0e63cbc080eb7db98c6123b9d33a1d5085a81b47faab77a9d",
+        "c6c2195e55a5223fed72cf8c30da6a61dcc021f583a100a9834da269d5f40174",
     ("lost-accepted", "default"):
-        "1337fd15336727a49419ee720d113fc4b4e4496405231bbb734589cc749e8ca9",
+        "bf07fa8c32200ffc44ff66635cedac41c4437ebd257f7bf5303568fd7306ba97",
     ("lost-accepted", "rotating"):
-        "aac3b75095bbc209b80a0a79e4cfc56fb0d39a5e3ced4c05a691189d0de96fd4",
+        "b245d7ecca2e449aa338f34e52b39716a3563e9e4b23c0d514259e1c2f295ad0",
     ("lost-accepted", "syncbft"):
-        "86190e236d3c74525197c5810421d3bb626043739fe3a17bc4ed06414447c6b0",
+        "2981f446c68ec076bad421be3e59ca4ac83eaa1e41de1b860e921094ce1767cb",
     ("wedged-endorsement", "default"):
         "7aeca9b36724bfce688e1f4e00a86fdab3b5d26a5b04f5a2f990cb495a4116aa",
     ("wedged-endorsement", "rotating"):
-        "56bdb3879ca50ad5a91ff324c227386f9ec458b8686386c58fdd1449d0cd410a",
+        "fa317c23ea27ad65dc8f52d2d95d7459e2fd36e6b15d274b4a3dfd7f0f6d1e36",
     ("wedged-endorsement", "syncbft"):
-        "193c9fe8cb27f3b3e99d99f173d6e09eaf78dcc2d54a060ace1f93688443ac24",
+        "454b5e821b07aa0d41d3ac5f25a671db767b90da8c4b54685eac6ff098ed00cb",
     ("initiator-isolated", "default"):
-        "220ffb7c587fb4bc7495151d3b8fbc6954be9f6905a0d8549187fcfe215b24a9",
+        "3e290c5c0cd16b5e8c29c0a0be25e4e899708671cc19c3360f0f79d86b5cb1ac",
     ("initiator-isolated", "rotating"):
-        "48e03f7a03d280200409aa436f6220d3bd4e1bc6f7f63ed00698ccb945a8ebbd",
+        "878d9f76ee78aa9886f417460f17b6860ad4c98800263c5919db708cd35a627f",
     ("initiator-isolated", "syncbft"):
-        "3629957250c865b1a335bdb676ec497922e68a8bb39bbcafe60325ee6aac55dd",
+        "cae3e4509834beab198334d07bbe153bcd2c853f2c51e2fd056093f64ca328b2",
     ("reads", "default"):
         "31013a2417d60327cd8344f9f9f194b9f92ddc9ce66880e5d31439be37222b1a",
     ("reads", "rotating"):

@@ -1,7 +1,12 @@
 """Integration tests for the data synchronization protocol (Algorithm 1)."""
 
+import dataclasses
+import inspect
+import re
+
 import pytest
 
+from repro.core import sync_protocol
 from repro.core.metadata import PolicySet
 from repro.messages.sync import Ballot
 from tests.conftest import drive_to_completion, small_ziziphus
@@ -142,3 +147,18 @@ def test_global_batching_shares_one_ballot():
     executed_ballots = [b for b, results in leader.sync.executed_results.items()
                         if results]
     assert len(executed_ballots) <= 2
+
+
+def test_a_ballot_holds_one_timer():
+    """Census: the sync engine's failure handling is one deadline per
+    ballot (``SyncEngine._arm_deadline``); the backups' watches are
+    ``EndorsementManager.watch``'s. ``GlobalTxnState`` has exactly one
+    field a timer is kept in, and the engine arms three kinds of timer:
+    the batch timer, the request watch and the ballot's deadline (the
+    count CI's lint job prints)."""
+    untyped = [f.name for f in dataclasses.fields(sync_protocol.GlobalTxnState)
+               if f.type == "Any"]
+    source = inspect.getsource(sync_protocol)
+    stored = set(re.findall(r"txn\.(\w+) = self\.node\.set_timer\(", source))
+    assert untyped == ["deadline"] and stored == {"deadline"}
+    assert source.count("set_timer(") == 3
