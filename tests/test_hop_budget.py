@@ -8,6 +8,7 @@ calls to the path fails this file on any host. CI prints both budgets
 in the job summary.
 """
 
+import gc
 import sys
 
 from repro.crypto.keys import KeyRegistry
@@ -52,7 +53,9 @@ def request(timestamp):
 
 
 def calls(sim, action):
-    """Python and C calls made by ``action()`` and the run after it."""
+    """Python and C calls made by ``action()`` and the run after it. The
+    collector is off meanwhile: a collection would count the finalizers
+    of whatever garbage earlier tests left (four calls, now and then)."""
     count = 0
 
     def tally(frame, event, arg):
@@ -60,12 +63,15 @@ def calls(sim, action):
         if event in ("call", "c_call"):
             count += 1
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(tally)
     try:
         action()
         sim.run()
     finally:
         sys.setprofile(None)
+        gc.enable()
     # Not the hop: action's own frame and the setprofile(None) above.
     return count - 2
 
