@@ -9,9 +9,9 @@ from repro.messages.endorse import (EndorsePrepare, EndorsePrePrepare,
                                     EndorseQuery, EndorseVote)
 from repro.messages.migration import StateTransfer, state_body
 from repro.messages.pbft import (CheckpointFetch, CheckpointMsg,
-                                 CheckpointSnapshot, Commit, NewView, Prepare,
-                                 PreparedProof, PrePrepare, ProofFetch,
-                                 ProofReply, ViewChange)
+                                 CheckpointSnapshot, Commit, GapReply,
+                                 NewView, Prepare, PreparedProof, PrePrepare,
+                                 ProofFetch, ProofReply, ViewChange)
 from repro.messages.query import ResponseQuery
 from repro.messages.reads import (ReadReply, ReadRequest, ReadWatermarkCert,
                                   WatermarkShare, watermark_body)
@@ -39,6 +39,7 @@ __all__ = [
     "EndorseQuery",
     "EndorseVote",
     "GENESIS_BALLOT",
+    "GapReply",
     "GlobalCommit",
     "Message",
     "MigrationRequest",

@@ -27,9 +27,9 @@ from repro.messages.endorse import (EndorsePrepare, EndorsePrePrepare,
                                     EndorseQuery, EndorseVote)
 from repro.messages.migration import StateTransfer
 from repro.messages.pbft import (CheckpointFetch, CheckpointMsg,
-                                 CheckpointSnapshot, Commit, NewView, Prepare,
-                                 PreparedProof, PrePrepare, ProofFetch,
-                                 ProofReply, ViewChange)
+                                 CheckpointSnapshot, Commit, GapReply,
+                                 NewView, Prepare, PreparedProof, PrePrepare,
+                                 ProofFetch, ProofReply, ViewChange)
 from repro.messages.query import ResponseQuery
 from repro.messages.reads import (ReadReply, ReadRequest, ReadWatermarkCert,
                                   WatermarkShare)
@@ -63,6 +63,7 @@ WIRE_MESSAGES: dict[str, type] = {
     "NewView": NewView,
     "ProofFetch": ProofFetch,
     "ProofReply": ProofReply,
+    "GapReply": GapReply,
     "ResponseQuery": ResponseQuery,
     "Propose": Propose,
     "Promise": Promise,

@@ -127,8 +127,8 @@ def test_codec_round_trips_every_wire_message(keys):
                                 ResponseQuery, StateTransfer, ViewChange)
     from repro.messages.base import decode_message, encode_message
     from repro.messages.pbft import (CheckpointFetch, CheckpointSnapshot,
-                                     Prepare as PbftPrepare, ProofFetch,
-                                     ProofReply)
+                                     GapReply, Prepare as PbftPrepare,
+                                     ProofFetch, ProofReply)
 
     ballot = Ballot(2, "z0")
     prev = GENESIS_BALLOT
@@ -192,6 +192,7 @@ def test_codec_round_trips_every_wire_message(keys):
         ProofFetch(view=0, sequence=1, batch_digest=b"d", sender="n2"),
         ProofReply(sequence=1, batch_digest=b"d", pre_prepare=pp,
                    prepares=(prep,), sender="n1"),
+        GapReply(pre_prepare=pp, sender="n1"),
         ResponseQuery(view=0, ballot=ballot, request_digest=b"d",
                       phase="commit", zone_id="z0", sender="n0"),
         Propose(view=0, ballot=ballot, requests=(req,), cert=cert,

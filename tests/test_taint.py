@@ -248,7 +248,7 @@ def test_src_repro_root_census():
     sources = [load_source_file(path)
                for path in LintEngine.collect([SRC_REPRO])]
     census = Counter(root.kind for root in extract_handlers(sources))
-    assert census == {"handler": 37, "validator": 10}
+    assert census == {"handler": 38, "validator": 10}
 
 
 def test_cli_self_check_exits_zero(capsys):
