@@ -21,6 +21,7 @@ __all__ = [
     "view_change_messages",
     "view_change_units",
     "catch_up_messages",
+    "read_messages",
     "pbft_batch_messages",
     "ziziphus_migration_messages",
     "flat_pbft_batch_messages",
@@ -73,6 +74,15 @@ def catch_up_messages(zone_size: int, slots: int) -> tuple[int, int]:
     with a reply of its own, the slot's pre-prepare."""
     others = zone_size - 1
     return others, others * slots
+
+
+def read_messages(zone_size: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """READ-REQUEST and READ-REPLY messages of one certified read in a
+    zone of ``n``: fault-free, one request to one member and its reply,
+    which completes the read; when that member's answer is unusable, the
+    request goes once to the ``n-1`` others, and up to ``n`` replies come
+    back in all."""
+    return (1, 1), (1 + (zone_size - 1), zone_size)
 
 
 def pbft_batch_messages(group_size: int, batch: int) -> int:

@@ -20,6 +20,7 @@ once the migration completes.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import replace
 from types import MappingProxyType
 from typing import Any, Callable, Mapping
@@ -78,6 +79,9 @@ class MobileClient(ClosedLoopClient):
         #: The application's key layout (``StateMachine.read_key``): the
         #: key whose proof answers a read.
         self.read_key = read_key
+        #: Per zone, the member a read there is sent to first
+        #: (:meth:`_read_asked`).
+        self._read_members: dict[str, str] = {}
         self._verifier = CertificateVerifier(keys)
 
     # ------------------------------------------------------------------
@@ -128,8 +132,8 @@ class MobileClient(ClosedLoopClient):
     def submit_read(self, operation: tuple) -> None:
         """Issue a certified fast-path read in the current zone.
 
-        The request goes to ``f+1`` zone members (:meth:`_read_asked`)
-        and, once, to the others if none of those answers usably; the
+        The request goes to one zone member (:meth:`_read_asked`) and,
+        once, to the others if that member's answer is unusable; the
         first answer whose watermark certificate verifies, within the
         staleness bound, and whose proof binds its value to the
         certified root completes it. ``f+1`` explicit rejections (e.g.
@@ -158,10 +162,9 @@ class MobileClient(ClosedLoopClient):
     def _launch_at(self, request: Any, zone_id: str,
                    started_at: float | None = None,
                    labels: Mapping[str, str] | None = None) -> None:
-        """Launch ``request`` at ``zone_id``: a read at the ``f+1``
-        members of :meth:`_read_asked`, with the read timeout; anything
-        else at the primary we believe in, with retransmission to every
-        member."""
+        """Launch ``request`` at ``zone_id``: a read at the member of
+        :meth:`_read_asked`, with the read timeout; anything else at the
+        primary we believe in, with retransmission to every member."""
         obs = self.obs
         if obs.causal:
             tid = trace_id(request)
@@ -175,8 +178,7 @@ class MobileClient(ClosedLoopClient):
                      txn=self._txn_kind(request))
         zone = self.directory.zone(zone_id)
         if isinstance(request, ReadRequest):
-            self._launch(request, self._read_asked(request, zone),
-                         zone.members,
+            self._launch(request, (self._read_asked(zone),), zone.members,
                          self.reads.read_timeout_ms, self._read_abandon,
                          answer=ReadReply, labels=_FAST_READ)
         else:
@@ -243,6 +245,13 @@ class MobileClient(ClosedLoopClient):
         """Fall back to the transactional path for the in-flight read,
         which stays charged from the original submission."""
         flight = self._outstanding
+        if reason == "timeout":
+            # The asked member failed the read: the next one is asked
+            # next time.
+            zone = self.directory.zone(self.current_zone)
+            members = zone.members
+            self._read_members[zone.zone_id] = members[
+                (members.index(self._read_asked(zone)) + 1) % len(members)]
         self.obs.emit(self.sim.now, "read.fallback", node=self.node_id,
                       zone=self.current_zone, reason=reason)
         self._launch_at(self._request(ClientRequest,
@@ -250,16 +259,17 @@ class MobileClient(ClosedLoopClient):
                         self.current_zone, started_at=flight.started_at,
                         labels=_FALLBACK_READ)
 
-    @staticmethod
-    def _read_asked(request: ReadRequest, zone) -> tuple[str, ...]:
-        """Whom a read is sent to first: ``f+1`` members — one of them is
-        correct and its answer alone completes the read, whatever the
-        other ``f`` do — starting at a member that rotates with the
-        request's timestamp, so that the zone's read load is spread
-        evenly."""
-        members = zone.members
-        start = request.timestamp % len(members)
-        return (members[start:] + members[:start])[:weak_quorum(zone.f)]
+    def _read_asked(self, zone) -> str:
+        """Whom a read in ``zone`` is sent to first: the member whose
+        reply completed this client's last read there, or the next one
+        after a read it let time out. A client's first read there asks
+        the member its id picks, so that a zone's clients spread evenly
+        over its members. One correct member's answer completes a read."""
+        member = self._read_members.get(zone.zone_id)
+        if member is None:
+            members = zone.members
+            member = members[zlib.crc32(self.node_id.encode()) % len(members)]
+        return member
 
     def _cert_problem(self, cert, zone) -> str | None:
         """Why a reply's certificate is provably invalid (None if sound)."""
@@ -312,6 +322,7 @@ class MobileClient(ClosedLoopClient):
                               age_ms=round(self.sim.now - cert.watermark_ts,
                                            6),
                               bound_ms=self.reads.staleness_bound_ms)
+                self._read_members[zone.zone_id] = sender
                 self._complete(("ok", reply.result))
                 return
             self._vote(None, sender)
@@ -321,11 +332,10 @@ class MobileClient(ClosedLoopClient):
             # to ask, so the read timeout could only be waited out.
             self._read_abandon("unusable")
             return
-        asked = self._read_asked(flight.request, zone)
-        if sender in asked and heard.issuperset(asked):
-            # Everyone asked has answered and none usably: ask the others
-            # now rather than wait out the read timeout. An asked member
-            # is heard once, so this happens once.
+        if sender == self._read_asked(zone):
+            # The asked member's answer is unusable: ask the others now
+            # rather than wait out the read timeout. A member is heard
+            # once, so this happens once.
             self._send(flight.request,
                        tuple(m for m in flight.targets if m not in heard))
 

@@ -32,9 +32,10 @@ from repro.sim.process import CostModel, Process
 __all__ = ["ClosedLoopClient", "PBFTClient", "CompletedRequest", "InFlight"]
 
 
-@dataclass
+@dataclass(slots=True)
 class CompletedRequest:
-    """Record of one finished request (for metrics)."""
+    """Record of one finished request (for metrics). Slotted: a run keeps
+    every record it completes."""
 
     timestamp: int
     operation: tuple

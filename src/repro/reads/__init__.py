@@ -3,10 +3,11 @@
 Zone replicas continuously certify their committed kvstore state with
 watermark certificates (``f+1`` matching HMAC signatures over
 ``(zone, sequence, state_digest, watermark_ts)``, the digest being the
-state tree's root); a client asks ``f+1`` replicas and completes on the
-first answer whose certificate quorum, staleness bound and Merkle proof
-it verifies locally, falling back to the transactional path whenever
-none can be had or record ownership is in flux. See DESIGN.md §14.
+state tree's root); a client asks one replica — the others only when its
+answer is unusable — and completes on the first answer whose certificate
+quorum, staleness bound and Merkle proof it verifies locally, falling
+back to the transactional path whenever none can be had or record
+ownership is in flux. See DESIGN.md §14.
 """
 
 from repro.reads.engine import ReadConfig, ReadEngine

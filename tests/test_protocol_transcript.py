@@ -22,19 +22,11 @@ counts every other re-lead of a banked endorsement.
 
 The client side is pinned the same way, its literals generated at the
 commit before the client loops were merged into one: certified reads
-(fan-out, ``f+1`` verified votes, rejection fallback), reads against a
+(one asked member, widening, rejection fallback), reads against a
 stale and a silent replica (``read.stale``, the read timeout, the
 fallback, the clients' ``txn.*`` events), retransmission to a zone whose
 primary is dead (the multicast, the view hint), and one recorded
 ``run_point`` per baseline protocol of the evaluation.
-
-The six ``reads`` / ``reads-faulty`` literals were generated again when
-the read path began to send what its quorums need (a read asks ``2f+1``
-members and widens once on disagreement, a refusal is a vote, a zone
-certifies once per epoch): per run, a quarter fewer ``ReadRequest`` /
-``ReadReply`` / ``read.serve`` rows and a sixth of the ``WatermarkShare``
-/ ``read.watermark`` rows (EXPERIMENTS.md, PR 22, has the counts). The
-42 write-path literals did not move.
 
 The 39 literals of the scenarios that migrate, and the Steward
 baseline's, were generated again when Algorithm 2 began to run once per
@@ -71,15 +63,17 @@ only) and the flat-PBFT baseline's did not move.
 
 The six ``reads`` / ``reads-faulty`` literals were generated again when a
 read began to complete on one reply whose Merkle proof binds its value to
-the certified state root: a read asks ``f+1`` members, not ``2f+1``, and
-is answered from the certified version (EXPERIMENTS.md, "One-reply
-certified reads", has the rows): on ``default``, ``ReadRequest`` /
-``ReadReply`` / ``read.serve`` rows 507 → 406 in ``reads`` and 739 / 688 →
-504 / 475 in ``reads-faulty``, whose read-timeout fallbacks go 34 → 6;
-records migrated in, or back, after their zone's certified version add
-``absent`` fallbacks (21 and 25: a replica refuses a version older than
-the record's last arrival, DESIGN.md §14.3). The 42 write-path literals
-did not move: a state root appears in no event.
+the certified state root (EXPERIMENTS.md, "One-reply certified reads"),
+and again when a read began to ask one member — the one that completed
+the client's last read in the zone — instead of ``f+1`` (EXPERIMENTS.md,
+"One certified read, one member"): on ``default``, ``ReadRequest`` rows
+406 → 208 in ``reads`` and 504 → 336 in ``reads-faulty``, whose
+read-timeout fallbacks go 6 → 3. A refused read asks the other members
+before ``f+1`` refusals send it through consensus, one LAN round trip
+later, and the workload's draws land in another order: ``reads``
+completes 289 operations in its window, 379 before, with as many
+migrations (26) and the same latency per kind but for the fallbacks.
+The 42 write-path literals did not move.
 
 The 18 literals of the scenarios that change a zone's view
 (``primary-crash``, ``primary-crash-leaderless``, ``lost-accepted``,
@@ -229,8 +223,8 @@ SCENARIOS = {
     "initiator-isolated": Scenario(
         _HALF_GLOBAL, 3_000.0,
         faults=((50.0, _partition("z0")), (1_500.0, _heal))),
-    # The client side. Certified reads: fan-out, f+1 matching verified
-    # replies, session vector, and the rejection fallback a record in
+    # The client side. Certified reads: one asked member, one proven
+    # reply, session vector, and the rejection fallback a record in
     # migration takes.
     "reads": Scenario(_HALF_READS, 600.0, clients=3,
                       config={"read": ReadConfig(enabled=True)}),
@@ -372,17 +366,17 @@ PINNED: dict[tuple[str, str], str] = {
     ("initiator-isolated", "syncbft"):
         "cae3e4509834beab198334d07bbe153bcd2c853f2c51e2fd056093f64ca328b2",
     ("reads", "default"):
-        "31013a2417d60327cd8344f9f9f194b9f92ddc9ce66880e5d31439be37222b1a",
+        "71236a3b3a8d9ac6cc1f59603990b177e8c671768ed9cf60f7227e86d82f6cb7",
     ("reads", "rotating"):
-        "6a5da96f376df15c36288cfa7665dce6ac98ff5615b42925b74de7736294621c",
+        "0680e62e8398a2ffa61da701529ab730e3d97b4a3db514e030e4aeebfdfdaabf",
     ("reads", "syncbft"):
-        "f1e8a27d5bbed112261bf62f2fe2b8caa54e7c0e678bf3858f24f4f5efb1abc9",
+        "7542d5a03dd239357ab23bbf191e112c2a59d1aa627f4db666a7036692e8c1a4",
     ("reads-faulty", "default"):
-        "0e41e4702f7226374e8b1e115309f19b4c0892911dbd5ae88d4e9c8dda1fc940",
+        "64581258c9a0998180da647ee79b71236510819f79845b9d0f97236915b8e62e",
     ("reads-faulty", "rotating"):
-        "48a2efb050f91788f2414e09629a0becdf019cfce5d516c36dd7f97afab230e8",
+        "d7eff2b18adb7867f2fa245f3f9e1c06893d05d96a27068bc7d1bd75b467d480",
     ("reads-faulty", "syncbft"):
-        "ba3c9ef5640af513fd53b4c758ef5da05a194f9c81a4eefc38c4c72c39275b76",
+        "4979c587ed4e04ef0309e40828eaf32626cfdda3d3f45a5a95c6e98ff5a71793",
     ("retransmit", "default"):
         "4df20172f368ecc4cb84df0ea3eb23fe3906566041d29324ce1661448195c299",
     ("retransmit", "rotating"):

@@ -2,25 +2,31 @@
 
 One certified read and one epoch of watermark certification are protocol
 units whose cost in messages is a pure function of the code (DESIGN.md
-§14.2 / §14.3), so it is pinned here: a read asks ``f+1`` members and
-needs one proven answer, asks the rest once — and only when those it
-asked have all answered uselessly —, falls back once everyone has, and a
-zone certifies its state once per epoch however many batches it
-executes, computing a state root only for what it offers or serves. Run
-as a script it prints what CI shows in the job summary.
+§14.2 / §14.3), so it is pinned here, beside
+:func:`repro.analysis.complexity.read_messages`: a read asks one member —
+the one that completed the client's last read in the zone — and needs
+its one proven answer, asks the rest once when that answer is unusable,
+moves on to the next member after a timeout, falls back once everyone
+has answered uselessly, and a zone certifies its state once per epoch
+however many batches it executes, computing a state root only for what
+it offers or serves. Run as a script it prints what CI shows in the job
+summary.
 """
 
 import statistics
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
 
+from repro.analysis.complexity import read_messages
 from repro.core.deployment import ZiziphusConfig, build_ziziphus
 from repro.core.migration_protocol import MigrationConfig
 from repro.core.sync_protocol import SyncConfig
 from repro.messages.base import sign_message
-from repro.messages.reads import ReadReply, ReadRequest
+from repro.messages.reads import ReadReply
 from repro.obs.bus import Instrumentation
+from repro.pbft.faults import make_behavior
 from repro.pbft.replica import PBFTConfig
 from repro.reads import ReadConfig, ReadEngine
 from repro.storage.merkle import StateTree
@@ -30,13 +36,15 @@ from repro.workload.generator import WorkloadMix
 READS = ReadConfig(enabled=True)
 #: ``WatermarkShare`` multicasts per zone per epoch under the load below:
 #: the replicas that execute a batch of a new epoch before ``f+1`` shares
-#: of it have reached them (6.8 measured). One per replica per executed
-#: batch — 75 under this load — before certification went per epoch.
+#: of it have reached them (4.6 measured; 7.0 when a read asked ``f+1``
+#: members and batches were smaller). One per replica per executed batch
+#: — 137 under this load — before certification went per epoch.
 SHARES_PER_ZONE_EPOCH_CEILING = 12
 #: State roots computed per zone per epoch under that load: one for each
 #: share offered, and one for each certificate served over a version the
-#: replica had not offered (7.6 measured). Re-rooting every executed
-#: batch would be one per replica per batch — 75.
+#: replica had not offered (5.1 measured; 7.6 when a read asked ``f+1``
+#: members). Re-rooting every executed batch would be one per replica per
+#: batch — 137.
 ROOTS_PER_ZONE_EPOCH_CEILING = 12
 #: Mean bytes of the proof in a served ``ReadReply`` under that load: a
 #: count byte, the side bits and 32 bytes per level, in trees of about 40
@@ -44,6 +52,11 @@ ROOTS_PER_ZONE_EPOCH_CEILING = 12
 PROOF_BYTES_CEILING = 224
 #: Simulated ms of the loaded run (the benchmark's): four whole epochs.
 LOADED_MS = 4 * READS.epoch_ms
+#: Fast reads z0 completed in [100, 400) ms of the loaded run with z0n1
+#: silent, when a read asked ``f+1`` members and waited out the timer
+#: whenever the silent one was among them (34 timeouts; 10 now, one for
+#: each client that first asks z0n1).
+SILENT_MEMBER_FAST_READS_BEFORE = 3_714
 
 
 def loaded_zones(seed=7, behaviors=None):
@@ -146,57 +159,96 @@ def one_read(deployment, client, run_ms=None):
 
 def next_asked(deployment, client):
     """Whom the client's next read is sent to first."""
-    request = ReadRequest(operation=("balance",), sender=client.node_id,
-                          timestamp=client.timestamp + 1)
-    return client._read_asked(
-        request, deployment.directory.zone(client.current_zone))
+    return client._read_asked(deployment.directory.zone(client.current_zone))
+
+
+class ReadTimeouts(Instrumentation):
+    """A bus that keeps only the read timeouts, per client."""
+
+    def __init__(self):
+        super().__init__()
+        self.per_client = Counter()
+
+    def emit(self, ts, kind, node="", **fields):
+        if kind == "read.fallback" and fields["reason"] == "timeout":
+            self.per_client[node] += 1
+
+
+def silent_member_run():
+    """The loaded run with z0n1 silent for 400 ms: the read timeouts per
+    client, and the fast reads z0 completes in [100, 400) ms."""
+    deployment, _ = loaded_zones(behaviors={"z0n1": make_behavior("silent")})
+    timeouts = ReadTimeouts().attach(deployment)
+    deployment.sim.run(until=400.0)
+    fast = sum(1 for client in deployment.clients.values()
+               if client.current_zone == "z0"
+               for record in client.completed
+               if record.labels == {"read": "fast"}
+               and 100.0 <= record.completed_at < 400.0)
+    return timeouts.per_client, fast
+
+
+def other_members(deployment, member):
+    """The members of ``member``'s zone but it, in zone order."""
+    zone = deployment.directory.zone(deployment.directory.zone_of(member))
+    return [m for m in zone.members if m != member]
 
 
 # ----------------------------------------------------------------------
 # One read
 # ----------------------------------------------------------------------
-def test_an_honest_read_asks_two_hears_two_and_fires_no_timer():
+def test_an_honest_read_asks_one_hears_one_and_fires_no_timer():
     deployment, client = certified_zone()
     messages, timer, record = one_read(deployment, client)
-    assert messages == (2, 2)
+    assert messages == (1, 1) == read_messages(4)[0]
     assert record.result == ("ok", 10_005)
     assert record.labels == {"read": "fast"}
     assert timer.cancelled          # retired by the completion, not fired
 
 
-def test_a_read_neither_asked_member_can_serve_asks_the_others_instead_of_waiting():
-    """One asked member lies (within ``f``) and the other, correct one
-    holds the record as migrating: two answers, neither usable. The other
-    two members are asked at once and the first proof settles it."""
+def test_a_read_the_asked_member_cannot_serve_asks_the_others_instead_of_waiting():
+    """The asked member lies (within ``f``), and a correct member holds
+    the record as migrating. The other three members are asked at once,
+    and the first proof settles it."""
     deployment, client = certified_zone()
-    liar, migrating = next_asked(deployment, client)
+    liar = next_asked(deployment, client)
+    migrating = other_members(deployment, liar)[0]
     deployment.nodes[liar].set_behavior("fabricate-read")
     deployment.nodes[migrating].locks.mark_stale("c1")
     messages, timer, record = one_read(deployment, client)
-    assert messages == (4, 4)
+    assert messages == (4, 4) == read_messages(4)[1]
     assert record.result == ("ok", 10_005)
     assert record.labels == {"read": "fast"}
     assert record.latency_ms < READS.read_timeout_ms / 10
     assert timer.cancelled
 
 
-def test_a_syncbft_zone_asks_two_of_its_three():
+def test_a_syncbft_zone_asks_one_of_its_three():
     deployment, client = certified_zone(backend="syncbft")
     assert len(deployment.directory.zone("z0").members) == 3
     messages, timer, record = one_read(deployment, client)
-    assert messages == (2, 2) and record.labels == {"read": "fast"}
-    # Neither asked member can serve: the third is asked, and when it
-    # cannot either — a second liar, over the budget — everyone has
-    # answered, and the read takes the transactional path at once.
-    liar, migrating = next_asked(deployment, client)
-    (third,) = set(deployment.directory.zone("z0").members) \
-        - {liar, migrating}
+    assert messages == (1, 1) == read_messages(3)[0]
+    assert record.labels == {"read": "fast"}
+    # The asked member cannot serve: the other two are asked, and when
+    # neither can either — one holds the record as migrating, the other
+    # is a second liar, over the budget — everyone has answered, and
+    # the read leaves the fast path at once. (The migrating member is
+    # z0n0, the primary, which by its lock bit orders no local request
+    # of the record either, so the fallback itself waits for
+    # retransmission.)
+    liar = next_asked(deployment, client)
+    migrating, third = other_members(deployment, liar)
     deployment.nodes[liar].set_behavior("fabricate-read")
     deployment.nodes[migrating].locks.mark_stale("c1")
     deployment.nodes[third].set_behavior("fabricate-read")
+    obs = Instrumentation(recording=True).attach(deployment)
+    submitted = deployment.sim.now
     messages, timer, record = one_read(deployment, client)
-    assert messages == (3, 3) and record.labels == {"read": "fallback"}
-    assert record.latency_ms < READS.read_timeout_ms / 10
+    assert messages == (3, 3) == read_messages(3)[1]
+    fallback, = [e for e in obs.events if e.kind == "read.fallback"]
+    assert fallback.fields["reason"] == "unusable"
+    assert fallback.ts - submitted < READS.read_timeout_ms / 10
+    assert client._outstanding.labels == {"read": "fallback"}
 
 
 def test_a_read_every_member_answered_uselessly_falls_back_at_once():
@@ -221,26 +273,59 @@ def test_a_read_every_member_answered_uselessly_falls_back_at_once():
     assert fallback.ts - submitted < READS.read_timeout_ms / 10
 
 
-def test_the_member_left_out_rotates_with_the_request():
+def test_a_client_asks_one_member_and_a_zones_clients_spread_over_all():
+    """A client keeps asking the member that served it; the members its
+    id picks for a first read spread a zone's clients evenly."""
     deployment, client = certified_zone()
     members = deployment.directory.zone("z0").members
-    skipped = []
+    asked = next_asked(deployment, client)
     for _ in members:
-        skipped += set(members) - set(next_asked(deployment, client))
         messages, _, record = one_read(deployment, client)
-        assert messages == (2, 2) and record.labels == {"read": "fast"}
-    assert sorted(set(skipped)) == sorted(members)
+        assert messages == (1, 1) and record.labels == {"read": "fast"}
+        assert next_asked(deployment, client) == asked
     assert [deployment.nodes[m].reads.reads_served for m in members] \
-        == [2] * len(members)
+        == [len(members) if m == asked else 0 for m in members]
+    loaded, _ = loaded_zones()
+    zone = loaded.directory.zone("z0")
+    first = Counter(client._read_asked(zone)
+                    for client in loaded.clients.values()
+                    if client.current_zone == "z0")
+    assert first == {member: 10 for member in zone.members}
+
+
+def test_a_timeout_moves_the_client_to_the_next_member():
+    deployment, client = certified_zone()
+    members = deployment.directory.zone("z0").members
+    silent = next_asked(deployment, client)
+    deployment.nodes[silent].set_behavior("silent")
+    messages, timer, record = one_read(deployment, client,
+                                       run_ms=2 * READS.read_timeout_ms)
+    assert messages == (1, 0)
+    assert record.labels == {"read": "fallback"}
+    following = members[(members.index(silent) + 1) % len(members)]
+    assert next_asked(deployment, client) == following
+    messages, timer, record = one_read(deployment, client)
+    assert messages == (1, 1) and record.labels == {"read": "fast"}
+
+
+def test_a_silent_asked_member_costs_each_of_its_clients_one_timeout():
+    """z0n1 answers nothing. Each client that first asks it waits out
+    ``read_timeout_ms`` once and then asks the next member; when a read
+    asked ``f+1`` members, every read that asked z0n1 beside a member
+    that could not serve waited it out."""
+    timeouts, fast = silent_member_run()
+    assert max(timeouts.values()) == 1
+    assert fast > SILENT_MEMBER_FAST_READS_BEFORE
 
 
 def test_a_replayed_reply_is_one_answer():
-    """A member that answers three times has answered once: its replays
-    neither make "everyone asked has answered" true (no widening) nor add
-    up to ``f+1`` refusals (no fallback). A second member's refusal does."""
+    """A member that answers three times has answered once: the asked
+    member's replays neither widen the read a second time nor add up to
+    ``f+1`` refusals (no fallback). A second member's refusal does."""
     deployment, client = certified_zone()
     asked = next_asked(deployment, client)
-    for member in asked:
+    other = other_members(deployment, asked)[0]
+    for member in deployment.directory.zone("z0").members:
         deployment.nodes[member].set_behavior("silent")
     obs = Instrumentation(recording=True).attach(deployment)
     client.submit_read(("balance",))
@@ -254,14 +339,14 @@ def test_a_replayed_reply_is_one_answer():
         deployment.sim.run(until=deployment.sim.now + 5.0)
 
     for _ in range(3):
-        refuse(asked[0])
-    assert sent(deployment, "ReadRequest") == 2
-    assert client._outstanding.votes == {"refused": {asked[0]: "behind"}}
-    refuse(asked[1])
+        refuse(asked)
+    assert sent(deployment, "ReadRequest") == read_messages(4)[1][0]
+    assert client._outstanding.votes == {"refused": {asked: "behind"}}
+    refuse(other)
     assert [(e.kind, e.fields["reason"]) for e in obs.events
             if e.node == "c1" and e.kind.startswith("read.")] \
         == [("read.fallback", "behind")]
-    assert sent(deployment, "ReadRequest") == 2
+    assert sent(deployment, "ReadRequest") == read_messages(4)[1][0]
 
 
 # ----------------------------------------------------------------------
@@ -340,17 +425,25 @@ if __name__ == "__main__":
     # What CI prints: the measured counts beside what is pinned.
     deployment, client = certified_zone()
     honest, _, _ = one_read(deployment, client)
-    liar, migrating = next_asked(deployment, client)
+    liar = next_asked(deployment, client)
     deployment.nodes[liar].set_behavior("fabricate-read")
-    deployment.nodes[migrating].locks.mark_stale("c1")
+    deployment.nodes[other_members(deployment, liar)[0]].locks.mark_stale(
+        "c1")
     widened, _, _ = one_read(deployment, client)
+    timeouts, fast = silent_member_run()
     with measuring() as (roots, proofs):
         deployment, driver = loaded_zones()
         deployment.sim.run(until=LOADED_MS)
     zone_epochs = len(deployment.zone_ids) * LOADED_MS / READS.epoch_ms
-    print(f"one read {honest[0]} + {honest[1]} messages (pinned 2 + 2), "
-          f"one neither asked member can serve {widened[0]} + {widened[1]} "
-          f"(pinned 4 + 4); "
+    (one_sent, one_heard), (widened_sent, widened_heard) = read_messages(4)
+    print(f"one read {honest[0]} + {honest[1]} messages (pinned "
+          f"{one_sent} + {one_heard}), one the asked member cannot serve "
+          f"{widened[0]} + {widened[1]} (pinned {widened_sent} + "
+          f"{widened_heard}); z0n1 silent: at most "
+          f"{max(timeouts.values())} read timeout per client "
+          f"({sum(timeouts.values())} in all), {fast} fast reads in z0 in "
+          f"[100, 400) ms ({SILENT_MEMBER_FAST_READS_BEFORE} at f+1 "
+          f"asked); "
           f"{share_multicasts(deployment) / zone_epochs:.1f} share "
           f"multicasts per zone per epoch (ceiling "
           f"{SHARES_PER_ZONE_EPOCH_CEILING}), "
