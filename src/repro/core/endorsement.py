@@ -59,9 +59,6 @@ __all__ = ["EndorsementManager", "EndorsementInstance"]
 #: honest member has a few dozen at most (24 under the benchmark's load,
 #: 28 in the chaos campaigns); at the allowance its older half goes.
 _PARKED_PER_MEMBER = 256
-#: Re-dispatches of one pre-prepare whose validator keeps answering
-#: "retry" (10 ms apart) before it is dropped.
-_MAX_RETRIES = 200
 
 Validator = Callable[[str, Any, bytes], bool]
 QuorumCallback = Callable[[str, Any, Any], None]
@@ -103,6 +100,9 @@ class EndorsementInstance:
     #: Members known to hold no certificate of it: they asked this node
     #: for one, or answered an ask of this node's without one (``watch``).
     lacking: set[str] | None = None
+    #: The pre-prepare its validator answered "retry", held (on its
+    #: sender's allowance) until :meth:`EndorsementManager.replay`.
+    deferred: tuple | None = None
 
     @property
     def opened(self) -> bool:
@@ -134,10 +134,12 @@ class EndorsementManager:
         #: pre-prepare are still unopened (``parked_by`` names it on each).
         self._parked = dict.fromkeys(self.members, 0)
         self._kinds: dict[str, _Kind] = {}
-        self._retries: dict[str, int] = {}
         #: Instances this node asked its zone about (``watch``), by the
         #: view the watch judges.
         self._asked: dict[str, int] = {}
+        #: The pending primary watch of each instance (``watch``): the
+        #: instance's completion cancels it.
+        self._watches: dict[str, Any] = {}
         host.register_handler(EndorsePrePrepare, self._on_pre_prepare)
         host.register_handler(EndorsePrepare, self._on_prepare)
         host.register_handler(EndorseVote, self._on_vote)
@@ -317,6 +319,15 @@ class EndorsementManager:
         self._add_share(state, self.host.node_id,
                         self.host.keys.sign(self.host.node_id, endorse_digest))
 
+    def replay(self, instance: str) -> None:
+        """What the validator of ``instance`` answered "retry" for is
+        here (the owning engine says so): validate the held pre-prepare
+        again, if one is held."""
+        state = self._instances.get(instance)
+        if state is not None and state.deferred is not None:
+            held, state.deferred = state.deferred, None
+            self._on_pre_prepare(*held)
+
     def relead(self, instance: str, use_prepare: bool,
                on_cert: CertCallback) -> bool:
         """Lead ``instance`` again over the payload and digest banked for
@@ -345,12 +356,19 @@ class EndorsementManager:
         finished it, so — as over a gap of its own (DESIGN.md §6.5) — it
         asks the zone once for the certificate. It suspects the primary
         once ``f`` members are known to hold none either, or if nothing
-        certifies the instance here within another ``timeout_ms``."""
-        self.host.set_timer(timeout_ms, self._watch_expired, instance,
-                            timeout_ms, armed_in)
+        certifies the instance here within another ``timeout_ms``.
+
+        The instance's completion here disarms the watch (``_complete``);
+        one on an instance already finished is not armed."""
+        state = self._instances.get(instance)
+        if state is not None and state.done:
+            return
+        self._watches[instance] = self.host.set_timer(
+            timeout_ms, self._watch_expired, instance, timeout_ms, armed_in)
 
     def _watch_expired(self, instance: str, timeout_ms: float,
                        armed_in: int) -> None:
+        self._watches.pop(instance, None)
         state = self._instances.get(instance)
         if state is not None and state.opened:
             if not state.done:
@@ -440,17 +458,12 @@ class EndorsementManager:
             verdict = kind.validator(msg.instance, msg.payload,
                                      msg.endorse_digest)
             if verdict == "retry":
-                # Validation depends on state that is still in flight (e.g.
-                # the enclosing global commit hasn't executed locally yet):
-                # re-dispatch shortly instead of dropping the pre-prepare.
-                attempts = self._retries.pop(msg.instance, 0)
-                if attempts < _MAX_RETRIES:
-                    self._retries[msg.instance] = attempts + 1
-                    self.host.set_timer(10.0, self._on_pre_prepare,
-                                        sender, msg, envelope)
+                # Validation waits on protocol state still on its way here
+                # (Algorithm 2's: the ballot accepted or executed here):
+                # held, and validated again when its owner says so.
+                self._opened_early(sender, msg.instance).deferred = \
+                    (sender, msg, envelope)
                 return
-            # Refused, endorsed or (above) given up on: no count is kept.
-            self._retries.pop(msg.instance, None)
             if not verdict:
                 return
         state = self._get(msg.instance)
@@ -619,6 +632,9 @@ class EndorsementManager:
         here."""
         state.done = True
         state.cert = cert
+        watch = self._watches.pop(state.instance, None)
+        if watch is not None:
+            watch.cancel()
         # A member that lags its zone: the unit completed before this.
         served = state.served
         obs = self.host.obs

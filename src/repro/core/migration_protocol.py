@@ -1,23 +1,27 @@
 """Data migration protocol (Algorithm 2).
 
-After the data synchronization protocol commits a migration, the source
-zone's primary generates the client state ``R(c)``, certifies it with an
-intra-zone endorsement (pre-prepare / prepare / local-state), and ships it
-to the destination zone in a STATE message. The destination zone endorses
-the received state (pre-prepare / local-commit, no prepare round); once a
-node holds the zone's certificate of ``2f+1`` votes it sets ``lock(c) =
-TRUE``, appends ``R(c)`` to its database, and replies to the client.
+Once the source zone has accepted a global ballot that moves a client
+away (Algorithm 1's ACCEPT / ACCEPTED round), the client's lock is
+FALSE there and nothing the zone would ship can change any more. The
+source zone's primary then generates the client state ``R(c)``,
+certifies it with an intra-zone endorsement (pre-prepare / prepare /
+local-state), and ships it to the destination zone in a STATE message,
+while the ballot is still on its way to its commit. The destination zone
+parks a STATE until it has executed the ballot, then endorses it
+(pre-prepare / local-commit, no prepare round); once a node holds the
+zone's certificate of ``2f+1`` votes it sets ``lock(c) = TRUE``, appends
+``R(c)`` to its database, and replies to the client.
 
-A global ballot commits a *batch* of migrations, and the protocol runs
-once per **group**: the migrations one executed ballot moves from one
+A global ballot orders a *batch* of migrations, and the protocol runs
+once per **group**: the migrations the ballot's requests name from one
 source zone to one destination zone, in client-id order. One endorsement
 certifies the group's records — the ballot and each member's ``(client,
 digest(R(c)))`` — one STATE carries them, and on one append quorum every
-destination node applies each member and answers each client. A group of
-one is the single migration of the paper. What is kept per migration
-(the captured ``R(c)``, whether it was applied) is keyed by ``(ballot,
-client)``; what ships it (the STATE, its timers, a STATE parked ahead of
-its commit) by group.
+destination node applies each member its own execution let through and
+answers its client. A group of one is the single migration of the
+paper. What is kept per migration (the endorsed ``R(c)``, whether it was
+applied) is keyed by ``(ballot, client)``; what ships it (the STATE, its
+timers, a STATE parked ahead of its commit) by group.
 
 Failure handling mirrors §V-A: destination nodes that executed the commit
 but never receive STATE query the source zone, naming one member; source
@@ -44,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["MigrationConfig", "MigrationEngine"]
 
-#: One migration within one committed ballot.
+#: One migration within one ballot.
 MigKey = tuple[Ballot, str]
 #: One group: the migrations a ballot moves from a source to a destination.
 Group = tuple[Ballot, str, str]
@@ -87,12 +91,14 @@ class MigrationEngine:
         self.my_zone = node.zone_info
 
         #: Each group's clients, in client-id order, on the nodes of its
-        #: source and destination zones.
+        #: source zone (from acceptance) and destination zone (from
+        #: execution).
         self._members: dict[Group, tuple[str, ...]] = {}
         #: The STATE a source primary shipped, re-sent on a query.
         self._state_envs: dict[Group, Signed] = {}
-        #: R(c) as of the migration commit's execution point, captured on
-        #: every source-zone node. Re-drives (view changes, destination
+        #: R(c) as the source zone endorsed it: exported once, by the
+        #: primary that led the group's ``mig-state``, and adopted by every
+        #: member that validated it. Re-drives (view changes, destination
         #: re-queries) must ship THIS snapshot: the live store moves on —
         #: the client may even migrate back and transact here again — and
         #: a later export would certify a different state for the same
@@ -101,14 +107,18 @@ class MigrationEngine:
         #: Cross-cluster: the source cluster ships STATE under *its* ballot;
         #: destination nodes map it back to their own cluster's ballot.
         self._aliases: dict[Ballot, Ballot] = {}
-        self._applied: set[MigKey] = set()
-        #: STATEs that raced ahead of their commit, by ballot and clients
-        #: (which group they claim to be is known once it executes).
+        #: Each inbound group's members this node's execution admitted
+        #: and that it has not applied yet; the append quorum empties it.
+        self._waiting: dict[Group, tuple[str, ...]] = {}
+        #: STATEs ahead of their ballot's execution here, by ballot and
+        #: clients (which group they claim to be is known once it
+        #: executes), with their sender and member digests.
         self._buffered_states: dict[tuple[Ballot, tuple[str, ...]],
-                                    tuple[str, StateTransfer, Signed]] = {}
+                                    tuple[str, StateTransfer, Members]] = {}
+        #: The member digests of the STATE a destination node verified for
+        #: a group, computed once and read again at its append quorum.
+        self._verified: dict[Group, tuple[StateTransfer, Members]] = {}
         self._state_timers: dict[Group, Any] = {}
-        #: The executing ballot's members so far, by (source, destination).
-        self._forming: dict[tuple[str, str], list[str]] = {}
         self.migrations_applied = 0
 
         node.register_handler(StateTransfer, self._on_state)
@@ -134,44 +144,71 @@ class MigrationEngine:
         return self._aliases.get(ballot, ballot)
 
     # ------------------------------------------------------------------
-    # Hooks from the sync engine (called on every node during execution)
+    # Hooks from the sync engine: a group forms where its zone accepts
     # ------------------------------------------------------------------
-    def on_migration_committed(self, ballot: Ballot,
-                               request: MigrationRequest) -> None:
-        """One migration of the ballot executing here joins its group.
+    def on_ballot_accepted(self, ballot: Ballot,
+                           batch: tuple[Signed, ...]) -> None:
+        """This node accepted ``ballot`` (Algorithm 1's ACCEPT round in the
+        initiator zone, ACCEPTED in a follower zone) and has locked the
+        clients it moves away: the groups leaving this zone form now, and
+        the primary ships them while the ballot goes on to its commit."""
+        self._form(self._canonical(ballot), batch, executed=False)
 
-        Called for an accepted migration and for one this node
-        *superseded* (commuting execution, DESIGN.md §11.3: a newer move
-        of the client applied here first). A superseded member stays a
-        member, captured, endorsed and applied like the rest: the ballot
-        carried it and another honest node applied it, and a group without
-        it here but with it there would fail the other's per-member checks
-        — one member's interleaving would wedge all of its group-mates.
-        """
-        source, dest = request.source_zone, request.dest_zone
-        if self.my_zone.zone_id == source:
-            key = (self._canonical(ballot), request.sender)
-            if key not in self._captured_records:
-                self._captured_records[key] = \
-                    self.node.app.export_client(request.sender)
-        elif self.my_zone.zone_id != dest:
+    def on_ballot_executed(self, ballot: Ballot,
+                           batch: tuple[Signed, ...]) -> None:
+        """Every request of ``ballot`` executed here: the groups entering
+        this zone form, and so do those leaving it on a node that never
+        accepted the ballot (it caught up through the COMMIT)."""
+        self._form(self._canonical(ballot), batch, executed=True)
+
+    def _form(self, ballot: Ballot, batch: tuple[Signed, ...],
+              executed: bool) -> None:
+        """Fix the groups of ``batch`` leaving this zone — and, once the
+        ballot ``executed`` here, those entering it — and act on each per
+        this node's role. Membership is what the requests name, not what
+        execution makes of them, which a source zone cannot know at
+        acceptance, so every node of both zones computes the same groups.
+        A group already formed here is left alone."""
+        me = self.my_zone.zone_id
+        pairs: dict[tuple[str, str], list[str]] = {}
+        for env in batch:
+            request = env.payload
+            if (request.source_zone == me
+                    or executed and request.dest_zone == me) \
+                    and request.source_zone != request.dest_zone \
+                    and request.operation \
+                    and request.operation[0] == "migrate":
+                pairs.setdefault((request.source_zone, request.dest_zone),
+                                 []).append(request.sender)
+        if not pairs:
             return
-        self._forming.setdefault((source, dest), []).append(request.sender)
-
-    def on_ballot_executed(self, ballot: Ballot) -> None:
-        """Every request of ``ballot`` executed here: act on its groups,
-        per this node's role in each."""
-        forming, self._forming = self._forming, {}
-        ballot = self._canonical(ballot)
-        for (source, dest), clients in sorted(forming.items()):
+        for (source, dest), clients in sorted(pairs.items()):
             group = (ballot, source, dest)
-            self._members[group] = tuple(sorted(clients))
-            if self.my_zone.zone_id == dest:
+            members = tuple(sorted(clients))
+            if self._members.get(group) == members:
+                continue
+            self._members[group] = members
+            if dest == me:
                 self._await_state(group)
-            elif self.node.replica.is_primary:
+                continue
+            instance = self._instance("state", *group)
+            if self.node.replica.is_primary:
                 self.start_record_generation(group)
             else:
-                self._watch(self._instance("state", *group))
+                self._watch(instance)
+                self.node.endorsement.replay(instance)
+
+    def _let_go_parked(self, ballot: Ballot,
+                       clients: tuple[str, ...]) -> None:
+        """A parked STATE of another ballot that moves one of ``clients``
+        into this zone is let go as ``ballot`` executes (DESIGN.md §10):
+        its source zone shipped it on accepting a ballot that, superseded,
+        never commits. Should it commit after all, the group's STATE
+        timer asks for it again."""
+        movers = set(clients)
+        for key in [key for key in self._buffered_states
+                    if key[0] != ballot and not movers.isdisjoint(key[1])]:
+            del self._buffered_states[key]
 
     # ------------------------------------------------------------------
     # Record generation (source zone)
@@ -188,13 +225,15 @@ class MigrationEngine:
     def _span_key(ballot: Ballot, client_id: str) -> str:
         return f"{ballot.key}/{client_id}"
 
-    def _open_spans(self, phase: str, group: Group) -> None:
-        """One ``phase`` span per member; on causal runs they carry the
-        group key the group's ``trace.link`` is filed under."""
+    def _open_spans(self, phase: str, group: Group,
+                    clients: tuple[str, ...]) -> None:
+        """One ``phase`` span per member of ``clients``; on causal runs
+        they carry the group key the group's ``trace.link`` is filed
+        under."""
         ballot, source, dest = group
         obs = self.node.obs
         extra = {"grp": self._group_key(*group)} if obs.causal else {}
-        for client in self._members[group]:
+        for client in clients:
             obs.span_open(self.node.sim.now, phase,
                           self._span_key(ballot, client),
                           node=self.node.node_id, source=source, dest=dest,
@@ -207,7 +246,7 @@ class MigrationEngine:
         clients = self._members[group]
         obs = self.node.obs
         obs.count("migration.state_led")
-        self._open_spans("migration-state", group)
+        self._open_spans("migration-state", group, clients)
         if obs.causal:
             # One link covers the group's whole migration leg: its
             # members' migration-state / migration-copy spans carry the
@@ -221,9 +260,7 @@ class MigrationEngine:
         for client in clients:
             captured = self._captured_records.get((ballot, client))
             if captured is None:
-                # No capture means this node learned of the migration
-                # through a re-query rather than by executing the commit;
-                # the live store is the only source available.
+                # The zone endorsed none yet: this is the one export.
                 captured = self._captured_records[(ballot, client)] = \
                     self.node.app.export_client(client)
             records[client] = captured
@@ -266,21 +303,24 @@ class MigrationEngine:
         if not isinstance(context, StateContext):
             return False
         ballot = self._canonical(context.ballot)
-        if ballot not in self.node.sync.executed_results:
-            return "retry"  # the global commit may still be executing here
-        # Per member: executed here in that ballot as a migration from
-        # this zone to that destination — and none of them left out.
-        group = (ballot, self.my_zone.zone_id, context.dest)
-        if self._members.get(group) != context.clients:
+        # Exactly the group this node formed when it accepted the ballot:
+        # each member a migration from this zone to that destination in
+        # the ballot's batch, and none of them left out.
+        clients = self._members.get(
+            (ballot, self.my_zone.zone_id, context.dest))
+        if clients is None:
+            # Not accepted here yet (``_form`` replays the pre-prepare),
+            # or, once executed here, no such group.
+            return False if ballot in self.node.sync.executed_results \
+                else "retry"
+        if clients != context.clients:
             return False
         members = state_members(context.clients, context.records)
         if members is None or \
                 endorse_digest != state_body(context.ballot, members):
             return False
-        # The first endorsed export becomes the zone-canonical R(c):
-        # replicas capture at slightly different local interleaving
-        # points, so a validator adopts the primary's endorsed records —
-        # then a later primary re-driving this migration (view change,
+        # The primary's one export becomes the zone-canonical R(c): a
+        # later primary re-driving this migration (view change,
         # destination re-query) ships the identical record instead of a
         # near-miss of its own that the monitor would flag as divergent.
         for client in context.clients:
@@ -297,17 +337,32 @@ class MigrationEngine:
     # Record appending (destination zone)
     # ------------------------------------------------------------------
     def _await_state(self, group: Group) -> None:
-        self._open_spans("migration-copy", group)
-        self._arm_state_timer(group)
-        buffered = self._buffered_states.pop((group[0], self._members[group]),
-                                             None)
+        """Inbound ``group`` formed as its ballot executed here: wait for
+        the members this node's execution admitted — accepted, or
+        superseded by a newer move (commuting execution, DESIGN.md
+        §11.3). A member the policies or the source check rejected rides
+        in the STATE and is not applied."""
+        ballot, clients = group[0], self._members[group]
+        if self._buffered_states:
+            self._let_go_parked(ballot, clients)
+        results = self.node.sync.executed_results[ballot]
+        admitted = tuple(client for client in clients
+                         if results[client][0] == "migrated"
+                         or results[client][1] == "superseded")
+        if admitted:
+            self._waiting[group] = admitted
+            self._open_spans("migration-copy", group, admitted)
+            self._arm_state_timer(group)
+        buffered = self._buffered_states.pop((ballot, clients), None)
         if buffered is not None:
-            self._on_state(*buffered)
+            self._take_state(*buffered)
+        self.node.endorsement.replay(self._instance("append", *group))
 
-    def _inbound(self, ballot: Ballot, clients: tuple[str, ...]) \
-            -> Group | None:
+    def _inbound(self, ballot: Ballot, clients: Any) -> Group | None:
         """The group ``ballot`` moves into this zone whose members are
-        exactly ``clients`` (a well-shaped tuple), if it executed here."""
+        exactly ``clients``, if it executed here."""
+        if not isinstance(clients, tuple) or not clients:
+            return None
         request = self._request_of(ballot, clients[0])
         if request is None:
             return None
@@ -321,25 +376,32 @@ class MigrationEngine:
             self.node.refuse(sender, state)  # ill-shaped
             return
         ballot = self._canonical(state.ballot)
-        if all((ballot, client) in self._applied for client in state.clients):
-            return
         if ballot not in self.node.sync.executed_results:
-            # STATE raced ahead of the global commit; park it.
+            # STATE left when the source zone accepted the ballot; this
+            # node appends nothing before it has executed it.
             self._buffered_states[(ballot, state.clients)] = \
-                (sender, state, envelope)
+                (sender, state, members)
             return
-        group = self._inbound(ballot, state.clients)
+        self._take_state(sender, state, members)
+
+    def _take_state(self, sender: str, state: StateTransfer,
+                    members: Members) -> None:
+        """A well-shaped STATE, whose ``members`` are computed, for a
+        ballot executed here."""
+        group = self._inbound(self._canonical(state.ballot), state.clients)
         if group is None:
             # Not a group this zone committed in that ballot: a member
             # missing, one too many, or one moving somewhere else.
             self.node.refuse(sender, state)
             return
-        _, source, dest = group
+        if group not in self._waiting:
+            return  # applied already, or nothing of it admitted here
         body = state_body(state.ballot, members)
-        if not self.node.check_cert("state", source, state.cert, body,
+        if not self.node.check_cert("state", group[1], state.cert, body,
                                     sender, self._group_key(*group)):
             return
-        instance = self._instance("append", state.ballot, source, dest)
+        self._verified[group] = (state, members)
+        instance = self._instance("append", *group)
         if self.node.replica.is_primary:
             self.node.endorsement.lead(
                 instance, state, body, use_prepare=False,
@@ -347,18 +409,26 @@ class MigrationEngine:
         else:
             self._watch(instance)
 
+    def _digests(self, group: Group, state: StateTransfer) -> Members | None:
+        """``state_members`` of ``state``: kept from when this node
+        verified that very STATE for ``group``, or computed."""
+        held = self._verified.get(group)
+        if held is not None and held[0] is state:
+            return held[1]
+        return state_members(state.clients, state.records)
+
     def _validate_append_ctx(self, instance: str, context: Any,
                              endorse_digest: bytes) -> Any:
         if not isinstance(context, StateTransfer):
             return False
         ballot = self._canonical(context.ballot)
         if ballot not in self.node.sync.executed_results:
-            return "retry"  # the global commit may still be executing here
-        members = state_members(context.clients, context.records)
-        if members is None:
-            return False
+            return "retry"  # ``_await_state`` replays the pre-prepare
         group = self._inbound(ballot, context.clients)
         if group is None:
+            return False
+        members = self._digests(group, context)
+        if members is None:
             return False
         body = state_body(context.ballot, members)
         if endorse_digest != body:
@@ -366,22 +436,24 @@ class MigrationEngine:
         return self.directory.cert_valid(context.cert, body, group[1])
 
     def _on_append_quorum(self, instance: str, context: Any, cert) -> None:
-        """Lines 22-25: every destination node appends each member on the
-        zone's certificate (the context was validated here, or led from
-        here)."""
+        """Lines 22-25: every destination node appends each member its
+        execution admitted, on the zone's certificate (the context was
+        validated here, or led from here)."""
         if not isinstance(context, StateTransfer):
             return
         self.node.endorsement.retire(instance)
         ballot = self._canonical(context.ballot)
-        self._cancel_state_timer(self._inbound(ballot, context.clients))
+        group = self._inbound(ballot, context.clients)
+        if group is None:
+            return
+        self._cancel_state_timer(group)
+        digests = dict(self._digests(group, context))
+        self._verified.pop(group, None)
+        requests = {env.payload.sender: env.payload
+                    for env in self.node.sync.txns[ballot].batch}
         obs = self.node.obs
         now = self.node.sim.now
-        for client, records_digest in state_members(context.clients,
-                                                    context.records):
-            key = (ballot, client)
-            if key in self._applied:
-                continue
-            self._applied.add(key)
+        for client in self._waiting.pop(group, ()):
             records = context.records[client]
             obs.count("migration.applied")
             obs.span_close(now, "migration-copy",
@@ -390,15 +462,14 @@ class MigrationEngine:
             obs.emit(now, "migration.applied",
                      node=self.node.node_id, client=client,
                      ballot=context.ballot.key, records=len(records),
-                     records_digest=records_digest.hex())
+                     records_digest=digests[client].hex())
             self.node.app.import_client(client, records)
             self.node.locks.mark_current(client)
             self.node.reads.on_arrived(client)
             self.migrations_applied += 1
-            request = self._request_of(ballot, client)
-            if request is not None:
-                self.node.reply_to_client(
-                    request, ("migrated", "ok", request.dest_zone))
+            request = requests[client]
+            self.node.reply_to_client(
+                request, ("migrated", "ok", request.dest_zone))
 
     def _request_of(self, ballot: Ballot,
                     client_id: str) -> MigrationRequest | None:
@@ -432,11 +503,11 @@ class MigrationEngine:
     def _on_state_timeout(self, group: Group) -> None:
         self._state_timers.pop(group, None)
         ballot, source, _ = group
-        clients = self._members[group]
-        if all((ballot, client) in self._applied for client in clients):
+        pending = self._waiting.get(group)
+        if not pending:
             return
         query = ResponseQuery(view=self.node.replica.view, ballot=ballot,
-                              request_digest=digest(clients[0]),
+                              request_digest=digest(pending[0]),
                               phase="state", zone_id=self.my_zone.zone_id,
                               sender=self.node.node_id)
         self.node.multicast_signed(self.directory.zone(source).members,
@@ -447,24 +518,21 @@ class MigrationEngine:
         """Source-side response to a STATE query naming one member: re-send
         the group's STATE, or lead it if this node is (now) the primary."""
         ballot = self._canonical(query.ballot)
-        results = self.node.sync.executed_results.get(ballot)
-        if results is None:
-            # Not executed here yet: exporting now would certify a
-            # pre-commit-point R(c). The destination's timer will re-query
-            # once we catch up.
-            return
-        client = next((c for c in results
-                       if digest(c) == query.request_digest), None)
-        request = None if client is None else self._request_of(ballot, client)
+        txn = self.node.sync.txns.get(ballot)
+        request = None if txn is None else next(
+            (env.payload for env in txn.batch
+             if digest(env.payload.sender) == query.request_digest), None)
         if request is None:
             return
         group = (ballot, self.my_zone.zone_id, request.dest_zone)
         if group not in self._members:
+            # Not accepted here yet: R(c) may still change. The
+            # destination's timer will re-query once we catch up.
             return
         env = self._state_envs.get(group)
         if env is not None:
             self.node.forward(sender, env)
         elif self.node.replica.is_primary:
-            # We executed the commit but our primary never shipped the
-            # state: nudge record generation now that we are the primary.
+            # Our zone accepted the ballot but our primary never shipped
+            # the state: lead it now that we are the primary.
             self.start_record_generation(group)

@@ -152,8 +152,6 @@ class ZiziphusNode(HostNode):
             # The migration was rejected by policy: the client stays; its
             # data here is authoritative again.
             self.locks.mark_current(request.sender)
-        if outcome.accepted or outcome.reason == "superseded":
-            self.migration.on_migration_committed(ballot, request)
 
     def store_remote_checkpoint(self, ref: CheckpointRef) -> None:
         """Lazy synchronization (§V-B): keep other zones' newest stable

@@ -188,10 +188,10 @@ class SyncEngine:
         #: Per-ballot execution results: client id -> result tuple.
         self.executed_results: dict[Ballot, dict[str, Any]] = {}
         self.pending_commits: dict[Ballot, list[Ballot]] = {}
+        #: Each request this node has seen in a ballot's batch, by the
+        #: ballot that last carried it here: a retransmission is answered
+        #: from it, never proposed again, by whichever node leads.
         self.request_dedup: dict[tuple[str, int], Ballot] = {}
-        #: Requests this node has seen inside any ballot's batch; lets
-        #: non-primaries tell "handled" from "dropped by our primary".
-        self.seen_requests: set[tuple[str, int]] = set()
         self._batch_buffer: dict[bytes, Signed] = {}
         self._batch_timer = None
         self._watched_requests: set[bytes] = set()
@@ -286,10 +286,11 @@ class SyncEngine:
             result = ("sub1-committed",) + result
         self.node.reply_to_client(request, result)
 
-    def _mark_stale_sources(self, batch: tuple[Signed, ...]) -> None:
+    def _mark_stale_sources(self, ballot: Ballot,
+                            batch: tuple[Signed, ...]) -> None:
         for env in batch:
             request = env.payload
-            self.seen_requests.add((request.sender, request.timestamp))
+            self.request_dedup[(request.sender, request.timestamp)] = ballot
             if request.operation and request.operation[0] == "migrate" and \
                     request.source_zone == self.my_zone.zone_id:
                 self.node.locks.mark_stale(request.sender)
@@ -440,7 +441,7 @@ class SyncEngine:
     def _on_request_watch_expired(self, request_digest: bytes,
                                   key: tuple[str, int], armed_in: int) -> None:
         self._watched_requests.discard(request_digest)
-        if key in self.request_dedup or key in self.seen_requests:
+        if key in self.request_dedup:
             return  # some ballot picked the request up
         self.node.replica.view_changes.suspect(armed_in)
 
@@ -502,7 +503,7 @@ class SyncEngine:
         txn = self._txn(propose.ballot)
         txn.batch = propose.requests
         txn.request_digest = request_digest
-        self._mark_stale_sources(propose.requests)
+        self._mark_stale_sources(propose.ballot, propose.requests)
         return txn
 
     def _on_propose(self, sender: str, propose: Propose,
@@ -655,6 +656,10 @@ class SyncEngine:
         obs.span_open(now, "accepted", ballot.key, node=self.node.node_id)
         self.node.multicast_signed(self._other_zone_nodes(), accept)
         self._arm_deadline(txn, "accepted-wait")
+        # Accepted here: the clients it moves away are locked, and their
+        # Algorithm 2 groups ship now (DESIGN.md §6.4).
+        self._mark_stale_sources(ballot, txn.batch)
+        self.node.migration.on_ballot_accepted(ballot, txn.batch)
 
     def _validate_accept_ctx(self, instance: str, context: Any,
                              endorse_digest: bytes) -> bool:
@@ -682,7 +687,8 @@ class SyncEngine:
         txn.batch = context.requests
         txn.request_digest = request_digest
         txn.prev_ballot = context.prev_ballot
-        self._mark_stale_sources(context.requests)
+        self._mark_stale_sources(context.ballot, context.requests)
+        self.node.migration.on_ballot_accepted(context.ballot, txn.batch)
         self._watch(instance)
         return True
 
@@ -702,7 +708,7 @@ class SyncEngine:
                     batch_digest(accept.requests) != accept.request_digest:
                 return False
             txn.batch = accept.requests
-        self._mark_stale_sources(txn.batch)
+        self._mark_stale_sources(txn.ballot, txn.batch)
         return True
 
     def _on_accept(self, sender: str, accept: Accept,
@@ -765,6 +771,7 @@ class SyncEngine:
         initiator_nodes = self.directory.zone(ballot.zone_id).members
         self.node.multicast_signed(initiator_nodes, accepted)
         self._arm_deadline(txn, _COMMIT_WAIT)
+        self.node.migration.on_ballot_accepted(ballot, txn.batch)
 
     def _validate_accepted_ctx(self, instance: str, context: Any,
                                endorse_digest: bytes) -> bool:
@@ -793,6 +800,7 @@ class SyncEngine:
         txn = self._txn(context.ballot)
         self._absorb_accept(txn, accept)
         self._arm_deadline(txn, _COMMIT_WAIT)
+        self.node.migration.on_ballot_accepted(context.ballot, txn.batch)
         return True
 
     # ------------------------------------------------------------------
@@ -833,6 +841,10 @@ class SyncEngine:
         txn.phase = "commit"
         self.node.obs.span_open(self.node.sim.now, "commit",
                                 txn.ballot.key, node=self.node.node_id)
+        # Armed before the lead, as for the ACCEPT: members cut off from
+        # its pre-prepare hold no watch on the round, and nothing else
+        # would send it again. The COMMIT this node sends itself disarms.
+        self._arm_deadline(txn, "commit")
         self.prepare_commit_cert(
             txn, on_cert=lambda cert, b=txn.ballot: self._send_commit(b, cert))
 
@@ -905,7 +917,7 @@ class SyncEngine:
         txn.batch = commit.requests
         txn.request_digest = request_digest
         txn.prev_ballot = commit.prev_ballot
-        self._mark_stale_sources(commit.requests)
+        self._mark_stale_sources(commit.ballot, commit.requests)
         self.highest_seen = max(self.highest_seen, commit.ballot.seq)
         self._disarm(txn)
         self._commit_order.append(commit.ballot)
@@ -1006,7 +1018,7 @@ class SyncEngine:
             if is_initiator:
                 self._answer_executed(request, results[request.sender])
             self.migrations_executed += 1
-        self.node.migration.on_ballot_executed(ballot)
+        self.node.migration.on_ballot_executed(ballot, txn.batch)
         self._let_go(txn)
         for waiting in self.pending_commits.pop(ballot, []):
             self._try_execute(waiting)
@@ -1098,12 +1110,13 @@ class SyncEngine:
             return
         if txn.phase != phase or not self._is_zone_primary():
             return
-        if phase == "accept":
-            # The ACCEPT-body endorsement never certified (pre-prepare or
-            # prepares lost, or members held a crashed primary's rival
-            # assignment until our newer view overrode it). This ballot
-            # may already be referenced as prev by committed successors,
-            # so it cannot be abandoned — keep re-driving it.
+        if phase in ("accept", "commit"):
+            # The ACCEPT- or COMMIT-body endorsement never certified
+            # (pre-prepare or prepares lost, or members held a crashed
+            # primary's rival assignment until our newer view overrode
+            # it). This ballot may already be referenced as prev by
+            # committed successors, so it cannot be abandoned — keep
+            # re-driving it.
             self._redrive_initiator(txn)
             return
         if phase == "accepted-wait":

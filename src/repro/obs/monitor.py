@@ -556,6 +556,7 @@ class ProtocolMonitor:
         first = self._mig_transitions.get(key)
         if first is None:
             self._mig_transitions[key] = transition
+            self._in_flight(ts, node, f)
             self._apply_transition(ts, node, f)
         elif first != transition:
             # Nodes disagreeing on a deterministic execution outcome.
@@ -587,6 +588,7 @@ class ProtocolMonitor:
         first = self._mig_transitions.get(key)
         if first is None:
             self._mig_transitions[key] = transition
+            self._in_flight(ts, node, f)
             if transition[2]:
                 self._record_commuting_apply(ts, node, f)
         elif first != transition:
@@ -594,6 +596,20 @@ class ProtocolMonitor:
                        dedup_key=(key, transition), ballot=f["ballot"],
                        client=f["client"], got=list(transition),
                        first=list(first))
+
+    def _in_flight(self, ts: float, node: str, f: dict) -> None:
+        """The first execution of a migration under a ballot: accepted,
+        under the ballot its STATE ships under (the source cluster's, for
+        a cross-cluster move) and not yet applied, it is in flight until
+        its first copy is applied. A STATE a source zone shipped when it
+        accepted a ballot that never commits, or for a member the
+        destination rejects, is no migration anybody waits for."""
+        key = (f["ballot"], f["client"])
+        if f["accepted"] and key not in self._applied_nodes and \
+                self.topology.cluster_of(_ballot_zone(f["ballot"])) \
+                == self.topology.cluster_of(f["source"]):
+            self._open[("migration",) + key] = {
+                "start": ts, "phase": "state-copy", "node": node}
 
     def _record_commuting_apply(self, ts: float, node: str,
                                 f: dict) -> None:
@@ -656,12 +672,6 @@ class ProtocolMonitor:
                        dedup_key=(key, f["records_digest"]),
                        client=f["client"], ballot=f["ballot"],
                        reason="divergent-state-sent")
-        if key not in self._applied_nodes:
-            # A copy already applied somewhere is not in flight again
-            # when a lagging ex-primary re-ships what its zone certified.
-            self._open.setdefault(("migration", f["ballot"], f["client"]),
-                                  {"start": ts, "phase": "state-copy",
-                                   "node": node})
 
     def _on_applied(self, ts: float, node: str, f: dict) -> None:
         self.checked["migration.applied"] += 1

@@ -316,14 +316,16 @@ class PBFTReplica:
         if armed_in != self.judged_view:
             return
         if request_digest in self.pending:
-            self.view_changes.suspect(armed_in)
-            return
-        sequence = self._digest_sequence.get(request_digest)
-        if sequence is None:
-            return
-        slot = self.slots.get(sequence)
-        if slot is None or slot.executed:
-            return
+            # Never pre-prepared here: the primary dropped it — or ordered
+            # it in a gap this replica missed, if one is open above.
+            sequence = self.last_executed + 1
+        else:
+            sequence = self._digest_sequence.get(request_digest)
+            if sequence is None:
+                return
+            slot = self.slots.get(sequence)
+            if slot is None or slot.executed:
+                return
         if not any(held.committed for held_at, held in self.slots.items()
                    if held_at >= sequence):
             self.view_changes.suspect(armed_in)

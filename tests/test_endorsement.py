@@ -93,6 +93,8 @@ def test_validator_rejection_blocks_votes():
 
 
 def test_retry_verdict_eventually_endorses():
+    """A pre-prepare its validator answers "retry" is held, not polled,
+    and endorses once the engine that owns the instance replays it."""
     sim, hosts, managers = build_zone()
     ready = {"flag": False}
 
@@ -104,7 +106,11 @@ def test_retry_verdict_eventually_endorses():
     certs = []
     managers[0].lead("test/1", "p", digest("p"), use_prepare=False,
                      on_cert=certs.append)
-    sim.schedule(50.0, lambda: ready.update(flag=True))
+    sim.run(until=500)
+    assert certs == []
+    ready["flag"] = True
+    for manager in managers[1:]:
+        manager.replay("test/1")
     sim.run(until=1_000)
     assert len(certs) == 1
 
@@ -298,7 +304,11 @@ def test_a_genuine_early_vote_still_aggregates_under_the_flood():
     assert managers[2].instance_state("test/1").cert == state.cert
 
 
-def test_no_retry_count_outlives_its_pre_prepare():
+def test_a_held_pre_prepare_is_kept_once_on_its_primarys_allowance():
+    """Nothing re-dispatches a held pre-prepare on a timer: it waits,
+    counted against the allowance of the primary that sent it (so a
+    faulty primary's never-ready instances displace only its own), until
+    a replay validates it again; refused then, it is held no more."""
     sim, hosts, managers = build_zone()
     verdicts = {"test/stuck": "retry", "test/refused": "retry"}
     for manager in managers[1:]:
@@ -308,10 +318,20 @@ def test_no_retry_count_outlives_its_pre_prepare():
         managers[0].lead(name, name, digest(name), use_prepare=False,
                          on_cert=lambda cert: None)
     sim.run(until=100)
-    assert managers[1]._retries.keys() == verdicts.keys()
+
+    def held(manager):
+        return {name for name, state in manager._instances.items()
+                if state.deferred is not None}
+
+    events = sim.events_processed
+    sim.run(until=5_000)
+    assert sim.events_processed == events
+    assert all(held(manager) == set(verdicts) for manager in managers[1:])
+    assert managers[1]._parked["n0"] == 2
     verdicts["test/refused"] = False
-    sim.run(until=5_000)        # 200 re-dispatches, 10 ms apart, and out
-    assert all(manager._retries == {} for manager in managers)
+    for manager in managers[1:]:
+        manager.replay("test/refused")
+    assert all(held(manager) == {"test/stuck"} for manager in managers[1:])
     assert not managers[1].has_instance("test/stuck")
 
 

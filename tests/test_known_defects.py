@@ -95,3 +95,16 @@ def test_d11_reproposed_ballot_does_not_chain_to_the_superseded_one():
     never commits, and nothing executed.)"""
     deployment = _leaderless_with_accepted_dropped()
     assert _applied_at_z2(deployment) == [1, 1, 1, 1]
+
+
+@known_defect
+def test_d16_a_former_primary_that_missed_its_zones_view_change_stalls():
+    """`zone-internal-split` on `rotating`, seed 4: after the heal z2's
+    former primary has missed its zone's view change and keeps starting
+    ballots the zone ignores, so the monitor flags a stall on
+    ``sync/NN.z2`` in phase ``start``."""
+    from repro.chaos import CAMPAIGNS, run_scenario
+    scenario = next(s for s in CAMPAIGNS["default"]
+                    if s.name == "zone-internal-split")
+    result = run_scenario(scenario, seed=4, backend="rotating")
+    assert result.verdict == "pass", result.reasons

@@ -6,14 +6,17 @@ zone are one *group*, and Algorithm 2 runs once per group (DESIGN.md
 each destination member, one ``mig-append`` endorsement in the
 destination — the same messages however many migrations the group holds.
 That budget is pinned here with the group's edges: two destinations are
-two groups, a member the policies rejected is none, a STATE naming other
-clients than the ballot committed is refused, a re-query naming one
-member is answered with the whole group, a STATE ahead of its commit is
-parked, and a cross-cluster migration is a group of one. So are the two
-zone-view splits after an initiator crash (ROADMAP D1) that no longer
-happen. Run as a script it prints what CI shows in the job summary; with
-``--census BACKEND``, migrations per group and Algorithm 2 messages per
-migration of a 60 %-global point under that backend.
+two groups, a member the policies rejected rides in its group and is not
+applied, a STATE naming other clients than the ballot carries is
+refused, a re-query naming one member is answered with the whole group,
+a STATE ahead of its commit is parked, one whose ballot never commits is
+let go, and a cross-cluster migration is a group of one. So is the
+order the source zone ships in — when it accepts the ballot, before it
+executes it — with one idle migration's latency per pair of zones, and
+the two zone-view splits after an initiator crash (ROADMAP D1) that no
+longer happen. Run as a script it prints what CI shows in the job
+summary; with ``--census BACKEND``, migrations per group and Algorithm 2
+messages per migration of a 60 %-global point under that backend.
 """
 
 import sys
@@ -33,6 +36,20 @@ from repro.obs.monitor import ProtocolMonitor
 from repro.pbft.replica import PBFTConfig
 from repro.workload.driver import ClosedLoopDriver
 from repro.workload.generator import WorkloadMix
+
+#: Completion of one idle migration, by (source, destination) zone, in
+#: ms: four zones on the default configuration, one client, seed 1
+#: (``idle_migration_ms``). Before: the latency when the source zone
+#: shipped R(c) on executing the ballot's COMMIT; now: when it ships on
+#: accepting the ballot. No pair may be slower than it was.
+IDLE_MIGRATION_MS = {
+    ("z0", "z1"): (138.9, 135.9), ("z0", "z2"): (165.0, 162.4),
+    ("z0", "z3"): (229.2, 225.2), ("z1", "z0"): (187.6, 135.6),
+    ("z1", "z2"): (165.1, 162.6), ("z1", "z3"): (320.8, 273.5),
+    ("z2", "z0"): (242.1, 163.8), ("z2", "z1"): (193.0, 164.0),
+    ("z2", "z3"): (372.2, 299.5), ("z3", "z0"): (369.0, 291.3),
+    ("z3", "z1"): (415.3, 338.4), ("z3", "z2"): (437.0, 360.5),
+}
 
 #: Algorithm 2 messages of one group in zones of four: ``mig-state`` — 3
 #: pre-prepares, 9 prepares, 3 votes to the leader, 3 certificates from
@@ -60,7 +77,7 @@ def one_ballot_sync(**overrides):
 class Tap:
     """Every message handed to the network, once per destination, as
     ``(payload type, endorsement instance or None)``; those ``hold``
-    matches (by type and destination) wait for :meth:`release`."""
+    matches (by type, destination and payload) wait for :meth:`release`."""
 
     def __init__(self, deployment, hold=None):
         self.sent = []
@@ -75,7 +92,7 @@ class Tap:
         passed = []
         for dst in dsts:
             self.sent.append((kind, getattr(payload, "instance", None)))
-            if self.hold is not None and self.hold(kind, dst):
+            if self.hold is not None and self.hold(kind, dst, payload):
                 self.held.append((src, dst, message))
             else:
                 passed.append(dst)
@@ -181,18 +198,114 @@ def test_a_ballot_moving_clients_to_two_zones_runs_two_groups():
         == [("m0", "m2"), ("m1",)]
 
 
-def test_a_member_rejected_by_policy_is_not_in_the_group():
-    # z2 may host two clients: the third move into it is refused.
+def test_a_member_rejected_by_policy_rides_in_the_group_and_is_not_applied():
+    """Membership is what the requests name: z1 ships the group when it
+    accepts the ballot, before anyone knows what execution makes of it.
+    z2 may host two clients, so its execution refuses the third move;
+    that member rides in the STATE and z2 appends only the other two."""
     deployment, tap, clients = one_ballot(
         [("z1", "z2")] * 3, policies=PolicySet(max_clients_per_zone=2))
     outcomes = results(clients)
     assert outcomes.count(("migrated", "ok", "z2")) == 2
     assert outcomes.count(("rejected", "zone-full", "z2")) == 1
     rejected = f"m{outcomes.index(('rejected', 'zone-full', 'z2'))}"
-    (members,) = groups(deployment, "z2").values()
-    assert len(members) == 2 and rejected not in members
+    assert list(groups(deployment, "z1").values()) \
+        == list(groups(deployment, "z2").values()) == [("m0", "m1", "m2")]
     assert len(tap.algorithm2()) == GROUP_MESSAGES
     assert applied(deployment, "z2") == [2] * 4
+    assert not any(node.app.has_account(rejected)
+                   for node in deployment.zone_nodes("z2"))
+
+
+# ----------------------------------------------------------------------
+# The source zone ships when it accepts, the destination appends once it
+# has executed
+# ----------------------------------------------------------------------
+def idle_migration_ms(source, dest):
+    """Completion latency of one migration from ``source`` to ``dest``
+    in an otherwise idle deployment of four zones (seed 1)."""
+    deployment = build_ziziphus(ZiziphusConfig(num_zones=4, f=1, seed=1))
+    (client,) = migrating(deployment, [(source, dest)])
+    deployment.run(5_000.0)
+    (record,) = client.completed
+    assert record.result == ("migrated", "ok", dest)
+    return round(record.latency_ms, 1)
+
+
+@pytest.mark.parametrize("source,dest", sorted(IDLE_MIGRATION_MS))
+def test_one_idle_migration_is_no_slower_than_shipping_at_the_commit(
+        source, dest):
+    before, now = IDLE_MIGRATION_MS[(source, dest)]
+    assert idle_migration_ms(source, dest) == now <= before
+
+
+def test_every_state_leaves_before_its_source_executes_and_lands_after():
+    """A fault-free closed loop of four zones: each group's STATE leaves
+    its source primary before that primary has executed the ballot, and
+    no destination node applies a member before it has executed it."""
+    deployment = bench_like(num_zones=4, backend="default", seed=7)
+    obs = Instrumentation(recording=True).attach(deployment)
+    ProtocolMonitor.attach(obs, deployment)
+    ClosedLoopDriver(deployment, WorkloadMix(global_fraction=0.6),
+                     clients_per_zone=10, seed=7).start()
+    deployment.run(600.0)
+    executed, shipped, landed = {}, [], []
+    for index, event in enumerate(obs.events):
+        where = (event.node, event.fields.get("ballot"))
+        if event.kind == "sync.execute":
+            executed.setdefault(where, index)
+        elif event.kind == "migration.state_sent":
+            shipped.append((where, index))
+        elif event.kind == "migration.applied":
+            landed.append((where, index))
+    assert len(shipped) > 100 and len(landed) > 300
+    assert all(executed.get(where, len(obs.events)) > index
+               for where, index in shipped)
+    assert all(executed[where] < index for where, index in landed)
+    assert obs.monitor.violations == []
+
+
+def test_a_state_of_a_ballot_that_never_commits_is_let_go_unapplied():
+    """Leaderless, the destination z2 initiates; z0 never hears an ACCEPT
+    and z2 never a PROMISE of z1's. z1 accepts the first ballot and ships
+    its STATE, but its ACCEPTED is lost, so z2 supersedes the ballot and
+    orders the move again, on z0's promise, under a second one. z2 parks
+    the first STATE, lets it go as the second ballot executes, and
+    applies the client once, from the second ballot's STATE."""
+    deployment = build_ziziphus(ZiziphusConfig(
+        num_zones=3, f=1, pbft=FAST_PBFT,
+        sync=one_ballot_sync(stable_leader=False,
+                             commit_timeout_ms=4_000.0)))
+    obs = Instrumentation(enabled=True, recording=False, metrics=False)
+    monitor = ProtocolMonitor.attach(obs.attach(deployment), deployment)
+
+    def lost(kind, dst, payload):
+        if dst.startswith("z0"):
+            return kind == "Accept"
+        return dst.startswith("z2") and (
+            kind == "Promise" and payload.zone_id == "z1"
+            or kind == "Accepted" and deployment.sim.now < 700.0)
+
+    tap = Tap(deployment, hold=lost)
+    (client,) = migrating(deployment, [("z1", "z2")])
+    deployment.run(600.0)
+    z2 = deployment.zone_nodes("z2")
+    ((first, clients),) = z2[0].migration._buffered_states
+    assert clients == ("m0",)
+    assert all(list(node.migration._buffered_states) == [(first, clients)]
+               for node in z2)
+    deployment.run(5_000.0)
+    assert results([client]) == [("migrated", "ok", "z2")]
+    (second,) = set(deployment.nodes["z2n0"].sync.executed_results)
+    assert second != first
+    for node in z2:
+        assert node.migration._buffered_states == {}
+        assert list(node.migration._members) == [(second, "z1", "z2")]
+    assert applied(deployment, "z2") == [1] * 4
+    assert len(tap.instances("state")) == 2
+    assert len(tap.instances("append")) == 1
+    monitor.finish(deployment.sim.now)
+    assert monitor.violations == []
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +315,7 @@ def cut_state(k=2):
     """A ballot of ``k`` moves z1 -> z2 that executed everywhere, whose
     STATE the tap is holding back from z2."""
     return one_ballot([("z1", "z2")] * k, run_ms=1_000.0,
-                      hold=lambda kind, dst: kind == "StateTransfer"
+                      hold=lambda kind, dst, _: kind == "StateTransfer"
                       and dst.startswith("z2"))
 
 
@@ -254,7 +367,8 @@ def test_a_requery_naming_one_member_gets_the_group_and_applies_each_once():
 def test_a_state_ahead_of_its_commit_is_parked_then_applied():
     deployment, tap, clients = one_ballot(
         [("z1", "z2")] * 2, run_ms=1_000.0,
-        hold=lambda kind, dst: kind == "GlobalCommit" and dst.startswith("z2"))
+        hold=lambda kind, dst, _: kind == "GlobalCommit"
+        and dst.startswith("z2"))
     (ballot,) = ballots(deployment)
     for node in deployment.zone_nodes("z2"):
         assert list(node.migration._buffered_states) == [(ballot, ("m0", "m1"))]
@@ -306,17 +420,18 @@ def test_a_zone_split_across_views_after_an_initiator_crash_rejoins(
     assert result.verdict == "pass", result.reasons
 
 
-@pytest.mark.parametrize("seed,lone", [
-    (1, [("z0n1", 1)]), (2, []), (3, [("z0n1", 1)])])
+@pytest.mark.parametrize("seed,lone", [(1, []), (2, []), (3, [])])
 def test_a_recovered_backup_does_not_suspect_over_what_its_zone_certified(
         seed, lone, monkeypatch):
     """ROADMAP D1(iv): in `crash-backup-churn` z0n1 and z1n1 come back
     and watch Algorithm 2 instances their zones finished while they were
     down. Each asks its zone for the certificates, so no watch starts a
     view change: z1n1 alone suspected its primary at 3.1-3.3 s on each of
-    these seeds, and z0n1 at 3.2 s on seed 2. What is left is z0n1's PBFT
-    request timer on seeds 1 and 3 (2.6 s), which suspects over a gap its
-    zone does not fill in time (ROADMAP D1)."""
+    these seeds, and z0n1 at 3.2 s on seed 2. z0n1's PBFT request timer
+    suspected alone on seeds 1 and 3 (2.6 s), over a gap its zone did not
+    fill in time; since a source zone ships R(c) when it accepts a
+    ballot the run takes another course and that gap no longer opens on
+    these seeds — not because its mechanism went (ROADMAP D1(vi))."""
     from repro.pbft.view_change import ViewChangeManager
     initiated = []
     initiate = ViewChangeManager.initiate
@@ -332,12 +447,10 @@ def test_a_recovered_backup_does_not_suspect_over_what_its_zone_certified(
 # ----------------------------------------------------------------------
 # The census CI prints per backend
 # ----------------------------------------------------------------------
-def census(backend, seed=7):
-    """Migrations per group and Algorithm 2 messages per migration of a
-    60 %-global closed loop: three zones, ten clients each, 600 ms on the
-    benchmark's batching and timers."""
-    deployment = build_ziziphus(ZiziphusConfig(
-        num_zones=3, f=1, seed=seed, backend=backend,
+def bench_like(num_zones, backend, seed):
+    """Zones of four on the benchmark's batching and timers."""
+    return build_ziziphus(ZiziphusConfig(
+        num_zones=num_zones, f=1, seed=seed, backend=backend,
         use_threshold_signatures=True,
         pbft=PBFTConfig(batch_size=16, batch_timeout_ms=1.0,
                         request_timeout_ms=8_000.0,
@@ -349,6 +462,13 @@ def census(backend, seed=7):
                         watch_timeout_ms=8_000.0),
         migration=MigrationConfig(state_timeout_ms=8_000.0,
                                   watch_timeout_ms=8_000.0)))
+
+
+def census(backend, seed=7):
+    """Migrations per group and Algorithm 2 messages per migration of a
+    60 %-global closed loop: three zones, ten clients each, 600 ms on the
+    benchmark's batching and timers."""
+    deployment = bench_like(num_zones=3, backend=backend, seed=seed)
     tap = Tap(deployment)
     ClosedLoopDriver(deployment, WorkloadMix(global_fraction=0.6),
                      clients_per_zone=10, seed=seed).start()
@@ -367,6 +487,9 @@ if __name__ == "__main__":
     else:
         costs = [len(one_ballot([("z1", "z2")] * k)[1].algorithm2())
                  for k in (1, 2, 5)]
+        idle = ", ".join(f"{source}>{dest} {idle_migration_ms(source, dest)}"
+                         for source, dest in sorted(IDLE_MIGRATION_MS))
         print(f"one group of 1 / 2 / 5 migrations: "
               f"{' / '.join(map(str, costs))} messages "
-              f"(pinned {GROUP_MESSAGES} each)")
+              f"(pinned {GROUP_MESSAGES} each); one idle migration, ms: "
+              f"{idle}")

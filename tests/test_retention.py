@@ -4,7 +4,8 @@ A node keeps whole what is in flight and lets finished work go
 (DESIGN.md §10; tests/test_late_messages.py pins what a late message
 still gets). This file pins the effect on one small all-migration run:
 GC-tracked objects retained per operation completed between T and 2T,
-what the event heap's cancelled entries still reference, and how many
+how many deadlines the run cancelled and what the event heap's cancelled
+entries still reference, and how many
 endorsement instances there are per completed operation and how many of
 them are still whole at the end. Run as a script it prints what CI
 shows in the job summary.
@@ -16,6 +17,7 @@ from repro.core.deployment import ZiziphusConfig, build_ziziphus
 from repro.core.migration_protocol import MigrationConfig
 from repro.core.sync_protocol import SyncConfig
 from repro.pbft.replica import PBFTConfig
+from repro.sim.events import EventHandle
 from repro.workload.driver import ClosedLoopDriver
 from repro.workload.generator import WorkloadMix
 
@@ -40,8 +42,10 @@ INSTANCES_PER_OPERATION_CEILING = 10
 def budget_run():
     """Three zones of four, ten clients each, every request a migration,
     on the benchmark's timers (no deadline fires inside the window, so
-    every watch is live in the heap at the end). Returns the deployment
-    and the objects retained per operation of the second half."""
+    every watch is live in the heap at the end, unless its instance
+    completed and disarmed it). Returns the deployment, the objects
+    retained per operation of the second half and the deadlines the run
+    cancelled."""
     config = ZiziphusConfig(
         num_zones=3, f=1, seed=7, use_threshold_signatures=True,
         pbft=PBFTConfig(batch_size=16, batch_timeout_ms=1.0,
@@ -59,19 +63,35 @@ def budget_run():
                               clients_per_zone=10, seed=7)
     driver.start()
     counts = []
-    for end_ms in (HALF_MS, 2 * HALF_MS):
-        deployment.sim.run(until=end_ms)
-        gc.collect()
-        counts.append((len(gc.get_objects()), len(driver.records)))
+    # Cancelled entries leave the heap as it compacts, so the probe that
+    # they hold nothing counts the cancellations as they happen.
+    cancellations = 0
+    cancel = EventHandle.cancel
+
+    def counted(handle):
+        nonlocal cancellations
+        cancellations += handle.fn is not None
+        cancel(handle)
+
+    EventHandle.cancel = counted
+    try:
+        for end_ms in (HALF_MS, 2 * HALF_MS):
+            deployment.sim.run(until=end_ms)
+            gc.collect()
+            counts.append((len(gc.get_objects()), len(driver.records)))
+    finally:
+        EventHandle.cancel = cancel
     (objects_t, done_t), (objects_2t, done_2t) = counts
     assert done_2t - done_t >= 50
-    return deployment, (objects_2t - objects_t) / (done_2t - done_t)
+    return (deployment, (objects_2t - objects_t) / (done_2t - done_t),
+            cancellations)
 
 
 def cancelled_entries(sim):
     """``(cancelled, holding)``: heap entries whose deadline was
     cancelled, and those of them that still reference a callback or
-    arguments, in the entry or on the handle."""
+    arguments, in the entry or on the handle (compaction has dropped the
+    rest of what the run cancelled)."""
     cancelled = holding = 0
     for _time, _seq, fn, args, handle in sim._heap:
         if handle is not None and handle.cancelled:
@@ -94,10 +114,10 @@ def operations(deployment):
 
 
 def test_a_run_keeps_what_is_in_flight_not_what_it_has_done():
-    deployment, per_operation = budget_run()
+    deployment, per_operation, cancellations = budget_run()
     assert per_operation <= OBJECTS_PER_OPERATION_CEILING
-    cancelled, holding = cancelled_entries(deployment.sim)
-    assert cancelled > 100 and holding == 0
+    _, holding = cancelled_entries(deployment.sim)
+    assert cancellations > 100 and holding == 0
     instances, whole = whole_instances(deployment)
     assert instances <= INSTANCES_PER_OPERATION_CEILING * operations(deployment)
     assert whole <= WHOLE_INSTANCES_CEILING * instances
@@ -105,12 +125,13 @@ def test_a_run_keeps_what_is_in_flight_not_what_it_has_done():
 
 if __name__ == "__main__":
     # What CI prints: the measured retention beside its ceilings.
-    deployment, per_operation = budget_run()
+    deployment, per_operation, cancellations = budget_run()
     cancelled, holding = cancelled_entries(deployment.sim)
     instances, whole = whole_instances(deployment)
     print(f"{per_operation:.1f} objects per operation "
           f"(ceiling {OBJECTS_PER_OPERATION_CEILING}), "
-          f"{holding} of {cancelled} cancelled heap entries hold a "
+          f"{cancellations} deadlines cancelled, {holding} of the "
+          f"{cancelled} cancelled heap entries left hold a "
           f"callback, {whole} of {instances} endorsement instances whole "
           f"(ceiling {WHOLE_INSTANCES_CEILING:.0%}), "
           f"{instances / operations(deployment):.1f} instances per "

@@ -162,3 +162,56 @@ def test_a_ballot_holds_one_timer():
     stored = set(re.findall(r"txn\.(\w+) = self\.node\.set_timer\(", source))
     assert untyped == ["deadline"] and stored == {"deadline"}
     assert source.count("set_timer(") == 3
+
+
+def test_every_node_files_the_requests_of_a_ballot_it_accepts():
+    """Each node of every zone files a request under the ballot that
+    carries it as it accepts or commits that ballot — not only the
+    primary that started it — so a later primary of the initiator zone
+    answers a retransmission instead of ordering it again (ROADMAP D7)."""
+    dep = small_ziziphus()
+    client = dep.add_client("c1", "z1")
+    records = drive_to_completion(dep, client, [("migrate", "z2")])
+    assert records[0].result[0] == "migrated"
+    ballots = {node.sync.request_dedup.get(("c1", 1))
+               for node in dep.nodes.values()}
+    assert len(ballots) == 1 and None not in ballots
+
+
+@pytest.mark.parametrize("campaign,name,seed,backend", [
+    # z2c0's request 6 committed in 21.z0, then z0's primary crashed; its
+    # retransmission reached the new primary z0n1, which proposed it
+    # again as 27.z0 just after 26.z0 had moved the client back.
+    ("failover", "initiator-crash", 1, "syncbft"),
+    # Failed with ``migration-duplicate`` at the parent on seeds 3, 4, 6,
+    # 9 and 10 of 1-10.
+    ("default", "wan-link-flap", 3, "rotating"),
+])
+def test_a_new_initiator_primary_does_not_order_a_carried_request_again(
+        campaign, name, seed, backend):
+    from repro.chaos import CAMPAIGNS, run_scenario
+    scenario = next(s for s in CAMPAIGNS[campaign] if s.name == name)
+    result = run_scenario(scenario, seed=seed, backend=backend)
+    assert result.verdict == "pass", result.reasons
+
+
+def test_a_commit_round_cut_off_from_its_members_is_led_again():
+    """z0's ACCEPTs certify, then two of its four members are cut off
+    while its COMMIT endorsements are in flight. No member that missed a
+    COMMIT pre-prepare watches that round, and the followers' commit
+    queries judge nobody once z0 accepted a newer ballot, so only the
+    initiator primary's deadline on its commit round sends it again after
+    the heal (at the parent the run stalled there: 24 ``sync.commit``
+    rows in its transcript)."""
+    from repro.workload.driver import ClosedLoopDriver
+    from repro.workload.generator import WorkloadMix
+    dep = small_ziziphus(seed=11)
+    ClosedLoopDriver(dep, WorkloadMix(global_fraction=0.5),
+                     clients_per_zone=2, seed=11).start()
+    cut = set(dep.directory.zone("z0").members[-2:])
+    dep.sim.schedule(40.0, lambda: dep.network.set_partition(
+        [set(dep.network.node_ids) - cut, cut]))
+    dep.sim.schedule(1_000.0, dep.network.clear_faults)
+    dep.run(3_000.0)
+    executed = [len(node.sync.executed_results) for node in dep.nodes.values()]
+    assert min(executed) > 20
