@@ -74,7 +74,7 @@ def is_sanitizer_name(name: str) -> bool:
     """Heuristic: does this callable name denote a validation helper?
 
     Matches ``verify``/``verify_signed``/``verifier`` methods,
-    ``valid``/``validate``/``cert_valid``/``is_valid_zone`` helpers,
+    ``valid``/``validate``/``cert_valid``/``group_cert_valid`` helpers,
     ``check_*`` predicates, and corpus-idiom ``*_ok`` predicates.
     """
     lowered = name.lower()

@@ -231,21 +231,21 @@ class TwoLevelNode(HostNode):
         if zone_id is not None:
             zone = directory.zone(zone_id)
             self.replica = PBFTReplica(
-                host=self, group=zone.members, f=zone.f, app=app,
+                host=self, group=zone.members, profile=zone.profile, app=app,
                 config=pbft_config,
                 accept_request=lambda req: self.locks.is_current(req.sender))
             # Zone endorsement of the representative's top-level messages.
             from repro.core.endorsement import EndorsementManager
             self.endorsement = EndorsementManager(
-                host=self, zone_members=zone.members, f=zone.f,
-                view_provider=lambda: self.replica.view,
+                host=self, zone=zone, view_provider=lambda: self.replica.view,
                 use_threshold=use_threshold_signatures)
 
         self.global_replica: PBFTReplica | None = None
         if node_id in global_group:
             self.global_host = _GlobalHost(self)
             self.global_replica = PBFTReplica(
-                host=self.global_host, group=global_group, f=global_f,
+                host=self.global_host, group=global_group,
+                profile=pbft_profile(global_f),
                 app=_MetadataApp(policies), config=global_pbft_config,
                 reply_fn=self._on_global_executed)
             self.register_handler(GlobalMsg, self._on_global_msg)

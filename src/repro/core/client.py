@@ -35,7 +35,6 @@ from repro.messages.client import ClientReply, ClientRequest, MigrationRequest
 from repro.messages.reads import ReadReply, ReadRequest, ReadWatermarkCert
 from repro.messages.trace import SpanContext, trace_id
 from repro.pbft.client import ClosedLoopClient, InFlight
-from repro.quorums import weak_quorum
 from repro.reads import ReadConfig
 from repro.sim.events import Simulator
 from repro.sim.network import Network
@@ -225,7 +224,7 @@ class MobileClient(ClosedLoopClient):
             # Only the destination zone knows that it appended R(c).
             return
         votes = self._vote(digest((zone.zone_id, result)), reply.sender)
-        if len(votes) >= weak_quorum(zone.f):
+        if len(votes) >= zone.weak_quorum:
             self._complete(result)
 
     def _hear_view(self, zone, member: str, view: Any) -> None:
@@ -236,7 +235,7 @@ class MobileClient(ClosedLoopClient):
         if type(view) is not int or view <= reported.get(member, 0):
             return
         reported[member] = view
-        quorum = weak_quorum(zone.f)
+        quorum = zone.weak_quorum
         if len(reported) >= quorum:
             self.view_hints[zone.zone_id] = sorted(reported.values(),
                                                    reverse=True)[quorum - 1]
@@ -285,7 +284,7 @@ class MobileClient(ClosedLoopClient):
             # one its quorum signed: a fabricated watermark claim.
             return "claim-mismatch"
         if not self._verifier.is_valid(cert.certificate,
-                                       weak_quorum(zone.f), zone.member_set):
+                                       zone.weak_quorum, zone.member_set):
             return "bad-quorum"
         return None
 
@@ -306,7 +305,7 @@ class MobileClient(ClosedLoopClient):
             # certified version does not hold the record, or the operation
             # is not servable — take the transactional path immediately.
             if len(self._vote("refused", sender, reply.status)) \
-                    >= weak_quorum(zone.f):
+                    >= zone.weak_quorum:
                 self._read_abandon(reply.status)
                 return
         else:

@@ -351,7 +351,7 @@ class ClusterEngine:
                                  prev_ballot=prev, requests=(commit.request,),
                                  cert=cert, checkpoints=(),
                                  sender=commit.sender)
-        self.node.sync.ingest_commit(synthetic)
+        self.node.sync.ingest_commit(synthetic, envelope)
 
     # ------------------------------------------------------------------
     # Post-execution (called from the node's execution hook)

@@ -115,8 +115,8 @@ class Deployment:
                   profile: QuorumProfile) -> None:
         members = tuple(f"{zone_id}n{j}" for j in range(profile.group_size))
         self.directory.add_zone(ZoneInfo(
-            zone_id=zone_id, members=members, region=region, f=profile.f,
-            cluster_id=cluster_id, quorum=profile.certificate_quorum))
+            zone_id=zone_id, members=members, region=region, profile=profile,
+            cluster_id=cluster_id))
         self.zone_regions[zone_id] = region
 
     def _place(self, node: Process, region: Region) -> None:

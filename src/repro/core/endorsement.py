@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.core.zone import group_cert_valid
+from repro.core.zone import ZoneInfo, group_cert_valid
 from repro.crypto.certificates import CertificateVerifier, QuorumCertificate
 from repro.crypto.keys import Signature
 from repro.crypto.threshold import ThresholdVerifier, combine_threshold
@@ -50,7 +50,6 @@ from repro.messages.base import Signed
 from repro.messages.endorse import (EndorsePrepare, EndorsePrePrepare,
                                     EndorseQuery, EndorseVote)
 from repro.pbft.host import HostNode
-from repro.quorums import intra_zone_quorum
 
 __all__ = ["EndorsementManager", "EndorsementInstance"]
 
@@ -114,17 +113,13 @@ class EndorsementInstance:
 class EndorsementManager:
     """Runs endorsement instances for one node of one zone."""
 
-    def __init__(self, host: HostNode, zone_members: tuple[str, ...], f: int,
+    def __init__(self, host: HostNode, zone: ZoneInfo,
                  view_provider: Callable[[], int],
-                 use_threshold: bool = False,
-                 quorum: int | None = None) -> None:
+                 use_threshold: bool = False) -> None:
         self.host = host
-        self.members = tuple(zone_members)
-        self.others = tuple(m for m in zone_members if m != host.node_id)
-        self.f = f
-        self.quorum = intra_zone_quorum(f) if quorum is None else quorum
-        self._members_key = ",".join(self.members)
-        self._group = frozenset(self.members)
+        self.zone = zone
+        self.others = tuple(m for m in zone.members if m != host.node_id)
+        self._members_key = ",".join(zone.members)
         self.view_provider = view_provider
         self.use_threshold = use_threshold
         self._certificates = CertificateVerifier(host.keys)
@@ -132,7 +127,7 @@ class EndorsementManager:
         self._instances: dict[str, EndorsementInstance] = {}
         #: member -> how many instances it opened ahead of their
         #: pre-prepare are still unopened (``parked_by`` names it on each).
-        self._parked = dict.fromkeys(self.members, 0)
+        self._parked = dict.fromkeys(zone.members, 0)
         self._kinds: dict[str, _Kind] = {}
         #: Instances this node asked its zone about (``watch``), by the
         #: view the watch judges.
@@ -179,7 +174,7 @@ class EndorsementManager:
 
     def primary(self) -> str:
         """Current primary of this zone (from the local view)."""
-        return self.members[self.view_provider() % len(self.members)]
+        return self.zone.primary(self.view_provider())
 
     def _opened_early(self, sender: str,
                       instance: str) -> EndorsementInstance:
@@ -398,7 +393,7 @@ class EndorsementManager:
         if member is not None:
             state.lacking.add(member)
         armed_in = self._asked.get(state.instance)
-        if armed_in is not None and len(state.lacking) >= self.f:
+        if armed_in is not None and len(state.lacking) >= self.zone.f:
             del self._asked[state.instance]
             self.host.replica.view_changes.suspect(armed_in)
 
@@ -413,7 +408,7 @@ class EndorsementManager:
         answer with it, or say there is none here — and remember that the
         member holds none either."""
         kind = self._kind_of(msg.instance)
-        if sender not in self.members or kind is None:
+        if sender not in self.zone.member_set or kind is None:
             return  # not a member, or no kind this zone runs
         state = self._opened_early(sender, msg.instance)
         if state.cert is not None:
@@ -499,7 +494,7 @@ class EndorsementManager:
 
     def _on_prepare(self, sender: str, msg: EndorsePrepare,
                     envelope: Signed) -> None:
-        if sender not in self.members:
+        if sender not in self.zone.member_set:
             return
         state = self._opened_early(sender, msg.instance)
         if state.endorse_digest is not None and state.endorse_digest != msg.endorse_digest:
@@ -515,7 +510,7 @@ class EndorsementManager:
         # Pre-prepare sender (the primary) counts as prepared.
         voters = set(state.prepare_senders)
         voters.add(self.primary())
-        if len(voters) >= self.quorum:
+        if len(voters) >= self.zone.quorum:
             self._cast_vote(state)
 
     def _cast_vote(self, state: EndorsementInstance) -> None:
@@ -556,7 +551,7 @@ class EndorsementManager:
 
     def _on_vote(self, sender: str, msg: EndorseVote,
                  envelope: Signed) -> None:
-        if sender not in self.members:
+        if sender not in self.zone.member_set:
             return
         if msg.share is None and msg.cert is None:
             # The answer to an ask of this node's (``_on_query``): that
@@ -599,9 +594,10 @@ class EndorsementManager:
         completes the instance once the payload is validated here."""
         if state.done:
             return
-        if not group_cert_valid(msg.cert, msg.endorse_digest, self._group,
-                                self.quorum, self._certificates,
-                                self._thresholds):
+        zone = self.zone
+        if not group_cert_valid(msg.cert, msg.endorse_digest,
+                                zone.member_set, zone.quorum,
+                                self._certificates, self._thresholds):
             self.host.refuse(sender, msg)
             return
         state.endorse_digest = msg.endorse_digest
@@ -614,7 +610,7 @@ class EndorsementManager:
         if state.shares is None:
             return  # let go: the instance finished here
         state.shares[sender] = share
-        if state.done or len(state.shares) < self.quorum:
+        if state.done or len(state.shares) < self.zone.quorum:
             return
         if state.payload is None:
             return  # quorum of shares but no validated payload yet
@@ -656,5 +652,6 @@ class EndorsementManager:
         shares = list(state.shares.values())
         if self.use_threshold:
             return combine_threshold(self.host.keys, state.endorse_digest,
-                                     shares, self._group, self.quorum)
+                                     shares, self.zone.member_set,
+                                     self.zone.quorum)
         return QuorumCertificate.aggregate(state.endorse_digest, shares)

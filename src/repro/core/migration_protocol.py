@@ -23,10 +23,12 @@ paper. What is kept per migration (the endorsed ``R(c)``, whether it was
 applied) is keyed by ``(ballot, client)``; what ships it (the STATE, its
 timers, a STATE parked ahead of its commit) by group.
 
-Failure handling mirrors §V-A: destination nodes that executed the commit
-but never receive STATE query the source zone, naming one member; source
-nodes answer with the group's STATE envelope or come to suspect their own
-primary.
+Failure handling follows §V-A in part: destination nodes that executed
+the commit but never receive STATE query the source zone, naming one
+member. A source node that holds the group's STATE envelope re-sends it,
+and one that is the primary and holds none leads it now. The others do
+not answer, and a STATE query never makes them suspect their primary, so
+a source primary that relays nothing stalls the group (ROADMAP D9).
 """
 
 from __future__ import annotations

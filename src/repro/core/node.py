@@ -68,15 +68,13 @@ class ZiziphusNode(HostNode):
         self.query_audit = QueryAudit()
 
         self.replica = PBFTReplica(
-            host=self, group=self.zone_info.members, f=self.zone_info.f,
-            app=app, config=pbft_config,
-            accept_request=self._accept_local_request,
-            profile=self.backend.profile(self.zone_info.f))
+            host=self, group=self.zone_info.members,
+            profile=self.zone_info.profile, app=app, config=pbft_config,
+            accept_request=self._accept_local_request)
         self.endorsement = EndorsementManager(
-            host=self, zone_members=self.zone_info.members,
-            f=self.zone_info.f, view_provider=lambda: self.replica.view,
-            use_threshold=use_threshold_signatures,
-            quorum=self.zone_info.quorum)
+            host=self, zone=self.zone_info,
+            view_provider=lambda: self.replica.view,
+            use_threshold=use_threshold_signatures)
         cluster_zone_ids = directory.cluster_zones(self.zone_info.cluster_id)
         self.sync = SyncEngine(self, cluster_zone_ids, sync_config,
                                self.backend.sync)

@@ -180,7 +180,6 @@ class SyncEngine:
 
         self.highest_seen = 0
         self.last_accepted = GENESIS_BALLOT
-        self.chain_tail = GENESIS_BALLOT      # initiator-side ordering chain
         #: Lemma 5.5 guard: the zone endorses at most one ballot per global
         #: sequence number (allows pipelined instances, forbids conflicts).
         self.accepted_seqs: dict[int, str] = {}
@@ -618,13 +617,12 @@ class SyncEngine:
 
     def _start_accept_phase(self, txn: GlobalTxnState,
                             promises: tuple[Signed, ...]) -> None:
-        prev = max([self.chain_tail, self.last_accepted]
+        prev = max([self.last_accepted]
                    + [env.payload.prev_ballot for env in promises])
         txn.prev_ballot = prev
         txn.phase = "accept"
         self.node.obs.span_open(self.node.sim.now, "accept",
                                 txn.ballot.key, node=self.node.node_id)
-        self.chain_tail = txn.ballot
         self.last_accepted = max(self.last_accepted, txn.ballot)
         context = AcceptContext(ballot=txn.ballot, prev_ballot=prev,
                                 requests=txn.batch, promises=promises)
@@ -831,10 +829,11 @@ class SyncEngine:
             use_prepare=self._use_prepare(assigning_ballot=False),
             on_cert=on_cert)
 
-    def ingest_commit(self, commit: GlobalCommit) -> None:
-        """Accept a COMMIT delivered out-of-band (synthesised from a
-        cross-cluster CROSS-COMMIT); runs the normal validation path."""
-        envelope = sign_message(self.node.keys, self.node.node_id, commit)
+    def ingest_commit(self, commit: GlobalCommit, envelope: Signed) -> None:
+        """Accept ``commit``, this cluster's half of the cross-cluster
+        CROSS-COMMIT ``envelope``, through the normal validation path. The
+        envelope is kept as the ballot's ``commit_env``: a RESPONSE-QUERY
+        for the ballot is answered with what its sender signed."""
         self._on_commit(commit.sender, commit, envelope)
 
     def _start_commit_phase(self, txn: GlobalTxnState) -> None:
@@ -1133,8 +1132,6 @@ class SyncEngine:
             self.request_dedup.pop((request.sender, request.timestamp), None)
         txn.phase = "superseded"
         # The one rollback rule: nothing chains to a superseded ballot.
-        if self.chain_tail == txn.ballot:
-            self.chain_tail = txn.prev_ballot
         if self.last_accepted == txn.ballot:
             self.last_accepted = txn.prev_ballot
         self.start_global_txn(txn.batch)

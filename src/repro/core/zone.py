@@ -1,24 +1,25 @@
 """Zones, zone clusters, and the network directory.
 
-A *zone* is a Byzantine fault-tolerant group of ``3f+1`` edge nodes in one
-region; a *zone cluster* is a set of zones sharing regional system
-meta-data (paper §VI). The :class:`ZoneDirectory` is the static deployment
-map every node is configured with: zone membership, regions, and cluster
-assignment. It also centralises certificate validation against a zone's
-membership and quorum.
+A *zone* is a Byzantine fault-tolerant group of edge nodes in one region,
+sized by its consensus backend's quorum profile (``3f+1`` under PBFT); a
+*zone cluster* is a set of zones sharing regional system meta-data (paper
+§VI). The :class:`ZoneDirectory` is the static deployment map every node
+is configured with: zone membership, regions, and cluster assignment. It
+also centralises certificate validation against a zone's membership and
+quorum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.consensus.profile import QuorumProfile
 from repro.crypto.certificates import CertificateVerifier, QuorumCertificate
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.threshold import (ThresholdCertificate, ThresholdVerifier,
                                     well_formed)
 from repro.errors import ConfigurationError
-from repro.quorums import (group_size, intra_zone_quorum, proxy_count,
-                           zone_majority)
+from repro.quorums import proxy_count, zone_majority
 from repro.sim.latency import Region
 
 __all__ = ["ZoneInfo", "ZoneDirectory", "group_cert_valid"]
@@ -28,35 +29,43 @@ __all__ = ["ZoneInfo", "ZoneDirectory", "group_cert_valid"]
 class ZoneInfo:
     """Static description of one zone.
 
-    ``quorum`` defaults to the canonical PBFT certificate quorum
-    (``2f+1`` over ``3f+1`` members); a zone running a non-default
-    consensus backend records its profile's ``certificate_quorum``
-    here, and the membership floor relaxes to that quorum.
+    ``profile`` is the zone's consensus backend's
+    :class:`~repro.consensus.profile.QuorumProfile`, the one place its
+    size is decided: ``f``, ``quorum`` and ``weak_quorum`` read it, and a
+    zone has at least ``profile.group_size`` members.
     """
 
     zone_id: str
     members: tuple[str, ...]
     region: Region
-    f: int
+    profile: QuorumProfile
     cluster_id: str = "cluster-0"
-    quorum: int | None = None
 
     def __post_init__(self) -> None:
-        if self.quorum is None:
-            if len(self.members) < group_size(self.f):
-                raise ConfigurationError(
-                    f"zone {self.zone_id} needs >= 3f+1 members "
-                    f"(got {len(self.members)} for f={self.f})"
-                )
-            object.__setattr__(self, "quorum", intra_zone_quorum(self.f))
-        elif len(self.members) < self.quorum:
+        if len(self.members) < self.profile.group_size:
             raise ConfigurationError(
-                f"zone {self.zone_id} needs >= quorum={self.quorum} members "
-                f"(got {len(self.members)} for f={self.f})"
+                f"zone {self.zone_id} needs >= {self.profile.group_size} "
+                f"members under {self.profile.name} "
+                f"(got {len(self.members)} for f={self.profile.f})"
             )
         # Hot-path memo (the dataclass is frozen, hence the setattr
         # spelling): certificate checks hit it per message.
         object.__setattr__(self, "_member_set", frozenset(self.members))
+
+    @property
+    def f(self) -> int:
+        """Byzantine members tolerated."""
+        return self.profile.f
+
+    @property
+    def quorum(self) -> int:
+        """Distinct signers a certificate of this zone needs."""
+        return self.profile.certificate_quorum
+
+    @property
+    def weak_quorum(self) -> int:
+        """Smallest set of members that holds a correct one."""
+        return self.profile.weak_quorum
 
     @property
     def member_set(self) -> frozenset[str]:
@@ -145,7 +154,8 @@ class ZoneDirectory:
     # Certificate validation
     # ------------------------------------------------------------------
     def cert_valid(self, cert, expected_digest: bytes, zone_id: str) -> bool:
-        """Whether ``cert`` proves 2f+1 of ``zone_id`` signed the digest."""
+        """Whether ``cert`` proves a quorum of ``zone_id`` signed the
+        digest."""
         zone = self._zones.get(zone_id)
         if zone is None:
             return False

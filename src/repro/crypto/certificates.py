@@ -1,7 +1,8 @@
 """Quorum certificates.
 
-A certificate proves that a quorum of ``2f+1`` distinct nodes of one zone
-signed the same payload digest. Primaries attach certificates to every
+A certificate proves that a quorum of distinct nodes of one zone (its
+profile's certificate quorum, ``2f+1`` under PBFT sizing) signed the same
+payload digest. Primaries attach certificates to every
 top-level (inter-zone) message so that Byzantine behaviour is confined
 within zones: a receiver validates the certificate locally, with no extra
 communication (paper §IV.B.1).
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 from repro.crypto.keys import KeyRegistry, Signature
 from repro.errors import InvalidCertificateError
-from repro.quorums import intra_zone_quorum
 
 __all__ = ["QuorumCertificate", "CertificateVerifier"]
 
@@ -101,31 +101,6 @@ class CertificateVerifier:
         """Boolean form of :meth:`validate`."""
         try:
             self.validate(certificate, quorum, allowed_signers)
-        except InvalidCertificateError:
-            return False
-        return True
-
-    def validate_zone(self, certificate: QuorumCertificate, f: int,
-                      members: tuple[str, ...] | frozenset[str],
-                      quorum: int | None = None) -> None:
-        """Validate against a zone's membership and its canonical quorum.
-
-        By default the quorum is derived from ``f`` through
-        :func:`repro.quorums.intra_zone_quorum` so call sites cannot
-        pass an ad-hoc threshold; a zone running a non-default consensus
-        backend passes the ``certificate_quorum`` of its
-        :class:`~repro.consensus.profile.QuorumProfile` instead.
-        """
-        if quorum is None:
-            quorum = intra_zone_quorum(f)
-        self.validate(certificate, quorum, frozenset(members))
-
-    def is_valid_zone(self, certificate: QuorumCertificate, f: int,
-                      members: tuple[str, ...] | frozenset[str],
-                      quorum: int | None = None) -> bool:
-        """Boolean form of :meth:`validate_zone`."""
-        try:
-            self.validate_zone(certificate, f, members, quorum=quorum)
         except InvalidCertificateError:
             return False
         return True

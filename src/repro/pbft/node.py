@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.consensus.profile import pbft_profile
 from repro.crypto.keys import KeyRegistry
 from repro.pbft.faults import Behavior
 from repro.pbft.host import HostNode
@@ -29,5 +30,6 @@ class PBFTNode(HostNode):
                  behavior: Behavior | None = None) -> None:
         super().__init__(sim, network, keys, node_id,
                          cost_model=cost_model, behavior=behavior)
-        self.replica = PBFTReplica(host=self, group=group, f=f, app=app,
+        self.replica = PBFTReplica(host=self, group=group,
+                                   profile=pbft_profile(f), app=app,
                                    config=config)

@@ -13,8 +13,9 @@ PBFT baseline uses a single group spanning all regions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
+from repro.consensus.profile import QuorumProfile
 from repro.crypto.digest import digest
 from repro.errors import ConfigurationError
 from repro.messages.base import Signed, sign_message, verify_signed
@@ -23,10 +24,7 @@ from repro.messages.pbft import Commit, GapReply, Prepare, PrePrepare
 from repro.messages.trace import trace_id
 from repro.pbft.checkpointing import CheckpointManager
 from repro.pbft.host import HostNode
-from repro.quorums import group_size, intra_zone_quorum, weak_quorum
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.consensus.profile import QuorumProfile
+from repro.quorums import intra_zone_quorum
 
 __all__ = ["PBFTConfig", "PBFTReplica", "Slot", "inner"]
 
@@ -96,39 +94,33 @@ class PBFTReplica:
         host: the node this replica runs on.
         group: ordered ids of all replicas in the group (defines primary
             rotation: primary of view ``v`` is ``group[v % len(group)]``).
-        f: number of tolerated Byzantine replicas (``len(group) >= 3f+1``).
+        profile: the group's sizing: ``f``, the certificate quorum, the
+            weak quorum and the least group size (a zone's is its
+            ``ZoneInfo.profile``).
         app: the replicated state machine.
         config: protocol tunables.
         reply_fn: optional override for delivering execution results
             (default: send a :class:`ClientReply` to the request's sender).
         accept_request: optional predicate vetoing requests (Ziziphus uses
             it to reject transactions from clients whose lock is FALSE).
-        profile: quorum profile of the zone's consensus backend; defaults
-            to classic PBFT sizing (``3f+1`` group, ``2f+1`` quorum).
     """
 
-    def __init__(self, host: HostNode, group: tuple[str, ...], f: int,
-                 app: Any, config: PBFTConfig | None = None,
+    def __init__(self, host: HostNode, group: tuple[str, ...],
+                 profile: QuorumProfile, app: Any,
+                 config: PBFTConfig | None = None,
                  reply_fn: Callable[[Signed, Any], None] | None = None,
                  accept_request: Callable[[ClientRequest], bool] | None = None,
-                 profile: "QuorumProfile | None" = None,
                  ) -> None:
-        if profile is None:
-            if len(group) < group_size(f):
-                raise ConfigurationError(
-                    f"PBFT needs >= 3f+1 replicas (got {len(group)} for f={f})"
-                )
-        elif len(group) < profile.group_size:
+        if len(group) < profile.group_size:
             raise ConfigurationError(
                 f"{profile.name} needs >= {profile.group_size} replicas "
-                f"(got {len(group)} for f={f})"
+                f"(got {len(group)} for f={profile.f})"
             )
         self.host = host
         self.group = tuple(group)
         self.others = tuple(n for n in group if n != host.node_id)
-        self.f = f
-        self._quorum = (intra_zone_quorum(f) if profile is None
-                        else profile.certificate_quorum)
+        self.profile = profile
+        self.f = profile.f
         #: Stable consensus-instance key for conformance-monitor events
         #: (a node may host several replicas, e.g. local + global PBFT).
         self._group_key = ",".join(self.group)
@@ -167,14 +159,7 @@ class PBFTReplica:
         #: engine refreshes its watermark share from here.
         self.on_executed: Callable[[int], None] | None = None
 
-        self.checkpoints = CheckpointManager(
-            host=host, group=self.group, f=f, app=app,
-            period=self.config.checkpoint_period,
-            on_stable=self._on_stable_checkpoint,
-            on_snapshot=self._adopt_checkpoint,
-            on_uncovered=self._serve_gap,
-            quorum=self._quorum,
-        )
+        self.checkpoints = CheckpointManager(self)
         # Imported here to avoid a circular import at module load time.
         from repro.pbft.view_change import ViewChangeManager
         self.view_changes = ViewChangeManager(self)
@@ -213,8 +198,8 @@ class PBFTReplica:
 
     @property
     def quorum(self) -> int:
-        """Certificate quorum: 2f+1."""
-        return self._quorum
+        """Certificate quorum (``2f+1`` under PBFT sizing)."""
+        return self.profile.certificate_quorum
 
     @property
     def low_water_mark(self) -> int:
@@ -545,10 +530,10 @@ class PBFTReplica:
             return
         slot.committed = True
         extra = {}
-        if self._quorum != intra_zone_quorum(self.f):
+        if self.quorum != intra_zone_quorum(self.f):
             # Non-default backend: let the conformance monitor check
             # against the engine's quorum, not the 3f+1 assumption.
-            extra["quorum"] = self._quorum
+            extra["quorum"] = self.quorum
         self.host.obs.emit(
             self.host.sim.now, "pbft.commit",
             node=self.host.node_id, view=slot.view,
@@ -579,7 +564,7 @@ class PBFTReplica:
         for held_by, held, _ in self._future:
             if held_by in self.others and held.view > self.view:
                 ahead[held_by] = max(ahead.get(held_by, 0), held.view)
-        quorum = weak_quorum(self.f)
+        quorum = self.profile.weak_quorum
         if len(ahead) >= quorum:
             self.view_changes.initiate(
                 sorted(ahead.values(), reverse=True)[quorum - 1])
@@ -725,7 +710,7 @@ class PBFTReplica:
         reports = self._gap_reports.setdefault(pp.sequence, {})
         reports[sender] = pp.batch_digest
         if list(reports.values()).count(pp.batch_digest) \
-                < weak_quorum(self.f):
+                < self.profile.weak_quorum:
             return
         del self._gap_reports[pp.sequence]
         slot = self._slot(pp.sequence)

@@ -37,7 +37,6 @@ from repro.messages.base import Signed, redact, sign_message, verify_signed
 from repro.messages.pbft import (NewView, PreparedProof, Prepare, PrePrepare,
                                  ProofFetch, ProofReply, ViewChange)
 from repro.pbft.replica import inner
-from repro.quorums import weak_quorum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pbft.replica import PBFTReplica, Slot
@@ -220,7 +219,8 @@ class ViewChangeManager:
         # smallest such view so a correct replica is never left behind —
         # also from a view change of its own that nobody else joined.
         higher = {v for v, msgs in self._vc_messages.items()
-                  if v > replica.view and len(msgs) >= weak_quorum(replica.f)}
+                  if v > replica.view
+                  and len(msgs) >= replica.profile.weak_quorum}
         if higher:
             self.initiate(min(higher))
             return

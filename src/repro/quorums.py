@@ -25,7 +25,7 @@ from __future__ import annotations
 
 __all__ = [
     "max_faulty", "group_size", "intra_zone_quorum", "weak_quorum",
-    "proxy_count", "zone_majority", "two_thirds_quorum", "two_level_big_f",
+    "proxy_count", "zone_majority", "two_level_big_f",
     "sync_group_size", "sync_commit_quorum",
 ]
 
@@ -61,15 +61,6 @@ def proxy_count(f: int) -> int:
 def zone_majority(num_zones: int) -> int:
     """Majority-of-zones quorum Q_M for the top-level protocol (§V)."""
     return num_zones // 2 + 1
-
-
-def two_thirds_quorum(group_size: int) -> int:
-    """Flat-PBFT supermajority over an arbitrary group size.
-
-    Equals :func:`intra_zone_quorum` when ``group_size == 3f+1``; the
-    general form covers flat baselines whose group is not of that shape.
-    """
-    return (2 * group_size) // 3 + 1
 
 
 def two_level_big_f(num_zones: int) -> int:

@@ -54,7 +54,6 @@ from repro.crypto.certificates import QuorumCertificate
 from repro.crypto.keys import Signature
 from repro.messages.reads import (ReadReply, ReadRequest, ReadWatermarkCert,
                                   WatermarkShare, watermark_body)
-from repro.quorums import weak_quorum
 from repro.storage.merkle import StateTree
 
 __all__ = ["ReadConfig", "ReadEngine"]
@@ -88,7 +87,7 @@ class ReadEngine:
         self.node = node
         self.config = config or ReadConfig()
         self.zone = node.zone_info
-        self._quorum = weak_quorum(self.zone.f)
+        self._quorum = self.zone.weak_quorum
         self._peers = tuple(m for m in self.zone.members
                             if m != node.node_id)
         #: Newest certified watermark this replica holds.

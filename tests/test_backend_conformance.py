@@ -16,8 +16,11 @@ import pytest
 from repro.chaos import CAMPAIGNS, run_scenario
 from repro.consensus import BACKENDS, backend_names, get_backend
 from repro.consensus.profile import QuorumProfile
+from repro.core.zone import ZoneInfo
+from repro.errors import ConfigurationError
 from repro.obs.bus import Instrumentation
 from repro.obs.monitor import ProtocolMonitor
+from repro.sim.latency import Region
 from tests.conftest import drive_to_completion, fast_pbft, small_ziziphus
 
 ALL_BACKENDS = backend_names()
@@ -53,6 +56,22 @@ def test_backend_publishes_a_sound_quorum_profile(backend):
         # detectable within the synchrony bound).
         assert intersection >= 1
     assert profile.weak_quorum > profile.f
+
+
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_a_zone_has_one_membership_floor(backend, f):
+    """``ZoneInfo`` itself refuses a zone smaller than its profile's
+    group size, and a zone of that size reads its sizes from the
+    profile. (A ``syncbft`` zone of ``f+1`` members, its certificate
+    quorum, passed ``ZoneInfo`` and was refused only by the replica.)"""
+    profile = get_backend(backend).profile(f)
+    members = tuple(f"n{i}" for i in range(profile.group_size))
+    with pytest.raises(ConfigurationError):
+        ZoneInfo("z", members[:-1], Region.OHIO, profile)
+    zone = ZoneInfo("z", members, Region.OHIO, profile)
+    assert (zone.f, zone.quorum, zone.weak_quorum) == (
+        profile.f, profile.certificate_quorum, profile.weak_quorum)
 
 
 # ----------------------------------------------------------------------

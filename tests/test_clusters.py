@@ -111,6 +111,28 @@ def test_round_trip_across_clusters():
     assert client.current_zone == "z0"
 
 
+def test_a_node_that_missed_a_cross_cluster_commit_catches_up():
+    """z0n3 is cut off while c0 migrates z0 -> z3 (cluster-0 -> cluster-1)
+    and so misses that ballot's CROSS-COMMIT; the next cluster-0 ballot
+    (c1: z1 -> z0) chains on it, and z0n3 asks its cluster for the
+    missing COMMIT. The answer is the CROSS-COMMIT its sender signed, so
+    z0n3 executes both ballots and refuses nothing. (A COMMIT re-sealed
+    by the answering node, naming the CROSS-COMMIT's sender, failed
+    every signature check: z0n3 executed neither and booked 3
+    ``host.invalid``.)"""
+    dep = build_clustered(seed=3)
+    c0 = dep.add_client("c0", "z0")
+    c1 = dep.add_client("c1", "z1")
+    dep.network.disconnect("z0n3")
+    dep.sim.schedule(1_500.0, lambda: dep.network.reconnect("z0n3"))
+    dep.sim.schedule(0.0, lambda: c0.submit_migration("z3"))
+    dep.sim.schedule(2_000.0, lambda: c1.submit_migration("z0"))
+    dep.run(20_000.0)
+    assert [node.sync.migrations_executed
+            for node in dep.zone_nodes("z0")] == [2, 2, 2, 2]
+    assert dep.nodes["z0n3"].obs.counters["host.invalid_messages"] == 0
+
+
 def test_proxies_are_f_plus_one_and_include_primary():
     dep = build_clustered()
     zone = dep.directory.zone("z0")

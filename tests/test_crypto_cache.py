@@ -20,6 +20,7 @@ from typing import Any
 
 import pytest
 
+from repro.consensus import pbft_profile
 from repro.core.zone import ZoneDirectory, ZoneInfo
 from repro.crypto.certificates import CertificateVerifier, QuorumCertificate
 from repro.crypto.digest import canonical_bytes, digest
@@ -746,7 +747,8 @@ def test_malformed_certificate_is_invalid_not_an_error(name):
     payload_digest = digest(("body", 1))
     certificate = _malformed(keys, payload_digest)[name]
     directory = ZoneDirectory(keys)
-    directory.add_zone(ZoneInfo("z0", tuple(sorted(GROUP)), Region.OHIO, f=1))
+    directory.add_zone(ZoneInfo("z0", tuple(sorted(GROUP)), Region.OHIO,
+                                pbft_profile(1)))
     if name.startswith("threshold"):
         verifier, args = ThresholdVerifier(keys), ()
     else:

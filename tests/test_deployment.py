@@ -11,6 +11,7 @@ from repro.baselines.steward import build_steward
 from repro.baselines.two_level_pbft import TwoLevelConfig, build_two_level
 from repro.bench import runner
 from repro.bench.runner import PointSpec
+from repro.consensus import pbft_profile
 from repro.core.deployment import ZiziphusConfig, build_ziziphus
 from repro.core.replicated import add_replicated_client
 from repro.core.zone import ZoneDirectory, ZoneInfo
@@ -28,16 +29,17 @@ from tests.conftest import drive_to_completion, monitored, small_ziziphus
 # ----------------------------------------------------------------------
 def test_zone_info_enforces_3f_plus_1():
     with pytest.raises(ConfigurationError):
-        ZoneInfo(zone_id="z", members=("a", "b", "c"), f=1,
-                 region=Region.OHIO)
+        ZoneInfo(zone_id="z", members=("a", "b", "c"),
+                 profile=pbft_profile(1), region=Region.OHIO)
 
 
 def test_directory_lookups_and_quorums():
     directory = ZoneDirectory(KeyRegistry(seed=1))
     directory.add_zone(ZoneInfo("z0", ("a", "b", "c", "d"),
-                                Region.OHIO, f=1))
+                                Region.OHIO, pbft_profile(1)))
     directory.add_zone(ZoneInfo("z1", ("e", "f", "g", "h"),
-                                Region.PARIS, f=1, cluster_id="cluster-1"))
+                                Region.PARIS, pbft_profile(1),
+                                cluster_id="cluster-1"))
     assert directory.zone_of("f") == "z1"
     assert directory.zone("z0").quorum == 3
     assert directory.majority_quorum(["z0", "z1"]) == 2
@@ -46,14 +48,14 @@ def test_directory_lookups_and_quorums():
     assert set(directory.all_nodes()) == set("abcdefgh")
     with pytest.raises(ConfigurationError):
         directory.add_zone(ZoneInfo("z0", ("x", "y", "w", "v"),
-                                    Region.OHIO, f=1))
+                                    Region.OHIO, pbft_profile(1)))
     with pytest.raises(ConfigurationError):
         directory.add_zone(ZoneInfo("z9", ("a", "p", "q", "r"),
-                                    Region.OHIO, f=1))
+                                    Region.OHIO, pbft_profile(1)))
 
 
 def test_primary_rotation():
-    zone = ZoneInfo("z", ("a", "b", "c", "d"), Region.OHIO, f=1)
+    zone = ZoneInfo("z", ("a", "b", "c", "d"), Region.OHIO, pbft_profile(1))
     assert zone.primary(0) == "a"
     assert zone.primary(1) == "b"
     assert zone.primary(4) == "a"

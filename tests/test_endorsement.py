@@ -3,11 +3,13 @@
 import dataclasses
 from types import SimpleNamespace
 
+from repro.consensus import pbft_profile
 from repro.crypto.certificates import QuorumCertificate
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.crypto.threshold import ThresholdCertificate, combine_threshold
 from repro.core.endorsement import EndorsementManager
+from repro.core.zone import ZoneInfo
 from repro.messages.base import sign_message
 from repro.messages.endorse import EndorsePrepare, EndorseVote
 from repro.pbft.faults import make_behavior
@@ -26,6 +28,7 @@ def build_zone(n=4, f=1, use_threshold=False, behaviors=None, seed=21,
     net = Network(sim, LatencyModel(), seed=seed)
     keys = KeyRegistry(seed=seed)
     members = tuple(f"n{i}" for i in range(n))
+    zone = ZoneInfo("z", members, Region.CALIFORNIA, pbft_profile(f))
     behaviors = behaviors or {}
     hosts, managers = [], []
     for i, node_id in enumerate(members):
@@ -35,7 +38,7 @@ def build_zone(n=4, f=1, use_threshold=False, behaviors=None, seed=21,
         if view is not None:
             host.replica = SimpleNamespace(on_view_change=[])
         manager = EndorsementManager(
-            host, members, f, view_provider=lambda: 0 if view is None
+            host, zone, view_provider=lambda: 0 if view is None
             else view["v"], use_threshold=use_threshold)
         hosts.append(host)
         managers.append(manager)
@@ -360,7 +363,7 @@ def test_a_certificate_that_does_not_prove_the_quorum_is_refused():
     keys, body = hosts[0].keys, digest("p")
     genuine = combine_threshold(keys, body, [keys.sign(m, body)
                                              for m in ("n0", "n1", "n2")],
-                                frozenset(managers[0].members), 3)
+                                managers[0].zone.member_set, 3)
     for cert in (dataclasses.replace(genuine, threshold=2),
                  dataclasses.replace(genuine, threshold="3"),
                  dataclasses.replace(genuine, payload_digest=digest("q")),

@@ -12,10 +12,13 @@ what CI shows in the job summary.
 import pytest
 
 from repro.analysis.complexity import endorsement_messages
+from repro.consensus import pbft_profile
 from repro.core.endorsement import EndorsementManager
+from repro.core.zone import ZoneInfo
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry
 from repro.pbft.host import HostNode
+from repro.quorums import max_faulty
 from repro.sim.events import Simulator
 from repro.sim.latency import LatencyModel, Region
 from repro.sim.network import Network
@@ -31,11 +34,13 @@ def one_round(n, with_prepare):
     network = Network(sim, LatencyModel(), seed=21)
     keys = KeyRegistry(seed=21)
     members = tuple(f"n{i}" for i in range(n))
+    zone = ZoneInfo("z", members, Region.CALIFORNIA,
+                    pbft_profile(max_faulty(n)))
     managers = []
     for node_id in members:
         host = HostNode(sim, network, keys, node_id)
         network.register(host, Region.CALIFORNIA)
-        managers.append(EndorsementManager(host, members, (n - 1) // 3,
+        managers.append(EndorsementManager(host, zone,
                                            view_provider=lambda: 0))
     certs = []
     managers[0].lead("test/1", "p", digest("p"), use_prepare=with_prepare,

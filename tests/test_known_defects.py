@@ -89,10 +89,11 @@ def test_d10_leaderless_follower_backups_watch_accepted():
 
 
 def test_d11_reproposed_ballot_does_not_chain_to_the_superseded_one():
-    """Closed: superseding a ballot rolls back ``last_accepted`` as well
-    as ``chain_tail``. (Only ``chain_tail`` rolled back, so ballot
-    ``2.z2`` committed on all 12 nodes with ``prev`` = ``1.z2``, which
-    never commits, and nothing executed.)"""
+    """Closed: superseding a ballot rolls back ``last_accepted``, the one
+    place a re-proposal's ``prev`` is chained from. (Only a separate
+    initiator-side chain tail rolled back, so ballot ``2.z2`` committed
+    on all 12 nodes with ``prev`` = ``1.z2``, which never commits, and
+    nothing executed.)"""
     deployment = _leaderless_with_accepted_dropped()
     assert _applied_at_z2(deployment) == [1, 1, 1, 1]
 

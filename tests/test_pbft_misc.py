@@ -10,11 +10,12 @@ from tests.test_pbft_normal import build_group, make_client, run_ops
 
 def test_group_size_validation():
     from repro.app.banking import BankingApp
+    from repro.consensus import pbft_profile
     from repro.pbft.replica import PBFTReplica
     sim, net, keys, group, nodes = build_group()
     with pytest.raises(ConfigurationError):
-        PBFTReplica(host=nodes[0], group=("a", "b", "c"), f=1,
-                    app=BankingApp())
+        PBFTReplica(host=nodes[0], group=("a", "b", "c"),
+                    profile=pbft_profile(1), app=BankingApp())
 
 
 def test_pre_prepare_outside_water_marks_ignored():

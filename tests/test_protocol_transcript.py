@@ -330,11 +330,11 @@ PINNED: dict[tuple[str, str], str] = {
     ("full-prepare", "syncbft"):
         "063683214118c7a1818f06d7b68f79070db1265bff602f18af40c164a11a2b77",
     ("clusters", "default"):
-        "8916a8baadbc8b42cf2dcc4a06880eb3b515a8b32ba497e48c4ad80e7fe74822",
+        "c66d3ee3edc2f0bd4790269d9815697c889b421a22b93969774ea0f474e044fd",
     ("clusters", "rotating"):
         "9b7349f27baa0dc60146ef480c123d076b3bfe637e0d3e129b31ba25a6535327",
     ("clusters", "syncbft"):
-        "edbe3e4134d33777172623515267629043164eacaf2a704db5035c234045f41d",
+        "3bdab8da07ac3c571a785ea4973f336d1c6318b6d5b0c9580087f26b538da0ae",
     ("cross-zone", "default"):
         "004dbe0766abf465cbdc11d03e9d502816697d7f998e2d39c2934c8e9fcca573",
     ("cross-zone", "rotating"):

@@ -32,7 +32,3 @@ def test_zone_majority(zones, majority):
 def test_two_level_big_f(zones, big_f):
     assert quorums.two_level_big_f(zones) == big_f
 
-
-@pytest.mark.parametrize("n,quorum", [(4, 3), (7, 5), (10, 7)])
-def test_two_thirds_quorum(n, quorum):
-    assert quorums.two_thirds_quorum(n) == quorum
