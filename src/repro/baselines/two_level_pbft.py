@@ -30,6 +30,7 @@ from repro.app.base import StateMachine
 from repro.consensus.profile import pbft_profile
 from repro.core.deployment import (Deployment, DeploymentConfig,
                                    config_or_overrides)
+from repro.core.endorsement import EndorsementManager
 from repro.core.locks import LockTable
 from repro.core.metadata import GlobalMetadata, PolicySet
 from repro.core.zone import ZoneDirectory
@@ -235,7 +236,6 @@ class TwoLevelNode(HostNode):
                 config=pbft_config,
                 accept_request=lambda req: self.locks.is_current(req.sender))
             # Zone endorsement of the representative's top-level messages.
-            from repro.core.endorsement import EndorsementManager
             self.endorsement = EndorsementManager(
                 host=self, zone=zone, view_provider=lambda: self.replica.view,
                 use_threshold=use_threshold_signatures)

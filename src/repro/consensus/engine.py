@@ -52,10 +52,11 @@ class GlobalEngine:
     #: traces under that discipline instead of strict replay equality.
     commuting_execution = False
 
-    def initiator_zone(self, deployment, source_zone: str,
-                       dest_zone: str) -> str:
-        """Which zone initiates the global transaction for a migration
-        from ``source_zone`` to ``dest_zone``."""
+    def initiator_zone(self, directory, sync_config, zone_id: str) -> str:
+        """Which zone of ``zone_id``'s cluster orders a global transaction
+        addressed to ``zone_id``: a migration's destination, or one
+        cluster's half of a cross-cluster move (``directory`` is a
+        ``ZoneDirectory``, ``sync_config`` a ``SyncConfig``)."""
         raise NotImplementedError
 
     def propose(self, sync, batch) -> Ballot:
@@ -79,12 +80,12 @@ class StableInitiatorEngine(GlobalEngine):
 
     name = "stable"
 
-    def initiator_zone(self, deployment, source_zone: str,
-                       dest_zone: str) -> str:
-        if not deployment.config.sync.stable_leader:
-            return dest_zone
-        cluster = deployment.directory.cluster_of_zone(dest_zone)
-        return deployment.stable_leader_zone(cluster)
+    def initiator_zone(self, directory, sync_config, zone_id: str) -> str:
+        if not sync_config.stable_leader:
+            return zone_id
+        # The cluster's first zone leads: its ballot chain stays
+        # single-writer, cross-cluster halves included.
+        return directory.cluster_zones(directory.cluster_of_zone(zone_id))[0]
 
     def propose(self, sync, batch) -> Ballot:
         return Ballot(seq=sync.highest_seen + 1,
@@ -115,9 +116,8 @@ class RotatingInitiatorEngine(GlobalEngine):
     name = "rotating"
     commuting_execution = True
 
-    def initiator_zone(self, deployment, source_zone: str,
-                       dest_zone: str) -> str:
-        return dest_zone
+    def initiator_zone(self, directory, sync_config, zone_id: str) -> str:
+        return zone_id
 
     def _owner_index(self, zone_ids: list[str], zone_id: str) -> int:
         try:

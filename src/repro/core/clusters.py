@@ -6,18 +6,22 @@ zones. A migration whose source and destination zones live in different
 clusters runs this protocol:
 
 1. The destination zone (the coordinator) orders the request in its own
-   cluster (Algorithm 1, with the commit phase *held*), and once its zone
-   certifies the ballot its ``f+1`` *proxy nodes* send CROSS-PROPOSE to
-   the source zone. Proxies — not just the primary — carry cross-cluster
-   traffic so one Byzantine primary cannot silently stall the peer cluster.
+   cluster (Algorithm 1), and once its zone certifies the ballot its
+   ``f+1`` *proxy nodes* send CROSS-PROPOSE to the source zone. Proxies —
+   not just the primary — carry cross-cluster traffic so one Byzantine
+   primary cannot silently stall the peer cluster.
 2. The source zone orders the request in the source cluster under its own
-   ballot (each cluster keeps its own meta-data ordering), also holding
-   its commit. When its commit certificate is ready, source-zone proxies
-   send PREPARED to the destination zone.
+   ballot (each cluster keeps its own meta-data ordering). When its
+   commit certificate is ready, source-zone proxies send PREPARED to the
+   destination zone, whose every member banks it.
 3. The destination primary, holding both commit certificates, multicasts
    CROSS-COMMIT to every node of both clusters. Each node validates the
    half belonging to its cluster and executes it on the regional
    meta-data; the data migration protocol then moves R(c) as usual.
+
+Neither ballot sends a COMMIT of its own (``SyncEngine._send_commit``
+holds it). Which zone orders a cluster's half is the global backend's
+``initiator_zone``, the zone clients address their migrations to.
 """
 
 from __future__ import annotations
@@ -29,8 +33,7 @@ from repro.crypto.digest import digest
 from repro.messages.base import Signed, verify_signed
 from repro.messages.client import MigrationRequest
 from repro.messages.cluster import CrossCommit, CrossPropose, Prepared
-from repro.messages.sync import (Ballot, GlobalCommit, accept_body,
-                                 commit_body)
+from repro.messages.sync import Ballot, accept_body, commit_body
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import ZiziphusNode
@@ -77,28 +80,17 @@ class ClusterEngine:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _is_cross(self, request: MigrationRequest) -> bool:
-        return (self.directory.cluster_of_zone(request.source_zone)
-                != self.directory.cluster_of_zone(request.dest_zone))
-
     @staticmethod
     def _body_digest(request: MigrationRequest) -> bytes:
         """Digest the sync engine certifies: the batch-of-one payloads."""
         return digest((request,))
 
-    def _orderer_zone(self, cluster_of_zone: str) -> str:
-        """The zone that orders a cross-cluster txn inside one cluster.
-
-        Under the stable-leader optimisation every global transaction of a
-        cluster is ordered by the cluster's leader zone — including the
-        per-cluster halves of cross-cluster transactions, so the leader's
-        ballot chain stays collision-free. In leaderless mode the paper's
-        §VI roles apply directly (destination / source zones initiate).
-        """
-        if self.node.sync.config.stable_leader:
-            cluster = self.directory.cluster_of_zone(cluster_of_zone)
-            return self.directory.cluster_zones(cluster)[0]
-        return cluster_of_zone
+    def _orderer_zone(self, zone_id: str) -> str:
+        """The zone that orders, in ``zone_id``'s cluster, its half of a
+        cross-cluster txn: the global backend's initiator for it."""
+        sync = self.node.sync
+        return sync.engine.initiator_zone(self.directory, sync.config,
+                                          zone_id)
 
     def _txn_for(self, request_digest: bytes, env: Signed) -> CrossTxn:
         txn = self._txns.get(request_digest)
@@ -111,17 +103,13 @@ class ClusterEngine:
         view = self.node.replica.view
         return self.node.node_id in self.my_zone.proxies(view)
 
-    def _proxied_request(self, context: Any) -> Signed | None:
+    def _cross_request(self, context: Any) -> Signed | None:
         """The request of an endorsed sync context that orders exactly one
-        cross-cluster migration, if this node is one of its zone's
-        proxies; ``None`` for every other ballot and node."""
+        cross-cluster migration; ``None`` for every other ballot."""
         batch = getattr(context, "requests", None)
-        if not batch or len(batch) != 1:
+        if not batch or len(batch) != 1 or \
+                not self.directory.crosses_clusters(batch[0].payload):
             return None  # cross-cluster transactions are ordered one per ballot
-        request = batch[0].payload
-        if not isinstance(request, MigrationRequest) or \
-                not self._is_cross(request) or not self._am_proxy():
-            return None
         return batch[0]
 
     @staticmethod
@@ -133,7 +121,7 @@ class ClusterEngine:
     # ------------------------------------------------------------------
     def _route_migration(self, sender: str, request: MigrationRequest,
                          envelope: Signed) -> None:
-        if not self._is_cross(request):
+        if not self.directory.crosses_clusters(request):
             self.node.sync._on_migration_request(sender, request, envelope)
             return
         if self.my_zone.zone_id != self._orderer_zone(request.dest_zone):
@@ -145,7 +133,6 @@ class ClusterEngine:
         txn = self._txn_for(request_digest, envelope)
         if txn.dst_ballot is not None:
             return  # already coordinating this request
-        txn.role = "dst"
         obs = self.node.obs
         obs.count("cross.coordinated")
         obs.span_open(self.node.sim.now, "cross-cluster",
@@ -153,16 +140,16 @@ class ClusterEngine:
                       node=self.node.node_id,
                       source=request.source_zone,
                       dest=request.dest_zone)
-        txn.dst_ballot = self.node.sync.start_global_txn(
-            (envelope,), on_ready_to_commit=lambda s, d=request_digest:
-            self._on_dst_accepted_quorum(d, s))
+        txn.dst_ballot = self.node.sync.start_global_txn((envelope,))
 
     # ------------------------------------------------------------------
     # Destination side
     # ------------------------------------------------------------------
     def _on_accept_endorsed(self, instance: str, context: Any, cert) -> None:
-        """The destination zone certified its ballot: proxies CROSS-PROPOSE."""
-        request_env = self._proxied_request(context)
+        """The destination zone certified its ballot: every member banks
+        the txn, so that whichever member is primary when both halves are
+        certified finalizes it; proxies CROSS-PROPOSE."""
+        request_env = self._cross_request(context)
         if request_env is None:
             return
         request = request_env.payload
@@ -170,12 +157,12 @@ class ClusterEngine:
             return
         request_digest = digest(request)
         txn = self._txn_for(request_digest, request_env)
-        if txn.sent_cross_propose:
-            return
-        txn.sent_cross_propose = True
-        txn.role = txn.role or "dst"
+        txn.role = "dst"
         txn.dst_ballot = context.ballot
         txn.dst_prev = context.prev_ballot
+        if txn.sent_cross_propose or not self._am_proxy():
+            return
+        txn.sent_cross_propose = True
         self.node.obs.emit(self.node.sim.now, "cross.propose_sent",
                            node=self.node.node_id,
                            request=self._span_key(request_digest))
@@ -188,22 +175,15 @@ class ClusterEngine:
         self.node.multicast_signed(self.directory.zone(source_zone).members,
                                    cross)
 
-    def _on_dst_accepted_quorum(self, request_digest: bytes, sync_txn) -> None:
-        """Destination cluster accepted; build our commit certificate."""
-        txn = self._txns.get(request_digest)
-        if txn is None:
-            return
-        txn.dst_prev = sync_txn.prev_ballot
-        self.node.sync.prepare_commit_cert(
-            sync_txn, on_cert=lambda cert, d=request_digest:
-            self._on_dst_commit_cert(d, cert))
-
-    def _on_dst_commit_cert(self, request_digest: bytes, cert) -> None:
-        txn = self._txns.get(request_digest)
-        if txn is None:
-            return
-        txn.cert_dst = cert
-        self._try_finalize(txn)
+    def commit_certified(self, sync_txn, cert) -> None:
+        """This node, as its zone's primary, certified the COMMIT body of
+        a cross-cluster ballot, whose commit the sync engine holds: in the
+        destination's orderer zone it is ``cert_dst``. (A source zone's
+        proxies send PREPARED on the endorsement's quorum instead.)"""
+        txn = self._txns.get(digest(sync_txn.batch[0].payload))
+        if txn is not None and txn.role == "dst":
+            txn.cert_dst = cert
+            self._try_finalize(txn)
 
     def _on_prepared(self, sender: str, prepared: Prepared,
                      envelope: Signed) -> None:
@@ -221,8 +201,7 @@ class ClusterEngine:
         txn.prepared = prepared
         txn.src_ballot = prepared.src_ballot
         txn.src_prev = prepared.src_prev_ballot
-        if self.node.replica.is_primary:
-            self._try_finalize(txn)
+        self._try_finalize(txn)
 
     def _try_finalize(self, txn: CrossTxn) -> None:
         if txn.finalized or txn.cert_dst is None or txn.prepared is None:
@@ -277,23 +256,12 @@ class ClusterEngine:
             return  # already ordering this request in our cluster
         if not self.node.replica.is_primary:
             return  # proxies multicast to the whole orderer zone; primary acts
-        txn.src_ballot = self.node.sync.start_global_txn(
-            (cross.request,), on_ready_to_commit=lambda s, d=request_digest:
-            self._on_src_accepted_quorum(d, s))
-
-    def _on_src_accepted_quorum(self, request_digest: bytes, sync_txn) -> None:
-        txn = self._txns.get(request_digest)
-        if txn is None:
-            return
-        txn.src_prev = sync_txn.prev_ballot
-        txn.src_ballot = sync_txn.ballot
-        self.node.sync.prepare_commit_cert(
-            sync_txn, on_cert=lambda cert: None)  # proxies act on quorum
+        txn.src_ballot = self.node.sync.start_global_txn((cross.request,))
 
     def _on_commit_endorsed(self, instance: str, context: Any, cert) -> None:
         """Commit-phase endorsement done: source proxies send PREPARED."""
-        request_env = self._proxied_request(context)
-        if request_env is None:
+        request_env = self._cross_request(context)
+        if request_env is None or not self._am_proxy():
             return
         request = request_env.payload
         if self.my_zone.zone_id != self._orderer_zone(request.source_zone):
@@ -327,7 +295,6 @@ class ClusterEngine:
             return
         if not verify_signed(self.node.keys, commit.request):
             return
-        request_digest = digest(request)
         dst_cluster = self.directory.cluster_of_zone(commit.dst_ballot.zone_id)
         if self.my_cluster == dst_cluster:
             ballot, prev, cert = (commit.dst_ballot, commit.dst_prev_ballot,
@@ -337,21 +304,21 @@ class ClusterEngine:
             ballot, prev, cert = (commit.src_ballot, commit.src_prev_ballot,
                                   commit.cert_src)
             foreign = commit.dst_ballot
-        body = commit_body(ballot, prev, self._body_digest(request))
+        body_digest = self._body_digest(request)
         if not self.node.check_cert("cross-commit", ballot.zone_id, cert,
-                                    body, sender, ballot.key):
+                                    commit_body(ballot, prev, body_digest),
+                                    sender, ballot.key):
             return
-        txn = self._txn_for(request_digest, commit.request)
+        txn = self._txn_for(digest(request), commit.request)
         txn.dst_ballot, txn.dst_prev = commit.dst_ballot, commit.dst_prev_ballot
         txn.src_ballot, txn.src_prev = commit.src_ballot, commit.src_prev_ballot
         # Cross-cluster STATE messages travel under the source ballot:
         # teach the migration engine the mapping before execution.
         self.node.migration.alias_ballot(foreign, ballot)
-        synthetic = GlobalCommit(view=commit.view, ballot=ballot,
-                                 prev_ballot=prev, requests=(commit.request,),
-                                 cert=cert, checkpoints=(),
-                                 sender=commit.sender)
-        self.node.sync.ingest_commit(synthetic, envelope)
+        # The envelope is kept as the ballot's commit_env: a RESPONSE-QUERY
+        # for it is answered with the CROSS-COMMIT its sender signed.
+        self.node.sync.commit(ballot, prev, (commit.request,), body_digest,
+                              envelope, checkpoints=())
 
     # ------------------------------------------------------------------
     # Post-execution (called from the node's execution hook)

@@ -273,16 +273,13 @@ class ZiziphusDeployment(Deployment):
         """
         self.nodes[node_id].set_behavior(behavior)
 
-    def stable_leader_zone(self, cluster_id: str) -> str:
-        """The designated stable-leader zone of a cluster (its first zone)."""
-        return self.directory.cluster_zones(cluster_id)[0]
-
     def _resolve_initiator(self, source_zone: str, dest_zone: str) -> str:
         # Initiator policy belongs to the global consensus backend: the
         # stable engine routes to the destination cluster's leader zone
         # (keeping each cluster's ballot chain single-writer); the
         # rotating engine lets every destination zone initiate.
-        return self.backend.sync.initiator_zone(self, source_zone, dest_zone)
+        return self.backend.sync.initiator_zone(
+            self.directory, self.config.sync, dest_zone)
 
     def _client_args(self, zone_id: str) -> dict[str, Any]:
         return dict(super()._client_args(zone_id),

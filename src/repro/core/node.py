@@ -20,6 +20,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.consensus import BackendSpec, get_backend
+from repro.core.audit import QueryAudit
+from repro.core.cross_zone import INTERNAL_SENDER_PREFIX, CrossZoneEngine
 from repro.core.endorsement import EndorsementManager
 from repro.core.locks import LockTable
 from repro.core.metadata import GlobalMetadata, MigrationOutcome, PolicySet
@@ -64,7 +66,6 @@ class ZiziphusNode(HostNode):
         self.metadata = GlobalMetadata(policies)
         self.locks = LockTable()
         self.remote_states: dict[str, CheckpointRef] = {}
-        from repro.core.audit import QueryAudit
         self.query_audit = QueryAudit()
 
         self.replica = PBFTReplica(
@@ -79,7 +80,6 @@ class ZiziphusNode(HostNode):
         self.sync = SyncEngine(self, cluster_zone_ids, sync_config,
                                self.backend.sync)
         self.migration = MigrationEngine(self, migration_config)
-        from repro.core.cross_zone import CrossZoneEngine
         self.cross_zone = CrossZoneEngine(self)
         self.replica.reply_fn = self._route_execution_result
         self.reads = ReadEngine(self, read_config)
@@ -93,7 +93,6 @@ class ZiziphusNode(HostNode):
     # Local transaction gating (the lock bit, §IV.A)
     # ------------------------------------------------------------------
     def _accept_local_request(self, request) -> bool:
-        from repro.core.cross_zone import INTERNAL_SENDER_PREFIX
         if request.sender.startswith(INTERNAL_SENDER_PREFIX):
             return True   # zone-internal operations (cross-zone escrow)
         return self.locks.is_current(request.sender)
@@ -101,7 +100,6 @@ class ZiziphusNode(HostNode):
     def _route_execution_result(self, request_env, result) -> None:
         """Replica reply hook: zone-internal results go to the cross-zone
         engine; everything else is answered to the client as usual."""
-        from repro.core.cross_zone import INTERNAL_SENDER_PREFIX
         request = request_env.payload
         if request.sender.startswith(INTERNAL_SENDER_PREFIX):
             self.cross_zone.on_internal_result(request_env, result)

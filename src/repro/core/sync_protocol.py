@@ -198,9 +198,6 @@ class SyncEngine:
         #: When this node's current view activated (0 for the first).
         self._view_since = 0.0
         self._commit_order: list[Ballot] = []
-        #: Cross-cluster hook: ballots whose commit phase is held until the
-        #: peer cluster is PREPARED (callback receives the txn state).
-        self.hold_commit: dict[Ballot, Any] = {}
         self.migrations_executed = 0
         #: Commuting-execution mode only: per-client request-timestamp
         #: high-water mark of *applied* migrations. A ballot carrying an
@@ -384,15 +381,8 @@ class SyncEngine:
             self.node.forward(self.node.replica.primary, envelope)
             self._watch_request(envelope)
 
-    def start_global_txn(self, batch: tuple[Signed, ...],
-                         on_ready_to_commit=None) -> Ballot:
-        """Assign a ballot to a batch and launch the protocol (primary only).
-
-        ``on_ready_to_commit``, if given, is called with the transaction
-        state instead of entering the commit phase once a majority of
-        zones have accepted — the cross-cluster protocol uses this to wait
-        for the peer cluster's PREPARED message first.
-        """
+    def start_global_txn(self, batch: tuple[Signed, ...]) -> Ballot:
+        """Assign a ballot to a batch and launch the protocol (primary only)."""
         ballot = self.engine.propose(self, batch)
         self.highest_seen = max(self.highest_seen, ballot.seq)
         for env in batch:
@@ -401,8 +391,6 @@ class SyncEngine:
         txn = self._txn(ballot)
         txn.batch = batch
         txn.request_digest = batch_digest(batch)
-        if on_ready_to_commit is not None:
-            self.hold_commit[ballot] = on_ready_to_commit
         obs = self.node.obs
         obs.count("sync.txns")
         obs.span_open(self.node.sim.now, "global-txn", ballot.key,
@@ -808,33 +796,8 @@ class SyncEngine:
                      envelope: Signed) -> None:
         txn = self._collect_verified(sender, accepted, envelope, "accepted",
                                      accepted_body, lambda t: t.accepteds)
-        if txn is None:
-            return
-        held = self.hold_commit.get(accepted.ballot)
-        if held is not None:
-            txn.phase = "held"
-            held(txn)
-        else:
+        if txn is not None:
             self._start_commit_phase(txn)
-
-    def prepare_commit_cert(self, txn: GlobalTxnState, on_cert) -> None:
-        """Run the commit-phase endorsement but hand the certificate to
-        ``on_cert`` instead of broadcasting COMMIT (cross-cluster path)."""
-        context = CommitContext(ballot=txn.ballot, prev_ballot=txn.prev_ballot,
-                                requests=txn.batch,
-                                accepteds=tuple(txn.accepteds.values()))
-        body = commit_body(txn.ballot, txn.prev_ballot, txn.request_digest)
-        self.node.endorsement.lead(
-            self._instance("commit", txn.ballot), context, body,
-            use_prepare=self._use_prepare(assigning_ballot=False),
-            on_cert=on_cert)
-
-    def ingest_commit(self, commit: GlobalCommit, envelope: Signed) -> None:
-        """Accept ``commit``, this cluster's half of the cross-cluster
-        CROSS-COMMIT ``envelope``, through the normal validation path. The
-        envelope is kept as the ballot's ``commit_env``: a RESPONSE-QUERY
-        for the ballot is answered with what its sender signed."""
-        self._on_commit(commit.sender, commit, envelope)
 
     def _start_commit_phase(self, txn: GlobalTxnState) -> None:
         txn.phase = "commit"
@@ -844,30 +807,44 @@ class SyncEngine:
         # its pre-prepare hold no watch on the round, and nothing else
         # would send it again. The COMMIT this node sends itself disarms.
         self._arm_deadline(txn, "commit")
-        self.prepare_commit_cert(
-            txn, on_cert=lambda cert, b=txn.ballot: self._send_commit(b, cert))
+        context = CommitContext(ballot=txn.ballot, prev_ballot=txn.prev_ballot,
+                                requests=txn.batch,
+                                accepteds=tuple(txn.accepteds.values()))
+        body = commit_body(txn.ballot, txn.prev_ballot, txn.request_digest)
+        self.node.endorsement.lead(
+            self._instance("commit", txn.ballot), context, body,
+            use_prepare=self._use_prepare(assigning_ballot=False),
+            on_cert=lambda cert, b=txn.ballot: self._send_commit(b, cert))
 
     def _send_commit(self, ballot: Ballot, cert) -> None:
         txn = self._txn(ballot)
-        checkpoints = []
-        for env in txn.accepteds.values():
-            ref = env.payload.checkpoint
-            if ref is not None:
-                checkpoints.append(ref)
-        own_ref = self._my_checkpoint_ref()
-        if own_ref is not None:
-            checkpoints.append(own_ref)
-        commit = GlobalCommit(view=self.node.replica.view, ballot=ballot,
-                              prev_ballot=txn.prev_ballot,
-                              requests=txn.batch, cert=cert,
-                              checkpoints=tuple(checkpoints),
-                              sender=self.node.node_id)
         self.node.obs.span_close(self.node.sim.now, "commit", ballot.key,
                                  node=self.node.node_id)
-        self.node.multicast_signed(
-            self.directory.nodes_of_zones(self.zone_ids), commit,
-            include_self=True)
-        txn.phase = "commit-sent"
+        if len(txn.batch) == 1 and \
+                self.directory.crosses_clusters(txn.batch[0].payload):
+            # Paper §VI: one migration between clusters commits only by
+            # the CROSS-COMMIT joining it with the other cluster's ballot.
+            # Held on whichever primary built the certificate, first time
+            # or re-driving after a view change.
+            txn.phase = "held"
+            self._disarm(txn)
+            self.node.cluster_engine.commit_certified(txn, cert)
+        else:
+            checkpoints = [env.payload.checkpoint
+                           for env in txn.accepteds.values()
+                           if env.payload.checkpoint is not None]
+            own_ref = self._my_checkpoint_ref()
+            if own_ref is not None:
+                checkpoints.append(own_ref)
+            commit = GlobalCommit(view=self.node.replica.view, ballot=ballot,
+                                  prev_ballot=txn.prev_ballot,
+                                  requests=txn.batch, cert=cert,
+                                  checkpoints=tuple(checkpoints),
+                                  sender=self.node.node_id)
+            self.node.multicast_signed(
+                self.directory.nodes_of_zones(self.zone_ids), commit,
+                include_self=True)
+            txn.phase = "commit-sent"
         if txn.executed:
             self._release_votes(txn)
 
@@ -900,34 +877,43 @@ class SyncEngine:
             return
         if not self._valid_batch(commit.requests):
             return
-        txn = self._txn(commit.ballot)
+        self.commit(commit.ballot, commit.prev_ballot, commit.requests,
+                    request_digest, envelope, commit.checkpoints)
+
+    def commit(self, ballot: Ballot, prev: Ballot, batch: tuple[Signed, ...],
+               request_digest: bytes, envelope: Signed,
+               checkpoints: tuple[CheckpointRef, ...]) -> None:
+        """Commit ``ballot``, whose certificate and batch the caller
+        checked: a COMMIT (:meth:`_on_commit`) or this cluster's half of a
+        CROSS-COMMIT (``ClusterEngine``). ``envelope`` is what its sender
+        signed, kept as the ballot's ``commit_env``: a RESPONSE-QUERY for
+        the ballot is answered with it."""
+        txn = self._txn(ballot)
         if txn.committed:
             return
         txn.committed = True
         obs = self.node.obs
         obs.count("sync.committed")
-        prev = "" if commit.prev_ballot == GENESIS_BALLOT else \
-            commit.prev_ballot.key
         obs.emit(self.node.sim.now, "sync.commit",
-                 node=self.node.node_id,
-                 ballot=commit.ballot.key,
-                 batch=len(commit.requests), prev=prev)
+                 node=self.node.node_id, ballot=ballot.key,
+                 batch=len(batch),
+                 prev="" if prev == GENESIS_BALLOT else prev.key)
         txn.commit_env = envelope
-        txn.batch = commit.requests
+        txn.batch = batch
         txn.request_digest = request_digest
-        txn.prev_ballot = commit.prev_ballot
-        self._mark_stale_sources(commit.ballot, commit.requests)
-        self.highest_seen = max(self.highest_seen, commit.ballot.seq)
+        txn.prev_ballot = prev
+        self._mark_stale_sources(ballot, batch)
+        self.highest_seen = max(self.highest_seen, ballot.seq)
         self._disarm(txn)
-        self._commit_order.append(commit.ballot)
+        self._commit_order.append(ballot)
         if len(self._commit_order) > _COMMIT_HISTORY:
             stale = self._commit_order.pop(0)
             old = self.txns.get(stale)
             if old is not None and old.executed:
                 old.commit_env = None
-        for ref in commit.checkpoints:
+        for ref in checkpoints:
             self.node.store_remote_checkpoint(ref)
-        self._try_execute(commit.ballot)
+        self._try_execute(ballot)
 
     def _try_execute(self, ballot: Ballot) -> None:
         txn = self.txns.get(ballot)
@@ -961,11 +947,9 @@ class SyncEngine:
                 # The destination cluster of a cross-cluster migration
                 # cannot verify the source zone (regional meta-data); it
                 # adopts the source cluster's certified claim instead.
-                src_cluster = self.directory.cluster_of_zone(
-                    request.source_zone)
-                adopt = (src_cluster != self.directory.cluster_of_zone(
-                    request.dest_zone)
-                    and self.my_zone.cluster_id != src_cluster)
+                adopt = self.directory.crosses_clusters(request) and \
+                    self.my_zone.cluster_id != \
+                    self.directory.cluster_of_zone(request.source_zone)
                 commuting = self.engine.commuting_execution
                 if commuting and request.timestamp <= \
                         self._client_exec_ts.get(request.sender, -1):

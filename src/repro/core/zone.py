@@ -12,6 +12,7 @@ quorum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.consensus.profile import QuorumProfile
 from repro.crypto.certificates import CertificateVerifier, QuorumCertificate
@@ -19,6 +20,7 @@ from repro.crypto.keys import KeyRegistry
 from repro.crypto.threshold import (ThresholdCertificate, ThresholdVerifier,
                                     well_formed)
 from repro.errors import ConfigurationError
+from repro.messages.client import MigrationRequest
 from repro.quorums import proxy_count, zone_majority
 from repro.sim.latency import Region
 
@@ -137,6 +139,16 @@ class ZoneDirectory:
     def cluster_of_zone(self, zone_id: str) -> str:
         """Cluster id a zone belongs to."""
         return self._zones[zone_id].cluster_id
+
+    def crosses_clusters(self, request: Any) -> bool:
+        """Whether ``request`` migrates a client between two zone
+        clusters (paper §VI): the one test of it."""
+        if not isinstance(request, MigrationRequest):
+            return False
+        source = self._zones.get(request.source_zone)
+        dest = self._zones.get(request.dest_zone)
+        return source is not None and dest is not None and \
+            source.cluster_id != dest.cluster_id
 
     def all_nodes(self) -> list[str]:
         """Every zone member across the deployment."""

@@ -185,9 +185,10 @@ class ProtocolMonitor:
         self._executed: dict[str, set] = {}
         # Migration atomicity state.
         self._mig_transitions: dict[tuple, tuple] = {}
-        # Commuting mode: client -> {req_ts: (source, dest, ballot)} of
-        # applied migrations; every node applying a request must agree
-        # on its destination, and no request may apply under two ballots.
+        # Commuting mode: client -> {req_ts: (source, dest, {cluster:
+        # ballot})} of applied migrations; every node applying a request
+        # must agree on its destination, and no request may apply under
+        # two ballots of one cluster.
         self._commute_applied: dict[str, dict[int, tuple]] = {}
         self._owner: dict[str, str] = {}
         self._owner_applied: set = set()
@@ -614,23 +615,27 @@ class ProtocolMonitor:
     def _record_commuting_apply(self, ts: float, node: str,
                                 f: dict) -> None:
         client = f["client"]
-        moves = self._commute_applied.setdefault(client, {})
-        prior = moves.get(f["req_ts"])
-        if prior is None:
-            moves[f["req_ts"]] = (f["source"], f["dest"], f["ballot"])
-        elif prior[:2] != (f["source"], f["dest"]):
+        source, dest, ballots = self._commute_applied.setdefault(
+            client, {}).setdefault(f["req_ts"], (f["source"], f["dest"], {}))
+        if (source, dest) != (f["source"], f["dest"]):
             # The same client request applied with two different moves
-            # (e.g. duplicate ballots that disagree on the destination).
+            # (e.g. duplicate ballots that disagree on the destination,
+            # or the two clusters' halves of one cross-cluster move).
             self._flag(ts, "migration-dest-divergence", node,
                        dedup_key=(client, f["req_ts"]), client=client,
-                       dest=f["dest"], expected=prior[1])
-        elif prior[2] != f["ballot"]:
+                       dest=f["dest"], expected=dest)
+            return
+        # Each cluster applies a cross-cluster move under its own ballot:
+        # only a second ballot of one cluster applies the request again.
+        cluster = self.topology.cluster_of(_ballot_zone(f["ballot"]))
+        first_ballot = ballots.setdefault(cluster, f["ballot"])
+        if first_ballot != f["ballot"]:
             # A retransmitted request certified under a second ballot
             # must be skipped as superseded, not applied again.
             self._flag(ts, "migration-duplicate", node,
                        dedup_key=(client, f["req_ts"], f["ballot"]),
                        client=client, ballot=f["ballot"],
-                       first_ballot=prior[2])
+                       first_ballot=first_ballot)
 
     def _apply_transition(self, ts: float, node: str, f: dict) -> None:
         if not f["accepted"]:

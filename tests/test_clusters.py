@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.bench.runner import PointSpec, run_point
+from repro.consensus import BACKENDS
 from repro.core.deployment import ZiziphusConfig, build_ziziphus
 from repro.crypto.digest import digest
 from repro.messages.base import sign_message
@@ -47,22 +49,43 @@ def test_intra_cluster_migration_does_not_touch_other_clusters():
         assert "c1" not in node.metadata.migrations_per_client
 
 
-def test_cross_cluster_migration_end_to_end():
-    dep = build_clustered()
+@pytest.mark.parametrize("dest", ["z2", "z3"])
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_cross_cluster_migration_end_to_end(backend, dest):
+    """Into either zone of the other cluster, on every backend. Under
+    ``rotating`` z3 orders its own half; when the cross-cluster engine
+    asked the stable leader's question instead, it answered only in z2
+    and the migration to z3 never completed."""
+    dep = build_clustered(backend=backend)
     client = dep.add_client("c1", "z0")
     records = drive_to_completion(dep, client, [
         ("local", ("deposit", 9)),
-        ("migrate", "z2"),            # cluster-0 -> cluster-1
+        ("migrate", dest),            # cluster-0 -> cluster-1
         ("local", ("balance",)),
     ])
-    assert records[1].result == ("migrated", "ok", "z2")
-    assert records[2].result == ("ok", 10_009)
-    assert client.current_zone == "z2"
-    for node in dep.zone_nodes("z2"):
+    assert [r.result for r in records[1:]] == [("migrated", "ok", dest),
+                                               ("ok", 10_009)]
+    assert client.current_zone == dest
+    for node in dep.zone_nodes(dest):
         assert node.locks.is_current("c1")
         assert node.app.balance_of("c1") == 10_009
     for node in dep.zone_nodes("z0"):
         assert not node.locks.is_current("c1")
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_a_point_where_every_migration_crosses_clusters(backend):
+    """Every migration of the point moves a client to the other
+    cluster; ``rotating`` completed 54 operations with 27 violations
+    while its destination zones' halves were coordinated elsewhere."""
+    result = run_point(PointSpec(
+        protocol="ziziphus", num_zones=4, num_clusters=2,
+        clients_per_zone=10, global_fraction=0.5,
+        cross_cluster_fraction=1.0, warmup_ms=200.0, measure_ms=400.0,
+        seed=1, backend=backend, monitor=True))
+    row = result.row()
+    assert row["completed"] > 0
+    assert row["viol"] == 0
 
 
 def test_each_cluster_executes_on_its_own_regional_metadata():
@@ -229,6 +252,55 @@ def pending_destination(dep):
 
 #: Short enough that no failure timer of the waiting destination fires.
 SETTLE_MS = 500
+
+
+def cluster_nodes(dep, cluster_id):
+    return [dep.nodes[m] for zone in dep.directory.cluster_zones(cluster_id)
+            for m in dep.directory.zone(zone).members]
+
+
+def test_a_new_destination_primary_holds_the_commit_too():
+    """D3, safety. The source cluster is down, so the move can never be
+    PREPARED there; the destination primary holding ``cert_dst``
+    crashes. Its successor re-drives the ballot, and holds its commit
+    just as the ballot's batch says: no node of the destination cluster
+    executes a half the source cluster never agreed to. (A hold kept
+    only by the primary that started the ballot let z2's next primary
+    send a plain COMMIT, which all seven live nodes executed.)"""
+    dep = build_clustered()
+    pending_destination(dep)
+    dep.nodes["z2n0"].crash()
+    dep.run(dep.sim.now + 10_000)
+    assert max(n.replica.view for n in dep.zone_nodes("z2")) >= 1
+    for node in cluster_nodes(dep, "cluster-1"):
+        assert not node.sync.executed_results, node.node_id
+
+
+def test_a_destination_primary_crash_after_cross_propose_still_cross_commits():
+    """D3, liveness. z2n0 crashes 1 ms after its CROSS-PROPOSE; the
+    source cluster orders its half and its proxies send PREPARED to all
+    of z2, whose members bank it. z2's next primary certifies the commit
+    again and joins the two halves in a CROSS-COMMIT. (With the PREPARED
+    banked only by the crashed primary, no CROSS-COMMIT was ever sent:
+    each cluster executed its half from a plain COMMIT, R(c) never
+    moved and the client stayed in z0.)"""
+    dep = build_clustered()
+    client = dep.add_client("c1", "z0")
+    z2n0 = dep.nodes["z2n0"]
+    multicast = z2n0.multicast_signed
+
+    def crash_after_cross_propose(targets, payload, **kwargs):
+        multicast(targets, payload, **kwargs)
+        if isinstance(payload, CrossPropose):
+            dep.sim.schedule(1.0, z2n0.crash)
+
+    z2n0.multicast_signed = crash_after_cross_propose
+    records = drive_to_completion(dep, client, [("migrate", "z2")],
+                                  step_ms=30_000.0, max_steps=1)
+    assert z2n0.crashed
+    assert [r.result for r in records] == [("migrated", "ok", "z2")]
+    (txn,) = dep.nodes["z2n1"].cluster_engine._txns.values()
+    assert txn.finalized
 
 
 @pytest.mark.parametrize("variant", sorted(BAD_CERTS))

@@ -169,6 +169,47 @@ def test_forged_cert_is_flagged_online(ziziphus3):
     assert flagged and flagged[0].detail["reason"] == "signature-invalid"
 
 
+def commuting_two_clusters():
+    zones = {zone: {"members": [f"{zone}n{i}" for i in range(4)], "f": 1,
+                    "cluster": cluster}
+             for zone, cluster in (("z0", "cluster-0"), ("z1", "cluster-0"),
+                                   ("z2", "cluster-1"), ("z3", "cluster-1"))}
+    return ProtocolMonitor(MonitorTopology.from_dict({
+        "zones": zones, "execution": "commuting",
+        "clusters": {"cluster-0": ["z0", "z1"], "cluster-1": ["z2", "z3"]}}))
+
+
+def migration_executed(monitor, node, ballot):
+    monitor.on_event(1.0, "migration.executed", node, {
+        "ballot": ballot, "client": "c1", "req_ts": 2, "source": "z0",
+        "dest": "z2", "accepted": True, "reason": "ok"})
+
+
+def test_commuting_checker_takes_each_clusters_half_of_a_move_once():
+    """A cross-cluster move applies under one ballot per cluster; only a
+    second ballot of one cluster applies it twice. (Matching a client's
+    moves by request timestamp across clusters flagged z0n1's ``2.z0``
+    against ``2.z2``, the other cluster's half.)"""
+    monitor = commuting_two_clusters()
+    migration_executed(monitor, "z2n0", "2.z2")
+    migration_executed(monitor, "z0n1", "2.z0")
+    assert monitor.violations == []
+    migration_executed(monitor, "z0n1", "4.z0")
+    assert [(v.kind, v.culprit) for v in monitor.violations] == [
+        ("migration-duplicate", "z0n1")]
+
+
+def test_both_halves_of_a_rotating_cross_cluster_move_are_clean():
+    """The same move end to end: c1 goes z0 -> z2 under ``rotating``."""
+    from tests.test_clusters import build_clustered
+    dep = build_clustered(backend="rotating")
+    client = dep.add_client("c1", "z0")
+    monitor = monitored(dep)
+    records = drive_to_completion(dep, client, [("migrate", "z2")])
+    assert records[0].result == ("migrated", "ok", "z2")
+    assert monitor.violations == []
+
+
 def test_honest_ziziphus_run_is_clean():
     dep = small_ziziphus(num_zones=3, f=1)
     monitor = monitored(dep)

@@ -121,6 +121,22 @@ rows, not 968; ``initiator-isolated`` and ``wedged-endorsement`` on
 ``rotating``: 72 and 54, not 560 and 516). The six literals of
 ``cross-zone-resend`` and ``retransmit`` and the flat-PBFT and two-level
 baselines' did not move.
+
+The three ``clusters`` literals were generated again when a
+cross-cluster migration began to be decided once (EXPERIMENTS.md, "A
+cross-cluster migration decided once"). A CROSS-COMMIT is checked once,
+as ``cross-commit``, not again as ``commit``; every member of the
+destination's orderer zone checks the PREPARED it receives, not only
+its primary; and a held ballot's commit round opens and closes a
+``commit`` span like any other. On ``default`` ``cert.check`` rows go
+1 880 → 1 611 (``commit`` 557 → 208, ``cross-prepared`` 80 → 160, 41
+more spans); on ``syncbft`` 1 401 → 1 187 (``commit`` 400 → 144,
+``cross-prepared`` 84 → 126, 42 more spans); every other row is the
+same. On ``rotating`` the cross-cluster engine now asks the backend
+which zone orders a cluster's half, so a move into the cluster's second
+zone is coordinated where its client sent it: ``sync.commit`` rows 296 →
+512, CROSS-COMMITs 9 → 18. The other 42 literals and the three
+baselines' did not move.
 """
 
 from __future__ import annotations
@@ -330,11 +346,11 @@ PINNED: dict[tuple[str, str], str] = {
     ("full-prepare", "syncbft"):
         "063683214118c7a1818f06d7b68f79070db1265bff602f18af40c164a11a2b77",
     ("clusters", "default"):
-        "c66d3ee3edc2f0bd4790269d9815697c889b421a22b93969774ea0f474e044fd",
+        "eb0e01e71c664b7f788d687a10f58c64e2a5f2727663994fabcb7d2dab28e2d4",
     ("clusters", "rotating"):
-        "9b7349f27baa0dc60146ef480c123d076b3bfe637e0d3e129b31ba25a6535327",
+        "85d760ea60739e93a03e7246166e790b9742f2e2ed2a1baee27bd505cd4e7950",
     ("clusters", "syncbft"):
-        "3bdab8da07ac3c571a785ea4973f336d1c6318b6d5b0c9580087f26b538da0ae",
+        "9933fedc071ed389fd0ab402033145fd3948190cb9a2cedfecdd334c741e8e0a",
     ("cross-zone", "default"):
         "004dbe0766abf465cbdc11d03e9d502816697d7f998e2d39c2934c8e9fcca573",
     ("cross-zone", "rotating"):

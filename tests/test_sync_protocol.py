@@ -117,7 +117,7 @@ def test_request_dedup_returns_cached_result(ziziphus3):
     client = dep.add_client("c1", "z0")
     records = drive_to_completion(dep, client, [("migrate", "z1")])
     assert records[0].result[0] == "migrated"
-    leader = dep.primary_of(dep.stable_leader_zone("cluster-0"))
+    leader = dep.primary_of(dep.directory.cluster_zones("cluster-0")[0])
     executed_before = leader.sync.migrations_executed
     # Re-deliver the identical request (client retransmission).
     from repro.crypto.digest import digest
