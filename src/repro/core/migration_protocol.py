@@ -23,12 +23,11 @@ paper. What is kept per migration (the endorsed ``R(c)``, whether it was
 applied) is keyed by ``(ballot, client)``; what ships it (the STATE, its
 timers, a STATE parked ahead of its commit) by group.
 
-Failure handling follows §V-A in part: destination nodes that executed
-the commit but never receive STATE query the source zone, naming one
-member. A source node that holds the group's STATE envelope re-sends it,
-and one that is the primary and holds none leads it now. The others do
-not answer, and a STATE query never makes them suspect their primary, so
-a source primary that relays nothing stalls the group (ROADMAP D9).
+Failure handling follows §V-A: a destination node that executed the
+commit but never receives STATE queries the source zone. Each of its
+``f+1`` proxies (one is correct, §VI) that holds the group's certificate
+builds the STATE from it and the R(c) it adopted; a primary holding none
+leads the group now.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.crypto.digest import digest
 from repro.messages.base import Signed, sign_message
 from repro.messages.client import MigrationRequest
 from repro.messages.migration import (Members, StateTransfer, state_body,
@@ -96,12 +94,10 @@ class MigrationEngine:
         #: source zone (from acceptance) and destination zone (from
         #: execution).
         self._members: dict[Group, tuple[str, ...]] = {}
-        #: The STATE a source primary shipped, re-sent on a query.
-        self._state_envs: dict[Group, Signed] = {}
         #: R(c) as the source zone endorsed it: exported once, by the
         #: primary that led the group's ``mig-state``, and adopted by every
         #: member that validated it. Re-drives (view changes, destination
-        #: re-queries) must ship THIS snapshot: the live store moves on —
+        #: queries) must ship THIS snapshot: the live store moves on —
         #: the client may even migrate back and transact here again — and
         #: a later export would certify a different state for the same
         #: migration.
@@ -281,11 +277,8 @@ class MigrationEngine:
         # have drifted (e.g. an incoming transfer) since the export, and
         # the certificate binds the endorsed digests.
         ballot, _, dest = group
-        state = StateTransfer(view=self.node.replica.view, ballot=ballot,
-                              clients=self._members[group], records=records,
-                              cert=cert, sender=self.node.node_id)
-        env = sign_message(self.node.keys, self.node.node_id, state)
-        self._state_envs[group] = env
+        env = sign_message(self.node.keys, self.node.node_id,
+                           self._state(group, records, cert))
         obs = self.node.obs
         now = self.node.sim.now
         for client, records_digest in members:
@@ -299,6 +292,12 @@ class MigrationEngine:
                      records_digest=records_digest.hex())
         for dst in self.directory.zone(dest).members:
             self.node.forward(dst, env)
+
+    def _state(self, group: Group, records: dict[str, Any],
+               cert) -> StateTransfer:
+        return StateTransfer(view=self.node.replica.view, ballot=group[0],
+                             clients=self._members[group], records=records,
+                             cert=cert, sender=self.node.node_id)
 
     def _validate_state_ctx(self, instance: str, context: Any,
                             endorse_digest: bytes) -> Any:
@@ -404,6 +403,10 @@ class MigrationEngine:
             return
         self._verified[group] = (state, members)
         instance = self._instance("append", *group)
+        led = self.node.endorsement.instance_state(instance)
+        if led is not None and led.leading and \
+                led.view == self.node.replica.view:
+            return  # another proxy's STATE: the round is under way
         if self.node.replica.is_primary:
             self.node.endorsement.lead(
                 instance, state, body, use_prepare=False,
@@ -509,32 +512,35 @@ class MigrationEngine:
         if not pending:
             return
         query = ResponseQuery(view=self.node.replica.view, ballot=ballot,
-                              request_digest=digest(pending[0]),
-                              phase="state", zone_id=self.my_zone.zone_id,
-                              sender=self.node.node_id)
+                              phase="state", sender=self.node.node_id)
         self.node.multicast_signed(self.directory.zone(source).members,
                                    query)
         self._arm_state_timer(group)
 
     def answer_state_query(self, sender: str, query: ResponseQuery) -> None:
-        """Source-side response to a STATE query naming one member: re-send
-        the group's STATE, or lead it if this node is (now) the primary."""
-        ballot = self._canonical(query.ballot)
-        txn = self.node.sync.txns.get(ballot)
-        request = None if txn is None else next(
-            (env.payload for env in txn.batch
-             if digest(env.payload.sender) == query.request_digest), None)
-        if request is None:
-            return
-        group = (ballot, self.my_zone.zone_id, request.dest_zone)
-        if group not in self._members:
+        """Answer zone member ``sender``'s STATE query for the group the
+        ballot moves from here into its zone (module docstring)."""
+        group = (self._canonical(query.ballot), self.my_zone.zone_id,
+                 self.directory.zone_of(sender))
+        clients = self._members.get(group)
+        if clients is None:
             # Not accepted here yet: R(c) may still change. The
-            # destination's timer will re-query once we catch up.
+            # destination's timer will query again once we catch up.
             return
-        env = self._state_envs.get(group)
-        if env is not None:
-            self.node.forward(sender, env)
-        elif self.node.replica.is_primary:
-            # Our zone accepted the ballot but our primary never shipped
-            # the state: lead it now that we are the primary.
-            self.start_record_generation(group)
+        finished = self.node.endorsement.instance_state(
+            self._instance("state", *group))
+        if finished is None or not finished.done:
+            if self.node.replica.is_primary:
+                self.start_record_generation(group)
+            return
+        if self.node.node_id not in \
+                self.my_zone.proxies(self.node.replica.view):
+            return
+        # Only records the certificate covers: else the destination books
+        # this (honest) sender for an invalid certificate.
+        records = {client: self._captured_records.get((group[0], client))
+                   for client in clients}
+        if state_body(group[0], state_members(clients, records)) \
+                == finished.endorse_digest:
+            self.node.send_signed(sender,
+                                  self._state(group, records, finished.cert))

@@ -17,8 +17,9 @@ batching every PBFT deployment applies to local transactions.
 
 Execution ordering: each message names ``prev_ballot``, the latest ballot
 its sender had accepted; a COMMIT executes only after its predecessor, so
-all nodes apply migrations to the meta-data in the same order. Missing
-predecessors are fetched with RESPONSE-QUERY (paper §V-A).
+all nodes apply migrations to the meta-data in the same order. A missing
+predecessor is fetched with RESPONSE-QUERY (paper §V-A); a held
+cross-cluster one is waited for (its CROSS-COMMIT commits it).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.metadata import MigrationOutcome
 from repro.crypto.digest import digest
-from repro.messages.base import Signed, sign_message, verify_signed
+from repro.messages.base import Signed, verify_signed
 from repro.messages.client import MigrationRequest
 from repro.messages.query import ResponseQuery
 from repro.messages.trace import trace_id
@@ -53,7 +54,8 @@ _FOLLOWER_ROUNDS = ("gsync-promise", "gsync-accepted")
 #: has a COMMIT of its own to build for the ballot.
 _DRIVING = frozenset({"propose", "promise-wait", "accept", "accepted-wait",
                       "commit"})
-#: The deadline phase of a follower-zone node waiting for the COMMIT.
+#: The deadline phase of a node waiting for a COMMIT it will not build:
+#: a follower zone's, or a held ballot's CROSS-COMMIT.
 _COMMIT_WAIT = "commit-wait"
 
 
@@ -145,12 +147,11 @@ class GlobalTxnState:
     request_digest: bytes | None = None
     prev_ballot: Ballot | None = None
     phase: str = "start"
-    #: Follower zones' PROMISE / ACCEPTED envelopes by zone, and the ACCEPT
-    #: kept for re-sending; ``None`` once the ballot executed here and no
-    #: COMMIT of this node's is still to be built from them.
+    #: Follower zones' PROMISE / ACCEPTED envelopes by zone; ``None``
+    #: once the ballot executed here and no COMMIT of this node's is
+    #: still to be built from them.
     promises: dict[str, Signed] | None = field(default_factory=dict)
     accepteds: dict[str, Signed] | None = field(default_factory=dict)
-    accept_env: Signed | None = None
     commit_env: Signed | None = None
     committed: bool = False
     executed: bool = False
@@ -194,7 +195,7 @@ class SyncEngine:
         self._batch_buffer: dict[bytes, Signed] = {}
         self._batch_timer = None
         self._watched_requests: set[bytes] = set()
-        self._query_log: dict[tuple[Ballot, str], set[str]] = {}
+        self._query_log: dict[Ballot, set[str]] = {}
         #: When this node's current view activated (0 for the first).
         self._view_since = 0.0
         self._commit_order: list[Ballot] = []
@@ -327,6 +328,12 @@ class SyncEngine:
             if body == body_of(*ballots, request_digest):
                 return request_digest
         return None
+
+    def _held(self, txn: GlobalTxnState) -> bool:
+        """Paper §VI: one migration between clusters commits only by the
+        CROSS-COMMIT joining it with the other cluster's ballot."""
+        return len(txn.batch) == 1 and \
+            self.directory.crosses_clusters(txn.batch[0].payload)
 
     def _rival_at(self, ballot: Ballot) -> bool:
         """Lemma 5.5 guard: this zone endorsed another ballot at the seq."""
@@ -634,12 +641,12 @@ class SyncEngine:
                         request_digest=txn.request_digest, cert=cert,
                         sender=self.node.node_id, requests=piggyback)
         txn.phase = "accepted-wait"
-        txn.accept_env = sign_message(self.node.keys, self.node.node_id,
-                                      accept)
         obs = self.node.obs
         now = self.node.sim.now
         obs.span_close(now, "accept", ballot.key, node=self.node.node_id)
-        obs.span_open(now, "accepted", ballot.key, node=self.node.node_id)
+        # A re-drive re-sends the ACCEPT: the wait runs from the first.
+        obs.span_open(now, "accepted", ballot.key, node=self.node.node_id,
+                      keep=True)
         self.node.multicast_signed(self._other_zone_nodes(), accept)
         self._arm_deadline(txn, "accepted-wait")
         # Accepted here: the clients it moves away are locked, and their
@@ -673,6 +680,9 @@ class SyncEngine:
         txn.batch = context.requests
         txn.request_digest = request_digest
         txn.prev_ballot = context.prev_ballot
+        if self._held(txn):
+            # Its CROSS-COMMIT is sent once: a member that misses it asks.
+            self._arm_deadline(txn, _COMMIT_WAIT)
         self._mark_stale_sources(context.ballot, context.requests)
         self.node.migration.on_ballot_accepted(context.ballot, txn.batch)
         self._watch(instance)
@@ -820,14 +830,12 @@ class SyncEngine:
         txn = self._txn(ballot)
         self.node.obs.span_close(self.node.sim.now, "commit", ballot.key,
                                  node=self.node.node_id)
-        if len(txn.batch) == 1 and \
-                self.directory.crosses_clusters(txn.batch[0].payload):
-            # Paper §VI: one migration between clusters commits only by
-            # the CROSS-COMMIT joining it with the other cluster's ballot.
+        if self._held(txn):
             # Held on whichever primary built the certificate, first time
             # or re-driving after a view change.
             txn.phase = "held"
             self._disarm(txn)
+            self._arm_deadline(txn, _COMMIT_WAIT)
             self.node.cluster_engine.commit_certified(txn, cert)
         else:
             checkpoints = [env.payload.checkpoint
@@ -922,10 +930,10 @@ class SyncEngine:
         prev = txn.prev_ballot
         if prev != GENESIS_BALLOT and prev not in self.executed_results:
             self.pending_commits.setdefault(prev, []).append(ballot)
-            if prev not in self.txns or not self.txns[prev].committed:
-                # We missed the predecessor entirely: ask its initiator zone.
-                self._query_zone(prev.zone_id or ballot.zone_id, prev,
-                                 "commit")
+            before = self.txns.get(prev)
+            if before is None or not (before.committed or self._held(before)):
+                # We missed the predecessor: ask its initiator zone.
+                self._query_zone(prev.zone_id or ballot.zone_id, prev)
             return
         txn.executed = True
         obs = self.node.obs
@@ -1011,14 +1019,13 @@ class SyncEngine:
 
         The endorsement instances of its phases shrink to what a late
         message can ask of them (:meth:`EndorsementManager.retire`). The
-        zone votes banked for it go too, with the ACCEPT kept for
-        re-sending — unless this node is itself still driving the ballot
-        towards a COMMIT of its own (it executed the COMMIT a newer
-        primary sent, or a peer's answer to a query): that COMMIT is
-        built from them, and ``_send_commit`` lets them go. What is left
-        is what a late message is answered from: the batch, the chain
-        link and ``commit_env`` (RESPONSE-QUERY, windowed by
-        ``_COMMIT_HISTORY``), and the flags.
+        zone votes banked for it go too — unless this node is itself
+        still driving the ballot towards a COMMIT of its own (it executed
+        the COMMIT a newer primary sent, or a peer's answer to a query):
+        that COMMIT is built from them, and ``_send_commit`` lets them
+        go. What is left is what a late message is answered from: the
+        batch, the chain link and ``commit_env`` (RESPONSE-QUERY, windowed
+        by ``_COMMIT_HISTORY``), and the flags.
         """
         retire = self.node.endorsement.retire
         key = txn.ballot.key
@@ -1031,7 +1038,7 @@ class SyncEngine:
 
     @staticmethod
     def _release_votes(txn: GlobalTxnState) -> None:
-        txn.promises = txn.accepteds = txn.accept_env = None
+        txn.promises = txn.accepteds = None
 
     # ------------------------------------------------------------------
     # Timers / failure handling (paper §V-A)
@@ -1046,11 +1053,12 @@ class SyncEngine:
 
     def _arm_deadline(self, txn: GlobalTxnState, phase: str) -> None:
         """Arm the ballot's one deadline. A follower-zone node that
-        accepted waits ``commit_timeout_ms`` for the COMMIT
-        (``_COMMIT_WAIT``) and keeps a deadline already pending; the
+        accepted, and an initiator-zone node that banked a ballot held
+        for its CROSS-COMMIT, wait ``commit_timeout_ms`` for the COMMIT
+        (``_COMMIT_WAIT``) and keep a deadline already pending; the
         initiator primary waits ``phase_timeout_ms`` plus a random
         back-off for ``phase`` to complete, each phase replacing the
-        last. No node runs both for one ballot."""
+        last, until its ballot is held."""
         if phase == _COMMIT_WAIT:
             if txn.deadline is not None or txn.committed:
                 return
@@ -1071,15 +1079,16 @@ class SyncEngine:
     def _on_deadline(self, ballot: Ballot, phase: str) -> None:
         """Stall recovery (paper §V-A).
 
-        A follower-zone node still without the COMMIT asks the initiator
-        zone for it and waits again. On the initiator primary: with a
-        stable leader there are no rival ballots, so the safe move is to
-        *retry the same ballot* (re-multicast the same certified message
-        — classic Paxos retransmission); this also preserves the
-        execution chain across partitions. In leaderless mode a timeout
-        usually means a rival ballot won at the followers, so the request
-        is re-proposed under a fresh, higher ballot (randomised back-off,
-        §V-C) and the chain rolled back past the dead ballot.
+        A node still without the COMMIT it waits for — a follower zone's,
+        or the CROSS-COMMIT of a held ballot — asks the initiator zone for
+        it and waits again. The initiator primary re-drives a
+        stalled ACCEPT or COMMIT round and, with a stable leader (no rival
+        ballots), a ballot short of ACCEPTEDs: the finished ACCEPT hands
+        its certificate over at once and goes out again — classic Paxos
+        retransmission, which keeps the chain across partitions. In
+        leaderless mode a timeout usually means a rival ballot won at the
+        followers, so the request is re-proposed under a fresh, higher
+        ballot (randomised back-off, §V-C) and the chain rolled back.
         """
         txn = self.txns.get(ballot)
         if txn is None:
@@ -1088,28 +1097,20 @@ class SyncEngine:
         if txn.committed:
             return
         if phase == _COMMIT_WAIT:
-            self._query_zone(ballot.zone_id, ballot, "commit")
+            self._query_zone(ballot.zone_id, ballot)
             self._arm_deadline(txn, phase)
             return
         if txn.phase != phase or not self._is_zone_primary():
             return
-        if phase in ("accept", "commit"):
+        if phase in ("accept", "commit") or \
+                phase == "accepted-wait" and self.config.stable_leader:
             # The ACCEPT- or COMMIT-body endorsement never certified
             # (pre-prepare or prepares lost, or members held a crashed
             # primary's rival assignment until our newer view overrode
-            # it). This ballot may already be referenced as prev by
-            # committed successors, so it cannot be abandoned — keep
-            # re-driving it.
+            # it), or the ACCEPTEDs were lost. This ballot may already be
+            # referenced as prev by committed successors, so it cannot be
+            # abandoned — keep re-driving it.
             self._redrive_initiator(txn)
-            return
-        if phase == "accepted-wait":
-            self._query(self._other_zone_nodes(), ballot, "accepted",
-                        txn.request_digest or b"")
-        if self.config.stable_leader and phase == "accepted-wait" and \
-                txn.accept_env is not None:
-            self.node.multicast_signed(self._other_zone_nodes(),
-                                       txn.accept_env.payload)
-            self._arm_deadline(txn, phase)
             return
         for env in txn.batch:
             request = env.payload
@@ -1120,56 +1121,27 @@ class SyncEngine:
             self.last_accepted = txn.prev_ballot
         self.start_global_txn(txn.batch)
 
-    def _query(self, targets: list[str], ballot: Ballot, phase: str,
-               request_digest: bytes = b"") -> None:
-        query = ResponseQuery(view=self.node.replica.view, ballot=ballot,
-                              request_digest=request_digest, phase=phase,
-                              zone_id=self.my_zone.zone_id,
-                              sender=self.node.node_id)
-        self.node.multicast_signed(targets, query)
-
-    def _query_zone(self, zone_id: str, ballot: Ballot, phase: str) -> None:
+    def _query_zone(self, zone_id: str, ballot: Ballot) -> None:
+        """Ask the members of ``zone_id`` for the COMMIT of ``ballot``."""
         if zone_id:
-            self._query(self.directory.zone(zone_id).members, ballot, phase)
+            query = ResponseQuery(view=self.node.replica.view, ballot=ballot,
+                                  phase="commit", sender=self.node.node_id)
+            self.node.multicast_signed(self.directory.zone(zone_id).members,
+                                       query)
 
     def _on_response_query(self, sender: str, query: ResponseQuery,
                            envelope: Signed) -> None:
+        if not self.directory.is_member(sender):
+            return  # no zone to answer, nor to judge a primary for
         # §V-A: log every query; rate-limit senders that abuse the
         # resend path as a denial-of-service amplification vector.
         if not self.node.query_audit.record(sender, self.node.sim.now):
             return
-        txn = self.txns.get(query.ballot)
-        if query.phase == "commit":
-            if txn is not None and txn.commit_env is not None:
-                # The querier missed this commit — and, after a crash or
-                # partition, typically a contiguous stretch after it too.
-                # Ship the whole committed suffix we still hold so one
-                # round trip heals an arbitrarily long gap, instead of
-                # the querier walking the prev chain one hop at a time.
-                try:
-                    start = self._commit_order.index(query.ballot)
-                except ValueError:
-                    self.node.forward(sender, txn.commit_env)
-                    return
-                shipped = 0
-                for ballot in self._commit_order[start:]:
-                    held = self.txns.get(ballot)
-                    if held is None or held.commit_env is None:
-                        continue
-                    self.node.forward(sender, held.commit_env)
-                    shipped += 1
-                    if shipped >= 64:
-                        break
-                if shipped == 0:
-                    self.node.forward(sender, txn.commit_env)
-                return
-        elif query.phase == "accepted":
-            if txn is not None and txn.phase == "accepted":
-                # The querier lost our ACCEPTED: re-certify and re-send.
-                self._relead_accepted(query.ballot)
-                return
-        elif query.phase == "state":
+        if query.phase == "state":
             self.node.migration.answer_state_query(sender, query)
+            return
+        # Any other query asks for the COMMIT.
+        if self._ship_commits(sender, query.ballot):
             return
         # Log the query; 2f+1 distinct queriers from one zone (with no
         # newer accepted ballot in between) point at our own primary —
@@ -1177,16 +1149,31 @@ class SyncEngine:
         if self.last_accepted > query.ballot or self.node.sim.now \
                 < self._view_since + self.config.watch_timeout_ms:
             return
-        key = (query.ballot, query.phase)
-        senders = self._query_log.setdefault(key, set())  # lint: allow[taint-flow] query audit log: senders are rate-limited by QueryAudit above and entries only feed the faulty-primary detector
+        senders = self._query_log.setdefault(query.ballot, set())  # lint: allow[taint-flow] query audit log: senders are zone members rate-limited by QueryAudit above, and entries only feed the faulty-primary detector
         senders.add(sender)
         querier_zone = self.directory.zone_of(sender)
         quorum = self.directory.zone(querier_zone).quorum
         zone_senders = [s for s in senders
                         if self.directory.zone_of(s) == querier_zone]
         if len(zone_senders) >= quorum:
-            self._query_log.pop(key, None)
+            self._query_log.pop(query.ballot, None)
             self.node.replica.view_changes.suspect(self.node.replica.view)
+
+    def _ship_commits(self, dst: str, ballot: Ballot) -> bool:
+        """Send ``dst`` the COMMIT of ``ballot`` and the committed suffix
+        held after it — one round trip heals a gap a crash or partition
+        left — or return ``False``: this node holds no such COMMIT."""
+        txn = self.txns.get(ballot)
+        if txn is None or txn.commit_env is None:
+            return False
+        # Every ballot of ``_commit_order`` keeps its COMMIT; one that
+        # left the window and kept it (not executed yet) goes alone.
+        order = self._commit_order
+        suffix = order[order.index(ballot):][:64] if ballot in order \
+            else [ballot]
+        for later in suffix:
+            self.node.forward(dst, self.txns[later].commit_env)
+        return True
 
     # ------------------------------------------------------------------
     # Local view change: the new primary re-drives in-flight transactions

@@ -132,6 +132,10 @@ class ZoneDirectory:
         """Zone id a node belongs to."""
         return self._node_zone[node_id]
 
+    def is_member(self, node_id: str) -> bool:
+        """Whether ``node_id`` is a member of some zone."""
+        return node_id in self._node_zone
+
     def cluster_zones(self, cluster_id: str) -> list[str]:
         """Zone ids of one cluster."""
         return list(self._clusters[cluster_id])

@@ -1,9 +1,12 @@
 """Failure-handling messages (paper §V-A).
 
 RESPONSE-QUERY is multicast across zones when a node times out waiting for
-the next phase of a global transaction. Receivers that already processed
-the request re-send the corresponding response; 2f+1 queries from another
-zone make nodes suspect their own primary and trigger a view change.
+the next step of a global transaction. It asks one of two questions: for
+a ballot's COMMIT, which any node that committed it re-sends, or for the
+STATE of the group the ballot moves from the queried zone into the
+querier's, which each of that zone's proxies holding the group's
+certificate builds from it. 2f+1 COMMIT queries from another zone make
+nodes suspect their own primary and trigger a view change.
 """
 
 from __future__ import annotations
@@ -18,15 +21,13 @@ __all__ = ["ResponseQuery"]
 
 @dataclass(frozen=True)
 class ResponseQuery(Message):
-    """Query for the missing response of a global transaction phase.
+    """Query for a certified message of a global transaction.
 
-    ``phase`` names what the sender is waiting for (e.g. ``"commit"``,
-    ``"accepted"``, ``"state"``).
+    ``phase`` is ``"commit"`` or ``"state"``; the querier's zone is that
+    of its signer.
     """
 
     view: int
     ballot: Ballot
-    request_digest: bytes
     phase: str
-    zone_id: str
     sender: str

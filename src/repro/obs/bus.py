@@ -115,9 +115,10 @@ class Instrumentation:
     # Spans (metrics for the latency histograms, recording for the records)
     # ------------------------------------------------------------------
     def span_open(self, ts: float, phase: str, key: str, node: str = "",
-                  **fields: Any) -> None:
-        """Open (or re-open) a phase span keyed by ``(phase, key, node)``."""
-        if not self.metrics:
+                  keep: bool = False, **fields: Any) -> None:
+        """Open (or re-open) a phase span keyed by ``(phase, key, node)``;
+        with ``keep``, a span already open keeps its start (a retry)."""
+        if not self.metrics or keep and (phase, key, node) in self._open_spans:
             return
         self._open_spans[(phase, key, node)] = (ts, fields)
 

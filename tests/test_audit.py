@@ -47,8 +47,8 @@ def test_query_flood_is_rate_limited_in_a_deployment(ziziphus3):
     victim = dep.nodes["z0n1"]
     txn_ballot = next(iter(victim.sync.executed_results))
     attacker = "z2n3"
-    query = ResponseQuery(view=0, ballot=txn_ballot, request_digest=b"",
-                          phase="commit", zone_id="z2", sender=attacker)
+    query = ResponseQuery(view=0, ballot=txn_ballot, phase="commit",
+                          sender=attacker)
     env = Signed(query, dep.keys.sign(attacker, digest(query)))
     for _ in range(500):
         dep.network.send(attacker, victim.node_id, env)

@@ -88,6 +88,21 @@ def test_a_point_where_every_migration_crosses_clusters(backend):
     assert row["viol"] == 0
 
 
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_a_fault_free_point_waits_for_a_held_ballot_without_asking(backend):
+    """A ballot held for its CROSS-COMMIT is uncommitted by design, so a
+    successor waits for it without a RESPONSE-QUERY. (Every uncommitted
+    predecessor was asked for: seed 1 sent 2 684 queries on ``default``,
+    2 594 on ``rotating`` and 1 540 on ``syncbft``, all of them for a
+    held ballot.)"""
+    result = run_point(PointSpec(
+        protocol="ziziphus", num_zones=4, num_clusters=2,
+        clients_per_zone=20, global_fraction=0.3,
+        cross_cluster_fraction=0.5, seed=1, backend=backend))
+    assert result.row()["completed"] > 0
+    assert result.obs.type_counters["net.msg"]["ResponseQuery"] == 0
+
+
 def test_each_cluster_executes_on_its_own_regional_metadata():
     dep = build_clustered()
     client = dep.add_client("c1", "z0")
@@ -154,6 +169,33 @@ def test_a_node_that_missed_a_cross_cluster_commit_catches_up():
     assert [node.sync.migrations_executed
             for node in dep.zone_nodes("z0")] == [2, 2, 2, 2]
     assert dep.nodes["z0n3"].obs.counters["host.invalid_messages"] == 0
+
+
+def test_a_node_cut_off_after_the_accept_of_a_held_ballot_catches_up():
+    """z0n3 validates the ACCEPT of c0's z0 -> z3 ballot, is cut off until
+    the rest of z0 has committed it by CROSS-COMMIT, and is back before
+    c1's z1 -> z0 ballot chains on it. The held ballot's commit deadline
+    asks z0 for the CROSS-COMMIT, so z0n3 executes both."""
+    dep = build_clustered(seed=3)
+    c0 = dep.add_client("c0", "z0")
+    c1 = dep.add_client("c1", "z1")
+    z0n3 = dep.nodes["z0n3"]
+    dep.sim.schedule(0.0, lambda: c0.submit_migration("z3"))
+
+    def step_until(done):
+        while not done():
+            dep.run(dep.sim.now + 1.0)
+
+    step_until(lambda: any(txn.batch for txn in z0n3.sync.txns.values()))
+    dep.network.disconnect("z0n3")
+    step_until(lambda: all(txn.committed
+                           for node in dep.zone_nodes("z0")[:3]
+                           for txn in node.sync.txns.values()))
+    dep.network.reconnect("z0n3")
+    dep.sim.schedule(100.0, lambda: c1.submit_migration("z0"))
+    dep.run(20_000.0)
+    assert [node.sync.migrations_executed
+            for node in dep.zone_nodes("z0")] == [2, 2, 2, 2]
 
 
 def test_proxies_are_f_plus_one_and_include_primary():

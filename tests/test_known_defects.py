@@ -15,6 +15,7 @@ import pytest
 
 from repro.messages.base import sign_message
 from repro.messages.endorse import EndorsePrePrepare
+from repro.messages.migration import StateTransfer
 from repro.pbft.faults import Behavior, HonestBehavior
 from tests.conftest import fast_sync, small_ziziphus
 
@@ -29,6 +30,17 @@ class _SignsButIsNotHonest(Behavior):
 
     def outbound(self, keys, signer, dst, payload):
         return sign_message(keys, signer, payload)
+
+
+class _SendsNoState(_SignsButIsNotHonest):
+    """Relays nothing, and signs no STATE either."""
+
+    name = "sends-no-state"
+
+    def outbound(self, keys, signer, dst, payload):
+        if isinstance(payload, StateTransfer):
+            return None
+        return super().outbound(keys, signer, dst, payload)
 
 
 class _DropsAcceptedPrePrepare(HonestBehavior):
@@ -66,14 +78,21 @@ def _leaderless_with_accepted_dropped():
          "z1n0": _DropsAcceptedPrePrepare()})
 
 
-@known_defect
 def test_d9_source_primary_that_relays_nothing_stalls_the_group():
-    """No STATE is ever sent and z2 re-queries 64 times: only the
-    primary holds ``_state_envs``, which ``answer_state_query`` re-ships
-    from, and ``_on_response_query`` returns for ``phase == "state"``
-    before the tally that suspects a primary."""
+    """Closed: z2's STATE query is answered by each source proxy holding
+    the group's certificate, which builds the STATE from it. (No STATE
+    was ever sent and z2 re-queried 64 times: only the primary kept the
+    envelope it had shipped, and re-shipped that.)"""
     deployment = _migrate_c0(small_ziziphus(),
                              {"z0n0": _SignsButIsNotHonest()})
+    assert _applied_at_z2(deployment) == [1, 1, 1, 1]
+
+
+def test_d9_a_source_primary_that_sends_no_state_at_all_is_answered_for():
+    """The source primary neither ships the STATE nor answers a query
+    for it: the other proxy (z0n1, §VI's f+1) answers."""
+    deployment = _migrate_c0(small_ziziphus(),
+                             {"z0n0": _SendsNoState()})
     assert _applied_at_z2(deployment) == [1, 1, 1, 1]
 
 

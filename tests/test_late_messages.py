@@ -10,11 +10,13 @@ at how a node stores a finished instance, and passed unchanged before
 anything was retired.
 """
 
+import pytest
+
 from repro.crypto.digest import digest
 from repro.messages.endorse import EndorsePrePrepare, EndorseVote
 from repro.messages.query import ResponseQuery
-from repro.messages.sync import (Accepted, Ballot, GENESIS_BALLOT, Promise,
-                                 commit_body)
+from repro.messages.sync import (Accept, Accepted, Ballot, GENESIS_BALLOT,
+                                 Promise, commit_body)
 from repro.pbft.faults import make_behavior
 from tests.conftest import (drive_to_completion, fast_sync, inject,
                             monitored, small_ziziphus)
@@ -199,27 +201,45 @@ def test_a_late_promise_is_checked_and_opens_nothing():
 
 
 def test_response_queries_for_an_executed_ballot_are_still_answered():
-    dep, monitor, _tape = migrated()
+    dep, monitor, tape = migrated()
 
-    def query(phase, sender, zone, request_digest=b""):
+    def query(phase, sender):
         return ResponseQuery(view=0, ballot=BALLOT, phase=phase,
-                             request_digest=request_digest, zone_id=zone,
                              sender=sender)
 
     # commit: any node that holds the COMMIT forwards it.
-    assert deliver(dep, "z2n1", "z0n2", query("commit", "z2n1", "z2")) \
+    assert deliver(dep, "z2n1", "z0n2", query("commit", "z2n1")) \
         == {"GlobalCommit": 1}
-    # accepted: the follower zone's primary re-certifies from what it
-    # banked and re-sends ACCEPTED to the initiator zone; a backup is mute.
-    assert deliver(dep, "z0n1", "z1n0", query("accepted", "z0n1", "z0")) \
-        == {"Accepted": 4}
-    assert deliver(dep, "z0n1", "z1n2", query("accepted", "z0n1", "z0")) \
-        == {}
-    # state: a source-zone node re-sends the STATE it shipped or endorsed.
-    sent = [deliver(dep, "z1n3", target,
-                    query("state", "z1n3", "z1", digest("c1")))
-            for target in ("z0n0", "z0n1")]
-    assert {"StateTransfer": 1} in sent
+    # A lost ACCEPTED is asked for by re-sending the ACCEPT: the follower
+    # zone's primary re-certifies from what it banked and re-sends
+    # ACCEPTED to the initiator zone; a backup is mute.
+    accept = first(tape, Accept).payload
+    assert deliver(dep, accept.sender, "z1n0", accept) == {"Accepted": 4}
+    assert deliver(dep, accept.sender, "z1n2", accept) == {}
+    # state: each of the source zone's f+1 proxies (z0n0 and z0n1 in view
+    # 0) builds the STATE from the group's certificate; the others are
+    # mute, so at most f+1 answers go out.
+    assert [deliver(dep, "z1n3", target, query("state", "z1n3"))
+            for target in dep.directory.zone("z0").members] \
+        == [{"StateTransfer": 1}] * 2 + [{}] * 2
     for node in dep.zone_nodes("z1"):
         assert node.migration.migrations_applied == 1
+    assert views(dep) == {0} and not monitor.violations
+
+
+@pytest.mark.parametrize("phase,ballot", [("commit", Ballot(99, "z0")),
+                                          ("state", BALLOT)],
+                         ids=["commit", "state"])
+def test_a_query_signed_outside_every_zone_is_dropped(phase, ballot):
+    """Client ``c9`` signs a query: it is dropped on receipt, before it is
+    audited. (A COMMIT query reached the tally, whose ``zone_of`` raised
+    ``KeyError`` and ended the run; a STATE query names the group by the
+    signer's zone.)"""
+    dep, monitor, _tape = migrated()
+    dep.add_client("c9", "z0")
+    node = dep.nodes["z0n1"]
+    audited = node.query_audit.total_queries
+    assert deliver(dep, "c9", "z0n1", ResponseQuery(
+        view=0, ballot=ballot, phase=phase, sender="c9")) == {}
+    assert node.query_audit.total_queries == audited
     assert views(dep) == {0} and not monitor.violations

@@ -193,8 +193,7 @@ def test_codec_round_trips_every_wire_message(keys):
         ProofReply(sequence=1, batch_digest=b"d", pre_prepare=pp,
                    prepares=(prep,), sender="n1"),
         GapReply(pre_prepare=pp, sender="n1"),
-        ResponseQuery(view=0, ballot=ballot, request_digest=b"d",
-                      phase="commit", zone_id="z0", sender="n0"),
+        ResponseQuery(view=0, ballot=ballot, phase="commit", sender="n0"),
         Propose(view=0, ballot=ballot, requests=(req,), cert=cert,
                 sender="n0"),
         Promise(view=0, ballot=ballot, prev_ballot=prev, zone_id="z1",
