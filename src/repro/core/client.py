@@ -279,6 +279,13 @@ class MobileClient(ClosedLoopClient):
             return "malformed-cert"
         if cert.zone != zone.zone_id:
             return "wrong-zone"
+        # A verdict lives on what it judges, as a signature's does: a
+        # certificate found sound for this registry, quorum and member
+        # set is answered from its record; a failure is not kept.
+        verdict = (self.keys, zone.weak_quorum, zone.member_set)
+        record = cert.__dict__.get("_repro_memo")
+        if record is not None and record[3] == verdict:
+            return None
         if cert.body() != cert.certificate.payload_digest:
             # The cert's claimed (zone, seq, digest, ts) tuple is not the
             # one its quorum signed: a fabricated watermark claim.
@@ -286,6 +293,8 @@ class MobileClient(ClosedLoopClient):
         if not self._verifier.is_valid(cert.certificate,
                                        zone.weak_quorum, zone.member_set):
             return "bad-quorum"
+        if record is not None:
+            record[3] = verdict
         return None
 
     def _on_read_reply(self, reply: ReadReply) -> None:

@@ -46,9 +46,10 @@ class KeyRegistry:
 
     No table here grows with traffic: ``_secrets`` has one entry per
     participant that ever *signed*, never one per name a message claims.
-    :meth:`sign` is one HMAC and a fresh
-    :class:`Signature`; :meth:`verify` keeps a success on the signature it
-    judged — the last place of its ``_repro_memo``
+    :meth:`sign` is one HMAC and a fresh :class:`Signature` (an
+    envelope's seal calls it when its signature is first read,
+    :class:`~repro.messages.base.Signed`); :meth:`verify` keeps a success
+    on the signature it judged — the last place of its ``_repro_memo``
     (:class:`~repro.crypto.schema.Schema`) holds ``(registry, digest)`` —
     and answers from it only for this very registry and digest, on a
     frozen instance of exactly :class:`Signature`. A forged tag has no

@@ -1,9 +1,10 @@
 """The message schema: how each Python type takes part in a message.
 
-Two walks visit a message: one yields the canonical bytes that digests
-and signatures cover *and* the count of signature verifications a
-receiver is charged for; the other yields the wire JSON. :data:`SCHEMAS`
-maps ``type(obj)`` to the two functions for that type, so a visit is one
+Three walks visit a message: one yields the canonical bytes that
+digests and signatures cover *and* the count of signature verifications
+a receiver is charged for; one yields that count alone, building no
+bytes; the third yields the wire JSON. :data:`SCHEMAS` maps
+``type(obj)`` to the three functions for that type, so a visit is one
 table lookup. A type is resolved the first time a value of it is met
 (nothing is compiled at import), in the precedence the encodings were
 defined with (DESIGN.md §10): a dataclass is compiled once into closures
@@ -26,18 +27,22 @@ _u32 = struct.Struct(">I").pack
 
 
 class Schema(NamedTuple):
-    """What the two walks do with values of one type."""
+    """What the three walks do with values of one type."""
 
     #: ``encode(obj, out)`` appends the canonical bytes of ``obj`` and
     #: returns how many signature verifications it passed over.
     encode: Callable[[Any, bytearray], int]
     #: ``wire(obj)`` is the JSON-ready form.
     wire: Callable[[Any], Any]
+    #: ``count(obj)`` is what ``encode`` returns, and raises where it
+    #: raises, without building the bytes.
+    count: Callable[[Any], int]
     #: Instances are immutable and have a ``__dict__``, where ``encode``
-    #: keeps what it yielded as ``_repro_memo``: ``[canonical bytes,
-    #: verifications, digest once asked for, who vouches for it]``; the
-    #: last is set, perhaps before the bytes, on what a registry signs or
-    #: checks: envelope, signature, threshold certificate (DESIGN.md §10).
+    #: and ``count`` keep what they yielded as ``_repro_memo``:
+    #: ``[canonical bytes once encoded, verifications, digest once asked
+    #: for, who vouches for it]``; the last is set, perhaps before the
+    #: bytes, on what a registry seals or checks: envelope, signature,
+    #: threshold certificate (DESIGN.md §10).
     memo: bool = False
 
 
@@ -50,7 +55,7 @@ class _Schemas(dict):
         if issubclass(cls, Enum):
             # Hashed as its value whatever it mixes in (``Region(str,
             # Enum)``); shipped as the mix-in type, if any.
-            schema = schema._replace(encode=_enc_enum)
+            schema = schema._replace(encode=_enc_enum, count=_count_leaf)
         self[cls] = schema
         return schema
 
@@ -141,8 +146,35 @@ def _enc_frozenset(obj: frozenset, out: bytearray) -> int:
     return 0
 
 
-def _no_canonical_form(obj: Any, out: bytearray) -> int:
+def _no_canonical_form(obj: Any, out: bytearray | None = None) -> int:
     raise CryptoError(f"cannot canonically encode {type(obj).__name__}")
+
+
+def _count_leaf(obj: Any) -> int:
+    return 0
+
+
+def _count_seq(obj: tuple | list) -> int:
+    units = 0
+    for item in obj:
+        kind = type(item)
+        if kind is not str and kind is not int and kind is not bytes:
+            units += SCHEMAS[kind].count(item)
+    return units
+
+
+def _count_dict(obj: dict) -> int:
+    units = 0
+    for key, value in obj.items():
+        SCHEMAS[type(key)].count(key)  # holds none, but must be encodable
+        units += SCHEMAS[type(value)].count(value)
+    return units
+
+
+def _count_frozenset(obj: frozenset) -> int:
+    for item in obj:
+        SCHEMAS[type(item)].count(item)
+    return 0
 
 
 def _same(obj: Any) -> Any:
@@ -168,22 +200,25 @@ def _no_wire_form(obj: Any) -> Any:
 
 
 #: Anything else has no canonical or wire form.
-_OUTSIDE = Schema(_no_canonical_form, _no_wire_form)
+_OUTSIDE = Schema(_no_canonical_form, _no_wire_form, _no_canonical_form)
 #: Built-in types in precedence order (``bool`` before ``int``): the first a
 #: type subclasses gives its schema; dataclasses are those left at ``object``.
 _BUILTINS = {
-    type(None): Schema(_enc_singleton, _same),
-    bool: Schema(_enc_singleton, _same),
-    int: Schema(_enc_int, _same),
-    float: Schema(_enc_float, _same),
-    str: Schema(_enc_str, _same),
-    bytes: Schema(_enc_bytes, lambda obj: {"__bytes__": obj.hex()}),
-    bytearray: Schema(_enc_bytes, _no_wire_form),
-    tuple: Schema(_enc_seq, lambda obj: {"__tuple__": _wire_list(obj)}),
-    list: Schema(_enc_seq, _wire_list),
-    dict: Schema(_enc_dict, _wire_dict),
+    type(None): Schema(_enc_singleton, _same, _count_leaf),
+    bool: Schema(_enc_singleton, _same, _count_leaf),
+    int: Schema(_enc_int, _same, _count_leaf),
+    float: Schema(_enc_float, _same, _count_leaf),
+    str: Schema(_enc_str, _same, _count_leaf),
+    bytes: Schema(_enc_bytes, lambda obj: {"__bytes__": obj.hex()},
+                  _count_leaf),
+    bytearray: Schema(_enc_bytes, _no_wire_form, _count_leaf),
+    tuple: Schema(_enc_seq, lambda obj: {"__tuple__": _wire_list(obj)},
+                  _count_seq),
+    list: Schema(_enc_seq, _wire_list, _count_seq),
+    dict: Schema(_enc_dict, _wire_dict, _count_dict),
     frozenset: Schema(_enc_frozenset,
-                      lambda obj: {"__frozenset__": sorted(_wire_list(obj))}),
+                      lambda obj: {"__frozenset__": sorted(_wire_list(obj))},
+                      _count_frozenset),
     object: _OUTSIDE,
 }
 
@@ -194,12 +229,13 @@ def _compile(cls: type) -> Schema:
     names = tuple(f.name for f in fields)
     hashed = tuple((canonical_bytes(f.name), f.name) for f in fields
                    if f.metadata.get("digest", True))
+    hashed_names = tuple(name for _, name in hashed)
     unhashed = tuple(f.name for f in fields
                      if not f.metadata.get("digest", True))
     raw = cls.__name__.encode()
     header = b"o" + _u32(len(raw)) + raw + _u32(len(hashed))
     has_dict = cls.__dictoffset__ != 0
-    # Immutable instances memoise what the walk yields: messages nest
+    # Immutable instances memoise what the walks yield: messages nest
     # shared parts (one certificate rides in many envelopes), walked once
     # and spliced thereafter. ``slots=True`` leaves nowhere to memoise.
     memo = cls.__dataclass_params__.frozen and has_dict
@@ -207,16 +243,20 @@ def _compile(cls: type) -> Schema:
     # certificate, an envelope) is charged that, not what its fields hold.
     own = getattr(cls, "signature_units", None)
 
-    def slot_fields(obj: Any) -> dict[str, Any]:
-        # ``slots=True`` leaves no ``__dict__`` to read the fields from.
+    def field_values(obj: Any) -> dict[str, Any]:
+        # Read as attributes: ``slots=True`` leaves no ``__dict__``, and
+        # an envelope sealed on demand makes its signature when read.
         return {name: getattr(obj, name) for name in names}
 
     def encode(obj: Any, out: bytearray) -> int:
-        fields = obj.__dict__ if has_dict else slot_fields(obj)
+        fields = obj.__dict__ if has_dict else field_values(obj)
         record = fields.get("_repro_memo") if memo else None
-        if record is not None and record[0] is not None:
-            out += record[0]
-            return record[1]
+        if record is not None:
+            if record[0] is not None:
+                out += record[0]
+                return record[1]
+            # Sealed, checked or counted before it was ever encoded.
+            fields = field_values(obj)
         sub = bytearray(header)
         units = 0
         for key, name in hashed:
@@ -234,24 +274,43 @@ def _compile(cls: type) -> Schema:
                 sub += b"b" + _u32(len(value)) + value
             else:
                 units += SCHEMAS[kind].encode(value, sub)
+        out += sub
+        if record is not None:
+            record[0] = bytes(sub)
+            return record[1]
+        if own is not None:
+            units = own(obj)
+        else:
+            for name in unhashed:  # counted, not hashed
+                value = fields[name]
+                units += SCHEMAS[type(value)].count(value)
+        if memo:
+            fields["_repro_memo"] = [bytes(sub), units, None, None]
+        return units
+
+    def count(obj: Any) -> int:
+        fields = obj.__dict__ if has_dict else field_values(obj)
+        record = fields.get("_repro_memo") if memo else None
+        if record is not None:
+            return record[1]
+        units = 0
+        for name in hashed_names:
+            value = fields[name]
+            kind = type(value)
+            if kind is not str and kind is not int and kind is not bytes:
+                units += SCHEMAS[kind].count(value)
         if own is not None:
             units = own(obj)
         else:
             for name in unhashed:
-                # Counted, not hashed: encoded into a buffer nobody reads.
                 value = fields[name]
-                if value is not None:
-                    units += SCHEMAS[type(value)].encode(value, bytearray())
-        if record is not None:
-            # Vouched for (sealed, verified) before it was ever encoded.
-            record[0] = bytes(sub)
-        elif memo:
-            fields["_repro_memo"] = [bytes(sub), units, None, None]
-        out += sub
+                units += SCHEMAS[type(value)].count(value)
+        if memo:
+            fields["_repro_memo"] = [None, units, None, None]
         return units
 
     def wire(obj: Any) -> dict:
         values = _wire_list([getattr(obj, name) for name in names])
         return {"__msg__": cls.__name__, "fields": dict(zip(names, values))}
 
-    return Schema(encode, wire, memo)
+    return Schema(encode, wire, count, memo)

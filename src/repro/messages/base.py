@@ -62,10 +62,11 @@ class Message:
 
 def nested_signature_units(obj: Any) -> int:
     """Count signature verifications embedded in ``obj`` (recursively):
-    what the walk over it returns. A value with no canonical form can be
-    neither signed nor certified, and holds none."""
+    what the walk over it returns, counted without building its bytes.
+    A value with no canonical form can be neither signed nor certified,
+    and holds none."""
     try:
-        return SCHEMAS[type(obj)].encode(obj, bytearray())
+        return SCHEMAS[type(obj)].count(obj)
     except CryptoError:
         return 0
 
@@ -77,18 +78,39 @@ class Signed:
     Its ``_repro_memo`` is what the schema keeps on any frozen instance
     (:class:`~repro.crypto.schema.Schema`), with two differences: the
     bytes are ``None`` until the envelope itself is encoded (nested in a
-    batch, say), and the last place names the :class:`KeyRegistry` that
-    vouches for it — the one that sealed it or last found it valid (as on
-    a threshold certificate; a signature's names the digest too).
+    batch, say), and place 3 names the :class:`KeyRegistry` that vouches
+    for it — the one that sealed it or last found it valid (as on a
+    threshold certificate; a signature's names the digest too).
+
+    An envelope :func:`sign_message` sealed has no ``signature`` until
+    something reads it: places 4 and 5 of its record hold the registry
+    that sealed it and the signer, and the signature is made from them,
+    once, on the first read (DESIGN.md §10.1, "The seal, on demand").
     """
 
     payload: Any
     signature: Signature
 
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for an attribute the instance lacks: a sealed
+        # envelope's signature, before anything has read it.
+        fields = self.__dict__
+        if name != "signature" or "_repro_memo" not in fields:
+            raise AttributeError(name)
+        _, _, _, _, keys, signer = fields["_repro_memo"]
+        signature = fields["signature"] = keys.sign(signer,
+                                                    digest(fields["payload"]))
+        return signature
+
     @property
     def sender(self) -> str:
-        """Claimed sender (the signature's signer)."""
-        return self.signature.signer
+        """Claimed sender (the signature's signer), read without making
+        the signature of a sealed envelope."""
+        fields = self.__dict__
+        if "signature" in fields:
+            # What arrives as ``signature`` may be anything.
+            return getattr(fields["signature"], "signer", None)
+        return fields["_repro_memo"][5]
 
     def signature_units(self) -> int:
         """Total verifications needed to fully check this envelope: its
@@ -100,20 +122,28 @@ class Signed:
 
 
 def sign_message(keys: KeyRegistry, signer: str, payload: Any) -> Signed:
-    """Seal ``payload`` as ``signer``: walk and hash it, sign the digest,
-    and keep on the envelope what every receiver would re-derive — its
-    verification count, and that ``keys`` vouches for it.
+    """Seal ``payload`` as ``signer``, and keep on the envelope what every
+    receiver would re-derive: its verification count, and that ``keys``
+    vouches for it.
 
-    Only over a payload the schema memoises and that claims no other
-    sender: a frozen payload cannot change under the record and
-    ``dataclasses.replace`` on either makes an instance without one;
-    any other envelope keeps paying the full check.
+    A payload the schema memoises is frozen and cannot change before its
+    signature is read, so the digest and the tag wait for that read
+    (:class:`Signed`); meanwhile only the count is walked, building no
+    bytes. ``keys`` vouches only for a payload that claims no other
+    sender; ``dataclasses.replace`` on either makes an instance without
+    a record, and any envelope without one keeps paying the full check.
+    Any other payload is hashed and signed at once.
     """
-    envelope = Signed(payload, keys.sign(signer, digest(payload)))
-    if SCHEMAS[type(payload)].memo \
-            and getattr(payload, "sender", signer) == signer:
-        envelope.__dict__["_repro_memo"] = [
-            None, 1 + payload.__dict__["_repro_memo"][1], None, keys]
+    schema = SCHEMAS[type(payload)]
+    if not schema.memo:
+        return Signed(payload, keys.sign(signer, digest(payload)))
+    envelope = object.__new__(Signed)
+    fields = envelope.__dict__
+    fields["payload"] = payload
+    fields["_repro_memo"] = [
+        None, 1 + schema.count(payload), None,
+        keys if getattr(payload, "sender", signer) == signer else None,
+        keys, signer]
     return envelope
 
 
@@ -135,23 +165,23 @@ def verify_signed(keys: KeyRegistry, signed: Signed) -> bool:
 
     An envelope ``keys`` itself sealed, or found valid before, is
     answered from its record; a success is recorded under the rule of
-    :func:`sign_message`.
+    :func:`sign_message`. A signer that is not the payload's sender is
+    refused before any signature is made or checked.
     """
     record = signed.__dict__.get("_repro_memo")
     if record is not None and record[3] is keys:
         return True
     payload = signed.payload
     claimed = getattr(payload, "sender", None)
-    # What arrives as ``signature`` may be anything, a signature or not.
-    signer = getattr(signed.signature, "signer", None)
-    if claimed is not None and claimed != signer:
+    if claimed is not None and claimed != signed.sender:
         return False
     if not keys.verify(signed.signature, digest(payload)):
         return False
-    if SCHEMAS[type(payload)].memo:
+    schema = SCHEMAS[type(payload)]
+    if schema.memo:
         if record is None:
             signed.__dict__["_repro_memo"] = [
-                None, 1 + payload.__dict__["_repro_memo"][1], None, keys]
+                None, 1 + schema.count(payload), None, keys]
         else:
             record[3] = keys
     return True

@@ -178,20 +178,27 @@ class Instrumentation:
 
         Works for both quorum certificates (``.signatures``) and threshold
         certificates (``.group``/``.threshold``); the monitor re-derives
-        the structural checks from the emitted signer set.
+        the structural checks from the emitted signer set. The sender
+        chose the certificate's shape: signers are named only from a
+        vector of signatures with ``str`` signers, or a group of ``str``
+        members, and any other shape names none.
         """
         if not self.recording and self.flight is None \
                 and self.monitor is None:
             return  # emit() would drop it; skip walking the certificate
-        fields: dict[str, Any] = {}
+        fields: dict[str, Any] = {"signers": []}
         signatures = getattr(cert, "signatures", None)
         if signatures is not None:
-            fields["signers"] = [sig.signer for sig in signatures]
+            if isinstance(signatures, (tuple, list)):
+                names = [getattr(sig, "signer", None) for sig in signatures]
+                if all(type(name) is str for name in names):
+                    fields["signers"] = names
         elif getattr(cert, "group", None) is not None:
-            fields["signers"] = sorted(cert.group)
-            fields["threshold"] = cert.threshold
-        else:
-            fields["signers"] = []
+            group = cert.group
+            if isinstance(group, (frozenset, set, tuple, list)) \
+                    and all(type(member) is str for member in group):
+                fields["signers"] = sorted(group)
+            fields["threshold"] = getattr(cert, "threshold", None)
         self.emit(ts, "cert.check", node=node, msg=msg, zone=zone_id,
                   src=src, ref=ref, valid=bool(valid), **fields)
 

@@ -140,4 +140,4 @@ class HostNode(Process):
         if handler is None:
             self.obs.count("host.unhandled_messages")
             return
-        handler(message.signature.signer, payload, message)
+        handler(message.sender, payload, message)

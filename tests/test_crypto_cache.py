@@ -300,6 +300,94 @@ def test_seal_across_copies():
 
 
 # ----------------------------------------------------------------------
+# The seal on demand: digest and tag are made when something reads them
+# ----------------------------------------------------------------------
+
+def test_a_tag_read_late_is_the_one_the_eager_seal_made():
+    keys = KeyRegistry(seed=6)
+    payload = _request()
+    envelope = sign_message(keys, "n0", payload)
+    assert "signature" not in envelope.__dict__
+    assert envelope.sender == "n0"
+    assert envelope.signature_units() == 1
+    assert _asked(lambda: envelope.signature)[1] == 1
+    assert envelope.signature == keys.sign("n0", digest(payload))
+    # Made once: a second read is the same object.
+    assert envelope.signature is envelope.signature
+
+
+def test_another_registry_checks_a_sealed_envelope_by_hmac():
+    keys, twin = KeyRegistry(seed=6), KeyRegistry(seed=6)
+    envelope = sign_message(keys, "n0", _request())
+    # The sealer's HMAC makes the tag, the twin's checks it.
+    assert _asked(verify_signed, twin, envelope) == (True, 2)
+    assert _asked(verify_signed, twin, envelope) == (True, 0)
+    moved = Signed(_request(timestamp=2), envelope.signature)
+    assert _asked(verify_signed, twin, moved) == (False, 1)
+    assert _asked(verify_signed, keys, moved) == (False, 1)
+
+
+def test_a_sender_claim_is_refused_before_any_tag_is_made():
+    keys, twin = KeyRegistry(seed=6), KeyRegistry(seed=6)
+    envelope = sign_message(keys, "n1", _request(sender="n0"))
+    assert _asked(verify_signed, twin, envelope) == (False, 0)
+    assert "signature" not in envelope.__dict__
+
+
+def _nesting(requests):
+    """A GLOBAL-COMMIT and an ACCEPT context carrying ``requests``."""
+    from repro.core.sync_protocol import AcceptContext
+    from repro.messages.sync import GlobalCommit
+    ballot = Ballot(seq=1, zone_id="z0")
+    return (GlobalCommit(view=0, ballot=ballot, prev_ballot=GENESIS_BALLOT,
+                         requests=requests, cert=_cert(
+                             KeyRegistry(seed=6), sorted(GROUP), 3,
+                             b"\x07" * 32),
+                         checkpoints=(), sender="n0"),
+            AcceptContext(ballot=ballot, prev_ballot=GENESIS_BALLOT,
+                          requests=requests, promises=()))
+
+
+def test_a_sealed_request_nested_in_a_message_encodes_as_the_eager_seal():
+    keys = KeyRegistry(seed=6)
+    eager = Signed(_request(), keys.sign("n0", digest(_request())))
+    sealed = sign_message(keys, "n0", _request())
+    # The request and, in the COMMIT, its three-signature certificate.
+    for made, nested, units in zip(_nesting((eager,)), _nesting((sealed,)),
+                                   (4, 1)):
+        assert canonical_bytes(nested) == canonical_bytes(made)
+        assert nested.__dict__["_repro_memo"][1] \
+            == made.__dict__["_repro_memo"][1] == units
+    assert sealed == eager and hash(sealed) == hash(eager)
+    # Still vouched for by its sealer once its bytes are made.
+    assert _verdict(keys, sealed) == (True, 0)
+
+
+def test_a_fault_free_pbft_round_makes_no_digest_or_tag_for_its_votes():
+    """A local transaction ordered by a zone of four: no HMAC at all, and
+    no canonical bytes or SHA-256 for any PREPARE, COMMIT or reply."""
+    deployment = small_ziziphus(seed=7)
+    client = deployment.add_client("c1", "z0")
+    sent = []
+    network = deployment.network
+    multicast = network.multicast  # the one transmit path
+    network.multicast = lambda src, dsts, envelope: \
+        sent.append(envelope) or multicast(src, dsts, envelope)
+    records, tags = _asked(drive_to_completion, deployment, client,
+                           [("local", ("deposit", 5))])
+    assert records[0].result == ("ok", 10_005)
+    assert tags == 0
+    votes = [envelope for envelope in sent if type(envelope.payload).__name__
+             in ("Prepare", "Commit", "ClientReply")]
+    assert {type(envelope.payload).__name__ for envelope in votes} \
+        == {"Prepare", "Commit", "ClientReply"}
+    for envelope in votes:
+        assert "signature" not in envelope.__dict__
+        record = envelope.payload.__dict__["_repro_memo"]
+        assert record[0] is None and record[2] is None
+
+
+# ----------------------------------------------------------------------
 # The same record one level down: a signature and a threshold certificate
 # are vouched for by the registry that found them valid (or combined them)
 # ----------------------------------------------------------------------
@@ -841,6 +929,57 @@ def test_a_threshold_that_is_no_int_is_refused_where_it_lands():
         == {("cert-invalid", "z0n0", "signature-invalid")}
     assert [(event.node, event.fields["msg"]) for event in obs.events
             if event.kind == "host.invalid"] == [("z0n2", "EndorseVote")]
+
+
+def _ill_shaped(keys, members, body):
+    """``name -> (certificate, what the monitor books it as)``: shapes a
+    sender controls, each of which once raised out of the run."""
+    combined = combine_threshold(keys, body,
+                                 [keys.sign(m, body) for m in members],
+                                 frozenset(members), 3)
+    return {
+        "quorum_junk_signatures": (QuorumCertificate(
+            payload_digest=body, signatures=("junk", 3)), "undersized"),
+        "quorum_int_signatures": (QuorumCertificate(
+            payload_digest=body, signatures=5), "undersized"),
+        "threshold_mixed_group": (dataclasses.replace(
+            combined, group=frozenset(list(members)[:3] + [3])),
+            "threshold-group-mismatch"),
+    }
+
+
+@pytest.mark.parametrize("name", ["quorum_junk_signatures",
+                                  "quorum_int_signatures",
+                                  "threshold_mixed_group"])
+def test_an_ill_shaped_certificate_is_described_and_the_run_goes_on(name):
+    """An ACCEPT carrying a certificate of a shape its sender chose,
+    delivered to a follower node with the monitor attached, sealed and
+    (so that delivery counts its units) unsealed: each receipt is checked,
+    refused and booked against the sender, and the run goes on."""
+    threshold = name.startswith("threshold")
+    deployment = small_ziziphus(seed=7, use_threshold_signatures=threshold)
+    obs = Instrumentation(enabled=True, recording=True, metrics=False)
+    obs.attach(deployment)
+    monitor = ProtocolMonitor.attach(obs, deployment)
+    keys, members = deployment.keys, deployment.directory.zone("z0").members
+    ballot = Ballot(seq=1, zone_id="z0")
+    body = accept_body(ballot, GENESIS_BALLOT, digest(()))
+    certificate, reason = _ill_shaped(keys, members, body)[name]
+    accept = Accept(view=0, ballot=ballot, prev_ballot=GENESIS_BALLOT,
+                    request_digest=digest(()), cert=certificate,
+                    sender="z0n0")
+    for envelope in (sign_message(keys, "z0n0", accept),
+                     Signed(accept, keys.sign("z0n0", digest(accept)))):
+        deployment.network.send("z0n0", "z1n1", envelope)
+    mover = deployment.add_client("c1", "z0")
+    records = drive_to_completion(deployment, mover, [("migrate", "z1")])
+    assert records[0].result == ("migrated", "ok", "z1")
+    checked = [(event.fields["valid"], event.fields["signers"])
+               for event in obs.events if event.kind == "cert.check"
+               and event.node == "z1n1" and event.fields["ref"] == "1.z0"]
+    assert checked[:2] == [(False, [])] * 2
+    assert ("cert-invalid", "z0n0", reason) in {
+        (v.kind, v.culprit, v.detail["reason"]) for v in monitor.violations}
 
 
 # ----------------------------------------------------------------------

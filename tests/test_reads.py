@@ -134,6 +134,51 @@ def test_client_rejects_fabricated_and_under_quorum_certs():
     assert client._cert_problem(under, zone) == "bad-quorum"
 
 
+def test_a_watermark_certificate_is_judged_once_per_registry_quorum_and_zone(
+        monkeypatch):
+    """Served reads of one epoch carry one certificate object: its body
+    and its quorum are checked once for a client's registry, quorum and
+    member set; a failure is checked again every time."""
+    from repro.core.zone import ZoneInfo
+    from repro.crypto.keys import KeyRegistry
+    from repro.messages.base import nested_signature_units
+    dep = read_ziziphus()
+    client = dep.add_client("c1", "z0")
+    zone = dep.directory.zone("z0")
+    checks = []
+    is_valid = CertificateVerifier.is_valid
+    monkeypatch.setattr(CertificateVerifier, "is_valid",
+                        lambda *args: checks.append(1) or is_valid(*args))
+    body = watermark_body("z0", 4, b"s", 50.0)
+
+    def cert(*signatures):
+        made = ReadWatermarkCert(
+            zone="z0", sequence=4, state_digest=b"s", watermark_ts=50.0,
+            certificate=QuorumCertificate.aggregate(body, list(signatures)))
+        nested_signature_units(made)  # as sealing its reply does
+        return made
+
+    good = cert(dep.keys.sign("z0n0", body), dep.keys.sign("z0n1", body))
+    assert [client._cert_problem(good, zone) for _ in range(3)] == [None] * 3
+    assert len(checks) == 1
+    # Another member set, quorum or registry judges it afresh.
+    other = ZoneInfo("z0", ("z0n0", "z0n1", "z0n2", "x"), zone.region,
+                     zone.profile)
+    assert client._cert_problem(good, other) is None
+    assert client._cert_problem(good, zone) is None
+    assert len(checks) == 3
+    client._verifier = CertificateVerifier(KeyRegistry(seed=dep.keys._seed))
+    client.keys = client._verifier._keys
+    assert client._cert_problem(good, zone) is None
+    assert len(checks) == 4
+    under = cert(dep.keys.sign("z0n0", body), dep.keys.forged("z0n1"))
+    assert [client._cert_problem(under, zone) for _ in range(2)] \
+        == ["bad-quorum"] * 2
+    assert len(checks) == 6
+    assert client._cert_problem(
+        dataclasses.replace(good, zone="z1"), zone) == "wrong-zone"
+
+
 # ----------------------------------------------------------------------
 # Monitor: synthetic events straight into the read checkers
 # ----------------------------------------------------------------------
