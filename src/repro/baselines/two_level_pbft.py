@@ -305,7 +305,7 @@ class TwoLevelNode(HostNode):
         if not verify_signed(self.keys, msg.request):
             return
         request = msg.request.payload
-        key = (request.sender, request.timestamp)
+        key = request.key
         if key in self._applied:
             return
         self._applied.add(key)
@@ -345,7 +345,7 @@ class TwoLevelNode(HostNode):
         if digest(ship.records) != ship.records_digest:
             return
         request = ship.request.payload
-        key = (request.sender, request.timestamp)
+        key = request.key
         if self._awaiting_records.pop(ship.client_id, None) is not None \
                 or key in self._applied:
             self._apply_records(ship)

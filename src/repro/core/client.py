@@ -28,7 +28,7 @@ from typing import Any, Callable, Mapping
 from repro.app.base import StateMachine
 from repro.core.zone import ZoneDirectory
 from repro.crypto.certificates import CertificateVerifier, QuorumCertificate
-from repro.crypto.digest import digest
+from repro.crypto.digest import canonical_bytes, digest
 from repro.crypto.keys import KeyRegistry
 from repro.messages.base import Signed, verify_signed
 from repro.messages.client import ClientReply, ClientRequest, MigrationRequest
@@ -223,7 +223,8 @@ class MobileClient(ClosedLoopClient):
                 zone.zone_id != getattr(flight.request, "dest_zone", None):
             # Only the destination zone knows that it appended R(c).
             return
-        votes = self._vote(digest((zone.zone_id, result)), reply.sender)
+        votes = self._vote(canonical_bytes((zone.zone_id, result)),
+                           reply.sender)
         if len(votes) >= zone.weak_quorum:
             self._complete(result)
 

@@ -192,9 +192,9 @@ class SyncEngine:
         #: ballot that last carried it here: a retransmission is answered
         #: from it, never proposed again, by whichever node leads.
         self.request_dedup: dict[tuple[str, int], Ballot] = {}
-        self._batch_buffer: dict[bytes, Signed] = {}
+        self._batch_buffer: dict[tuple[str, int], Signed] = {}
         self._batch_timer = None
-        self._watched_requests: set[bytes] = set()
+        self._watched_requests: set[tuple[str, int]] = set()
         self._query_log: dict[Ballot, set[str]] = {}
         #: When this node's current view activated (0 for the first).
         self._view_since = 0.0
@@ -287,7 +287,7 @@ class SyncEngine:
                             batch: tuple[Signed, ...]) -> None:
         for env in batch:
             request = env.payload
-            self.request_dedup[(request.sender, request.timestamp)] = ballot
+            self.request_dedup[request.key] = ballot
             if request.operation and request.operation[0] == "migrate" and \
                     request.source_zone == self.my_zone.zone_id:
                 self.node.locks.mark_stale(request.sender)
@@ -345,8 +345,7 @@ class SyncEngine:
     # ------------------------------------------------------------------
     def _on_migration_request(self, sender: str, request: MigrationRequest,
                               envelope: Signed) -> None:
-        key = (request.sender, request.timestamp)
-        done = self.request_dedup.get(key)
+        done = self.request_dedup.get(request.key)
         if done is not None:
             result = self.result_for(done, request.sender)
             if result is not None:
@@ -356,10 +355,9 @@ class SyncEngine:
             self.node.forward(self.node.replica.primary, envelope)
             self._watch_request(envelope)
             return
-        request_digest = digest(request)
-        if request_digest in self._batch_buffer:
+        if request.key in self._batch_buffer:
             return
-        self._batch_buffer[request_digest] = envelope
+        self._batch_buffer[request.key] = envelope
         if len(self._batch_buffer) >= self.config.global_batch_size:
             self._flush_batch()
         elif self._batch_timer is None:
@@ -393,8 +391,7 @@ class SyncEngine:
         ballot = self.engine.propose(self, batch)
         self.highest_seen = max(self.highest_seen, ballot.seq)
         for env in batch:
-            request = env.payload
-            self.request_dedup[(request.sender, request.timestamp)] = ballot
+            self.request_dedup[env.payload.key] = ballot
         txn = self._txn(ballot)
         txn.batch = batch
         txn.request_digest = batch_digest(batch)
@@ -422,19 +419,17 @@ class SyncEngine:
         return ballot
 
     def _watch_request(self, envelope: Signed) -> None:
-        request_digest = digest(envelope.payload)
-        if request_digest in self._watched_requests:
+        key = envelope.payload.key
+        if key in self._watched_requests:
             return
-        request = envelope.payload
         self.node.set_timer(self.config.watch_timeout_ms,
-                            self._on_request_watch_expired, request_digest,
-                            (request.sender, request.timestamp),
+                            self._on_request_watch_expired, key,
                             self.node.replica.judged_view)
-        self._watched_requests.add(request_digest)
+        self._watched_requests.add(key)
 
-    def _on_request_watch_expired(self, request_digest: bytes,
-                                  key: tuple[str, int], armed_in: int) -> None:
-        self._watched_requests.discard(request_digest)
+    def _on_request_watch_expired(self, key: tuple[str, int],
+                                  armed_in: int) -> None:
+        self._watched_requests.discard(key)
         if key in self.request_dedup:
             return  # some ballot picked the request up
         self.node.replica.view_changes.suspect(armed_in)
@@ -1113,8 +1108,7 @@ class SyncEngine:
             self._redrive_initiator(txn)
             return
         for env in txn.batch:
-            request = env.payload
-            self.request_dedup.pop((request.sender, request.timestamp), None)
+            self.request_dedup.pop(env.payload.key, None)
         txn.phase = "superseded"
         # The one rollback rule: nothing chains to a superseded ballot.
         if self.last_accepted == txn.ballot:

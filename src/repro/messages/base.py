@@ -166,7 +166,8 @@ def verify_signed(keys: KeyRegistry, signed: Signed) -> bool:
     An envelope ``keys`` itself sealed, or found valid before, is
     answered from its record; a success is recorded under the rule of
     :func:`sign_message`. A signer that is not the payload's sender is
-    refused before any signature is made or checked.
+    refused before any signature is made or checked, and so is a payload
+    with no canonical form.
     """
     record = signed.__dict__.get("_repro_memo")
     if record is not None and record[3] is keys:
@@ -175,7 +176,11 @@ def verify_signed(keys: KeyRegistry, signed: Signed) -> bool:
     claimed = getattr(payload, "sender", None)
     if claimed is not None and claimed != signed.sender:
         return False
-    if not keys.verify(signed.signature, digest(payload)):
+    try:
+        payload_digest = digest(payload)
+    except CryptoError:
+        return False  # no canonical form: nobody can have signed it
+    if not keys.verify(signed.signature, payload_digest):
         return False
     schema = SCHEMAS[type(payload)]
     if schema.memo:

@@ -33,6 +33,12 @@ class ClientRequest(Message):
     ctx: SpanContext | None = field(default=None, compare=False,
                                     metadata={"digest": False})
 
+    @property
+    def key(self) -> tuple[str, int]:
+        """``(sender, timestamp)``: PBFT's name for a request, and the only
+        one every table of requests uses. Not a field: no digest covers it."""
+        return self.sender, self.timestamp
+
 
 @dataclass(frozen=True)
 class MigrationRequest(Message):
@@ -49,6 +55,8 @@ class MigrationRequest(Message):
     dest_zone: str
     ctx: SpanContext | None = field(default=None, compare=False,
                                     metadata={"digest": False})
+
+    key = ClientRequest.key
 
 
 @dataclass(frozen=True)

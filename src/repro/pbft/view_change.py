@@ -549,9 +549,9 @@ class ViewChangeManager:
             # Hand any still-pending requests to the new primary and keep
             # watching them in this view (the new primary may be faulty
             # too): a timer armed in an earlier view is replaced.
-            for request_digest, request_env in list(replica.pending.items()):
+            for key, request_env in list(replica.pending.items()):
                 self.host.forward(replica.primary, request_env)
-                replica._start_request_timer(request_digest)
+                replica._start_request_timer(key)
         replica.replay_deferred()
         for view in [v for v in self._vc_messages if v <= new_view]:
             del self._vc_messages[view]

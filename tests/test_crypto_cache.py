@@ -385,6 +385,13 @@ def test_a_fault_free_pbft_round_makes_no_digest_or_tag_for_its_votes():
         assert "signature" not in envelope.__dict__
         record = envelope.payload.__dict__["_repro_memo"]
         assert record[0] is None and record[2] is None
+    # The request is named by its client and timestamp: it is encoded
+    # inside its batch's digest, never hashed on its own.
+    pre_prepare = next(envelope.payload for envelope in sent
+                       if type(envelope.payload).__name__ == "PrePrepare")
+    (request,) = pre_prepare.batch
+    assert type(request.payload) is ClientRequest
+    assert request.payload.__dict__["_repro_memo"][2] is None
 
 
 # ----------------------------------------------------------------------
@@ -980,6 +987,40 @@ def test_an_ill_shaped_certificate_is_described_and_the_run_goes_on(name):
     assert checked[:2] == [(False, [])] * 2
     assert ("cert-invalid", "z0n0", reason) in {
         (v.kind, v.culprit, v.detail["reason"]) for v in monitor.violations}
+
+
+# ----------------------------------------------------------------------
+# An envelope whose payload has no canonical form is refused (D21)
+# ----------------------------------------------------------------------
+
+def test_a_request_with_no_canonical_form_is_refused_and_the_run_goes_on():
+    """A request holding a set cannot be encoded, so nobody can have
+    signed it: the replica books it invalid, and the zone orders the
+    client's next request."""
+    deployment = small_ziziphus(seed=7)
+    client = deployment.add_client("c0", "z0")
+    request = ClientRequest(operation=("deposit", {1}), timestamp=1,
+                            sender="c0")
+    deployment.network.send("c0", "z0n0", Signed(
+        request, deployment.keys.forged("c0")))
+    records = drive_to_completion(deployment, client,
+                                  [("local", ("deposit", 5))])
+    assert records[0].result == ("ok", 10_005)
+    assert deployment.nodes["z0n0"].invalid_messages == 1
+
+
+def test_a_reply_with_no_canonical_form_is_ignored_and_the_request_completes():
+    """A reply whose result is a set, answering the client's outstanding
+    request, is refused unread; the zone's real replies complete it."""
+    deployment = small_ziziphus(seed=7)
+    client = deployment.add_client("c0", "z0")
+    reply = ClientReply(view=0, timestamp=1, client_id="c0", result={1, 2},
+                        sender="z0n1")
+    deployment.sim.schedule(0.5, deployment.network.send, "z0n1", "c0",
+                            Signed(reply, deployment.keys.forged("z0n1")))
+    records = drive_to_completion(deployment, client,
+                                  [("local", ("deposit", 5))])
+    assert records[0].result == ("ok", 10_005)
 
 
 # ----------------------------------------------------------------------

@@ -356,7 +356,7 @@ def _pending_at(nodes, keys, replica_index=2):
     request = ClientRequest(operation=("open", 1), timestamp=1, sender="c9")
     envelope = sign_message(keys, "c9", request)
     nodes[replica_index].replica.submit_request(envelope)
-    return digest(request)
+    return request.key
 
 
 def test_a_request_timer_armed_in_a_view_left_judges_nobody():
@@ -380,7 +380,7 @@ def test_a_request_pending_after_new_view_is_watched_in_the_new_view():
     timer that were only dropped would leave the request unguarded."""
     sim, net, keys, group, nodes = build_group()
     nodes[0].crash()
-    request_digest = _pending_at(nodes, keys)
+    key = _pending_at(nodes, keys)
     suspected = []
     watcher = nodes[2].replica
     suspect = watcher.view_changes.suspect
@@ -392,8 +392,8 @@ def test_a_request_pending_after_new_view_is_watched_in_the_new_view():
         sim.schedule(50.0, node.replica.view_changes.initiate, 1)
     sim.run(until=120.0)
     assert (watcher.view, watcher.view_active) == (1, True)
-    assert request_digest in watcher.pending
-    assert watcher.request_timers[request_digest][0] == 1
+    assert key in watcher.pending
+    assert watcher.request_timers[key][0] == 1
     sim.run(until=400.0)
     assert [armed_in for _, armed_in in suspected] == [1]
     assert 200.0 < suspected[0][0] < 210.0
