@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.app.base import StateMachine
+from repro.app.base import StateMachine, is_escrow, is_internal
 from repro.storage.kvstore import KVStore
 
 __all__ = ["BankingApp", "client_prefix"]
@@ -38,6 +38,10 @@ class BankingApp(StateMachine):
     - ``("transfer", dst_client, amount)`` — move funds to another account
       hosted in the same zone.
     - ``("balance",)`` — read the issuing client's balance.
+
+    The ``xz-…`` operations are the cross-zone escrow's steps
+    (:func:`~repro.app.base.is_escrow`), run only for a zone-internal
+    sender (:func:`~repro.app.base.is_internal`).
     """
 
     def __init__(self, store: KVStore | None = None) -> None:
@@ -58,6 +62,8 @@ class BankingApp(StateMachine):
             return self._transfer(client_id, operation[1], operation[2])
         if opcode == "balance":
             return self._balance(client_id)
+        if is_escrow(opcode) and not is_internal(client_id):
+            return ("err", "internal-only")
         if opcode == "xz-apply":
             # Replicated plain operation (§V-B): run under the real client.
             return self.execute(operation[2], operation[1])

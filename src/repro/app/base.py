@@ -11,7 +11,24 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any
 
-__all__ = ["StateMachine"]
+__all__ = ["INTERNAL_SENDER_PREFIX", "StateMachine", "is_escrow",
+           "is_internal"]
+
+#: Prefix of the zone-internal identities (``xz:<xid>:<stage>``) under
+#: which a zone orders its cross-zone escrow steps (core/cross_zone.py).
+INTERNAL_SENDER_PREFIX = "xz:"
+
+
+def is_escrow(opcode: Any) -> bool:
+    """Whether ``opcode`` names a step of the cross-zone escrow
+    (``xz-…``), which an application runs only for an internal sender."""
+    return str(opcode).startswith("xz-")
+
+
+def is_internal(sender: str) -> bool:
+    """Whether ``sender`` is a zone-internal identity: the only sender an
+    escrow opcode runs for, on every replica alike."""
+    return sender.startswith(INTERNAL_SENDER_PREFIX)
 
 
 class StateMachine(ABC):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.app.base import StateMachine
+from repro.app.base import StateMachine, is_escrow, is_internal
 from repro.storage.kvstore import KVStore
 
 __all__ = ["HealthcareApp", "patient_prefix"]
@@ -35,6 +35,10 @@ class HealthcareApp(StateMachine):
       alert flag when the value crosses the metric's threshold.
     - ``("prescribe", drug, dose)`` — append to the prescription list.
     - ``("history", metric)`` — read recent readings for a metric.
+
+    The ``xz-…`` operations are the cross-zone escrow's steps
+    (:func:`~repro.app.base.is_escrow`), run only for a zone-internal
+    sender (:func:`~repro.app.base.is_internal`).
     """
 
     #: Alert thresholds per metric (deterministic and application-defined).
@@ -59,6 +63,8 @@ class HealthcareApp(StateMachine):
             return self._prescribe(client_id, operation[1], operation[2])
         if opcode == "history":
             return self._history(client_id, operation[1])
+        if is_escrow(opcode) and not is_internal(client_id):
+            return ("err", "internal-only")
         if opcode == "xz-apply":
             # Replicated plain operation (§V-B): run under the real client.
             return self.execute(operation[2], operation[1])

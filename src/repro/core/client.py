@@ -30,6 +30,7 @@ from repro.core.zone import ZoneDirectory
 from repro.crypto.certificates import CertificateVerifier, QuorumCertificate
 from repro.crypto.digest import canonical_bytes, digest
 from repro.crypto.keys import KeyRegistry
+from repro.crypto.schema import vouch, vouched
 from repro.messages.base import Signed, verify_signed
 from repro.messages.client import ClientReply, ClientRequest, MigrationRequest
 from repro.messages.reads import ReadReply, ReadRequest, ReadWatermarkCert
@@ -284,8 +285,7 @@ class MobileClient(ClosedLoopClient):
         # certificate found sound for this registry, quorum and member
         # set is answered from its record; a failure is not kept.
         verdict = (self.keys, zone.weak_quorum, zone.member_set)
-        record = cert.__dict__.get("_repro_memo")
-        if record is not None and record[3] == verdict:
+        if vouched(cert, verdict):
             return None
         if cert.body() != cert.certificate.payload_digest:
             # The cert's claimed (zone, seq, digest, ts) tuple is not the
@@ -294,8 +294,7 @@ class MobileClient(ClosedLoopClient):
         if not self._verifier.is_valid(cert.certificate,
                                        zone.weak_quorum, zone.member_set):
             return "bad-quorum"
-        if record is not None:
-            record[3] = verdict
+        vouch(cert, verdict)
         return None
 
     def _on_read_reply(self, reply: ReadReply) -> None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.app.base import INTERNAL_SENDER_PREFIX, is_escrow
 from repro.crypto.digest import digest
 from repro.messages.base import Signed, sign_message, verify_signed
 from repro.messages.client import ClientRequest
@@ -37,10 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.node import ZiziphusNode
 
 __all__ = ["CrossZoneEngine", "CrossZoneRequest"]
-
-#: Sender prefix marking zone-internal operations injected by primaries.
-INTERNAL_SENDER_PREFIX = "xz:"
-
 
 # ----------------------------------------------------------------------
 # Wire messages
@@ -379,7 +376,7 @@ class CrossZoneEngine:
         """Escrow operations carry the transaction id; replicated plain
         operations (§V-B zone replication) are wrapped in ``xz-apply`` so
         the application executes them under the *real* client identity."""
-        if step and str(step[0]).startswith("xz-"):
+        if step and is_escrow(step[0]):
             return step + (xid,)
         return ("xz-apply", client_id, step)
 
@@ -485,7 +482,7 @@ class CrossZoneEngine:
         """Order this zone's finalize step through the local PBFT log."""
         zone_id = self.my_zone.zone_id
         step = request.steps[zone_id]
-        escrowed = step and str(step[0]).startswith("xz-")
+        escrowed = step and is_escrow(step[0])
         if zone_id == request.prepare_zone:
             if escrowed:
                 opcode = "xz-finalize" if commit else "xz-release"

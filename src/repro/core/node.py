@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.app.base import is_internal
 from repro.consensus import BackendSpec, get_backend
 from repro.core.audit import QueryAudit
-from repro.core.cross_zone import INTERNAL_SENDER_PREFIX, CrossZoneEngine
+from repro.core.cross_zone import CrossZoneEngine
 from repro.core.endorsement import EndorsementManager
 from repro.core.locks import LockTable
 from repro.core.metadata import GlobalMetadata, MigrationOutcome, PolicySet
@@ -93,7 +94,7 @@ class ZiziphusNode(HostNode):
     # Local transaction gating (the lock bit, §IV.A)
     # ------------------------------------------------------------------
     def _accept_local_request(self, request) -> bool:
-        if request.sender.startswith(INTERNAL_SENDER_PREFIX):
+        if is_internal(request.sender):
             return True   # zone-internal operations (cross-zone escrow)
         return self.locks.is_current(request.sender)
 
@@ -101,7 +102,7 @@ class ZiziphusNode(HostNode):
         """Replica reply hook: zone-internal results go to the cross-zone
         engine; everything else is answered to the client as usual."""
         request = request_env.payload
-        if request.sender.startswith(INTERNAL_SENDER_PREFIX):
+        if is_internal(request.sender):
             self.cross_zone.on_internal_result(request_env, result)
         else:
             self.reply_to_client(request, result)

@@ -17,6 +17,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
+from repro.crypto.schema import vouch, vouched
 from repro.errors import CryptoError
 from repro.sim.rng import derive_seed
 
@@ -48,13 +49,12 @@ class KeyRegistry:
     participant that ever *signed*, never one per name a message claims.
     :meth:`sign` is one HMAC and a fresh :class:`Signature` (an
     envelope's seal calls it when its signature is first read,
-    :class:`~repro.messages.base.Signed`); :meth:`verify` keeps a success
-    on the signature it judged — the last place of its ``_repro_memo``
-    (:class:`~repro.crypto.schema.Schema`) holds ``(registry, digest)`` —
-    and answers from it only for this very registry and digest, on a
-    frozen instance of exactly :class:`Signature`. A forged tag has no
-    record and reaches the HMAC every time; a failure is never
-    remembered (DESIGN.md §10).
+    :class:`~repro.messages.base.Signed`); :meth:`verify` vouches for a
+    success on the signature it judged with ``(registry, digest)``
+    (:func:`~repro.crypto.schema.vouch`) and answers from it only for
+    this very registry and digest, on a frozen instance of exactly
+    :class:`Signature`. A forged tag has no record and reaches the HMAC
+    every time; a failure is never remembered (DESIGN.md §10).
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -90,11 +90,8 @@ class KeyRegistry:
         if type(payload_digest) is not bytes:
             return False
         exact = type(signature) is Signature
-        record = signature.__dict__.get("_repro_memo") if exact else None
-        if record is not None and record[3] is not None:
-            keys, vouched = record[3]
-            if keys is self and vouched == payload_digest:
-                return True
+        if exact and vouched(signature, (self, payload_digest)):
+            return True
         try:
             signer, tag = signature.signer, signature.tag
         except AttributeError:  # not a signature at all
@@ -107,11 +104,8 @@ class KeyRegistry:
         expected = hmac.digest(secret, payload_digest, "sha256")
         if not hmac.compare_digest(expected, tag):
             return False
-        if record is not None:
-            record[3] = (self, payload_digest)
-        elif exact:
-            signature.__dict__["_repro_memo"] = [
-                None, 1, None, (self, payload_digest)]
+        if exact:
+            vouch(signature, (self, payload_digest))
         return True
 
     def forged(self, signer: str) -> Signature:

@@ -1,9 +1,9 @@
 """The message schema: how each Python type takes part in a message.
 
 Three walks visit a message: one yields the canonical bytes that
-digests and signatures cover *and* the count of signature verifications
-a receiver is charged for; one yields that count alone, building no
-bytes; the third yields the wire JSON. :data:`SCHEMAS` maps
+digests and signatures cover; one yields the count of signature
+verifications a receiver is charged for, building no bytes; the third
+yields the wire JSON. :data:`SCHEMAS` maps
 ``type(obj)`` to the three functions for that type, so a visit is one
 table lookup. A type is resolved the first time a value of it is met
 (nothing is compiled at import), in the precedence the encodings were
@@ -21,7 +21,7 @@ from typing import Any, Callable, NamedTuple
 
 from repro.errors import CryptoError, ProtocolError
 
-__all__ = ["SCHEMAS", "Schema", "canonical_bytes"]
+__all__ = ["SCHEMAS", "Schema", "canonical_bytes", "vouch", "vouched"]
 
 _u32 = struct.Struct(">I").pack
 
@@ -29,20 +29,20 @@ _u32 = struct.Struct(">I").pack
 class Schema(NamedTuple):
     """What the three walks do with values of one type."""
 
-    #: ``encode(obj, out)`` appends the canonical bytes of ``obj`` and
-    #: returns how many signature verifications it passed over.
-    encode: Callable[[Any, bytearray], int]
+    #: ``encode(obj, out)`` appends the canonical bytes of ``obj``.
+    encode: Callable[[Any, bytearray], None]
     #: ``wire(obj)`` is the JSON-ready form.
     wire: Callable[[Any], Any]
-    #: ``count(obj)`` is what ``encode`` returns, and raises where it
-    #: raises, without building the bytes.
+    #: ``count(obj)`` is how many signature verifications ``obj`` holds;
+    #: it raises where ``encode`` raises, without building the bytes.
     count: Callable[[Any], int]
     #: Instances are immutable and have a ``__dict__``, where ``encode``
     #: and ``count`` keep what they yielded as ``_repro_memo``:
-    #: ``[canonical bytes once encoded, verifications, digest once asked
-    #: for, who vouches for it]``; the last is set, perhaps before the
-    #: bytes, on what a registry seals or checks: envelope, signature,
-    #: threshold certificate (DESIGN.md §10).
+    #: ``[canonical bytes, verifications, who vouches for it]``, each
+    #: ``None`` until something yields it; :func:`vouch` sets the last on
+    #: what a registry seals or checks: envelope, signature, threshold
+    #: certificate. A sealed envelope's record has a fourth place, its
+    #: signer (DESIGN.md §10.1).
     memo: bool = False
 
 
@@ -71,42 +71,57 @@ def canonical_bytes(obj: Any) -> bytes:
     return bytes(out)
 
 
-def _enc_singleton(obj: bool | None, out: bytearray) -> int:
+def vouch(obj: Any, token: Any) -> None:
+    """Record on ``obj`` that ``token`` found it sound. The caller makes
+    sure ``obj`` is exactly the type it judged, of a memoised schema."""
+    fields = obj.__dict__
+    record = fields.get("_repro_memo")
+    if record is None:
+        fields["_repro_memo"] = [None, None, token]
+    else:
+        record[2] = token
+
+
+def vouched(obj: Any, token: Any) -> bool:
+    """Whether ``token`` vouches for ``obj``: the very registry (a
+    registry has no ``__eq__``, so it compares by identity, inside a
+    tuple too) and, where the token is a tuple, equal further parts."""
+    record = obj.__dict__.get("_repro_memo")
+    if record is None:
+        return False
+    held = record[2]
+    return held is token or held == token
+
+
+def _enc_singleton(obj: bool | None, out: bytearray) -> None:
     out += b"N" if obj is None else b"T" if obj else b"F"
-    return 0
 
 
-def _enc_enum(obj: Enum, out: bytearray) -> int:
+def _enc_enum(obj: Enum, out: bytearray) -> None:
     value = obj.value
     SCHEMAS[type(value)].encode(value, out)
-    return 0
 
 
-def _enc_int(obj: int, out: bytearray) -> int:
+def _enc_int(obj: int, out: bytearray) -> None:
     raw = str(obj).encode()
     out += b"i" + _u32(len(raw)) + raw
-    return 0
 
 
-def _enc_float(obj: float, out: bytearray) -> int:
+def _enc_float(obj: float, out: bytearray) -> None:
     out += b"f" + struct.pack(">d", obj)
-    return 0
 
 
-def _enc_str(obj: str, out: bytearray) -> int:
+def _enc_str(obj: str, out: bytearray) -> None:
     raw = obj.encode()
     out += b"s" + _u32(len(raw)) + raw
-    return 0
 
 
-def _enc_bytes(obj: bytes | bytearray, out: bytearray) -> int:
+def _enc_bytes(obj: bytes | bytearray, out: bytearray) -> None:
     out += b"b" + _u32(len(obj)) + obj
-    return 0
 
 
-def _enc_seq(obj: tuple | list, out: bytearray) -> int:
+def _enc_seq(obj: tuple | list, out: bytearray) -> None:
     out += b"l" + _u32(len(obj))
-    units = 0
     for item in obj:
         kind = type(item)
         # The commonest leaves inline, as _enc_str/_enc_int/_enc_bytes.
@@ -119,14 +134,12 @@ def _enc_seq(obj: tuple | list, out: bytearray) -> int:
         elif kind is bytes:
             out += b"b" + _u32(len(item)) + item
         else:
-            units += SCHEMAS[kind].encode(item, out)
-    return units
+            SCHEMAS[kind].encode(item, out)
 
 
-def _enc_dict(obj: dict, out: bytearray) -> int:
+def _enc_dict(obj: dict, out: bytearray) -> None:
     # Each key is encoded once and the entries ordered by those bytes
-    # (stably, as keys of different types can encode alike). A key holds
-    # nothing a receiver verifies.
+    # (stably, as keys of different types can encode alike).
     entries = []
     for key, value in obj.items():
         encoded = bytearray()
@@ -134,16 +147,13 @@ def _enc_dict(obj: dict, out: bytearray) -> int:
         entries.append((encoded, value))
     entries.sort(key=itemgetter(0))
     out += b"d" + _u32(len(entries))
-    units = 0
     for encoded, value in entries:
         out += encoded
-        units += SCHEMAS[type(value)].encode(value, out)
-    return units
+        SCHEMAS[type(value)].encode(value, out)
 
 
-def _enc_frozenset(obj: frozenset, out: bytearray) -> int:
+def _enc_frozenset(obj: frozenset, out: bytearray) -> None:
     out += b"l" + _u32(len(obj)) + b"".join(sorted(map(canonical_bytes, obj)))
-    return 0
 
 
 def _no_canonical_form(obj: Any, out: bytearray | None = None) -> int:
@@ -248,17 +258,16 @@ def _compile(cls: type) -> Schema:
         # an envelope sealed on demand makes its signature when read.
         return {name: getattr(obj, name) for name in names}
 
-    def encode(obj: Any, out: bytearray) -> int:
+    def encode(obj: Any, out: bytearray) -> None:
         fields = obj.__dict__ if has_dict else field_values(obj)
         record = fields.get("_repro_memo") if memo else None
         if record is not None:
             if record[0] is not None:
                 out += record[0]
-                return record[1]
+                return
             # Sealed, checked or counted before it was ever encoded.
             fields = field_values(obj)
         sub = bytearray(header)
-        units = 0
         for key, name in hashed:
             sub += key
             value = fields[name]
@@ -273,25 +282,17 @@ def _compile(cls: type) -> Schema:
             elif kind is bytes:
                 sub += b"b" + _u32(len(value)) + value
             else:
-                units += SCHEMAS[kind].encode(value, sub)
+                SCHEMAS[kind].encode(value, sub)
         out += sub
         if record is not None:
             record[0] = bytes(sub)
-            return record[1]
-        if own is not None:
-            units = own(obj)
-        else:
-            for name in unhashed:  # counted, not hashed
-                value = fields[name]
-                units += SCHEMAS[type(value)].count(value)
-        if memo:
-            fields["_repro_memo"] = [bytes(sub), units, None, None]
-        return units
+        elif memo:
+            fields["_repro_memo"] = [bytes(sub), None, None]
 
     def count(obj: Any) -> int:
         fields = obj.__dict__ if has_dict else field_values(obj)
         record = fields.get("_repro_memo") if memo else None
-        if record is not None:
+        if record is not None and record[1] is not None:
             return record[1]
         units = 0
         for name in hashed_names:
@@ -302,11 +303,13 @@ def _compile(cls: type) -> Schema:
         if own is not None:
             units = own(obj)
         else:
-            for name in unhashed:
+            for name in unhashed:  # counted, not hashed
                 value = fields[name]
                 units += SCHEMAS[type(value)].count(value)
-        if memo:
-            fields["_repro_memo"] = [None, units, None, None]
+        if record is not None:
+            record[1] = units
+        elif memo:
+            fields["_repro_memo"] = [None, units, None]
         return units
 
     def wire(obj: Any) -> dict:

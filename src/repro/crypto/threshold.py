@@ -14,6 +14,7 @@ import hashlib
 from dataclasses import dataclass
 
 from repro.crypto.keys import KeyRegistry, Signature
+from repro.crypto.schema import vouch, vouched
 from repro.errors import InvalidCertificateError
 
 __all__ = ["ThresholdCertificate", "combine_threshold", "well_formed"]
@@ -76,7 +77,7 @@ def combine_threshold(keys: KeyRegistry, payload_digest: bytes,
     certificate = ThresholdCertificate(payload_digest=payload_digest,
                                        group=group, threshold=threshold,
                                        tag=tag)
-    certificate.__dict__["_repro_memo"] = [None, 1, None, keys]
+    vouch(certificate, keys)
     return certificate
 
 
@@ -94,12 +95,11 @@ def well_formed(certificate: ThresholdCertificate) -> bool:
 class ThresholdVerifier:
     """Validates threshold certificates (constant-cost verification).
 
-    The last place of a certificate's ``_repro_memo``
-    (:class:`~repro.crypto.schema.Schema`) names the :class:`KeyRegistry`
-    that combined it or found it valid, and only that very registry is
-    answered from it. Any other certificate has its expected tag
-    recomputed from the registry's secrets and compared, never trusted
-    from the incoming object; a failure is not remembered.
+    A certificate is vouched for (:func:`~repro.crypto.schema.vouch`) by
+    the :class:`KeyRegistry` that combined it or found it valid, and only
+    that very registry is answered from it. Any other certificate has
+    its expected tag recomputed from the registry's secrets and compared,
+    never trusted from the incoming object; a failure is not remembered.
     """
 
     def __init__(self, keys: KeyRegistry) -> None:
@@ -109,8 +109,7 @@ class ThresholdVerifier:
         """Raise :class:`InvalidCertificateError` on a bad aggregate tag,
         or on a part of the wrong type: it arrives from the network."""
         exact = type(certificate) is ThresholdCertificate
-        record = certificate.__dict__.get("_repro_memo") if exact else None
-        if record is not None and record[3] is self._keys:
+        if exact and vouched(certificate, self._keys):
             return
         if not well_formed(certificate):
             raise InvalidCertificateError("malformed threshold certificate")
@@ -118,10 +117,8 @@ class ThresholdVerifier:
                       certificate.group, certificate.threshold,
                       {}) != certificate.tag:
             raise InvalidCertificateError("threshold certificate tag mismatch")
-        if record is not None:
-            record[3] = self._keys
-        elif exact:
-            certificate.__dict__["_repro_memo"] = [None, 1, None, self._keys]
+        if exact:
+            vouch(certificate, self._keys)
 
     def is_valid(self, certificate: ThresholdCertificate) -> bool:
         """Boolean form of :meth:`validate`."""

@@ -23,10 +23,6 @@ class CryptoError(ReproError):
     """A signature, digest, or certificate failed validation."""
 
 
-class InvalidSignatureError(CryptoError):
-    """A signature does not verify against the claimed signer and payload."""
-
-
 class InvalidCertificateError(CryptoError):
     """A quorum certificate is malformed or below the required quorum."""
 
@@ -35,13 +31,6 @@ class StorageError(ReproError):
     """A storage-layer operation failed."""
 
 
-class UnknownClientError(StorageError):
-    """An operation referenced a client whose state is not stored locally."""
-
-
 class ProtocolError(ReproError):
     """A protocol message violated the protocol's state machine."""
 
-
-class PolicyViolationError(ReproError):
-    """A global transaction violated a network-wide policy."""

@@ -8,10 +8,10 @@ cannot replay another node's message under its own identity.
 
 :func:`sign_message` is the one place an honest envelope is made, and
 :func:`redact` the one place one is cut down under its signature. The
-walk that yields the payload's bytes also counts how many elementary
-signature verifications a receiver performs (outer signature, nested
-certificates, piggybacked signed messages), and the seal keeps that count
-on the envelope; the simulator charges CPU time accordingly.
+seal counts how many elementary signature verifications a receiver
+performs (outer signature, nested certificates, piggybacked signed
+messages) and keeps that count on the envelope; the simulator charges
+CPU time accordingly.
 
 The module also provides the wire codec: :func:`encode_message` serializes
 any registered payload to deterministic JSON and :func:`decode_message`
@@ -29,7 +29,7 @@ from typing import Any
 
 from repro.crypto.digest import digest
 from repro.crypto.keys import KeyRegistry, Signature
-from repro.crypto.schema import SCHEMAS
+from repro.crypto.schema import SCHEMAS, vouch
 from repro.errors import CryptoError, ProtocolError
 
 __all__ = [
@@ -61,10 +61,9 @@ class Message:
 
 
 def nested_signature_units(obj: Any) -> int:
-    """Count signature verifications embedded in ``obj`` (recursively):
-    what the walk over it returns, counted without building its bytes.
-    A value with no canonical form can be neither signed nor certified,
-    and holds none."""
+    """Count signature verifications embedded in ``obj`` (recursively),
+    without building its bytes. A value with no canonical form can be
+    neither signed nor certified, and holds none."""
     try:
         return SCHEMAS[type(obj)].count(obj)
     except CryptoError:
@@ -76,16 +75,16 @@ class Signed:
     """A payload plus its sender's signature over the payload digest.
 
     Its ``_repro_memo`` is what the schema keeps on any frozen instance
-    (:class:`~repro.crypto.schema.Schema`), with two differences: the
-    bytes are ``None`` until the envelope itself is encoded (nested in a
-    batch, say), and place 3 names the :class:`KeyRegistry` that vouches
-    for it — the one that sealed it or last found it valid (as on a
-    threshold certificate; a signature's names the digest too).
+    (:class:`~repro.crypto.schema.Schema`): place 2 names the
+    :class:`KeyRegistry` that vouches for it, the one that sealed it or
+    last found it valid.
 
     An envelope :func:`sign_message` sealed has no ``signature`` until
-    something reads it: places 4 and 5 of its record hold the registry
-    that sealed it and the signer, and the signature is made from them,
-    once, on the first read (DESIGN.md §10.1, "The seal, on demand").
+    something reads it: its record has a fourth place, the signer, and
+    the signature is made from it and the registry in place 2, once, on
+    the first read (DESIGN.md §10.1, "The seal, on demand"). Until then
+    no other registry has vouched for it: checking it reads the
+    signature first.
     """
 
     payload: Any
@@ -97,7 +96,7 @@ class Signed:
         fields = self.__dict__
         if name != "signature" or "_repro_memo" not in fields:
             raise AttributeError(name)
-        _, _, _, _, keys, signer = fields["_repro_memo"]
+        _, _, keys, signer = fields["_repro_memo"]
         signature = fields["signature"] = keys.sign(signer,
                                                     digest(fields["payload"]))
         return signature
@@ -110,13 +109,13 @@ class Signed:
         if "signature" in fields:
             # What arrives as ``signature`` may be anything.
             return getattr(fields["signature"], "signer", None)
-        return fields["_repro_memo"][5]
+        return fields["_repro_memo"][3]
 
     def signature_units(self) -> int:
         """Total verifications needed to fully check this envelope: its
         own signature and every one its payload holds."""
         record = self.__dict__.get("_repro_memo")
-        if record is not None:
+        if record is not None and record[1] is not None:
             return record[1]
         return 1 + nested_signature_units(self.payload)
 
@@ -129,21 +128,18 @@ def sign_message(keys: KeyRegistry, signer: str, payload: Any) -> Signed:
     A payload the schema memoises is frozen and cannot change before its
     signature is read, so the digest and the tag wait for that read
     (:class:`Signed`); meanwhile only the count is walked, building no
-    bytes. ``keys`` vouches only for a payload that claims no other
-    sender; ``dataclasses.replace`` on either makes an instance without
+    bytes. ``dataclasses.replace`` on either makes an instance without
     a record, and any envelope without one keeps paying the full check.
-    Any other payload is hashed and signed at once.
+    Any other payload, and one that claims another sender (which no
+    registry vouches for), is hashed and signed at once.
     """
     schema = SCHEMAS[type(payload)]
-    if not schema.memo:
+    if not schema.memo or getattr(payload, "sender", signer) != signer:
         return Signed(payload, keys.sign(signer, digest(payload)))
     envelope = object.__new__(Signed)
     fields = envelope.__dict__
     fields["payload"] = payload
-    fields["_repro_memo"] = [
-        None, 1 + schema.count(payload), None,
-        keys if getattr(payload, "sender", signer) == signer else None,
-        keys, signer]
+    fields["_repro_memo"] = [None, 1 + schema.count(payload), keys, signer]
     return envelope
 
 
@@ -164,13 +160,13 @@ def verify_signed(keys: KeyRegistry, signed: Signed) -> bool:
     """Verify the envelope's signature and sender-consistency.
 
     An envelope ``keys`` itself sealed, or found valid before, is
-    answered from its record; a success is recorded under the rule of
-    :func:`sign_message`. A signer that is not the payload's sender is
-    refused before any signature is made or checked, and so is a payload
-    with no canonical form.
+    answered from its record; ``keys`` vouches for a success whose
+    payload is frozen, as the seal does. A signer that is not the
+    payload's sender is refused before any signature is checked, and so
+    is a payload with no canonical form.
     """
     record = signed.__dict__.get("_repro_memo")
-    if record is not None and record[3] is keys:
+    if record is not None and record[2] is keys:
         return True
     payload = signed.payload
     claimed = getattr(payload, "sender", None)
@@ -182,13 +178,8 @@ def verify_signed(keys: KeyRegistry, signed: Signed) -> bool:
         return False  # no canonical form: nobody can have signed it
     if not keys.verify(signed.signature, payload_digest):
         return False
-    schema = SCHEMAS[type(payload)]
-    if schema.memo:
-        if record is None:
-            signed.__dict__["_repro_memo"] = [
-                None, 1 + schema.count(payload), None, keys]
-        else:
-            record[3] = keys
+    if SCHEMAS[type(payload)].memo:
+        vouch(signed, keys)
     return True
 
 

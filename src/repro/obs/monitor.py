@@ -725,17 +725,6 @@ class ProtocolMonitor:
         """Whether the watchdog flagged no stalls (safety aside)."""
         return not self.stalls()
 
-    def assert_live(self) -> None:
-        """Raise AssertionError listing every stalled item (test tier)."""
-        stalls = self.stalls()
-        if stalls:
-            lines = [f"  {v.ts:.3f}ms stalled in {v.detail.get('phase')} "
-                     f"item={v.detail.get('item')} node={v.culprit}"
-                     for v in stalls[:20]]
-            raise AssertionError(
-                f"liveness watchdog flagged {len(stalls)} stall(s):\n"
-                + "\n".join(lines))
-
     def culpability(self) -> dict[str, dict[str, int]]:
         """Per-node violation counts by kind (the forensic table)."""
         table: dict[str, Counter] = {}

@@ -84,9 +84,12 @@ class Process:
         if self.crashed:
             return
         try:
-            # A sealed envelope carries its verification count.
+            # A sealed envelope carries its verification count; ``None``
+            # on a record that has not been counted yet.
             units = message._repro_memo[1]
         except AttributeError:
+            units = None
+        if units is None:
             counter = getattr(message, "signature_units", None)
             units = counter() if counter is not None else 1
         cost = self.cost_model

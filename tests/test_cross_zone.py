@@ -14,6 +14,8 @@ from repro.core.cross_zone import (CrossZoneRequest, XZAccepted, XZDecision,
                                    propose_body)
 from repro.crypto.digest import digest
 from repro.messages.base import sign_message
+from repro.messages.client import ClientRequest
+from repro.messages.pbft import PrePrepare
 from tests.conftest import (assert_booked, cert_of, drive_to_completion,
                             inject, monitored, small_ziziphus)
 
@@ -299,3 +301,47 @@ def test_retransmitted_request_opens_no_second_transaction(ziziphus3):
     engine._txns = NoScan(engine._txns)
     inject(dep, "alice", "z0n0", state.request_env.payload)
     assert engine._next_seq == 1 and list(dict.keys(engine._txns)) == [XID]
+
+
+# ----------------------------------------------------------------------
+# The escrow opcodes run for a zone-internal sender only
+# ----------------------------------------------------------------------
+
+def test_a_client_cannot_run_an_escrow_opcode():
+    """Client ``mallory`` orders escrow steps under its own name: each
+    executes as a refusal on every replica. (At the parent the credit
+    returned ``("ok", 1010000)`` and the ``xz-apply`` moved 500 out of
+    alice's account.)"""
+    dep = small_ziziphus()
+    dep.add_client("alice", "z0")
+    mallory = dep.add_client("mallory", "z0")
+    records = drive_to_completion(dep, mallory, [
+        ("local", ("xz-credit", "mallory", 1_000_000, "x")),
+        ("local", ("xz-apply", "alice", ("transfer", "mallory", 500)))])
+    assert [record.result for record in records] \
+        == [("err", "internal-only")] * 2
+    for node in dep.zone_nodes("z0"):
+        assert (node.app.balance_of("alice"),
+                node.app.balance_of("mallory")) == (10_000, 10_000)
+
+
+def test_an_escrow_opcode_a_faulty_primary_orders_for_a_client_is_refused():
+    """z0's primary pre-prepares, by hand, c0's own signed ``xz-credit``
+    for the three backups; they order it and refuse it alike."""
+    dep = small_ziziphus()
+    dep.add_client("c0", "z0")
+    keys = dep.keys
+    request = sign_message(keys, "c0", ClientRequest(
+        operation=("xz-credit", "c0", 1_000_000, "x"), timestamp=1,
+        sender="c0"))
+    pre_prepare = sign_message(keys, "z0n0", PrePrepare(
+        view=0, sequence=1, batch_digest=digest((request.payload,)),
+        batch=(request,), sender="z0n0"))
+    for backup in ("z0n1", "z0n2", "z0n3"):
+        dep.network.send("z0n0", backup, pre_prepare)
+    dep.sim.run(until=1_000.0)
+    for backup in ("z0n1", "z0n2", "z0n3"):
+        replica = dep.nodes[backup].replica
+        assert replica.last_executed == 1
+        assert replica.client_table["c0"] == (1, ("err", "internal-only"))
+        assert replica.app.balance_of("c0") == 10_000

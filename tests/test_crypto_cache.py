@@ -11,6 +11,7 @@ invalid one, never an exception.
 import copy
 import dataclasses
 import gc
+import hashlib
 import hmac
 import re
 import types
@@ -329,9 +330,12 @@ def test_another_registry_checks_a_sealed_envelope_by_hmac():
 
 def test_a_sender_claim_is_refused_before_any_tag_is_made():
     keys, twin = KeyRegistry(seed=6), KeyRegistry(seed=6)
+    # Signed at once, as no registry vouches for it: the check refuses
+    # it without computing a tag.
     envelope = sign_message(keys, "n1", _request(sender="n0"))
+    assert "_repro_memo" not in envelope.__dict__
     assert _asked(verify_signed, twin, envelope) == (False, 0)
-    assert "signature" not in envelope.__dict__
+    assert _asked(verify_signed, keys, envelope) == (False, 0)
 
 
 def _nesting(requests):
@@ -356,8 +360,8 @@ def test_a_sealed_request_nested_in_a_message_encodes_as_the_eager_seal():
     for made, nested, units in zip(_nesting((eager,)), _nesting((sealed,)),
                                    (4, 1)):
         assert canonical_bytes(nested) == canonical_bytes(made)
-        assert nested.__dict__["_repro_memo"][1] \
-            == made.__dict__["_repro_memo"][1] == units
+        assert nested_signature_units(nested) \
+            == nested_signature_units(made) == units
     assert sealed == eager and hash(sealed) == hash(eager)
     # Still vouched for by its sealer once its bytes are made.
     assert _verdict(keys, sealed) == (True, 0)
@@ -373,8 +377,13 @@ def test_a_fault_free_pbft_round_makes_no_digest_or_tag_for_its_votes():
     multicast = network.multicast  # the one transmit path
     network.multicast = lambda src, dsts, envelope: \
         sent.append(envelope) or multicast(src, dsts, envelope)
-    records, tags = _asked(drive_to_completion, deployment, client,
-                           [("local", ("deposit", 5))])
+    hashed, sha256 = [], hashlib.sha256
+    hashlib.sha256 = lambda data=b"": hashed.append(data) or sha256(data)
+    try:
+        records, tags = _asked(drive_to_completion, deployment, client,
+                               [("local", ("deposit", 5))])
+    finally:
+        hashlib.sha256 = sha256
     assert records[0].result == ("ok", 10_005)
     assert tags == 0
     votes = [envelope for envelope in sent if type(envelope.payload).__name__
@@ -383,15 +392,14 @@ def test_a_fault_free_pbft_round_makes_no_digest_or_tag_for_its_votes():
         == {"Prepare", "Commit", "ClientReply"}
     for envelope in votes:
         assert "signature" not in envelope.__dict__
-        record = envelope.payload.__dict__["_repro_memo"]
-        assert record[0] is None and record[2] is None
+        assert envelope.payload.__dict__["_repro_memo"][0] is None
     # The request is named by its client and timestamp: it is encoded
     # inside its batch's digest, never hashed on its own.
     pre_prepare = next(envelope.payload for envelope in sent
                        if type(envelope.payload).__name__ == "PrePrepare")
     (request,) = pre_prepare.batch
     assert type(request.payload) is ClientRequest
-    assert request.payload.__dict__["_repro_memo"][2] is None
+    assert hashed and canonical_bytes(request.payload) not in hashed
 
 
 # ----------------------------------------------------------------------
@@ -1144,6 +1152,18 @@ def test_memo_site_census_matches_design_doc():
     # Content-keyed memo tables on an instance (four, all in ``crypto/``,
     # before a verdict lived on what it judges): none.
     assert memo_tables == set()
+
+
+def test_the_memo_record_is_indexed_by_its_owner_the_seal_and_the_hop():
+    """The schema owns the record's layout (``vouch`` / ``vouched`` are
+    how anything else records or reads a verdict); only the lazy seal
+    and the two inline reads of the hop index it as well (seven modules
+    did before)."""
+    indexing = {path.relative_to(root / "src" / "repro").as_posix()
+                for root, path, source in _sources()
+                if re.search(r'_repro_memo(?:"|\[)', source)}
+    assert indexing <= {"crypto/schema.py", "messages/base.py",
+                        "sim/process.py"}
 
 
 def test_honest_envelopes_are_made_in_one_place():

@@ -1,5 +1,5 @@
-"""The known-defect ledger of ROADMAP items 3 and 10, one seeded run per
-entry.
+"""The known-defect ledger of ROADMAP items 1, 3 and 10, one seeded run
+per entry.
 
 Each test asserts what a correct deployment does. An open entry is marked
 ``xfail(strict=True)``: it fails today, and the day a fix makes it pass
@@ -14,6 +14,7 @@ at most one faulty node per zone — within budget.
 import pytest
 
 from repro.messages.base import sign_message
+from repro.messages.client import ClientRequest
 from repro.messages.endorse import EndorsePrePrepare
 from repro.messages.migration import StateTransfer
 from repro.pbft.faults import Behavior, HonestBehavior
@@ -128,3 +129,25 @@ def test_d16_a_former_primary_that_missed_its_zones_view_change_stalls():
                     if s.name == "zone-internal-split")
     result = run_scenario(scenario, seed=4, backend="rotating")
     assert result.verdict == "pass", result.reasons
+
+
+@known_defect
+def test_d23_a_faulty_primary_cannot_order_an_internal_step_of_its_own():
+    """z0's primary signs ``("xz-apply", "alice", ("transfer", "mallory",
+    500))`` under ``xz:forged:prepare``, an internal identity the shared
+    registry derives for anyone, and orders it. Backups check only that
+    signature, so all four z0 replicas move alice's 500 to mallory; an
+    internal step should carry the certified XZ-PROPOSE / XZ-DECISION it
+    comes from."""
+    deployment = small_ziziphus()
+    for client_id in ("alice", "mallory"):
+        deployment.add_client(client_id, "z0")
+    forger = "xz:forged:prepare"
+    request = ClientRequest(
+        operation=("xz-apply", "alice", ("transfer", "mallory", 500)),
+        timestamp=1, sender=forger)
+    deployment.nodes["z0n0"].replica.submit_request(
+        sign_message(deployment.keys, forger, request))
+    deployment.sim.run(until=1_000.0)
+    assert [node.app.balance_of("alice")
+            for node in deployment.zone_nodes("z0")] == [10_000] * 4

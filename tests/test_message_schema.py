@@ -550,7 +550,7 @@ def test_property_canonical_bytes_equal_the_ladder(value):
 @settings(max_examples=300, deadline=None)
 @given(_values)
 def test_property_signature_units_equal_the_ladder(value):
-    # One walk yields both; a memo hit must yield the same pair.
+    # The bytes and the count; a memo hit must yield the same pair.
     assert _walked(value) == _reference_walk(value)
     assert _walked(Pair(value, value)) == _reference_walk(Pair(value, value))
 
