@@ -976,21 +976,18 @@ class SyncEngine:
                     if commuting and outcome.accepted:
                         self._client_exec_ts[request.sender] = \
                             request.timestamp
-                extra = {}
-                if commuting:
-                    # Node-independent claim (plus the outcome) so the
-                    # monitor can judge commuting executions; default
-                    # backends emit the exact legacy shape.
-                    extra["reason"] = outcome.reason
-                    source = request.source_zone
-                else:
-                    source = outcome.source_zone
+                # ``source`` is the request's claim, the same on every
+                # node: a destination cluster's regional record of where
+                # the client was may be stale by design (§VI). Only
+                # commuting execution, which can skip a request as
+                # superseded, reports why it applied or not.
+                extra = {"reason": outcome.reason} if commuting else {}
                 obs.emit(self.node.sim.now, "migration.executed",
                          node=self.node.node_id,
                          ballot=ballot.key,
                          client=request.sender,
                          req_ts=request.timestamp,
-                         source=source,
+                         source=request.source_zone,
                          dest=request.dest_zone,
                          accepted=bool(outcome.accepted), **extra)
                 results[request.sender] = outcome.as_result()

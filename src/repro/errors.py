@@ -27,10 +27,6 @@ class InvalidCertificateError(CryptoError):
     """A quorum certificate is malformed or below the required quorum."""
 
 
-class StorageError(ReproError):
-    """A storage-layer operation failed."""
-
-
 class ProtocolError(ReproError):
     """A protocol message violated the protocol's state machine."""
 

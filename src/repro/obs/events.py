@@ -94,7 +94,8 @@ EVENT_KINDS: dict[str, str] = {
     "sync.redrive": "new zone primary re-drives an in-flight ballot "
                     "its own zone initiated",
     # Data migration protocol.
-    "migration.executed": "migration decision executed (source/dest)",
+    "migration.executed": "migration decision executed (source is the "
+                          "request's claim, dest its destination)",
     "migration.state_sent": "source zone shipped the client state R(c)",
     "migration.applied": "destination node applied the shipped state",
     # Cross-cluster coordination.

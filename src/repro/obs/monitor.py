@@ -19,9 +19,11 @@ invariants *while the simulation runs*:
 3. **Data-sync quorum** — a global transaction only commits after a
    majority of the cluster's zones promised (leaderless mode) and
    accepted its ballot.
-4. **Migration atomicity** — a client is owned by exactly one zone at
-   every simulated instant, each migration request executes exactly once
-   per cluster, and the shipped state digest matches what is applied.
+4. **Migration atomicity** — judged on each request's certified claim:
+   every copy of a migration request makes one move, under one ballot
+   per cluster; under strict replay a request's claim is where the
+   client's previous move left it; and the shipped state digest matches
+   what is applied.
 5. **Liveness watchdog** — per-item progress timers (global transaction,
    state copy, committed-but-unexecuted batch) flagged at ``finish()``
    with the protocol phase they stalled in.
@@ -93,7 +95,8 @@ class MonitorTopology:
                          for cid, zids in (clusters or {}).items()}
         #: ``"commuting"`` when the deployment's global backend admits
         #: concurrent initiators (see GlobalEngine.commuting_execution);
-        #: ``None`` for the default strict-replay discipline.
+        #: ``None`` for the default strict-replay discipline, the only
+        #: one whose migrations are also checked against an owner chain.
         self.execution = execution
 
     @classmethod
@@ -183,16 +186,13 @@ class ProtocolMonitor:
         self._sync_commit_ok: set = set()
         self._commit_prev: dict[str, str] = {}
         self._executed: dict[str, set] = {}
-        # Migration atomicity state.
+        # Migration atomicity state: the first outcome per (ballot,
+        # client); per (client, request timestamp) the (source, dest,
+        # {cluster: ballot}) its applied copies agree on; and, under the
+        # chain discipline, each client's owner.
         self._mig_transitions: dict[tuple, tuple] = {}
-        # Commuting mode: client -> {req_ts: (source, dest, {cluster:
-        # ballot})} of applied migrations; every node applying a request
-        # must agree on its destination, and no request may apply under
-        # two ballots of one cluster.
-        self._commute_applied: dict[str, dict[int, tuple]] = {}
+        self._mig_applied: dict[tuple, tuple] = {}
         self._owner: dict[str, str] = {}
-        self._owner_applied: set = set()
-        self._mig_done: dict[tuple, set] = {}
         self._state_digests: dict[tuple, str] = {}
         self._applied_nodes: dict[tuple, set] = {}
         # Certified-read state: group -> highest executed sequence seen.
@@ -548,40 +548,18 @@ class ProtocolMonitor:
     # ------------------------------------------------------------------
     def _on_migration_executed(self, ts: float, node: str,
                                f: dict) -> None:
-        self.checked["migration.executed"] += 1
-        if self.topology.execution == "commuting":
-            self._on_migration_executed_commuting(ts, node, f)
-            return
-        key = (f["ballot"], f["client"])
-        transition = (f["source"], f["dest"], bool(f["accepted"]))
-        first = self._mig_transitions.get(key)
-        if first is None:
-            self._mig_transitions[key] = transition
-            self._in_flight(ts, node, f)
-            self._apply_transition(ts, node, f)
-        elif first != transition:
-            # Nodes disagreeing on a deterministic execution outcome.
-            self._flag(ts, "migration-divergence", node,
-                       dedup_key=(key, transition), ballot=f["ballot"],
-                       client=f["client"], got=list(transition),
-                       first=list(first))
+        """Migration atomicity, judged on the request's certified claim.
 
-    def _on_migration_executed_commuting(self, ts: float, node: str,
-                                         f: dict) -> None:
-        """Migration checks under the commuting-execution discipline.
-
-        Concurrent-initiator backends fork the ``prev_ballot`` chain, so
-        nodes legitimately apply a client's migrations in different
-        interleavings; the protocol converges them via the per-client
-        request-timestamp high-water mark. The oracle therefore (a)
-        treats ``superseded`` skips as the discipline working, and (b)
-        replaces the trace-order ownership chain with the invariants
-        that survive reordering: every node applying a request agrees on
-        its destination, and no request applies under two ballots (the
-        high-water mark's job). Claimed sources are *not* chained — a
-        client that missed a response reissues from a stale belief, and
-        certified-source adoption makes the actual move safe anyway.
+        Every node executing a request under one ballot must reach the
+        same outcome (``migration-divergence``). A request applied is one
+        record per (client, request timestamp), whatever order its copies
+        arrive in: each copy must make the same move
+        (``migration-dest-divergence``), and each cluster applies it
+        under one ballot only (``migration-duplicate``) — a cross-cluster
+        move applies once per cluster. A ``superseded`` skip (commuting
+        execution only) is the discipline working, not an outcome.
         """
+        self.checked["migration.executed"] += 1
         if f.get("reason") == "superseded":
             return
         key = (f["ballot"], f["client"])
@@ -591,8 +569,9 @@ class ProtocolMonitor:
             self._mig_transitions[key] = transition
             self._in_flight(ts, node, f)
             if transition[2]:
-                self._record_commuting_apply(ts, node, f)
+                self._record_apply(ts, node, f)
         elif first != transition:
+            # Nodes disagreeing on a deterministic execution outcome.
             self._flag(ts, "migration-divergence", node,
                        dedup_key=(key, transition), ballot=f["ballot"],
                        client=f["client"], got=list(transition),
@@ -612,61 +591,40 @@ class ProtocolMonitor:
             self._open[("migration",) + key] = {
                 "start": ts, "phase": "state-copy", "node": node}
 
-    def _record_commuting_apply(self, ts: float, node: str,
-                                f: dict) -> None:
-        client = f["client"]
-        source, dest, ballots = self._commute_applied.setdefault(
-            client, {}).setdefault(f["req_ts"], (f["source"], f["dest"], {}))
-        if (source, dest) != (f["source"], f["dest"]):
-            # The same client request applied with two different moves
-            # (e.g. duplicate ballots that disagree on the destination,
-            # or the two clusters' halves of one cross-cluster move).
-            self._flag(ts, "migration-dest-divergence", node,
-                       dedup_key=(client, f["req_ts"]), client=client,
-                       dest=f["dest"], expected=dest)
-            return
-        # Each cluster applies a cross-cluster move under its own ballot:
-        # only a second ballot of one cluster applies the request again.
-        cluster = self.topology.cluster_of(_ballot_zone(f["ballot"]))
-        first_ballot = ballots.setdefault(cluster, f["ballot"])
-        if first_ballot != f["ballot"]:
-            # A retransmitted request certified under a second ballot
-            # must be skipped as superseded, not applied again.
-            self._flag(ts, "migration-duplicate", node,
-                       dedup_key=(client, f["req_ts"], f["ballot"]),
-                       client=client, ballot=f["ballot"],
-                       first_ballot=first_ballot)
-
-    def _apply_transition(self, ts: float, node: str, f: dict) -> None:
-        if not f["accepted"]:
-            return
-        client = f["client"]
+    def _record_apply(self, ts: float, node: str, f: dict) -> None:
+        client, ballot = f["client"], f["ballot"]
         ident = (client, f["req_ts"])
-        cluster = self.topology.cluster_of(_ballot_zone(f["ballot"]))
-        done = self._mig_done.setdefault(ident, set())
-        for done_cluster, done_ballot in done:
-            if done_cluster == cluster and done_ballot != f["ballot"]:
-                self._flag(ts, "migration-duplicate", node,
-                           dedup_key=(ident, f["ballot"]), client=client,
-                           req_ts=f["req_ts"], ballot=f["ballot"],
-                           earlier=done_ballot)
-        done.add((cluster, f["ballot"]))
-        if ident in self._owner_applied:
-            # The other cluster's half of a cross-cluster migration:
-            # it must agree on the destination.
-            expected = self._owner.get(client)
-            if expected is not None and expected != f["dest"]:
-                self._flag(ts, "migration-dest-divergence", node,
-                           dedup_key=(ident, f["ballot"]), client=client,
-                           dest=f["dest"], expected=expected)
+        move = (f["source"], f["dest"])
+        record = self._mig_applied.get(ident)
+        if record is None:
+            record = self._mig_applied[ident] = move + ({},)
+            if self.topology.execution != "commuting":
+                # Chain discipline: moves apply in one order everywhere,
+                # so a request's first copy must move the client from
+                # where its previous move left it. Commuting execution
+                # reorders moves by design and converges them instead.
+                owner = self._owner.get(client)
+                if owner is not None and owner != f["source"]:
+                    self._flag(ts, "ownership-fork", node, dedup_key=ident,
+                               client=client, req_ts=f["req_ts"],
+                               owner=owner, claimed_source=f["source"],
+                               dest=f["dest"])
+                self._owner[client] = f["dest"]
+        elif record[:2] != move:
+            self._flag(ts, "migration-dest-divergence", node,
+                       dedup_key=(ident, ballot), client=client,
+                       req_ts=f["req_ts"], got=list(move),
+                       expected=list(record[:2]))
             return
-        self._owner_applied.add(ident)
-        owner = self._owner.get(client)
-        if owner is not None and owner != f["source"]:
-            self._flag(ts, "ownership-fork", node, dedup_key=ident,
-                       client=client, owner=owner,
-                       claimed_source=f["source"], dest=f["dest"])
-        self._owner[client] = f["dest"]
+        cluster = self.topology.cluster_of(_ballot_zone(ballot))
+        first_ballot = record[2].setdefault(cluster, ballot)
+        if first_ballot != ballot:
+            # A retransmitted request certified under a second ballot
+            # must be skipped, not applied again.
+            self._flag(ts, "migration-duplicate", node,
+                       dedup_key=(ident, ballot), client=client,
+                       req_ts=f["req_ts"], ballot=ballot,
+                       first_ballot=first_ballot)
 
     def _on_state_sent(self, ts: float, node: str, f: dict) -> None:
         self.checked["migration.state"] += 1

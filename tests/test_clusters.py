@@ -126,6 +126,25 @@ def test_each_cluster_executes_on_its_own_regional_metadata():
         assert len(digests) == 1, f"{cluster} diverged"
 
 
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_a_move_back_into_a_cluster_with_a_stale_record_is_clean(backend):
+    """c1 goes z0 -> z2 -> z3 -> z0. Cluster-0 last saw it at z2, since
+    z2 -> z3 ran inside cluster-1 only, and adopts the third move's
+    certified claim, z3. (While ``default`` and ``syncbft`` reported the
+    stale z2 as the move's source, the monitor booked an
+    ``ownership-fork`` against the owner z3.)"""
+    dep = build_clustered(backend=backend)
+    client = dep.add_client("c1", "z0")
+    monitor = monitored(dep)
+    records = drive_to_completion(dep, client, [
+        ("migrate", "z2"), ("migrate", "z3"), ("migrate", "z0")],
+        step_ms=60_000, max_steps=40)
+    assert [r.result for r in records] == [
+        ("migrated", "ok", "z2"), ("migrated", "ok", "z3"),
+        ("migrated", "ok", "z0")]
+    monitor.assert_clean()
+
+
 def test_cross_cluster_without_stable_leader():
     dep = build_clustered(stable_leader=False)
     client = dep.add_client("c1", "z1")

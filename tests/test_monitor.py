@@ -169,14 +169,20 @@ def test_forged_cert_is_flagged_online(ziziphus3):
     assert flagged and flagged[0].detail["reason"] == "signature-invalid"
 
 
-def commuting_two_clusters():
+def two_clusters(execution=None):
+    """z0, z1 in cluster-0 and z2, z3 in cluster-1; ``execution=None``
+    is the chain discipline of ``default`` and ``syncbft``."""
     zones = {zone: {"members": [f"{zone}n{i}" for i in range(4)], "f": 1,
                     "cluster": cluster}
              for zone, cluster in (("z0", "cluster-0"), ("z1", "cluster-0"),
                                    ("z2", "cluster-1"), ("z3", "cluster-1"))}
     return ProtocolMonitor(MonitorTopology.from_dict({
-        "zones": zones, "execution": "commuting",
+        "zones": zones, "execution": execution,
         "clusters": {"cluster-0": ["z0", "z1"], "cluster-1": ["z2", "z3"]}}))
+
+
+def commuting_two_clusters():
+    return two_clusters("commuting")
 
 
 def migration_executed(monitor, node, ballot):
@@ -197,6 +203,53 @@ def test_commuting_checker_takes_each_clusters_half_of_a_move_once():
     migration_executed(monitor, "z0n1", "4.z0")
     assert [(v.kind, v.culprit) for v in monitor.violations] == [
         ("migration-duplicate", "z0n1")]
+
+
+def moved(monitor, ts, node, ballot, req_ts, source, dest):
+    """c1's request ``req_ts`` applied under ``ballot``, as a chain
+    backend reports it: ``source`` is the request's claim."""
+    monitor.on_event(ts, "migration.executed", node, {
+        "ballot": ballot, "client": "c1", "req_ts": req_ts,
+        "source": source, "dest": dest, "accepted": True})
+
+
+def booked(monitor):
+    return [(v.kind, v.culprit) for v in monitor.violations]
+
+
+def test_a_half_that_lands_after_the_clients_next_move_is_clean():
+    """c1 goes z2 -> z0; cluster-0 applies its half, c1 moves on to z1,
+    and only then does cluster-1 apply its own half of z2 -> z0. (The
+    chain checker compared that half with c1's *current* owner, z1, and
+    booked ``migration-dest-divergence``.)"""
+    monitor = two_clusters()
+    moved(monitor, 1.0, "z0n0", "2.z0", 2, "z2", "z0")
+    moved(monitor, 2.0, "z0n0", "3.z0", 3, "z0", "z1")
+    moved(monitor, 3.0, "z2n0", "2.z2", 2, "z2", "z0")
+    assert booked(monitor) == []
+
+
+def test_a_claim_that_is_not_the_owner_is_an_ownership_fork():
+    monitor = two_clusters()
+    moved(monitor, 1.0, "z0n0", "2.z0", 2, "z0", "z1")
+    moved(monitor, 2.0, "z2n0", "3.z2", 3, "z2", "z3")
+    assert booked(monitor) == [("ownership-fork", "z2n0")]
+
+
+@pytest.mark.parametrize("execution", [None, "commuting"])
+def test_a_second_ballot_of_one_cluster_is_a_duplicate(execution):
+    monitor = two_clusters(execution)
+    moved(monitor, 1.0, "z0n0", "2.z0", 2, "z0", "z1")
+    moved(monitor, 2.0, "z1n0", "4.z1", 2, "z0", "z1")
+    assert booked(monitor) == [("migration-duplicate", "z1n0")]
+
+
+@pytest.mark.parametrize("execution", [None, "commuting"])
+def test_two_copies_that_disagree_on_the_destination_diverge(execution):
+    monitor = two_clusters(execution)
+    moved(monitor, 1.0, "z0n0", "2.z0", 2, "z0", "z2")
+    moved(monitor, 2.0, "z2n0", "2.z2", 2, "z0", "z3")
+    assert booked(monitor) == [("migration-dest-divergence", "z2n0")]
 
 
 def test_both_halves_of_a_rotating_cross_cluster_move_are_clean():

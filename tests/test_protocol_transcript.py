@@ -159,6 +159,16 @@ move too. Leading it again, the first led one round more with as many
 migrations applied, and the second applied 252 migrations, not 260, and
 sent 400 ``ResponseQuery``, not 348. The other 34 literals and the three
 baselines' did not move.
+
+The ``clusters`` literals on ``default`` and ``syncbft`` were generated
+again when ``migration.executed`` began to name the request's certified
+claim as its ``source`` on every backend (EXPERIMENTS.md, "A migration
+judged on its claim"): the destination cluster's half of a move reported
+where its own regional meta-data last saw the client, stale by design
+(§VI). 24 rows on ``default`` and 6 on ``syncbft`` change their
+``source`` (``z2c1``'s request 28 under ballot ``26.z2``: z0 → z1), and
+nothing else in either trace moves. The other 43 literals and the three
+baselines' did not move.
 """
 
 from __future__ import annotations
@@ -373,11 +383,11 @@ PINNED: dict[tuple[str, str], str] = {
     ("full-prepare", "syncbft"):
         "063683214118c7a1818f06d7b68f79070db1265bff602f18af40c164a11a2b77",
     ("clusters", "default"):
-        "0c6fe351a47861ef13f0a40291d65da5cf579ee0e6b781f647927772c40f865a",
+        "9f8db269fb987bafba4cdea5c01a8b936c89cd7fc983f254b2b55355bdb18e81",
     ("clusters", "rotating"):
         "277687a83979d17be66c9bdb14a60c5f12e961a2ecba80330dcbdfb60c7e868b",
     ("clusters", "syncbft"):
-        "1b843ee64f943325b0182a615f6dda2327042665f3988bc6da5e3f778ea09ba3",
+        "36341f1764fea01fa2f421629dc18a7f2c8a55816227ad2783b6b2aac4c3fb29",
     ("cross-zone", "default"):
         "004dbe0766abf465cbdc11d03e9d502816697d7f998e2d39c2934c8e9fcca573",
     ("cross-zone", "rotating"):
