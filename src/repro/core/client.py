@@ -39,7 +39,7 @@ from repro.pbft.client import ClosedLoopClient, InFlight
 from repro.reads import ReadConfig
 from repro.sim.events import Simulator
 from repro.sim.network import Network
-from repro.storage.merkle import verify_proof
+from repro.storage.merkle import fold_proof, leaf_hash
 
 __all__ = ["MobileClient"]
 
@@ -82,6 +82,9 @@ class MobileClient(ClosedLoopClient):
         #: Per zone, the member a read there is sent to first
         #: (:meth:`_read_asked`).
         self._read_members: dict[str, str] = {}
+        #: The last inclusion path this client proved, ``(root, proof,
+        #: leaf hash)`` (:meth:`_binds`).
+        self._proved: tuple = ()
         self._verifier = CertificateVerifier(keys)
 
     # ------------------------------------------------------------------
@@ -356,7 +359,7 @@ class MobileClient(ClosedLoopClient):
         the session vector."""
         cert = reply.cert
         problem = self._cert_problem(cert, zone)
-        if problem is None and not verify_proof(
+        if problem is None and not self._binds(
                 cert.state_digest, self.read_key(operation, self.node_id),
                 reply.result, reply.proof):
             problem = "bad-proof"
@@ -376,6 +379,24 @@ class MobileClient(ClosedLoopClient):
         if cert.sequence < self.session.get(zone.zone_id, 0):
             return None   # behind our session vector
         return cert
+
+    def _binds(self, root: Any, key: str, value: Any, proof: Any) -> bool:
+        """Whether ``proof`` binds ``value`` under ``key`` to ``root``, as
+        :func:`~repro.storage.merkle.verify_proof` judges it.
+
+        A client reads its own record many times under one certificate,
+        so the path it proved last is kept: a reply that repeats its root
+        and proof (a ``bytes`` proof, as the fold demands) for a value of
+        the same leaf hash costs that one hash, not a fold up to the
+        root. Only a fold that reached ``root`` writes the slot."""
+        leaf = leaf_hash(key, value)
+        if type(proof) is bytes and (root, proof, leaf) == self._proved:
+            return True
+        folded = fold_proof(leaf, proof)
+        if folded is None or folded != root:
+            return False
+        self._proved = (root, proof, leaf)
+        return True
 
     def _settle(self, flight: InFlight, result: Any) -> bool:
         request = flight.request

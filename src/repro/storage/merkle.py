@@ -29,7 +29,8 @@ from typing import Any, Mapping
 
 from repro.crypto.schema import canonical_bytes
 
-__all__ = ["ABSENT", "StateTree", "state_root", "verify_proof"]
+__all__ = ["ABSENT", "StateTree", "fold_proof", "leaf_hash", "state_root",
+           "verify_proof"]
 
 _sha256 = hashlib.sha256
 _BITS = 256
@@ -59,9 +60,14 @@ class _Inner:
         self.hash = None
 
 
+def leaf_hash(key: str, value: Any) -> bytes:
+    """The hash of the leaf of ``(key, value)``: where a proof starts."""
+    return _sha256(_LEAF + canonical_bytes((key, value))).digest()
+
+
 def _hash(node) -> bytes:
     if type(node) is not _Inner:
-        return _sha256(_LEAF + canonical_bytes(node)).digest()
+        return leaf_hash(*node)
     if node.hash is None:
         node.hash = _sha256(
             _INNER + _hash(node.left) + _hash(node.right)).digest()
@@ -209,19 +215,19 @@ def state_root(mapping: Mapping[str, Any]) -> bytes:
     return StateTree.of(mapping).root
 
 
-def verify_proof(root: bytes, key: str, value: Any, proof: Any) -> bool:
-    """Whether ``proof`` shows that the mapping whose root is ``root``
-    holds ``value`` under ``key`` (see :meth:`StateTree.prove`)."""
+def fold_proof(leaf: bytes, proof: Any) -> bytes | None:
+    """The root that ``proof`` (see :meth:`StateTree.prove`) folds the
+    leaf hash ``leaf`` up to; None for a proof not of that form."""
     if type(proof) is not bytes or not proof:
-        return False
+        return None
     depth = proof[0]
     width = (depth + 7) // 8
     if len(proof) != 1 + width + 32 * depth:
-        return False
+        return None
     sides = int.from_bytes(proof[1:1 + width], "little")
     if sides >> depth:
-        return False
-    node = _sha256(_LEAF + canonical_bytes((key, value))).digest()
+        return None
+    node = leaf
     at = 1 + width
     for i in range(depth):
         sibling = proof[at:at + 32]
@@ -230,4 +236,11 @@ def verify_proof(root: bytes, key: str, value: Any, proof: Any) -> bool:
             node = _sha256(_INNER + sibling + node).digest()
         else:
             node = _sha256(_INNER + node + sibling).digest()
-    return node == root
+    return node
+
+
+def verify_proof(root: bytes, key: str, value: Any, proof: Any) -> bool:
+    """Whether ``proof`` shows that the mapping whose root is ``root``
+    holds ``value`` under ``key`` (see :meth:`StateTree.prove`)."""
+    folded = fold_proof(leaf_hash(key, value), proof)
+    return folded is not None and folded == root

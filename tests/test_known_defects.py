@@ -118,6 +118,22 @@ def test_d11_reproposed_ballot_does_not_chain_to_the_superseded_one():
     assert _applied_at_z2(deployment) == [1, 1, 1, 1]
 
 
+def test_d1i_a_primary_crashed_under_load_stalls_nothing():
+    """Closed on re-measurement: no fix is known. z0's primary crashes
+    at 1 000 ms under 20 clients per zone, 10 % of them global, seed 3.
+    It passes on all three backends; ``syncbft``, the cheapest, is run
+    here. (It was flagged ``stall: 4``.)"""
+    from repro.chaos import FaultAction, Scenario, run_scenario
+    scenario = Scenario(
+        name="crash-under-load", description="z0's primary crashes under "
+        "load", budget="<=f", expect="safe",
+        actions=(FaultAction(1_000.0, "crash", node="primary:z0"),),
+        clients_per_zone=20, global_fraction=0.1)
+    result = run_scenario(scenario, seed=3, backend="syncbft")
+    assert result.verdict == "pass", result.reasons
+    assert result.violation_kinds == {}
+
+
 @known_defect
 def test_d16_a_former_primary_that_missed_its_zones_view_change_stalls():
     """`zone-internal-split` on `rotating`, seed 4: after the heal z2's

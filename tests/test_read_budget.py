@@ -29,6 +29,7 @@ from repro.obs.bus import Instrumentation
 from repro.pbft.faults import make_behavior
 from repro.pbft.replica import PBFTConfig
 from repro.reads import ReadConfig, ReadEngine
+from repro.storage import merkle
 from repro.storage.merkle import StateTree
 from repro.workload.driver import ClosedLoopDriver
 from repro.workload.generator import WorkloadMix
@@ -121,6 +122,32 @@ def measuring():
     finally:
         StateTree.root = root
         ReadEngine._answer = answer
+
+
+@contextmanager
+def client_hashes(client):
+    """Count, while inside, the SHA-256s ``client`` computes to judge
+    each proof it is sent: one count per proof judged."""
+    counts = []
+    sha256, binds = merkle._sha256, client._binds
+
+    def counted(data):
+        counts[-1] += 1
+        return sha256(data)
+
+    def measured_binds(*args):
+        counts.append(0)
+        merkle._sha256 = counted
+        try:
+            return binds(*args)
+        finally:
+            merkle._sha256 = sha256
+
+    client._binds = measured_binds
+    try:
+        yield counts
+    finally:
+        del client._binds
 
 
 def small_zones(backend="default"):
@@ -271,6 +298,32 @@ def test_a_read_every_member_answered_uselessly_falls_back_at_once():
     assert record.result == ("ok", 10_005)
     fallback = [e for e in obs.events if e.kind == "read.fallback"][0]
     assert fallback.ts - submitted < READS.read_timeout_ms / 10
+
+
+def fast_read_hashes(reads=3):
+    """The SHA-256s a client computes for each of ``reads`` fast reads
+    under one certificate, and the depth of the proof they carry: the
+    reader is one of eight z0 clients that have each written once."""
+    deployment = small_zones()
+    writers = [deployment.add_client(f"c{k}", "z0") for k in range(1, 9)]
+    for writer in writers:
+        writer.on_complete = lambda record: None
+        writer.submit_local(("deposit", 5))
+    deployment.sim.run(until=20.0)
+    client = writers[0]
+    with client_hashes(client) as counts:
+        for _ in range(reads):
+            _, _, record = one_read(deployment, client)
+            assert record.labels == {"read": "fast"}
+    return counts, client._proved[1][0]
+
+
+def test_a_client_folds_its_proof_once_per_certificate():
+    """The first fast read under a certificate hashes the leaf and each
+    level of the proof; a read that repeats the path hashes the leaf."""
+    counts, depth = fast_read_hashes()
+    assert depth >= 2
+    assert counts == [depth + 1, 1, 1]
 
 
 def test_a_client_asks_one_member_and_a_zones_clients_spread_over_all():
@@ -430,6 +483,7 @@ if __name__ == "__main__":
     deployment.nodes[other_members(deployment, liar)[0]].locks.mark_stale(
         "c1")
     widened, _, _ = one_read(deployment, client)
+    (first, *repeats), depth = fast_read_hashes()
     timeouts, fast = silent_member_run()
     with measuring() as (roots, proofs):
         deployment, driver = loaded_zones()
@@ -439,7 +493,9 @@ if __name__ == "__main__":
     print(f"one read {honest[0]} + {honest[1]} messages (pinned "
           f"{one_sent} + {one_heard}), one the asked member cannot serve "
           f"{widened[0]} + {widened[1]} (pinned {widened_sent} + "
-          f"{widened_heard}); z0n1 silent: at most "
+          f"{widened_heard}); client SHA-256s per fast read {first} first "
+          f"under a certificate (pinned depth + 1 = {depth + 1}), "
+          f"{max(repeats)} on a repeat (pinned 1); z0n1 silent: at most "
           f"{max(timeouts.values())} read timeout per client "
           f"({sum(timeouts.values())} in all), {fast} fast reads in z0 in "
           f"[100, 400) ms ({SILENT_MEMBER_FAST_READS_BEFORE} at f+1 "

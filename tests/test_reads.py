@@ -462,6 +462,110 @@ def test_one_in_budget_liar_is_proven_wrong():
 
 
 # ----------------------------------------------------------------------
+# A proved path is folded once
+# ----------------------------------------------------------------------
+class ReshapedReadBehavior(HonestBehavior):
+    """Serves every read with ``reshape`` applied to its genuine reply."""
+
+    def __init__(self, reshape):
+        self.reshape = reshape
+        self.sent = None
+
+    def outbound(self, keys, signer, dst, payload):
+        if isinstance(payload, ReadReply) and payload.status == "ok":
+            payload = self.sent = self.reshape(payload)
+        return super().outbound(keys, signer, dst, payload)
+
+
+def proved_once():
+    """A monitored zone whose client ``c1`` has completed one fast read,
+    so that it holds the path it proved; and the member it asks next."""
+    deployment = small_zones()
+    monitor = monitored(deployment)
+    client = deployment.add_client("c1", "z0")
+    run_actions(deployment, client, [("local", ("deposit", 5)),
+                                     ("read", ("balance",))], step_ms=20.0)
+    assert client.completed[-1].labels == {"read": "fast"}
+    return deployment, monitor, client, next_asked(deployment, client)
+
+
+def read_once(deployment, client):
+    """Run one read of ``c1``'s balance; its completion record."""
+    run_actions(deployment, client, [("read", ("balance",))], step_ms=20.0)
+    return client.completed[-1]
+
+
+def booked(monitor):
+    return [(v.kind, v.culprit, v.detail["reason"])
+            for v in monitor.violations]
+
+
+@pytest.mark.parametrize("reshape", [
+    # Another value under the same root and proof.
+    lambda reply: dataclasses.replace(reply, result=1_000_000),
+    # A value equal to the proved one by ``==``, of another leaf hash.
+    lambda reply: dataclasses.replace(reply, result=float(reply.result)),
+    # The same proof, equal in content (and signed alike), as a
+    # ``bytearray``: not the ``bytes`` a proof is.
+    lambda reply: dataclasses.replace(reply, proof=bytearray(reply.proof)),
+], ids=["another-value", "an-equal-float", "a-bytearray-proof"])
+def test_a_reply_that_repeats_the_proved_path_is_judged_as_the_fold_would(
+        reshape):
+    """The asked member repeats the root and proof the client proved
+    last, reshaped. The client refuses it as the full fold does and books
+    its sender; an honest member's repeat of the path completes the
+    read."""
+    deployment, monitor, client, liar = proved_once()
+    proved = client._proved
+    behavior = ReshapedReadBehavior(reshape)
+    deployment.nodes[liar].set_behavior(behavior)
+    record = read_once(deployment, client)
+    assert record.result == ("ok", 10_005)
+    assert type(record.result[1]) is int
+    assert record.labels == {"read": "fast"}
+    assert booked(monitor) == [("read-fabrication", liar, "bad-proof")]
+    assert client._proved == proved
+    # A refused path is not kept: the same lie is refused again.
+    lie = behavior.sent
+    key = client.read_key(("balance",), "c1")
+    for _ in range(2):
+        assert not client._binds(lie.cert.state_digest, key, lie.result,
+                                 lie.proof)
+
+
+def test_a_reply_under_a_new_certificate_is_folded_up_to_its_root(
+        monkeypatch):
+    """Once the zone certifies a new version, a reply is folded again,
+    and the proved path proves nothing under it: the asked member's
+    replay of the old value and proof beside the new certificate is
+    refused."""
+    from repro.core import client as client_module
+    deployment, monitor, client, liar = proved_once()
+    folds = []
+    fold = client_module.fold_proof
+    monkeypatch.setattr(client_module, "fold_proof",
+                        lambda leaf, proof: folds.append(proof)
+                        or fold(leaf, proof))
+    assert read_once(deployment, client).result == ("ok", 10_005)
+    assert folds == []
+    root, old_proof, _ = client._proved
+    # The first batch a zone executes in an epoch is what it certifies:
+    # the second deposit, a whole epoch after the first.
+    for _ in range(2):
+        run_actions(deployment, client, [("local", ("deposit", 5))],
+                    step_ms=client.reads.epoch_ms)
+    deployment.nodes[liar].set_behavior(ReshapedReadBehavior(
+        lambda reply: dataclasses.replace(reply, result=10_005,
+                                          proof=old_proof)))
+    record = read_once(deployment, client)
+    assert record.result == ("ok", 10_015)
+    assert record.labels == {"read": "fast"}
+    assert booked(monitor) == [("read-fabrication", liar, "bad-proof")]
+    assert client._proved[0] != root
+    assert folds == [old_proof, client._proved[1]]
+
+
+# ----------------------------------------------------------------------
 # Ill-shaped messages are refused, not fatal
 # ----------------------------------------------------------------------
 def _reply(dep, client, **fields):
